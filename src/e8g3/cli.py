@@ -1,19 +1,30 @@
-"""Batch front-end: verification suites, bounded enumeration, cache
-management.  Exit codes: 0 pass, 1 verification failure, 2 usage error."""
+"""Batch front-end: verification suites and bounded enumeration.
+Exit codes: 0 pass, 1 verification failure, 2 usage error."""
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import sys
 
 from .report import dump_report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits with 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="e8g3",
         description="exact checks for the graded E8 construction and its "
                     "genus-2 side")
@@ -24,7 +35,7 @@ def main(argv=None) -> int:
                                             "cusp", "sections", "all"])
     p_verify.add_argument("--json", metavar="PATH",
                           help="write the machine-readable report here")
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=_positive_int, default=1)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fixture", metavar="PATH",
                           help="sections fixture file (overrides "
@@ -35,23 +46,27 @@ def main(argv=None) -> int:
     p_enum.add_argument("bound", type=int)
     p_enum.add_argument("--csv", metavar="PATH")
 
-    p_cache = sub.add_parser("cache", help="structure-constant cache")
-    p_cache.add_argument("action", choices=["rebuild", "check"])
-    p_cache.add_argument("--dir", default="e8g3_cache")
-
     args = parser.parse_args(argv)
 
     if args.command == "verify":
         return cmd_verify(args)
-    if args.command == "enumerate":
-        return cmd_enumerate(args)
-    return cmd_cache(args)
+    return cmd_enumerate(args)
 
 
 def cmd_verify(args) -> int:
     from .suites import SUITES, run_suite
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if "sections" in names:
+        # a bad fixture is a usage error, reported before any suite runs
+        from .sections import fixture_from_json
+        from .suites import fixture_text
+        try:
+            fixture_from_json(fixture_text(args.fixture))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"e8g3: error: bad sections fixture: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
     reports = []
     ok = True
     for name in names:
@@ -107,52 +122,6 @@ def cmd_enumerate(args) -> int:
             for row in rows:
                 fh.write(",".join(str(x) for x in row) + "\n")
     return 0
-
-
-def _cache_payload():
-    from .gradedlie import get_algebra
-    from .rootsys import build_root_system
-
-    rs = build_root_system()
-    alg = get_algebra()
-    root_text = json.dumps(rs.to_json_dict(), sort_keys=True,
-                           separators=(",", ":")) + "\n"
-    const_text = "\n".join(alg.dump_lines()) + "\n"
-    return root_text, const_text
-
-
-def cmd_cache(args) -> int:
-    root_text, const_text = _cache_payload()
-    root_path = os.path.join(args.dir, "rootsys.json")
-    const_path = os.path.join(args.dir, "structure_constants.txt")
-    digests = {
-        "rootsys": hashlib.sha256(root_text.encode()).hexdigest(),
-        "structure_constants":
-            hashlib.sha256(const_text.encode()).hexdigest(),
-    }
-    if args.action == "rebuild":
-        os.makedirs(args.dir, exist_ok=True)
-        with open(root_path, "w") as fh:
-            fh.write(root_text)
-        with open(const_path, "w") as fh:
-            fh.write(const_text)
-        for k, v in digests.items():
-            print(f"{k} {v}")
-        return 0
-    ok = True
-    for path, text in ((root_path, root_text), (const_path, const_text)):
-        if not os.path.exists(path):
-            print(f"missing {path}")
-            ok = False
-            continue
-        with open(path) as fh:
-            if fh.read() != text:
-                print(f"digest mismatch: {path}")
-                ok = False
-    for k, v in digests.items():
-        print(f"{k} {v}")
-    print("cache ok" if ok else "cache MISMATCH")
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -97,9 +97,6 @@ class Cyc:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self):
         return f"Cyc({self.a!r}, {self.b!r})"
 

@@ -188,9 +188,6 @@ class GF:
             raise ZeroDivisionError
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if a == 0:
             return 0 if n else 1

@@ -20,7 +20,8 @@ import hashlib
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .heis import HeisElement, HeisenbergModel, Mono, build_model, cocycle, svn_rep
+from .heis import (HeisElement, HeisenbergModel, Mono, build_model, cocycle,
+                   commutator_exponent, svn_rep)
 from .intlinalg import nullspace
 from .rootsys import RootSystem, add, neg, pairing
 
@@ -255,11 +256,6 @@ class GradedAlgebra:
         """Action of the canonical cover element over root i."""
         return svn_rep(HeisElement(0, self.cls[i]))
 
-    def rho_prime_orbit(self, i):
-        """(scalar, monomial) pair representing the degree-0 symmetrized
-        vector for the orbit of root i."""
-        return KAPPA, self.rho(i)
-
     # -- verification sweeps -------------------------------------------------
 
     def check_antisymmetry(self):
@@ -313,7 +309,7 @@ class GradedAlgebra:
         bad = []
         for k in range(80):
             lam_cls = self._nonzero_class(k)
-            sp_i = [_sp(lam_cls, c) for c in self.cls]
+            sp_i = [commutator_exponent(lam_cls, c) for c in self.cls]
             for i in range(self.n):
                 ei = sp_i[i]
                 for j in self.nbr[i]:
@@ -349,10 +345,6 @@ class GradedAlgebra:
     def digest(self) -> str:
         blob = "\n".join(self.dump_lines()).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def _sp(c1, c2) -> int:
-    return (cocycle(c1, c2) - cocycle(c2, c1)) % 3
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclotomic import Cyc
+from .intlinalg import rref_mod
 from .rootsys import RootSystem, build_root_system
 
 
@@ -31,7 +32,7 @@ def symplectic_basis(rs: RootSystem):
     SNF coordinates), verified to be symplectic for the standard form.
     """
     lifts, gram = _sp_pair_exponents(rs)
-    if _f3_rank([row[:] for row in gram]) != 4:
+    if len(rref_mod(gram, 4, 3)[1]) != 4:
         raise ValueError("pairing Gram has rank < 4; upstream construction bug")
 
     vecs = [tuple(int(i == j) for j in range(4)) for i in range(4)]
@@ -69,24 +70,6 @@ def symplectic_basis(rs: RootSystem):
 def standard_form():
     """Matrix of the standard symplectic form in (e1, e2, f1, f2) order, mod 3."""
     return [[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]]
-
-
-def _f3_rank(rows):
-    rank = 0
-    n, m = len(rows), len(rows[0])
-    for c in range(m):
-        piv = next((i for i in range(rank, n) if rows[i][c] % 3), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, 3)
-        rows[rank] = [x * inv % 3 for x in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][c] % 3:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % 3 for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def cocycle(v, u) -> int:
@@ -183,12 +166,6 @@ class Mono:
                 return None
         return t
 
-    def to_cyc(self):
-        rows = [[Cyc(0, 0)] * 9 for _ in range(9)]
-        for y in range(9):
-            rows[self.perm[y]][y] = Cyc.zeta(self.expo[y])
-        return rows
-
 
 MONO_ID = Mono(range(9), [0] * 9)
 
@@ -264,8 +241,13 @@ class HeisenbergModel:
     def __init__(self, rs: RootSystem | None = None):
         self.rs = rs or build_root_system()
         self.basis_classes, self.M = symplectic_basis(self.rs)
-        # columns of M are the symplectic basis in SNF coordinates
-        self.Minv = _f3_inverse(self.M)
+        # columns of M are the symplectic basis in SNF coordinates;
+        # [M | I] reduces to [I | M^-1] over F_3
+        red, pivots = rref_mod([row + [int(i == j) for j in range(4)]
+                                for i, row in enumerate(self.M)], 8, 3)
+        if pivots != [0, 1, 2, 3]:
+            raise ValueError("symplectic change of basis is singular")
+        self.Minv = [row[4:] for row in red]
 
     def to_symplectic(self, snf_cls):
         return tuple(sum(self.Minv[i][j] * snf_cls[j] for j in range(4)) % 3
@@ -281,22 +263,6 @@ class HeisenbergModel:
     def section(self, root9) -> HeisElement:
         """Canonical zero-centre lift of the class of a root."""
         return HeisElement(0, self.root_class(root9))
-
-
-def _f3_inverse(M):
-    n = len(M)
-    aug = [[M[i][j] % 3 for j in range(n)] + [int(i == j) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] % 3)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = pow(aug[c][c], -1, 3)
-        aug[c] = [x * inv % 3 for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] % 3:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % 3 for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 _MODEL = None

@@ -1,5 +1,5 @@
 """Small exact linear algebra helpers: integer matrices, Smith normal form,
-and Gaussian elimination over Fraction or Q(w) entries."""
+and Gaussian elimination over Fraction, Q(w) or F_p entries."""
 
 from __future__ import annotations
 
@@ -183,23 +183,14 @@ def smith_normal_form(M):
 def unimodular_inverse(U):
     """Exact inverse of a unimodular integer matrix, returned with int entries."""
     n = len(U)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(U)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        assert all(v.denominator == 1 for v in vals)
-        out.append([int(v) for v in vals])
-    return out
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(U)], 2 * n)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    out = [row[n:] for row in red]
+    if any(Fraction(v).denominator != 1 for row in out for v in row):
+        raise ValueError("inverse has non-integer entries")
+    return [[int(v) for v in row] for row in out]
 
 
 def _is_zero(x):
@@ -242,6 +233,33 @@ def rref(rows, width, field="fraction"):
 
 def rank(rows, width, field="fraction"):
     return len(rref(rows, width, field)[1])
+
+
+def rref_mod(rows, width, p):
+    """Reduced row echelon form of dense integer rows over F_p, p prime.
+
+    Entries come back reduced into range(p).  Returns
+    (reduced_rows, pivot_columns), as rref does.  Mutates nothing.
+    """
+    rows = [[x % p for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
 
 def nullspace(rows, width, field="fraction"):

@@ -29,10 +29,6 @@ class NonReducedInputError(ValueError):
     pass
 
 
-class RootsNotRationalError(ValueError):
-    pass
-
-
 def mumford_verify(F, u, v, r):
     """Check a decomposition triple and return the quintic u*v + r^2.
 

@@ -100,11 +100,13 @@ class RootSystem:
             roots.append(neg(weight_vector(t)))
         self.roots = tuple(roots)
         self.index = {r: i for i, r in enumerate(roots)}
-        assert len(self.index) == 240
+        if len(self.index) != 240:
+            raise AssertionError("root list has repeated entries")
 
         self.basis = tuple(weight_vector(t) for t in S0_TRIPLES)
         self.gram = [[pairing(a, b) for b in self.basis] for a in self.basis]
-        assert det_bareiss(self.gram) == 1
+        if det_bareiss(self.gram) != 1:
+            raise AssertionError("root basis Gram matrix is not unimodular")
         self._gram_inv = unimodular_inverse(self.gram)
 
         # elliptic element: tenth power of the Coxeter element for S0
@@ -118,7 +120,8 @@ class RootSystem:
         wm1 = mat_sub(self.w, identity(8))
         self.snf_d, self.snf_u, self.snf_v = smith_normal_form(wm1)
         self.divisors = tuple(self.snf_d[i][i] for i in range(8))
-        assert self.divisors == (1, 1, 1, 1, 3, 3, 3, 3)
+        if self.divisors != (1, 1, 1, 1, 3, 3, 3, 3):
+            raise AssertionError(f"unexpected SNF divisors {self.divisors}")
         self._snf_u_inv = unimodular_inverse(self.snf_u)
 
         self.w_on_roots = tuple(self.index[self.apply_w(r)] for r in self.roots)
@@ -161,7 +164,8 @@ class RootSystem:
             if rr not in self.index:
                 raise AssertionError("symmetry element does not permute the roots")
             img.add(rr)
-        assert len(img) == 240
+        if len(img) != 240:
+            raise AssertionError("symmetry element is not injective on roots")
 
     def _build_orbits(self):
         seen = set()
@@ -171,7 +175,8 @@ class RootSystem:
                 continue
             j = self.w_on_roots[i]
             k = self.w_on_roots[j]
-            assert len({i, j, k}) == 3
+            if len({i, j, k}) != 3:
+                raise AssertionError("symmetry element fixes a root")
             orbits.append((i, j, k))
             seen.update((i, j, k))
         self.orbits = tuple(orbits)
@@ -179,7 +184,8 @@ class RootSystem:
         for oi, orb in enumerate(self.orbits):
             for r in orb:
                 self.orbit_of[r] = oi
-        assert len(self.orbits) == 80
+        if len(self.orbits) != 80:
+            raise AssertionError(f"{len(self.orbits)} root orbits, expected 80")
 
     # -- coinvariants -------------------------------------------------------
 

@@ -5,12 +5,8 @@ from __future__ import annotations
 
 from itertools import product
 
-J = ((0, 0, 1, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 2, 0, 0))
-
-
-def _sp(u, v) -> int:
-    return (u[0] * v[2] + u[1] * v[3] - u[2] * v[0] - u[3] * v[1]) % 3
-
+from .heis import commutator_exponent
+from .intlinalg import rref_mod
 
 _VECS = [v for v in product(range(3), repeat=4) if v != (0, 0, 0, 0)]
 
@@ -20,51 +16,22 @@ def enumerate_sp4():
     out = []
     for e1 in _VECS:
         for f1 in _VECS:
-            if _sp(e1, f1) != 1:
+            if commutator_exponent(e1, f1) != 1:
                 continue
-            perp = [v for v in _VECS
-                    if _sp(e1, v) == 0 and _sp(f1, v) == 0]
+            perp = [v for v in _VECS if commutator_exponent(e1, v) == 0
+                    and commutator_exponent(f1, v) == 0]
             for e2 in perp:
                 for f2 in perp:
-                    if _sp(e2, f2) == 1:
+                    if commutator_exponent(e2, f2) == 1:
                         out.append((e1, e2, f1, f2))
     return out
 
 
-def is_symplectic(cols) -> bool:
-    e1, e2, f1, f2 = cols
-    want = {(0, 2): 1, (1, 3): 1, (2, 0): 2, (3, 1): 2}
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            if _sp(u, v) != want.get((i, j), 0):
-                return False
-    return True
-
-
 def _has_eigenvalue_one(cols) -> bool:
-    # det(M - I) over F_3, with M given by columns
-    rows = [[(cols[c][r] - (1 if r == c else 0)) % 3 for c in range(4)]
-            for r in range(4)]
-    return _det3(rows) == 0
-
-
-def _det3(rows) -> int:
-    m = [row[:] for row in rows]
-    det = 1
-    for c in range(4):
-        piv = next((i for i in range(c, 4) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % 3
-        inv = pow(m[c][c], -1, 3)
-        for i in range(c + 1, 4):
-            if m[i][c]:
-                fct = m[i][c] * inv % 3
-                m[i] = [(x - fct * y) % 3 for x, y in zip(m[i], m[c])]
-    return det % 3
+    # M - I is singular over F_3; its transpose has the columns as rows
+    rows = [[x - (r == c) for r, x in enumerate(col)]
+            for c, col in enumerate(cols)]
+    return len(rref_mod(rows, 4, 3)[1]) < 4
 
 
 def _mat_mul(a, b):
@@ -78,19 +45,14 @@ def _mat_mul(a, b):
     return tuple(cols)
 
 
-def _mat_inv(cols):
-    rows = [[cols[c][r] for c in range(4)] for r in range(4)]
-    aug = [rows[i] + [int(i == j) for j in range(4)] for i in range(4)]
-    for c in range(4):
-        piv = next(i for i in range(c, 4) if aug[i][c] % 3)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = pow(aug[c][c], -1, 3)
-        aug[c] = [x * inv % 3 for x in aug[c]]
-        for i in range(4):
-            if i != c and aug[i][c] % 3:
-                fct = aug[i][c]
-                aug[i] = [(x - fct * y) % 3 for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(aug[r][4 + c] for r in range(4)) for c in range(4))
+def _inverse(cols):
+    # the rows of [M^T | I] reduce to [I | (M^-1)^T], whose rows are the
+    # columns of M^-1
+    red, pivots = rref_mod([list(col) + [int(c == j) for j in range(4)]
+                            for c, col in enumerate(cols)], 8, 3)
+    if pivots != [0, 1, 2, 3]:
+        raise ValueError("matrix is singular over F_3")
+    return tuple(tuple(row[4:]) for row in red)
 
 
 def density_direct():
@@ -106,7 +68,7 @@ def density_by_classes():
     group = enumerate_sp4()
     index = {m: i for i, m in enumerate(group)}
     gens = _generators(group)
-    gen_invs = [_mat_inv(g) for g in gens]
+    gen_invs = [_inverse(g) for g in gens]
     seen = [False] * len(group)
     order = len(group)
     hits = 0
@@ -150,7 +112,8 @@ def _generators(group):
                     reached.add(j)
                     nxt.append(y)
         frontier = nxt
-    assert len(reached) == len(group), "candidate set does not generate"
+    if len(reached) != len(group):
+        raise ValueError("candidate set does not generate")
     return cand
 
 

@@ -89,10 +89,6 @@ def is_up_closed(M) -> bool:
     return all(b in M for a in M for b in ALL_WEIGHTS if leq(a, b))
 
 
-def minimal_elements(M):
-    return [a for a in M if not any(leq(b, a) and b != a for b in M)]
-
-
 def enumerate_up_closed(max_size: int):
     """All nonempty up-closed subsets with at most max_size weights, by
     breadth-first growth from the unique maximal weight."""

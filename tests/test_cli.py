@@ -1,11 +1,17 @@
-"""Command-line wiring: exit codes, reports, cache, determinism."""
+"""Command-line wiring: exit codes, reports, usage errors, determinism."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from e8g3.cli import main
+from e8g3.report import strip_volatile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 def test_verify_rootsys_json(tmp_path, capsys):
     out = tmp_path / "r.json"
@@ -50,26 +56,6 @@ def test_bad_suite_name_exits_2():
     assert exc.value.code == 2
 
 
-def test_cache_roundtrip(tmp_path, capsys):
-    d = str(tmp_path / "cache")
-    assert main(["cache", "rebuild", "--dir", d]) == 0
-    first = capsys.readouterr().out
-    assert main(["cache", "rebuild", "--dir", d]) == 0
-    second = capsys.readouterr().out
-    assert first == second  # identical digests on rebuild
-    assert main(["cache", "check", "--dir", d]) == 0
-    capsys.readouterr()
-    # corrupt one file: check must fail
-    path = os.path.join(d, "structure_constants.txt")
-    with open(path, "a") as fh:
-        fh.write("tampered\n")
-    assert main(["cache", "check", "--dir", d]) == 1
-
-
-def test_missing_cache_fails(tmp_path, capsys):
-    assert main(["cache", "check", "--dir", str(tmp_path / "nope")]) == 1
-
-
 def test_fixture_env_precedence(tmp_path, capsys, monkeypatch):
     # point E8G3_FIXTURES at a copy of the packaged fixture
     from importlib import resources
@@ -79,9 +65,68 @@ def test_fixture_env_precedence(tmp_path, capsys, monkeypatch):
     fdir.mkdir()
     (fdir / "sections_q.json").write_text(text)
     monkeypatch.setenv("E8G3_FIXTURES", str(fdir))
-    from e8g3.suites import _fixture_text
-    assert _fixture_text(None) == text
+    from e8g3.suites import fixture_text
+    assert fixture_text(None) == text
     # explicit flag wins over the environment
     alt = tmp_path / "alt.json"
     alt.write_text(text)
-    assert _fixture_text(str(alt)) == text
+    assert fixture_text(str(alt)) == text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rootsys", "--threads", "0"],
+    ["verify", "rootsys", "--threads", "-3"],
+    ["cache", "check"],
+], ids=["threads_0", "threads_negative", "cache_removed"])
+def test_usage_error_exits_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in err
+
+
+def _bad_fixture(tmp_path, case):
+    from importlib import resources
+    if case == "missing":
+        return str(tmp_path / "absent.json")
+    if case == "unreadable":
+        return str(tmp_path)  # a directory cannot be read as a file
+    path = tmp_path / "bad.json"
+    payload = json.loads(resources.files("e8g3").joinpath(
+        "fixtures/sections_q.json").read_text())
+    if case == "bad_json":
+        path.write_text("{not json")
+    elif case == "wrong_version":
+        payload["fixture_version"] = 2
+        path.write_text(json.dumps(payload))
+    elif case == "missing_key":
+        del payload["sections"]
+        path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "unreadable", "bad_json",
+                                  "wrong_version", "missing_key"])
+def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
+    # with "all", sections runs last: nothing may run before the error
+    code = main(["verify", "all", "--fixture", _bad_fixture(tmp_path, case)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "fixture" in err
+
+
+def test_optimized_interpreter_gives_same_report(tmp_path):
+    reports = []
+    for flags in ([], ["-O"]):
+        path = tmp_path / f"r{len(reports)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "e8g3", "verify", "rootsys",
+             "--json", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        reports.append(strip_volatile(path.read_text()))
+    assert reports[0] == reports[1]

@@ -201,6 +201,17 @@ def test_structure_digest_stable(alg):
     assert fresh.digest() == alg.digest()
 
 
+def test_corrupted_structure_constant_changes_pinned_digest(alg):
+    # negative control for the gradedlie/structure_digest check
+    from e8g3.gradedlie import GradedAlgebra, code_neg
+    from e8g3.suites import GRADEDLIE_DIGEST
+    fresh = GradedAlgebra(alg.model)
+    i, j = 0, fresh.nbr[0][0]
+    fresh.scl[i][j] = code_neg(fresh.scl[i][j])
+    assert fresh.digest() != GRADEDLIE_DIGEST
+    assert alg.digest() == GRADEDLIE_DIGEST
+
+
 def test_threads_do_not_change_report(alg):
     seq = verify_jacobi(alg, threads=1)
     par = verify_jacobi(alg, threads=2)

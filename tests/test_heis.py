@@ -31,7 +31,7 @@ def test_symplectic_basis_defining_relations(model):
     assert got == standard_form()
 
 
-def test_change_of_basis_is_symplectic(model):
+def test_change_of_basis_preserves_form(model):
     rs = model.rs
     gram = rs.class_gram()
     M = model.M
