@@ -1,12 +1,27 @@
-"""Table-driven small finite fields F_q (q = p^k odd, q bounded by a few
-thousand) and dense polynomial arithmetic over them.
+"""Table-driven small finite fields F_q (q = p^k odd, q <= MAX_Q) and dense
+polynomial arithmetic over them.
 
-Elements are integers 0..q-1 encoding base-p coefficient vectors;
-multiplication and inverses go through exp/log tables built once per
-field, so all downstream arithmetic is integer indexing.
+Elements are integers 0..q-1 encoding base-p coefficient vectors.  Each
+field decodes its q elements once and builds q x q add, sub and mul
+tables and a neg table from the digit vectors (mul through exp/log), so
+every field operation downstream is one list lookup.  The tables cost
+O(q^2) memory, which bounds q by MAX_Q.
 """
 
 from __future__ import annotations
+
+MAX_Q = 512  # largest field order GF builds tables for
+
+
+def field_order(q: int):
+    """(p, k) with q = p^k for an odd prime p and q <= MAX_Q; ValueError
+    for any other q."""
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} is above the table bound {MAX_Q}")
+    p, k = _factor_prime_power(q)
+    if p == 2:
+        raise ValueError("odd characteristic only")
+    return p, k
 
 
 def _factor_prime_power(q: int):
@@ -97,12 +112,10 @@ def _prime_divisors(n):
 
 
 class GF:
-    """F_q with exp/log multiplication tables."""
+    """F_q with add, sub, mul and neg tables; q <= MAX_Q."""
 
     def __init__(self, q: int):
-        p, k = _factor_prime_power(q)
-        if p == 2:
-            raise ValueError("odd characteristic only")
+        p, k = field_order(q)
         self.q = q
         self.p = p
         self.k = k
@@ -131,16 +144,23 @@ class GF:
             self.exp[i] = cur
             self.log[cur] = i
             cur = enc(_poly_mulmod(dec(cur), dec(g), self.modulus, p))
-        assert cur == 1
+        if cur != 1:
+            raise AssertionError(f"generator {g} does not have order q - 1")
+        digits = [dec(e) for e in range(q)]
+        self.neg_table = [enc([-x % p for x in v]) for v in digits]
+        self.add_table = [[enc([(x + y) % p for x, y in zip(va, vb)])
+                           for vb in digits] for va in digits]
+        self.sub_table = [[row[nb] for nb in self.neg_table]
+                          for row in self.add_table]
+        exp2 = self.exp * 2
+        self.mul_table = [[0] * q] + [
+            [0] + [exp2[la + lb] for lb in self.log[1:]]
+            for la in self.log[1:]]
         self._sqrt = [None] * q
         for x in range(q):
-            sq = self.mul(x, x)
+            sq = self.mul_table[x][x]
             if self._sqrt[sq] is None:
                 self._sqrt[sq] = x
-        self._add = None
-        if q <= 512:
-            self._add = [[self._slow_add(a, b) for b in range(q)]
-                         for a in range(q)]
 
     def _find_generator(self):
         n = self.q - 1
@@ -161,27 +181,19 @@ class GF:
             n >>= 1
         return self._enc(acc)
 
-    def _slow_add(self, a, b):
-        va, vb = self._dec(a), self._dec(b)
-        return self._enc([(x + y) % self.p for x, y in zip(va, vb)])
-
     # -- field ops ---------------------------------------------------------
 
     def add(self, a, b):
-        if self._add is not None:
-            return self._add[a][b]
-        return self._slow_add(a, b)
+        return self.add_table[a][b]
 
     def neg(self, a):
-        return self._enc([(-x) % self.p for x in self._dec(a)])
+        return self.neg_table[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.sub_table[a][b]
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self.mul_table[a][b]
 
     def inv(self, a):
         if a == 0:
@@ -260,13 +272,15 @@ def pdivmod(F, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
+    sub, mul = F.sub_table, F.mul_table
     inv = F.inv(b[-1])
     while len(a) >= len(b):
-        c = F.mul(a[-1], inv)
+        c = mul[a[-1]][inv]
         d = len(a) - len(b)
         q[d] = c
-        for i in range(len(b)):
-            a[d + i] = F.sub(a[d + i], F.mul(c, b[i]))
+        mul_c = mul[c]
+        for i, y in enumerate(b, d):
+            a[i] = sub[a[i]][mul_c[y]]
         ptrim(a)
         if not a:
             break
@@ -333,7 +347,8 @@ def squarefree_part(F, a):
         return squarefree_part(F, root)
     g = pgcd(F, a, d)
     rad, rem = pdivmod(F, a, g)
-    assert not rem
+    if rem:
+        raise AssertionError("gcd(a, a') does not divide a")
     base = pmonic(F, rad)
     extra = squarefree_part(F, g) if len(g) > 1 else []
     if extra:

@@ -152,6 +152,7 @@ def jacobian_order_zeta(p: int, coeffs) -> int:
     f2 = [Fq.from_int(c) for c in coeffs]
     n2 = curve_count(Fq, f2)
     a1 = n1 - p - 1
-    a2 = (n2 - p * p - 1 + a1 * a1) // 2
-    assert (n2 - p * p - 1 + a1 * a1) % 2 == 0
+    a2, odd = divmod(n2 - p * p - 1 + a1 * a1, 2)
+    if odd:
+        raise AssertionError("N2 - p^2 - 1 + a1^2 is odd")
     return 1 + a1 + a2 + p * a1 + p * p

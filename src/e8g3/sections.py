@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .finitefield import (
     GF,
+    field_order,
     pgcd,
     pmod,
     pmonic,
@@ -38,53 +39,54 @@ def find_sections(F: GF, f):
     """All sections over F: scan z = a(x) with square leading coefficient
     and extract b as a formal square root of a^3 + f.
 
-    The cube (a2 x^2 + a1 x + a0)^3 is expanded by hand and the loop keeps
-    everything in local names; the scan is O(q^2 (q-1)/2) field operations.
+    The cube (a2 x^2 + a1 x + a0)^3 is expanded by hand; the scan makes
+    O(q^2 (q-1)/2) table lookups, with the rows that depend only on a2 or
+    a1 looked up once outside the loops they do not vary in.
     """
     out = []
-    add, sub, mul = F.add, F.sub, F.mul
+    add, sub, mul, neg = F.add_table, F.sub_table, F.mul_table, F.neg_table
     two = F.from_int(2)
     three = F.from_int(3)
     six = F.from_int(6)
     half = F.inv(two)
     f0, f1c, f2c, f3c, f4c, _ = (list(f) + [0] * 6)[:6]
     squares = [t for t in range(1, F.q) if F.is_square(t)]
-    elements = list(F.elements())
-    cube = [mul(mul(x, x), x) for x in elements]
-    square = [mul(x, x) for x in elements]
+    elements = F.elements()
+    square = [mul[x][x] for x in elements]
+    cube = [mul[square[x]][x] for x in elements]
+    h0 = [add[cube[a0]][f0] for a0 in elements]
+    M2, M3, M6 = mul[two], mul[three], mul[six]
+    A1, A2 = add[f1c], add[f2c]
     for a2 in squares:
-        a2sq = square[a2]
         b3 = F.sqrt(cube[a2])
-        inv2b3 = mul(F.inv(b3), half)
-        nb3 = F.neg(b3)
+        nb3 = neg[b3]
+        Minv2b3 = mul[mul[F.inv(b3)][half]]
+        M3a2 = mul[M3[a2]]
+        M3a2sq = mul[M3[square[a2]]]
         for a1 in elements:
             a1sq = square[a1]
-            c5 = mul(three, mul(a1, a2sq))
-            h5 = add(c5, 1)  # f has unit quintic coefficient
-            c3_base = cube[a1]
-            c4_base = mul(three, mul(a1sq, a2))
-            t_3a2 = mul(three, a2)
-            t_3a1 = mul(three, a1)
-            t_3a1sq = mul(three, a1sq)
-            t_6a1a2 = mul(six, mul(a1, a2))
-            t_3a2sq = mul(three, a2sq)
-            b2 = mul(h5, inv2b3)
-            b2sq = square[b2]
+            # f has unit quintic coefficient
+            b2 = Minv2b3[add[M3[mul[a1][square[a2]]]][1]]
+            M2b2 = mul[M2[b2]]
+            M3a1 = mul[M3[a1]]
+            M3a1sq = mul[M3[a1sq]]
+            M6a1a2 = mul[M6[mul[a1][a2]]]
+            # h4 - b2^2 = K4 + 3 a2^2 a0 and h3 = K3 + 6 a1 a2 a0
+            K4 = add[sub[add[M3[mul[a1sq][a2]]][f4c]][square[b2]]]
+            K3 = add[add[cube[a1]][f3c]]
             for a0 in elements:
+                b1 = Minv2b3[K4[M3a2sq[a0]]]
+                b0 = Minv2b3[sub[K3[M6a1a2[a0]]][M2b2[b1]]]
+                if square[b0] != h0[a0]:
+                    continue
                 a0sq = square[a0]
-                h0 = add(cube[a0], f0)
-                h1 = add(mul(t_3a1, a0sq), f1c)
-                h2 = add(add(mul(t_3a2, a0sq), mul(t_3a1sq, a0)), f2c)
-                h3 = add(add(c3_base, mul(t_6a1a2, a0)), f3c)
-                h4 = add(add(c4_base, mul(t_3a2sq, a0)), f4c)
-                b1 = mul(sub(h4, b2sq), inv2b3)
-                b0 = mul(sub(h3, mul(two, mul(b1, b2))), inv2b3)
-                if (h2 == add(square[b1], mul(two, mul(b0, b2)))
-                        and h1 == mul(two, mul(b0, b1))
-                        and h0 == square[b0]):
+                h1 = A1[M3a1[a0sq]]
+                h2 = add[A2[M3a2[a0sq]]][M3a1sq[a0]]
+                if (h2 == add[square[b1]][M2b2[b0]]
+                        and h1 == M2[mul[b0][b1]]):
                     out.append(Section((a0, a1, a2), (b0, b1, b2, b3)))
                     out.append(Section((a0, a1, a2),
-                                       (F.neg(b0), F.neg(b1), F.neg(b2), nb3)))
+                                       (neg[b0], neg[b1], neg[b2], nb3)))
     return out
 
 
@@ -281,6 +283,7 @@ def fixture_from_json(text: str):
     payload = json.loads(text)
     if payload["fixture_version"] != 1:
         raise ValueError("unsupported fixture version")
+    field_order(payload["q"])
     sections = [Section(tuple(a), tuple(b)) for a, b in payload["sections"]]
     return (payload["q"], payload["f_coeffs_low_to_high"], sections,
             tuple(tuple(x) for x in payload["expected_histogram_row"]))

@@ -104,11 +104,16 @@ def _bad_fixture(tmp_path, case):
     elif case == "missing_key":
         del payload["sections"]
         path.write_text(json.dumps(payload))
+    elif case.startswith("q_"):
+        payload["q"] = int(case[2:])
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
+# q = 170 is not a prime power, 128 is even, 529 = 23^2 is above GF's tables
 @pytest.mark.parametrize("case", ["missing", "unreadable", "bad_json",
-                                  "wrong_version", "missing_key"])
+                                  "wrong_version", "missing_key", "q_170",
+                                  "q_128", "q_529"])
 def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
     # with "all", sections runs last: nothing may run before the error
     code = main(["verify", "all", "--fixture", _bad_fixture(tmp_path, case)])
@@ -119,14 +124,40 @@ def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
 
 
 def test_optimized_interpreter_gives_same_report(tmp_path):
-    reports = []
-    for flags in ([], ["-O"]):
-        path = tmp_path / f"r{len(reports)}.json"
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "e8g3", "verify", "rootsys",
-             "--json", str(path)],
-            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
-            text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        reports.append(strip_volatile(path.read_text()))
-    assert reports[0] == reports[1]
+    for suite in ("rootsys", "sections"):
+        reports = []
+        for flags in ([], ["-O"]):
+            path = tmp_path / f"{suite}{len(reports)}.json"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "e8g3", "verify", suite,
+                 "--json", str(path)],
+                env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            reports.append(strip_volatile(path.read_text()))
+        assert reports[0] == reports[1], suite
+
+
+@pytest.mark.parametrize("field,check", [
+    ("sections", "fixture_matches_scan"),
+    ("f_coeffs_low_to_high", "fixture_rescan_count"),
+], ids=["section_coefficient", "f_coefficient"])
+def test_corrupted_fixture_fails_its_check(tmp_path, capsys, field, check):
+    from importlib import resources
+    payload = json.loads(resources.files("e8g3").joinpath(
+        "fixtures/sections_q.json").read_text())
+    if field == "sections":
+        a = payload["sections"][0][0]
+        a[0] = (a[0] + 1) % payload["q"]
+    else:
+        payload["f_coeffs_low_to_high"][0] += 1
+    fixture = tmp_path / "corrupt.json"
+    fixture.write_text(json.dumps(payload))
+    out = tmp_path / "r.json"
+    code = main(["verify", "sections", "--fixture", str(fixture),
+                 "--json", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    status = {c["name"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert status[check] == "fail"

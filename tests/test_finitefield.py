@@ -1,0 +1,79 @@
+"""F_q tables against digit-vector and polynomial arithmetic written out
+here, the field axioms, and the bound on q."""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from e8g3.finitefield import GF
+
+ORDERS = st.sampled_from([3, 7, 9, 25, 27, 49, 169])
+
+
+@lru_cache(maxsize=None)
+def field(q):
+    return GF(q)
+
+
+def _draw_elements(data, F, n):
+    return [data.draw(st.integers(0, F.q - 1)) for _ in range(n)]
+
+
+def _digits(F, a):
+    return [a // F.p ** i % F.p for i in range(F.k)]
+
+
+def _encode(F, vec):
+    return sum(c % F.p * F.p ** i for i, c in enumerate(vec))
+
+
+def _poly_mulmod(F, u, v):
+    """u * v as polynomials over F_p, reduced by the monic F.modulus."""
+    k = F.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod[i + j] += x * y
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for j, m in enumerate(F.modulus):
+            prod[top - k + j] -= c * m
+    return prod[:k]
+
+
+@settings(deadline=None, derandomize=True)
+@given(q=ORDERS, data=st.data())
+def test_tables_match_digit_and_polynomial_arithmetic(q, data):
+    F = field(q)
+    a, b = _draw_elements(data, F, 2)
+    da, db = _digits(F, a), _digits(F, b)
+    assert F.add_table[a][b] == _encode(F, [x + y for x, y in zip(da, db)])
+    assert F.sub_table[a][b] == _encode(F, [x - y for x, y in zip(da, db)])
+    assert F.neg_table[a] == _encode(F, [-x for x in da])
+    assert F.mul_table[a][b] == _encode(F, _poly_mulmod(F, da, db))
+
+
+@settings(deadline=None, derandomize=True)
+@given(q=ORDERS, data=st.data())
+def test_field_axioms(q, data):
+    F = field(q)
+    a, b, c = _draw_elements(data, F, 3)
+    add, mul = F.add, F.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, F.neg(a)) == 0 and add(F.sub(a, b), b) == a
+    if a:
+        assert mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", [170, 2 ** 7, 23 ** 2, 10 ** 12 + 39],
+                         ids=["not_prime_power", "even", "above_bound",
+                              "huge_prime"])
+def test_order_outside_the_tables_is_refused(q):
+    with pytest.raises(ValueError):
+        GF(q)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from e8g3 import rootsys
+from e8g3.intlinalg import rref_mod
 from e8g3.rootsys import (
     build_root_system,
     canonical,
@@ -204,22 +205,7 @@ def test_symplectic_pairing_lift_independent(rs):
 
 def test_class_gram_rank_four(rs):
     # Gram of the pairing exponents on the SNF basis classes: rank 4 over F_3
-    g = [row[:] for row in rs.class_gram()]
-    n = 4
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, n) if g[i][c] % 3), None)
-        if piv is None:
-            continue
-        g[rank], g[piv] = g[piv], g[rank]
-        inv = pow(g[rank][c], -1, 3)
-        g[rank] = [x * inv % 3 for x in g[rank]]
-        for i in range(n):
-            if i != rank and g[i][c] % 3:
-                f = g[i][c]
-                g[i] = [(x - f * y) % 3 for x, y in zip(g[i], g[rank])]
-        rank += 1
-    assert rank == 4
+    assert len(rref_mod(rs.class_gram(), 4, 3)[1]) == 4
 
 
 def test_sign_identity_exhaustive(rs):
