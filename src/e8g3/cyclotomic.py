@@ -114,8 +114,3 @@ def _coerce(x) -> Cyc:
     if isinstance(x, (int, Fraction)):
         return Cyc(x, 0)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(w)")
-
-
-ZERO = Cyc(0, 0)
-ONE = Cyc(1, 0)
-OMEGA = Cyc(0, 1)

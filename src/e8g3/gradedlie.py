@@ -117,9 +117,11 @@ class GradedAlgebra:
         xvec = [Fraction(3 * d) - Fraction(44, 3) for d in
                 (0, 2, 3, 4, 5, 6, 7, 8, 9)]
         hts = [sum(x * c for x, c in zip(xvec, r)) for r in rs.roots]
-        assert all(h.denominator == 1 for h in hts)
+        if any(h.denominator != 1 for h in hts):
+            raise AssertionError("grading element is not integral on a root")
         self.height = [int(h) for h in hts]
-        assert all(self.height[i] % 3 == self.degree[i] % 3 for i in range(n))
+        if any(self.height[i] % 3 != self.degree[i] % 3 for i in range(n)):
+            raise AssertionError("height and degree disagree mod 3")
 
         self._build_table()
         self._reps = {}
@@ -244,7 +246,9 @@ class GradedAlgebra:
             for vec in nullspace(rows, 8, field="cyc"):
                 spaces[i].append(LieElement(
                     cartan={a: v for a, v in enumerate(vec) if v}))
-        assert [len(spaces[i]) for i in (0, 1, 2)] == [80, 84, 84]
+        dims = [len(spaces[i]) for i in (0, 1, 2)]
+        if dims != [80, 84, 84]:
+            raise AssertionError(f"graded dimensions {dims}")
         return spaces
 
     def grading_check(self, x: LieElement, i: int) -> bool:
@@ -624,7 +628,8 @@ def killing_gram(alg: GradedAlgebra | None = None, sample_seed: int = 0):
             x, y = _ad_coeff_at(alg, r, s, ("c", a))
             tot[0] += x
             tot[1] += y
-        assert tot == [0, 0], (r, s, tot)
+        if tot != [0, 0]:
+            raise AssertionError(f"kappa(X_{r}, X_{s}) = {tot}, expected 0")
         zero_samples += 1
     # mixed cartan/root entries: [h_a, [x_r, b_k]] never returns to b_k
     # (the inner bracket lands on weight r + k != k or in the cartan) so
@@ -636,7 +641,8 @@ def killing_gram(alg: GradedAlgebra | None = None, sample_seed: int = 0):
         for k in range(alg.n):
             if alg.kind[r][k] == 1 and alg.out[r][k] == k:
                 acc += 1
-        assert acc == 0
+        if acc:
+            raise AssertionError(f"[h_{a}, [x_{r}, .]] has a diagonal term")
     from .intlinalg import det_bareiss
     theta_ok = all(
         diag[alg.windex[r]] == diag[r] for r in range(alg.n))

@@ -167,9 +167,6 @@ class Mono:
         return t
 
 
-MONO_ID = Mono(range(9), [0] * 9)
-
-
 def svn_rep(h: HeisElement) -> Mono:
     """Stone-von-Neumann action on functions on F_3^2.
 

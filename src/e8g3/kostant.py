@@ -33,7 +33,8 @@ def build_triple(alg: GradedAlgebra | None = None):
     gram = alg.rs.gram
     rows = [[Fraction(gram[a][b]) for b in range(8)] for a in range(8)]
     c = solve(rows, [Fraction(2)] * 8, 8)
-    assert c is not None and all(v.denominator == 1 for v in c)
+    if c is None or any(v.denominator != 1 for v in c):
+        raise AssertionError("no integral grading element on the basis")
     X = LieElement(cartan={a: Cyc(v) for a, v in enumerate(c) if v})
 
     # F: supported on the negatives of the basis roots; the diagonal
@@ -151,7 +152,8 @@ def ad_e_nilpotency_index(alg: GradedAlgebra | None = None) -> int:
         while not v.is_zero():
             v = alg.bracket(E, v)
             steps += 1
-            assert steps <= 60
+            if steps > 60:
+                raise AssertionError("ad(E) is not nilpotent of index <= 60")
         worst = max(worst, steps)
     return worst
 
@@ -204,15 +206,14 @@ def slice_report(alg: GradedAlgebra | None = None) -> dict:
     }
 
 
-def sampled_regularity(alg: GradedAlgebra | None = None, seed: int = 0,
+def sampled_regularity(alg: GradedAlgebra, srep: dict, seed: int = 0,
                        samples: int = 3) -> dict:
-    """Degree-0 centralizer dimension at random points of the affine slice."""
+    """Degree-0 centralizer dimension at random points of the affine slice;
+    ``srep`` is ``slice_report(alg)``."""
     import random
 
-    alg = alg or get_algebra()
-    rep = slice_report(alg)
-    E = rep["E"]
-    basis = rep["slice_basis"]
+    E = srep["E"]
+    basis = srep["slice_basis"]
     rng = random.Random(f"{seed}:kostant")
     deg0 = [("c", a) for a in range(8)] + \
            [("r", i) for i in range(alg.n) if alg.degree[i] == 0]
@@ -243,19 +244,12 @@ def sampled_regularity(alg: GradedAlgebra | None = None, seed: int = 0,
     return {"centralizer_dims": results, "ok": all(d == 0 for d in results)}
 
 
-def cross_check_with_wedge_model() -> dict:
-    """Both realizations must report identical slice data."""
+def cross_check_with_wedge_model(srep: dict, kernel_dim: int) -> bool:
+    """Whether the wedge realization reports the same slice data as the
+    table one, given by its ``slice_report`` and ``ad_e_kernel_dim``."""
     from .wedge import kostant_slice_report
 
-    alg = get_algebra()
-    a = slice_report(alg)
     b = kostant_slice_report()
-    return {
-        "table_model": {"slice_dim": a["slice_dim"],
-                        "slice_degrees": a["slice_degrees"],
-                        "ad_e_kernel_dim": ad_e_kernel_dim(alg)},
-        "wedge_model": b,
-        "ok": (a["slice_dim"] == b["slice_dim"] == 4
-               and a["slice_degrees"] == b["slice_degrees"] == [12, 18, 24, 30]
-               and ad_e_kernel_dim(alg) == b["ad_e_kernel_dim"] == 8),
-    }
+    return (srep["slice_dim"] == b["slice_dim"] == 4
+            and srep["slice_degrees"] == b["slice_degrees"] == [12, 18, 24, 30]
+            and kernel_dim == b["ad_e_kernel_dim"] == 8)

@@ -32,8 +32,6 @@ FORMAT_VERSION = 1
 S0_TRIPLES = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
               (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6))
 
-ONES = (1,) * 9
-
 
 def canonical(v):
     """Canonical representative of the class of v (sum moved into {0,3,6})."""

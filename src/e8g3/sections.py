@@ -295,59 +295,3 @@ def load_default_fixture():
     text = resources.files("e8g3").joinpath(
         "fixtures/sections_q.json").read_text()
     return fixture_from_json(text)
-
-
-# -- search (offline oracle) ---------------------------------------------------
-
-
-def charpoly_filter(p: int, coeffs) -> bool:
-    """Necessary condition for every section to be rational over F_{p^2}:
-    the squared zeta coefficients reduce to those of (T - 1)^4 mod 3."""
-    from .jacobian import curve_count
-
-    Fp = GF(p)
-    f1 = [c % p for c in coeffs]
-    n1 = curve_count(Fp, f1)
-    Fq = GF(p * p)
-    f2 = [Fq.from_int(c) for c in coeffs]
-    n2 = curve_count(Fq, f2)
-    a1 = n1 - p - 1
-    a2 = (n2 - p * p - 1 + a1 * a1) // 2
-    e1, e2, e3, e4 = -a1, a2, -p * a1, p * p
-    e1p = e1 * e1 - 2 * e2
-    e2p = e2 * e2 - 2 * e1 * e3 + 2 * e4
-    e3p = e3 * e3 - 2 * e2 * e4
-    e4p = e4 * e4
-    return (e1p % 3, e2p % 3, e3p % 3, e4p % 3) == (1, 0, 1, 1)
-
-
-def scan_full_section_fixture(p: int, candidates=None, progress=None):
-    """Search quintics over F_p whose surface has all 240 sections rational
-    over F_{p^2}; returns (coeffs, q, sections) or None.
-
-    This is the recorded-fixture oracle: slow, run offline.
-    """
-    from .genus2 import Quintic, discriminant
-
-    if candidates is None:
-        candidates = ((c12, c18, c24, c30)
-                      for c12 in range(p) for c18 in range(p)
-                      for c24 in range(p) for c30 in range(p))
-    Fq = GF(p * p)
-    survivors = []
-    for cs in candidates:
-        quintic = Quintic(*cs)
-        if discriminant(quintic) % p == 0:
-            continue
-        if charpoly_filter(p, quintic.coeffs()):
-            survivors.append(cs)
-            if progress:
-                progress(f"filter hit: {cs}")
-    for cs in survivors:
-        f2 = [Fq.from_int(c) for c in Quintic(*cs).coeffs()]
-        secs = find_sections(Fq, f2)
-        if progress:
-            progress(f"{cs}: {len(secs)} sections over F_{p*p}")
-        if len(secs) == 240:
-            return cs, p * p, secs
-    return None

@@ -92,9 +92,8 @@ def _conjugation(g):
     return conj
 
 
-def density_direct():
-    """(order, |C|) by filtering every element."""
-    group = enumerate_sp4()
+def density_direct(group):
+    """(order, |C|) by filtering every element of the enumerated group."""
     hits = sum(1 for m in group if _has_eigenvalue_one(m))
     return len(group), hits
 
@@ -128,10 +127,9 @@ def conjugacy_classes(group):
     return out
 
 
-def density_by_classes():
-    """(order, |C|) via conjugacy classes: test one representative per
-    class."""
-    group = enumerate_sp4()
+def density_by_classes(group):
+    """(order, |C|) via conjugacy classes of the enumerated group: test one
+    representative per class."""
     hits = sum(size for m, size in conjugacy_classes(group)
                if _has_eigenvalue_one(m))
     return len(group), hits

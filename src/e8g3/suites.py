@@ -225,17 +225,18 @@ def suite_cusp(threads: int = 1, seed: int = 0) -> Suite:
     s.check("kostant_relations", tri["ok"],
             "exact sl2 relations, graded, unique")
     alg = kostant.get_algebra()
-    s.check("kostant_ad_e_kernel", kostant.ad_e_kernel_dim(alg) == 8,
+    kernel_dim = kostant.ad_e_kernel_dim(alg)
+    s.check("kostant_ad_e_kernel", kernel_dim == 8,
             "regular nilpotent centralizer dimension")
     srep = kostant.slice_report(alg)
     s.check("kostant_slice_dim", srep["slice_dim"] == 4, "")
     s.check("kostant_slice_degrees", srep["slice_degrees"] == [12, 18, 24, 30],
             str(srep["slice_degrees"]))
-    reg = kostant.sampled_regularity(alg, seed=seed)
+    reg = kostant.sampled_regularity(alg, srep, seed=seed)
     s.check("kostant_sampled_regularity", reg["ok"],
             f"centralizer dims {reg['centralizer_dims']}")
-    cross = kostant.cross_check_with_wedge_model()
-    s.check("kostant_two_models_agree", cross["ok"],
+    s.check("kostant_two_models_agree",
+            kostant.cross_check_with_wedge_model(srep, kernel_dim),
             "table realization vs wedge realization")
 
     bk = vinberg.degree_bookkeeping()
@@ -373,9 +374,10 @@ def suite_sections(threads: int = 1, seed: int = 0,
             and rep["twist_exponent_invariant"],
             "alternating and symmetry-invariant")
 
-    from .sp4 import density_by_classes, density_direct
-    n1, c1 = density_direct()
-    n2, c2 = density_by_classes()
+    from .sp4 import density_by_classes, density_direct, enumerate_sp4
+    group = enumerate_sp4()
+    n1, c1 = density_direct(group)
+    n2, c2 = density_by_classes(group)
     s.check("sp4_order", n1 == 51840 and n2 == 51840, f"{n1}")
     s.check("sp4_density", (n1, c1) == (n2, c2) and 0 < c1 < n1,
             f"|C|/|Sp4| = {c1}/{n1} = {Fraction(c1, n1)}",

@@ -39,7 +39,8 @@ def x_value(v) -> int:
     """
     s = sum(v)
     num = 9 * sum(d * c for d, c in zip(_D, v)) - 44 * s
-    assert num % 3 == 0
+    if num % 3:
+        raise ValueError(f"{v} is not a lattice class")
     return num // 3
 
 

@@ -137,9 +137,10 @@ def kostant_slice_report():
     # grading element: diagonal, value 2 on every basis triple, trace 0
     xdiag = [Fraction(6 * d) - Fraction(88, 3) for d in
              (0, 2, 3, 4, 5, 6, 7, 8, 9)]
-    assert sum(xdiag) == 0
-    for t in S_H:
-        assert sum(xdiag[i - 1] for i in t) == 2
+    if sum(xdiag) != 0 or any(sum(xdiag[i - 1] for i in t) != 2
+                              for t in S_H):
+        raise AssertionError("grading element is not traceless with value "
+                             "2 on the basis triples")
     X = [[Fraction(0)] * 9 for _ in range(9)]
     for i in range(9):
         X[i][i] = xdiag[i]
@@ -154,15 +155,18 @@ def kostant_slice_report():
             rows.append([bracket36(E, {t: Fraction(1)})[p][q] for t in cand])
             rhs.append(X[p][q])
     sol = solve(rows, rhs, len(cand))
-    assert sol is not None, "no solution for the lower triple element"
-    assert nullspace(rows, len(cand)) == [], "lower element not unique"
+    if sol is None:
+        raise AssertionError("no solution for the lower triple element")
+    if nullspace(rows, len(cand)):
+        raise AssertionError("lower element not unique")
     F = {t: c for t, c in zip(cand, sol) if c}
 
     # sl2 relations
-    assert _mat_eq(bracket36(E, F), X)
     XF = act6(X, F)
-    assert all(XF.get(t, Fraction(0)) == -2 * F.get(t, Fraction(0))
-               for t in set(XF) | set(F))
+    if not _mat_eq(bracket36(E, F), X) or any(
+            XF.get(t, Fraction(0)) != -2 * F.get(t, Fraction(0))
+            for t in set(XF) | set(F)):
+        raise AssertionError("sl2 relations fail in the wedge model")
 
     # centralizer of F inside degree 3 and its grading weights
     rows3 = []
@@ -176,7 +180,8 @@ def kostant_slice_report():
     for vec in kernel:
         support = [W3[i] for i, c in enumerate(vec) if c]
         vals = {sum(xdiag[i - 1] for i in t) for t in support}
-        assert len(vals) == 1, "kernel vector mixes grading weights"
+        if len(vals) != 1:
+            raise AssertionError("kernel vector mixes grading weights")
         weights.append(vals.pop())
     degrees = sorted(int(1 - w / 2) for w in weights)
 

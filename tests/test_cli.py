@@ -1,14 +1,16 @@
 """Command-line wiring: exit codes, reports, usage errors, determinism."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from e8g3.cli import main
-from e8g3.report import strip_volatile
+from e8g3.report import dump_report, strip_volatile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -123,19 +125,26 @@ def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1 and "fixture" in err
 
 
-def test_optimized_interpreter_gives_same_report(tmp_path):
+def test_optimized_interpreter_gives_same_report(tmp_path, report):
     for suite in ("rootsys", "sections"):
-        reports = []
-        for flags in ([], ["-O"]):
-            path = tmp_path / f"{suite}{len(reports)}.json"
-            proc = subprocess.run(
-                [sys.executable, *flags, "-m", "e8g3", "verify", suite,
-                 "--json", str(path)],
-                env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
-                text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr[-2000:]
-            reports.append(strip_volatile(path.read_text()))
-        assert reports[0] == reports[1], suite
+        path = tmp_path / f"{suite}.json"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "e8g3", "verify", suite,
+             "--json", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        plain = strip_volatile(dump_report(report.suites[suite]))
+        assert strip_volatile(path.read_text()) == plain, suite
+
+
+def test_library_has_no_assert():
+    # `python -O` strips assert statements, and with them the checks they hold
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(SRC, "e8g3").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 @pytest.mark.parametrize("field,check", [

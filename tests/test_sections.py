@@ -1,4 +1,5 @@
-"""Section scan, intersection pairing, torsion descent, Sp4 density."""
+"""Section scan, intersection pairing, torsion descent, Sp4 density, and
+the sections checks of the session report."""
 
 import pytest
 
@@ -90,13 +91,11 @@ def test_twist_orbit_shares_class(small):
             section_class(F, f, twist_section(F, s))
 
 
-def test_default_fixture_complete():
+def test_default_fixture_complete(report):
     q, coeffs, secs, row = load_default_fixture()
     assert q == 169 and len(secs) == 240 and row == E8_ROW
-    F = GF(q)
-    f = [F.from_int(c) for c in coeffs]
-    rescan = find_sections(F, f)
-    assert sorted(s.key() for s in rescan) == sorted(s.key() for s in secs)
+    assert report.passed("sections", "fixture_rescan_count",
+                         "fixture_matches_scan")
 
 
 def test_fixture_roundtrip():
@@ -106,13 +105,8 @@ def test_fixture_roundtrip():
     assert fixture_to_json(*fixture_from_json(text)) == text
 
 
-def test_sp4_strategies_agree():
-    from e8g3.sp4 import density_by_classes, density_direct
-    n1, c1 = density_direct()
-    n2, c2 = density_by_classes()
-    assert n1 == n2 == 51840
-    assert c1 == c2
-    assert 0 < c1 < n1
+def test_sp4_strategies_agree(report):
+    assert report.passed("sections", "sp4_order", "sp4_density")
 
 
 def test_sp4_identity_in_C():

@@ -1,4 +1,5 @@
-"""Weight poset, cusp certificates, stability fixtures, Kostant slice."""
+"""Weight poset, cusp certificates, stability fixtures, Kostant slice, and
+the cusp checks of the session report."""
 
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from e8g3.vinberg import (
     build_boundary_cases,
     check_gamma_criterion,
     check_lambda_criterion,
-    coverage_checks,
     degree_bookkeeping,
     enumerate_up_closed,
     leq,
@@ -20,7 +20,6 @@ from e8g3.vinberg import (
     sum_phi_g_plus,
     up_closure,
     verify_cusp_case,
-    verify_cusp_bound,
     x_value,
 )
 
@@ -48,12 +47,12 @@ def test_sum_positive_roots_coweights():
     assert list(nv) == [8, 14, 18, 20, 20, 18, 14, 8]
 
 
-def test_x_values_on_basis():
+def test_x_values_on_basis(report):
     for t in cuspdata.S_H:
         assert x_value(weight_vector(t)) == 1
     assert x_value(weight_vector((7, 8, 9))) > 0
     assert x_value(weight_vector((1, 2, 3))) < 0
-    assert vinberg.verify_s0_basis() == []
+    assert report.passed("cusp", "s0_marking")
 
 
 def test_leq_examples():
@@ -66,12 +65,12 @@ def test_leq_examples():
                 assert a == b
 
 
-def test_leq_two_definitions_agree():
-    assert vinberg.verify_leq_agreement() == []
+def test_leq_two_definitions_agree(report):
+    assert report.passed("cusp", "order_agreement")
 
 
-def test_intersection_table_agreement():
-    assert vinberg.verify_intersection_table() == []
+def test_intersection_table_agreement(report):
+    assert report.passed("cusp", "pairing_table_vs_lattice")
 
 
 def test_closures():
@@ -108,14 +107,15 @@ def test_up_closed_enumeration_small():
     assert len(sets) == 72
 
 
-def test_all_cases_pass():
-    rep = verify_cusp_bound(seed=0, samples=30)
-    assert rep["ok"]
-    assert len(rep["cases"]) == 14
-    labels = [c["label"] for c in rep["cases"]]
+def test_all_cases_pass(report):
+    labels = [c["name"][len("case_"):-len("_sum")]
+              for c in report.suites["cusp"]["checks"]
+              if c["name"].startswith("case_") and c["name"].endswith("_sum")]
     assert labels == ["f1", "f2", "f3", "f4", "f5", "f6", "f7", "case1",
                       "case2.1", "case2.2", "case3.1", "case3.2",
                       "case4.1", "case4.2"]
+    assert all(c["status"] == "pass" for c in report.suites["cusp"]["checks"]
+               if c["name"].startswith("case_"))
 
 
 def test_case_f1_value_from_table():
@@ -138,13 +138,16 @@ def test_tight_fraction_case31():
     assert res["conditions"]["capacity"]["slack"][(3, 5, 7)] == Fraction(1, 32)
 
 
-def test_printed_count_discrepancies_are_logged_not_fatal():
-    rep = verify_cusp_bound(seed=0, samples=5)
-    notes = [n for n in rep["notes"]
-             if any("printed_count_discrepancies" in v for v in n.values())]
-    flagged = {label for n in notes for label in n}
+def test_printed_count_discrepancies_are_logged_not_fatal(report):
+    # note names repeat (one per kind of note), so scan them all
+    notes = [c for c in report.suites["cusp"]["checks"]
+             if c["name"].startswith("note_")]
+    flagged = {c["name"][len("note_"):] for c in notes
+               if "printed_count_discrepancies" in c["detail"]}
     assert flagged == {"case4.1", "case4.2"}
-    assert rep["ok"]
+    assert all(c["status"] == "skipped" for c in notes)
+    assert report.passed("cusp", "case_case4.1_capacity",
+                         "case_case4.2_capacity")
 
 
 def test_negative_control_corrupted_fixture():
@@ -158,8 +161,8 @@ def test_negative_control_corrupted_fixture():
     assert not res["conditions"]["capacity"]["ok"]
 
 
-def test_coverage_checks():
-    assert coverage_checks()["ok"]
+def test_coverage_checks(report):
+    assert report.passed("cusp", "coverage")
 
 
 def test_degree_bookkeeping():
@@ -179,11 +182,13 @@ def test_fixture_roundtrip_bytes():
     assert loaded == orig
 
 
-def test_stability_suite():
-    from e8g3.stability import verify_stability
-    rep = verify_stability()
-    assert rep["ok"]
-    assert rep["skipped"] == ["part1_258_skipped"]
+def test_stability_suite(report):
+    stability = [c for c in report.suites["cusp"]["checks"]
+                 if c["name"].startswith("stability_")]
+    skipped = [c["name"] for c in stability if c["status"] == "skipped"]
+    assert skipped == ["stability_part1_258_skipped"]
+    assert report.passed("cusp", *(c["name"] for c in stability
+                                   if c["status"] != "skipped"))
 
 
 def test_stability_negative_control():
@@ -193,21 +198,14 @@ def test_stability_negative_control():
     assert not check_lambda_criterion(lam, frozenset())
 
 
-def test_kostant_triple():
-    from e8g3 import kostant
-    rep = kostant.verify_triple()
-    assert rep["ok"]
-    alg = kostant.get_algebra()
-    assert kostant.ad_e_kernel_dim(alg) == 8
-    srep = kostant.slice_report(alg)
-    assert srep["slice_dim"] == 4
-    assert srep["slice_degrees"] == [12, 18, 24, 30]
-    assert kostant.sampled_regularity(alg, seed=0)["ok"]
+def test_kostant_triple(report):
+    assert report.passed("cusp", "kostant_relations", "kostant_ad_e_kernel",
+                         "kostant_slice_dim", "kostant_slice_degrees",
+                         "kostant_sampled_regularity")
 
 
-def test_kostant_cross_model():
-    from e8g3 import kostant
-    assert kostant.cross_check_with_wedge_model()["ok"]
+def test_kostant_cross_model(report):
+    assert report.passed("cusp", "kostant_two_models_agree")
 
 
 def test_kostant_nilpotency_index():
