@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .report import dump_report
+from .report import Suite, dump_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +70,16 @@ def cmd_verify(args) -> int:
     reports = []
     ok = True
     for name in names:
-        rep = run_suite(name, threads=args.threads, seed=args.seed,
-                        fixture_path=args.fixture)
+        crash = Suite(name)  # times the run; reported only if it raises
+        try:
+            rep = run_suite(name, threads=args.threads, seed=args.seed,
+                            fixture_path=args.fixture)
+        except Exception as exc:
+            # one crashing suite must not lose the other suites' results
+            import traceback
+            traceback.print_exc()
+            crash.error("crash", f"{type(exc).__name__}: {exc}")
+            rep = crash.to_dict()
         reports.append(rep)
         for check in rep["checks"]:
             status = check["status"].upper()
@@ -81,7 +89,7 @@ def cmd_verify(args) -> int:
             if "slack" in check:
                 line += f" (slack {check['slack']})"
             print(line)
-            if check["status"] == "fail":
+            if check["status"] in ("fail", "error"):
                 ok = False
     payload = reports[0] if len(reports) == 1 else reports
     text = dump_report(payload)

@@ -231,7 +231,33 @@ def rref(rows, width, field="fraction"):
     return rows, pivots
 
 
+def reduce_mod_p7(x):
+    """Image of an int, Fraction or Cyc x in F_7 = Z[w]/p for the prime
+    p = (7, w - 2) of Z[w], i.e. a + b*w -> a + 2b (mod 7); None when a
+    denominator of x is divisible by 7, where the map is undefined."""
+    parts = (x.a, 2 * x.b) if isinstance(x, Cyc) else (Fraction(x),)
+    total = 0
+    for q in parts:
+        if q.denominator % 7 == 0:
+            return None
+        total += q.numerator * pow(q.denominator, -1, 7)
+    return total % 7
+
+
 def rank(rows, width, field="fraction"):
+    """Rank of the matrix given by dense rows.
+
+    Over Q(w) the rank is first taken modulo p = (7, w - 2): a full rank
+    there is the exact rank, since a minor that is nonzero mod p is nonzero.
+    Any other outcome, or an entry that is not 7-integral, falls back to
+    exact elimination.
+    """
+    if field == "cyc":
+        reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
+        if all(None not in row for row in reduced):
+            r = len(rref_mod(reduced, width, 7)[1])
+            if r == min(len(rows), width):
+                return r
     return len(rref(rows, width, field)[1])
 
 

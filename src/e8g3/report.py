@@ -41,8 +41,9 @@ class Suite:
         self.checks.append({"name": name, "status": "skipped",
                             "detail": reason})
 
-    def passed(self) -> bool:
-        return all(c["status"] != "fail" for c in self.checks)
+    def error(self, name: str, detail: str):
+        self.checks.append({"name": name, "status": "error",
+                            "detail": detail})
 
     def to_dict(self, fixture_digest: str = "") -> dict:
         return {

@@ -75,6 +75,37 @@ def test_fixture_env_precedence(tmp_path, capsys, monkeypatch):
     assert fixture_text(str(alt)) == text
 
 
+def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
+    from e8g3 import suites
+    from e8g3.report import Suite
+
+    def boom(threads, seed):
+        raise RuntimeError("table missing")
+
+    def fine(threads, seed):
+        s = Suite("fine")
+        s.check("one", True)
+        s._digest = "d"
+        return s
+
+    monkeypatch.setattr(suites, "SUITES", {"boom": boom, "fine": fine})
+    out = tmp_path / "r.json"
+    assert main(["verify", "all", "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "[ERROR] boom/crash -- RuntimeError: table missing",
+        "[PASS] fine/one",
+        "suites FAILED",
+    ]
+    assert "RuntimeError: table missing" in captured.err
+    boom_rep, fine_rep = json.loads(out.read_text())
+    assert boom_rep["suite"] == "boom"
+    assert boom_rep["checks"] == [{"name": "crash", "status": "error",
+                                   "detail": "RuntimeError: table missing"}]
+    assert fine_rep["suite"] == "fine"
+    assert [c["status"] for c in fine_rep["checks"]] == ["pass"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "rootsys", "--threads", "0"],
     ["verify", "rootsys", "--threads", "-3"],

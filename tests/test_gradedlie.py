@@ -204,3 +204,16 @@ def test_threads_do_not_change_report(alg):
     seq = verify_jacobi(alg, threads=1)
     par = verify_jacobi(alg, threads=2)
     assert seq == par
+
+
+def test_corrupted_structure_constant_fails_jacobi(alg):
+    # negative control for the gradedlie/jacobi check: flipping the sign of
+    # one bracket on both sides keeps the table antisymmetric
+    from e8g3.gradedlie import GradedAlgebra, _jacobi_root_range, code_neg
+    fresh = GradedAlgebra(alg.model)
+    j = fresh.nbr[0][0]
+    fresh.scl[0][j] = code_neg(fresh.scl[0][j])
+    fresh.scl[j][0] = code_neg(fresh.scl[j][0])
+    assert fresh.check_antisymmetry() == []
+    assert _jacobi_root_range(fresh, 0, 1)[1]
+    assert _jacobi_root_range(alg, 0, 1)[1] == []
