@@ -5,14 +5,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction.
+
+    Anything but an int or a Fraction (a float above all) is refused, so no
+    inexact value enters Q(w).
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"{type(x).__name__} is not an exact rational")
+
+
 class Cyc:
-    """Element a + b*w with w^2 + w + 1 = 0, components exact rationals."""
+    """Element a + b*w with w^2 + w + 1 = 0, components exact rationals.
+
+    A component is stored as an int when it is integral and as a Fraction
+    otherwise, so integral arithmetic runs on plain ints.
+    """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
+        self.a = _rational(a)
+        self.b = _rational(b)
 
     @staticmethod
     def zeta(k: int) -> "Cyc":
@@ -53,8 +72,9 @@ class Cyc:
         """Complex conjugation, w -> w^2."""
         return Cyc(self.a - self.b, -self.b)
 
-    def norm(self) -> Fraction:
-        """a^2 - ab + b^2, the norm down to Q."""
+    def norm(self) -> int | Fraction:
+        """a^2 - ab + b^2, the norm down to Q: an int when both components
+        are ints, else a Fraction."""
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def inverse(self) -> "Cyc":
@@ -62,7 +82,7 @@ class Cyc:
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(w)")
         c = self.conj()
-        return Cyc(c.a / n, c.b / n)
+        return Cyc(Fraction(c.a, n), Fraction(c.b, n))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()

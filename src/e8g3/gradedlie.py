@@ -53,9 +53,6 @@ def code_cyc(c: int) -> Cyc:
     return Cyc(x, y)
 
 
-KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
-
-
 class LieElement:
     """Sparse vector: cartan part over the 8 basis coroots, root part over
     the 240 canonical root vectors, coefficients in Q(w)."""
@@ -223,12 +220,6 @@ class GradedAlgebra:
             out = LieElement(cart, roots)
         return out
 
-    def z_element(self, i, twist: int = 0) -> LieElement:
-        """Z for the cover element zeta^twist * s(root i); lies in degree 0."""
-        w = self.windex
-        scal = Cyc.zeta(twist)
-        return LieElement(roots={i: scal, w[i]: scal, w[w[i]]: scal})
-
     def graded_basis(self):
         """Bases of the three eigenspaces of the symmetry, dims (80, 84, 84)."""
         rs = self.rs
@@ -250,9 +241,6 @@ class GradedAlgebra:
         if dims != [80, 84, 84]:
             raise AssertionError(f"graded dimensions {dims}")
         return spaces
-
-    def grading_check(self, x: LieElement, i: int) -> bool:
-        return self.theta(x) == x * Cyc.zeta(i)
 
     # -- representation -----------------------------------------------------
 
@@ -359,31 +347,6 @@ class GradedAlgebra:
 _THREE_KAPPA = {0: (1, 2), 1: (-2, -1), 2: (1, -1)}
 
 
-def rho_prime(alg: GradedAlgebra, z: LieElement):
-    """Image of a degree-0 element as a dense 9x9 Q(w) matrix.
-
-    The element must lie in the span of the symmetrized orbit vectors:
-    no cartan part and orbit-constant root coefficients.
-    """
-    if z.cartan:
-        raise ValueError("element has a cartan part; not in the degree-0 span")
-    rows = [[Cyc(0)] * 9 for _ in range(9)]
-    seen = set()
-    for i, c in z.roots.items():
-        o = alg.rs.orbit_of[i]
-        if o in seen:
-            continue
-        seen.add(o)
-        for m in alg.rs.orbits[o]:
-            if z.roots.get(m, Cyc(0)) != c:
-                raise ValueError("coefficients not constant on an orbit")
-        mono = alg.rho(alg.rs.orbits[o][0])
-        scal = c * KAPPA
-        for y in range(9):
-            rows[mono.perm[y]][y] = rows[mono.perm[y]][y] + scal * Cyc.zeta(mono.expo[y])
-    return rows
-
-
 def _collapse_z_bracket(alg: GradedAlgebra, a: int, b: int):
     """Orbit coefficients of [Z_a, Z_b] as integer w-pairs.
 
@@ -449,65 +412,95 @@ def _pair_mul_zeta(x, y, k):
     return y - x, -x
 
 
+def _class_groups(alg: GradedAlgebra):
+    """Roots grouped by class, as (member root indices, rho of the class).
+
+    rho(i) is the action of the zero-centre element over the class of root
+    i, so it is one monomial matrix per group.
+    """
+    groups = {}
+    for i, v in enumerate(alg.cls):
+        groups.setdefault(v, []).append(i)
+    return [(members, alg.rho(members[0])) for members in groups.values()]
+
+
+def _three_rho_prime_of_bracket(alg: GradedAlgebra, orbit_monos, a: int, b: int):
+    """3 rho'([Z_a, Z_b]) / kappa as a sparse map (row, col) -> w-pair."""
+    lhs = {}
+    for o, (x, y) in _collapse_z_bracket(alg, a, b).items():
+        mono = orbit_monos[o]
+        for col in range(9):
+            xx, yy = _pair_mul_zeta(3 * x, 3 * y, mono.expo[col])
+            key = (mono.perm[col], col)
+            p = lhs.get(key)
+            if p is None:
+                lhs[key] = [xx, yy]
+            else:
+                p[0] += xx
+                p[1] += yy
+    return {k: tuple(v) for k, v in lhs.items() if v[0] or v[1]}
+
+
+def _three_kappa_commutator(ma: Mono, mb: Mono):
+    """3 kappa (ma mb - mb ma) as a sparse map (row, col) -> w-pair."""
+    rhs = {}
+    for mono, sgn in ((ma * mb, 1), (mb * ma, -1)):
+        for col in range(9):
+            xx, yy = _THREE_KAPPA[mono.expo[col]]
+            key = (mono.perm[col], col)
+            p = rhs.get(key)
+            if p is None:
+                rhs[key] = [sgn * xx, sgn * yy]
+            else:
+                p[0] += sgn * xx
+                p[1] += sgn * yy
+    return {k: tuple(v) for k, v in rhs.items() if v[0] or v[1]}
+
+
 def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
-    """Exact check of bracket preservation on all 240 x 240 pairs."""
+    """Exact check of bracket preservation on all 240 x 240 pairs.
+
+    The right-hand side depends only on the classes of the two roots, so
+    it is built once per pair of classes and compared with the bracket of
+    every root pair in them.
+    """
     alg = alg or get_algebra()
-    # rho factors through the coinvariant class, so any orbit member gives
-    # the same monomial matrix
-    monos = [alg.rho(i) for i in range(alg.n)]
+    orbit_monos = [alg.rho(orb[0]) for orb in alg.rs.orbits]
     mismatches = []
     pairs = 0
-    for a in range(alg.n):
-        ma = monos[a]
-        for b in range(alg.n):
-            pairs += 1
-            mb = monos[b]
-            lhs = {}
-            for o, (x, y) in _collapse_z_bracket(alg, a, b).items():
-                mono = monos[alg.rs.orbits[o][0]]
-                for col in range(9):
-                    xx, yy = _pair_mul_zeta(3 * x, 3 * y, mono.expo[col])
-                    key = (mono.perm[col], col)
-                    p = lhs.get(key)
-                    if p is None:
-                        lhs[key] = [xx, yy]
-                    else:
-                        p[0] += xx
-                        p[1] += yy
-            rhs = {}
-            for mono, sgn in ((ma * mb, 1), (mb * ma, -1)):
-                for col in range(9):
-                    xx, yy = _THREE_KAPPA[mono.expo[col]]
-                    key = (mono.perm[col], col)
-                    p = rhs.get(key)
-                    if p is None:
-                        rhs[key] = [sgn * xx, sgn * yy]
-                    else:
-                        p[0] += sgn * xx
-                        p[1] += sgn * yy
-            lhs = {k: tuple(v) for k, v in lhs.items() if v[0] or v[1]}
-            rhs = {k: tuple(v) for k, v in rhs.items() if v[0] or v[1]}
-            if lhs != rhs:
-                mismatches.append((a, b))
+    groups = _class_groups(alg)
+    for roots_a, ma in groups:
+        for roots_b, mb in groups:
+            rhs = _three_kappa_commutator(ma, mb)
+            for a in roots_a:
+                for b in roots_b:
+                    pairs += 1
+                    if _three_rho_prime_of_bracket(alg, orbit_monos, a, b) != rhs:
+                        mismatches.append((a, b))
     return {"pairs": pairs, "mismatches": mismatches}
 
 
 def verify_heis_action_match(alg: GradedAlgebra | None = None):
-    """Conjugation eigenvalue vs the lattice pairing, on all root pairs."""
+    """Conjugation eigenvalue vs the lattice pairing, on all root pairs.
+
+    One conjugation per pair of classes gives the Heisenberg side for every
+    root pair in them; the lattice side is read per root pair from the
+    pairing table.
+    """
     alg = alg or get_algebra()
-    monos = [alg.rho(i) for i in range(alg.n)]
-    invs = [m.inverse() for m in monos]
     mismatches = []
     pairs = 0
-    for a in range(alg.n):
-        ma, mai = monos[a], invs[a]
-        for b in range(alg.n):
-            pairs += 1
-            conj = ma * monos[b] * mai
-            t = conj.scalar_ratio(monos[b])
-            lattice = alg.rs.symplectic_exponent(alg.rs.roots[a], alg.rs.roots[b])
-            if t is None or t != lattice:
-                mismatches.append((a, b, t, lattice))
+    groups = _class_groups(alg)
+    for roots_a, ma in groups:
+        mai = ma.inverse()
+        for roots_b, mb in groups:
+            t = (ma * mb * mai).scalar_ratio(mb)
+            for a in roots_a:
+                for b in roots_b:
+                    pairs += 1
+                    lattice = alg._pair_exponent(a, b)
+                    if t != lattice:
+                        mismatches.append((a, b, t, lattice))
     return {"pairs": pairs, "mismatches": mismatches}
 
 
@@ -547,6 +540,23 @@ def rho_prime_image_rank(alg: GradedAlgebra | None = None) -> int:
 def rho_prime_traceless(alg: GradedAlgebra | None = None) -> bool:
     alg = alg or get_algebra()
     return all(alg.rho(orb[0]).trace() == Cyc(0) for orb in alg.rs.orbits)
+
+
+def z_supports_partition(alg: GradedAlgebra) -> bool:
+    """The 80 symmetrized vectors Z_r = X_r + X_wr + X_w^2r, one per orbit,
+    have pairwise disjoint 3-root supports that cover all 240 roots.
+
+    Disjoint nonempty supports make the vectors linearly independent.
+    """
+    w = alg.windex
+    covered = set()
+    for orb in alg.rs.orbits:
+        r = orb[0]
+        support = {r, w[r], w[w[r]]}
+        if len(support) != 3 or covered & support:
+            return False
+        covered |= support
+    return len(alg.rs.orbits) == 80 and len(covered) == alg.n
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Ring laws of Q(w) and its reduction modulo the prime (7, w - 2)."""
+"""Ring laws of Q(w), its int-or-Fraction components, and its reduction
+modulo the prime (7, w - 2)."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +52,32 @@ def test_conj_and_norm_are_multiplicative(x, y):
     assert (x * y).conj() == x.conj() * y.conj()
     assert (x * y).norm() == x.norm() * y.norm()
     assert x * x.conj() == x.norm()
+
+
+def _canonical(x):
+    """Each component is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in (x.a, x.b))
+
+
+@LAWS
+@given(ELEMENTS, ELEMENTS)
+def test_components_are_ints_or_proper_fractions(x, y):
+    results = [x, x + y, x - y, -x, x * y, x.conj()]
+    if y:
+        results += [x / y, y.inverse(), 1 / y]
+    for r in results:
+        assert _canonical(r), repr(r)
+
+
+def test_component_representation():
+    assert Cyc(2).inverse().a == Fraction(1, 2)
+    assert type(Cyc(Fraction(4, 2)).a) is int
+    assert hash(Cyc(Fraction(4, 2))) == hash(Cyc(2))
+    assert Cyc(1) / Cyc(3) == Cyc(Fraction(1, 3))
+    assert type((Cyc(Fraction(1, 2)) * 2).a) is int
+    with pytest.raises(TypeError):
+        Cyc(0.5)
 
 
 @LAWS

@@ -1,10 +1,53 @@
 """Bracket table, Jacobi identity, grading, and 9-dim realization checks,
 and the gradedlie checks of the session report."""
 
+from fractions import Fraction
+
 import pytest
 
 from e8g3.cyclotomic import Cyc
-from e8g3.gradedlie import get_algebra, killing_gram, rho_prime, verify_jacobi
+from e8g3.gradedlie import (GradedAlgebra, LieElement, get_algebra,
+                            killing_gram, verify_heis_action_match,
+                            verify_jacobi, verify_rho_prime_homomorphism,
+                            z_supports_partition)
+
+KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
+
+
+def z_element(alg, i, twist=0):
+    """Z for the cover element zeta^twist * s(root i); lies in degree 0."""
+    w = alg.windex
+    scal = Cyc.zeta(twist)
+    return LieElement(roots={i: scal, w[i]: scal, w[w[i]]: scal})
+
+
+def grading_check(alg, x, i):
+    return alg.theta(x) == x * Cyc.zeta(i)
+
+
+def rho_prime(alg, z):
+    """Image of a degree-0 element as a dense 9x9 Q(w) matrix.
+
+    The element must lie in the span of the symmetrized orbit vectors:
+    no cartan part and orbit-constant root coefficients.
+    """
+    if z.cartan:
+        raise ValueError("element has a cartan part; not in the degree-0 span")
+    rows = [[Cyc(0)] * 9 for _ in range(9)]
+    seen = set()
+    for i, c in z.roots.items():
+        o = alg.rs.orbit_of[i]
+        if o in seen:
+            continue
+        seen.add(o)
+        for m in alg.rs.orbits[o]:
+            if z.roots.get(m, Cyc(0)) != c:
+                raise ValueError("coefficients not constant on an orbit")
+        mono = alg.rho(alg.rs.orbits[o][0])
+        scal = c * KAPPA
+        for y in range(9):
+            rows[mono.perm[y]][y] = rows[mono.perm[y]][y] + scal * Cyc.zeta(mono.expo[y])
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +152,7 @@ def test_grading_dimensions(alg, report):
     spaces = alg.graded_basis()
     for i in (0, 1, 2):
         for v in spaces[i][:6]:
-            assert alg.grading_check(v, i)
+            assert grading_check(alg, v, i)
 
 
 def test_grading_bracket_containment(alg):
@@ -127,13 +170,24 @@ def test_grading_bracket_containment(alg):
 
 def test_z_elements(alg):
     for i in (0, 30, 100):
-        z = alg.z_element(i)
+        z = z_element(alg, i)
         assert alg.theta(z) == z
-        assert alg.z_element(alg.windex[i]) == z
-        assert alg.z_element(i, twist=1) == z * Cyc.zeta(1)
+        assert z_element(alg, alg.windex[i]) == z
+        assert z_element(alg, i, twist=1) == z * Cyc.zeta(1)
     # span rank of all 240 Z's is 80
     orbits = {alg.rs.orbit_of[i] for i in range(240)}
     assert len(orbits) == 80
+
+
+def test_repeated_orbit_fails_z_span(alg):
+    # negative control for the gradedlie/z_span check
+    import copy
+    fake = copy.copy(alg)
+    fake.rs = copy.copy(alg.rs)
+    fake.rs.orbits = alg.rs.orbits[:-1] + (alg.rs.orbits[0],)
+    assert len(fake.rs.orbits) == 80
+    assert not z_supports_partition(fake)
+    assert z_supports_partition(alg)
 
 
 def test_lambda_twist_automorphisms(report):
@@ -142,7 +196,7 @@ def test_lambda_twist_automorphisms(report):
 
 def test_rho_prime_well_defined_and_traceless(alg, report):
     assert report.passed("gradedlie", "rho_prime_traceless")
-    z = alg.z_element(5)
+    z = z_element(alg, 5)
     m = rho_prime(alg, z)
     tr = sum((m[i][i] for i in range(9)), Cyc(0))
     assert tr == Cyc(0)
@@ -164,6 +218,46 @@ def test_heis_action_match_all_pairs(report):
     assert report.passed("gradedlie", "heis_action_match")
     detail = report.check("gradedlie", "heis_action_match")["detail"]
     assert detail.startswith(f"{240 * 240} ")
+
+
+def test_pair_exponent_table_matches_lattice_formula(alg):
+    rs = alg.rs
+    for a in range(240):
+        for b in range(0, 240, 7):
+            assert alg._pair_exponent(a, b) == rs.symplectic_exponent(
+                rs.roots[a], rs.roots[b])
+
+
+def test_rho_sweeps_clean_on_real_algebra(alg):
+    assert verify_heis_action_match(alg) == {"pairs": 240 * 240,
+                                             "mismatches": []}
+    assert verify_rho_prime_homomorphism(alg) == {"pairs": 240 * 240,
+                                                  "mismatches": []}
+
+
+def test_wrong_class_fails_rho_sweeps(alg):
+    # negative control for gradedlie/heis_action_match and
+    # gradedlie/rho_prime_homomorphism: root 0 takes the class of -root 0
+    fresh = GradedAlgebra(alg.model)
+    fresh.cls[0] = fresh.cls[fresh.negidx[0]]
+    assert fresh.cls[0] != alg.cls[0]
+    act = verify_heis_action_match(fresh)
+    hom = verify_rho_prime_homomorphism(fresh)
+    assert act["pairs"] == hom["pairs"] == 240 * 240
+    assert act["mismatches"] and hom["mismatches"]
+    # the lattice side is untouched, so only pairs with root 0 disagree
+    assert all(0 in m[:2] for m in act["mismatches"])
+    assert any(0 in m for m in hom["mismatches"])
+
+
+def test_flipped_pairing_fails_heis_action_match(alg):
+    # negative control for the lattice side of gradedlie/heis_action_match:
+    # negating PR[0][b] = 1 moves the exponent of (0, b) by 1 mod 3
+    fresh = GradedAlgebra(alg.model)
+    b = fresh.PR[0].index(1)
+    fresh.PR[0][b] = -1
+    mismatches = verify_heis_action_match(fresh)["mismatches"]
+    assert (0, b) in {m[:2] for m in mismatches}
 
 
 def test_heis_action_alternating_diagonal(alg):
