@@ -182,6 +182,12 @@ def case_348() -> dict:
     }
 
 
+def reduces_to(weight, target) -> bool:
+    """The case of weight reduces to that of target: the up-set of target
+    lies inside the up-set of weight (equivalently, weight <= target)."""
+    return up_closure([target]) <= up_closure([weight])
+
+
 def negative_weight_sweep() -> dict:
     """Every negative weight except (1 5 9) sits under a verified trigger."""
     triggers = set(SIX_STABLE) | {(1, 6, 8), (2, 4, 8), (2, 3, 9), (1, 4, 9)}
@@ -250,7 +256,7 @@ def run_all() -> list:
                            "group-action normal form, not a finite sweep"}))
 
     out.append(("part1_248_reduces_to_348",
-                all(x <= y for x, y in zip((2, 4, 8), (3, 4, 8))), {}))
+                reduces_to((2, 4, 8), (3, 4, 8)), {}))
 
     res = negative_weight_sweep()
     out.append(("part2_negative_sweep", res["ok"], res))

@@ -3,17 +3,26 @@ complete cusp-certificate verification.
 
 Weights (i j k) embed into the lattice as e_i + e_j + e_k.  The partial
 order is coordinatewise; it agrees with the coweight-valued definition,
-and both are checked against each other.  Certificates are verified with
-exact rational slack.
+and both are checked against each other.
+
+Coweight coordinates are kept as integers scaled by 9: each weight's
+vector is built once, by prefix sums of its lattice vector.  A
+certificate whose f has denominators dividing den is tested on the
+integer vector 9 * den * n, so every test is a sign or a divisibility by
+9; exact rational slack is built only for the report (the case sum,
+positivity and capacity slacks).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import lcm
 
 from . import cuspdata
 from .rootsys import (
@@ -49,25 +58,25 @@ def leq(a, b) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
 
-def n_vector(coords):
-    """Coweight coordinates of a (possibly fractional) 9-vector mod ones."""
-    total = sum(coords)
+def _coweights9(v):
+    """9 x the coweight coordinates of a lattice vector mod ones:
+    i * sum(v) - 9 * (v_1 + ... + v_i) for i = 1..8."""
+    total = sum(v)
     out = []
     prefix = 0
     for i in range(1, 9):
-        prefix += coords[i - 1]
-        out.append(Fraction(i) * total / 9 - prefix)
+        prefix += v[i - 1]
+        out.append(i * total - 9 * prefix)
     return tuple(out)
 
 
-def n_coeff(v, i: int) -> Fraction:
-    """Coefficient against the i-th fundamental coweight, i in 1..8."""
-    return n_vector(v)[i - 1]
+_COWEIGHTS9 = {a: _coweights9(weight_vector(a)) for a in ALL_WEIGHTS}
 
 
 def leq_via_coweights(a, b) -> bool:
-    diff = sub(weight_vector(b), weight_vector(a))
-    return all(c.denominator == 1 and c >= 0 for c in n_vector(diff))
+    """b - a has integral, nonnegative coweight coordinates."""
+    return all(y - x >= 0 and (y - x) % 9 == 0
+               for x, y in zip(_COWEIGHTS9[a], _COWEIGHTS9[b]))
 
 
 def phi_v_plus():
@@ -75,9 +84,20 @@ def phi_v_plus():
     return frozenset(a for a in ALL_WEIGHTS if x_value(weight_vector(a)) > 0)
 
 
+@cache
+def _up_masks():
+    """The up-set {b : a <= b} of every weight a, as a bit mask over
+    ALL_WEIGHTS (84 ints, where frozensets would hold ~160 KB)."""
+    return {a: sum(1 << i for i, b in enumerate(ALL_WEIGHTS) if leq(a, b))
+            for a in ALL_WEIGHTS}
+
+
 def up_closure(gens):
-    gens = list(gens)
-    return frozenset(a for a in ALL_WEIGHTS if any(leq(g, a) for g in gens))
+    ups = _up_masks()
+    mask = 0
+    for g in gens:
+        mask |= ups[g]
+    return frozenset(b for i, b in enumerate(ALL_WEIGHTS) if mask >> i & 1)
 
 
 def down_closure(gens):
@@ -87,14 +107,13 @@ def down_closure(gens):
 
 def is_up_closed(M) -> bool:
     M = frozenset(M)
-    return all(b in M for a in M for b in ALL_WEIGHTS if leq(a, b))
+    return up_closure(M) == M
 
 
 def enumerate_up_closed(max_size: int):
     """All nonempty up-closed subsets with at most max_size weights, by
     breadth-first growth from the unique maximal weight."""
-    strict_up = {a: frozenset(b for b in ALL_WEIGHTS if leq(a, b) and b != a)
-                 for a in ALL_WEIGHTS}
+    strict_up = {a: up_closure([a]) - {a} for a in ALL_WEIGHTS}
     start = frozenset({(7, 8, 9)})
     seen = {start}
     frontier = [start]
@@ -125,6 +144,9 @@ def sum_phi_g_plus():
         for t in range(9):
             acc[t] += v[t]
     return tuple(acc)
+
+
+_PHI_G_PLUS9 = _coweights9(sum_phi_g_plus())
 
 
 # -- structural verifications -------------------------------------------------
@@ -252,16 +274,22 @@ def build_boundary_cases():
     return cases
 
 
-def _certificate_positivity(m0, m1_f):
-    """Coweight coordinates of sum(Phi_G+) - sum(M0) + sum f(a) a."""
-    acc = [Fraction(x) for x in sum_phi_g_plus()]
-    for a in m0:
-        for t, c in zip(range(9), weight_vector(a)):
-            acc[t] -= c
-    for a, f in m1_f.items():
-        for t, c in zip(range(9), weight_vector(a)):
-            acc[t] += f * c
-    return n_vector(acc)
+def _scaled(f_map):
+    """den, the lcm of the denominators of f, and den * f as ints."""
+    den = lcm(*(f.denominator for f in f_map.values()))
+    return den, {a: f.numerator * (den // f.denominator)
+                 for a, f in f_map.items()}
+
+
+def _certificate_positivity(m0, den, fd):
+    """9 * den x the coweight coordinates of
+    sum(Phi_G+) - sum(M0) + sum f(a) a, for integral fd = den * f."""
+    m0_sum = [sum(col) for col in zip(*(_COWEIGHTS9[a] for a in m0))]
+    acc = [den * (p - m) for p, m in zip(_PHI_G_PLUS9, m0_sum or [0] * 8)]
+    for a, k in fd.items():
+        for t, c in enumerate(_COWEIGHTS9[a]):
+            acc[t] += k * c
+    return tuple(acc)
 
 
 def verify_cusp_case(case: CuspCase) -> dict:
@@ -282,10 +310,11 @@ def verify_cusp_case(case: CuspCase) -> dict:
     slack = Fraction(len(case.m0_prime)) - total
     res["conditions"]["sum_bound"] = {"ok": slack > 0, "slack": slack}
 
-    nvec = _certificate_positivity(case.m0_prime, case.f_prime)
+    den, fd = _scaled(case.f_prime)
+    pos = _certificate_positivity(case.m0_prime, den, fd)
     res["conditions"]["positivity"] = {
-        "ok": all(v > 0 for v in nvec),
-        "slack": tuple(nvec),
+        "ok": all(v > 0 for v in pos),
+        "slack": tuple(Fraction(v, 9 * den) for v in pos),
     }
 
     # each step must drop strictly in the coweight order: the induction
@@ -296,21 +325,17 @@ def verify_cusp_case(case: CuspCase) -> dict:
     bad_steps = []
     nonroot_steps = []
     for a, b in case.g.items():
-        diff = sub(weight_vector(a), weight_vector(b))
-        nv = n_vector(diff)
-        if not (all(v.denominator == 1 and v >= 0 for v in nv)
-                and any(v > 0 for v in nv)):
+        step = [x - y for x, y in zip(_COWEIGHTS9[a], _COWEIGHTS9[b])]
+        if not (all(v >= 0 and v % 9 == 0 for v in step) and any(step)):
             bad_steps.append(a)
-        elif diff not in root_vecs:
+        elif sub(weight_vector(a), weight_vector(b)) not in root_vecs:
             nonroot_steps.append((a, b))
     res["conditions"]["descent_steps"] = {"ok": not bad_steps, "bad": bad_steps}
     if nonroot_steps:
         res["notes"].append({"steps_spanning_multiple_simple_roots":
                              sorted(nonroot_steps)})
 
-    counts = {a: 0 for a in case.m1_prime}
-    for a, b in case.g.items():
-        counts[b] += 1
+    counts = Counter(case.g.values())
     cap = [(a, case.f_prime[a] - counts[a]) for a in case.m1_prime]
     res["conditions"]["capacity"] = {
         "ok": all(s >= 0 for _, s in cap),
@@ -330,21 +355,18 @@ def verify_cusp_case(case: CuspCase) -> dict:
 def derived_f_for(case: CuspCase, m0):
     """The function built from a certificate for an intermediate set."""
     removed = case.m0_prime - frozenset(m0)
-    out = {}
-    for a in case.m1_prime:
-        hits = sum(1 for b, t in case.g.items() if t == a and b in removed)
-        out[a] = case.f_prime[a] - hits
-    return out
+    hits = Counter(t for b, t in case.g.items() if b in removed)
+    return {a: case.f_prime[a] - hits[a] for a in case.m1_prime}
 
 
 def check_direct_certificate(m0, f_map) -> dict:
     """The two conditions of the cusp bound for a concrete (M0, f)."""
-    total = sum(f_map.values(), Fraction(0))
-    nvec = _certificate_positivity(m0, f_map)
+    den, fd = _scaled(f_map)
+    pos = _certificate_positivity(m0, den, fd)
     return {
-        "sum_ok": total < len(m0),
-        "positivity_ok": all(v > 0 for v in nvec),
-        "nonneg_ok": all(v >= 0 for v in f_map.values()),
+        "sum_ok": sum(fd.values()) < den * len(m0),
+        "positivity_ok": all(v > 0 for v in pos),
+        "nonneg_ok": all(v >= 0 for v in fd.values()),
     }
 
 
@@ -355,9 +377,7 @@ def sample_intermediates(case: CuspCase, count: int, seed: int):
     out = []
     for _ in range(count):
         chosen = [a for a in free if rng.random() < 0.5]
-        m0 = case.m0_dprime | (up_closure(chosen) & case.m0_prime if chosen
-                               else frozenset())
-        out.append(frozenset(m0))
+        out.append(case.m0_dprime | (up_closure(chosen) & case.m0_prime))
     return out
 
 
@@ -366,8 +386,7 @@ def verify_small_sets(max_size: int = 10) -> dict:
     sets = enumerate_up_closed(max_size)
     failures = []
     for m0 in sets:
-        nvec = _certificate_positivity(m0, {})
-        if not all(v > 0 for v in nvec):
+        if not all(v > 0 for v in _certificate_positivity(m0, 1, {})):
             failures.append(sorted(m0))
     return {"enumerated": len(sets), "failures": failures}
 
@@ -461,10 +480,6 @@ def _frac_json(f: Fraction):
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def _frac_load(d) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
-
-
 def cases_to_json() -> str:
     def enc(case: CuspCase):
         return {
@@ -484,22 +499,3 @@ def cases_to_json() -> str:
         "cases": [enc(c) for c in build_base_cases() + build_boundary_cases()],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def cases_from_json(text: str):
-    payload = json.loads(text)
-    if payload["fixture_version"] != cuspdata.FIXTURE_VERSION:
-        raise ValueError("unsupported fixture version")
-    out = []
-    for d in payload["cases"]:
-        out.append(CuspCase(
-            label=d["label"],
-            m0_prime=frozenset(tuple(a) for a in d["m0_prime"]),
-            m0_dprime=frozenset(tuple(a) for a in d["m0_dprime"]),
-            m1_prime=tuple(tuple(a) for a in d["m1_prime"]),
-            f_prime={tuple(a): _frac_load(f) for a, f in d["f_prime"]},
-            g={tuple(a): tuple(b) for a, b in d["g"]},
-            printed_counts=({tuple(a): c for a, c in d["printed_counts"]}
-                            if d["printed_counts"] else None),
-        ))
-    return out

@@ -9,7 +9,7 @@ plain fractions over the monomial wedge basis).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .intlinalg import nullspace, rank, solve
 
@@ -75,12 +75,31 @@ def wedge33(u, v):
     return out
 
 
+def _vol_signs():
+    """For each t in W6, the sign of e_s ^ e_t against e_1^...^e_9 for
+    every ordering s of its complement (i, j, k).
+
+    Sorting (i, j, k) + t with i < j < k moves i past the i - 1 entries
+    of t below it, j past j - 2 and k past k - 3, so the sorted complement
+    has sign (-1)^(i + j + k); the other orderings follow the parity of
+    the permutation (``permutations`` lists them even, odd, odd, even,
+    even, odd).
+    """
+    table = {}
+    for t in W6:
+        comp = tuple(i for i in range(1, 10) if i not in t)
+        sgn = -1 if sum(comp) % 2 else 1
+        table[t] = dict(zip(permutations(comp),
+                            (sgn, -sgn, -sgn, sgn, sgn, -sgn)))
+    return table
+
+
+_VOL = _vol_signs()
+
+
 def vol_coeff(s3, t6):
     """Coefficient of e_1^...^e_9 in e_s3 ^ e_t6 (0 if indices overlap)."""
-    key, sgn = merge_sign(s3, t6)
-    if key is None:
-        return 0
-    return sgn
+    return _VOL[t6].get(s3, 0)
 
 
 def bracket36(u, x):
@@ -148,11 +167,12 @@ def kostant_slice_report():
     # the lower element lives in the x-weight (-2) slice of degree 6
     weight6 = {t: sum(xdiag[i - 1] for i in t) for t in W6}
     cand = [t for t in W6 if weight6[t] == -2]
+    images = [bracket36(E, {t: Fraction(1)}) for t in cand]
     rows = []
     rhs = []
     for p in range(9):
         for q in range(9):
-            rows.append([bracket36(E, {t: Fraction(1)})[p][q] for t in cand])
+            rows.append([M[p][q] for M in images])
             rhs.append(X[p][q])
     sol = solve(rows, rhs, len(cand))
     if sol is None:
@@ -185,13 +205,18 @@ def kostant_slice_report():
         weights.append(vals.pop())
     degrees = sorted(int(1 - w / 2) for w in weights)
 
-    # full kernel of ad(E), block by block around the grading
+    # full kernel of ad(E), block by block around the grading; entries
+    # missing from an image (most of the 13,776) share one zero, which
+    # keeps the peak memory of this step down
+    zero = Fraction(0)
     rowsA = []
     for A in sl9_basis():
         img = act3(A, E)
-        rowsA.append([-img.get(t, Fraction(0)) for t in W3])
-    rowsB = [[wedge33(E, {t: Fraction(1)}).get(s, Fraction(0)) for s in W6]
-             for t in W3]
+        rowsA.append([-img[t] if t in img else zero for t in W3])
+    rowsB = []
+    for t in W3:
+        img = wedge33(E, {t: Fraction(1)})
+        rowsB.append([img.get(s, zero) for s in W6])
     rowsC = []
     for t in W6:
         M = bracket36(E, {t: Fraction(1)})

@@ -157,7 +157,7 @@ def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
 
 
 def test_optimized_interpreter_gives_same_report(tmp_path, report):
-    for suite in ("rootsys", "sections"):
+    for suite in ("rootsys", "cusp", "sections"):
         path = tmp_path / f"{suite}.json"
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "e8g3", "verify", suite,

@@ -1,27 +1,72 @@
 """Weight poset, cusp certificates, stability fixtures, Kostant slice, and
 the cusp checks of the session report."""
 
+import dataclasses
+import json
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e8g3 import cuspdata, vinberg
 from e8g3.rootsys import eij, neg, weight_vector
+from e8g3.stability import reduces_to
 from e8g3.vinberg import (
     ALL_WEIGHTS,
+    CuspCase,
     build_base_cases,
     build_boundary_cases,
     check_gamma_criterion,
     check_lambda_criterion,
     degree_bookkeeping,
+    derived_f_for,
     enumerate_up_closed,
     leq,
-    n_coeff,
-    n_vector,
     phi_v_plus,
     sum_phi_g_plus,
     up_closure,
     verify_cusp_case,
     x_value,
 )
+
+CASES = build_base_cases() + build_boundary_cases()
+
+
+def n_vector(coords):
+    """Oracle: coweight coordinates of a (possibly fractional) 9-vector
+    mod ones, in exact rationals."""
+    total = sum(coords)
+    out = []
+    prefix = 0
+    for i in range(1, 9):
+        prefix += coords[i - 1]
+        out.append(Fraction(i) * total / 9 - prefix)
+    return tuple(out)
+
+
+def _frac_load(d) -> Fraction:
+    return Fraction(int(d["num"]), int(d["den"]))
+
+
+def cases_from_json(text: str):
+    """Inverse of `vinberg.cases_to_json`."""
+    payload = json.loads(text)
+    if payload["fixture_version"] != cuspdata.FIXTURE_VERSION:
+        raise ValueError("unsupported fixture version")
+    out = []
+    for d in payload["cases"]:
+        out.append(CuspCase(
+            label=d["label"],
+            m0_prime=frozenset(tuple(a) for a in d["m0_prime"]),
+            m0_dprime=frozenset(tuple(a) for a in d["m0_dprime"]),
+            m1_prime=tuple(tuple(a) for a in d["m1_prime"]),
+            f_prime={tuple(a): _frac_load(f) for a, f in d["f_prime"]},
+            g={tuple(a): tuple(b) for a, b in d["g"]},
+            printed_counts=({tuple(a): c for a, c in d["printed_counts"]}
+                            if d["printed_counts"] else None),
+        ))
+    return out
 
 
 def test_weight_count():
@@ -32,7 +77,8 @@ def test_n_coeff_highest_weight():
     v = weight_vector((7, 8, 9))
     expect = [Fraction(k, 3) for k in (1, 2, 3, 4, 5, 6, 4, 2)]
     assert list(n_vector(v)) == expect
-    assert n_coeff(v, 3) == 1
+    assert n_vector(v)[2] == 1
+    assert vinberg._COWEIGHTS9[(7, 8, 9)] == (3, 6, 9, 12, 15, 18, 12, 6)
 
 
 def test_n_coeff_on_simple_roots():
@@ -40,11 +86,13 @@ def test_n_coeff_on_simple_roots():
         beta = eij(i + 1, i)
         nv = n_vector(beta)
         assert list(nv) == [Fraction(int(j == i)) for j in range(1, 9)]
+        assert vinberg._coweights9(beta) == tuple(9 * c for c in nv)
 
 
 def test_sum_positive_roots_coweights():
     nv = n_vector([Fraction(x) for x in sum_phi_g_plus()])
     assert list(nv) == [8, 14, 18, 20, 20, 18, 14, 8]
+    assert vinberg._PHI_G_PLUS9 == tuple(9 * c for c in nv)
 
 
 def test_x_values_on_basis(report):
@@ -161,6 +209,81 @@ def test_negative_control_corrupted_fixture():
     assert not res["conditions"]["capacity"]["ok"]
 
 
+def _oracle_positivity(m0, f_map):
+    """sum(Phi_G+) - sum(M0) + sum f(a) a in exact rational coweights."""
+    acc = [Fraction(x) for x in sum_phi_g_plus()]
+    for a in m0:
+        for t, c in enumerate(weight_vector(a)):
+            acc[t] -= c
+    for a, f in f_map.items():
+        for t, c in enumerate(weight_vector(a)):
+            acc[t] += f * c
+    return n_vector(acc)
+
+
+def _integer_matches_oracle(m0, f_map):
+    den, fd = vinberg._scaled(f_map)
+    return (fd == {a: f * den for a, f in f_map.items()}
+            and vinberg._certificate_positivity(m0, den, fd)
+            == tuple(9 * den * c for c in _oracle_positivity(m0, f_map)))
+
+
+@st.composite
+def certificates(draw):
+    """An up-closed set between a case's two layers, with its derived f or
+    a random nonnegative rational f on the case's M1'."""
+    case = draw(st.sampled_from(CASES))
+    free = sorted(case.m0_prime - case.m0_dprime)
+    chosen = draw(st.lists(st.sampled_from(free), unique=True))
+    m0 = case.m0_dprime | (up_closure(chosen) & case.m0_prime)
+    if draw(st.booleans()):
+        f_map = derived_f_for(case, m0)
+    else:
+        f_map = {a: draw(st.fractions(min_value=0, max_value=20,
+                                      max_denominator=64))
+                 for a in case.m1_prime}
+    return m0, f_map
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(certificates())
+def test_integer_positivity_is_scaled_fraction_positivity(cert):
+    m0, f_map = cert
+    assert vinberg.is_up_closed(m0)
+    assert _integer_matches_oracle(m0, f_map)
+
+
+def test_mutated_coweight_entry_fails_the_property(monkeypatch):
+    case = CASES[0]
+    a = min(case.m0_prime)
+    table = dict(vinberg._COWEIGHTS9)
+    table[a] = (table[a][0] + 9,) + table[a][1:]
+    monkeypatch.setattr(vinberg, "_COWEIGHTS9", table)
+    assert not _integer_matches_oracle(case.m0_prime, case.f_prime)
+
+
+@pytest.mark.parametrize("a", cuspdata.S_H)
+def test_raised_f_prime_fails_sum_or_positivity(a):
+    case = CASES[0]
+    conds = verify_cusp_case(case)["conditions"]
+    assert conds["sum_bound"]["ok"] and conds["positivity"]["ok"]
+    raised = {**case.f_prime, a: case.f_prime[a] + conds["sum_bound"]["slack"]}
+    conds = verify_cusp_case(
+        dataclasses.replace(case, f_prime=raised))["conditions"]
+    assert not (conds["sum_bound"]["ok"] and conds["positivity"]["ok"])
+
+
+@pytest.mark.parametrize("step", ["upward", "zero"])
+def test_non_descending_g_step_fails_descent(step):
+    case = CASES[0]
+    a = min(case.g)
+    target = (next(b for b in ALL_WEIGHTS if leq(a, b) and b != a)
+              if step == "upward" else a)
+    res = verify_cusp_case(dataclasses.replace(case,
+                                               g={**case.g, a: target}))
+    assert res["conditions"]["descent_steps"] == {"ok": False, "bad": [a]}
+
+
 def test_coverage_checks(report):
     assert report.passed("cusp", "coverage")
 
@@ -177,7 +300,7 @@ def test_degree_bookkeeping():
 
 def test_fixture_roundtrip_bytes():
     text = vinberg.cases_to_json()
-    loaded = vinberg.cases_from_json(text)
+    loaded = cases_from_json(text)
     orig = build_base_cases() + build_boundary_cases()
     assert loaded == orig
 
@@ -189,6 +312,13 @@ def test_stability_suite(report):
     assert skipped == ["stability_part1_258_skipped"]
     assert report.passed("cusp", *(c["name"] for c in stability
                                    if c["status"] != "skipped"))
+
+
+def test_248_reduction_is_computed_on_the_poset():
+    assert (3, 4, 8) in up_closure([(2, 4, 8)])
+    assert reduces_to((2, 4, 8), (3, 4, 8))
+    # negative control: the order does not go the other way
+    assert not reduces_to((3, 4, 8), (2, 4, 8))
 
 
 def test_stability_negative_control():
