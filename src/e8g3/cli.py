@@ -35,7 +35,9 @@ def main(argv=None) -> int:
                                             "cusp", "sections", "all"])
     p_verify.add_argument("--json", metavar="PATH",
                           help="write the machine-readable report here")
-    p_verify.add_argument("--threads", type=_positive_int, default=1)
+    p_verify.add_argument("--threads", type=_positive_int, default=1,
+                          help="worker processes for several suites, "
+                               "at most one per suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fixture", metavar="PATH",
                           help="sections fixture file (overrides "
@@ -54,7 +56,7 @@ def main(argv=None) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .suites import SUITES, run_suite
+    from .suites import SUITES
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if "sections" in names:
@@ -67,19 +69,11 @@ def cmd_verify(args) -> int:
             print(f"e8g3: error: bad sections fixture: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
+    jobs = [(name, args.seed, args.fixture) for name in names]
     reports = []
     ok = True
-    for name in names:
-        crash = Suite(name)  # times the run; reported only if it raises
-        try:
-            rep = run_suite(name, threads=args.threads, seed=args.seed,
-                            fixture_path=args.fixture)
-        except Exception as exc:
-            # one crashing suite must not lose the other suites' results
-            import traceback
-            traceback.print_exc()
-            crash.error("crash", f"{type(exc).__name__}: {exc}")
-            rep = crash.to_dict()
+    # the reports come first, so the pool closes when they run out
+    for rep, name in zip(_run_jobs(jobs, args.threads), names):
         reports.append(rep)
         for check in rep["checks"]:
             status = check["status"].upper()
@@ -99,6 +93,35 @@ def cmd_verify(args) -> int:
     print(f"suite{'s' if len(reports) > 1 else ''} "
           f"{'passed' if ok else 'FAILED'}")
     return 0 if ok else 1
+
+
+def _run_jobs(jobs, threads: int):
+    """Suite reports in job order: in process for one job or one thread,
+    otherwise from a pool of at most one worker process per job.  Workers
+    are spawned, so they start from a fresh import and inherit no state."""
+    if threads == 1 or len(jobs) == 1:
+        yield from map(_run_job, jobs)
+        return
+    import multiprocessing
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(min(threads, len(jobs))) as pool:
+        yield from pool.imap(_run_job, jobs)
+
+
+def _run_job(job) -> dict:
+    """The report of one suite; a suite that raises becomes one `crash`
+    check with status `error`, so the other suites' results survive."""
+    from .suites import run_suite
+
+    name, seed, fixture_path = job
+    crash = Suite(name)  # times the run; reported only if it raises
+    try:
+        return run_suite(name, seed=seed, fixture_path=fixture_path)
+    except Exception as exc:
+        import traceback
+        traceback.print_exc()
+        crash.error("crash", f"{type(exc).__name__}: {exc}")
+        return crash.to_dict()
 
 
 def cmd_enumerate(args) -> int:

@@ -108,11 +108,6 @@ def _primes_upto(n):
     return out
 
 
-def scale_coeffs(q: Quintic, t: int) -> Quintic:
-    """The weighted scaling action c_i -> t^i c_i."""
-    return Quintic(t**12 * q.c12, t**18 * q.c18, t**24 * q.c24, t**30 * q.c30)
-
-
 def coeff_bound(a: int, i: int) -> int:
     """Largest |c| with |c|^120 < a^i."""
     c = 0

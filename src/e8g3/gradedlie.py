@@ -22,7 +22,7 @@ from fractions import Fraction
 from .cyclotomic import Cyc
 from .heis import (HeisElement, HeisenbergModel, Mono, build_model, cocycle,
                    commutator_exponent, svn_rep)
-from .intlinalg import nullspace
+from .intlinalg import nullspace, rank
 from .rootsys import RootSystem, add, neg, pairing
 
 # scalar codes: value = (-1)^(code // 3) * w^(code % 3); NONE means zero
@@ -510,31 +510,11 @@ def rho_prime_image_rank(alg: GradedAlgebra | None = None) -> int:
     rows = []
     for orb in alg.rs.orbits:
         mono = alg.rho(orb[0])
-        row = {}
+        row = [0] * 81
         for col in range(9):
             row[9 * mono.perm[col] + col] = Cyc.zeta(mono.expo[col])
         rows.append(row)
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row[c]
-                prow = pivots[c]
-                for cc, v in prow.items():
-                    nv = row.get(cc, Cyc(0)) - f * v
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-            else:
-                inv = row[c].inverse()
-                pivots[c] = {cc: v * inv for cc, v in row.items()}
-                rank += 1
-                break
-    return rank
+    return rank(rows, 81, field="cyc")
 
 
 def rho_prime_traceless(alg: GradedAlgebra | None = None) -> bool:
@@ -582,9 +562,6 @@ def _ad_coeff_at(alg, i, j, k):
         if alg.kind[i][m] == 1 and alg.out[i][m] == k:
             x, y = code_pair(code_mul(alg.scl[j][k], alg.scl[i][m]))
             return (x, y)
-        if alg.kind[i][m] == 2:
-            # lands in the cartan; contribution to root k needs [x_i, h] ~ x_i
-            return (0, 0)
         return (0, 0)
     # [x_j, x_k] cartan-valued (k = -j); then [x_i, coroot(j)] = -(j,i) x_i
     if i != k:
@@ -663,11 +640,11 @@ def killing_gram(alg: GradedAlgebra | None = None, sample_seed: int = 0):
         c = cocycle(alg.cls[r], alg.cls[r]) % 3
         x, y = _pair_mul_zeta(*diag[r], c)
         gauged.append((x, y))
-    nondegenerate = (det_bareiss([row[:] for row in cart]) != 0
-                     and all(x or y for x, y in diag))
+    cartan_det = det_bareiss(cart)
+    nondegenerate = cartan_det != 0 and all(x or y for x, y in diag)
     return {
         "cartan_block": cart,
-        "cartan_det": det_bareiss([row[:] for row in cart]),
+        "cartan_det": cartan_det,
         "root_diag": diag,
         "root_diag_gauged": gauged,
         "zero_samples": zero_samples,
@@ -855,20 +832,7 @@ def _jacobi_cartan_parts(alg: GradedAlgebra):
     return evaluated, violations
 
 
-_WORK_ALG = None
-
-
-def _pool_init():
-    global _WORK_ALG
-    _WORK_ALG = get_algebra()
-
-
-def _pool_job(args):
-    lo, hi = args
-    return _jacobi_root_range(_WORK_ALG, lo, hi)
-
-
-def verify_jacobi(alg: GradedAlgebra | None = None, threads: int = 1):
+def verify_jacobi(alg: GradedAlgebra | None = None):
     """Full Jacobi sweep over basis triples.
 
     Candidate pruning is exact: if none of the three pairwise brackets is
@@ -876,46 +840,13 @@ def verify_jacobi(alg: GradedAlgebra | None = None, threads: int = 1):
     bracket from reaching the remaining weight).
     """
     alg = alg or get_algebra()
-    evaluated, violations = _jacobi_cartan_parts(alg)
-    if threads > 1:
-        import multiprocessing as mp
-        chunks = _balanced_chunks(alg.n, threads * 4)
-        with mp.Pool(threads, initializer=_pool_init) as pool:
-            for ev, vi in pool.map(_pool_job, chunks):
-                evaluated += ev
-                violations.extend(vi)
-    else:
-        ev, vi = _jacobi_root_range(alg, 0, alg.n)
-        evaluated += ev
-        violations.extend(vi)
-    violations.sort(key=repr)
-    anti = alg.check_antisymmetry()
+    ev_c, vi_c = _jacobi_cartan_parts(alg)
+    ev_r, vi_r = _jacobi_root_range(alg, 0, alg.n)
     return {
-        "evaluated_triples": evaluated,
-        "violations": violations,
-        "antisymmetry_violations": anti,
+        "evaluated_triples": ev_c + ev_r,
+        "violations": sorted(vi_c + vi_r, key=repr),
+        "antisymmetry_violations": alg.check_antisymmetry(),
     }
-
-
-def _balanced_chunks(n, parts):
-    """Split [0, n) into ranges with roughly equal triple counts.
-
-    The i-loop body cost decays roughly like (n - i)^2; balance on that.
-    """
-    total = sum((n - i) ** 2 for i in range(n))
-    target = total / parts
-    chunks = []
-    lo = 0
-    acc = 0.0
-    for i in range(n):
-        acc += (n - i) ** 2
-        if acc >= target and lo <= i:
-            chunks.append((lo, i + 1))
-            lo = i + 1
-            acc = 0.0
-    if lo < n:
-        chunks.append((lo, n))
-    return chunks
 
 
 _ALGEBRA = None

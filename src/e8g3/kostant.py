@@ -140,24 +140,6 @@ def ad_e_kernel_dim(alg: GradedAlgebra | None = None) -> int:
     return total
 
 
-def ad_e_nilpotency_index(alg: GradedAlgebra | None = None) -> int:
-    """Smallest t with ad(E)^t = 0, found by iterating on each basis slot."""
-    alg = alg or get_algebra()
-    E, _, _ = build_triple(alg)
-    worst = 0
-    for start in [alg.cartan_basis(a) for a in range(8)] + \
-                 [alg.x(i) for i in range(alg.n)]:
-        v = start
-        steps = 0
-        while not v.is_zero():
-            v = alg.bracket(E, v)
-            steps += 1
-            if steps > 60:
-                raise AssertionError("ad(E) is not nilpotent of index <= 60")
-        worst = max(worst, steps)
-    return worst
-
-
 def slice_report(alg: GradedAlgebra | None = None) -> dict:
     """Kernel of ad(F) in degree 1, its grading weights, and the induced
     degree list."""

@@ -21,7 +21,6 @@ from .finitefield import (
     pmod,
     pmonic,
     psub,
-    squarefree_part,
 )
 from .jacobian import cantor_mul, IDENTITY
 
@@ -100,25 +99,6 @@ def twist_section(F: GF, s: Section) -> Section:
 
 def neg_section(F: GF, s: Section) -> Section:
     return Section(s.a, tuple(F.neg(c) for c in s.b))
-
-
-def distinct_common_roots(F: GF, s: Section, t: Section) -> int:
-    """Number of distinct common zeros of (b - d, a - c): the transverse-
-    intersection count (agrees with the full pairing when all meetings are
-    simple and away from the fibre at infinity)."""
-    g1 = psub(F, list(s.b), list(t.b))
-    g2 = psub(F, list(s.a), list(t.a))
-    if not g1 and not g2:
-        raise ValueError("identical sections")
-    if not g1:
-        g = g2
-    elif not g2:
-        g = g1
-    else:
-        g = pgcd(F, g1, g2)
-    if not g or len(g) == 1:
-        return 0
-    return len(squarefree_part(F, g)) - 1
 
 
 def intersection_number(F: GF, s: Section, t: Section) -> int:
@@ -268,25 +248,26 @@ def verify_section_fixture(F: GF, f, sections, seed: int = 0) -> dict:
 # -- fixture file -------------------------------------------------------------
 
 
-def fixture_to_json(q: int, quintic_coeffs, sections, histogram_row) -> str:
-    payload = {
-        "fixture_version": 1,
-        "q": q,
-        "f_coeffs_low_to_high": list(quintic_coeffs),
-        "sections": sorted([list(s.a), list(s.b)] for s in sections),
-        "expected_histogram_row": [list(x) for x in histogram_row],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def fixture_from_json(text: str):
     payload = json.loads(text)
     if payload["fixture_version"] != 1:
         raise ValueError("unsupported fixture version")
     field_order(payload["q"])
-    sections = [Section(tuple(a), tuple(b)) for a, b in payload["sections"]]
-    return (payload["q"], payload["f_coeffs_low_to_high"], sections,
+    fcoeffs = payload["f_coeffs_low_to_high"]
+    if not (_int_list(fcoeffs) and len(fcoeffs) == 6):
+        raise ValueError("f_coeffs_low_to_high must be a list of six ints")
+    pairs = payload["sections"]
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_int_list, p))
+            for p in pairs)):
+        raise ValueError("each section must be a pair of int lists")
+    sections = [Section(tuple(a), tuple(b)) for a, b in pairs]
+    return (payload["q"], fcoeffs, sections,
             tuple(tuple(x) for x in payload["expected_histogram_row"]))
+
+
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(type(c) is int for c in x)
 
 
 def load_default_fixture():

@@ -20,7 +20,7 @@ GRADEDLIE_DIGEST = \
     "19ec7daabd44977ef13db2b4db747b278f2eefb961eecd2132e323233559b430"
 
 
-def suite_rootsys(threads: int = 1, seed: int = 0) -> Suite:
+def suite_rootsys(seed: int = 0) -> Suite:
     s = Suite("rootsys")
     rs = build_root_system()
     s.check("root_count", len(rs.roots) == 240, f"{len(rs.roots)} roots")
@@ -90,7 +90,7 @@ def suite_rootsys(threads: int = 1, seed: int = 0) -> Suite:
     return s
 
 
-def suite_heis(threads: int = 1, seed: int = 0) -> Suite:
+def suite_heis(seed: int = 0) -> Suite:
     from .heis import (HeisElement, IDENTITY, all_elements, build_model,
                        commutant_dimension, commutator_exponent,
                        standard_form, svn_rep)
@@ -129,7 +129,7 @@ def suite_heis(threads: int = 1, seed: int = 0) -> Suite:
     return s
 
 
-def suite_gradedlie(threads: int = 1, seed: int = 0) -> Suite:
+def suite_gradedlie(seed: int = 0) -> Suite:
     from .gradedlie import (get_algebra, killing_gram, rho_prime_image_rank,
                             rho_prime_traceless, verify_heis_action_match,
                             verify_jacobi, verify_rho_prime_homomorphism,
@@ -137,7 +137,7 @@ def suite_gradedlie(threads: int = 1, seed: int = 0) -> Suite:
 
     s = Suite("gradedlie")
     alg = get_algebra()
-    jac = verify_jacobi(alg, threads=threads)
+    jac = verify_jacobi(alg)
     s.check("jacobi", not jac["violations"],
             f"{jac['evaluated_triples']} evaluated basis triples, "
             "remainder vanishes by weight additivity")
@@ -180,7 +180,7 @@ def suite_gradedlie(threads: int = 1, seed: int = 0) -> Suite:
     return s
 
 
-def suite_cusp(threads: int = 1, seed: int = 0) -> Suite:
+def suite_cusp(seed: int = 0) -> Suite:
     from . import kostant, stability
 
     s = Suite("cusp")
@@ -263,8 +263,7 @@ def fixture_text(fixture_path: str | None) -> str:
         "fixtures/sections_q.json").read_text()
 
 
-def suite_sections(threads: int = 1, seed: int = 0,
-                   fixture_path: str | None = None) -> Suite:
+def suite_sections(seed: int = 0, fixture_path: str | None = None) -> Suite:
     from .finitefield import GF
     from .genus2 import (Quintic, discriminant, enumerate_min,
                          enumerate_min_bruteforce, height_lt, is_minimal)
@@ -396,13 +395,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, threads: int = 1, seed: int = 0,
-              fixture_path: str | None = None):
+def run_suite(name: str, seed: int = 0, fixture_path: str | None = None):
     fn = SUITES[name]
     if name == "sections":
-        suite = fn(threads=threads, seed=seed, fixture_path=fixture_path)
+        suite = fn(seed=seed, fixture_path=fixture_path)
     else:
-        suite = fn(threads=threads, seed=seed)
+        suite = fn(seed=seed)
     digest = getattr(suite, "_digest", None) or _default_digest()
     return suite.to_dict(fixture_digest=digest)
 

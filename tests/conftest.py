@@ -19,21 +19,21 @@ import pytest
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# fixtures backed by one fresh `verify all` run each; criterion 10
-# compares the two
-RUN_FIXTURES = ("report", "report_again")
+# fixtures backed by one fresh `verify all` run each, with these
+# `--threads` values; criterion 10 compares the two
+RUN_FIXTURES = {"report": "1", "report_again": "2"}
 _RUNS = pytest.StashKey()
 
 
 class VerifyAll:
     """`python -m e8g3 verify all --json` running in a fresh process."""
 
-    def __init__(self, workdir: str):
+    def __init__(self, workdir: str, threads: str):
         self.path = os.path.join(workdir, "report.json")
         self.log = open(os.path.join(workdir, "stdout.txt"), "w+")
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "e8g3", "verify", "all",
-             "--json", self.path],
+             "--threads", threads, "--json", self.path],
             cwd=PKG_ROOT, stdout=self.log, stderr=subprocess.STDOUT)
 
     def text(self) -> str:
@@ -60,7 +60,8 @@ def pytest_collection_finish(session):
         runs = {}
         for name in names:
             os.mkdir(os.path.join(tmp.name, name))
-            runs[name] = VerifyAll(os.path.join(tmp.name, name))
+            runs[name] = VerifyAll(os.path.join(tmp.name, name),
+                                   RUN_FIXTURES[name])
         session.config.stash[_RUNS] = (tmp, runs)
 
 
@@ -97,5 +98,6 @@ def report(pytestconfig):
 
 @pytest.fixture(scope="session")
 def report_again(pytestconfig):
-    """Text of a second `verify all` report, from another fresh process."""
+    """Text of a second `verify all` report, from another fresh process
+    with `--threads 2`."""
     return pytestconfig.stash[_RUNS][1]["report_again"].text()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,10 +80,10 @@ def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
     from e8g3 import suites
     from e8g3.report import Suite
 
-    def boom(threads, seed):
+    def boom(seed):
         raise RuntimeError("table missing")
 
-    def fine(threads, seed):
+    def fine(seed):
         s = Suite("fine")
         s.check("one", True)
         s._digest = "d"
@@ -104,6 +105,51 @@ def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
                                    "detail": "RuntimeError: table missing"}]
     assert fine_rep["suite"] == "fine"
     assert [c["status"] for c in fine_rep["checks"]] == ["pass"]
+
+
+def test_pool_has_at_most_one_worker_per_suite(monkeypatch, capsys):
+    import multiprocessing
+    from e8g3 import suites
+    from e8g3.report import Suite
+
+    sizes = []
+
+    class RecordingPool:
+        """Starts no process: records the requested worker count and runs
+        the jobs in process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+    def fine(seed):
+        s = Suite("fine")
+        s.check("one", True)
+        s._digest = "d"
+        return s
+
+    def get_context(method):
+        assert method == "spawn"
+        return SimpleNamespace(Pool=RecordingPool)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(suites, "SUITES", {name: fine for name in
+                                           ("rootsys", "heis", "cusp")})
+    assert main(["verify", "all", "--threads", "64"]) == 0
+    assert sizes == [len(suites.SUITES)]
+    assert main(["verify", "heis", "--threads", "64"]) == 0
+    assert sizes == [len(suites.SUITES)]  # one suite runs in process
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["[PASS] rootsys/one", "[PASS] heis/one", "[PASS] cusp/one",
+                   "suites passed", "[PASS] heis/one", "suite passed"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -140,13 +186,23 @@ def _bad_fixture(tmp_path, case):
     elif case.startswith("q_"):
         payload["q"] = int(case[2:])
         path.write_text(json.dumps(payload))
+    elif case == "f_coeffs_text":
+        payload["f_coeffs_low_to_high"] = "abc"
+        path.write_text(json.dumps(payload))
+    elif case == "f_coeffs_short":
+        payload["f_coeffs_low_to_high"] = [1, 2]
+        path.write_text(json.dumps(payload))
+    elif case == "sections_text":
+        payload["sections"] = [["a", "b"]]
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
 # q = 170 is not a prime power, 128 is even, 529 = 23^2 is above GF's tables
 @pytest.mark.parametrize("case", ["missing", "unreadable", "bad_json",
                                   "wrong_version", "missing_key", "q_170",
-                                  "q_128", "q_529"])
+                                  "q_128", "q_529", "f_coeffs_text",
+                                  "f_coeffs_short", "sections_text"])
 def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
     # with "all", sections runs last: nothing may run before the error
     code = main(["verify", "all", "--fixture", _bad_fixture(tmp_path, case)])

@@ -8,7 +8,6 @@ from e8g3.genus2 import (
     enumerate_min_bruteforce,
     height_lt,
     is_minimal,
-    scale_coeffs,
 )
 
 
@@ -63,8 +62,6 @@ def test_minimality():
 
 
 def test_scale_action():
-    q = scale_coeffs(Quintic(1, 1, 1, 1), 2)
-    assert q == Quintic(2**12, 2**18, 2**24, 2**30)
     # the scaling by n^2 substitution matches the minimality exponents
     assert not is_minimal(Quintic(2**4 * 3, 2**6 * 5, 2**8 * 7, 2**10 * 11))
 

@@ -8,7 +8,7 @@ import pytest
 from e8g3.cyclotomic import Cyc
 from e8g3.gradedlie import (GradedAlgebra, LieElement, get_algebra,
                             killing_gram, verify_heis_action_match,
-                            verify_jacobi, verify_rho_prime_homomorphism,
+                            verify_rho_prime_homomorphism,
                             z_supports_partition)
 
 KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
@@ -294,10 +294,22 @@ def test_corrupted_structure_constant_changes_pinned_digest(alg):
     assert alg.digest() == GRADEDLIE_DIGEST
 
 
-def test_threads_do_not_change_report(alg):
-    seq = verify_jacobi(alg, threads=1)
-    par = verify_jacobi(alg, threads=2)
-    assert seq == par
+def test_threads_do_not_change_report(tmp_path, capsys, monkeypatch):
+    # two real suites: a worker process finds them by name under any
+    # multiprocessing start method
+    from e8g3 import suites
+    from e8g3.cli import main
+    from e8g3.report import strip_volatile
+    monkeypatch.setattr(suites, "SUITES", {name: suites.SUITES[name]
+                                           for name in ("rootsys", "heis")})
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        assert main(["verify", "all", "--threads", threads,
+                     "--json", str(out)]) == 0
+        runs.append((capsys.readouterr().out, strip_volatile(out.read_text())))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0].splitlines()) > 10
 
 
 def test_corrupted_structure_constant_fails_jacobi(alg):

@@ -1,17 +1,17 @@
 """Section scan, intersection pairing, torsion descent, Sp4 density, and
 the sections checks of the session report."""
 
+import json
+
 import pytest
 
-from e8g3.finitefield import GF
+from e8g3.finitefield import GF, pgcd, psub, squarefree_part
 from e8g3.genus2 import Quintic
 from e8g3.sections import (
     E8_ROW,
     Section,
-    distinct_common_roots,
     find_sections,
     fixture_from_json,
-    fixture_to_json,
     intersection_number,
     load_default_fixture,
     neg_section,
@@ -20,6 +20,35 @@ from e8g3.sections import (
     section_pairing,
     twist_section,
 )
+
+
+def distinct_common_roots(F, s, t):
+    """Number of distinct common zeros of (b - d, a - c): the transverse-
+    intersection count (agrees with the full pairing when all meetings are
+    simple and away from the fibre at infinity)."""
+    g1 = psub(F, list(s.b), list(t.b))
+    g2 = psub(F, list(s.a), list(t.a))
+    assert g1 or g2, "identical sections"
+    if not g1:
+        g = g2
+    elif not g2:
+        g = g1
+    else:
+        g = pgcd(F, g1, g2)
+    if not g or len(g) == 1:
+        return 0
+    return len(squarefree_part(F, g)) - 1
+
+
+def fixture_to_json(q, quintic_coeffs, sections, histogram_row):
+    payload = {
+        "fixture_version": 1,
+        "q": q,
+        "f_coeffs_low_to_high": list(quintic_coeffs),
+        "sections": sorted([list(s.a), list(s.b)] for s in sections),
+        "expected_histogram_row": [list(x) for x in histogram_row],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.fixture(scope="module")
