@@ -200,11 +200,6 @@ class GF:
             raise ZeroDivisionError
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def pow(self, a, n):
-        if a == 0:
-            return 0 if n else 1
-        return self.exp[(self.log[a] * n) % (self.q - 1)]
-
     def sqrt(self, a):
         """One square root, or None."""
         return self._sqrt[a]
@@ -322,37 +317,8 @@ def peval(F, a, x):
     return out
 
 
-def pderiv(F, a):
-    return ptrim([F.mul(F.from_int(i), a[i]) for i in range(1, len(a))])
-
-
 def pmonic(F, a):
     if not a:
         return []
     return pscale(F, a, F.inv(a[-1]))
 
-
-def squarefree_part(F, a):
-    """Monic radical of a nonzero polynomial (counts distinct roots)."""
-    if not a:
-        raise ValueError("zero polynomial")
-    d = pderiv(F, a)
-    if not d:
-        # perfect p-th power over F_q; recurse on the p-th root
-        p = F.p
-        root = [a[i] for i in range(0, len(a), p)]
-        # p-th root of each coefficient: c -> c^(q/p) since Frobenius is
-        # bijective; q/p = p^(k-1)
-        root = [F.pow(c, F.q // p) if c else 0 for c in root]
-        return squarefree_part(F, root)
-    g = pgcd(F, a, d)
-    rad, rem = pdivmod(F, a, g)
-    if rem:
-        raise AssertionError("gcd(a, a') does not divide a")
-    base = pmonic(F, rad)
-    extra = squarefree_part(F, g) if len(g) > 1 else []
-    if extra:
-        # distinct factors of a = factors of base together with those of g
-        quot, _ = pdivmod(F, pmul(F, base, extra), pgcd(F, base, extra))
-        return pmonic(F, quot)
-    return base

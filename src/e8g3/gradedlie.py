@@ -17,13 +17,13 @@ the whole multiplication table is stored as small-integer codes.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 from .cyclotomic import Cyc
 from .heis import (HeisElement, HeisenbergModel, Mono, build_model, cocycle,
                    commutator_exponent, svn_rep)
 from .intlinalg import nullspace, rank
 from .rootsys import RootSystem, add, neg, pairing
+from .vinberg import x_value
 
 # scalar codes: value = (-1)^(code // 3) * w^(code % 3); NONE means zero
 NONE = -1
@@ -107,16 +107,16 @@ class GradedAlgebra:
         self.negidx = [rs.index[neg(r)] for r in rs.roots]
         self.windex = list(rs.w_on_roots)
         # pairing of every basis-coroot with every root, and root with root
+        # (the form is symmetric, so the upper triangle is mirrored)
         self.P = [[pairing(b, r) for r in rs.roots] for b in rs.basis]
-        self.PR = [[pairing(a, b) for b in rs.roots] for a in rs.roots]
+        self.PR = [[0] * n for _ in range(n)]
+        for i, a in enumerate(rs.roots):
+            for j in range(i, n):
+                self.PR[i][j] = self.PR[j][i] = pairing(a, rs.roots[j])
         # degree grading by coordinate-sum type of the canonical representative
         self.degree = [sum(r) // 3 for r in rs.roots]
-        xvec = [Fraction(3 * d) - Fraction(44, 3) for d in
-                (0, 2, 3, 4, 5, 6, 7, 8, 9)]
-        hts = [sum(x * c for x, c in zip(xvec, r)) for r in rs.roots]
-        if any(h.denominator != 1 for h in hts):
-            raise AssertionError("grading element is not integral on a root")
-        self.height = [int(h) for h in hts]
+        # height: the pairing with the marking element x
+        self.height = [x_value(r) for r in rs.roots]
         if any(self.height[i] % 3 != self.degree[i] % 3 for i in range(n)):
             raise AssertionError("height and degree disagree mod 3")
 
@@ -136,7 +136,6 @@ class GradedAlgebra:
         for i in range(n):
             a = rs.roots[i]
             ci = self.cls[i]
-            wi = self.windex[i]
             for j in range(n):
                 p = self.PR[i][j]
                 if p == -2:
@@ -148,7 +147,7 @@ class GradedAlgebra:
                 elif p == -1:
                     b = rs.roots[j]
                     cj = self.cls[j]
-                    sign = pairing(a, rs.roots[self.windex[j]]) % 2
+                    sign = self.PR[i][self.windex[j]] % 2
                     pw = (self._pair_exponent(i, j) + cocycle(ci, cj)) % 3
                     kind[i][j] = 1
                     out[i][j] = index[add(a, b)]
@@ -343,65 +342,6 @@ class GradedAlgebra:
 # degree-0 part inside the 9x9 traceless matrices
 # ---------------------------------------------------------------------------
 
-# integer pairs (x, y) = (1 + 2w) * w^k, used to compare 3 * kappa * zeta^k
-_THREE_KAPPA = {0: (1, 2), 1: (-2, -1), 2: (1, -1)}
-
-
-def _collapse_z_bracket(alg: GradedAlgebra, a: int, b: int):
-    """Orbit coefficients of [Z_a, Z_b] as integer w-pairs.
-
-    Returns dict orbit_index -> (x, y); raises if the result fails to lie
-    in the degree-0 span (which would signal a table bug).
-    """
-    w = alg.windex
-    us = (a, w[a], w[w[a]])
-    vs = (b, w[b], w[w[b]])
-    acc_r = {}
-    cart = [[0, 0] for _ in range(8)]
-    for i in us:
-        ki = alg.kind[i]
-        oi = alg.out[i]
-        si = alg.scl[i]
-        for j in vs:
-            k = ki[j]
-            if not k:
-                continue
-            x, y = code_pair(si[j])
-            if k == 1:
-                t = oi[j]
-                p = acc_r.get(t)
-                if p is None:
-                    acc_r[t] = [x, y]
-                else:
-                    p[0] += x
-                    p[1] += y
-            else:
-                for c_idx, c in enumerate(alg.cr[i]):
-                    if c:
-                        cart[c_idx][0] += x * c
-                        cart[c_idx][1] += y * c
-    if any(v[0] or v[1] for v in cart):
-        raise AssertionError("cartan residue in a bracket of symmetrized vectors")
-    out = {}
-    for t, p in acc_r.items():
-        o = alg.rs.orbit_of[t]
-        prev = out.get(o)
-        if prev is None:
-            out[o] = (p[0], p[1], t)
-        else:
-            if (prev[0], prev[1]) != (p[0], p[1]):
-                raise AssertionError("coefficients not orbit-constant")
-    # confirm every member of each orbit was hit consistently
-    for o, (x, y, _) in list(out.items()):
-        for m in alg.rs.orbits[o]:
-            p = acc_r.get(m)
-            if p is None or (p[0], p[1]) != (x, y):
-                raise AssertionError("orbit member missing in bracket collapse")
-        if x == 0 and y == 0:
-            del out[o]
-    return {o: (x, y) for o, (x, y, _) in out.items()}
-
-
 def _pair_mul_zeta(x, y, k):
     """(x + y w) * w^k as an integer pair."""
     k %= 3
@@ -424,37 +364,48 @@ def _class_groups(alg: GradedAlgebra):
     return [(members, alg.rho(members[0])) for members in groups.values()]
 
 
-def _three_rho_prime_of_bracket(alg: GradedAlgebra, orbit_monos, a: int, b: int):
-    """3 rho'([Z_a, Z_b]) / kappa as a sparse map (row, col) -> w-pair."""
-    lhs = {}
-    for o, (x, y) in _collapse_z_bracket(alg, a, b).items():
-        mono = orbit_monos[o]
+def _z_vector(alg: GradedAlgebra, a: int) -> LieElement:
+    """Z_a = X_a + X_wa + X_w^2a, which depends only on the orbit of a."""
+    w = alg.windex
+    return LieElement(roots={a: Cyc(1), w[a]: Cyc(1), w[w[a]]: Cyc(1)})
+
+
+def _orbit_coefficients(alg: GradedAlgebra, z: LieElement):
+    """Coefficient of each Z vector in z, as orbit index -> Cyc.
+
+    z must lie in the span of the Z vectors: no cartan part and root
+    coefficients constant on every orbit; anything else signals a table
+    bug and raises.
+    """
+    if z.cartan:
+        raise AssertionError(
+            "cartan residue in a bracket of symmetrized vectors")
+    coeffs = {}
+    for t, v in z.roots.items():
+        o = alg.rs.orbit_of[t]
+        if o in coeffs:
+            continue
+        if any(z.roots.get(m) != v for m in alg.rs.orbits[o]):
+            raise AssertionError("coefficients not orbit-constant")
+        coeffs[o] = v
+    return coeffs
+
+
+def _mono_combination(terms):
+    """Sum of c * m over the (c, m) in terms, c an integer w-pair and m a
+    monomial matrix, as a sparse map (row, col) -> w-pair."""
+    acc = {}
+    for (x, y), mono in terms:
         for col in range(9):
-            xx, yy = _pair_mul_zeta(3 * x, 3 * y, mono.expo[col])
+            xx, yy = _pair_mul_zeta(x, y, mono.expo[col])
             key = (mono.perm[col], col)
-            p = lhs.get(key)
+            p = acc.get(key)
             if p is None:
-                lhs[key] = [xx, yy]
+                acc[key] = [xx, yy]
             else:
                 p[0] += xx
                 p[1] += yy
-    return {k: tuple(v) for k, v in lhs.items() if v[0] or v[1]}
-
-
-def _three_kappa_commutator(ma: Mono, mb: Mono):
-    """3 kappa (ma mb - mb ma) as a sparse map (row, col) -> w-pair."""
-    rhs = {}
-    for mono, sgn in ((ma * mb, 1), (mb * ma, -1)):
-        for col in range(9):
-            xx, yy = _THREE_KAPPA[mono.expo[col]]
-            key = (mono.perm[col], col)
-            p = rhs.get(key)
-            if p is None:
-                rhs[key] = [sgn * xx, sgn * yy]
-            else:
-                p[0] += sgn * xx
-                p[1] += sgn * yy
-    return {k: tuple(v) for k, v in rhs.items() if v[0] or v[1]}
+    return {k: tuple(v) for k, v in acc.items() if v[0] or v[1]}
 
 
 def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
@@ -462,20 +413,32 @@ def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
 
     The right-hand side depends only on the classes of the two roots, so
     it is built once per pair of classes and compared with the bracket of
-    every root pair in them.
+    every root pair in them.  The bracket [Z_a, Z_b] depends only on the
+    orbits of a and b; it is taken once per orbit pair met in a class pair,
+    through the generic bracket.
     """
     alg = alg or get_algebra()
+    orbit_of = alg.rs.orbit_of
     orbit_monos = [alg.rho(orb[0]) for orb in alg.rs.orbits]
     mismatches = []
     pairs = 0
     groups = _class_groups(alg)
     for roots_a, ma in groups:
         for roots_b, mb in groups:
-            rhs = _three_kappa_commutator(ma, mb)
+            # 3 kappa [rho a, rho b] with 3 kappa = 1 + 2w, against
+            # 3 rho'([Z_a, Z_b]) / kappa
+            rhs = _mono_combination([((1, 2), ma * mb), ((-1, -2), mb * ma)])
+            lhs = {}
             for a in roots_a:
                 for b in roots_b:
                     pairs += 1
-                    if _three_rho_prime_of_bracket(alg, orbit_monos, a, b) != rhs:
+                    key = (orbit_of[a], orbit_of[b])
+                    if key not in lhs:
+                        z = alg.bracket(_z_vector(alg, a), _z_vector(alg, b))
+                        lhs[key] = _mono_combination(
+                            ((3 * v.a, 3 * v.b), orbit_monos[o])
+                            for o, v in _orbit_coefficients(alg, z).items())
+                    if lhs[key] != rhs:
                         mismatches.append((a, b))
     return {"pairs": pairs, "mismatches": mismatches}
 
@@ -571,16 +534,11 @@ def _ad_coeff_at(alg, i, j, k):
     return (x * c, y * c)
 
 
-def killing_diag_root(alg: GradedAlgebra, r: int):
-    """kappa(X_r, X_{-r}) as a w-pair, by honest trace of ad X_r ad X_{-r}."""
-    s = alg.negidx[r]
+def _killing_entry(alg: GradedAlgebra, r: int, s: int):
+    """kappa(X_r, X_s) as a w-pair, by honest trace of ad X_r ad X_s."""
     tot = [0, 0]
-    for k in range(alg.n):
+    for k in [*range(alg.n), *(("c", a) for a in range(8))]:
         x, y = _ad_coeff_at(alg, r, s, k)
-        tot[0] += x
-        tot[1] += y
-    for a in range(8):
-        x, y = _ad_coeff_at(alg, r, s, ("c", a))
         tot[0] += x
         tot[1] += y
     return tuple(tot)
@@ -598,7 +556,7 @@ def killing_gram(alg: GradedAlgebra | None = None, sample_seed: int = 0):
     alg = alg or get_algebra()
     cart = [[sum(alg.P[a][m] * alg.P[b][m] for m in range(alg.n))
              for b in range(8)] for a in range(8)]
-    diag = [killing_diag_root(alg, r) for r in range(alg.n)]
+    diag = [_killing_entry(alg, r, alg.negidx[r]) for r in range(alg.n)]
     rng = random.Random(sample_seed)
     zero_samples = 0
     for _ in range(200):
@@ -606,17 +564,10 @@ def killing_gram(alg: GradedAlgebra | None = None, sample_seed: int = 0):
         s = rng.randrange(alg.n)
         if s == alg.negidx[r]:
             continue
-        tot = [0, 0]
-        for k in range(alg.n):
-            x, y = _ad_coeff_at(alg, r, s, k)
-            tot[0] += x
-            tot[1] += y
-        for a in range(8):
-            x, y = _ad_coeff_at(alg, r, s, ("c", a))
-            tot[0] += x
-            tot[1] += y
-        if tot != [0, 0]:
-            raise AssertionError(f"kappa(X_{r}, X_{s}) = {tot}, expected 0")
+        tot = _killing_entry(alg, r, s)
+        if tot != (0, 0):
+            raise AssertionError(
+                f"kappa(X_{r}, X_{s}) = {list(tot)}, expected 0")
         zero_samples += 1
     # mixed cartan/root entries: [h_a, [x_r, b_k]] never returns to b_k
     # (the inner bracket lands on weight r + k != k or in the cartan) so
@@ -664,6 +615,12 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     Returns (evaluated, violations).  Triples where no pair brackets
     nonzero hold trivially: the weight of any inner bracket can never
     return to the third weight when all three pairings are >= 0.
+
+    Every root-valued term of a triple is a nonzero multiple of a unit and
+    belongs on the weight i + j + k, so one (target, x, y) accumulator is
+    exact: a term on a second target leaves some target with a single term
+    and is itself a violation.  Cartan-valued terms (i + j + k = 0) go to
+    their own accumulator.
     """
     kind = alg.kind
     out = alg.out
@@ -676,118 +633,59 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     violations = []
 
     for i in range(lo, hi):
-        kind_i = kind[i]
-        out_i = out[i]
-        scl_i = scl[i]
-        PRi = PR[i]
         cand_i = nbrset[i]
         for j in range(i + 1, n):
-            kind_j = kind[j]
-            out_j = out[j]
-            scl_j = scl[j]
-            ks = cand_i | nbrset[j]
-            kij = kind_i[j]
-            for k in ks:
+            for k in cand_i | nbrset[j]:
                 if k <= j:
                     continue
                 evaluated += 1
-                acc_r = {}
+                target = None
+                stray = False
+                x = y = 0
                 acc_c = None
-                # term [x_i, [x_j, x_k]]
-                kjk = kind_j[k]
-                if kjk == 1:
-                    m = out_j[k]
-                    s = scl_j[k]
-                    km = kind_i[m]
-                    if km == 1:
-                        c2 = code_mul(s, scl_i[m])
-                        t = out_i[m]
-                        x, y = code_pair(c2)
-                        p = acc_r.get(t)
-                        if p is None:
-                            acc_r[t] = [x, y]
-                        else:
-                            p[0] += x
-                            p[1] += y
-                    elif km == 2:
-                        x, y = code_pair(code_mul(s, scl_i[m]))
-                        acc_c = _addc(acc_c, cr[i], x, y)
-                elif kjk == 2:
-                    c = -PR[j][i]
-                    if c:
-                        x, y = code_pair(scl_j[k])
-                        p = acc_r.get(i)
-                        if p is None:
-                            acc_r[i] = [x * c, y * c]
-                        else:
-                            p[0] += x * c
-                            p[1] += y * c
-                # term [x_j, [x_k, x_i]]
-                kki = kind[k][i]
-                if kki == 1:
-                    m = out[k][i]
-                    s = scl[k][i]
-                    km = kind_j[m]
-                    if km == 1:
-                        c2 = code_mul(s, scl_j[m])
-                        t = out_j[m]
-                        x, y = code_pair(c2)
-                        p = acc_r.get(t)
-                        if p is None:
-                            acc_r[t] = [x, y]
-                        else:
-                            p[0] += x
-                            p[1] += y
-                    elif km == 2:
-                        x, y = code_pair(code_mul(s, scl_j[m]))
-                        acc_c = _addc(acc_c, cr[j], x, y)
-                elif kki == 2:
-                    c = -PR[k][j]
-                    if c:
-                        x, y = code_pair(scl[k][i])
-                        p = acc_r.get(j)
-                        if p is None:
-                            acc_r[j] = [x * c, y * c]
-                        else:
-                            p[0] += x * c
-                            p[1] += y * c
-                # term [x_k, [x_i, x_j]]
-                if kij == 1:
-                    m = out_i[j]
-                    s = scl_i[j]
-                    km = kind[k][m]
-                    if km == 1:
-                        c2 = code_mul(s, scl[k][m])
-                        t = out[k][m]
-                        x, y = code_pair(c2)
-                        p = acc_r.get(t)
-                        if p is None:
-                            acc_r[t] = [x, y]
-                        else:
-                            p[0] += x
-                            p[1] += y
-                    elif km == 2:
-                        x, y = code_pair(code_mul(s, scl[k][m]))
-                        acc_c = _addc(acc_c, cr[k], x, y)
-                elif kij == 2:
-                    c = -PRi[k]
-                    if c:
-                        x, y = code_pair(scl_i[j])
-                        p = acc_r.get(k)
-                        if p is None:
-                            acc_r[k] = [x * c, y * c]
-                        else:
-                            p[0] += x * c
-                            p[1] += y * c
-
-                ok = all(p[0] == 0 and p[1] == 0 for p in acc_r.values())
-                if ok and acc_c is not None:
-                    ok = all(v[0] == 0 and v[1] == 0 for v in acc_c)
-                if not ok:
-                    residual = {t: tuple(p) for t, p in acc_r.items()
-                                if p[0] or p[1]}
-                    violations.append((i, j, k, repr(residual)))
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    # term [x_p, [x_q, x_r]]
+                    kqr = kind[q][r]
+                    if kqr == 1:
+                        m = out[q][r]
+                        kpm = kind[p][m]
+                        if not kpm:
+                            continue
+                        dx, dy = code_pair(code_mul(scl[q][r], scl[p][m]))
+                        if kpm == 2:
+                            acc_c = _addc(acc_c, cr[p], dx, dy)
+                            continue
+                        t = out[p][m]
+                    elif kqr == 2:
+                        c = -PR[q][p]
+                        if not c:
+                            continue
+                        dx, dy = code_pair(scl[q][r])
+                        dx *= c
+                        dy *= c
+                        t = p
+                    else:
+                        continue
+                    if target is None:
+                        target = t
+                    elif t != target:
+                        stray = True
+                    x += dx
+                    y += dy
+                if (stray or x or y or acc_c is not None
+                        and any(v[0] or v[1] for v in acc_c)):
+                    violations.append(
+                        (i, j, k, _jacobi_residual(alg, i, j, k)))
     return evaluated, violations
+
+
+def _jacobi_residual(alg: GradedAlgebra, i: int, j: int, k: int) -> str:
+    """Root part of the Jacobi sum of X_i, X_j, X_k, by the generic bracket."""
+    x, y, z = alg.x(i), alg.x(j), alg.x(k)
+    total = (alg.bracket(x, alg.bracket(y, z))
+             + alg.bracket(y, alg.bracket(z, x))
+             + alg.bracket(z, alg.bracket(x, y)))
+    return repr({t: (v.a, v.b) for t, v in total.roots.items()})
 
 
 def _addc(acc, coords, x, y):

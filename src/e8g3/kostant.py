@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .gradedlie import GradedAlgebra, LieElement, code_cyc, get_algebra
+from .gradedlie import GradedAlgebra, LieElement, get_algebra
 from .heis import cocycle
 from .intlinalg import nullspace, rank, solve
 from .rootsys import S0_TRIPLES, weight_vector
@@ -66,20 +66,12 @@ def _uniqueness_check(alg, E, X) -> bool:
     """Generic re-solve of [E, F'] = X over the degree-2, weight(-2) slice."""
     cand = [i for i in range(alg.n)
             if alg.degree[i] == 2 and alg.height[i] == -1]
-    rows = {}
-    rhs = {}
-    for a in range(8):
-        rhs[("c", a)] = X.cartan.get(a, Cyc(0))
-    for pos, i in enumerate(cand):
-        img = alg.bracket(E, alg.x(i))
-        for a, v in img.cartan.items():
-            rows.setdefault(("c", a), [Cyc(0)] * len(cand))[pos] = v
-        for r, v in img.roots.items():
-            rows.setdefault(("r", r), [Cyc(0)] * len(cand))[pos] = v
-            rhs.setdefault(("r", r), Cyc(0))
-    keys = sorted(rows, key=repr)
-    mat = [rows[k] for k in keys]
-    vec = [rhs.get(k, Cyc(0)) for k in keys]
+    images = [alg.bracket(E, alg.x(i)) for i in cand]
+    # every slot an image or X touches, so no component of X is dropped
+    keys = sorted({slot for v in [*images, X] for slot, _ in _slots(v)},
+                  key=repr)
+    mat = [list(row) for row in zip(*_dense_rows(images, keys))]
+    vec = _dense_rows([X], keys)[0]
     sol = solve(mat, vec, len(cand), field="cyc")
     if sol is None:
         return False
@@ -97,28 +89,30 @@ def _height_slots(alg: GradedAlgebra):
     return slots
 
 
-def _ad_e_block(alg, E_idx, src_slots, dst_index):
-    """Matrix rows (one per source slot) of ad(E) into the next height."""
+def _slot_vector(alg: GradedAlgebra, slot) -> LieElement:
+    kind, i = slot
+    return alg.cartan_basis(i) if kind == "c" else alg.x(i)
+
+
+def _slots(v: LieElement):
+    """(slot, coefficient) for each nonzero coordinate of v; a slot is
+    ("c", a) for a cartan coordinate and ("r", i) for a root vector."""
+    yield from ((("c", a), c) for a, c in v.cartan.items())
+    yield from ((("r", i), c) for i, c in v.roots.items())
+
+
+def _dense_rows(images, columns):
+    """Coefficient rows of LieElements over the slots ``columns``; an image
+    with a nonzero coefficient outside ``columns`` raises."""
+    index = {slot: col for col, slot in enumerate(columns)}
     rows = []
-    for kind, i in src_slots:
-        row = [Cyc(0)] * len(dst_index)
-        if kind == "c":
-            for s in E_idx:
-                p = alg.P[i][s]
-                if p:
-                    col = dst_index.get(("r", s))
-                    row[col] = row[col] + Cyc(-p)
-        else:
-            for s in E_idx:
-                k = alg.kind[s][i]
-                if k == 1:
-                    col = dst_index.get(("r", alg.out[s][i]))
-                    row[col] = row[col] + code_cyc(alg.scl[s][i])
-                elif k == 2:
-                    for a, cval in enumerate(alg.cr[s]):
-                        if cval:
-                            col = dst_index.get(("c", a))
-                            row[col] = row[col] + code_cyc(alg.scl[s][i]) * cval
+    for img in images:
+        row = [Cyc(0)] * len(columns)
+        for slot, c in _slots(img):
+            col = index.get(slot)
+            if col is None:
+                raise AssertionError(f"image leaves its block at {slot}")
+            row[col] = c
         rows.append(row)
     return rows
 
@@ -126,7 +120,7 @@ def _ad_e_block(alg, E_idx, src_slots, dst_index):
 def ad_e_kernel_dim(alg: GradedAlgebra | None = None) -> int:
     """dim ker ad(E) over the whole 248-dim algebra, block by height."""
     alg = alg or get_algebra()
-    E_idx = _s0_indices(alg)
+    E = LieElement(roots={i: Cyc(1) for i in _s0_indices(alg)})
     slots = _height_slots(alg)
     total = 0
     for h, src in sorted(slots.items()):
@@ -134,8 +128,8 @@ def ad_e_kernel_dim(alg: GradedAlgebra | None = None) -> int:
         if not dst:
             total += len(src)
             continue
-        dst_index = {s: c for c, s in enumerate(dst)}
-        rows = _ad_e_block(alg, E_idx, src, dst_index)
+        rows = _dense_rows([alg.bracket(E, _slot_vector(alg, s)) for s in src],
+                           dst)
         total += len(src) - rank(rows, len(dst), field="cyc")
     return total
 
@@ -152,24 +146,13 @@ def slice_report(alg: GradedAlgebra | None = None) -> dict:
     ker_dim = 0
     degrees = []
     basis_vectors = []
+    slots = _height_slots(alg)
     for h, idxs in sorted(by_height.items()):
-        rows = []
-        keyset = {}
-        for i in idxs:
-            img = alg.bracket(alg.x(i), F)
-            row = {}
-            for a, v in img.cartan.items():
-                row[("c", a)] = v
-            for r, v in img.roots.items():
-                row[("r", r)] = v
-            for k in row:
-                keyset.setdefault(k, len(keyset))
-            rows.append(row)
-        width = len(keyset)
-        dense = [[Cyc(0)] * width for _ in rows]
-        for rr, row in enumerate(rows):
-            for k, v in row.items():
-                dense[rr][keyset[k]] = v
+        # [X_i, F] lies in degree 0 at height h - 1
+        target = [s for s in slots.get(h - 1, [])
+                  if s[0] == "c" or alg.degree[s[1]] == 0]
+        width = len(target)
+        dense = _dense_rows([alg.bracket(alg.x(i), F) for i in idxs], target)
         cols = [list(col) for col in zip(*dense)] if width else []
         kern = (nullspace(cols, len(idxs), field="cyc")
                 if width else [[Cyc(1) if a == b else Cyc(0)
@@ -199,30 +182,15 @@ def sampled_regularity(alg: GradedAlgebra, srep: dict, seed: int = 0,
     rng = random.Random(f"{seed}:kostant")
     deg0 = [("c", a) for a in range(8)] + \
            [("r", i) for i in range(alg.n) if alg.degree[i] == 0]
+    deg1 = [("r", i) for i in range(alg.n) if alg.degree[i] == 1]
     results = []
     for _ in range(samples):
         v = E
         for b in basis:
             v = v + b * Cyc(rng.randrange(1, 7))
-        rows = []
-        keyset = {}
-        for kind, i in deg0:
-            gen = alg.cartan_basis(i) if kind == "c" else alg.x(i)
-            img = alg.bracket(gen, v)
-            row = {}
-            for a, val in img.cartan.items():
-                row[("c", a)] = val
-            for r, val in img.roots.items():
-                row[("r", r)] = val
-            for k in row:
-                keyset.setdefault(k, len(keyset))
-            rows.append(row)
-        width = len(keyset)
-        dense = [[Cyc(0)] * width for _ in rows]
-        for rr, row in enumerate(rows):
-            for k, val in row.items():
-                dense[rr][keyset[k]] = val
-        results.append(len(deg0) - rank(dense, width, field="cyc"))
+        images = [alg.bracket(_slot_vector(alg, s), v) for s in deg0]
+        dense = _dense_rows(images, deg1)
+        results.append(len(deg0) - rank(dense, len(deg1), field="cyc"))
     return {"centralizer_dims": results, "ok": all(d == 0 for d in results)}
 
 

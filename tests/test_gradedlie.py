@@ -323,3 +323,41 @@ def test_corrupted_structure_constant_fails_jacobi(alg):
     assert fresh.check_antisymmetry() == []
     assert _jacobi_root_range(fresh, 0, 1)[1]
     assert _jacobi_root_range(alg, 0, 1)[1] == []
+
+
+def _corrupt_scl(fresh):
+    j = fresh.nbr[0][0]
+    fresh.scl[0][j] = (fresh.scl[0][j] + 1) % 6
+
+
+def _corrupt_out(fresh):
+    j = next(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
+    fresh.out[0][j] = fresh.windex[fresh.out[0][j]]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_scl, _corrupt_out],
+                         ids=["scl", "out"])
+def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
+    # the sweep's inlined term against the generic bracket: on a corrupted
+    # table it flags exactly the triples (0, j, k) whose Jacobi sum is
+    # nonzero.  The candidates are the triples where X_k brackets nonzero
+    # with X_0 or X_j; weight additivity makes the rest vanish on the real
+    # table, but a corrupted `out` breaks additivity, so the comparison
+    # stays on the candidates.
+    from e8g3.gradedlie import _jacobi_root_range
+    fresh = GradedAlgebra(alg.model)
+    corrupt(fresh)
+    evaluated, violations = _jacobi_root_range(fresh, 0, 1)
+    flagged = {v[:3] for v in violations}
+    candidates = [(j, k) for j in range(1, 240) for k in range(j + 1, 240)
+                  if fresh.kind[0][k] or fresh.kind[j][k]]
+    assert evaluated == len(candidates) == 11_634
+    nonzero = set()
+    for j, k in candidates:
+        x, y, z = fresh.x(0), fresh.x(j), fresh.x(k)
+        total = (fresh.bracket(x, fresh.bracket(y, z))
+                 + fresh.bracket(y, fresh.bracket(z, x))
+                 + fresh.bracket(z, fresh.bracket(x, y)))
+        if not total.is_zero():
+            nonzero.add((0, j, k))
+    assert flagged and flagged == nonzero

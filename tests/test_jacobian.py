@@ -8,7 +8,6 @@ from e8g3.finitefield import (
     pmul,
     psub,
     pxgcd,
-    squarefree_part,
 )
 from e8g3.genus2 import Quintic, discriminant
 from e8g3.jacobian import (
@@ -62,14 +61,6 @@ def test_poly_xgcd():
     g, s, t = pxgcd(F, a, b)
     combo = psub(F, pmul(F, s, a), [F.neg(c) for c in pmul(F, t, b)])
     assert combo == g
-
-
-def test_squarefree_part():
-    F = GF(7)
-    # (x - 1)^2 (x - 2)
-    p = pmul(F, pmul(F, [6, 1], [6, 1]), [5, 1])
-    rad = squarefree_part(F, p)
-    assert rad == pmul(F, [6, 1], [5, 1])
 
 
 def test_mumford_shapes():

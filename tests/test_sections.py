@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from e8g3.finitefield import GF, pgcd, psub, squarefree_part
+from e8g3.finitefield import GF, pdivmod, pgcd, pmonic, pmul, psub, ptrim
 from e8g3.genus2 import Quintic
 from e8g3.sections import (
     E8_ROW,
@@ -20,6 +20,40 @@ from e8g3.sections import (
     section_pairing,
     twist_section,
 )
+
+
+def squarefree_part(F, a):
+    """Monic radical of a nonzero polynomial (counts distinct roots)."""
+    if not a:
+        raise ValueError("zero polynomial")
+    d = ptrim([F.mul(F.from_int(i), a[i]) for i in range(1, len(a))])
+    if not d:
+        # perfect p-th power over F_q; recurse on the p-th root
+        p = F.p
+        root = [a[i] for i in range(0, len(a), p)]
+        # p-th root of each coefficient: c -> c^(q/p) since Frobenius is
+        # bijective; q/p = p^(k-1)
+        root = [F.exp[(F.log[c] * (F.q // p)) % (F.q - 1)] if c else 0
+                for c in root]
+        return squarefree_part(F, root)
+    g = pgcd(F, a, d)
+    rad, rem = pdivmod(F, a, g)
+    assert not rem, "gcd(a, a') does not divide a"
+    base = pmonic(F, rad)
+    extra = squarefree_part(F, g) if len(g) > 1 else []
+    if extra:
+        # distinct factors of a = factors of base together with those of g
+        quot, _ = pdivmod(F, pmul(F, base, extra), pgcd(F, base, extra))
+        return pmonic(F, quot)
+    return base
+
+
+def test_squarefree_part():
+    F = GF(7)
+    # (x - 1)^2 (x - 2)
+    p = pmul(F, pmul(F, [6, 1], [6, 1]), [5, 1])
+    rad = squarefree_part(F, p)
+    assert rad == pmul(F, [6, 1], [5, 1])
 
 
 def distinct_common_roots(F, s, t):
