@@ -1,5 +1,7 @@
-"""The symplectic group on four F_3 coordinates, enumerated two ways, and
-the exact density of elements with a fixed vector.
+"""The symplectic group on four F_3 coordinates and the exact density of
+elements with a fixed vector, counted two independent ways: a cofactor
+determinant of M - I on every element, and F_3 elimination on one
+representative per conjugacy class.
 
 A vector (v0, v1, v2, v3) of F_3^4 is encoded as the int
 27 v0 + 9 v1 + 3 v2 + v3 in 0..80, so code order is the lexicographic
@@ -24,6 +26,8 @@ _SCALE = [[_CODE[tuple(c * x % 3 for x in u)] for u in _DIGITS]
           for c in range(3)]
 _FORM = [[commutator_exponent(u, v) for v in _DIGITS] for u in _DIGITS]
 _VECS = range(1, 81)  # the nonzero vectors
+# positions in enumerate_sp4() of the two generators the class sweep uses
+_GENERATOR_POSITIONS = (1, 1000)
 
 
 def enumerate_sp4():
@@ -92,9 +96,29 @@ def _conjugation(g):
     return conj
 
 
+def _det_minus_identity(cols) -> int:
+    """det(M - I) mod 3 by Laplace expansion along columns 0 and 1: the
+    six 2 x 2 minors of those columns times their complementary minors."""
+    a0, a1, a2, a3 = _DIGITS[cols[0]]
+    b0, b1, b2, b3 = _DIGITS[cols[1]]
+    c0, c1, c2, c3 = _DIGITS[cols[2]]
+    d0, d1, d2, d3 = _DIGITS[cols[3]]
+    a0 -= 1
+    b1 -= 1
+    c2 -= 1
+    d3 -= 1
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)) % 3
+
+
 def density_direct(group):
-    """(order, |C|) by filtering every element of the enumerated group."""
-    hits = sum(1 for m in group if _has_eigenvalue_one(m))
+    """(order, |C|) by testing det(M - I) on every element of the
+    enumerated group."""
+    hits = sum(1 for m in group if not _det_minus_identity(m))
     return len(group), hits
 
 
@@ -103,7 +127,7 @@ def conjugacy_classes(group):
     order of first appearance: orbit-close each unprocessed element under
     conjugation by a fixed generating set."""
     index = {m: i for i, m in enumerate(group)}
-    conjs = [_conjugation(g) for g in _generators(group)]
+    conjs = [_conjugation(g) for g in _generators(group, index)]
     seen = [False] * len(group)
     out = []
     for i, m in enumerate(group):
@@ -135,20 +159,19 @@ def density_by_classes(group):
     return len(group), hits
 
 
-def _generators(group):
-    """A small generating set: verified by orbit closure on the group."""
-    cand = group[1:6] + group[1000:1002]
+def _generators(group, index):
+    """Two elements of the group, verified to generate it by orbit closure
+    of the identity; `index` maps each element to its position."""
+    cand = [group[i] for i in _GENERATOR_POSITIONS]
     acts = [_action(g) for g in cand]
-    # closure check
-    idx = {m: i for i, m in enumerate(group)}
-    reached = {idx[_identity()]}
+    reached = {index[_identity()]}
     frontier = [_identity()]
     while frontier:
         nxt = []
         for x in frontier:
             for act in acts:
                 y = tuple(act[col] for col in x)
-                j = idx[y]
+                j = index[y]
                 if j not in reached:
                     reached.add(j)
                     nxt.append(y)

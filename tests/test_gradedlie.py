@@ -361,3 +361,26 @@ def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
         if not total.is_zero():
             nonzero.add((0, j, k))
     assert flagged and flagged == nonzero
+
+
+@pytest.mark.parametrize("order", ["0j", "j0"])
+def test_redirected_out_fails_additivity(alg, order):
+    # negative control for the additivity part of the gradedlie/jacobi
+    # check, which the sweep's pruning relies on; both orders of a pair
+    from e8g3.gradedlie import _out_additive
+    fresh = GradedAlgebra(alg.model)
+    j = next(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
+    i, j = (0, j) if order == "0j" else (j, 0)
+    fresh.out[i][j] = fresh.windex[fresh.out[i][j]]
+    assert not _out_additive(fresh)
+    assert _out_additive(alg)
+
+
+def test_diagonal_ad_entry_fails_killing(alg):
+    # negative control for the mixed cartan/root part of killing_gram
+    fresh = GradedAlgebra(alg.model)
+    r = 100
+    k = next(k for k in fresh.nbr[r] if fresh.kind[r][k] == 1)
+    fresh.out[r][k] = k
+    with pytest.raises(AssertionError, match=f"ad\\(x_{r}\\)"):
+        killing_gram(fresh)

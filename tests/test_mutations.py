@@ -1,9 +1,13 @@
 """Mutation table: each row patches one ingredient of a check and asserts
-that a cheap in-process form of the check holds before and fails after."""
+that a cheap in-process form of the check holds before and fails after (or,
+where the check refuses its input, raises)."""
+
+import inspect
+from functools import lru_cache
 
 import pytest
 
-from e8g3 import kostant
+from e8g3 import kostant, sp4
 from e8g3.cyclotomic import Cyc
 from e8g3.gradedlie import LieElement
 
@@ -26,25 +30,63 @@ def _drop_basis_root(monkeypatch):
     monkeypatch.setattr(kostant, "_s0_indices", lambda alg: indices(alg)[:-1])
 
 
+def _drop_identity_shift(monkeypatch):
+    # the same expansion without its four diagonal "-= 1" lines: det(M)
+    source = inspect.getsource(sp4._det_minus_identity)
+    mutant = "\n".join(line for line in source.splitlines()
+                       if "-= 1" not in line)
+    namespace = {}
+    exec(mutant, vars(sp4), namespace)
+    monkeypatch.setattr(sp4, "_det_minus_identity",
+                        namespace["_det_minus_identity"])
+
+
+def _non_generating_pair(monkeypatch):
+    # group[1] and group[2] reach only 72 elements
+    monkeypatch.setattr(sp4, "_GENERATOR_POSITIONS", (1, 2))
+
+
+@lru_cache(maxsize=None)
+def _sp4_group():
+    return sp4.enumerate_sp4()
+
+
+def _sp4_density():
+    group = _sp4_group()
+    n, hits = sp4.density_direct(group)
+    return (n, hits) == sp4.density_by_classes(group) and 0 < hits < n
+
+
 MUTATIONS = [
     # cusp/kostant_relations: 2E breaks [E, F] = X
     ("kostant_relations", _patch_triple(lambda alg, E, X, F: (E * 2, X, F)),
-     lambda alg: kostant.verify_triple(alg)["ok"]),
+     lambda: kostant.verify_triple()["ok"], None),
     # cusp/kostant_relations, its re-solve of [E, F'] = X alone: a component
     # of X outside every image must make it unsolvable
     ("kostant_relations_unique",
      _patch_triple(lambda alg, E, X, F: (E, X + _stray_root(alg), F)),
-     lambda alg: kostant.verify_triple(alg)["unique"]),
+     lambda: kostant.verify_triple()["unique"], None),
     # cusp/kostant_ad_e_kernel: E without one basis root is not regular
     ("kostant_ad_e_kernel", _drop_basis_root,
-     lambda alg: kostant.ad_e_kernel_dim(alg) == 8),
+     lambda: kostant.ad_e_kernel_dim() == 8, None),
+    # sections/sp4_density: det(M) in place of det(M - I) makes the direct
+    # strategy disagree with the class strategy
+    ("sp4_density_direct", _drop_identity_shift, _sp4_density, None),
+    # sections/sp4_density: the class sweep refuses generators that do not
+    # generate
+    ("sp4_density_generators", _non_generating_pair, _sp4_density,
+     ValueError),
 ]
 
 
-@pytest.mark.parametrize("patch, holds", [row[1:] for row in MUTATIONS],
+@pytest.mark.parametrize("patch, holds, raises",
+                         [row[1:] for row in MUTATIONS],
                          ids=[row[0] for row in MUTATIONS])
-def test_mutation_fails_its_check(monkeypatch, patch, holds):
-    alg = kostant.get_algebra()
-    assert holds(alg)
+def test_mutation_fails_its_check(monkeypatch, patch, holds, raises):
+    assert holds()
     patch(monkeypatch)
-    assert not holds(alg)
+    if raises:
+        with pytest.raises(raises):
+            holds()
+    else:
+        assert not holds()

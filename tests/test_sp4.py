@@ -1,12 +1,15 @@
 """Encoded Sp4(F_3) arithmetic against F_3 matrix products written out
-here, and the conjugacy-class sweep."""
+here, the determinant of the direct strategy, and the conjugacy-class
+sweep."""
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3 import sp4
+from e8g3.intlinalg import det_bareiss
 
 ELEMENTS = st.integers(0, 51839)
 IDENTITY = [[int(r == c) for c in range(4)] for r in range(4)]
@@ -56,3 +59,26 @@ def test_class_sweep_finds_34_classes():
     classes = sp4.conjugacy_classes(group())
     assert len(classes) == 34
     assert sum(size for _, size in classes) == 51840
+
+
+@settings(deadline=None, derandomize=True)
+@given(cols=st.tuples(*[st.integers(0, 80)] * 4))
+def test_det_minus_identity_matches_elimination(cols):
+    # any four columns, so singular and non-symplectic M are drawn too
+    shifted = [[x - (r == c) for c, x in enumerate(row)]
+               for r, row in enumerate(_matrix(cols))]
+    det = sp4._det_minus_identity(cols)
+    assert det == det_bareiss(shifted) % 3
+    assert (det == 0) == sp4._has_eigenvalue_one(cols)
+
+
+def test_direct_density_shares_no_kernel(monkeypatch):
+    # the direct strategy uses neither the elimination kernel nor the
+    # action tables of the class strategy
+    def refuse(*args):
+        raise RuntimeError("used by the direct strategy")
+
+    for name in ("rref_mod", "_action", "_has_eigenvalue_one"):
+        monkeypatch.setattr(sp4, name, refuse)
+    assert sp4.density_direct(group()) == (51840, 18711)
+
