@@ -53,6 +53,14 @@ def code_cyc(c: int) -> Cyc:
     return Cyc(x, y)
 
 
+# code_pair(c) and code_pair(code_mul(c1, c2)) for every code a table entry
+# can hold; NONE comes last, so that indexing by NONE (-1) reads its entry
+_CODES = (*range(6), NONE)
+_PAIR = tuple(code_pair(c) for c in _CODES)
+_MUL_PAIR = tuple(tuple(code_pair(code_mul(a, b)) for b in _CODES)
+                  for a in _CODES)
+
+
 class LieElement:
     """Sparse vector: cartan part over the 8 basis coroots, root part over
     the 240 canonical root vectors, coefficients in Q(w)."""
@@ -107,12 +115,9 @@ class GradedAlgebra:
         self.negidx = [rs.index[neg(r)] for r in rs.roots]
         self.windex = list(rs.w_on_roots)
         # pairing of every basis-coroot with every root, and root with root
-        # (the form is symmetric, so the upper triangle is mirrored)
+        # (the root system's shared table)
         self.P = [[pairing(b, r) for r in rs.roots] for b in rs.basis]
-        self.PR = [[0] * n for _ in range(n)]
-        for i, a in enumerate(rs.roots):
-            for j in range(i, n):
-                self.PR[i][j] = self.PR[j][i] = pairing(a, rs.roots[j])
+        self.PR = rs.pairs
         # degree grading by coordinate-sum type of the canonical representative
         self.degree = [sum(r) // 3 for r in rs.roots]
         # height: the pairing with the marking element x
@@ -617,6 +622,13 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     exact: a term on a second target leaves some target with a single term
     and is itself a violation.  Cartan-valued terms (i + j + k = 0) go to
     their own accumulator.
+
+    The three terms [x_i, [x_j, x_k]], [x_j, [x_k, x_i]] and
+    [x_k, [x_i, x_j]] are written out in that order, each reading the table
+    entries of the generic term [x_p, [x_q, x_r]]: kind, out and scl at
+    (q, r), then at (p, out[q][r]) for a root-valued inner bracket, or
+    PR[q][p] for a cartan-valued one.  Rows are taken once per i, j and k,
+    and the (i, j) entries once per pair.
     """
     kind = alg.kind
     out = alg.out
@@ -625,49 +637,96 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     cr = alg.cr
     nbrset = alg.nbrset
     n = alg.n
+    pair = _PAIR
+    mul_pair = _MUL_PAIR
     evaluated = 0
     violations = []
 
     for i in range(lo, hi):
+        kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
         cand_i = nbrset[i]
         for j in range(i + 1, n):
+            kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
+            c_ji = -PR[j][i]
+            k_ij, m_ij, s_ij = kind_i[j], out_i[j], scl_i[j]
+            mul_ij = mul_pair[s_ij] if k_ij == 1 else None
             for k in cand_i | nbrset[j]:
                 if k <= j:
                     continue
                 evaluated += 1
+                kind_k, out_k, scl_k = kind[k], out[k], scl[k]
                 target = None
                 stray = False
                 x = y = 0
                 acc_c = None
-                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                    # term [x_p, [x_q, x_r]]
-                    kqr = kind[q][r]
-                    if kqr == 1:
-                        m = out[q][r]
-                        kpm = kind[p][m]
-                        if not kpm:
-                            continue
-                        dx, dy = code_pair(code_mul(scl[q][r], scl[p][m]))
-                        if kpm == 2:
-                            acc_c = _addc(acc_c, cr[p], dx, dy)
-                            continue
-                        t = out[p][m]
-                    elif kqr == 2:
-                        c = -PR[q][p]
-                        if not c:
-                            continue
-                        dx, dy = code_pair(scl[q][r])
-                        dx *= c
-                        dy *= c
-                        t = p
-                    else:
-                        continue
-                    if target is None:
-                        target = t
-                    elif t != target:
-                        stray = True
-                    x += dx
-                    y += dy
+
+                # [x_i, [x_j, x_k]]
+                kq = kind_j[k]
+                if kq == 1:
+                    m = out_j[k]
+                    kp = kind_i[m]
+                    if kp:
+                        dx, dy = mul_pair[scl_j[k]][scl_i[m]]
+                        if kp == 2:
+                            acc_c = _addc(acc_c, cr_i, dx, dy)
+                        else:
+                            target = out_i[m]
+                            x, y = dx, dy
+                elif kq == 2 and c_ji:
+                    dx, dy = pair[scl_j[k]]
+                    target = i
+                    x, y = dx * c_ji, dy * c_ji
+
+                # [x_j, [x_k, x_i]]
+                kq = kind_k[i]
+                if kq == 1:
+                    m = out_k[i]
+                    kp = kind_j[m]
+                    if kp:
+                        dx, dy = mul_pair[scl_k[i]][scl_j[m]]
+                        if kp == 2:
+                            acc_c = _addc(acc_c, cr_j, dx, dy)
+                        else:
+                            t = out_j[m]
+                            if target is None:
+                                target = t
+                            elif t != target:
+                                stray = True
+                            x += dx
+                            y += dy
+                elif kq == 2:
+                    c = -PR[k][j]
+                    if c:
+                        dx, dy = pair[scl_k[i]]
+                        if target is None:
+                            target = j
+                        elif j != target:
+                            stray = True
+                        x += dx * c
+                        y += dy * c
+
+                # [x_k, [x_i, x_j]]
+                if k_ij == 1:
+                    kp = kind_k[m_ij]
+                    if kp:
+                        dx, dy = mul_ij[scl_k[m_ij]]
+                        if kp == 2:
+                            acc_c = _addc(acc_c, cr[k], dx, dy)
+                        else:
+                            t = out_k[m_ij]
+                            if target is not None and t != target:
+                                stray = True
+                            x += dx
+                            y += dy
+                elif k_ij == 2:
+                    c = -PR_i[k]
+                    if c:
+                        dx, dy = pair[s_ij]
+                        if target is not None and k != target:
+                            stray = True
+                        x += dx * c
+                        y += dy * c
+
                 if (stray or x or y or acc_c is not None
                         and any(v[0] or v[1] for v in acc_c)):
                     violations.append(

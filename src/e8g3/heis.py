@@ -94,10 +94,12 @@ class HeisElement(tuple):
         return self[1]
 
     def __mul__(self, other):
+        # both factors are reduced, so the product is built reduced
         k1, v1 = self
         k2, v2 = other
-        return HeisElement(k1 + k2 + cocycle(v1, v2),
-                           tuple(a + b for a, b in zip(v1, v2)))
+        return tuple.__new__(HeisElement, (
+            (k1 + k2 + cocycle(v1, v2)) % 3,
+            tuple([(a + b) % 3 for a, b in zip(v1, v2)])))
 
     def inverse(self):
         k, v = self
@@ -130,10 +132,13 @@ class Mono:
         self.expo = tuple(e % 3 for e in expo)
 
     def __mul__(self, other):
+        # both factors are normalized, so the product skips __init__
         p1, e1 = self.perm, self.expo
         p2, e2 = other.perm, other.expo
-        return Mono(tuple(p1[p2[y]] for y in range(9)),
-                    tuple(e2[y] + e1[p2[y]] for y in range(9)))
+        m = object.__new__(Mono)
+        m.perm = tuple([p1[j] for j in p2])
+        m.expo = tuple([(e + e1[j]) % 3 for e, j in zip(e2, p2)])
+        return m
 
     def inverse(self):
         perm = [0] * 9

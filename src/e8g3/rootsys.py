@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from itertools import combinations
 
 from .intlinalg import (
@@ -138,6 +139,24 @@ class RootSystem:
             for i in range(9):
                 acc[i] += c * b[i]
         return canonical(tuple(acc))
+
+    @cached_property
+    def pairs(self):
+        """240 x 240 table of root pairings, rows as tuples, indexed like
+        `roots`.
+
+        Built from `pairing` on the first read, on one triangle (the form
+        is symmetric).  The rows are immutable because every reader of the
+        root system shares them.
+        """
+        roots = self.roots
+        n = len(roots)
+        rows = [[0] * n for _ in range(n)]
+        for i, a in enumerate(roots):
+            row = rows[i]
+            for j in range(i, n):
+                row[j] = rows[j][i] = pairing(a, roots[j])
+        return tuple(map(tuple, rows))
 
     def _reflection_matrix(self, k):
         cols = []

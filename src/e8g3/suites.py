@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 from fractions import Fraction
 
 from . import rootsys as rs_mod
 from . import vinberg
 from .report import Suite
-from .rootsys import build_root_system, pairing
+from .rootsys import build_root_system
 
 # SHA-256 digests of the canonical root-system data and of the structure
 # constant table; any change to either construction changes them
@@ -31,17 +32,15 @@ def suite_rootsys(seed: int = 0) -> Suite:
     s.check("intersection_pairing_table",
             not vinberg.verify_intersection_table(), "all 84^2 weight pairs")
 
+    pairs = rs.pairs
     sum_rule = True
     stats_ok = True
-    for a in rs.roots:
-        counts = {}
-        for b in rs.roots:
-            p = pairing(a, b)
-            counts[p] = counts.get(p, 0) + 1
+    for a, row in zip(rs.roots, pairs):
+        if Counter(row) != {2: 1, 1: 56, 0: 126, -1: 56, -2: 1}:
+            stats_ok = False
+        for b, p in zip(rs.roots, row):
             if (p == -1) != (rs_mod.add(a, b) in rs.index):
                 sum_rule = False
-        if counts != {2: 1, 1: 56, 0: 126, -1: 56, -2: 1}:
-            stats_ok = False
     s.check("sum_rule_iff_pairing_minus_one", sum_rule, "240^2 sweep")
     s.check("per_root_pairing_statistics", stats_ok,
             "(2:1, 1:56, 0:126, -1:56, -2:1) for every root")
@@ -71,12 +70,12 @@ def suite_rootsys(seed: int = 0) -> Suite:
             "Gram rank 4 over F3")
 
     sign_ok = True
-    w_img = [rs.roots[rs.w_on_roots[i]] for i in range(240)]
-    for i, a in enumerate(rs.roots):
-        for j, b in enumerate(rs.roots):
-            if pairing(a, b) == -1:
-                if (pairing(a, w_img[j]) + pairing(w_img[i], b)) % 2 != 1:
-                    sign_ok = False
+    w = rs.w_on_roots
+    for i, row in enumerate(pairs):
+        row_wi = pairs[w[i]]
+        for j, p in enumerate(row):
+            if p == -1 and (row[w[j]] + row_wi[j]) % 2 != 1:
+                sign_ok = False
     s.check("sign_identity", sign_ok, "all pairs with a + b a root")
 
     fresh = rs_mod.RootSystem()

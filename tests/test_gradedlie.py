@@ -253,7 +253,10 @@ def test_wrong_class_fails_rho_sweeps(alg):
 def test_flipped_pairing_fails_heis_action_match(alg):
     # negative control for the lattice side of gradedlie/heis_action_match:
     # negating PR[0][b] = 1 moves the exponent of (0, b) by 1 mod 3
+    # (the algebra reads the root system's shared, immutable table, so the
+    # corrupted copy gets rows of its own)
     fresh = GradedAlgebra(alg.model)
+    fresh.PR = [list(row) for row in fresh.PR]
     b = fresh.PR[0].index(1)
     fresh.PR[0][b] = -1
     mismatches = verify_heis_action_match(fresh)["mismatches"]
@@ -335,8 +338,15 @@ def _corrupt_out(fresh):
     fresh.out[0][j] = fresh.windex[fresh.out[0][j]]
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_scl, _corrupt_out],
-                         ids=["scl", "out"])
+def _corrupt_opposite_scl(fresh):
+    # the opposite-root entry: [x_0, x_-0] is cartan-valued (kind 2)
+    j = fresh.negidx[0]
+    fresh.scl[0][j] = (fresh.scl[0][j] + 3) % 6
+
+
+@pytest.mark.parametrize("corrupt",
+                         [_corrupt_scl, _corrupt_out, _corrupt_opposite_scl],
+                         ids=["scl", "out", "opposite_scl"])
 def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
     # the sweep's inlined term against the generic bracket: on a corrupted
     # table it flags exactly the triples (0, j, k) whose Jacobi sum is
@@ -361,6 +371,17 @@ def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
         if not total.is_zero():
             nonzero.add((0, j, k))
     assert flagged and flagged == nonzero
+
+
+def test_code_tables_match_code_functions():
+    # the Jacobi sweep's tables against the code arithmetic they replace,
+    # on every code a table entry can hold
+    from e8g3.gradedlie import (_MUL_PAIR, _PAIR, NONE, code_mul,
+                                code_pair)
+    codes = [*range(6), NONE]
+    assert all(_PAIR[c] == code_pair(c) for c in codes)
+    assert all(_MUL_PAIR[a][b] == code_pair(code_mul(a, b))
+               for a in codes for b in codes)
 
 
 @pytest.mark.parametrize("order", ["0j", "j0"])

@@ -7,9 +7,18 @@ from functools import lru_cache
 
 import pytest
 
-from e8g3 import kostant, sp4
+from e8g3 import heis, kostant, sp4, suites
 from e8g3.cyclotomic import Cyc
 from e8g3.gradedlie import LieElement
+from e8g3.rootsys import build_root_system
+
+
+def _passes(suite, *names):
+    """Whether every named check of a fresh run of `suite` passes."""
+    def holds():
+        status = {c["name"]: c["status"] for c in suite().checks}
+        return all(status[name] == "pass" for name in names)
+    return holds
 
 
 def _patch_triple(change):
@@ -46,6 +55,34 @@ def _non_generating_pair(monkeypatch):
     monkeypatch.setattr(sp4, "_GENERATOR_POSITIONS", (1, 2))
 
 
+def _shift_one_product(monkeypatch):
+    # one of the 243^2 products gets its central part moved by one
+    mul = heis.HeisElement.__mul__
+    els = heis.all_elements()
+    pair = (els[100], els[200])
+
+    def shifted(g, h):
+        gh = mul(g, h)
+        return heis.HeisElement(gh.k + 1, gh.cls) if (g, h) == pair else gh
+    monkeypatch.setattr(heis.HeisElement, "__mul__", shifted)
+
+
+def _corrupt_pair_table(monkeypatch):
+    # one entry of the shared root-pair table and its mirror: 1 becomes -1
+    rs = build_root_system()
+    rows = [list(row) for row in rs.pairs]
+    j = rows[0].index(1)
+    rows[0][j] = rows[j][0] = -1
+    monkeypatch.setattr(rs, "pairs", tuple(map(tuple, rows)))
+
+
+def _corrupt_w(monkeypatch):
+    rs = build_root_system()
+    w = [list(row) for row in rs.w]
+    w[0][0] += 1
+    monkeypatch.setattr(rs, "w", w)
+
+
 @lru_cache(maxsize=None)
 def _sp4_group():
     return sp4.enumerate_sp4()
@@ -58,6 +95,17 @@ def _sp4_density():
 
 
 MUTATIONS = [
+    # heis/rep_homomorphism: one product off by a central element
+    ("heis_rep_homomorphism", _shift_one_product,
+     _passes(suites.suite_heis, "rep_homomorphism"), None),
+    # rootsys/sum_rule_iff_pairing_minus_one and per_root_pairing_statistics
+    # read the shared pair table
+    ("rootsys_pair_table", _corrupt_pair_table,
+     _passes(suites.suite_rootsys, "sum_rule_iff_pairing_minus_one",
+             "per_root_pairing_statistics"), None),
+    # rootsys/order_three and elliptic: one entry of w moved
+    ("rootsys_w", _corrupt_w,
+     _passes(suites.suite_rootsys, "order_three", "elliptic"), None),
     # cusp/kostant_relations: 2E breaks [E, F] = X
     ("kostant_relations", _patch_triple(lambda alg, E, X, F: (E * 2, X, F)),
      lambda: kostant.verify_triple()["ok"], None),

@@ -88,6 +88,21 @@ def test_per_root_pairing_statistics(report):
     assert report.passed("rootsys", "per_root_pairing_statistics")
 
 
+def test_pair_table_matches_pairing(rs):
+    # the shared table, built on one triangle, against the vector pairing
+    # on every ordered pair
+    roots = rs.roots
+    assert all(row[j] == pairing(a, roots[j])
+               for a, row in zip(roots, rs.pairs) for j in range(240))
+
+
+def test_pair_table_is_lazy():
+    # a fresh root system builds no table until one is read
+    fresh = rootsys.RootSystem()
+    assert "pairs" not in vars(fresh)
+    assert len(fresh.pairs) == 240 and "pairs" in vars(fresh)
+
+
 def test_basis_roundtrip(rs):
     for r in rs.roots[:40]:
         assert rs.from_basis(rs.to_basis(r)) == r
