@@ -302,18 +302,20 @@ class GradedAlgebra:
 
     def check_lambda_twists(self):
         """The class-twist maps X_r -> <lam, cls(r)> X_r preserve the table."""
+        # per nonzero bracket [X_i, X_j], in the order of nbr[i]: the index
+        # of X_i + X_j for a root result, else -1, which reads the exponent
+        # 0 appended below
+        targets = [tuple(self.out[i][j] if self.kind[i][j] == 1 else -1
+                         for j in self.nbr[i]) for i in range(self.n)]
         bad = []
         for k in range(80):
             lam_cls = self._nonzero_class(k)
-            sp_i = [commutator_exponent(lam_cls, c) for c in self.cls]
-            for i in range(self.n):
-                ei = sp_i[i]
-                for j in self.nbr[i]:
-                    e = (ei + sp_i[j]) % 3
-                    if self.kind[i][j] == 1:
-                        if e != sp_i[self.out[i][j]]:
-                            bad.append((k, i, j))
-                    elif e != 0:
+            sp = [commutator_exponent(lam_cls, c) for c in self.cls]
+            sp.append(0)
+            for i, row in enumerate(targets):
+                ei = sp[i]
+                for j, t in zip(self.nbr[i], row):
+                    if (ei + sp[j]) % 3 != sp[t]:
                         bad.append((k, i, j))
         return bad
 

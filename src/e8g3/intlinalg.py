@@ -193,37 +193,35 @@ def unimodular_inverse(U):
     return [[int(v) for v in row] for row in out]
 
 
-def _is_zero(x):
-    return not x
-
-
 def rref(rows, width, field="fraction"):
     """Reduced row echelon form of dense rows (lists) over Fraction or Cyc.
 
-    Returns (reduced_rows, pivot_columns). Mutates nothing.
+    Each row step touches only the columns where the pivot row is nonzero.
+    Returns (reduced_rows, pivot_columns). Mutates nothing: the rows are
+    copied, and entries are replaced, never changed in place.
     """
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(width):
-        piv = None
-        for i in range(r, len(rows)):
-            if not _is_zero(rows[i][c]):
-                piv = i
-                break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
+        prow = rows[r]
+        lead = prow[c]
         if field == "cyc":
             inv = lead.inverse() if isinstance(lead, Cyc) else Cyc(Fraction(1, lead))
         else:
             inv = Fraction(1) / lead
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        support = [t for t, x in enumerate(prow) if x]
+        for t in support:
+            prow[t] = prow[t] * inv
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for t in support:
+                    row[t] = row[t] - f * prow[t]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -235,7 +233,14 @@ def reduce_mod_p7(x):
     """Image of an int, Fraction or Cyc x in F_7 = Z[w]/p for the prime
     p = (7, w - 2) of Z[w], i.e. a + b*w -> a + 2b (mod 7); None when a
     denominator of x is divisible by 7, where the map is undefined."""
-    parts = (x.a, 2 * x.b) if isinstance(x, Cyc) else (Fraction(x),)
+    if type(x) is int:
+        return x % 7
+    if isinstance(x, Cyc):
+        if type(x.a) is int and type(x.b) is int:
+            return (x.a + 2 * x.b) % 7
+        parts = (x.a, 2 * x.b)
+    else:
+        parts = (Fraction(x),)
     total = 0
     for q in parts:
         if q.denominator % 7 == 0:
@@ -264,6 +269,7 @@ def rank(rows, width, field="fraction"):
 def rref_mod(rows, width, p):
     """Reduced row echelon form of dense integer rows over F_p, p prime.
 
+    Each row step touches only the columns where the pivot row is nonzero.
     Entries come back reduced into range(p).  Returns
     (reduced_rows, pivot_columns), as rref does.  Mutates nothing.
     """
@@ -275,12 +281,16 @@ def rref_mod(rows, width, p):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        support = [t for t, x in enumerate(prow) if x]
+        for t in support:
+            prow[t] = prow[t] * inv % p
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for t in support:
+                    row[t] = (row[t] - f * prow[t]) % p
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -1,5 +1,5 @@
-"""F_p elimination kernel, the exact unimodular inverse and the modular
-rank certificate over Q(w)."""
+"""Exact elimination over Q and Q(w) and over F_p on mostly-zero matrices,
+the exact unimodular inverse and the modular rank certificate over Q(w)."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3.cyclotomic import Cyc
-from e8g3.intlinalg import (det_bareiss, identity, mat_mul, rank, rref,
-                            rref_mod, unimodular_inverse)
+from e8g3.intlinalg import (det_bareiss, identity, mat_mul, nullspace, rank,
+                            reduce_mod_p7, rref, rref_mod, unimodular_inverse)
 
 PRIMES = st.sampled_from([3, 7])
 
@@ -107,3 +107,107 @@ def test_cyc_rank_is_the_exact_rank(data):
         "rational_entries"])
 def test_cyc_rank_falls_back_to_exact_elimination(rows, width, expect):
     assert rank(rows, width, "cyc") == expect
+
+
+# -- mostly-zero matrices, at sizes where elimination skips zero columns -----
+
+def _sparse_rows(data, entries, zero, max_height=12, max_width=14):
+    """A mostly-zero matrix over `entries`, built the way kostant builds its
+    dense rows: every row starts as [zero] * width, so rows share one zero
+    object.  Some rows are appended as combinations of the others, so that
+    many of the matrices are rank deficient."""
+    height = data.draw(st.integers(1, max_height))
+    width = data.draw(st.integers(1, max_width))
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, height - 1), st.integers(0, width - 1)),
+        entries, max_size=2 * width))
+    rows = [[zero] * width for _ in range(height)]
+    for (i, k), x in cells.items():
+        rows[i][k] = x
+    for coeffs in data.draw(st.lists(
+            st.lists(entries, min_size=height, max_size=height), max_size=2)):
+        rows.append([sum((c * row[k] for c, row in zip(coeffs, rows)), zero)
+                     for k in range(width)])
+    return rows, width
+
+
+def _assert_reduced_echelon(red, pivots, width):
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    assert all(0 <= c < width for c in pivots)
+    for r, c in enumerate(pivots):
+        assert red[r][c] == 1
+        assert not any(red[r][:c])
+        assert not any(red[i][c] for i in range(len(red)) if i != r)
+    assert not any(x for row in red[len(pivots):] for x in row)
+
+
+def _snapshot(rows):
+    return [[repr(x) for x in row] for row in rows]
+
+
+_Q_ENTRIES = st.one_of(st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-5, 5),
+                                 st.integers(1, 4)))
+_QW_ENTRIES = st.builds(Cyc, _Q_ENTRIES, _Q_ENTRIES)
+
+
+@pytest.mark.parametrize("field, entries, zero", [
+    ("fraction", _Q_ENTRIES, 0),
+    ("fraction", _Q_ENTRIES, Fraction(0)),
+    ("cyc", _QW_ENTRIES, Cyc(0)),
+], ids=["int_zero", "fraction_zero", "cyc_zero"])
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(data=st.data())
+def test_rref_on_mostly_zero_matrices(field, entries, zero, data):
+    rows, width = _sparse_rows(data, entries, zero)
+    before = _snapshot(rows)
+    red, pivots = rref(rows, width, field)
+    assert _snapshot(rows) == before
+    assert zero == 0  # the zero object the rows share
+    _assert_reduced_echelon(red, pivots, width)
+    # the input rows lie in the row space of the output
+    assert len(rref(red + rows, width, field)[1]) == len(pivots)
+    # row rank is column rank
+    cols = [list(col) for col in zip(*rows)]
+    assert len(rref(cols, len(rows), field)[1]) == len(pivots)
+    kernel = nullspace(rows, width, field)
+    assert len(pivots) + len(kernel) == width
+    for vec in kernel:
+        for row in rows:
+            assert not sum((x * v for x, v in zip(row, vec)), zero)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(p=PRIMES, data=st.data())
+def test_rref_mod_on_mostly_zero_matrices(p, data):
+    rows, width = _sparse_rows(data, st.integers(1, p - 1), 0,
+                               max_width=12)
+    rows = [[x % p for x in row] for row in rows]
+    before = _snapshot(rows)
+    red, pivots = rref_mod(rows, width, p)
+    assert _snapshot(rows) == before
+    assert all(0 <= x < p for row in red for x in row)
+    _assert_reduced_echelon(red, pivots, width)
+    assert len(rref_mod(red + rows, width, p)[1]) == len(pivots)
+    cols = [list(col) for col in zip(*rows)]
+    assert len(rref_mod(cols, len(rows), p)[1]) == len(pivots)
+
+
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-30, 30),
+                             st.sampled_from([1, 2, 3, 7, 14, 49]))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(x=st.one_of(st.integers(-100, 100),
+                   st.builds(Cyc, st.integers(-50, 50), st.integers(-50, 50)),
+                   st.builds(Cyc, _SMALL_RATIONALS, _SMALL_RATIONALS),
+                   _SMALL_RATIONALS))
+def test_reduce_mod_p7_is_the_image_of_a_plus_2b(x):
+    a, b = (x.a, x.b) if isinstance(x, Cyc) else (x, 0)
+    a, b = Fraction(a), Fraction(b)
+    if a.denominator % 7 == 0 or b.denominator % 7 == 0:
+        assert reduce_mod_p7(x) is None
+    else:
+        image = a + 2 * b
+        expect = image.numerator * pow(image.denominator, -1, 7) % 7
+        assert reduce_mod_p7(x) == expect

@@ -7,9 +7,9 @@ from functools import lru_cache
 
 import pytest
 
-from e8g3 import heis, kostant, sp4, suites
+from e8g3 import cuspdata, heis, kostant, sp4, suites
 from e8g3.cyclotomic import Cyc
-from e8g3.gradedlie import LieElement
+from e8g3.gradedlie import LieElement, get_algebra
 from e8g3.rootsys import build_root_system
 
 
@@ -37,6 +37,48 @@ def _stray_root(alg):
 def _drop_basis_root(monkeypatch):
     indices = kostant._s0_indices
     monkeypatch.setattr(kostant, "_s0_indices", lambda alg: indices(alg)[:-1])
+
+
+def _drop_wedge_triple(monkeypatch):
+    # the wedge model's E loses one of its basis triples
+    monkeypatch.setattr(cuspdata, "S_H", cuspdata.S_H[:-1])
+
+
+@lru_cache(maxsize=None)
+def _table_model():
+    """The table model's side of kostant_two_models_agree."""
+    alg = get_algebra()
+    return kostant.slice_report(alg), kostant.ad_e_kernel_dim(alg)
+
+
+def _two_models_agree():
+    return kostant.cross_check_with_wedge_model(*_table_model())
+
+
+def _irregular_slice_point(monkeypatch):
+    # E without one basis root and with no slice part: not a regular point
+    report = kostant.slice_report
+
+    def patched(alg=None):
+        srep = report(alg)
+        roots = dict(srep["E"].roots)
+        roots.pop(max(roots))
+        return {**srep, "E": LieElement(roots=roots), "slice_basis": []}
+    monkeypatch.setattr(kostant, "slice_report", patched)
+
+
+def _sampled_regularity():
+    alg = get_algebra()
+    return kostant.sampled_regularity(alg, kostant.slice_report(alg))["ok"]
+
+
+def _redirect_to_negative_root(monkeypatch):
+    # [X_0, X_j] and [X_j, X_0] land on the negative of root 0 + root j
+    alg = get_algebra()
+    out = [list(row) for row in alg.out]
+    j = next(j for j in alg.nbr[0] if alg.kind[0][j] == 1)
+    out[0][j] = out[j][0] = alg.negidx[out[0][j]]
+    monkeypatch.setattr(alg, "out", out)
 
 
 def _drop_identity_shift(monkeypatch):
@@ -117,6 +159,23 @@ MUTATIONS = [
     # cusp/kostant_ad_e_kernel: E without one basis root is not regular
     ("kostant_ad_e_kernel", _drop_basis_root,
      lambda: kostant.ad_e_kernel_dim() == 8, None),
+    # cusp/kostant_slice_dim: without one basis root in E and F, ker ad(F)
+    # in degree 1 grows
+    ("kostant_slice_dim", _drop_basis_root,
+     lambda: kostant.slice_report()["slice_dim"] == 4, None),
+    # cusp/kostant_sampled_regularity: a non-regular point has a nonzero
+    # degree-0 centralizer
+    ("kostant_sampled_regularity", _irregular_slice_point,
+     _sampled_regularity, None),
+    # cusp/kostant_two_models_agree: the wedge model refuses an E without
+    # one basis triple, since no lower element then solves [E, F] = X
+    ("kostant_two_models_agree", _drop_wedge_triple, _two_models_agree,
+     AssertionError),
+    # gradedlie/lambda_twists: a root bracket redirected to the negative
+    # root breaks the class twist there (redirecting it to the w-image
+    # would not, since w fixes classes)
+    ("gradedlie_lambda_twists", _redirect_to_negative_root,
+     lambda: not get_algebra().check_lambda_twists(), None),
     # sections/sp4_density: det(M) in place of det(M - I) makes the direct
     # strategy disagree with the class strategy
     ("sp4_density_direct", _drop_identity_shift, _sp4_density, None),
