@@ -96,13 +96,15 @@ def cantor_add(F, f, D1, D2):
 
 
 def cantor_mul(F, f, D, n: int):
+    """n D by double-and-add; the doubling stops after the top bit."""
     out = IDENTITY
     base = D
     while n:
         if n & 1:
             out = cantor_add(F, f, out, base)
-        base = cantor_add(F, f, base, base)
         n >>= 1
+        if n:
+            base = cantor_add(F, f, base, base)
     return out
 
 

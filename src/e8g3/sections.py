@@ -20,7 +20,6 @@ from .finitefield import (
     pgcd,
     pmod,
     pmonic,
-    psub,
 )
 from .jacobian import cantor_mul, IDENTITY
 
@@ -104,40 +103,54 @@ def neg_section(F: GF, s: Section) -> Section:
 def intersection_number(F: GF, s: Section, t: Section) -> int:
     """Total intersection number of two distinct section curves.
 
-    Affine meetings contribute the full degree of gcd(b - d, a - c) (the
-    local contact order at a smooth fibre point is the minimum of the two
-    vanishing orders); meetings on the fibre over infinity contribute
-    through the reversed coefficient sequences, whose common vanishing
-    order at u = 0 plays the same role.
+    With A = a_s - a_t and B = b_s - b_t, affine meetings contribute the
+    degree of gcd(A, B) (the local contact order at a smooth fibre point is
+    the minimum of the two vanishing orders).  Since deg A <= 2, that degree
+    is read off in closed form from the remainder of B modulo the monic A.
+    Meetings on the fibre over infinity contribute the common vanishing
+    order at u = 1/x of the reversed differences: the first index from the
+    top at which A or B is nonzero.
     """
-    g1 = psub(F, list(s.b), list(t.b))
-    g2 = psub(F, list(s.a), list(t.a))
-    if not g1 and not g2:
-        raise ValueError("identical sections")
-    if not g1:
-        g = g2
-    elif not g2:
-        g = g1
+    a, c, b, d = s.a, t.a, s.b, t.b
+    if len(a) != 3 or len(c) != 3 or len(b) != 4 or len(d) != 4:
+        raise ValueError("a section has three a and four b coefficients")
+    add, sub, mul, neg = F.add_table, F.sub_table, F.mul_table, F.neg_table
+    A0, A1, A2 = sub[a[0]][c[0]], sub[a[1]][c[1]], sub[a[2]][c[2]]
+    B0, B1, B2, B3 = (sub[b[0]][d[0]], sub[b[1]][d[1]],
+                      sub[b[2]][d[2]], sub[b[3]][d[3]])
+    if A2 or B3:
+        inf = 0
+    elif A1 or B2:
+        inf = 1
+    elif A0 or B1:
+        inf = 2
+    elif B0:
+        inf = 3
     else:
-        g = pgcd(F, g1, g2)
-    affine = len(g) - 1 if g else 0
-    # reversed differences as series in u = 1/x
-    rev_a = [F.sub(x, y) for x, y in zip(reversed(s.a), reversed(t.a))]
-    rev_b = [F.sub(x, y) for x, y in zip(reversed(s.b), reversed(t.b))]
-    inf = min(_ord(rev_a), _ord(rev_b))
-    return affine + inf
-
-
-def _ord(seq) -> int:
-    for i, c in enumerate(seq):
-        if c:
-            return i
-    return 10**9
+        raise ValueError("identical sections")
+    if A2:
+        # B mod x^2 + p x + r, one leading term at a time, is R1 x + R0
+        i = F.inv(A2)
+        p, r = mul[A1][i], mul[A0][i]
+        C2 = sub[B2][mul[B3][p]]
+        R1 = sub[sub[B1][mul[B3][r]]][mul[C2][p]]
+        R0 = sub[B0][mul[C2][r]]
+        if not R1:
+            return (0 if R0 else 2) + inf
+        x0 = neg[mul[R0][F.inv(R1)]]
+        return (0 if add[mul[add[x0][p]][x0]][r] else 1) + inf
+    if A1:
+        x0 = neg[mul[A0][F.inv(A1)]]
+        Bx0 = add[mul[add[mul[add[mul[B3][x0]][B2]][x0]][B1]][x0]][B0]
+        return (0 if Bx0 else 1) + inf
+    if A0:
+        return inf
+    return (3 if B3 else 2 if B2 else 1 if B1 else 0) + inf
 
 
 def section_pairing(F: GF, s: Section, t: Section) -> int:
     """Height pairing read off intersection numbers; 2 on the diagonal."""
-    if s == t:
+    if s.a == t.a and s.b == t.b:
         return 2
     return 1 - intersection_number(F, s, t)
 
@@ -145,13 +158,8 @@ def section_pairing(F: GF, s: Section, t: Section) -> int:
 def twist_exponent_pairing(F: GF, s: Section, t: Section) -> int:
     """Exponent of the central pairing via intersection counts with and
     without one twist, reduced mod 3."""
-    if s == t or s.key() == t.key():
-        base = 2
-    else:
-        base = section_pairing(F, s, t)
-    ts = twist_section(F, s)
-    twisted = 2 if ts.key() == t.key() else section_pairing(F, ts, t)
-    return (base - twisted) % 3
+    return (section_pairing(F, s, t)
+            - section_pairing(F, twist_section(F, s), t)) % 3
 
 
 def section_class(F: GF, f, s: Section):

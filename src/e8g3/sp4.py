@@ -164,19 +164,22 @@ def _generators(group, index):
     of the identity; `index` maps each element to its position."""
     cand = [group[i] for i in _GENERATOR_POSITIONS]
     acts = [_action(g) for g in cand]
-    reached = {index[_identity()]}
+    reached = [False] * len(group)
+    reached[index[_identity()]] = True
+    count = 1
     frontier = [_identity()]
     while frontier:
         nxt = []
-        for x in frontier:
+        for x0, x1, x2, x3 in frontier:
             for act in acts:
-                y = tuple(act[col] for col in x)
+                y = (act[x0], act[x1], act[x2], act[x3])
                 j = index[y]
-                if j not in reached:
-                    reached.add(j)
+                if not reached[j]:
+                    reached[j] = True
+                    count += 1
                     nxt.append(y)
         frontier = nxt
-    if len(reached) != len(group):
+    if count != len(group):
         raise ValueError("candidate set does not generate")
     return cand
 

@@ -108,6 +108,26 @@ def test_group_orders_three_curves():
             assert cantor_mul(F, f, D, n) == IDENTITY
 
 
+def test_cantor_mul_is_repeated_addition(monkeypatch):
+    from e8g3 import jacobian
+    F = GF(7)
+    f = [c % 7 for c in Quintic(0, 0, 1, 3).coeffs()]
+    for D in enumerate_jacobian(F, f):
+        multiple = IDENTITY
+        for n in range(11):
+            assert cantor_mul(F, f, D, n) == multiple
+            multiple = D if n == 0 else cantor_add(F, f, multiple, D)
+    # one addition per set bit and one doubling per bit below the top
+    calls = []
+    add = jacobian.cantor_add
+    monkeypatch.setattr(jacobian, "cantor_add",
+                        lambda *args: calls.append(1) or add(*args))
+    for n in range(1, 11):
+        calls.clear()
+        cantor_mul(F, f, D, n)
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+
+
 def test_curve_count_consistency():
     F = GF(7)
     f = [c % 7 for c in Quintic(0, 0, 1, 3).coeffs()]

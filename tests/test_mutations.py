@@ -3,12 +3,14 @@ that a cheap in-process form of the check holds before and fails after (or,
 where the check refuses its input, raises)."""
 
 import inspect
+import re
 from functools import lru_cache
 
 import pytest
 
-from e8g3 import cuspdata, heis, kostant, sp4, suites
+from e8g3 import cuspdata, heis, kostant, sections, sp4, suites
 from e8g3.cyclotomic import Cyc
+from e8g3.finitefield import GF
 from e8g3.gradedlie import LieElement, get_algebra
 from e8g3.rootsys import build_root_system
 
@@ -136,6 +138,27 @@ def _sp4_density():
     return (n, hits) == sp4.density_by_classes(group) and 0 < hits < n
 
 
+@lru_cache(maxsize=None)
+def _section_fixture():
+    q, coeffs, secs, _ = sections.load_default_fixture()
+    F = GF(q)
+    return F, [F.from_int(c) for c in coeffs], secs
+
+
+def _fixture_histogram():
+    return sections.verify_section_fixture(*_section_fixture())["histogram_ok"]
+
+
+def _drop_contact_at_infinity(monkeypatch):
+    # the same kernel with every contact order on the fibre at infinity 0
+    source = inspect.getsource(sections.intersection_number)
+    mutant = re.sub(r"inf = \d", "inf = 0", source)
+    namespace = {}
+    exec(mutant, vars(sections), namespace)
+    monkeypatch.setattr(sections, "intersection_number",
+                        namespace["intersection_number"])
+
+
 MUTATIONS = [
     # heis/rep_homomorphism: one product off by a central element
     ("heis_rep_homomorphism", _shift_one_product,
@@ -183,6 +206,10 @@ MUTATIONS = [
     # generate
     ("sp4_density_generators", _non_generating_pair, _sp4_density,
      ValueError),
+    # sections/fixture_histogram: without the meetings on the fibre at
+    # infinity the pairings are not those of the E8 roots
+    ("sections_fixture_histogram", _drop_contact_at_infinity,
+     _fixture_histogram, None),
 ]
 
 

@@ -2,10 +2,14 @@
 the sections checks of the session report."""
 
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from e8g3.finitefield import GF, pdivmod, pgcd, pmonic, pmul, psub, ptrim
+from e8g3.finitefield import (GF, padd, pdivmod, pgcd, pmonic, pmul, psub,
+                              ptrim)
 from e8g3.genus2 import Quintic
 from e8g3.sections import (
     E8_ROW,
@@ -54,6 +58,94 @@ def test_squarefree_part():
     p = pmul(F, pmul(F, [6, 1], [6, 1]), [5, 1])
     rad = squarefree_part(F, p)
     assert rad == pmul(F, [6, 1], [5, 1])
+
+
+def _intersection_by_gcd(F, s, t):
+    """Oracle for intersection_number: the Euclidean gcd of the differences
+    for the affine part, and the common vanishing order of the reversed
+    differences for the fibre at infinity."""
+    g1 = psub(F, list(s.b), list(t.b))
+    g2 = psub(F, list(s.a), list(t.a))
+    if not g1 and not g2:
+        raise ValueError("identical sections")
+    if not g1:
+        g = g2
+    elif not g2:
+        g = g1
+    else:
+        g = pgcd(F, g1, g2)
+    affine = len(g) - 1 if g else 0
+    # reversed differences as series in u = 1/x
+    rev_a = [F.sub(x, y) for x, y in zip(reversed(s.a), reversed(t.a))]
+    rev_b = [F.sub(x, y) for x, y in zip(reversed(s.b), reversed(t.b))]
+    inf = min(next((i for i, c in enumerate(rev) if c), 10**9)
+              for rev in (rev_a, rev_b))
+    return affine + inf
+
+
+@lru_cache(maxsize=None)
+def _field(q):
+    return GF(q)
+
+
+@st.composite
+def section_pairs(draw):
+    """(F, s, t) with t = s - (A, B), where the differences A = a_s - a_t
+    and B = b_s - b_t are drawn by shape so that every branch of the closed
+    form is reached: A zero, a nonzero constant, linear, or quadratic (with
+    a known root or generic), and B random, a remainder R alone, or
+    Q A + R with deg Q <= 3 - deg A, where R is zero, a nonzero constant,
+    or linear through a root of A or through another point."""
+    F = _field(draw(st.sampled_from((13, 169))))
+    el = st.integers(0, F.q - 1)
+    nz = st.integers(1, F.q - 1)
+    s = Section(tuple(draw(el) for _ in range(3)),
+                tuple(draw(el) for _ in range(4)))
+    root = draw(el)
+    x_minus_root = [F.neg(root), 1]
+    A = {"zero": lambda: [],
+         "constant": lambda: [draw(nz)],
+         "linear": lambda: pmul(F, [draw(nz)], x_minus_root),
+         "split": lambda: pmul(F, [draw(el), draw(nz)], x_minus_root),
+         "generic": lambda: [draw(el), draw(el), draw(nz)],
+         }[draw(st.sampled_from(("zero", "constant", "linear", "split",
+                                 "generic")))]()
+    R = {"zero": lambda: [],
+         "constant": lambda: [draw(nz)],
+         "through_root": lambda: pmul(F, [draw(nz)], x_minus_root),
+         "through_other": lambda: [draw(el), draw(nz)],
+         }[draw(st.sampled_from(("zero", "constant", "through_root",
+                                 "through_other")))]()
+    B = {"random": lambda: [draw(el) for _ in range(4)],
+         "remainder": lambda: R,
+         "multiple": lambda: padd(F, pmul(F, ptrim(
+             [draw(el) for _ in range(5 - max(len(A), 1))]), A), R),
+         }[draw(st.sampled_from(("random", "remainder", "multiple")))]()
+    A = A + [0] * (3 - len(A))
+    B = B + [0] * (4 - len(B))
+    t = Section(tuple(F.sub(x, y) for x, y in zip(s.a, A)),
+                tuple(F.sub(x, y) for x, y in zip(s.b, B)))
+    return F, s, t
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(section_pairs())
+def test_intersection_number_matches_gcd_oracle(case):
+    F, s, t = case
+    if s == t:
+        with pytest.raises(ValueError):
+            intersection_number(F, s, t)
+    else:
+        assert intersection_number(F, s, t) == _intersection_by_gcd(F, s, t)
+
+
+def test_intersection_number_rejects_bad_input(small):
+    F, f, secs = small
+    s = secs[0]
+    with pytest.raises(ValueError, match="identical"):
+        intersection_number(F, s, Section(s.a, s.b))
+    with pytest.raises(ValueError):
+        intersection_number(F, Section(s.a + (0,), s.b), secs[1])
 
 
 def distinct_common_roots(F, s, t):
