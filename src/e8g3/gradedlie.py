@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 
 from .cyclotomic import Cyc
-from .heis import (HeisElement, HeisenbergModel, Mono, build_model, cocycle,
-                   commutator_exponent, svn_rep)
+from .heis import (CODE_EXPO, CODE_ROW, HeisElement, HeisenbergModel, Mono,
+                   build_model, cocycle, commutator_exponent, svn_rep)
 from .intlinalg import nullspace, rank
 from .rootsys import RootSystem, add, neg, pairing
 from .vinberg import x_value
@@ -46,11 +46,6 @@ def code_pair(c: int):
     if p == 1:
         return (0, s)
     return (-s, -s)
-
-
-def code_cyc(c: int) -> Cyc:
-    x, y = code_pair(c)
-    return Cyc(x, y)
 
 
 # code_pair(c) and code_pair(code_mul(c1, c2)) for every code a table entry
@@ -100,6 +95,16 @@ class LieElement:
         return f"LieElement(cartan={self.cartan!r}, roots={self.roots!r})"
 
 
+def _accumulate(acc, key, x, y):
+    """Add the w-pair (x, y) to the w-pair acc[key], started at zero."""
+    p = acc.get(key)
+    if p is None:
+        acc[key] = [x, y]
+    else:
+        p[0] += x
+        p[1] += y
+
+
 class GradedAlgebra:
     """Multiplication table plus the order-3 symmetry and its grading."""
 
@@ -136,27 +141,26 @@ class GradedAlgebra:
         kind = [bytearray(n) for _ in range(n)]
         out = [[0] * n for _ in range(n)]
         scl = [[NONE] * n for _ in range(n)]
-        rs = self.rs
-        index = rs.index
+        PR, w, cls = self.PR, self.windex, self.cls
         for i in range(n):
-            a = rs.roots[i]
-            ci = self.cls[i]
-            for j in range(n):
-                p = self.PR[i][j]
+            ci = cls[i]
+            PR_i, PR_wi = PR[i], PR[w[i]]
+            kind_i, out_i, scl_i = kind[i], out[i], scl[i]
+            sums = self.rs.sum_row(i)
+            for j, p in enumerate(PR_i):
                 if p == -2:
                     # opposite roots: central section product times -coroot
-                    kind[i][j] = 2
-                    out[i][j] = i
+                    kind_i[j] = 2
+                    out_i[j] = i
                     pw = (-cocycle(ci, ci)) % 3
-                    scl[i][j] = pw + 3  # -w^pw
+                    scl_i[j] = pw + 3  # -w^pw
                 elif p == -1:
-                    b = rs.roots[j]
-                    cj = self.cls[j]
-                    sign = self.PR[i][self.windex[j]] % 2
-                    pw = (self._pair_exponent(i, j) + cocycle(ci, cj)) % 3
-                    kind[i][j] = 1
-                    out[i][j] = index[add(a, b)]
-                    scl[i][j] = pw + 3 * sign
+                    # w-power: the pair exponent (p - PR[wi][j]) and the
+                    # section cocycle; sign (-1)^((a, wb))
+                    pw = (p - PR_wi[j] + cocycle(ci, cls[j])) % 3
+                    kind_i[j] = 1
+                    out_i[j] = sums[j]
+                    scl_i[j] = pw + 3 * (PR_i[w[j]] % 2)
         self.kind = kind
         self.out = out
         self.scl = scl
@@ -175,37 +179,50 @@ class GradedAlgebra:
         return LieElement(cartan={a: Cyc(1)})
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
+        """[x, y] with every output coordinate accumulated as a w-pair of
+        exact rationals; one Cyc per nonzero coordinate at the end."""
         acc_c = {}
         acc_r = {}
+        P, cr = self.P, self.cr
+        y_roots = [(j, c.a, c.b) for j, c in y.roots.items()]
 
-        def addc(a, v):
-            acc_c[a] = acc_c.get(a, Cyc(0)) + v
-
-        def addr(m, v):
-            acc_r[m] = acc_r.get(m, Cyc(0)) + v
-
-        for a, ca in x.cartan.items():
-            for j, cj in y.roots.items():
-                p = self.P[a][j]
+        for t, ct in x.cartan.items():
+            a, b, Pt = ct.a, ct.b, P[t]
+            for j, c, d in y_roots:
+                p = Pt[j]
                 if p:
-                    addr(j, ca * cj * p)
+                    bd = b * d
+                    _accumulate(acc_r, j, (a * c - bd) * p,
+                                (a * d + b * c - bd) * p)
         for i, ci in x.roots.items():
-            for a, ca in y.cartan.items():
-                p = self.P[a][i]
+            a, b = ci.a, ci.b
+            for t, ct in y.cartan.items():
+                p = P[t][i]
                 if p:
-                    addr(i, ci * ca * (-p))
-            for j, cj in y.roots.items():
-                k = self.kind[i][j]
+                    c, d = ct.a, ct.b
+                    bd = b * d
+                    _accumulate(acc_r, i, (bd - a * c) * p,
+                                (bd - a * d - b * c) * p)
+            kind_i, out_i, scl_i = self.kind[i], self.out[i], self.scl[i]
+            for j, c, d in y_roots:
+                k = kind_i[j]
                 if not k:
                     continue
-                v = ci * cj * code_cyc(self.scl[i][j])
+                # ci cj times the unit (-1)^(s // 3) w^(s % 3) of code s
+                s = scl_i[j]
+                bd = b * d
+                u, v = _pair_mul_zeta(a * c - bd, a * d + b * c - bd, s)
+                if s >= 3:
+                    u, v = -u, -v
                 if k == 1:
-                    addr(self.out[i][j], v)
+                    _accumulate(acc_r, out_i[j], u, v)
                 else:
-                    for a, c in enumerate(self.cr[i]):
-                        if c:
-                            addc(a, v * c)
-        return LieElement(acc_c, acc_r)
+                    for t, h in enumerate(cr[i]):
+                        if h:
+                            _accumulate(acc_c, t, u * h, v * h)
+        return LieElement(
+            {t: Cyc(u, v) for t, (u, v) in acc_c.items() if u or v},
+            {m: Cyc(u, v) for m, (u, v) in acc_r.items() if u or v})
 
     # -- symmetry and gradings ----------------------------------------------
 
@@ -291,12 +308,14 @@ class GradedAlgebra:
                     bad.append((i, j))
                 elif k == 2 and self.scl[wi][wj] != self.scl[i][j]:
                     bad.append((i, j))
-        # cartan side: invariance of the pairing
+        # cartan side: invariance of the pairing, on every root
         W = self.rs.w
+        P = self.P
         for a in range(8):
-            for j in range(0, n, 7):
-                lhs = sum(W[b][a] * self.P[b][w[j]] for b in range(8))
-                if lhs != self.P[a][j]:
+            col = [(W[b][a], P[b]) for b in range(8) if W[b][a]]
+            for j in range(n):
+                wj = w[j]
+                if sum(c * Pb[wj] for c, Pb in col) != P[a][j]:
                     bad.append(("cartan", a, j))
         return bad
 
@@ -326,23 +345,28 @@ class GradedAlgebra:
     # -- structure constants dump --------------------------------------------
 
     def dump_lines(self):
-        lines = []
+        """The table as text lines, one structure constant per line."""
         for i in range(self.n):
             for j in self.nbr[i]:
                 k = self.kind[i][j]
                 if k == 1:
-                    lines.append(f"r {i} {j} -> {self.out[i][j]} code {self.scl[i][j]}")
+                    yield f"r {i} {j} -> {self.out[i][j]} code {self.scl[i][j]}"
                 else:
-                    lines.append(f"c {i} {j} code {self.scl[i][j]}")
+                    yield f"c {i} {j} code {self.scl[i][j]}"
         for a in range(8):
             for j in range(self.n):
                 if self.P[a][j]:
-                    lines.append(f"h {a} {j} {self.P[a][j]}")
-        return lines
+                    yield f"h {a} {j} {self.P[a][j]}"
 
     def digest(self) -> str:
-        blob = "\n".join(self.dump_lines()).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 of the dump lines joined by newlines, fed line by line
+        so that the dump is never held whole."""
+        h = hashlib.sha256()
+        sep = b""
+        for line in self.dump_lines():
+            h.update(sep + line.encode())
+            sep = b"\n"
+        return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +424,17 @@ def _orbit_coefficients(alg: GradedAlgebra, z: LieElement):
 
 def _mono_combination(terms):
     """Sum of c * m over the (c, m) in terms, c an integer w-pair and m a
-    monomial matrix, as a sparse map (row, col) -> w-pair."""
-    acc = {}
+    monomial matrix, as a flat tuple: the w-pair at (row, col) is entries
+    18 * row + 2 * col and the next."""
+    acc = [0] * 162
     for (x, y), mono in terms:
-        for col in range(9):
-            xx, yy = _pair_mul_zeta(x, y, mono.expo[col])
-            key = (mono.perm[col], col)
-            p = acc.get(key)
-            if p is None:
-                acc[key] = [xx, yy]
-            else:
-                p[0] += xx
-                p[1] += yy
-    return {k: tuple(v) for k, v in acc.items() if v[0] or v[1]}
+        rot = [_pair_mul_zeta(x, y, e) for e in range(3)]
+        for col, c in enumerate(mono.codes):
+            xx, yy = rot[CODE_EXPO[c]]
+            k = 18 * CODE_ROW[c] + 2 * col
+            acc[k] += xx
+            acc[k + 1] += yy
+    return tuple(acc)
 
 
 def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
@@ -427,6 +449,7 @@ def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
     alg = alg or get_algebra()
     orbit_of = alg.rs.orbit_of
     orbit_monos = [alg.rho(orb[0]) for orb in alg.rs.orbits]
+    orbit_zs = [_z_vector(alg, orb[0]) for orb in alg.rs.orbits]
     mismatches = []
     pairs = 0
     groups = _class_groups(alg)
@@ -441,7 +464,7 @@ def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
                     pairs += 1
                     key = (orbit_of[a], orbit_of[b])
                     if key not in lhs:
-                        z = alg.bracket(_z_vector(alg, a), _z_vector(alg, b))
+                        z = alg.bracket(orbit_zs[key[0]], orbit_zs[key[1]])
                         lhs[key] = _mono_combination(
                             ((3 * v.a, 3 * v.b), orbit_monos[o])
                             for o, v in _orbit_coefficients(alg, z).items())
@@ -481,8 +504,8 @@ def rho_prime_image_rank(alg: GradedAlgebra | None = None) -> int:
     for orb in alg.rs.orbits:
         mono = alg.rho(orb[0])
         row = [0] * 81
-        for col in range(9):
-            row[9 * mono.perm[col] + col] = Cyc.zeta(mono.expo[col])
+        for col, c in enumerate(mono.codes):
+            row[9 * CODE_ROW[c] + col] = Cyc.zeta(CODE_EXPO[c])
         rows.append(row)
     return rank(rows, 81, field="cyc")
 

@@ -119,56 +119,71 @@ def commutator_exponent(v, u) -> int:
     return (cocycle(v, u) - cocycle(u, v)) % 3
 
 
+# a monomial column is coded 3 * row + exponent, in range(27): CODE_ROW and
+# CODE_EXPO split a code, and CODE_SHIFT[c][e] is code c with its exponent
+# moved by e
+CODE_SHIFT = tuple(tuple(c - c % 3 + (c + e) % 3 for e in range(3))
+                   for c in range(27))
+CODE_ROW = tuple(c // 3 for c in range(27))
+CODE_EXPO = tuple(c % 3 for c in range(27))
+
+
 class Mono:
     """9x9 monomial matrix with entries in the cube roots of unity.
 
-    Column y has its unique nonzero entry zeta^expo[y] in row perm[y].
+    Column y has its unique nonzero entry zeta^expo[y] in row perm[y]; the
+    matrix is stored as the column codes 3 * perm[y] + expo[y].
     """
 
-    __slots__ = ("perm", "expo")
+    __slots__ = ("codes",)
 
     def __init__(self, perm, expo):
-        self.perm = tuple(perm)
-        self.expo = tuple(e % 3 for e in expo)
+        self.codes = tuple(3 * p + e % 3 for p, e in zip(perm, expo))
+
+    @property
+    def perm(self):
+        return tuple(CODE_ROW[c] for c in self.codes)
+
+    @property
+    def expo(self):
+        return tuple(CODE_EXPO[c] for c in self.codes)
 
     def __mul__(self, other):
-        # both factors are normalized, so the product skips __init__
-        p1, e1 = self.perm, self.expo
-        p2, e2 = other.perm, other.expo
+        # column y of the product: column perm2[y] of self, its exponent
+        # moved by expo2[y]
+        c1 = self.codes
         m = object.__new__(Mono)
-        m.perm = tuple([p1[j] for j in p2])
-        m.expo = tuple([(e + e1[j]) % 3 for e, j in zip(e2, p2)])
+        m.codes = tuple([CODE_SHIFT[c1[CODE_ROW[c]]][CODE_EXPO[c]]
+                         for c in other.codes])
         return m
 
     def inverse(self):
-        perm = [0] * 9
-        expo = [0] * 9
-        for y in range(9):
-            perm[self.perm[y]] = y
-            expo[self.perm[y]] = -self.expo[y]
-        return Mono(perm, expo)
+        codes = [0] * 9
+        for y, c in enumerate(self.codes):
+            codes[CODE_ROW[c]] = 3 * y + -CODE_EXPO[c] % 3
+        m = object.__new__(Mono)
+        m.codes = tuple(codes)
+        return m
 
     def __eq__(self, other):
-        return self.perm == other.perm and self.expo == other.expo
+        return self.codes == other.codes
 
     def __hash__(self):
-        return hash((self.perm, self.expo))
+        return hash(self.codes)
 
     def trace(self) -> Cyc:
-        t = Cyc(0, 0)
-        for y in range(9):
-            if self.perm[y] == y:
-                t = t + Cyc.zeta(self.expo[y])
-        return t
+        # n[e]: diagonal entries zeta^e; 1 + w + w^2 = 0
+        n = [0, 0, 0]
+        for y, c in enumerate(self.codes):
+            if CODE_ROW[c] == y:
+                n[CODE_EXPO[c]] += 1
+        return Cyc(n[0] - n[2], n[1] - n[2])
 
     def scalar_ratio(self, other):
         """If self = zeta^t * other, return t; else None."""
-        if self.perm != other.perm:
+        t = (self.codes[0] - other.codes[0]) % 3
+        if self.codes != tuple([CODE_SHIFT[c][t] for c in other.codes]):
             return None
-        t = (self.expo[0] - other.expo[0]) % 3
-        for a, b in zip(self.expo, other.expo):
-            if (a - b) % 3 != t:
-                return None
         return t
 
 

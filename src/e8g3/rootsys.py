@@ -14,6 +14,7 @@ import hashlib
 import json
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .intlinalg import (
     det_bareiss,
@@ -63,8 +64,21 @@ def smul(k, v):
 
 def pairing(u, v) -> int:
     """Symmetric bilinear form; independent of the choice of lifts."""
-    su, sv = sum(u), sum(v)
-    return sum(a * b for a, b in zip(u, v)) - (su * sv) // 9
+    return sum(map(mul, u, v)) - sum(u) * sum(v) // 9
+
+
+def pack(v) -> int:
+    """sum(v[i] * 8**i): linear under addition, and one-to-one on vectors
+    whose coordinates lie in [-3, 3] (balanced base-8 digits)."""
+    code = 0
+    for x in reversed(v):
+        code = 8 * code + x
+    return code
+
+
+# pack of the all-ones vector; the canonical sum of two roots has
+# coordinates in [-3, 2], where pack is one-to-one
+_PACKED_ONES = pack((1,) * 9)
 
 
 def weight_vector(triple):
@@ -101,6 +115,15 @@ class RootSystem:
         self.index = {r: i for i, r in enumerate(roots)}
         if len(self.index) != 240:
             raise AssertionError("root list has repeated entries")
+        # sum_row's tables: the packed roots, their indices, and for a first
+        # summand of coordinate sum s (entry s // 3) the packed roots less
+        # the packed all-ones vector where the two sums reach 9
+        self._packed = tuple(map(pack, roots))
+        self._packed_index = {c: i for i, c in enumerate(self._packed)}
+        self._packed_shifted = tuple(
+            tuple(c - _PACKED_ONES if s + sum(r) >= 9 else c
+                  for c, r in zip(self._packed, roots))
+            for s in (0, 3, 6))
 
         self.basis = tuple(weight_vector(t) for t in S0_TRIPLES)
         self.gram = [[pairing(a, b) for b in self.basis] for a in self.basis]
@@ -157,6 +180,19 @@ class RootSystem:
             for j in range(i, n):
                 row[j] = rows[j][i] = pairing(a, roots[j])
         return tuple(map(tuple, rows))
+
+    def sum_row(self, i):
+        """Index of root i + root j, or None where the sum is no root, for
+        every j in the order of `roots`.
+
+        The canonical sum is the packed sum, less the packed all-ones vector
+        when the coordinate sums reach 9 (pack is linear).  The row is
+        computed on each call and not kept.
+        """
+        ci = self._packed[i]
+        get = self._packed_index.get
+        return [get(ci + c)
+                for c in self._packed_shifted[sum(self.roots[i]) // 3]]
 
     def _reflection_matrix(self, k):
         cols = []

@@ -4,12 +4,15 @@ and the gradedlie checks of the session report."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from e8g3.cyclotomic import Cyc
-from e8g3.gradedlie import (GradedAlgebra, LieElement, get_algebra,
+from e8g3.gradedlie import (GradedAlgebra, LieElement, code_pair, get_algebra,
                             killing_gram, verify_heis_action_match,
                             verify_rho_prime_homomorphism,
                             z_supports_partition)
+from e8g3.heis import IDENTITY, HeisElement, svn_rep
 
 KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
 
@@ -23,6 +26,19 @@ def z_element(alg, i, twist=0):
 
 def grading_check(alg, x, i):
     return alg.theta(x) == x * Cyc.zeta(i)
+
+
+def dense(mono):
+    """A monomial matrix as a dense 9x9 Q(w) matrix."""
+    rows = [[Cyc(0)] * 9 for _ in range(9)]
+    for y in range(9):
+        rows[mono.perm[y]][y] = Cyc.zeta(mono.expo[y])
+    return rows
+
+
+def dense_mul(a, b):
+    return [[sum((a[r][k] * b[k][c] for k in range(9)), Cyc(0))
+             for c in range(9)] for r in range(9)]
 
 
 def rho_prime(alg, z):
@@ -43,10 +59,10 @@ def rho_prime(alg, z):
         for m in alg.rs.orbits[o]:
             if z.roots.get(m, Cyc(0)) != c:
                 raise ValueError("coefficients not constant on an orbit")
-        mono = alg.rho(alg.rs.orbits[o][0])
+        image = dense(alg.rho(alg.rs.orbits[o][0]))
         scal = c * KAPPA
-        for y in range(9):
-            rows[mono.perm[y]][y] = rows[mono.perm[y]][y] + scal * Cyc.zeta(mono.expo[y])
+        rows = [[x + scal * m for x, m in zip(row, mrow)]
+                for row, mrow in zip(rows, image)]
     return rows
 
 
@@ -376,8 +392,7 @@ def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
 def test_code_tables_match_code_functions():
     # the Jacobi sweep's tables against the code arithmetic they replace,
     # on every code a table entry can hold
-    from e8g3.gradedlie import (_MUL_PAIR, _PAIR, NONE, code_mul,
-                                code_pair)
+    from e8g3.gradedlie import _MUL_PAIR, _PAIR, NONE, code_mul
     codes = [*range(6), NONE]
     assert all(_PAIR[c] == code_pair(c) for c in codes)
     assert all(_MUL_PAIR[a][b] == code_pair(code_mul(a, b))
@@ -405,3 +420,93 @@ def test_diagonal_ad_entry_fails_killing(alg):
     fresh.out[r][k] = k
     with pytest.raises(AssertionError, match=f"ad\\(x_{r}\\)"):
         killing_gram(fresh)
+
+
+def test_mono_products_match_dense_products():
+    # Mono's column-code kernels against 9x9 matrices over Q(w): every
+    # product of two of the four generator images and their inverses, and
+    # the trace and scalar ratio of each
+    gens = [svn_rep(HeisElement(0, v)) for v in
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]]
+    monos = gens + [m.inverse() for m in gens]
+    one = dense(svn_rep(IDENTITY))
+    for m in monos:
+        dm = dense(m)
+        assert dense_mul(dm, dense(m.inverse())) == one
+        assert m.trace() == sum((dm[y][y] for y in range(9)), Cyc(0))
+        for n in monos:
+            dn = dense(n)
+            assert dense(m * n) == dense_mul(dm, dn)
+            ratios = [t for t in range(3)
+                      if dm == [[Cyc.zeta(t) * x for x in row] for row in dn]]
+            assert m.scalar_ratio(n) == (ratios[0] if ratios else None)
+    centre = svn_rep(HeisElement(1, (0, 0, 0, 0)))
+    assert centre.scalar_ratio(svn_rep(IDENTITY)) == 1
+
+
+def reference_bracket(alg, x, y):
+    """The bracket term by term from the table, accumulated in Cyc."""
+    acc_c, acc_r = {}, {}
+
+    def add(acc, key, v):
+        acc[key] = acc.get(key, Cyc(0)) + v
+
+    for a, ca in x.cartan.items():
+        for j, cj in y.roots.items():
+            if alg.P[a][j]:
+                add(acc_r, j, ca * cj * alg.P[a][j])
+    for i, ci in x.roots.items():
+        for a, ca in y.cartan.items():
+            if alg.P[a][i]:
+                add(acc_r, i, ci * ca * -alg.P[a][i])
+        for j, cj in y.roots.items():
+            k = alg.kind[i][j]
+            if not k:
+                continue
+            v = ci * cj * Cyc(*code_pair(alg.scl[i][j]))
+            if k == 1:
+                add(acc_r, alg.out[i][j], v)
+            elif k == 2:
+                for a, c in enumerate(alg.cr[i]):
+                    if c:
+                        add(acc_c, a, v * c)
+    return LieElement(acc_c, acc_r)
+
+
+_RATIONALS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([2, 3, 7])))
+_COEFFS = st.builds(Cyc, _RATIONALS, _RATIONALS).filter(bool)
+
+
+@st.composite
+def _bracket_pairs(draw):
+    """Sparse (x, y) with cartan parts; y holds the opposites of some roots
+    of x, so that cartan-valued brackets occur."""
+    n = 240
+    negidx = get_algebra().negidx
+
+    def element(roots):
+        cartan = draw(st.dictionaries(st.integers(0, 7), _COEFFS, max_size=3))
+        return LieElement(cartan, {r: draw(_COEFFS) for r in roots})
+
+    xs = draw(st.lists(st.integers(0, n - 1), max_size=5, unique=True))
+    ys = draw(st.lists(st.integers(0, n - 1), max_size=5, unique=True))
+    ys += [negidx[r] for r in xs[:draw(st.integers(0, len(xs)))]]
+    return element(xs), element(dict.fromkeys(ys))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_bracket_pairs())
+def test_bracket_matches_cyc_reference(xy):
+    x, y = xy
+    alg = get_algebra()
+    got, want = alg.bracket(x, y), reference_bracket(alg, x, y)
+    assert got == want
+    # same coefficients and the same key order, so nothing downstream of a
+    # bracket sees a difference
+    assert list(got.cartan) == list(want.cartan)
+    assert list(got.roots) == list(want.roots)
+    assert all(type(c) is int or c.denominator > 1
+               for v in (*got.cartan.values(), *got.roots.values())
+               for c in (v.a, v.b))

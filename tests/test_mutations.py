@@ -8,10 +8,11 @@ from functools import lru_cache
 
 import pytest
 
-from e8g3 import cuspdata, heis, kostant, sections, sp4, suites
+from e8g3 import cuspdata, heis, kostant, rootsys, sections, sp4, suites
 from e8g3.cyclotomic import Cyc
 from e8g3.finitefield import GF
-from e8g3.gradedlie import LieElement, get_algebra
+from e8g3.gradedlie import (GradedAlgebra, LieElement, _out_additive,
+                            get_algebra)
 from e8g3.rootsys import build_root_system
 
 
@@ -111,6 +112,43 @@ def _shift_one_product(monkeypatch):
     monkeypatch.setattr(heis.HeisElement, "__mul__", shifted)
 
 
+def _corrupt_code_shift(monkeypatch):
+    # code 0 (row 0, exponent 0) moved by one lands on exponent 2
+    table = [list(row) for row in heis.CODE_SHIFT]
+    table[0][1] = 2
+    monkeypatch.setattr(heis, "CODE_SHIFT", tuple(map(tuple, table)))
+
+
+def _patch_sum_row(change):
+    # the entry of row 0 at its first pair with pairing -1
+    def patch(monkeypatch):
+        sum_row = rootsys.RootSystem.sum_row
+
+        def patched(rs, i):
+            row = sum_row(rs, i)
+            if i == 0:
+                j = rs.pairs[0].index(-1)
+                row[j] = change(rs, row[j])
+            return row
+        monkeypatch.setattr(rootsys.RootSystem, "sum_row", patched)
+    return patch
+
+
+def _fresh_table_additive():
+    # the out_additive part of gradedlie/jacobi, on a table built afresh
+    return _out_additive(GradedAlgebra())
+
+
+def _corrupt_cartan_pairing(monkeypatch):
+    # one coroot-root pairing, at root 2: neither 2 nor the root that w
+    # sends to 2 is a multiple of 7, so a sweep over every seventh root
+    # alone would miss it
+    alg = get_algebra()
+    P = [list(row) for row in alg.P]
+    P[0][2] += 1
+    monkeypatch.setattr(alg, "P", P)
+
+
 def _corrupt_pair_table(monkeypatch):
     # one entry of the shared root-pair table and its mirror: 1 becomes -1
     rs = build_root_system()
@@ -168,6 +206,21 @@ MUTATIONS = [
     ("rootsys_pair_table", _corrupt_pair_table,
      _passes(suites.suite_rootsys, "sum_rule_iff_pairing_minus_one",
              "per_root_pairing_statistics"), None),
+    # heis/rep_homomorphism: one entry of the monomial code-shift table
+    ("heis_code_shift", _corrupt_code_shift,
+     _passes(suites.suite_heis, "rep_homomorphism"), None),
+    # rootsys/sum_rule_iff_pairing_minus_one: a sum row that misses one root
+    ("rootsys_sum_row_missing", _patch_sum_row(lambda rs, m: None),
+     _passes(suites.suite_rootsys, "sum_rule_iff_pairing_minus_one"), None),
+    # gradedlie/jacobi, through out_additive: a sum row that points one pair
+    # with pairing -1 at another root (the table's out reads the sum rows;
+    # out_additive checks it against rootsys.add)
+    ("gradedlie_jacobi_sum_row",
+     _patch_sum_row(lambda rs, m: rs.w_on_roots[m]),
+     _fresh_table_additive, None),
+    # gradedlie/theta_automorphism: its cartan side sweeps every root
+    ("gradedlie_theta_automorphism", _corrupt_cartan_pairing,
+     lambda: not get_algebra().check_theta_automorphism(), None),
     # rootsys/order_three and elliptic: one entry of w moved
     ("rootsys_w", _corrupt_w,
      _passes(suites.suite_rootsys, "order_three", "elliptic"), None),

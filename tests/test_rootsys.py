@@ -96,6 +96,25 @@ def test_pair_table_matches_pairing(rs):
                for a, row in zip(roots, rs.pairs) for j in range(240))
 
 
+def test_sum_row_matches_vector_sum(rs):
+    # the packed-code sum against the tuple sum and its canonical shift, on
+    # every ordered pair
+    for i, a in enumerate(rs.roots):
+        assert rs.sum_row(i) == [rs.index.get(rootsys.add(a, b))
+                                 for b in rs.roots]
+
+
+def test_pack_is_linear_and_one_to_one():
+    # coordinates in [-3, 3] are balanced base-8 digits
+    from itertools import product
+    digits = range(-3, 4)
+    vecs = [v + (0,) * 6 for v in product(digits, repeat=3)]
+    assert len({rootsys.pack(v) for v in vecs}) == len(vecs)
+    u, v = (1, -1, 0, 2, 0, 0, -3, 1, 1), (-2, 0, 3, 1, 1, 0, 0, -1, 2)
+    assert rootsys.pack(u) + rootsys.pack(v) == rootsys.pack(
+        tuple(a + b for a, b in zip(u, v)))
+
+
 def test_pair_table_is_lazy():
     # a fresh root system builds no table until one is read
     fresh = rootsys.RootSystem()
