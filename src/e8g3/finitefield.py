@@ -322,3 +322,19 @@ def pmonic(F, a):
         return []
     return pscale(F, a, F.inv(a[-1]))
 
+
+def quadratic_roots(F, c0, c1, c2):
+    """The roots in F of c2 x^2 + c1 x + c0 in ascending code order; every
+    element of F when all three coefficients vanish."""
+    mul = F.mul_table
+    if not c2:
+        if c1:
+            return [mul[F.neg(c0)][F.inv(c1)]]
+        return [] if c0 else F.elements()
+    four = F.from_int(4)
+    s = F.sqrt(F.sub(mul[c1][c1], mul[four][mul[c2][c0]]))
+    if s is None:
+        return []
+    i = F.inv(F.add(c2, c2))
+    return sorted({mul[F.sub(s, c1)][i], mul[F.sub(F.neg(s), c1)][i]})
+

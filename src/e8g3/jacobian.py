@@ -111,7 +111,6 @@ def cantor_mul(F, f, D, n: int):
 def enumerate_jacobian(F, f):
     """All reduced divisors (u, v) with u | f - v^2, deg u <= 2."""
     out = [IDENTITY]
-    q = F.q
     # degree 1: u = x - t, v = (r) with r^2 = f(t)
     for t in F.elements():
         val = peval(F, f, t)
@@ -121,12 +120,24 @@ def enumerate_jacobian(F, f):
         roots = {r, F.neg(r)}
         for rr in roots:
             out.append(([F.neg(t), 1], [rr] if rr else []))
-    # degree 2: u monic quadratic, v of degree < 2 with u | f - v^2
+    # degree 2: u = x^2 + u1 x + u0 and v = v1 x + v0 with u | f - v^2.
+    # With f = R1 x + R0 mod u that is 2 v0 v1 - u1 v1^2 = R1 and
+    # v0^2 - u0 v1^2 = R0: v1 = 0 needs R1 = 0 and v0 = +-sqrt(R0), and
+    # each v1 != 0 fixes v0 = (R1 + u1 v1^2) / (2 v1).
     for u0 in F.elements():
         for u1 in F.elements():
             u = [u0, u1, 1]
+            R0, R1 = (pmod(F, f, u) + [0, 0])[:2]
             for v1 in F.elements():
-                for v0 in F.elements():
+                if v1:
+                    v0s = [F.mul(F.add(R1, F.mul(u1, F.mul(v1, v1))),
+                                 F.inv(F.add(v1, v1)))]
+                elif R1:
+                    continue
+                else:
+                    r = F.sqrt(R0)
+                    v0s = [] if r is None else sorted({r, F.neg(r)})
+                for v0 in v0s:
                     v = [v0, v1] if v1 else ([v0] if v0 else [])
                     if not pmod(F, psub(F, pmul(F, v, v), f), u):
                         out.append((u, v))

@@ -20,8 +20,9 @@ from .finitefield import (
     pgcd,
     pmod,
     pmonic,
+    quadratic_roots,
 )
-from .jacobian import cantor_mul, IDENTITY
+from .jacobian import cantor_add, cantor_neg
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,20 @@ class Section:
 
 
 def find_sections(F: GF, f):
-    """All sections over F: scan z = a(x) with square leading coefficient
-    and extract b as a formal square root of a^3 + f.
+    """All sections over F of y^2 = z^3 + f(x), f a monic quintic: for each
+    a2 (a nonzero square, b3^2 = a2^3) and a1, solve for a0 and extract b
+    as a formal square root of a^3 + f.
 
-    The cube (a2 x^2 + a1 x + a0)^3 is expanded by hand; the scan makes
-    O(q^2 (q-1)/2) table lookups, with the rows that depend only on a2 or
-    a1 looked up once outside the loops they do not vary in.
+    The x^5 and x^4 coefficients of b^2 = a^3 + f fix b2 and then b1, and
+    the x^3 coefficient fixes b0; b1 and b0 are affine in a0.  So the x^2
+    coefficient is an equation in a0 of degree at most 2, whose a0^2
+    coefficient is -3 a2 / 4 (in characteristic 3 the equation is a
+    constant).  Its roots, or every a0 when it vanishes identically, are
+    the only candidates, and each must pass the x^2, x^1 and x^0
+    equations.  The cube (a2 x^2 + a1 x + a0)^3 is expanded by hand; each
+    (a2, a1) costs a fixed number of table lookups and one root
+    extraction, so the search makes O(q^2) lookups where a scan over a0
+    makes O(q^3).
     """
     out = []
     add, sub, mul, neg = F.add_table, F.sub_table, F.mul_table, F.neg_table
@@ -61,6 +70,9 @@ def find_sections(F: GF, f):
         Minv2b3 = mul[mul[F.inv(b3)][half]]
         M3a2 = mul[M3[a2]]
         M3a2sq = mul[M3[square[a2]]]
+        # b1 = alpha + beta a0 and b0 = gamma + delta a0
+        beta = Minv2b3[M3[square[a2]]]
+        c2 = sub[square[beta]][M3[a2]]
         for a1 in elements:
             a1sq = square[a1]
             # f has unit quintic coefficient
@@ -72,7 +84,13 @@ def find_sections(F: GF, f):
             # h4 - b2^2 = K4 + 3 a2^2 a0 and h3 = K3 + 6 a1 a2 a0
             K4 = add[sub[add[M3[mul[a1sq][a2]]][f4c]][square[b2]]]
             K3 = add[add[cube[a1]][f3c]]
-            for a0 in elements:
+            alpha = Minv2b3[K4[0]]
+            gamma = Minv2b3[sub[K3[0]][M2b2[alpha]]]
+            delta = Minv2b3[sub[M6a1a2[1]][M2b2[beta]]]
+            # b1^2 + 2 b2 b0 - h2 = c2 a0^2 + c1 a0 + c0
+            c1 = sub[add[M2[mul[alpha][beta]]][M2b2[delta]]][M3a1sq[1]]
+            c0 = sub[add[square[alpha]][M2b2[gamma]]][f2c]
+            for a0 in quadratic_roots(F, c0, c1, c2):
                 b1 = Minv2b3[K4[M3a2sq[a0]]]
                 b0 = Minv2b3[sub[K3[M6a1a2[a0]]][M2b2[b1]]]
                 if square[b0] != h0[a0]:
@@ -170,9 +188,10 @@ def section_class(F: GF, f, s: Section):
 
 
 def section_class_is_3torsion(F: GF, f, s: Section) -> bool:
+    """3 D = 0 for the section's class D, tested as 2 D = -D."""
     u, v = section_class(F, f, s)
     D = (list(u), list(v))
-    return cantor_mul(F, f, D, 3) == IDENTITY
+    return cantor_add(F, f, D, D) == cantor_neg(F, D)
 
 
 def pairing_histogram(F: GF, sections) -> dict:
@@ -259,10 +278,13 @@ def fixture_from_json(text: str):
     payload = json.loads(text)
     if payload["fixture_version"] != 1:
         raise ValueError("unsupported fixture version")
-    field_order(payload["q"])
+    p, _ = field_order(payload["q"])
     fcoeffs = payload["f_coeffs_low_to_high"]
     if not (_int_list(fcoeffs) and len(fcoeffs) == 6):
         raise ValueError("f_coeffs_low_to_high must be a list of six ints")
+    if fcoeffs[5] % p != 1:
+        raise ValueError("f must be monic: its quintic coefficient is not "
+                         f"1 mod {p}")
     pairs = payload["sections"]
     if not (isinstance(pairs, list) and all(
             isinstance(p, list) and len(p) == 2 and all(map(_int_list, p))

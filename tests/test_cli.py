@@ -192,17 +192,21 @@ def _bad_fixture(tmp_path, case):
     elif case == "f_coeffs_short":
         payload["f_coeffs_low_to_high"] = [1, 2]
         path.write_text(json.dumps(payload))
+    elif case == "f5_2":
+        payload["f_coeffs_low_to_high"][5] = 2
+        path.write_text(json.dumps(payload))
     elif case == "sections_text":
         payload["sections"] = [["a", "b"]]
         path.write_text(json.dumps(payload))
     return str(path)
 
 
-# q = 170 is not a prime power, 128 is even, 529 = 23^2 is above GF's tables
+# q = 170 is not a prime power, 128 is even, 529 = 23^2 is above GF's
+# tables; f5_2 is a quintic that is not monic
 @pytest.mark.parametrize("case", ["missing", "unreadable", "bad_json",
                                   "wrong_version", "missing_key", "q_170",
                                   "q_128", "q_529", "f_coeffs_text",
-                                  "f_coeffs_short", "sections_text"])
+                                  "f_coeffs_short", "f5_2", "sections_text"])
 def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
     # with "all", sections runs last: nothing may run before the error
     code = main(["verify", "all", "--fixture", _bad_fixture(tmp_path, case)])

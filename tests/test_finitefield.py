@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g3.finitefield import GF
+from e8g3.finitefield import GF, quadratic_roots
 
 ORDERS = st.sampled_from([3, 7, 9, 25, 27, 49, 169])
 
@@ -69,6 +69,20 @@ def test_field_axioms(q, data):
     assert add(a, F.neg(a)) == 0 and add(F.sub(a, b), b) == a
     if a:
         assert mul(a, F.inv(a)) == 1
+
+
+@settings(deadline=None, derandomize=True)
+@given(q=ORDERS, data=st.data())
+def test_quadratic_roots_match_a_sweep(q, data):
+    # each coefficient is zero half the time, so every shape of
+    # c2 x^2 + c1 x + c0 is reached: quadratic, linear, constant and zero
+    F = field(q)
+    coeff = st.one_of(st.just(0), st.integers(1, q - 1))
+    c0, c1, c2 = (data.draw(coeff) for _ in range(3))
+    mul, add = F.mul, F.add
+    swept = [x for x in F.elements()
+             if add(add(mul(mul(c2, x), x), mul(c1, x)), c0) == 0]
+    assert list(quadratic_roots(F, c0, c1, c2)) == swept
 
 
 @pytest.mark.parametrize("q", [170, 2 ** 7, 23 ** 2, 10 ** 12 + 39],

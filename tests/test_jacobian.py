@@ -5,6 +5,7 @@ import pytest
 from e8g3.finitefield import (
     GF,
     peval,
+    pmod,
     pmul,
     psub,
     pxgcd,
@@ -126,6 +127,43 @@ def test_cantor_mul_is_repeated_addition(monkeypatch):
         calls.clear()
         cantor_mul(F, f, D, n)
         assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+
+
+def _enumerate_jacobian_by_scan(F, f):
+    """Oracle for enumerate_jacobian: every v of degree below 2 is tried
+    for each monic quadratic u."""
+    out = [IDENTITY]
+    for t in F.elements():
+        val = peval(F, f, t)
+        r = F.sqrt(val)
+        if r is None:
+            continue
+        roots = {r, F.neg(r)}
+        for rr in roots:
+            out.append(([F.neg(t), 1], [rr] if rr else []))
+    for u0 in F.elements():
+        for u1 in F.elements():
+            u = [u0, u1, 1]
+            for v1 in F.elements():
+                for v0 in F.elements():
+                    v = [v0, v1] if v1 else ([v0] if v0 else [])
+                    if not pmod(F, psub(F, pmul(F, v, v), f), u):
+                        out.append((u, v))
+    return out
+
+
+# the three F_7 curves of the sections suite, and smooth curves over GF(9)
+# and GF(11)
+@pytest.mark.parametrize("q, coeffs", [
+    (7, (0, 0, 1, 3)), (7, (1, 1, 0, 2)), (7, (0, 2, 3, 1)),
+    (9, (0, 0, 1, 3)), (9, (0, 2, 3, 1)), (11, (0, 0, 1, 3)),
+    (11, (0, 2, 3, 1))])
+def test_enumerate_jacobian_matches_scan_oracle(q, coeffs):
+    # the same list in the same order: cantor_group_law draws from it
+    F = GF(q)
+    assert discriminant(Quintic(*coeffs)) % F.p
+    f = [F.from_int(c) for c in Quintic(*coeffs).coeffs()]
+    assert enumerate_jacobian(F, f) == _enumerate_jacobian_by_scan(F, f)
 
 
 def test_curve_count_consistency():

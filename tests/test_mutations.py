@@ -8,7 +8,8 @@ from functools import lru_cache
 
 import pytest
 
-from e8g3 import cuspdata, heis, kostant, rootsys, sections, sp4, suites
+from e8g3 import (cuspdata, finitefield, heis, kostant, rootsys, sections,
+                  sp4, suites)
 from e8g3.cyclotomic import Cyc
 from e8g3.finitefield import GF
 from e8g3.gradedlie import (GradedAlgebra, LieElement, _out_additive,
@@ -84,15 +85,20 @@ def _redirect_to_negative_root(monkeypatch):
     monkeypatch.setattr(alg, "out", out)
 
 
+def _mutant(fn, edit):
+    """fn compiled again, in its own module, from its source after edit."""
+    source = inspect.getsource(fn)
+    namespace = {}
+    exec(edit(source), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
 def _drop_identity_shift(monkeypatch):
     # the same expansion without its four diagonal "-= 1" lines: det(M)
-    source = inspect.getsource(sp4._det_minus_identity)
-    mutant = "\n".join(line for line in source.splitlines()
-                       if "-= 1" not in line)
-    namespace = {}
-    exec(mutant, vars(sp4), namespace)
-    monkeypatch.setattr(sp4, "_det_minus_identity",
-                        namespace["_det_minus_identity"])
+    monkeypatch.setattr(sp4, "_det_minus_identity", _mutant(
+        sp4._det_minus_identity,
+        lambda src: "\n".join(line for line in src.splitlines()
+                              if "-= 1" not in line)))
 
 
 def _non_generating_pair(monkeypatch):
@@ -189,12 +195,35 @@ def _fixture_histogram():
 
 def _drop_contact_at_infinity(monkeypatch):
     # the same kernel with every contact order on the fibre at infinity 0
-    source = inspect.getsource(sections.intersection_number)
-    mutant = re.sub(r"inf = \d", "inf = 0", source)
-    namespace = {}
-    exec(mutant, vars(sections), namespace)
-    monkeypatch.setattr(sections, "intersection_number",
-                        namespace["intersection_number"])
+    monkeypatch.setattr(sections, "intersection_number", _mutant(
+        sections.intersection_number,
+        lambda src: re.sub(r"inf = \d", "inf = 0", src)))
+
+
+def _fixture_rescan():
+    # fixture_rescan_count and fixture_matches_scan
+    F, f, secs = _section_fixture()
+    found = sections.find_sections(F, f)
+    return len(found) == 240 and (sorted(s.key() for s in found)
+                                  == sorted(s.key() for s in secs))
+
+
+def _plus_root_only(monkeypatch):
+    # find_sections keeps only the root (-c1 + sqrt(disc)) / (2 c2)
+    monkeypatch.setattr(sections, "quadratic_roots", _mutant(
+        finitefield.quadratic_roots,
+        lambda src: src.replace("F.neg(s)", "s")))
+
+
+def _fixture_torsion():
+    return sections.verify_section_fixture(*_section_fixture())["torsion_ok"]
+
+
+def _torsion_against_d(monkeypatch):
+    # 2 D = D in place of 2 D = -D
+    monkeypatch.setattr(sections, "section_class_is_3torsion", _mutant(
+        sections.section_class_is_3torsion,
+        lambda src: src.replace("cantor_neg(F, D)", "D")))
 
 
 MUTATIONS = [
@@ -263,6 +292,12 @@ MUTATIONS = [
     # infinity the pairings are not those of the E8 roots
     ("sections_fixture_histogram", _drop_contact_at_infinity,
      _fixture_histogram, None),
+    # sections/fixture_rescan_count and fixture_matches_scan: one root of
+    # each quadratic in a0 loses the sections at the other
+    ("sections_fixture_rescan", _plus_root_only, _fixture_rescan, None),
+    # sections/fixture_torsion: 2 D = D holds only for D = 0
+    ("sections_fixture_torsion", _torsion_against_d, _fixture_torsion,
+     None),
 ]
 
 

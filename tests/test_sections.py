@@ -88,6 +88,90 @@ def _field(q):
     return GF(q)
 
 
+def _find_sections_by_scan(F, f):
+    """Oracle for find_sections: every a0 is tried for each (a2, a1)."""
+    out = []
+    add, sub, mul, neg = F.add_table, F.sub_table, F.mul_table, F.neg_table
+    two = F.from_int(2)
+    three = F.from_int(3)
+    six = F.from_int(6)
+    half = F.inv(two)
+    f0, f1c, f2c, f3c, f4c, _ = (list(f) + [0] * 6)[:6]
+    squares = [t for t in range(1, F.q) if F.is_square(t)]
+    elements = F.elements()
+    square = [mul[x][x] for x in elements]
+    cube = [mul[square[x]][x] for x in elements]
+    h0 = [add[cube[a0]][f0] for a0 in elements]
+    M2, M3, M6 = mul[two], mul[three], mul[six]
+    A1, A2 = add[f1c], add[f2c]
+    for a2 in squares:
+        b3 = F.sqrt(cube[a2])
+        nb3 = neg[b3]
+        Minv2b3 = mul[mul[F.inv(b3)][half]]
+        M3a2 = mul[M3[a2]]
+        M3a2sq = mul[M3[square[a2]]]
+        for a1 in elements:
+            a1sq = square[a1]
+            # f has unit quintic coefficient
+            b2 = Minv2b3[add[M3[mul[a1][square[a2]]]][1]]
+            M2b2 = mul[M2[b2]]
+            M3a1 = mul[M3[a1]]
+            M3a1sq = mul[M3[a1sq]]
+            M6a1a2 = mul[M6[mul[a1][a2]]]
+            # h4 - b2^2 = K4 + 3 a2^2 a0 and h3 = K3 + 6 a1 a2 a0
+            K4 = add[sub[add[M3[mul[a1sq][a2]]][f4c]][square[b2]]]
+            K3 = add[add[cube[a1]][f3c]]
+            for a0 in elements:
+                b1 = Minv2b3[K4[M3a2sq[a0]]]
+                b0 = Minv2b3[sub[K3[M6a1a2[a0]]][M2b2[b1]]]
+                if square[b0] != h0[a0]:
+                    continue
+                a0sq = square[a0]
+                h1 = A1[M3a1[a0sq]]
+                h2 = add[A2[M3a2[a0sq]]][M3a1sq[a0]]
+                if (h2 == add[square[b1]][M2b2[b0]]
+                        and h1 == M2[mul[b0][b1]]):
+                    out.append(Section((a0, a1, a2), (b0, b1, b2, b3)))
+                    out.append(Section((a0, a1, a2),
+                                       (neg[b0], neg[b1], neg[b2], nb3)))
+    return out
+
+
+# odd orders from 3 to 125, with characteristic 3 at 3, 9, 27 and 81
+SCAN_ORDERS = (3, 5, 7, 9, 13, 25, 27, 49, 81, 121, 125)
+
+
+@st.composite
+def monic_quintics(draw, q):
+    """(F, f, planted) over F_q: f a random monic quintic and planted None,
+    or f = b^2 - a^3 for a drawn section planted = (a, b)."""
+    F = _field(q)
+    el = st.integers(0, F.q - 1)
+    if draw(st.booleans()):
+        return F, [draw(el) for _ in range(5)] + [1], None
+    a2 = draw(st.sampled_from([t for t in range(1, F.q) if F.is_square(t)]))
+    a = [draw(el), draw(el), a2]
+    b3 = F.sqrt(F.mul(F.mul(a2, a2), a2))
+    # the x^5 coefficient 2 b3 b2 - 3 a2^2 a1 of b^2 - a^3 is 1
+    b2 = F.mul(F.add(1, F.mul(F.from_int(3), F.mul(F.mul(a2, a2), a[1]))),
+               F.inv(F.add(b3, b3)))
+    b = [draw(el), draw(el), b2, b3]
+    return F, psub(F, pmul(F, b, b), pmul(F, pmul(F, a, a), a)), \
+        Section(tuple(a), tuple(b))
+
+
+@pytest.mark.parametrize("q", SCAN_ORDERS)
+@settings(deadline=None, derandomize=True, max_examples=6)
+@given(data=st.data())
+def test_find_sections_matches_scan_oracle(q, data):
+    # the same list in the same order as the full scan
+    F, f, planted = data.draw(monic_quintics(q))
+    assert len(f) == 6 and f[5] == 1
+    found = find_sections(F, f)
+    assert found == _find_sections_by_scan(F, f)
+    assert planted is None or planted in found
+
+
 @st.composite
 def section_pairs(draw):
     """(F, s, t) with t = s - (A, B), where the differences A = a_s - a_t
