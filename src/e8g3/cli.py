@@ -38,7 +38,9 @@ def main(argv=None) -> int:
     p_verify.add_argument("--threads", type=_positive_int, default=1,
                           help="worker processes for several suites, "
                                "at most one per suite")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="accepted and ignored: reports do not "
+                               "depend on it")
     p_verify.add_argument("--fixture", metavar="PATH",
                           help="sections fixture file (overrides "
                                "E8G3_FIXTURES and the packaged default)")
@@ -49,6 +51,14 @@ def main(argv=None) -> int:
     p_enum.add_argument("--csv", metavar="PATH")
 
     args = parser.parse_args(argv)
+    out = args.json if args.command == "verify" else args.csv
+    if out:
+        # an unwritable output path is refused before any work is done
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            print(f"e8g3: error: cannot write output: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "verify":
         return cmd_verify(args)
@@ -69,7 +79,7 @@ def cmd_verify(args) -> int:
             print(f"e8g3: error: bad sections fixture: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-    jobs = [(name, args.seed, args.fixture) for name in names]
+    jobs = [(name, args.fixture) for name in names]
     reports = []
     ok = True
     # the reports come first, so the pool closes when they run out
@@ -113,10 +123,10 @@ def _run_job(job) -> dict:
     check with status `error`, so the other suites' results survive."""
     from .suites import run_suite
 
-    name, seed, fixture_path = job
+    name, fixture_path = job
     crash = Suite(name)  # times the run; reported only if it raises
     try:
-        return run_suite(name, seed=seed, fixture_path=fixture_path)
+        return run_suite(name, fixture_path=fixture_path)
     except Exception as exc:
         import traceback
         traceback.print_exc()
@@ -125,27 +135,20 @@ def _run_job(job) -> dict:
 
 
 def cmd_enumerate(args) -> int:
-    from .genus2 import Quintic, coeff_bound, discriminant, is_minimal
+    from .genus2 import discriminant, height_box, is_minimal
 
     if args.bound < 1:
         print("bound must be a positive integer", file=sys.stderr)
         return 2
-    a = args.bound
     rows = []
     count = 0
-    b12, b18, b24, b30 = (coeff_bound(a, i) for i in (12, 18, 24, 30))
-    for c12 in range(-b12, b12 + 1):
-        for c18 in range(-b18, b18 + 1):
-            for c24 in range(-b24, b24 + 1):
-                for c30 in range(-b30, b30 + 1):
-                    q = Quintic(c12, c18, c24, c30)
-                    d = discriminant(q)
-                    if d == 0:
-                        continue
-                    minimal = is_minimal(q)
-                    if minimal:
-                        count += 1
-                    rows.append((c12, c18, c24, c30, d, int(minimal)))
+    for q in height_box(args.bound):
+        d = discriminant(q)
+        if d == 0:
+            continue
+        minimal = is_minimal(q)
+        count += minimal
+        rows.append((*q.label(), d, int(minimal)))
     print(count)
     if args.csv:
         with open(args.csv, "w") as fh:

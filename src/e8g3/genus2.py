@@ -116,8 +116,9 @@ def coeff_bound(a: int, i: int) -> int:
     return c
 
 
-def enumerate_min(a: int):
-    """All minimal quintics of nonzero discriminant with Ht < a."""
+def height_box(a: int):
+    """Every quintic whose coefficients meet the bounds of Ht < a, in
+    lexicographic order of (c12, c18, c24, c30)."""
     if a < 1:
         raise ValueError("bound must be a positive integer")
     b12, b18, b24, b30 = (coeff_bound(a, i) for i in (12, 18, 24, 30))
@@ -125,9 +126,14 @@ def enumerate_min(a: int):
         for c18 in range(-b18, b18 + 1):
             for c24 in range(-b24, b24 + 1):
                 for c30 in range(-b30, b30 + 1):
-                    q = Quintic(c12, c18, c24, c30)
-                    if discriminant(q) != 0 and is_minimal(q):
-                        yield q
+                    yield Quintic(c12, c18, c24, c30)
+
+
+def enumerate_min(a: int):
+    """All minimal quintics of nonzero discriminant with Ht < a."""
+    for q in height_box(a):
+        if discriminant(q) != 0 and is_minimal(q):
+            yield q
 
 
 def enumerate_min_bruteforce(a: int):

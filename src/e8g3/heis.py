@@ -19,11 +19,6 @@ from .intlinalg import rref_mod
 from .rootsys import RootSystem, build_root_system
 
 
-def _sp_pair_exponents(rs: RootSystem):
-    lifts = [rs.lift(tuple(int(i == j) for j in range(4))) for i in range(4)]
-    return lifts, rs.class_gram()
-
-
 def symplectic_basis(rs: RootSystem):
     """Classes (e1, e2, f1, f2) with <e_i, f_j> = delta_ij and zero elsewhere.
 
@@ -31,7 +26,7 @@ def symplectic_basis(rs: RootSystem):
     4-tuples and M is the change-of-basis matrix (columns = new basis in
     SNF coordinates), verified to be symplectic for the standard form.
     """
-    lifts, gram = _sp_pair_exponents(rs)
+    gram = rs.class_gram()
     if len(rref_mod(gram, 4, 3)[1]) != 4:
         raise ValueError("pairing Gram has rank < 4; upstream construction bug")
 

@@ -171,23 +171,24 @@ def slice_report(alg: GradedAlgebra | None = None) -> dict:
     }
 
 
-def sampled_regularity(alg: GradedAlgebra, srep: dict, seed: int = 0,
-                       samples: int = 3) -> dict:
-    """Degree-0 centralizer dimension at random points of the affine slice;
-    ``srep`` is ``slice_report(alg)``."""
-    import random
+# coefficients of the four slice basis vectors at three witness points
+REGULARITY_WITNESSES = ((6, 1, 5, 6), (2, 5, 2, 1), (3, 1, 4, 6))
 
+
+def sampled_regularity(alg: GradedAlgebra, srep: dict) -> dict:
+    """Degree-0 centralizer dimension at the witness points of the affine
+    slice; ``srep`` is ``slice_report(alg)``.  Generic slice points are
+    regular, so one point of dimension 0 proves the claim."""
     E = srep["E"]
     basis = srep["slice_basis"]
-    rng = random.Random(f"{seed}:kostant")
     deg0 = [("c", a) for a in range(8)] + \
            [("r", i) for i in range(alg.n) if alg.degree[i] == 0]
     deg1 = [("r", i) for i in range(alg.n) if alg.degree[i] == 1]
     results = []
-    for _ in range(samples):
+    for coeffs in REGULARITY_WITNESSES:
         v = E
-        for b in basis:
-            v = v + b * Cyc(rng.randrange(1, 7))
+        for b, c in zip(basis, coeffs):
+            v = v + b * Cyc(c)
         images = [alg.bracket(_slot_vector(alg, s), v) for s in deg0]
         dense = _dense_rows(images, deg1)
         results.append(len(deg0) - rank(dense, len(deg1), field="cyc"))

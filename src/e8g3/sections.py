@@ -12,6 +12,7 @@ orbits with the 80 nonzero 3-torsion classes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .finitefield import (
@@ -173,13 +174,6 @@ def section_pairing(F: GF, s: Section, t: Section) -> int:
     return 1 - intersection_number(F, s, t)
 
 
-def twist_exponent_pairing(F: GF, s: Section, t: Section) -> int:
-    """Exponent of the central pairing via intersection counts with and
-    without one twist, reduced mod 3."""
-    return (section_pairing(F, s, t)
-            - section_pairing(F, twist_section(F, s), t)) % 3
-
-
 def section_class(F: GF, f, s: Section):
     """Mumford divisor of the section: u the monic part of a, v = b mod u."""
     u = pmonic(F, list(s.a))
@@ -194,39 +188,47 @@ def section_class_is_3torsion(F: GF, f, s: Section) -> bool:
     return cantor_add(F, f, D, D) == cantor_neg(F, D)
 
 
-def pairing_histogram(F: GF, sections) -> dict:
+def pairing_table(F: GF, sections) -> list:
+    """Height pairing of every two sections, each unordered pair computed
+    once: P[i][j] = section_pairing(sections[i], sections[j])."""
     n = len(sections)
-    rows = [dict() for _ in range(n)]
+    P = [[2] * n for _ in range(n)]
     for i in range(n):
-        rows[i][2] = rows[i].get(2, 0) + 1
+        s, row = sections[i], P[i]
         for j in range(i + 1, n):
-            p = section_pairing(F, sections[i], sections[j])
-            rows[i][p] = rows[i].get(p, 0) + 1
-            rows[j][p] = rows[j].get(p, 0) + 1
-    hist = {}
-    for row in rows:
-        key = tuple(sorted(row.items()))
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+            row[j] = P[j][i] = section_pairing(F, s, sections[j])
+    return P
+
+
+def twist_exponents(P, tau) -> list:
+    """Exponents e(s, t) = (P[s][t] - P[tau s][t]) mod 3 of the central
+    pairing for every pair, read off the pairing table; tau[i] is the index
+    of the twist of section i."""
+    return [[(a - b) % 3 for a, b in zip(P[i], P[tau[i]])]
+            for i in range(len(P))]
 
 
 E8_ROW = ((-2, 1), (-1, 56), (0, 126), (1, 56), (2, 1))
 
 
-def verify_section_fixture(F: GF, f, sections, seed: int = 0) -> dict:
-    """Count, closure, histogram, torsion, and class-fiber checks."""
+def verify_section_fixture(F: GF, f, sections) -> dict:
+    """Count, closure, histogram, torsion, and class-fiber checks, and the
+    twist exponents on every pair; one pairing table serves the histogram
+    and the exponents."""
     out = {}
     out["count"] = len(sections)
-    keyset = {s.key() for s in sections}
-    out["closed_under_flip"] = all(neg_section(F, s).key() in keyset
+    index = {s.key(): i for i, s in enumerate(sections)}
+    out["closed_under_flip"] = all(neg_section(F, s).key() in index
                                    for s in sections)
+    twists = None
     if F.zeta3() is not None:
-        out["closed_under_twist"] = all(twist_section(F, s).key() in keyset
-                                        for s in sections)
-        out["twist_free"] = all(twist_section(F, s).key() != s.key()
-                                for s in sections)
-    hist = pairing_histogram(F, sections)
-    out["histogram"] = hist
+        twists = [twist_section(F, s) for s in sections]
+        out["closed_under_twist"] = all(t.key() in index for t in twists)
+        out["twist_free"] = all(t.key() != s.key()
+                                for s, t in zip(sections, twists))
+    P = pairing_table(F, sections)
+    hist = Counter(tuple(sorted(Counter(row).items())) for row in P)
+    out["histogram"] = dict(hist)
     out["histogram_ok"] = hist == {E8_ROW: 240}
     out["torsion_ok"] = all(section_class_is_3torsion(F, f, s)
                             for s in sections)
@@ -237,32 +239,24 @@ def verify_section_fixture(F: GF, f, sections, seed: int = 0) -> dict:
     out["class_count"] = len(nonzero)
     out["classes_ok"] = (len(nonzero) == 80
                          and all(len(v) == 3 for v in nonzero.values()))
-    if F.zeta3() is not None:
-        fibers_ok = True
-        for s in sections:
-            t = twist_section(F, s)
-            if section_class(F, f, s) != section_class(F, f, t):
-                fibers_ok = False
-        out["twist_fibers_match_classes"] = fibers_ok
+    if twists is not None:
+        out["twist_fibers_match_classes"] = all(
+            section_class(F, f, s) == section_class(F, f, t)
+            for s, t in zip(sections, twists))
     # no section may pass through a fibre cusp (needed for the local
     # intersection formula): a and b never vanish together
     out["cusp_avoidance_ok"] = all(
         len(pgcd(F, s.a, s.b)) <= 1 for s in sections)
-    import random
-    rng = random.Random(f"{seed}:twistpairing")
-    alt_ok = True
-    inv_ok = True
-    idxs = [rng.randrange(len(sections)) for _ in range(30)] if sections else []
-    for i in idxs:
-        for j in idxs[:8]:
-            s, t = sections[i], sections[j]
-            e1 = twist_exponent_pairing(F, s, t)
-            e2 = twist_exponent_pairing(F, t, s)
-            if (e1 + e2) % 3:
-                alt_ok = False
-            ts, tt = twist_section(F, s), twist_section(F, t)
-            if twist_exponent_pairing(F, ts, tt) != e1:
-                inv_ok = False
+    # e(s, t) + e(t, s) = 0 and e(tau s, tau t) = e(s, t) on all pairs; the
+    # exponents need the twist of every section in the list
+    alt_ok = inv_ok = False
+    if twists is not None and out["closed_under_twist"]:
+        tau = [index[t.key()] for t in twists]
+        E = twist_exponents(P, tau)
+        alt_ok = all((a + b) % 3 == 0 for row, col in zip(E, zip(*E))
+                     for a, b in zip(row, col))
+        inv_ok = all([E[tau[i]][j] for j in tau] == row
+                     for i, row in enumerate(E))
     out["twist_exponent_alternating"] = alt_ok
     out["twist_exponent_invariant"] = inv_ok
     out["ok"] = all(v for k, v in out.items()

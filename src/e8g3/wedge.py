@@ -55,10 +55,6 @@ def _act(A, v):
     return out
 
 
-act3 = _act
-act6 = _act
-
-
 def wedge33(u, v):
     """Wedge of two degree-3 vectors into the degree-6 basis."""
     out = {}
@@ -182,7 +178,7 @@ def kostant_slice_report():
     F = {t: c for t, c in zip(cand, sol) if c}
 
     # sl2 relations
-    XF = act6(X, F)
+    XF = _act(X, F)
     if not _mat_eq(bracket36(E, F), X) or any(
             XF.get(t, Fraction(0)) != -2 * F.get(t, Fraction(0))
             for t in set(XF) | set(F)):
@@ -211,7 +207,7 @@ def kostant_slice_report():
     zero = Fraction(0)
     rowsA = []
     for A in sl9_basis():
-        img = act3(A, E)
+        img = _act(A, E)
         rowsA.append([-img[t] if t in img else zero for t in W3])
     rowsB = []
     for t in W3:

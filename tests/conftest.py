@@ -20,20 +20,20 @@ import pytest
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # fixtures backed by one fresh `verify all` run each, with these
-# `--threads` values; criterion 10 compares the two
-RUN_FIXTURES = {"report": "1", "report_again": "2"}
+# `--threads` and `--seed` values; criterion 10 compares the two
+RUN_FIXTURES = {"report": ("1", "0"), "report_again": ("2", "1")}
 _RUNS = pytest.StashKey()
 
 
 class VerifyAll:
     """`python -m e8g3 verify all --json` running in a fresh process."""
 
-    def __init__(self, workdir: str, threads: str):
+    def __init__(self, workdir: str, threads: str, seed: str):
         self.path = os.path.join(workdir, "report.json")
         self.log = open(os.path.join(workdir, "stdout.txt"), "w+")
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "e8g3", "verify", "all",
-             "--threads", threads, "--json", self.path],
+             "--threads", threads, "--seed", seed, "--json", self.path],
             cwd=PKG_ROOT, stdout=self.log, stderr=subprocess.STDOUT)
 
     def text(self) -> str:
@@ -61,7 +61,7 @@ def pytest_collection_finish(session):
         for name in names:
             os.mkdir(os.path.join(tmp.name, name))
             runs[name] = VerifyAll(os.path.join(tmp.name, name),
-                                   RUN_FIXTURES[name])
+                                   *RUN_FIXTURES[name])
         session.config.stash[_RUNS] = (tmp, runs)
 
 
@@ -99,5 +99,5 @@ def report(pytestconfig):
 @pytest.fixture(scope="session")
 def report_again(pytestconfig):
     """Text of a second `verify all` report, from another fresh process
-    with `--threads 2`."""
+    with `--threads 2 --seed 1`."""
     return pytestconfig.stash[_RUNS][1]["report_again"].text()

@@ -144,5 +144,5 @@ def test_criterion_9_sp4_density(report):
 def test_criterion_10_determinism(report, report_again):
     again = strip_volatile(report_again)
     verdict(10, again == strip_volatile(report.text) and len(again) > 1000,
-            "verify all in two fresh processes, --threads 1 and --threads "
-            "2: byte-identical reports modulo wall time")
+            "verify all in two fresh processes, --threads 1 --seed 0 and "
+            "--threads 2 --seed 1: byte-identical reports modulo wall time")

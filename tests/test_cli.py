@@ -80,10 +80,10 @@ def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
     from e8g3 import suites
     from e8g3.report import Suite
 
-    def boom(seed):
+    def boom():
         raise RuntimeError("table missing")
 
-    def fine(seed):
+    def fine():
         s = Suite("fine")
         s.check("one", True)
         s._digest = "d"
@@ -130,7 +130,7 @@ def test_pool_has_at_most_one_worker_per_suite(monkeypatch, capsys):
         def imap(self, fn, jobs):
             return map(fn, jobs)
 
-    def fine(seed):
+    def fine():
         s = Suite("fine")
         s.check("one", True)
         s._digest = "d"
@@ -214,6 +214,25 @@ def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "fixture" in err
+
+
+@pytest.mark.parametrize("path", ["missing_dir", "directory"])
+@pytest.mark.parametrize("argv", [["verify", "rootsys", "--json"],
+                                  ["enumerate", "2", "--csv"]],
+                         ids=["verify_json", "enumerate_csv"])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys,
+                                                   monkeypatch, argv, path):
+    from e8g3 import genus2, suites
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the path was refused")
+    monkeypatch.setattr(suites, "run_suite", no_work)
+    monkeypatch.setattr(genus2, "height_box", no_work)
+    target = tmp_path / "absent" / "out" if path == "missing_dir" else tmp_path
+    assert main(argv + [str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "cannot write" in err
 
 
 def test_optimized_interpreter_gives_same_report(tmp_path, report):

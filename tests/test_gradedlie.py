@@ -290,7 +290,7 @@ def test_heis_action_alternating_diagonal(alg):
 def test_killing_form(alg, report):
     assert report.passed("gradedlie", "killing_form")
     kg = killing_gram(alg)
-    assert kg["zero_samples"] > 150
+    assert kg["kind2_opposite"]
     # cartan block is 60 times the basis Gram
     assert kg["cartan_block"] == [[60 * alg.rs.gram[a][b] for b in range(8)]
                                   for a in range(8)]

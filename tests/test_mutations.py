@@ -8,12 +8,12 @@ from functools import lru_cache
 
 import pytest
 
-from e8g3 import (cuspdata, finitefield, heis, kostant, rootsys, sections,
-                  sp4, suites)
+from e8g3 import (cuspdata, finitefield, gradedlie, heis, kostant, rootsys,
+                  sections, sp4, suites)
 from e8g3.cyclotomic import Cyc
 from e8g3.finitefield import GF
 from e8g3.gradedlie import (GradedAlgebra, LieElement, _out_additive,
-                            get_algebra)
+                            get_algebra, killing_gram)
 from e8g3.rootsys import build_root_system
 
 
@@ -226,6 +226,35 @@ def _torsion_against_d(monkeypatch):
         lambda src: src.replace("cantor_neg(F, D)", "D")))
 
 
+def _kind2_off_opposite(monkeypatch):
+    # a fresh table whose cartan-valued bracket of root 0 and its opposite
+    # moves to a pair (0, j) that has no bracket
+    fresh = GradedAlgebra()
+    row = fresh.kind[0]
+    j = row.index(0)
+    row[fresh.negidx[0]], row[j] = 0, 2
+    fresh.nbr[0] = tuple(k for k in range(fresh.n) if row[k])
+    monkeypatch.setattr(gradedlie, "_ALGEBRA", fresh)
+
+
+def _killing_zero_pattern():
+    # killing_form's zero-pattern part: kind2_opposite and out_additive
+    alg = get_algebra()
+    return killing_gram(alg)["kind2_opposite"] and _out_additive(alg)
+
+
+def _fixture_twist_exponents():
+    rep = sections.verify_section_fixture(*_section_fixture())
+    return (rep["twist_exponent_alternating"]
+            and rep["twist_exponent_invariant"])
+
+
+def _twist_exponent_plus(monkeypatch):
+    # P[s][t] + P[tau s][t] in place of P[s][t] - P[tau s][t]
+    monkeypatch.setattr(sections, "twist_exponents", _mutant(
+        sections.twist_exponents, lambda src: src.replace("a - b", "a + b")))
+
+
 MUTATIONS = [
     # heis/rep_homomorphism: one product off by a central element
     ("heis_rep_homomorphism", _shift_one_product,
@@ -298,6 +327,14 @@ MUTATIONS = [
     # sections/fixture_torsion: 2 D = D holds only for D = 0
     ("sections_fixture_torsion", _torsion_against_d, _fixture_torsion,
      None),
+    # gradedlie/killing_form: a cartan-valued bracket off its opposite pair
+    # breaks the zero pattern of the Killing form
+    ("gradedlie_killing_zero_pattern", _kind2_off_opposite,
+     _killing_zero_pattern, None),
+    # sections/fixture_twist_exponents: the sum of the two pairings is not
+    # an alternating form
+    ("sections_fixture_twist_exponents", _twist_exponent_plus,
+     _fixture_twist_exponents, None),
 ]
 
 

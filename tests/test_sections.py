@@ -19,9 +19,11 @@ from e8g3.sections import (
     intersection_number,
     load_default_fixture,
     neg_section,
+    pairing_table,
     section_class,
     section_class_is_3torsion,
     section_pairing,
+    twist_exponents,
     twist_section,
 )
 
@@ -328,6 +330,40 @@ def test_twist_orbit_shares_class(small):
     for s in secs:
         assert section_class(F, f, s) == \
             section_class(F, f, twist_section(F, s))
+
+
+def twist_exponent_pairing(F, s, t):
+    """Oracle: exponent of the central pairing via intersection counts with
+    and without one twist, reduced mod 3."""
+    return (section_pairing(F, s, t)
+            - section_pairing(F, twist_section(F, s), t)) % 3
+
+
+def _table_exponents(F, secs):
+    P = pairing_table(F, secs)
+    index = {s.key(): i for i, s in enumerate(secs)}
+    tau = [index[twist_section(F, s).key()] for s in secs]
+    return P, twist_exponents(P, tau)
+
+
+def test_pairing_table_and_exponents_match_oracle(small):
+    F, f, secs = small
+    P, E = _table_exponents(F, secs)
+    for i, s in enumerate(secs):
+        for j, t in enumerate(secs):
+            assert P[i][j] == section_pairing(F, s, t)
+            assert E[i][j] == twist_exponent_pairing(F, s, t)
+
+
+def test_fixture_exponents_match_oracle(report):
+    # the table-derived exponents of the first eight sections against
+    # every section, as the sections suite reads them
+    q, coeffs, secs, _ = load_default_fixture()
+    F = GF(q)
+    P, E = _table_exponents(F, secs)
+    for i, s in enumerate(secs[:8]):
+        assert E[i] == [twist_exponent_pairing(F, s, t) for t in secs]
+    assert report.passed("sections", "fixture_twist_exponents")
 
 
 def test_default_fixture_complete(report):
