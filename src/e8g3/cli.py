@@ -4,6 +4,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .report import Suite, dump_report
@@ -51,9 +52,15 @@ def main(argv=None) -> int:
     p_enum.add_argument("--csv", metavar="PATH")
 
     args = parser.parse_args(argv)
+    if args.command == "enumerate" and args.bound < 1:
+        print(f"e8g3: error: bound must be a positive integer, got "
+              f"{args.bound}", file=sys.stderr)
+        return 2
     out = args.json if args.command == "verify" else args.csv
+    created = False
     if out:
         # an unwritable output path is refused before any work is done
+        created = not os.path.exists(out)
         try:
             open(out, "a").close()
         except OSError as exc:
@@ -61,8 +68,13 @@ def main(argv=None) -> int:
             return 2
 
     if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_enumerate(args)
+        code = cmd_verify(args)
+    else:
+        code = cmd_enumerate(args)
+    if code == 2 and created:
+        # a usage error writes nothing, so the probe file goes again
+        os.remove(out)
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -137,9 +149,6 @@ def _run_job(job) -> dict:
 def cmd_enumerate(args) -> int:
     from .genus2 import discriminant, height_box, is_minimal
 
-    if args.bound < 1:
-        print("bound must be a positive integer", file=sys.stderr)
-        return 2
     rows = []
     count = 0
     for q in height_box(args.bound):

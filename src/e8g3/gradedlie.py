@@ -17,6 +17,7 @@ the whole multiplication table is stored as small-integer codes.
 from __future__ import annotations
 
 import hashlib
+from operator import getitem
 
 from .cyclotomic import Cyc
 from .heis import (CODE_EXPO, CODE_ROW, HeisElement, HeisenbergModel, Mono,
@@ -241,6 +242,26 @@ class GradedAlgebra:
             out = LieElement(cart, roots)
         return out
 
+    def is_theta_eigenvector(self, x: LieElement, k: int) -> bool:
+        """Whether theta(x) = w^k x, compared on integer w-pairs: each root
+        coordinate m is w^k times coordinate windex[m], and rs.w carries
+        the cartan part to w^k times itself."""
+        roots, w = x.roots, self.windex
+        for m, v in roots.items():
+            u = roots.get(w[m])
+            if u is None or (v.a, v.b) != _pair_mul_zeta(u.a, u.b, k):
+                return False
+        if x.cartan:
+            W = self.rs.w
+            for b in range(8):
+                # coordinate b of theta(x), against w^k times that of x
+                u = sum(W[b][a] * c.a for a, c in x.cartan.items())
+                v = sum(W[b][a] * c.b for a, c in x.cartan.items())
+                c = x.cartan.get(b)
+                if (u, v) != (_pair_mul_zeta(c.a, c.b, k) if c else (0, 0)):
+                    return False
+        return True
+
     def graded_basis(self):
         """Bases of the three eigenspaces of the symmetry, dims (80, 84, 84)."""
         rs = self.rs
@@ -262,6 +283,20 @@ class GradedAlgebra:
         if dims != [80, 84, 84]:
             raise AssertionError(f"graded dimensions {dims}")
         return spaces
+
+    def check_bracket_containment(self, spaces):
+        """[h(1), h(1)] in h(2) and [h(1), h(2)] in h(0): the bracket of the
+        a-th basis vector of degree i and the b-th of degree j is a
+        theta-eigenvector of eigenvalue w^(i + j), for all basis pairs.
+        Returns the failing (i, j, a, b)."""
+        bad = []
+        for i, j in ((1, 1), (1, 2)):
+            for a, x in enumerate(spaces[i]):
+                for b, y in enumerate(spaces[j]):
+                    if not self.is_theta_eigenvector(self.bracket(x, y),
+                                                     i + j):
+                        bad.append((i, j, a, b))
+        return bad
 
     # -- representation -----------------------------------------------------
 
@@ -320,23 +355,42 @@ class GradedAlgebra:
         return bad
 
     def check_lambda_twists(self):
-        """The class-twist maps X_r -> <lam, cls(r)> X_r preserve the table."""
-        # per nonzero bracket [X_i, X_j], in the order of nbr[i]: the index
-        # of X_i + X_j for a root result, else -1, which reads the exponent
-        # 0 appended below
-        targets = [tuple(self.out[i][j] if self.kind[i][j] == 1 else -1
-                         for j in self.nbr[i]) for i in range(self.n)]
+        """The class-twist maps X_r -> w^<lam, cls(r)> X_r preserve the
+        table, for each of the 80 nonzero classes lam.  Returns the
+        (k, i, j) where the twist by the k-th class breaks [X_i, X_j].
+
+        Root i carries its exponents e_k(i) = <lam_k, cls(i)> as the base-8
+        digits of E[i] (digit k for the k-th class), and 2 - e_k(i) as those
+        of C[i]; a cartan-valued bracket reads target -1, where every
+        exponent is 0.  The bracket [X_i, X_j] with target t keeps the k-th
+        twist when e_k(i) + e_k(j) = e_k(t) mod 3, that is when digit k of
+        E[i] + E[j] + C[t] (at most 6, so no carries) is 2 or 5; XOR with
+        the digits 2 turns those into 0 and 7, and every other digit into
+        one that is neither.
+        """
+        digits = {}
+        for c in self.cls:
+            if c not in digits:
+                exps = [commutator_exponent(self._nonzero_class(k), c)
+                        for k in range(80)]
+                digits[c] = (sum(e << 3 * k for k, e in enumerate(exps)),
+                             sum((2 - e) << 3 * k
+                                 for k, e in enumerate(exps)))
+        E = [digits[c][0] for c in self.cls]
+        C = [digits[c][1] for c in self.cls]
+        twos = sum(2 << 3 * k for k in range(80))
+        ones = twos >> 1
+        C.append(twos)
         bad = []
-        for k in range(80):
-            lam_cls = self._nonzero_class(k)
-            sp = [commutator_exponent(lam_cls, c) for c in self.cls]
-            sp.append(0)
-            for i, row in enumerate(targets):
-                ei = sp[i]
-                for j, t in zip(self.nbr[i], row):
-                    if (ei + sp[j]) % 3 != sp[t]:
-                        bad.append((k, i, j))
-        return bad
+        for i in range(self.n):
+            kind_i, out_i, e_i = self.kind[i], self.out[i], E[i]
+            for j in self.nbr[i]:
+                t = out_i[j] if kind_i[j] == 1 else -1
+                x = (e_i + E[j] + C[t]) ^ twos
+                if x != (x & ones) * 7:
+                    bad.extend((k, i, j) for k in range(80)
+                               if (x >> 3 * k) & 7 not in (0, 7))
+        return sorted(bad)
 
     def _nonzero_class(self, k):
         orb = self.rs.orbits[k]
@@ -395,81 +449,98 @@ def _class_groups(alg: GradedAlgebra):
     return [(members, alg.rho(members[0])) for members in groups.values()]
 
 
-def _z_vector(alg: GradedAlgebra, a: int) -> LieElement:
-    """Z_a = X_a + X_wa + X_w^2a, which depends only on the orbit of a."""
-    w = alg.windex
-    return LieElement(roots={a: Cyc(1), w[a]: Cyc(1), w[w[a]]: Cyc(1)})
+def _z_bracket_coefficients(alg: GradedAlgebra, oa: int, ob: int):
+    """Coefficient of each Z vector in [Z_a, Z_b], as orbit index -> integer
+    w-pair, for a in orbit oa and b in orbit ob.
 
-
-def _orbit_coefficients(alg: GradedAlgebra, z: LieElement):
-    """Coefficient of each Z vector in z, as orbit index -> Cyc.
-
-    z must lie in the span of the Z vectors: no cartan part and root
-    coefficients constant on every orbit; anything else signals a table
-    bug and raises.
+    Z_a = X_a + X_wa + X_w^2a, so the bracket is the sum of the nine table
+    entries between the two orbits.  It must lie in the span of the Z
+    vectors: no cartan part and root coefficients constant on every orbit;
+    anything else signals a table bug and raises.
     """
-    if z.cartan:
+    orbits = alg.rs.orbits
+    roots = {}
+    cartan = None
+    for i in orbits[oa]:
+        kind_i, out_i, scl_i = alg.kind[i], alg.out[i], alg.scl[i]
+        for j in orbits[ob]:
+            k = kind_i[j]
+            if k == 1:
+                _accumulate(roots, out_i[j], *_PAIR[scl_i[j]])
+            elif k:
+                cartan = _addc(cartan, alg.cr[i], *_PAIR[scl_i[j]])
+    if cartan is not None and any(x or y for x, y in cartan):
         raise AssertionError(
             "cartan residue in a bracket of symmetrized vectors")
     coeffs = {}
-    for t, v in z.roots.items():
+    for t, v in roots.items():
         o = alg.rs.orbit_of[t]
-        if o in coeffs:
+        if o in coeffs or not (v[0] or v[1]):
             continue
-        if any(z.roots.get(m) != v for m in alg.rs.orbits[o]):
+        if any(roots.get(m) != v for m in orbits[o]):
             raise AssertionError("coefficients not orbit-constant")
         coeffs[o] = v
     return coeffs
 
 
-def _mono_combination(terms):
-    """Sum of c * m over the (c, m) in terms, c an integer w-pair and m a
-    monomial matrix, as a flat tuple: the w-pair at (row, col) is entries
-    18 * row + 2 * col and the next."""
-    acc = [0] * 162
-    for (x, y), mono in terms:
-        rot = [_pair_mul_zeta(x, y, e) for e in range(3)]
-        for col, c in enumerate(mono.codes):
-            xx, yy = rot[CODE_EXPO[c]]
-            k = 18 * CODE_ROW[c] + 2 * col
-            acc[k] += xx
-            acc[k + 1] += yy
-    return tuple(acc)
+# A 9x9 matrix of w-pairs packs to the integer sum of u * B**(2 p) +
+# v * B**(2 p + 1) over its entries (u, v) at p = 9 * row + col, with
+# B = 2**8.  pack is linear, and one-to-one on matrices whose components
+# lie below 2**7 in absolute value (balanced digits).  The rho' sweep packs
+# 1 + 2w times a difference of two monomials (components at most 4) and
+# sums of 3 c rho(o) over orbits o, where the coefficients c of one bracket
+# [Z_a, Z_b] are sums of its at most nine unit structure constants; their
+# components add up to at most 18, so no packed component exceeds 54.
+
+def _pack_entry(x, y, code, col):
+    """Pack of (x + y w) times the monomial column of code `code` placed at
+    column col."""
+    u, v = _pair_mul_zeta(x, y, CODE_EXPO[code])
+    return (u + (v << 8)) << (16 * (9 * CODE_ROW[code] + col))
 
 
 def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
     """Exact check of bracket preservation on all 240 x 240 pairs.
 
-    The right-hand side depends only on the classes of the two roots, so
-    it is built once per pair of classes and compared with the bracket of
-    every root pair in them.  The bracket [Z_a, Z_b] depends only on the
-    orbits of a and b; it is taken once per orbit pair met in a class pair,
-    through the generic bracket.
+    Both sides are packed integer w-pair matrices.  The right-hand side
+    depends only on the classes of the two roots, and the left-hand side
+    rho'([Z_a, Z_b]) only on their orbits, read from the table.  So each
+    (class pair, orbit pair) gets one comparison, which stands for all of
+    its root pairs.  On the algebra the orbits are exactly the class groups
+    (rootsys/orbit_class_bijection): 6,400 comparisons of 9 root pairs
+    each.  Every failing root pair is listed, in sweep order.
     """
     alg = alg or get_algebra()
+    # kappa[col][c]: 3 kappa = 1 + 2w times the column of code c at col, so
+    # that the pack of 3 kappa m sums kappa over the columns of m
+    kappa = [[_pack_entry(1, 2, c, col) for c in range(27)]
+             for col in range(9)]
+    # the packs of rho(o) and of w rho(o), per orbit o
+    orbit_packs = [[sum(_pack_entry(x, y, c, col)
+                        for col, c in enumerate(alg.rho(orb[0]).codes))
+                    for x, y in ((1, 0), (0, 1))] for orb in alg.rs.orbits]
     orbit_of = alg.rs.orbit_of
-    orbit_monos = [alg.rho(orb[0]) for orb in alg.rs.orbits]
-    orbit_zs = [_z_vector(alg, orb[0]) for orb in alg.rs.orbits]
     mismatches = []
     pairs = 0
-    groups = _class_groups(alg)
-    for roots_a, ma in groups:
-        for roots_b, mb in groups:
+    groups = [(members, tuple(dict.fromkeys(orbit_of[r] for r in members)),
+               m) for members, m in _class_groups(alg)]
+    for roots_a, orbits_a, ma in groups:
+        for roots_b, orbits_b, mb in groups:
+            pairs += len(roots_a) * len(roots_b)
             # 3 kappa [rho a, rho b] with 3 kappa = 1 + 2w, against
             # 3 rho'([Z_a, Z_b]) / kappa
-            rhs = _mono_combination([((1, 2), ma * mb), ((-1, -2), mb * ma)])
-            lhs = {}
-            for a in roots_a:
-                for b in roots_b:
-                    pairs += 1
-                    key = (orbit_of[a], orbit_of[b])
-                    if key not in lhs:
-                        z = alg.bracket(orbit_zs[key[0]], orbit_zs[key[1]])
-                        lhs[key] = _mono_combination(
-                            ((3 * v.a, 3 * v.b), orbit_monos[o])
-                            for o, v in _orbit_coefficients(alg, z).items())
-                    if lhs[key] != rhs:
-                        mismatches.append((a, b))
+            rhs = (sum(map(getitem, kappa, (ma * mb).codes))
+                   - sum(map(getitem, kappa, (mb * ma).codes)))
+            bad = {}
+            for key in ((oa, ob) for oa in orbits_a for ob in orbits_b):
+                lhs = sum(3 * (x * orbit_packs[o][0] + y * orbit_packs[o][1])
+                          for o, (x, y)
+                          in _z_bracket_coefficients(alg, *key).items())
+                bad[key] = lhs != rhs
+            if any(bad.values()):
+                mismatches.extend(
+                    (a, b) for a in roots_a for b in roots_b
+                    if bad[orbit_of[a], orbit_of[b]])
     return {"pairs": pairs, "mismatches": mismatches}
 
 

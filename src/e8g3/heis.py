@@ -89,12 +89,8 @@ class HeisElement(tuple):
         return self[1]
 
     def __mul__(self, other):
-        # both factors are reduced, so the product is built reduced
-        k1, v1 = self
-        k2, v2 = other
-        return tuple.__new__(HeisElement, (
-            (k1 + k2 + cocycle(v1, v2)) % 3,
-            tuple([(a + b) % 3 for a, b in zip(v1, v2)])))
+        return code_element(code_product(element_code(self),
+                                         element_code(other)))
 
     def inverse(self):
         k, v = self
@@ -106,8 +102,50 @@ IDENTITY = HeisElement(0, (0, 0, 0, 0))
 
 
 def all_elements():
+    """The 243 elements; the element of code c is at index c."""
     return [HeisElement(k, v)
             for k in range(3) for v in product(range(3), repeat=4)]
+
+
+# An element (k, v) is coded 81 * k + v, with v in range(81) the base-3
+# code of its class, first coordinate most significant.
+
+def _class_code(v) -> int:
+    a, b, c, d = v
+    return 27 * a + 9 * b + 3 * c + d
+
+
+def element_code(h: HeisElement) -> int:
+    return 81 * h[0] + _class_code(h[1])
+
+
+def code_element(g: int) -> HeisElement:
+    k, v = divmod(g, 81)
+    a, v = divmod(v, 27)
+    b, v = divmod(v, 9)
+    c, d = divmod(v, 3)
+    return tuple.__new__(HeisElement, (k, (a, b, c, d)))
+
+
+# _LAW[81 * v + u] = 81 * cocycle(v, u) + code of v + u, for class codes
+# v and u; built on the first product
+_LAW = None
+
+
+def _build_law():
+    global _LAW
+    classes = [code_element(v).cls for v in range(81)]
+    _LAW = bytes(81 * cocycle(v, u)
+                 + _class_code([(x + y) % 3 for x, y in zip(v, u)])
+                 for v in classes for u in classes)
+    return _LAW
+
+
+def code_product(g: int, h: int) -> int:
+    """Code of the product of the elements coded g and h: the centres add
+    with the cocycle of the classes, and the classes add."""
+    v, u = g % 81, h % 81
+    return (g - v + h - u + (_LAW or _build_law())[81 * v + u]) % 243
 
 
 def commutator_exponent(v, u) -> int:

@@ -235,6 +235,29 @@ def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys,
     assert len(err.splitlines()) == 1 and "cannot write" in err
 
 
+@pytest.mark.parametrize("existed", [False, True],
+                         ids=["new_path", "existing_file"])
+@pytest.mark.parametrize("case", ["enumerate_bound", "verify_fixture"])
+def test_usage_error_leaves_output_path_as_it_was(tmp_path, capsys, case,
+                                                  existed):
+    target = tmp_path / "out"
+    if existed:
+        target.write_bytes(b"earlier,bytes\n")
+    if case == "enumerate_bound":
+        argv = ["enumerate", "0", "--csv", str(target)]
+    else:
+        argv = ["verify", "sections", "--fixture",
+                _bad_fixture(tmp_path, "bad_json"), "--json", str(target)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("e8g3: error: ")
+    if existed:
+        assert target.read_bytes() == b"earlier,bytes\n"
+    else:
+        assert not target.exists()
+
+
 def test_optimized_interpreter_gives_same_report(tmp_path, report):
     for suite in ("rootsys", "cusp", "sections"):
         path = tmp_path / f"{suite}.json"

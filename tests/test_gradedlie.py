@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3.cyclotomic import Cyc
-from e8g3.gradedlie import (GradedAlgebra, LieElement, code_pair, get_algebra,
+from e8g3.gradedlie import (GradedAlgebra, LieElement, _pair_mul_zeta,
+                            _z_bracket_coefficients, code_pair, get_algebra,
                             killing_gram, verify_heis_action_match,
                             verify_rho_prime_homomorphism,
                             z_supports_partition)
-from e8g3.heis import IDENTITY, HeisElement, svn_rep
+from e8g3.heis import IDENTITY, HeisElement, commutator_exponent, svn_rep
 
 KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
 
@@ -184,6 +185,38 @@ def test_grading_bracket_containment(alg):
                 assert alg.theta(out) == out * Cyc.zeta(i + j)
 
 
+def test_theta_eigenvector_matches_cyc_form(alg):
+    # the w-pair test of graded_bracket_containment against theta and
+    # Cyc.zeta, on every basis pair the check sweeps
+    spaces = alg.graded_basis()
+    swept = 0
+    bent = {}
+    for i, j in ((1, 1), (1, 2)):
+        for x in spaces[i]:
+            for y in spaces[j]:
+                out = alg.bracket(x, y)
+                swept += 1
+                k = (i + j) % 3
+                assert alg.is_theta_eigenvector(out, k) == (
+                    alg.theta(out) == out * Cyc.zeta(k))
+                # one root coordinate, or one cartan coordinate, moved by w
+                for part in ("roots", "cartan"):
+                    coords = dict(getattr(out, part))
+                    if coords and part not in bent:
+                        m = next(iter(coords))
+                        coords[m] = coords[m] * Cyc.zeta(1)
+                        parts = {"cartan": out.cartan, "roots": out.roots,
+                                 part: coords}
+                        bent[part] = (LieElement(**parts), k)
+    assert swept == 84 * 84 * 2
+    assert alg.check_bracket_containment(spaces) == []
+    # a perturbed output: both forms reject it
+    assert set(bent) == {"roots", "cartan"}
+    for z, k in bent.values():
+        assert alg.theta(z) != z * Cyc.zeta(k)
+        assert not alg.is_theta_eigenvector(z, k)
+
+
 def test_z_elements(alg):
     for i in (0, 30, 100):
         z = z_element(alg, i)
@@ -220,6 +253,34 @@ def test_rho_prime_well_defined_and_traceless(alg, report):
         rho_prime(alg, alg.x(5))  # not orbit-constant
 
 
+def _lambda_twist_violations_by_class(alg):
+    """check_lambda_twists one class at a time, on lists of exponents."""
+    bad = []
+    for k, orb in enumerate(alg.rs.orbits):
+        sp = [commutator_exponent(alg.cls[orb[0]], c) for c in alg.cls]
+        sp.append(0)  # the exponent of a cartan-valued bracket (target -1)
+        for i in range(alg.n):
+            for j in alg.nbr[i]:
+                t = alg.out[i][j] if alg.kind[i][j] == 1 else -1
+                if (sp[i] + sp[j]) % 3 != sp[t]:
+                    bad.append((k, i, j))
+    return bad
+
+
+@pytest.mark.parametrize("redirected", [False, True],
+                         ids=["algebra", "redirected"])
+def test_lambda_twists_match_per_class_oracle(alg, redirected):
+    table = alg
+    if redirected:
+        # [X_0, X_j] and [X_j, X_0] land on the negative of root 0 + root j
+        table = GradedAlgebra(alg.model)
+        j = next(j for j in table.nbr[0] if table.kind[0][j] == 1)
+        table.out[0][j] = table.out[j][0] = table.negidx[table.out[0][j]]
+    got = table.check_lambda_twists()
+    assert got == _lambda_twist_violations_by_class(table)
+    assert bool(got) == redirected
+
+
 def test_rho_prime_homomorphism_all_pairs(report):
     assert report.passed("gradedlie", "rho_prime_homomorphism")
     detail = report.check("gradedlie", "rho_prime_homomorphism")["detail"]
@@ -251,12 +312,18 @@ def test_rho_sweeps_clean_on_real_algebra(alg):
                                                   "mismatches": []}
 
 
-def test_wrong_class_fails_rho_sweeps(alg):
-    # negative control for gradedlie/heis_action_match and
-    # gradedlie/rho_prime_homomorphism: root 0 takes the class of -root 0
+def _wrong_class_algebra(alg):
+    """A table whose root 0 takes the class of -root 0."""
     fresh = GradedAlgebra(alg.model)
     fresh.cls[0] = fresh.cls[fresh.negidx[0]]
     assert fresh.cls[0] != alg.cls[0]
+    return fresh
+
+
+def test_wrong_class_fails_rho_sweeps(alg):
+    # negative control for gradedlie/heis_action_match and
+    # gradedlie/rho_prime_homomorphism: root 0 takes the class of -root 0
+    fresh = _wrong_class_algebra(alg)
     act = verify_heis_action_match(fresh)
     hom = verify_rho_prime_homomorphism(fresh)
     assert act["pairs"] == hom["pairs"] == 240 * 240
@@ -264,6 +331,82 @@ def test_wrong_class_fails_rho_sweeps(alg):
     # the lattice side is untouched, so only pairs with root 0 disagree
     assert all(0 in m[:2] for m in act["mismatches"])
     assert any(0 in m for m in hom["mismatches"])
+
+
+def _mono_combination(terms):
+    """Sum of c * m over the (c, m) in terms, c an integer w-pair and m a
+    monomial matrix, as a flat tuple: the w-pair at (row, col) is entries
+    18 * row + 2 * col and the next."""
+    acc = [0] * 162
+    for (x, y), mono in terms:
+        rot = [_pair_mul_zeta(x, y, e) for e in range(3)]
+        for col, (row, e) in enumerate(zip(mono.perm, mono.expo)):
+            k = 18 * row + 2 * col
+            acc[k] += rot[e][0]
+            acc[k + 1] += rot[e][1]
+    return tuple(acc)
+
+
+def _orbit_coefficients(alg, z):
+    """Coefficient of each Z vector in z, as orbit index -> Cyc; z must lie
+    in their span."""
+    assert not z.cartan
+    coeffs = {}
+    for t, v in z.roots.items():
+        o = alg.rs.orbit_of[t]
+        assert all(z.roots.get(m) == v for m in alg.rs.orbits[o])
+        coeffs[o] = v
+    return coeffs
+
+
+def _rho_prime_sweep_by_brackets(alg):
+    """The rho' sweep on generic brackets of Z vectors (one per orbit
+    pair), flat w-pair matrices and one comparison per root pair."""
+    orbit_of = alg.rs.orbit_of
+    orbit_monos = [alg.rho(orb[0]) for orb in alg.rs.orbits]
+    orbit_zs = [z_element(alg, orb[0]) for orb in alg.rs.orbits]
+    groups = {}
+    for i, v in enumerate(alg.cls):
+        groups.setdefault(v, []).append(i)
+    lhs = {}
+    mismatches = []
+    pairs = 0
+    for roots_a in groups.values():
+        ma = alg.rho(roots_a[0])
+        for roots_b in groups.values():
+            mb = alg.rho(roots_b[0])
+            rhs = _mono_combination([((1, 2), ma * mb), ((-1, -2), mb * ma)])
+            for a in roots_a:
+                for b in roots_b:
+                    pairs += 1
+                    key = (orbit_of[a], orbit_of[b])
+                    if key not in lhs:
+                        z = alg.bracket(*(orbit_zs[o] for o in key))
+                        lhs[key] = _mono_combination(
+                            ((3 * v.a, 3 * v.b), orbit_monos[o])
+                            for o, v in _orbit_coefficients(alg, z).items())
+                    if lhs[key] != rhs:
+                        mismatches.append((a, b))
+    return {"pairs": pairs, "mismatches": mismatches}
+
+
+@pytest.mark.parametrize("wrong_class", [False, True],
+                         ids=["algebra", "wrong_class"])
+def test_rho_prime_sweep_matches_bracket_oracle(alg, wrong_class):
+    table = _wrong_class_algebra(alg) if wrong_class else alg
+    got = verify_rho_prime_homomorphism(table)
+    assert got == _rho_prime_sweep_by_brackets(table)
+    assert bool(got["mismatches"]) == wrong_class
+
+
+def test_rho_prime_packs_stay_in_range(alg):
+    # the packed comparison is exact while every packed component stays
+    # below 2**7; on the left it is at most 3 times the summed components
+    # of the coefficients of one bracket [Z_a, Z_b]
+    worst = max(sum(abs(x) + abs(y) for x, y
+                    in _z_bracket_coefficients(alg, a, b).values())
+                for a in range(80) for b in range(80))
+    assert 0 < 3 * worst <= 54 < 2 ** 7
 
 
 def test_flipped_pairing_fails_heis_action_match(alg):

@@ -8,10 +8,21 @@ from e8g3.heis import (
     HeisElement,
     all_elements,
     build_model,
+    code_element,
+    code_product,
     cocycle,
+    element_code,
     standard_form,
     svn_rep,
 )
+
+
+def _tuple_product(g, h):
+    """The group law on (k, v) tuples: the centres add with the cocycle of
+    the classes, and the classes add."""
+    (k1, v1), (k2, v2) = g, h
+    return HeisElement(k1 + k2 + cocycle(v1, v2),
+                       [a + b for a, b in zip(v1, v2)])
 
 
 def test_symplectic_basis_defining_relations(report):
@@ -41,6 +52,17 @@ def test_group_law():
         for h in sample:
             for k in sample:
                 assert (g * h) * k == g * (h * k)
+
+
+def test_code_product_matches_tuple_law():
+    els = all_elements()
+    assert [element_code(g) for g in els] == list(range(243))
+    assert [code_element(c) for c in range(243)] == els
+    for c, g in enumerate(els):
+        for d, h in enumerate(els):
+            gh = _tuple_product(g, h)
+            assert els[code_product(c, d)] == gh
+            assert g * h == gh
 
 
 def test_commutator_is_central_pairing(report):

@@ -107,15 +107,14 @@ def _non_generating_pair(monkeypatch):
 
 
 def _shift_one_product(monkeypatch):
-    # one of the 243^2 products gets its central part moved by one
-    mul = heis.HeisElement.__mul__
-    els = heis.all_elements()
-    pair = (els[100], els[200])
+    # one of the 243^2 products, of the elements coded 100 and 200, gets
+    # its central part moved by one
+    mul = heis.code_product
 
     def shifted(g, h):
         gh = mul(g, h)
-        return heis.HeisElement(gh.k + 1, gh.cls) if (g, h) == pair else gh
-    monkeypatch.setattr(heis.HeisElement, "__mul__", shifted)
+        return (gh + 81) % 243 if (g, h) == (100, 200) else gh
+    monkeypatch.setattr(heis, "code_product", shifted)
 
 
 def _corrupt_code_shift(monkeypatch):
@@ -243,6 +242,21 @@ def _killing_zero_pattern():
     return killing_gram(alg)["kind2_opposite"] and _out_additive(alg)
 
 
+def _shift_one_w_power(monkeypatch):
+    # a fresh table whose root-valued bracket of root 0 and its first
+    # partner has its w-power moved by one
+    fresh = GradedAlgebra()
+    j = next(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
+    s = fresh.scl[0][j]
+    fresh.scl[0][j] = s - s % 3 + (s + 1) % 3
+    monkeypatch.setattr(gradedlie, "_ALGEBRA", fresh)
+
+
+def _bracket_containment():
+    alg = get_algebra()
+    return not alg.check_bracket_containment(alg.graded_basis())
+
+
 def _fixture_twist_exponents():
     rep = sections.verify_section_fixture(*_section_fixture())
     return (rep["twist_exponent_alternating"]
@@ -335,6 +349,10 @@ MUTATIONS = [
     # an alternating form
     ("sections_fixture_twist_exponents", _twist_exponent_plus,
      _fixture_twist_exponents, None),
+    # gradedlie/graded_bracket_containment: one structure constant off by
+    # w leaves a degree-(1, 1) bracket outside every eigenspace
+    ("gradedlie_graded_bracket_containment", _shift_one_w_power,
+     _bracket_containment, None),
 ]
 
 
