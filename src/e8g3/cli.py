@@ -67,13 +67,17 @@ def main(argv=None) -> int:
             print(f"e8g3: error: cannot write output: {exc}", file=sys.stderr)
             return 2
 
-    if args.command == "verify":
-        code = cmd_verify(args)
-    else:
-        code = cmd_enumerate(args)
-    if code == 2 and created:
-        # a usage error writes nothing, so the probe file goes again
-        os.remove(out)
+    code = 2
+    try:
+        if args.command == "verify":
+            code = cmd_verify(args)
+        else:
+            code = cmd_enumerate(args)
+    finally:
+        # a usage error writes nothing, and a run ended by any exception,
+        # an interrupt too, leaves the path as it found it
+        if code == 2 and created:
+            os.remove(out)
     return code
 
 
@@ -83,8 +87,7 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if "sections" in names:
         # a bad fixture is a usage error, reported before any suite runs
-        from .sections import fixture_from_json
-        from .suites import fixture_text
+        from .sections import fixture_from_json, fixture_text
         try:
             fixture_from_json(fixture_text(args.fixture))
         except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -70,42 +70,30 @@ _MIN_EXPONENTS = (4, 6, 8, 10)
 def is_minimal(q: Quintic) -> bool:
     """No substitution x -> n^2 x, y -> n^5 y (n >= 2) keeps integrality.
 
-    Equivalently no prime p with p^4 | c12, p^6 | c18, p^8 | c24, p^10 | c30.
+    Equivalently no n >= 2 with n^4 | c12, n^6 | c18, n^8 | c24, n^10 | c30;
+    the least such n is a prime, so trying every n in order finds a witness
+    as soon as trying the primes alone would.
     """
     cs = (q.c12, q.c18, q.c24, q.c30)
     if all(c == 0 for c in cs):
         return False
-    # any witness prime p satisfies p^e <= |c| for the first nonzero c
-    for c, e in zip(cs, _MIN_EXPONENTS):
-        if c:
-            bound = _iroot(abs(c), e) + 1
-            witness = [p for p in _primes_upto(bound)
-                       if all(x % p**k == 0 for x, k in zip(cs, _MIN_EXPONENTS))]
-            return not witness
-    return True
+    # any witness n satisfies n^e <= |c| for the first nonzero c
+    c, e = next((abs(c), e) for c, e in zip(cs, _MIN_EXPONENTS) if c)
+    return not any(all(x % n**k == 0 for x, k in zip(cs, _MIN_EXPONENTS))
+                   for n in range(2, _iroot(c, e) + 1))
 
 
 def _iroot(n: int, e: int) -> int:
-    """Exact floor of the e-th root of a nonnegative integer."""
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / e)))
-    while x > 0 and x ** e > n:
-        x -= 1
-    while (x + 1) ** e <= n:
-        x += 1
-    return x
-
-
-def _primes_upto(n):
-    sieve = bytearray([1]) * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for m in range(p * p, n + 1, p):
-                sieve[m] = 0
-    return out
+    """Exact floor of the e-th root of a nonnegative integer, by Newton's
+    method in integers from a start above the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def coeff_bound(a: int, i: int) -> int:

@@ -107,10 +107,11 @@ def _accumulate(acc, key, x, y):
 
 
 class GradedAlgebra:
-    """Multiplication table plus the order-3 symmetry and its grading."""
+    """Multiplication table plus the order-3 symmetry and its grading, on
+    the cached Heisenberg model (heis.build_model)."""
 
-    def __init__(self, model: HeisenbergModel | None = None):
-        self.model = model or build_model()
+    def __init__(self):
+        self.model: HeisenbergModel = build_model()
         self.rs: RootSystem = self.model.rs
         rs = self.rs
         n = 240
@@ -132,7 +133,6 @@ class GradedAlgebra:
             raise AssertionError("height and degree disagree mod 3")
 
         self._build_table()
-        self._reps = {}
 
     def _pair_exponent(self, i, j) -> int:
         return (self.PR[i][j] - self.PR[self.windex[i]][j]) % 3
@@ -227,20 +227,18 @@ class GradedAlgebra:
 
     # -- symmetry and gradings ----------------------------------------------
 
-    def theta(self, x: LieElement, power: int = 1) -> LieElement:
-        power %= 3
-        out = x
-        for _ in range(power):
-            cart = {}
-            if out.cartan:
-                w = self.rs.w
-                for a, v in out.cartan.items():
-                    for b in range(8):
-                        if w[b][a]:
-                            cart[b] = cart.get(b, Cyc(0)) + v * w[b][a]
-            roots = {self.windex[i]: v for i, v in out.roots.items()}
-            out = LieElement(cart, roots)
-        return out
+    def theta(self, x: LieElement) -> LieElement:
+        """The order-3 symmetry applied once: rs.w on the cartan part, the
+        root permutation windex on the root part."""
+        cart = {}
+        if x.cartan:
+            w = self.rs.w
+            for a, v in x.cartan.items():
+                for b in range(8):
+                    if w[b][a]:
+                        cart[b] = cart.get(b, Cyc(0)) + v * w[b][a]
+        roots = {self.windex[i]: v for i, v in x.roots.items()}
+        return LieElement(cart, roots)
 
     def is_theta_eigenvector(self, x: LieElement, k: int) -> bool:
         """Whether theta(x) = w^k x, compared on integer w-pairs: each root
@@ -276,7 +274,7 @@ class GradedAlgebra:
         for i in (1, 2):
             rows = [[Cyc(self.rs.w[r][c]) - (Cyc.zeta(i) if r == c else Cyc(0))
                      for c in range(8)] for r in range(8)]
-            for vec in nullspace(rows, 8, field="cyc"):
+            for vec in nullspace(rows, 8):
                 spaces[i].append(LieElement(
                     cartan={a: v for a, v in enumerate(vec) if v}))
         dims = [len(spaces[i]) for i in (0, 1, 2)]
@@ -499,7 +497,7 @@ def _pack_entry(x, y, code, col):
     return (u + (v << 8)) << (16 * (9 * CODE_ROW[code] + col))
 
 
-def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
+def verify_rho_prime_homomorphism(alg: GradedAlgebra):
     """Exact check of bracket preservation on all 240 x 240 pairs.
 
     Both sides are packed integer w-pair matrices.  The right-hand side
@@ -510,7 +508,6 @@ def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
     (rootsys/orbit_class_bijection): 6,400 comparisons of 9 root pairs
     each.  Every failing root pair is listed, in sweep order.
     """
-    alg = alg or get_algebra()
     # kappa[col][c]: 3 kappa = 1 + 2w times the column of code c at col, so
     # that the pack of 3 kappa m sums kappa over the columns of m
     kappa = [[_pack_entry(1, 2, c, col) for c in range(27)]
@@ -544,14 +541,13 @@ def verify_rho_prime_homomorphism(alg: GradedAlgebra | None = None):
     return {"pairs": pairs, "mismatches": mismatches}
 
 
-def verify_heis_action_match(alg: GradedAlgebra | None = None):
+def verify_heis_action_match(alg: GradedAlgebra):
     """Conjugation eigenvalue vs the lattice pairing, on all root pairs.
 
     One conjugation per pair of classes gives the Heisenberg side for every
     root pair in them; the lattice side is read per root pair from the
     pairing table.
     """
-    alg = alg or get_algebra()
     mismatches = []
     pairs = 0
     groups = _class_groups(alg)
@@ -568,9 +564,8 @@ def verify_heis_action_match(alg: GradedAlgebra | None = None):
     return {"pairs": pairs, "mismatches": mismatches}
 
 
-def rho_prime_image_rank(alg: GradedAlgebra | None = None) -> int:
+def rho_prime_image_rank(alg: GradedAlgebra) -> int:
     """Rank over Q(w) of the 80 orbit images inside 9x9 matrices."""
-    alg = alg or get_algebra()
     rows = []
     for orb in alg.rs.orbits:
         mono = alg.rho(orb[0])
@@ -578,11 +573,10 @@ def rho_prime_image_rank(alg: GradedAlgebra | None = None) -> int:
         for col, c in enumerate(mono.codes):
             row[9 * CODE_ROW[c] + col] = Cyc.zeta(CODE_EXPO[c])
         rows.append(row)
-    return rank(rows, 81, field="cyc")
+    return rank(rows, 81)
 
 
-def rho_prime_traceless(alg: GradedAlgebra | None = None) -> bool:
-    alg = alg or get_algebra()
+def rho_prime_traceless(alg: GradedAlgebra) -> bool:
     return all(alg.rho(orb[0]).trace() == Cyc(0) for orb in alg.rs.orbits)
 
 
@@ -645,7 +639,7 @@ def _killing_entry(alg: GradedAlgebra, r: int, s: int):
     return tuple(tot)
 
 
-def killing_gram(alg: GradedAlgebra | None = None):
+def killing_gram(alg: GradedAlgebra):
     """Killing form data: cartan block, root diagonal, zero pattern.
 
     Returns a dict with the 8x8 cartan block (integers), the 240 values
@@ -656,7 +650,6 @@ def killing_gram(alg: GradedAlgebra | None = None):
     lands back on its own basis vector only when s = -r, so
     kappa(X_r, X_s) = 0 for every other pair.
     """
-    alg = alg or get_algebra()
     cart = [[sum(alg.P[a][m] * alg.P[b][m] for m in range(alg.n))
              for b in range(8)] for a in range(8)]
     diag = [_killing_entry(alg, r, alg.negidx[r]) for r in range(alg.n)]
@@ -901,7 +894,7 @@ def _out_additive(alg: GradedAlgebra) -> bool:
     return True
 
 
-def verify_jacobi(alg: GradedAlgebra | None = None):
+def verify_jacobi(alg: GradedAlgebra):
     """Full Jacobi sweep over basis triples.
 
     Candidate pruning is exact: if none of the three pairwise brackets is
@@ -909,7 +902,6 @@ def verify_jacobi(alg: GradedAlgebra | None = None):
     bracket from reaching the remaining weight).  That additivity of the
     table is checked as `out_additive`.
     """
-    alg = alg or get_algebra()
     ev_c, vi_c = _jacobi_cartan_parts(alg)
     ev_r, vi_r = _jacobi_root_range(alg, 0, alg.n)
     return {

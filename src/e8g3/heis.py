@@ -286,10 +286,10 @@ def commutant_dimension(gens) -> int:
 
 
 class HeisenbergModel:
-    """Bundles the symplectic coordinates and class conversions."""
+    """Symplectic coordinates and class conversions of the cached roots."""
 
-    def __init__(self, rs: RootSystem | None = None):
-        self.rs = rs or build_root_system()
+    def __init__(self):
+        self.rs: RootSystem = build_root_system()
         self.basis_classes, self.M = symplectic_basis(self.rs)
         # columns of M are the symplectic basis in SNF coordinates;
         # [M | I] reduces to [I | M^-1] over F_3

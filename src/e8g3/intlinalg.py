@@ -193,13 +193,20 @@ def unimodular_inverse(U):
     return [[int(v) for v in row] for row in out]
 
 
-def rref(rows, width, field="fraction"):
-    """Reduced row echelon form of dense rows (lists) over Fraction or Cyc.
+def _over_qw(rows) -> bool:
+    """Whether the matrix lives over Q(w): some entry is a Cyc."""
+    return any(Cyc in map(type, row) for row in rows)
+
+
+def rref(rows, width):
+    """Reduced row echelon form of dense rows (lists), over Q(w) when some
+    entry is a Cyc and over Q otherwise.
 
     Each row step touches only the columns where the pivot row is nonzero.
     Returns (reduced_rows, pivot_columns). Mutates nothing: the rows are
     copied, and entries are replaced, never changed in place.
     """
+    qw = _over_qw(rows)
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -210,7 +217,7 @@ def rref(rows, width, field="fraction"):
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         lead = prow[c]
-        if field == "cyc":
+        if qw:
             inv = lead.inverse() if isinstance(lead, Cyc) else Cyc(Fraction(1, lead))
         else:
             inv = Fraction(1) / lead
@@ -249,21 +256,21 @@ def reduce_mod_p7(x):
     return total % 7
 
 
-def rank(rows, width, field="fraction"):
-    """Rank of the matrix given by dense rows.
+def rank(rows, width):
+    """Rank of the matrix given by dense rows, over the field of rref.
 
     Over Q(w) the rank is first taken modulo p = (7, w - 2): a full rank
     there is the exact rank, since a minor that is nonzero mod p is nonzero.
     Any other outcome, or an entry that is not 7-integral, falls back to
     exact elimination.
     """
-    if field == "cyc":
+    if _over_qw(rows):
         reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
         if all(None not in row for row in reduced):
             r = len(rref_mod(reduced, width, 7)[1])
             if r == min(len(rows), width):
                 return r
-    return len(rref(rows, width, field)[1])
+    return len(rref(rows, width)[1])
 
 
 def rref_mod(rows, width, p):
@@ -298,11 +305,13 @@ def rref_mod(rows, width, p):
     return rows, pivots
 
 
-def nullspace(rows, width, field="fraction"):
-    """Basis of the right kernel of the matrix given by dense rows."""
-    red, pivots = rref(rows, width, field)
-    one = Cyc(1, 0) if field == "cyc" else Fraction(1)
-    zero = Cyc(0, 0) if field == "cyc" else Fraction(0)
+def nullspace(rows, width):
+    """Basis of the right kernel of the matrix given by dense rows, over
+    the field of rref: Cyc vectors over Q(w), Fraction vectors over Q."""
+    red, pivots = rref(rows, width)
+    qw = _over_qw(rows)
+    one = Cyc(1, 0) if qw else Fraction(1)
+    zero = Cyc(0, 0) if qw else Fraction(0)
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
@@ -314,13 +323,14 @@ def nullspace(rows, width, field="fraction"):
     return basis
 
 
-def solve(rows, rhs, width, field="fraction"):
-    """One particular solution of rows @ x = rhs, or None if inconsistent."""
+def solve(rows, rhs, width):
+    """One particular solution of rows @ x = rhs, or None if inconsistent;
+    over Q(w) when some entry of rows or rhs is a Cyc, else over Q."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, width + 1, field)
+    red, pivots = rref(aug, width + 1)
     if width in pivots:
         return None
-    zero = Cyc(0, 0) if field == "cyc" else Fraction(0)
+    zero = Cyc(0, 0) if _over_qw(aug) else Fraction(0)
     x = [zero] * width
     for r, pc in enumerate(pivots):
         x[pc] = red[r][width]

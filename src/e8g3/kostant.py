@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .gradedlie import GradedAlgebra, LieElement, get_algebra
+from .gradedlie import GradedAlgebra, LieElement
 from .heis import cocycle
 from .intlinalg import nullspace, rank, solve
 from .rootsys import S0_TRIPLES, weight_vector
@@ -23,9 +23,8 @@ def _s0_indices(alg: GradedAlgebra):
     return [alg.rs.index[weight_vector(t)] for t in S0_TRIPLES]
 
 
-def build_triple(alg: GradedAlgebra | None = None):
+def build_triple(alg: GradedAlgebra):
     """Return (E, X, F) as LieElements with exact sl2 relations."""
-    alg = alg or get_algebra()
     s0 = _s0_indices(alg)
     E = LieElement(roots={i: Cyc(1) for i in s0})
 
@@ -47,8 +46,7 @@ def build_triple(alg: GradedAlgebra | None = None):
     return E, X, F
 
 
-def verify_triple(alg: GradedAlgebra | None = None) -> dict:
-    alg = alg or get_algebra()
+def verify_triple(alg: GradedAlgebra) -> dict:
     E, X, F = build_triple(alg)
     out = {}
     out["xe"] = alg.bracket(X, E) == E * Cyc(2)
@@ -72,10 +70,10 @@ def _uniqueness_check(alg, E, X) -> bool:
                   key=repr)
     mat = [list(row) for row in zip(*_dense_rows(images, keys))]
     vec = _dense_rows([X], keys)[0]
-    sol = solve(mat, vec, len(cand), field="cyc")
+    sol = solve(mat, vec, len(cand))
     if sol is None:
         return False
-    if nullspace(mat, len(cand), field="cyc"):
+    if nullspace(mat, len(cand)):
         return False
     return True
 
@@ -117,9 +115,8 @@ def _dense_rows(images, columns):
     return rows
 
 
-def ad_e_kernel_dim(alg: GradedAlgebra | None = None) -> int:
+def ad_e_kernel_dim(alg: GradedAlgebra) -> int:
     """dim ker ad(E) over the whole 248-dim algebra, block by height."""
-    alg = alg or get_algebra()
     E = LieElement(roots={i: Cyc(1) for i in _s0_indices(alg)})
     slots = _height_slots(alg)
     total = 0
@@ -130,14 +127,13 @@ def ad_e_kernel_dim(alg: GradedAlgebra | None = None) -> int:
             continue
         rows = _dense_rows([alg.bracket(E, _slot_vector(alg, s)) for s in src],
                            dst)
-        total += len(src) - rank(rows, len(dst), field="cyc")
+        total += len(src) - rank(rows, len(dst))
     return total
 
 
-def slice_report(alg: GradedAlgebra | None = None) -> dict:
+def slice_report(alg: GradedAlgebra) -> dict:
     """Kernel of ad(F) in degree 1, its grading weights, and the induced
     degree list."""
-    alg = alg or get_algebra()
     E, X, F = build_triple(alg)
     deg1 = [i for i in range(alg.n) if alg.degree[i] == 1]
     by_height = {}
@@ -154,7 +150,7 @@ def slice_report(alg: GradedAlgebra | None = None) -> dict:
         width = len(target)
         dense = _dense_rows([alg.bracket(alg.x(i), F) for i in idxs], target)
         cols = [list(col) for col in zip(*dense)] if width else []
-        kern = (nullspace(cols, len(idxs), field="cyc")
+        kern = (nullspace(cols, len(idxs))
                 if width else [[Cyc(1) if a == b else Cyc(0)
                                 for b in range(len(idxs))]
                                for a in range(len(idxs))])
@@ -191,7 +187,7 @@ def sampled_regularity(alg: GradedAlgebra, srep: dict) -> dict:
             v = v + b * Cyc(c)
         images = [alg.bracket(_slot_vector(alg, s), v) for s in deg0]
         dense = _dense_rows(images, deg1)
-        results.append(len(deg0) - rank(dense, len(deg1), field="cyc"))
+        results.append(len(deg0) - rank(dense, len(deg1)))
     return {"centralizer_dims": results, "ok": all(d == 0 for d in results)}
 
 

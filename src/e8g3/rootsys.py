@@ -202,9 +202,9 @@ class RootSystem:
             cols.append(self.to_basis(img))
         return [[cols[j][i] for j in range(8)] for i in range(8)]
 
-    def apply_w(self, v, power=1):
-        m = self.w if power == 1 else mat_pow(self.w, power % 3)
-        return self.from_basis(mat_vec(m, self.to_basis(v)))
+    def apply_w(self, v):
+        """The symmetry w applied once to a vector of the root lattice."""
+        return self.from_basis(mat_vec(self.w, self.to_basis(v)))
 
     def _validate_w(self):
         if not mat_eq(mat_pow(self.w, 3), identity(8)):

@@ -12,6 +12,7 @@ orbits with the 80 nonzero 3-torsion classes.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -293,9 +294,27 @@ def _int_list(x) -> bool:
     return isinstance(x, list) and all(type(c) is int for c in x)
 
 
-def load_default_fixture():
+def fixture_text(fixture_path: str | None) -> str:
+    """The sections fixture: the given path, else sections_q.json in
+    $E8G3_FIXTURES, else the packaged default."""
+    if fixture_path:
+        with open(fixture_path) as fh:
+            return fh.read()
+    env_dir = os.environ.get("E8G3_FIXTURES")
+    if env_dir:
+        cand = os.path.join(env_dir, "sections_q.json")
+        if os.path.exists(cand):
+            with open(cand) as fh:
+                return fh.read()
+    return _packaged_fixture_text()
+
+
+def _packaged_fixture_text() -> str:
     from importlib import resources
 
-    text = resources.files("e8g3").joinpath(
+    return resources.files("e8g3").joinpath(
         "fixtures/sections_q.json").read_text()
-    return fixture_from_json(text)
+
+
+def load_default_fixture():
+    return fixture_from_json(_packaged_fixture_text())

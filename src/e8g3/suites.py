@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import Counter
 from fractions import Fraction
 
@@ -173,6 +172,7 @@ def suite_gradedlie() -> Suite:
 
 def suite_cusp() -> Suite:
     from . import kostant, stability
+    from .gradedlie import get_algebra
 
     s = Suite("cusp")
     s.check("s0_marking", not vinberg.verify_s0_basis(),
@@ -202,7 +202,8 @@ def suite_cusp() -> Suite:
         for label, payload in note.items():
             s.skip(f"note_{label}", f"logged for triage: {payload}")
     s.check("small_sets", not rep["small_sets"]["failures"],
-            f"{rep['small_sets']['enumerated']} up-closed sets of size <= 10")
+            f"{rep['small_sets']['enumerated']} up-closed sets of size "
+            f"<= {vinberg.SMALL_SET_SIZE}")
     s.check("coverage", rep["coverage"]["ok"],
             "certificates cover the case analysis")
 
@@ -213,10 +214,10 @@ def suite_cusp() -> Suite:
         else:
             s.check(f"stability_{name}", ok, "")
 
-    tri = kostant.verify_triple()
+    alg = get_algebra()
+    tri = kostant.verify_triple(alg)
     s.check("kostant_relations", tri["ok"],
             "exact sl2 relations, graded, unique")
-    alg = kostant.get_algebra()
     kernel_dim = kostant.ad_e_kernel_dim(alg)
     s.check("kostant_ad_e_kernel", kernel_dim == 8,
             "regular nilpotent centralizer dimension")
@@ -237,23 +238,6 @@ def suite_cusp() -> Suite:
     return s
 
 
-def fixture_text(fixture_path: str | None) -> str:
-    """The sections fixture: the given path, else sections_q.json in
-    $E8G3_FIXTURES, else the packaged default."""
-    if fixture_path:
-        with open(fixture_path) as fh:
-            return fh.read()
-    env_dir = os.environ.get("E8G3_FIXTURES")
-    if env_dir:
-        cand = os.path.join(env_dir, "sections_q.json")
-        if os.path.exists(cand):
-            with open(cand) as fh:
-                return fh.read()
-    from importlib import resources
-    return resources.files("e8g3").joinpath(
-        "fixtures/sections_q.json").read_text()
-
-
 def suite_sections(fixture_path: str | None = None) -> Suite:
     from .finitefield import GF
     from .genus2 import (Quintic, discriminant, enumerate_min,
@@ -262,7 +246,7 @@ def suite_sections(fixture_path: str | None = None) -> Suite:
                            enumerate_jacobian, jacobian_order_zeta,
                            mumford_verify)
     from .sections import (E8_ROW, find_sections, fixture_from_json,
-                            verify_section_fixture)
+                            fixture_text, verify_section_fixture)
 
     s = Suite("sections")
     s.check("disc_x5", discriminant(Quintic(0, 0, 0, 0)) == 0, "quintuple root")

@@ -380,14 +380,19 @@ def sample_intermediates(case: CuspCase):
     free = sorted(case.m0_prime - case.m0_dprime)
     out = []
     for _ in range(INTERMEDIATE_SAMPLES):
-        chosen = [a for a in free if rng.random() < 0.5]
+        # random() < 1/2 in integers: both read two 32-bit words, and the
+        # top bit of the first (bit 31 of getrandbits(64)) decides
+        chosen = [a for a in free if not rng.getrandbits(64) & 1 << 31]
         out.append(case.m0_dprime | (up_closure(chosen) & case.m0_prime))
     return out
 
 
-def verify_small_sets(max_size: int = 10) -> dict:
-    """Every up-closed set of size <= max_size passes with f = 0."""
-    sets = enumerate_up_closed(max_size)
+SMALL_SET_SIZE = 10
+
+
+def verify_small_sets() -> dict:
+    """Every up-closed set of size <= SMALL_SET_SIZE passes with f = 0."""
+    sets = enumerate_up_closed(SMALL_SET_SIZE)
     failures = []
     for m0 in sets:
         if not all(v > 0 for v in _certificate_positivity(m0, 1, {})):
@@ -402,7 +407,7 @@ def coverage_checks() -> dict:
     out = {}
     out["gamma_upset_is_complement"] = up_closure(cuspdata.GAMMAS) == pv - sh
     out["dprime_escapes_small"] = all(
-        len(frozenset(ALL_WEIGHTS) - down_closure([g])) <= 10
+        len(frozenset(ALL_WEIGHTS) - down_closure([g])) <= SMALL_SET_SIZE
         for g in cuspdata.M0_DPRIME_BASE)
     out["positive_basis_split"] = (sh <= pv) and (
         sh - {(1, 6, 9), (2, 4, 9)}
@@ -445,7 +450,7 @@ def verify_cusp_bound() -> dict:
         report["cases"].append(res)
         for note in res["notes"]:
             report["notes"].append({case.label: note})
-    small = verify_small_sets(10)
+    small = verify_small_sets()
     report["small_sets"] = small
     cov = coverage_checks()
     report["coverage"] = cov

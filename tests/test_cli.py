@@ -68,7 +68,7 @@ def test_fixture_env_precedence(tmp_path, capsys, monkeypatch):
     fdir.mkdir()
     (fdir / "sections_q.json").write_text(text)
     monkeypatch.setenv("E8G3_FIXTURES", str(fdir))
-    from e8g3.suites import fixture_text
+    from e8g3.sections import fixture_text
     assert fixture_text(None) == text
     # explicit flag wins over the environment
     alt = tmp_path / "alt.json"
@@ -258,6 +258,26 @@ def test_usage_error_leaves_output_path_as_it_was(tmp_path, capsys, case,
         assert not target.exists()
 
 
+@pytest.mark.parametrize("existed", [False, True],
+                         ids=["new_path", "existing_file"])
+def test_interrupted_run_leaves_output_path_as_it_was(tmp_path, monkeypatch,
+                                                      existed):
+    from e8g3 import cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "cmd_verify", interrupted)
+    target = tmp_path / "out.json"
+    if existed:
+        target.write_bytes(b"earlier bytes\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "rootsys", "--json", str(target)])
+    if existed:
+        assert target.read_bytes() == b"earlier bytes\n"
+    else:
+        assert not target.exists()
+
+
 def test_optimized_interpreter_gives_same_report(tmp_path, report):
     for suite in ("rootsys", "cusp", "sections"):
         path = tmp_path / f"{suite}.json"
@@ -271,12 +291,61 @@ def test_optimized_interpreter_gives_same_report(tmp_path, report):
         assert strip_volatile(path.read_text()) == plain, suite
 
 
+def _library_nodes():
+    """(file name, node) for every AST node of the library."""
+    return [(path.name, node)
+            for path in sorted(Path(SRC, "e8g3").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))]
+
+
 def test_library_has_no_assert():
     # `python -O` strips assert statements, and with them the checks they hold
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(Path(SRC, "e8g3").rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# Every defaulted parameter of the library, as (file, function, parameter).
+# Each is set to different values by different callers, or is a standard
+# constructor or command-line default; a value that one caller always
+# passes, or that the input determines, is not an option.
+DEFAULTED_PARAMETERS = {
+    ("cli.py", "main", "argv"),
+    ("cyclotomic.py", "__init__", "a"),
+    ("cyclotomic.py", "__init__", "b"),
+    ("genus2.py", "resultant", "oracle"),
+    ("genus2.py", "discriminant", "oracle"),
+    ("gradedlie.py", "__init__", "cartan"),
+    ("gradedlie.py", "__init__", "roots"),
+    ("report.py", "check", "detail"),
+    ("report.py", "check", "slack"),
+    ("report.py", "to_dict", "fixture_digest"),
+    ("suites.py", "suite_sections", "fixture_path"),
+    ("suites.py", "run_suite", "fixture_path"),
+}
+
+
+def test_library_defaulted_parameters_are_the_allowlist():
+    found = []
+    for name, node in _library_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs,
+                                            args.kw_defaults) if d]
+            found += [(name, getattr(node, "name", "<lambda>"), a.arg)
+                      for a in defaulted]
+    assert sorted(found) == sorted(DEFAULTED_PARAMETERS)
+
+
+def test_library_has_no_float():
+    # the library computes exactly: no float literal and no float() call
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if (isinstance(node, ast.Constant) and type(node.value) is float)
+             or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "float")]
     assert found == []
 
 

@@ -1,7 +1,12 @@
 """Quintic invariants: discriminant, height, minimality, enumeration."""
 
+import math
+
+import pytest
+
 from e8g3.genus2 import (
     Quintic,
+    _iroot,
     coeff_bound,
     discriminant,
     enumerate_min,
@@ -59,6 +64,29 @@ def test_minimality():
     assert is_minimal(Quintic(2**4, 0, 0, 3**10))
     assert not is_minimal(Quintic(0, 0, 0, 0))
     assert not is_minimal(Quintic(0, 0, 0, 2**10))
+
+
+def test_minimality_of_a_coefficient_beyond_float_range():
+    # 10^400 overflows a float; 2 is a witness for both
+    assert not is_minimal(Quintic(10**400, 0, 0, 0))
+    assert not is_minimal(Quintic(0, 0, 0, 2**10 * 10**400))
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 10**400, 3**600 + 12345,
+                               (3**150 + 1)**4 - 1, (3**150 + 1)**4],
+                         ids=["0", "1", "15", "16", "17", "10^400",
+                              "3^600+12345", "(3^150+1)^4-1", "(3^150+1)^4"])
+def test_fourth_root_is_two_square_roots(n):
+    assert _iroot(n, 4) == math.isqrt(math.isqrt(n))
+
+
+@pytest.mark.parametrize("e", [4, 6, 8, 10])
+def test_iroot_matches_brute_force(e):
+    for n in range(3000):
+        root = 0
+        while (root + 1)**e <= n:
+            root += 1
+        assert _iroot(n, e) == root
 
 
 def test_scale_action():

@@ -1,5 +1,6 @@
-"""Exact elimination over Q and Q(w) and over F_p on mostly-zero matrices,
-the exact unimodular inverse and the modular rank certificate over Q(w)."""
+"""Exact elimination over Q and Q(w), the field read from the entries, and
+over F_p on mostly-zero matrices, the exact unimodular inverse and the
+modular rank certificate over Q(w)."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3.cyclotomic import Cyc
+from e8g3 import intlinalg
 from e8g3.intlinalg import (det_bareiss, identity, mat_mul, nullspace, rank,
-                            reduce_mod_p7, rref, rref_mod, unimodular_inverse)
+                            reduce_mod_p7, rref, rref_mod, solve,
+                            unimodular_inverse)
 
 PRIMES = st.sampled_from([3, 7])
 
@@ -67,7 +70,7 @@ def test_unimodular_inverse():
 
 
 # entries of Q(w) that are often 0 mod (7, w - 2) or not 7-integral, and
-# int/Fraction entries, which rank(..., "cyc") accepts as well
+# int/Fraction entries, which a matrix over Q(w) may hold as well
 _RATIONALS = st.builds(Fraction, st.sampled_from([0, 1, -2, 3, 7, -14]),
                        st.sampled_from([1, 2, 7]))
 _ENTRIES = st.one_of(st.builds(Cyc, _RATIONALS, _RATIONALS),
@@ -89,7 +92,7 @@ def test_cyc_rank_is_the_exact_rank(data):
                                      max_size=2)):
         rows.append([sum((c * row[k] for c, row in zip(coeffs, rows)),
                          Cyc(0)) for k in range(width)])
-    assert rank(rows, width, "cyc") == len(rref(rows, width, "cyc")[1])
+    assert rank(rows, width) == len(rref(rows, width)[1])
 
 
 @pytest.mark.parametrize("rows, width, expect", [
@@ -106,7 +109,49 @@ def test_cyc_rank_is_the_exact_rank(data):
 ], ids=["seven", "w_minus_2", "det_in_p", "deficient", "denominator_7",
         "rational_entries"])
 def test_cyc_rank_falls_back_to_exact_elimination(rows, width, expect):
-    assert rank(rows, width, "cyc") == expect
+    assert rank(rows, width) == expect
+
+
+# -- the field of elimination, read from the entries -------------------------
+
+# rank 2 in width 3, with no zero entry, so that every entry of the kernel
+# and of the solution comes out of an elimination step
+_RATIONAL_MATRIX = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+_RHS = [6, 15, 24]
+
+
+def _lift_one_entry(rows):
+    """rows with its first entry as a Cyc of the same value."""
+    return [[Cyc(rows[0][0])] + rows[0][1:]] + rows[1:]
+
+
+@pytest.mark.parametrize("rows, kind", [
+    (_RATIONAL_MATRIX, Fraction),
+    (_lift_one_entry(_RATIONAL_MATRIX), Cyc),
+], ids=["rational", "one_cyc_entry"])
+def test_kernel_and_solution_entries_live_in_the_field_of_the_matrix(rows,
+                                                                    kind):
+    kernel = nullspace(rows, 3)
+    x = solve(rows, _RHS, 3)
+    assert len(kernel) == 1 and x is not None
+    assert all(type(v) is kind for v in kernel[0] + x)
+    assert kernel[0] == [1, -2, 1]
+    assert [sum(a * v for a, v in zip(row, x)) for row in rows] == _RHS
+
+
+def test_mixed_int_and_cyc_rows_take_the_modular_certificate(monkeypatch):
+    # rows shaped like rho_prime_image_rank's: int zeros and a few unit
+    # entries w^k, full rank; with exact elimination disabled, the rank
+    # must come from the certificate mod (7, w - 2)
+    rows = [[0] * 9 for _ in range(3)]
+    for i, row in enumerate(rows):
+        for col in (i, 3 + i, 6 + (2 * i) % 3):
+            row[col] = Cyc.zeta(i + col)
+
+    def no_rref(rows, width):
+        raise AssertionError("exact elimination ran")
+    monkeypatch.setattr(intlinalg, "rref", no_rref)
+    assert rank(rows, 9) == 3
 
 
 # -- mostly-zero matrices, at sizes where elimination skips zero columns -----
@@ -151,26 +196,26 @@ _Q_ENTRIES = st.one_of(st.integers(-3, 3),
 _QW_ENTRIES = st.builds(Cyc, _Q_ENTRIES, _Q_ENTRIES)
 
 
-@pytest.mark.parametrize("field, entries, zero", [
-    ("fraction", _Q_ENTRIES, 0),
-    ("fraction", _Q_ENTRIES, Fraction(0)),
-    ("cyc", _QW_ENTRIES, Cyc(0)),
+@pytest.mark.parametrize("entries, zero", [
+    (_Q_ENTRIES, 0),
+    (_Q_ENTRIES, Fraction(0)),
+    (_QW_ENTRIES, Cyc(0)),
 ], ids=["int_zero", "fraction_zero", "cyc_zero"])
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(data=st.data())
-def test_rref_on_mostly_zero_matrices(field, entries, zero, data):
+def test_rref_on_mostly_zero_matrices(entries, zero, data):
     rows, width = _sparse_rows(data, entries, zero)
     before = _snapshot(rows)
-    red, pivots = rref(rows, width, field)
+    red, pivots = rref(rows, width)
     assert _snapshot(rows) == before
     assert zero == 0  # the zero object the rows share
     _assert_reduced_echelon(red, pivots, width)
     # the input rows lie in the row space of the output
-    assert len(rref(red + rows, width, field)[1]) == len(pivots)
+    assert len(rref(red + rows, width)[1]) == len(pivots)
     # row rank is column rank
     cols = [list(col) for col in zip(*rows)]
-    assert len(rref(cols, len(rows), field)[1]) == len(pivots)
-    kernel = nullspace(rows, width, field)
+    assert len(rref(cols, len(rows))[1]) == len(pivots)
+    kernel = nullspace(rows, width)
     assert len(pivots) + len(kernel) == width
     for vec in kernel:
         for row in rows:

@@ -166,6 +166,19 @@ def test_all_cases_pass(report):
                if c["name"].startswith("case_"))
 
 
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.label)
+def test_sampled_intermediates_are_the_float_draws(case):
+    # the integer draw picks the sets that random() < 0.5 would
+    import random
+    rng = random.Random(case.label)
+    free = sorted(case.m0_prime - case.m0_dprime)
+    expect = []
+    for _ in range(vinberg.INTERMEDIATE_SAMPLES):
+        chosen = [a for a in free if rng.random() < 0.5]
+        expect.append(case.m0_dprime | (up_closure(chosen) & case.m0_prime))
+    assert vinberg.sample_intermediates(case) == expect
+
+
 def test_case_f1_value_from_table():
     case = build_base_cases()[0]
     assert case.f_prime[(2, 6, 7)] == Fraction(1041, 512)
@@ -356,5 +369,5 @@ def ad_e_nilpotency_index(alg):
 
 
 def test_kostant_nilpotency_index():
-    from e8g3 import kostant
-    assert ad_e_nilpotency_index(kostant.get_algebra()) == 59
+    from e8g3.gradedlie import get_algebra
+    assert ad_e_nilpotency_index(get_algebra()) == 59
