@@ -227,19 +227,6 @@ class GradedAlgebra:
 
     # -- symmetry and gradings ----------------------------------------------
 
-    def theta(self, x: LieElement) -> LieElement:
-        """The order-3 symmetry applied once: rs.w on the cartan part, the
-        root permutation windex on the root part."""
-        cart = {}
-        if x.cartan:
-            w = self.rs.w
-            for a, v in x.cartan.items():
-                for b in range(8):
-                    if w[b][a]:
-                        cart[b] = cart.get(b, Cyc(0)) + v * w[b][a]
-        roots = {self.windex[i]: v for i, v in x.roots.items()}
-        return LieElement(cart, roots)
-
     def is_theta_eigenvector(self, x: LieElement, k: int) -> bool:
         """Whether theta(x) = w^k x, compared on integer w-pairs: each root
         coordinate m is w^k times coordinate windex[m], and rs.w carries

@@ -206,7 +206,11 @@ def rref(rows, width):
     Returns (reduced_rows, pivot_columns). Mutates nothing: the rows are
     copied, and entries are replaced, never changed in place.
     """
-    qw = _over_qw(rows)
+    return _eliminate(rows, width, _over_qw(rows))
+
+
+def _eliminate(rows, width, qw):
+    """rref over the field already read from the entries: Q(w) when qw."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -264,13 +268,14 @@ def rank(rows, width):
     Any other outcome, or an entry that is not 7-integral, falls back to
     exact elimination.
     """
-    if _over_qw(rows):
+    qw = _over_qw(rows)
+    if qw:
         reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
         if all(None not in row for row in reduced):
             r = len(rref_mod(reduced, width, 7)[1])
             if r == min(len(rows), width):
                 return r
-    return len(rref(rows, width)[1])
+    return len(_eliminate(rows, width, qw)[1])
 
 
 def rref_mod(rows, width, p):
@@ -308,8 +313,8 @@ def rref_mod(rows, width, p):
 def nullspace(rows, width):
     """Basis of the right kernel of the matrix given by dense rows, over
     the field of rref: Cyc vectors over Q(w), Fraction vectors over Q."""
-    red, pivots = rref(rows, width)
     qw = _over_qw(rows)
+    red, pivots = _eliminate(rows, width, qw)
     one = Cyc(1, 0) if qw else Fraction(1)
     zero = Cyc(0, 0) if qw else Fraction(0)
     free = [c for c in range(width) if c not in pivots]
@@ -327,10 +332,11 @@ def solve(rows, rhs, width):
     """One particular solution of rows @ x = rhs, or None if inconsistent;
     over Q(w) when some entry of rows or rhs is a Cyc, else over Q."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, width + 1)
+    qw = _over_qw(aug)
+    red, pivots = _eliminate(aug, width + 1, qw)
     if width in pivots:
         return None
-    zero = Cyc(0, 0) if _over_qw(aug) else Fraction(0)
+    zero = Cyc(0, 0) if qw else Fraction(0)
     x = [zero] * width
     for r, pc in enumerate(pivots):
         x[pc] = red[r][width]

@@ -1,22 +1,23 @@
 """The symplectic group on four F_3 coordinates and the exact density of
 elements with a fixed vector, counted two independent ways: a cofactor
-determinant of M - I on every element, and F_3 elimination on one
-representative per conjugacy class.
+determinant of M - I on every element, and Moebius inversion on the
+lattice of subspaces of F_3^4, where the classes swept are the G-orbits
+of subspaces.
 
 A vector (v0, v1, v2, v3) of F_3^4 is encoded as the int
 27 v0 + 9 v1 + 3 v2 + v3 in 0..80, so code order is the lexicographic
 order of the tuples, and a matrix as the 4-tuple of its column codes.
 Vector sums, scalar multiples and the symplectic form are 81 x 81 (or
 3 x 81) tables built once at import; a matrix acts on vectors through
-the 81-entry table of its images.
+the 81-entry table of its images. A subspace is the 81-bit mask with
+bit c set for each code c in it.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .heis import commutator_exponent
-from .intlinalg import rref_mod
 
 _DIGITS = list(product(range(3), repeat=4))  # code -> coordinate tuple
 _CODE = {v: i for i, v in enumerate(_DIGITS)}
@@ -26,8 +27,12 @@ _SCALE = [[_CODE[tuple(c * x % 3 for x in u)] for u in _DIGITS]
           for c in range(3)]
 _FORM = [[commutator_exponent(u, v) for v in _DIGITS] for u in _DIGITS]
 _VECS = range(1, 81)  # the nonzero vectors
-# positions in enumerate_sp4() of the two generators the class sweep uses
+# positions in enumerate_sp4() of the two generators the orbit sweeps use
 _GENERATOR_POSITIONS = (1, 1000)
+# columns of the identity spanning one subspace per G-orbit: the zero
+# space, a line, the isotropic plane <e1, e2>, the hyperbolic plane
+# <e1, f1>, a hyperplane and the whole space
+_ORBIT_REPRESENTATIVES = ((), (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3))
 
 
 def enumerate_sp4():
@@ -48,52 +53,12 @@ def enumerate_sp4():
     return out
 
 
-def _has_eigenvalue_one(cols) -> bool:
-    # M - I is singular over F_3; its transpose has the columns as rows
-    rows = [[x - (r == c) for r, x in enumerate(_DIGITS[col])]
-            for c, col in enumerate(cols)]
-    return len(rref_mod(rows, 4, 3)[1]) < 4
-
-
 def _action(cols):
     """The 81 images M v, indexed by the code of v."""
     act = [0]
     for col in cols:
         act = [_ADD[x][s] for x in act for s in (0, col, _SCALE[2][col])]
     return act
-
-
-def _inverse(cols):
-    # the rows of [M^T | I] reduce to [I | (M^-1)^T], whose rows are the
-    # columns of M^-1
-    rows = [list(_DIGITS[col]) + [int(c == j) for j in range(4)]
-            for c, col in enumerate(cols)]
-    red, pivots = rref_mod(rows, 8, 3)
-    if pivots != [0, 1, 2, 3]:
-        raise ValueError("matrix is singular over F_3")
-    return tuple(_CODE[tuple(row[4:])] for row in red)
-
-
-def _conjugation(g):
-    """The map x -> g x g^-1 on encoded matrices.
-
-    Column j of x g^-1 is the combination of x's columns given by the
-    nonzero entries of column j of g^-1; g then acts through its table.
-    """
-    act = _action(g)
-    terms = [[(k, _SCALE[c]) for k, c in enumerate(_DIGITS[col]) if c]
-             for col in _inverse(g)]
-
-    def conj(x):
-        out = []
-        for col in terms:
-            v = 0
-            for k, scale in col:
-                v = _ADD[v][scale[x[k]]]
-            out.append(act[v])
-        return tuple(out)
-
-    return conj
 
 
 def _det_minus_identity(cols) -> int:
@@ -122,41 +87,95 @@ def density_direct(group):
     return len(group), hits
 
 
-def conjugacy_classes(group):
-    """(representative, size) for each conjugacy class of the group, in
-    order of first appearance: orbit-close each unprocessed element under
-    conjugation by a fixed generating set."""
-    index = {m: i for i, m in enumerate(group)}
-    conjs = [_conjugation(g) for g in _generators(group, index)]
-    seen = [False] * len(group)
-    out = []
-    for i, m in enumerate(group):
-        if seen[i]:
-            continue
-        seen[i] = True
-        size = 1
-        frontier = [m]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for conj in conjs:
-                    y = conj(x)
-                    j = index[y]
-                    if not seen[j]:
-                        seen[j] = True
-                        size += 1
-                        nxt.append(y)
-            frontier = nxt
-        out.append((m, size))
-    return out
+def _span(basis):
+    """The mask of the subspace the codes span: the image of the matrix
+    with those columns."""
+    mask = 0
+    for c in _action(basis):
+        mask |= 1 << c
+    return mask
+
+
+def _subspaces():
+    """The masks of the subspaces of F_3^4 by dimension, one per reduced
+    echelon basis: a unit vector at each pivot, plus any digits right of
+    it outside the other pivots."""
+    levels = []
+    for k in range(5):
+        level = []
+        for pivots in combinations(range(4), k):
+            free = [(i, c) for i, p in enumerate(pivots)
+                    for c in range(p + 1, 4) if c not in pivots]
+            for digits in product(range(3), repeat=len(free)):
+                basis = [3 ** (3 - p) for p in pivots]
+                for (i, c), x in zip(free, digits):
+                    basis[i] += x * 3 ** (3 - c)
+                level.append(_span(basis))
+        levels.append(level)
+    return levels
+
+
+def _mobius(levels):
+    """mu(0, W) for each subspace mask W of the levels: mu(0, 0) = 1, and
+    for W > 0 the sum of mu(0, U) over the U <= W is 0."""
+    mu = {levels[0][0]: 1}
+    below = list(mu.items())
+    for level in levels[1:]:
+        for m in level:
+            mu[m] = -sum(x for u, x in below if not u & ~m)
+        below.extend((m, mu[m]) for m in level)
+    return mu
+
+
+def _orbit(basis, acts, key):
+    """The keys of the images of an ordered basis under the group the
+    action tables generate, found breadth first; an image whose key was
+    seen already is not expanded."""
+    seen = {key(basis)}
+    frontier = [basis]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for act in acts:
+                image = tuple([act[x] for x in b])
+                k = key(image)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(image)
+        frontier = nxt
+    return seen
 
 
 def density_by_classes(group):
-    """(order, |C|) via conjugacy classes of the enumerated group: test one
-    representative per class."""
-    hits = sum(size for m, size in conjugacy_classes(group)
-               if _has_eigenvalue_one(m))
-    return len(group), hits
+    """(order, |C|) by Moebius inversion on the lattice of subspaces W,
+    one W per G-orbit of subspaces.
+
+    The elements whose fixed space contains W form the pointwise
+    stabilizer G_W, so N0, the count of elements that fix no nonzero
+    vector, is the sum of mu(0, W) |G_W| over all W (Rota 1964), and
+    |G_W| is |G| over the orbit of an ordered basis of W. The orbits of
+    the representatives must partition each level of the lattice.
+    """
+    n = len(group)
+    acts = [_action(g) for g in
+            _generators(group, {m: i for i, m in enumerate(group)})]
+    levels = _subspaces()
+    mu = _mobius(levels)
+    reached = [[] for _ in levels]
+    fixing_none = 0
+    for columns in _ORBIT_REPRESENTATIVES:
+        basis = tuple(_identity()[i] for i in columns)
+        orbit = _orbit(basis, acts, _span)
+        reached[len(basis)].extend(orbit)
+        # the identity's orbit is the closure that _generators counted
+        bases = n if len(basis) == 4 else len(_orbit(basis, acts, tuple))
+        stabilizer, rest = divmod(n, bases)
+        if rest:
+            raise ValueError("basis orbit size does not divide the order")
+        fixing_none += mu[_span(basis)] * len(orbit) * stabilizer
+    if any(sorted(r) != sorted(level) for r, level in zip(reached, levels)):
+        raise ValueError("subspace orbits do not partition the lattice")
+    return n, n - fixing_none
 
 
 def _generators(group, index):

@@ -305,6 +305,21 @@ def test_library_has_no_assert():
     assert found == []
 
 
+def test_sp4_imports_nothing_from_intlinalg():
+    # both Sp4 strategies count without elimination: `from .intlinalg
+    # import ...`, `from . import intlinalg` and `import e8g3.intlinalg`
+    # are all refused
+    found = []
+    for node in ast.walk(ast.parse(Path(SRC, "e8g3", "sp4.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if any("intlinalg" in name.split(".") for name in names):
+                found.append(node.lineno)
+    assert found == []
+
+
 # Every defaulted parameter of the library, as (file, function, parameter).
 # Each is set to different values by different callers, or is a standard
 # constructor or command-line default; a value that one caller always

@@ -106,6 +106,18 @@ def _non_generating_pair(monkeypatch):
     monkeypatch.setattr(sp4, "_GENERATOR_POSITIONS", (1, 2))
 
 
+def _flip_mobius_on_planes(monkeypatch):
+    # mu(0, W) with its sign flipped on the 130 planes
+    mobius = sp4._mobius
+
+    def flipped(levels):
+        mu = mobius(levels)
+        for m in levels[2]:
+            mu[m] = -mu[m]
+        return mu
+    monkeypatch.setattr(sp4, "_mobius", flipped)
+
+
 def _shift_one_product(monkeypatch):
     # one of the 243^2 products, of the elements coded 100 and 200, gets
     # its central part moved by one
@@ -325,12 +337,16 @@ MUTATIONS = [
     ("gradedlie_lambda_twists", _redirect_to_negative_root,
      lambda: not get_algebra().check_lambda_twists(), None),
     # sections/sp4_density: det(M) in place of det(M - I) makes the direct
-    # strategy disagree with the class strategy
+    # strategy disagree with the Moebius strategy
     ("sp4_density_direct", _drop_identity_shift, _sp4_density, None),
-    # sections/sp4_density: the class sweep refuses generators that do not
+    # sections/sp4_density: the orbit sweeps refuse generators that do not
     # generate
     ("sp4_density_generators", _non_generating_pair, _sp4_density,
      ValueError),
+    # sections/sp4_density: mu of the wrong sign on one level of the
+    # subspace lattice makes the Moebius strategy disagree with the direct
+    # one
+    ("sp4_density_mobius", _flip_mobius_on_planes, _sp4_density, None),
     # sections/fixture_histogram: without the meetings on the fibre at
     # infinity the pairings are not those of the E8 roots
     ("sections_fixture_histogram", _drop_contact_at_infinity,

@@ -385,5 +385,5 @@ def test_sp4_strategies_agree(report):
 
 
 def test_sp4_identity_in_C():
-    from e8g3.sp4 import _has_eigenvalue_one, _identity
-    assert _has_eigenvalue_one(_identity())
+    from e8g3.sp4 import _det_minus_identity, _identity
+    assert _det_minus_identity(_identity()) == 0

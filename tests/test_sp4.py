@@ -1,18 +1,16 @@
 """Encoded Sp4(F_3) arithmetic against F_3 matrix products written out
-here, the determinant of the direct strategy, and the conjugacy-class
-sweep."""
+here, the determinant of the direct strategy, and the subspace lattice
+of the Moebius strategy."""
 
 from functools import lru_cache
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3 import sp4
-from e8g3.intlinalg import det_bareiss
+from e8g3.intlinalg import det_bareiss, rref_mod
 
 ELEMENTS = st.integers(0, 51839)
-IDENTITY = [[int(r == c) for c in range(4)] for r in range(4)]
 
 
 @lru_cache(maxsize=None)
@@ -31,11 +29,6 @@ def _matrix(cols):
     return [[vecs[c][r] for c in range(4)] for r in range(4)]
 
 
-def _mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(4)) % 3 for j in range(4)]
-            for i in range(4)]
-
-
 @settings(deadline=None, derandomize=True)
 @given(i=ELEMENTS, v=st.integers(0, 80))
 def test_action_is_matrix_times_vector(i, v):
@@ -45,20 +38,43 @@ def test_action_is_matrix_times_vector(i, v):
     assert _vector(sp4._action(group()[i])[v]) == image
 
 
-@settings(deadline=None, derandomize=True)
-@given(i=ELEMENTS, j=ELEMENTS)
-def test_conjugation_is_matrix_product(i, j):
-    g, x = group()[i], group()[j]
-    g_inv = _matrix(sp4._inverse(g))
-    assert _mat_mul(_matrix(g), g_inv) == IDENTITY
-    expected = _mat_mul(_mat_mul(_matrix(g), _matrix(x)), g_inv)
-    assert _matrix(sp4._conjugation(g)(x)) == expected
+@lru_cache(maxsize=None)
+def lattice():
+    return sp4._subspaces()
 
 
-def test_class_sweep_finds_34_classes():
-    classes = sp4.conjugacy_classes(group())
-    assert len(classes) == 34
-    assert sum(size for _, size in classes) == 51840
+@lru_cache(maxsize=None)
+def actions():
+    index = {m: i for i, m in enumerate(group())}
+    return [sp4._action(g) for g in sp4._generators(group(), index)]
+
+
+def test_levels_are_gaussian_binomials():
+    # [4 choose k]_3 subspaces of each dimension k, all distinct, each of
+    # 3^k codes
+    levels = lattice()
+    assert [len(level) for level in levels] == [1, 40, 130, 40, 1]
+    assert len({m for level in levels for m in level}) == 212
+    for k, level in enumerate(levels):
+        assert all(bin(m).count("1") == 3 ** k for m in level)
+
+
+def test_mobius_is_the_closed_form():
+    # mu(0, W) = (-1)^k 3^(k(k-1)/2) on a k-dimensional W (Rota 1964)
+    mu = sp4._mobius(lattice())
+    assert len(mu) == 212
+    for k, level in enumerate(lattice()):
+        assert {mu[m] for m in level} == {(-1) ** k * 3 ** (k * (k - 1) // 2)}
+
+
+def test_subspace_orbits():
+    # the zero space, lines, isotropic planes, hyperbolic planes,
+    # hyperplanes and the whole space
+    sizes = []
+    for columns in sp4._ORBIT_REPRESENTATIVES:
+        basis = tuple(sp4._identity()[i] for i in columns)
+        sizes.append(len(sp4._orbit(basis, actions(), sp4._span)))
+    assert sizes == [1, 40, 40, 90, 40, 1]
 
 
 @settings(deadline=None, derandomize=True)
@@ -69,16 +85,19 @@ def test_det_minus_identity_matches_elimination(cols):
                for r, row in enumerate(_matrix(cols))]
     det = sp4._det_minus_identity(cols)
     assert det == det_bareiss(shifted) % 3
-    assert (det == 0) == sp4._has_eigenvalue_one(cols)
+    assert (det == 0) == (len(rref_mod(shifted, 4, 3)[1]) < 4)
 
 
 def test_direct_density_shares_no_kernel(monkeypatch):
-    # the direct strategy uses neither the elimination kernel nor the
-    # action tables of the class strategy
+    # the direct strategy uses neither the action tables nor the
+    # generators of the Moebius strategy, which in turn computes no
+    # determinant
     def refuse(*args):
-        raise RuntimeError("used by the direct strategy")
+        raise RuntimeError("shared by the two strategies")
 
-    for name in ("rref_mod", "_action", "_has_eigenvalue_one"):
-        monkeypatch.setattr(sp4, name, refuse)
-    assert sp4.density_direct(group()) == (51840, 18711)
-
+    with monkeypatch.context() as patch:
+        for name in ("_action", "_generators"):
+            patch.setattr(sp4, name, refuse)
+        assert sp4.density_direct(group()) == (51840, 18711)
+    monkeypatch.setattr(sp4, "_det_minus_identity", refuse)
+    assert sp4.density_by_classes(group()) == (51840, 18711)
