@@ -7,7 +7,7 @@ import argparse
 import os
 import sys
 
-from .report import Suite, dump_report
+from .report import dump_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,8 +43,8 @@ def main(argv=None) -> int:
                           help="accepted and ignored: reports do not "
                                "depend on it")
     p_verify.add_argument("--fixture", metavar="PATH",
-                          help="sections fixture file (overrides "
-                               "E8G3_FIXTURES and the packaged default)")
+                          help="sections fixture file (default: the "
+                               "packaged one)")
 
     p_enum = sub.add_parser("enumerate",
                             help="minimal quintics below a height bound")
@@ -134,19 +134,10 @@ def _run_jobs(jobs, threads: int):
 
 
 def _run_job(job) -> dict:
-    """The report of one suite; a suite that raises becomes one `crash`
-    check with status `error`, so the other suites' results survive."""
+    """The report of one (suite name, fixture path) job."""
     from .suites import run_suite
 
-    name, fixture_path = job
-    crash = Suite(name)  # times the run; reported only if it raises
-    try:
-        return run_suite(name, fixture_path=fixture_path)
-    except Exception as exc:
-        import traceback
-        traceback.print_exc()
-        crash.error("crash", f"{type(exc).__name__}: {exc}")
-        return crash.to_dict()
+    return run_suite(*job)
 
 
 def cmd_enumerate(args) -> int:

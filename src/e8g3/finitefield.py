@@ -4,8 +4,10 @@ polynomial arithmetic over them.
 Elements are integers 0..q-1 encoding base-p coefficient vectors.  Each
 field decodes its q elements once and builds q x q add, sub and mul
 tables and a neg table from the digit vectors (mul through exp/log), so
-every field operation downstream is one list lookup.  The tables cost
-O(q^2) memory, which bounds q by MAX_Q.
+every field operation downstream is one list lookup.  F_(p^k) is built
+on GF(p): its product is the polynomial product below, over GF(p),
+modulo an irreducible.  The tables cost O(q^2) memory, which bounds q by
+MAX_Q.
 """
 
 from __future__ import annotations
@@ -37,64 +39,50 @@ def _factor_prime_power(q: int):
     raise ValueError("bad q")
 
 
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce by the monic modulus
-    k = len(mod) - 1
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(k + 1):
-                out[i - k + j] = (out[i - k + j] - c * mod[j]) % p
-    return out[:k] + [0] * (k - len(out[:k]))
-
-
-def _find_irreducible(p, k):
-    """Deterministic smallest monic irreducible of degree k over F_p."""
-    if k == 1:
-        return [0, 1]
-    for enc in range(p ** k):
-        coeffs = []
-        e = enc
-        for _ in range(k):
-            coeffs.append(e % p)
-            e //= p
-        mod = coeffs + [1]
-        # irreducible iff x^(p^k) = x and x^(p^(k/l)) != x for prime l | k
-        if _is_irreducible(mod, p, k):
-            return mod
-    raise AssertionError("no irreducible found")
-
-
-def _is_irreducible(mod, p, k):
-    x = [0, 1] if k > 1 else [0]
-    cur = x[:]
-    seen = []
+def _digits(e: int, p: int, k: int):
+    """The k base-p digits of e, least significant first."""
+    out = []
     for _ in range(k):
-        cur = _poly_powp(cur, p, mod)
-        seen.append(cur[:])
-    if cur != ([0, 1] + [0] * (k - 2)):
-        return False
-    for ell in _prime_divisors(k):
-        if seen[k // ell - 1] == [0, 1] + [0] * (k - 2):
-            return False
-    return True
+        e, d = divmod(e, p)
+        out.append(d)
+    return out
 
 
-def _poly_powp(a, p, mod):
-    out = [1] + [0] * (len(mod) - 2)
-    base = a[:]
-    n = p
+def _encode(digits, p: int) -> int:
+    out = 0
+    for c in reversed(digits):
+        out = out * p + c
+    return out
+
+
+def _power(mul, a, n: int, one):
+    """a^n by square and multiply under the product `mul`."""
+    out = one
     while n:
         if n & 1:
-            out = _poly_mulmod(out, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            out = mul(out, a)
+        a = mul(a, a)
         n >>= 1
     return out
+
+
+def _find_irreducible(Fp, k: int):
+    """The monic irreducible of degree k > 1 over the prime field Fp whose
+    lower coefficients have the smallest code: x^(p^k) = x and
+    x^(p^(k/l)) != x modulo it, for each prime l dividing k."""
+    p = Fp.q
+    for enc in range(p ** k):
+        mod = _digits(enc, p, k) + [1]
+
+        def mulmod(a, b):
+            return pmod(Fp, pmul(Fp, a, b), mod)
+        powers = [[0, 1]]  # x^(p^i) for i = 0..k
+        for _ in range(k):
+            powers.append(_power(mulmod, powers[-1], p, [1]))
+        if powers[k] == [0, 1] and all(powers[k // ell] != [0, 1]
+                                       for ell in _prime_divisors(k)):
+            return mod
+    raise ArithmeticError(f"no irreducible of degree {k} over F_{p}")
 
 
 def _prime_divisors(n):
@@ -112,43 +100,46 @@ def _prime_divisors(n):
 
 
 class GF:
-    """F_q with add, sub, mul and neg tables; q <= MAX_Q."""
+    """F_q with add, sub, mul and neg tables; q <= MAX_Q.
+
+    F_p multiplies ints mod p; F_(p^k) with k > 1 multiplies the
+    polynomials of the digit vectors over GF(p) (`pmul`, `pmod`) modulo
+    `modulus`, the smallest monic irreducible of degree k.  The generator
+    exp[1] is the smallest element of order q - 1."""
 
     def __init__(self, q: int):
         p, k = field_order(q)
         self.q = q
         self.p = p
         self.k = k
-        self.modulus = _find_irreducible(p, k)
+        digits = [_digits(e, p, k) for e in range(q)]
+        if k == 1:
+            self.modulus = [0, 1]
 
-        def enc(vec):
-            out = 0
-            for c in reversed(vec):
-                out = out * p + c
-            return out
+            def mul(a, b):
+                return a * b % p
+        else:
+            Fp = GF(p)
+            self.modulus = mod = _find_irreducible(Fp, k)
 
-        def dec(e):
-            vec = []
-            for _ in range(k):
-                vec.append(e % p)
-                e //= p
-            return vec
-
-        self._enc, self._dec = enc, dec
-        # multiplication via a generator
-        self.exp = [1] * (q - 1)
+            def mul(a, b):
+                return _encode(pmod(Fp, pmul(Fp, digits[a], digits[b]), mod),
+                               p)
+        n = q - 1
+        divs = _prime_divisors(n)
+        g = next(g for g in range(2, q)
+                 if all(_power(mul, g, n // d, 1) != 1 for d in divs))
+        self.exp = [1] * n
         self.log = [0] * q
-        g = self._find_generator()
         cur = 1
-        for i in range(q - 1):
+        for i in range(n):
             self.exp[i] = cur
             self.log[cur] = i
-            cur = enc(_poly_mulmod(dec(cur), dec(g), self.modulus, p))
+            cur = mul(cur, g)
         if cur != 1:
             raise AssertionError(f"generator {g} does not have order q - 1")
-        digits = [dec(e) for e in range(q)]
-        self.neg_table = [enc([-x % p for x in v]) for v in digits]
-        self.add_table = [[enc([(x + y) % p for x, y in zip(va, vb)])
+        self.neg_table = [_encode([-x % p for x in v], p) for v in digits]
+        self.add_table = [[_encode([(x + y) % p for x, y in zip(va, vb)], p)
                            for vb in digits] for va in digits]
         self.sub_table = [[row[nb] for nb in self.neg_table]
                           for row in self.add_table]
@@ -161,25 +152,6 @@ class GF:
             sq = self.mul_table[x][x]
             if self._sqrt[sq] is None:
                 self._sqrt[sq] = x
-
-    def _find_generator(self):
-        n = self.q - 1
-        divs = _prime_divisors(n)
-        for g in range(2, self.q):
-            if all(self._pow_slow(g, n // d) != 1 for d in divs):
-                return g
-        raise AssertionError("no generator")
-
-    def _pow_slow(self, a, n):
-        out = 1
-        base = self._dec(a)
-        acc = [1] + [0] * (self.k - 1)
-        while n:
-            if n & 1:
-                acc = _poly_mulmod(acc, base, self.modulus, self.p)
-            base = _poly_mulmod(base, base, self.modulus, self.p)
-            n >>= 1
-        return self._enc(acc)
 
     # -- field ops ---------------------------------------------------------
 

@@ -20,8 +20,8 @@ import hashlib
 from operator import getitem
 
 from .cyclotomic import Cyc
-from .heis import (CODE_EXPO, CODE_ROW, HeisElement, HeisenbergModel, Mono,
-                   build_model, cocycle, commutator_exponent, svn_rep)
+from .heis import (CODE_EXPO, CODE_ROW, HeisenbergModel, Mono, build_model,
+                   class_code, cocycle, commutator_exponent, svn_rep)
 from .intlinalg import nullspace, rank
 from .rootsys import RootSystem, add, neg, pairing
 from .vinberg import x_value
@@ -287,7 +287,7 @@ class GradedAlgebra:
 
     def rho(self, i) -> Mono:
         """Action of the canonical cover element over root i."""
-        return svn_rep(HeisElement(0, self.cls[i]))
+        return svn_rep(class_code(self.cls[i]))
 
     # -- verification sweeps -------------------------------------------------
 

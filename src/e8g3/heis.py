@@ -2,9 +2,10 @@
 9-dimensional representation over Q(w).
 
 The group has 243 elements (k, v) with k in Z/3 central and v in F_3^4
-written in symplectic coordinates (e1, e2, f1, f2); multiplication twists
-by the bilinear cocycle c(v, u) = v_e1 u_f1 + v_e2 u_f2, whose commutator
-is the symplectic pairing inherited from the lattice.  The representation
+written in symplectic coordinates (e1, e2, f1, f2), each held as the int
+code 81 k + class_code(v); multiplication (`code_product`) twists by the
+bilinear cocycle c(v, u) = v_e1 u_f1 + v_e2 u_f2, whose commutator is
+the symplectic pairing inherited from the lattice.  The representation
 acts on functions on F_3^2 by translations (e-part) and characters
 (f-part); every group element maps to a monomial matrix, which keeps all
 sweeps exact and fast.
@@ -72,59 +73,15 @@ def cocycle(v, u) -> int:
     return (v[0] * u[2] + v[1] * u[3]) % 3
 
 
-class HeisElement(tuple):
-    """Pair (k, v): central part zeta^k and class v in symplectic coordinates."""
-
-    __slots__ = ()
-
-    def __new__(cls, k, v):
-        return tuple.__new__(cls, (k % 3, tuple(x % 3 for x in v)))
-
-    @property
-    def k(self):
-        return self[0]
-
-    @property
-    def cls(self):
-        return self[1]
-
-    def __mul__(self, other):
-        return code_element(code_product(element_code(self),
-                                         element_code(other)))
-
-    def inverse(self):
-        k, v = self
-        vi = tuple(-x % 3 for x in v)
-        return HeisElement(-k - cocycle(v, vi), vi)
+# An element zeta^k times the class v is coded 81 * k + c, with c in
+# range(81) the base-3 code of v, first coordinate most significant:
+# CLASSES[c] is v and class_code(v) is c
+CLASSES = tuple(product(range(3), repeat=4))
 
 
-IDENTITY = HeisElement(0, (0, 0, 0, 0))
-
-
-def all_elements():
-    """The 243 elements; the element of code c is at index c."""
-    return [HeisElement(k, v)
-            for k in range(3) for v in product(range(3), repeat=4)]
-
-
-# An element (k, v) is coded 81 * k + v, with v in range(81) the base-3
-# code of its class, first coordinate most significant.
-
-def _class_code(v) -> int:
+def class_code(v) -> int:
     a, b, c, d = v
     return 27 * a + 9 * b + 3 * c + d
-
-
-def element_code(h: HeisElement) -> int:
-    return 81 * h[0] + _class_code(h[1])
-
-
-def code_element(g: int) -> HeisElement:
-    k, v = divmod(g, 81)
-    a, v = divmod(v, 27)
-    b, v = divmod(v, 9)
-    c, d = divmod(v, 3)
-    return tuple.__new__(HeisElement, (k, (a, b, c, d)))
 
 
 # _LAW[81 * v + u] = 81 * cocycle(v, u) + code of v + u, for class codes
@@ -134,10 +91,9 @@ _LAW = None
 
 def _build_law():
     global _LAW
-    classes = [code_element(v).cls for v in range(81)]
     _LAW = bytes(81 * cocycle(v, u)
-                 + _class_code([(x + y) % 3 for x, y in zip(v, u)])
-                 for v in classes for u in classes)
+                 + class_code([(x + y) % 3 for x, y in zip(v, u)])
+                 for v in CLASSES for u in CLASSES)
     return _LAW
 
 
@@ -146,6 +102,15 @@ def code_product(g: int, h: int) -> int:
     with the cocycle of the classes, and the classes add."""
     v, u = g % 81, h % 81
     return (g - v + h - u + (_LAW or _build_law())[81 * v + u]) % 243
+
+
+def code_inverse(g: int) -> int:
+    """Code of the inverse of the element coded g: the class negated, and
+    the centre negated and moved by cocycle(v, v), since
+    cocycle(v, -v) = -cocycle(v, v)."""
+    k, c = divmod(g, 81)
+    v = CLASSES[c]
+    return 81 * ((cocycle(v, v) - k) % 3) + class_code([-x % 3 for x in v])
 
 
 def commutator_exponent(v, u) -> int:
@@ -220,13 +185,16 @@ class Mono:
         return t
 
 
-def svn_rep(h: HeisElement) -> Mono:
-    """Stone-von-Neumann action on functions on F_3^2.
+def svn_rep(g: int) -> Mono:
+    """Stone-von-Neumann action of the element coded g on functions on
+    F_3^2.
 
-    With v = (a1, a2, b1, b2): translate by (a1, a2), multiply by the
-    character (s, t) -> zeta^(b1 s + b2 t), and scale by the centre.
+    With g = 81 k + class_code((a1, a2, b1, b2)): translate by (a1, a2),
+    multiply by the character (s, t) -> zeta^(b1 s + b2 t), and scale by
+    zeta^k.
     """
-    k, (a1, a2, b1, b2) = h
+    k, c = divmod(g, 81)
+    a1, a2, b1, b2 = CLASSES[c]
     perm = []
     expo = []
     for y in range(9):
@@ -238,7 +206,7 @@ def svn_rep(h: HeisElement) -> Mono:
 
 
 def commutant_dimension(gens) -> int:
-    """Dimension of {M : M rho(g) = rho(g) M for all generators g}.
+    """Dimension of {M : M rho(g) = rho(g) M for all generator codes g}.
 
     The relation for a monomial matrix rho(g) identifies entries in orbits
     up to phases; inconsistent orbits are forced to zero, so the dimension
@@ -309,10 +277,6 @@ class HeisenbergModel:
 
     def root_class(self, root9):
         return self.to_symplectic(self.rs.project(root9))
-
-    def section(self, root9) -> HeisElement:
-        """Canonical zero-centre lift of the class of a root."""
-        return HeisElement(0, self.root_class(root9))
 
 
 _MODEL = None

@@ -12,7 +12,6 @@ orbits with the 80 nonzero 3-torsion classes.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -260,9 +259,6 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
                      for i, row in enumerate(E))
     out["twist_exponent_alternating"] = alt_ok
     out["twist_exponent_invariant"] = inv_ok
-    out["ok"] = all(v for k, v in out.items()
-                    if k.endswith("_ok") or k.startswith("closed")
-                    or k in ("twist_free", "twist_fibers_match_classes"))
     return out
 
 
@@ -295,17 +291,10 @@ def _int_list(x) -> bool:
 
 
 def fixture_text(fixture_path: str | None) -> str:
-    """The sections fixture: the given path, else sections_q.json in
-    $E8G3_FIXTURES, else the packaged default."""
+    """The sections fixture at the given path, else the packaged one."""
     if fixture_path:
         with open(fixture_path) as fh:
             return fh.read()
-    env_dir = os.environ.get("E8G3_FIXTURES")
-    if env_dir:
-        cand = os.path.join(env_dir, "sections_q.json")
-        if os.path.exists(cand):
-            with open(cand) as fh:
-                return fh.read()
     return _packaged_fixture_text()
 
 

@@ -4,28 +4,26 @@ determinant of M - I on every element, and Moebius inversion on the
 lattice of subspaces of F_3^4, where the classes swept are the G-orbits
 of subspaces.
 
-A vector (v0, v1, v2, v3) of F_3^4 is encoded as the int
+A vector of F_3^4 is its heis class code (`heis.class_code`,
 27 v0 + 9 v1 + 3 v2 + v3 in 0..80, so code order is the lexicographic
-order of the tuples, and a matrix as the 4-tuple of its column codes.
-Vector sums, scalar multiples and the symplectic form are 81 x 81 (or
-3 x 81) tables built once at import; a matrix acts on vectors through
-the 81-entry table of its images. A subspace is the 81-bit mask with
-bit c set for each code c in it.
+order of the tuples `heis.CLASSES`), and a matrix is the 4-tuple of its
+column codes. Vector sums (the class part of the heis group law), scalar
+multiples and the symplectic form are 81 x 81 (or 3 x 81) tables built
+once at import; a matrix acts on vectors through the 81-entry table of
+its images. A subspace is the 81-bit mask with bit c set for each code c
+in it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .heis import commutator_exponent
+from .heis import CLASSES, class_code, code_product, commutator_exponent
 
-_DIGITS = list(product(range(3), repeat=4))  # code -> coordinate tuple
-_CODE = {v: i for i, v in enumerate(_DIGITS)}
-_ADD = [[_CODE[tuple((x + y) % 3 for x, y in zip(u, v))] for v in _DIGITS]
-        for u in _DIGITS]
-_SCALE = [[_CODE[tuple(c * x % 3 for x in u)] for u in _DIGITS]
+_ADD = [[code_product(u, v) % 81 for v in range(81)] for u in range(81)]
+_SCALE = [[class_code([c * x % 3 for x in u]) for u in CLASSES]
           for c in range(3)]
-_FORM = [[commutator_exponent(u, v) for v in _DIGITS] for u in _DIGITS]
+_FORM = [[commutator_exponent(u, v) for v in CLASSES] for u in CLASSES]
 _VECS = range(1, 81)  # the nonzero vectors
 # positions in enumerate_sp4() of the two generators the orbit sweeps use
 _GENERATOR_POSITIONS = (1, 1000)
@@ -64,10 +62,10 @@ def _action(cols):
 def _det_minus_identity(cols) -> int:
     """det(M - I) mod 3 by Laplace expansion along columns 0 and 1: the
     six 2 x 2 minors of those columns times their complementary minors."""
-    a0, a1, a2, a3 = _DIGITS[cols[0]]
-    b0, b1, b2, b3 = _DIGITS[cols[1]]
-    c0, c1, c2, c3 = _DIGITS[cols[2]]
-    d0, d1, d2, d3 = _DIGITS[cols[3]]
+    a0, a1, a2, a3 = CLASSES[cols[0]]
+    b0, b1, b2, b3 = CLASSES[cols[1]]
+    c0, c1, c2, c3 = CLASSES[cols[2]]
+    d0, d1, d2, d3 = CLASSES[cols[3]]
     a0 -= 1
     b1 -= 1
     c2 -= 1

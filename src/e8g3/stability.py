@@ -16,7 +16,7 @@ finite computation and is reported as skipped.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .rootsys import canonical, eij, neg, weight_vector
 from .vinberg import (
@@ -26,6 +26,7 @@ from .vinberg import (
     up_closure,
     x_value,
 )
+from .wedge import merge_sign
 
 SIX_STABLE = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (3, 5, 7), (1, 7, 8), (4, 5, 6))
 
@@ -88,64 +89,44 @@ def support_targets(actors, M):
     return targets, zero_hit, heights
 
 
-def support_criterion(actors, M) -> dict:
+def support_criterion(actors, M) -> bool:
+    """Fewer targets than actors, no zero-weight target, and every actor
+    of negative height."""
     targets, zero_hit, heights = support_targets(actors, M)
-    ok = (len(targets) < len(actors)
-          and not zero_hit
-          and all(h < 0 for h in heights))
-    return {"ok": ok, "targets": sorted(targets), "actors": len(actors),
-            "zero_hit": zero_hit, "heights": heights}
+    return (len(targets) < len(actors)
+            and not zero_hit
+            and all(h < 0 for h in heights))
+
+
+def alternating_det(n):
+    """The determinant of the generic n x n alternating matrix, entries
+    x_ij = -x_ji for i < j, as a map from monomials (sorted tuples of the
+    pairs (i, j)) to their nonzero coefficients."""
+    acc = {}
+    for perm in permutations(range(n)):
+        if any(i == j for i, j in enumerate(perm)):
+            continue
+        coef = merge_sign(perm)[1]
+        mono = []
+        for i, j in enumerate(perm):
+            if i > j:
+                i, j = j, i
+                coef = -coef
+            mono.append((i, j))
+        key = tuple(sorted(mono))
+        acc[key] = acc.get(key, 0) + coef
+    return {key: c for key, c in acc.items() if c}
 
 
 def antisym5_det_vanishes() -> bool:
     """Exact symbolic determinant of a generic 5x5 alternating matrix."""
-    n = 5
-    acc = {}
-    for perm in permutations(range(n)):
-        coef = _perm_sign(perm)
-        mono = []
-        ok = True
-        for i in range(n):
-            j = perm[i]
-            if i == j:
-                ok = False
-                break
-            if i < j:
-                mono.append((i, j))
-            else:
-                mono.append((j, i))
-                coef = -coef
-        if not ok:
-            continue
-        key = tuple(sorted(mono))
-        acc[key] = acc.get(key, 0) + coef
-    return all(v == 0 for v in acc.values())
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
+    return not alternating_det(5)
 
 
 def wedge_pairing_alternating() -> bool:
     """(omega, x, y) -> omega ^ x ^ y on a 5-dim space is alternating in
     (x, y), checked exactly on every basis combination."""
-    from .wedge import merge_sign
-
     idx = (3, 4, 5, 6, 7)
-    from itertools import combinations
     for omega in combinations(idx, 3):
         for x in idx:
             if merge_sign(omega, (x,), (x,))[0] is not None:
@@ -160,26 +141,19 @@ def wedge_pairing_alternating() -> bool:
     return True
 
 
-def case_348() -> dict:
+def case_348() -> bool:
     """Images of e_1^e_2^e_k (k=3..7) stay inside the span indexed by
     {1..7}; the induced odd alternating pairing then forces a kernel."""
     M = up_closure([(3, 4, 8)])
-    confinement = []
-    for k in range(3, 8):
-        for a in ALL_WEIGHTS:
-            if a in M or set(a) & {1, 2, k}:
-                continue
-            if not set(a) <= {3, 4, 5, 6, 7}:
-                confinement.append((k, a))
+    confined = all(set(a) <= {3, 4, 5, 6, 7}
+                   for k in range(3, 8) for a in ALL_WEIGHTS
+                   if a not in M and not set(a) & {1, 2, k})
     actors = [("w3", (1, 2, k)) for k in range(3, 8)]
     _, zero_hit, heights = support_targets(actors, M)
-    return {
-        "ok": (not confinement and not zero_hit
-               and all(h < 0 for h in heights)
-               and wedge_pairing_alternating()
-               and antisym5_det_vanishes()),
-        "confinement_failures": confinement,
-    }
+    return (confined and not zero_hit
+            and all(h < 0 for h in heights)
+            and wedge_pairing_alternating()
+            and antisym5_det_vanishes())
 
 
 def reduces_to(weight, target) -> bool:
@@ -188,28 +162,20 @@ def reduces_to(weight, target) -> bool:
     return up_closure([target]) <= up_closure([weight])
 
 
-def negative_weight_sweep() -> dict:
+def negative_weight_sweep() -> bool:
     """Every negative weight except (1 5 9) sits under a verified trigger."""
     triggers = set(SIX_STABLE) | {(1, 6, 8), (2, 4, 8), (2, 3, 9), (1, 4, 9)}
-    uncovered = []
-    coverage = {}
-    for a in ALL_WEIGHTS:
-        if x_value(weight_vector(a)) > 0 or a == (1, 5, 9):
-            continue
-        ups = [t for t in triggers if all(x <= y for x, y in zip(a, t))]
-        if not ups:
-            uncovered.append(a)
-        coverage[a] = sorted(ups)
-    return {"ok": not uncovered, "uncovered": uncovered,
-            "negatives_checked": len(coverage)}
+    return all(any(all(x <= y for x, y in zip(a, t)) for t in triggers)
+               for a in ALL_WEIGHTS
+               if x_value(weight_vector(a)) <= 0 and a != (1, 5, 9))
 
 
-def case7_part5() -> dict:
+def case7_part5() -> bool:
     """Closure conditions for the shift argument on the four-generator set."""
     gens = ((1, 6, 9), (2, 4, 9), (2, 7, 8), (4, 6, 7))
     M = up_closure(gens)
     alpha = (1, 5, 9)
-    shift_ok = []
+    shift_free = True
     for sign in (1, -1):
         for g in M:
             vec = list(weight_vector(g))
@@ -219,87 +185,77 @@ def case7_part5() -> dict:
                 continue
             t = tuple(i + 1 for i, c in enumerate(vec) if c)
             if t in ALL_WEIGHTS and t not in M:
-                shift_ok.append((sign, g, t))
+                shift_free = False
     cond_b = alpha not in M and (1, 4, 9) not in M
     # with (1 5 9) added, the configuration covering the paired-case
     # criterion is contained in the enlarged set
     enlarged = M | up_closure([alpha])
     cond_c = up_closure([(1, 5, 9), (5, 6, 7)]) <= enlarged
-    return {"ok": not shift_ok and cond_b and cond_c,
-            "shift_failures": shift_ok}
+    return shift_free and cond_b and cond_c
 
 
-def run_all() -> list:
-    """All fixtures; each entry: (name, status, detail)."""
+def verify_stability() -> dict:
+    """All fixtures as (name, status) results, status None for the one
+    that is not a finite computation."""
     out = []
 
     lam267 = _lam((-1, (1, 3, 4)), (-1, (1, 2, 5)))
     out.append(("part1_267_lambda",
-                check_lambda_criterion(lam267, up_closure([(2, 6, 7)])), {}))
+                check_lambda_criterion(lam267, up_closure([(2, 6, 7)]))))
 
     out.append(("part1_178_gamma",
                 check_gamma_criterion(neg(weight_vector((7, 8, 9))),
-                                      up_closure([(1, 7, 8)])), {}))
+                                      up_closure([(1, 7, 8)]))))
     out.append(("part1_456_gamma",
                 check_gamma_criterion(weight_vector((1, 2, 3)),
-                                      up_closure([(4, 5, 6)])), {}))
+                                      up_closure([(4, 5, 6)]))))
 
-    res = support_criterion([("w3", (1, 2, 3)), ("w3", (1, 2, 4))],
-                            up_closure([(3, 5, 7)]))
-    out.append(("part1_357_support", res["ok"], res))
+    out.append(("part1_357_support",
+                support_criterion([("w3", (1, 2, 3)), ("w3", (1, 2, 4))],
+                                  up_closure([(3, 5, 7)]))))
 
-    res = case_348()
-    out.append(("part1_348_alternating", res["ok"], res))
+    out.append(("part1_348_alternating", case_348()))
 
-    out.append(("part1_258_skipped", None,
-                {"reason": "proof-level, not machine-checked: relies on a "
-                           "group-action normal form, not a finite sweep"}))
+    # proof-level, not machine-checked: relies on a group-action normal
+    # form, not a finite sweep
+    out.append(("part1_258_skipped", None))
 
     out.append(("part1_248_reduces_to_348",
-                reduces_to((2, 4, 8), (3, 4, 8)), {}))
+                reduces_to((2, 4, 8), (3, 4, 8))))
 
-    res = negative_weight_sweep()
-    out.append(("part2_negative_sweep", res["ok"], res))
+    out.append(("part2_negative_sweep", negative_weight_sweep()))
 
     out.append(("part2_168_gamma",
                 check_gamma_criterion(neg(weight_vector((6, 8, 9))),
-                                      up_closure([(1, 6, 8)])), {}))
+                                      up_closure([(1, 6, 8)]))))
     out.append(("part2_239_gamma",
-                check_gamma_criterion(eij(1, 9), up_closure([(2, 3, 9)])), {}))
+                check_gamma_criterion(eij(1, 9), up_closure([(2, 3, 9)]))))
 
-    res = support_criterion([("g", (3, 9)), ("g", (2, 9))],
-                            up_closure([(1, 4, 9), (2, 4, 9)]))
-    out.append(("part2_149_support", res["ok"], res))
+    out.append(("part2_149_support",
+                support_criterion([("g", (3, 9)), ("g", (2, 9))],
+                                  up_closure([(1, 4, 9), (2, 4, 9)]))))
 
-    res = support_criterion([("w6", _comp((6, 8, 9))), ("w6", _comp((7, 8, 9)))],
-                            up_closure([(1, 6, 9), (2, 6, 8)]))
-    out.append(("part3_169_268_support", res["ok"], res))
+    out.append(("part3_169_268_support",
+                support_criterion([("w6", _comp((6, 8, 9))),
+                                   ("w6", _comp((7, 8, 9)))],
+                                  up_closure([(1, 6, 9), (2, 6, 8)]))))
 
     lam4 = _lam((-1, (1, 2, 3)), (-1, (1, 4, 6)), (1, (1, 6, 9)))
     out.append(("part4_159_567_lambda",
-                check_lambda_criterion(lam4, up_closure([(1, 5, 9), (5, 6, 7)])),
-                {}))
+                check_lambda_criterion(
+                    lam4, up_closure([(1, 5, 9), (5, 6, 7)]))))
 
     lam5 = _lam((-1, (1, 2, 3)), (1, (7, 8, 9)), (1, (3, 6, 9)))
     out.append(("part5_169_349_367_lambda",
                 check_lambda_criterion(
-                    lam5, up_closure([(1, 6, 9), (3, 4, 9), (3, 6, 7)])), {}))
+                    lam5, up_closure([(1, 6, 9), (3, 4, 9), (3, 6, 7)]))))
 
     actors6 = [("w6", _comp(t)) for t in
                ((5, 7, 9), (6, 7, 9), (4, 8, 9), (5, 8, 9), (6, 8, 9), (7, 8, 9))]
-    res = support_criterion(actors6,
-                            up_closure([(1, 7, 9), (2, 4, 9), (4, 5, 7)]))
-    out.append(("part6_179_249_457_support", res["ok"], res))
+    out.append(("part6_179_249_457_support",
+                support_criterion(actors6, up_closure(
+                    [(1, 7, 9), (2, 4, 9), (4, 5, 7)]))))
 
-    res = case7_part5()
-    out.append(("part7_169_249_278_467_shift", res["ok"], res))
+    out.append(("part7_169_249_278_467_shift", case7_part5()))
 
-    return out
-
-
-def verify_stability() -> dict:
-    results = run_all()
-    failures = [name for name, ok, _ in results if ok is False]
-    skipped = [name for name, ok, _ in results if ok is None]
-    return {"results": results, "failures": failures, "skipped": skipped,
-            "ok": not failures}
+    return {"results": out}

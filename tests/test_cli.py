@@ -59,41 +59,33 @@ def test_bad_suite_name_exits_2():
     assert exc.value.code == 2
 
 
-def test_fixture_env_precedence(tmp_path, capsys, monkeypatch):
-    # point E8G3_FIXTURES at a copy of the packaged fixture
+def test_fixture_text_reads_the_path_or_the_packaged_fixture(tmp_path):
     from importlib import resources
+    from e8g3.sections import fixture_text
     text = resources.files("e8g3").joinpath(
         "fixtures/sections_q.json").read_text()
-    fdir = tmp_path / "fx"
-    fdir.mkdir()
-    (fdir / "sections_q.json").write_text(text)
-    monkeypatch.setenv("E8G3_FIXTURES", str(fdir))
-    from e8g3.sections import fixture_text
     assert fixture_text(None) == text
-    # explicit flag wins over the environment
-    alt = tmp_path / "alt.json"
-    alt.write_text(text)
-    assert fixture_text(str(alt)) == text
+    path = tmp_path / "other.json"
+    path.write_text("{}")
+    assert fixture_text(str(path)) == "{}"
 
 
 def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
     from e8g3 import suites
-    from e8g3.report import Suite
 
-    def boom():
+    def boom(s):
+        s.check("finished", True)
         raise RuntimeError("table missing")
 
-    def fine():
-        s = Suite("fine")
+    def fine(s):
         s.check("one", True)
-        s._digest = "d"
-        return s
 
     monkeypatch.setattr(suites, "SUITES", {"boom": boom, "fine": fine})
     out = tmp_path / "r.json"
     assert main(["verify", "all", "--json", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
+        "[PASS] boom/finished",
         "[ERROR] boom/crash -- RuntimeError: table missing",
         "[PASS] fine/one",
         "suites FAILED",
@@ -101,8 +93,10 @@ def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
     assert "RuntimeError: table missing" in captured.err
     boom_rep, fine_rep = json.loads(out.read_text())
     assert boom_rep["suite"] == "boom"
-    assert boom_rep["checks"] == [{"name": "crash", "status": "error",
-                                   "detail": "RuntimeError: table missing"}]
+    assert boom_rep["checks"] == [
+        {"name": "finished", "status": "pass", "detail": ""},
+        {"name": "crash", "status": "error",
+         "detail": "RuntimeError: table missing"}]
     assert fine_rep["suite"] == "fine"
     assert [c["status"] for c in fine_rep["checks"]] == ["pass"]
 
@@ -110,7 +104,6 @@ def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
 def test_pool_has_at_most_one_worker_per_suite(monkeypatch, capsys):
     import multiprocessing
     from e8g3 import suites
-    from e8g3.report import Suite
 
     sizes = []
 
@@ -130,11 +123,8 @@ def test_pool_has_at_most_one_worker_per_suite(monkeypatch, capsys):
         def imap(self, fn, jobs):
             return map(fn, jobs)
 
-    def fine():
-        s = Suite("fine")
+    def fine(s):
         s.check("one", True)
-        s._digest = "d"
-        return s
 
     def get_context(method):
         assert method == "spawn"
@@ -335,8 +325,6 @@ DEFAULTED_PARAMETERS = {
     ("report.py", "check", "detail"),
     ("report.py", "check", "slack"),
     ("report.py", "to_dict", "fixture_digest"),
-    ("suites.py", "suite_sections", "fixture_path"),
-    ("suites.py", "run_suite", "fixture_path"),
 }
 
 

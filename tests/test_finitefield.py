@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g3.finitefield import GF, quadratic_roots
+from e8g3.finitefield import GF, MAX_Q, quadratic_roots
 
 ORDERS = st.sampled_from([3, 7, 9, 25, 27, 49, 169])
 
@@ -53,6 +53,38 @@ def test_tables_match_digit_and_polynomial_arithmetic(q, data):
     assert F.sub_table[a][b] == _encode(F, [x - y for x, y in zip(da, db)])
     assert F.neg_table[a] == _encode(F, [-x for x in da])
     assert F.mul_table[a][b] == _encode(F, _poly_mulmod(F, da, db))
+
+
+# the modulus and the generator exp[1] of each field: the recorded section
+# fixture is written in the F_169 encoding, and zeta3 = exp[(q - 1) / 3]
+# fixes the twist direction
+ENCODINGS = {3: ([0, 1], 2), 5: ([0, 1], 2), 7: ([0, 1], 3), 13: ([0, 1], 2),
+             9: ([1, 0, 1], 4), 25: ([2, 0, 1], 6), 27: ([1, 2, 0, 1], 3),
+             49: ([1, 0, 1], 9), 81: ([2, 1, 0, 0, 1], 3),
+             121: ([1, 0, 1], 15), 125: ([1, 1, 0, 1], 9),
+             169: ([2, 0, 1], 15), 343: ([2, 0, 0, 1], 22)}
+
+
+@pytest.mark.parametrize("q", sorted(ENCODINGS))
+def test_modulus_and_generator_are_pinned(q):
+    F = field(q)
+    assert (F.modulus, F.exp[1]) == ENCODINGS[q]
+
+
+# every odd prime power q <= MAX_Q that is not prime, whose product is
+# polynomial arithmetic over GF(p), and the primes p it is built on;
+# larger prime fields multiply ints mod p, and building their tables would
+# cost seconds
+POLYNOMIAL_ORDERS = [p ** k for p in (3, 5, 7, 11, 13, 17, 19)
+                     for k in range(1, 6) if p ** k <= MAX_Q]
+
+
+@pytest.mark.parametrize("q", POLYNOMIAL_ORDERS)
+def test_mul_table_is_polynomial_arithmetic(q):
+    F = field(q)
+    digits = [_digits(F, a) for a in range(q)]
+    assert F.mul_table == [[_encode(F, _poly_mulmod(F, da, db))
+                            for db in digits] for da in digits]
 
 
 @settings(deadline=None, derandomize=True)

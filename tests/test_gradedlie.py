@@ -13,7 +13,7 @@ from e8g3.gradedlie import (GradedAlgebra, LieElement, _pair_mul_zeta,
                             killing_gram, verify_heis_action_match,
                             verify_rho_prime_homomorphism,
                             z_supports_partition)
-from e8g3.heis import IDENTITY, HeisElement, commutator_exponent, svn_rep
+from e8g3.heis import class_code, commutator_exponent, svn_rep
 
 KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
 
@@ -583,10 +583,10 @@ def test_mono_products_match_dense_products():
     # Mono's column-code kernels against 9x9 matrices over Q(w): every
     # product of two of the four generator images and their inverses, and
     # the trace and scalar ratio of each
-    gens = [svn_rep(HeisElement(0, v)) for v in
+    gens = [svn_rep(class_code(v)) for v in
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]]
     monos = gens + [m.inverse() for m in gens]
-    one = dense(svn_rep(IDENTITY))
+    one = dense(svn_rep(0))
     for m in monos:
         dm = dense(m)
         assert dense_mul(dm, dense(m.inverse())) == one
@@ -597,8 +597,8 @@ def test_mono_products_match_dense_products():
             ratios = [t for t in range(3)
                       if dm == [[Cyc.zeta(t) * x for x in row] for row in dn]]
             assert m.scalar_ratio(n) == (ratios[0] if ratios else None)
-    centre = svn_rep(HeisElement(1, (0, 0, 0, 0)))
-    assert centre.scalar_ratio(svn_rep(IDENTITY)) == 1
+    centre = svn_rep(81)  # zeta times the identity
+    assert centre.scalar_ratio(svn_rep(0)) == 1
 
 
 def reference_bracket(alg, x, y):

@@ -4,25 +4,26 @@ heis checks of the session report."""
 from itertools import product
 
 from e8g3.heis import (
-    IDENTITY,
-    HeisElement,
-    all_elements,
+    CLASSES,
     build_model,
-    code_element,
+    class_code,
+    code_inverse,
     code_product,
     cocycle,
-    element_code,
     standard_form,
     svn_rep,
 )
+
+# the elements as (k, v) tuples, the one at index c coded c
+ELEMENTS = [(k, v) for k in range(3) for v in product(range(3), repeat=4)]
 
 
 def _tuple_product(g, h):
     """The group law on (k, v) tuples: the centres add with the cocycle of
     the classes, and the classes add."""
     (k1, v1), (k2, v2) = g, h
-    return HeisElement(k1 + k2 + cocycle(v1, v2),
-                       [a + b for a, b in zip(v1, v2)])
+    return ((k1 + k2 + cocycle(v1, v2)) % 3,
+            tuple((a + b) % 3 for a, b in zip(v1, v2)))
 
 
 def test_symplectic_basis_defining_relations(report):
@@ -40,29 +41,32 @@ def test_change_of_basis_preserves_form():
     assert prod == standard_form()
 
 
-def test_group_law():
-    els = all_elements()
-    assert len(els) == 243
-    for g in els:
-        assert g * g.inverse() == IDENTITY
-        assert (g * g) * g == IDENTITY  # exponent 3
-    # associativity spot sweep
-    sample = els[::13]
-    for g in sample:
-        for h in sample:
-            for k in sample:
-                assert (g * h) * k == g * (h * k)
+def test_codes_are_the_tuple_indices():
+    assert list(CLASSES) == [v for _, v in ELEMENTS[:81]]
+    assert [81 * k + class_code(v) for k, v in ELEMENTS] == list(range(243))
 
 
 def test_code_product_matches_tuple_law():
-    els = all_elements()
-    assert [element_code(g) for g in els] == list(range(243))
-    assert [code_element(c) for c in range(243)] == els
-    for c, g in enumerate(els):
-        for d, h in enumerate(els):
-            gh = _tuple_product(g, h)
-            assert els[code_product(c, d)] == gh
-            assert g * h == gh
+    index = {g: c for c, g in enumerate(ELEMENTS)}
+    identity = ELEMENTS[0]
+    for c, g in enumerate(ELEMENTS):
+        gi = ELEMENTS[code_inverse(c)]
+        assert _tuple_product(g, gi) == _tuple_product(gi, g) == identity
+        for d, h in enumerate(ELEMENTS):
+            assert code_product(c, d) == index[_tuple_product(g, h)]
+
+
+def test_group_law():
+    for g in range(243):
+        assert code_product(g, code_inverse(g)) == 0
+        assert code_product(code_product(g, g), g) == 0  # exponent 3
+    # associativity spot sweep
+    sample = range(0, 243, 13)
+    for g in sample:
+        for h in sample:
+            for k in sample:
+                assert (code_product(code_product(g, h), k)
+                        == code_product(g, code_product(h, k)))
 
 
 def test_commutator_is_central_pairing(report):
@@ -70,9 +74,10 @@ def test_commutator_is_central_pairing(report):
 
 
 def test_center_and_nonabelian():
-    center = [g for g in all_elements()
-              if all(g * h == h * g for h in all_elements())]
-    assert sorted(center) == sorted(HeisElement(k, (0, 0, 0, 0)) for k in range(3))
+    center = [g for g in range(243)
+              if all(code_product(g, h) == code_product(h, g)
+                     for h in range(243))]
+    assert center == [0, 81, 162]
 
 
 def test_rep_is_homomorphism_all_pairs(report):
@@ -81,7 +86,7 @@ def test_rep_is_homomorphism_all_pairs(report):
 
 def test_rep_center_tautological():
     for k in range(3):
-        m = svn_rep(HeisElement(k, (0, 0, 0, 0)))
+        m = svn_rep(81 * k)
         assert m.perm == tuple(range(9))
         assert all(e == k for e in m.expo)
 

@@ -14,13 +14,16 @@ from e8g3.cyclotomic import Cyc
 from e8g3.finitefield import GF
 from e8g3.gradedlie import (GradedAlgebra, LieElement, _out_additive,
                             get_algebra, killing_gram)
+from e8g3.report import Suite
 from e8g3.rootsys import build_root_system
 
 
 def _passes(suite, *names):
     """Whether every named check of a fresh run of `suite` passes."""
     def holds():
-        status = {c["name"]: c["status"] for c in suite().checks}
+        s = Suite(suite.__name__)
+        suite(s)
+        status = {c["name"]: c["status"] for c in s.checks}
         return all(status[name] == "pass" for name in names)
     return holds
 
@@ -127,6 +130,17 @@ def _shift_one_product(monkeypatch):
         gh = mul(g, h)
         return (gh + 81) % 243 if (g, h) == (100, 200) else gh
     monkeypatch.setattr(heis, "code_product", shifted)
+
+
+def _move_one_square(monkeypatch):
+    # the square of the element coded 1 gets its central part moved by one,
+    # so its cube is central but not the identity
+    mul = heis.code_product
+
+    def moved(g, h):
+        gh = mul(g, h)
+        return (gh + 81) % 243 if g == h == 1 else gh
+    monkeypatch.setattr(heis, "code_product", moved)
 
 
 def _corrupt_code_shift(monkeypatch):
@@ -285,6 +299,9 @@ MUTATIONS = [
     # heis/rep_homomorphism: one product off by a central element
     ("heis_rep_homomorphism", _shift_one_product,
      _passes(suites.suite_heis, "rep_homomorphism"), None),
+    # heis/exponent_three: one square off by a central element
+    ("heis_exponent_three", _move_one_square,
+     _passes(suites.suite_heis, "exponent_three"), None),
     # rootsys/sum_rule_iff_pairing_minus_one and per_root_pairing_statistics
     # read the shared pair table
     ("rootsys_pair_table", _corrupt_pair_table,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from e8g3 import cuspdata, vinberg
 from e8g3.rootsys import eij, neg, weight_vector
-from e8g3.stability import reduces_to
+from e8g3.stability import alternating_det, reduces_to
 from e8g3.vinberg import (
     ALL_WEIGHTS,
     CuspCase,
@@ -339,6 +339,20 @@ def test_stability_negative_control():
     lam = neg(tuple(x + y for x, y in
                     zip(weight_vector((1, 3, 4)), weight_vector((1, 2, 5)))))
     assert not check_lambda_criterion(lam, frozenset())
+
+
+def test_alternating_det_is_the_pfaffian_squared():
+    # det = Pf^2 at n = 4, with Pf = x01 x23 - x02 x13 + x03 x12; the
+    # permutation signs matter here, while at n = 5 every coefficient
+    # vanishes whatever they are
+    pf = {((0, 1), (2, 3)): 1, ((0, 2), (1, 3)): -1, ((0, 3), (1, 2)): 1}
+    square = {}
+    for m1, c1 in pf.items():
+        for m2, c2 in pf.items():
+            key = tuple(sorted(m1 + m2))
+            square[key] = square.get(key, 0) + c1 * c2
+    assert alternating_det(4) == square
+    assert alternating_det(5) == {}
 
 
 def test_kostant_triple(report):
