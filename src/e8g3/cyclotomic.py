@@ -36,12 +36,7 @@ class Cyc:
     @staticmethod
     def zeta(k: int) -> "Cyc":
         """w**k for any integer k."""
-        k %= 3
-        if k == 0:
-            return Cyc(1, 0)
-        if k == 1:
-            return Cyc(0, 1)
-        return Cyc(-1, -1)
+        return Cyc(*zeta_mul(1, 0, k))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -84,24 +79,6 @@ class Cyc:
         c = self.conj()
         return Cyc(Fraction(c.a, n), Fraction(c.b, n))
 
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyc(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
@@ -120,12 +97,15 @@ class Cyc:
     def __repr__(self):
         return f"Cyc({self.a!r}, {self.b!r})"
 
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*w"
-        return f"{self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*w"
+
+def zeta_mul(x, y, k):
+    """(x + y w) * w^k as a pair, for any integer k."""
+    k %= 3
+    if k == 0:
+        return x, y
+    if k == 1:
+        return -y, x - y
+    return y - x, -x
 
 
 def _coerce(x) -> Cyc:

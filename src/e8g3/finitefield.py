@@ -12,6 +12,8 @@ MAX_Q.
 
 from __future__ import annotations
 
+from .intlinalg import power
+
 MAX_Q = 512  # largest field order GF builds tables for
 
 
@@ -55,17 +57,6 @@ def _encode(digits, p: int) -> int:
     return out
 
 
-def _power(mul, a, n: int, one):
-    """a^n by square and multiply under the product `mul`."""
-    out = one
-    while n:
-        if n & 1:
-            out = mul(out, a)
-        a = mul(a, a)
-        n >>= 1
-    return out
-
-
 def _find_irreducible(Fp, k: int):
     """The monic irreducible of degree k > 1 over the prime field Fp whose
     lower coefficients have the smallest code: x^(p^k) = x and
@@ -78,7 +69,7 @@ def _find_irreducible(Fp, k: int):
             return pmod(Fp, pmul(Fp, a, b), mod)
         powers = [[0, 1]]  # x^(p^i) for i = 0..k
         for _ in range(k):
-            powers.append(_power(mulmod, powers[-1], p, [1]))
+            powers.append(power(mulmod, powers[-1], p, [1]))
         if powers[k] == [0, 1] and all(powers[k // ell] != [0, 1]
                                        for ell in _prime_divisors(k)):
             return mod
@@ -128,7 +119,7 @@ class GF:
         n = q - 1
         divs = _prime_divisors(n)
         g = next(g for g in range(2, q)
-                 if all(_power(mul, g, n // d, 1) != 1 for d in divs))
+                 if all(power(mul, g, n // d, 1) != 1 for d in divs))
         self.exp = [1] * n
         self.log = [0] * q
         cur = 1
@@ -256,15 +247,6 @@ def pdivmod(F, a, b):
 
 def pmod(F, a, b):
     return pdivmod(F, a, b)[1]
-
-
-def pgcd(F, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, pmod(F, a, b)
-    if a:
-        a = pscale(F, a, F.inv(a[-1]))
-    return a
 
 
 def pxgcd(F, a, b):

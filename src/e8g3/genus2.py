@@ -97,11 +97,8 @@ def _iroot(n: int, e: int) -> int:
 
 
 def coeff_bound(a: int, i: int) -> int:
-    """Largest |c| with |c|^120 < a^i."""
-    c = 0
-    while (c + 1) ** 120 < a ** i:
-        c += 1
-    return c
+    """Largest |c| with |c|^120 < a^i, for a >= 1."""
+    return _iroot(a ** i - 1, 120)
 
 
 def height_box(a: int):

@@ -17,9 +17,10 @@ the whole multiplication table is stored as small-integer codes.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from operator import getitem
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, zeta_mul
 from .heis import (CODE_EXPO, CODE_ROW, HeisenbergModel, Mono, build_model,
                    class_code, cocycle, commutator_exponent, svn_rep)
 from .intlinalg import nullspace, rank
@@ -40,13 +41,7 @@ def code_neg(c: int) -> int:
 
 def code_pair(c: int):
     """Integer pair (x, y) with value x + y*w."""
-    s = -1 if c >= 3 else 1
-    p = c % 3
-    if p == 0:
-        return (s, 0)
-    if p == 1:
-        return (0, s)
-    return (-s, -s)
+    return zeta_mul(-1 if c >= 3 else 1, 0, c)
 
 
 # code_pair(c) and code_pair(code_mul(c1, c2)) for every code a table entry
@@ -212,7 +207,7 @@ class GradedAlgebra:
                 # ci cj times the unit (-1)^(s // 3) w^(s % 3) of code s
                 s = scl_i[j]
                 bd = b * d
-                u, v = _pair_mul_zeta(a * c - bd, a * d + b * c - bd, s)
+                u, v = zeta_mul(a * c - bd, a * d + b * c - bd, s)
                 if s >= 3:
                     u, v = -u, -v
                 if k == 1:
@@ -234,7 +229,7 @@ class GradedAlgebra:
         roots, w = x.roots, self.windex
         for m, v in roots.items():
             u = roots.get(w[m])
-            if u is None or (v.a, v.b) != _pair_mul_zeta(u.a, u.b, k):
+            if u is None or (v.a, v.b) != zeta_mul(u.a, u.b, k):
                 return False
         if x.cartan:
             W = self.rs.w
@@ -243,14 +238,13 @@ class GradedAlgebra:
                 u = sum(W[b][a] * c.a for a, c in x.cartan.items())
                 v = sum(W[b][a] * c.b for a, c in x.cartan.items())
                 c = x.cartan.get(b)
-                if (u, v) != (_pair_mul_zeta(c.a, c.b, k) if c else (0, 0)):
+                if (u, v) != (zeta_mul(c.a, c.b, k) if c else (0, 0)):
                     return False
         return True
 
     def graded_basis(self):
         """Bases of the three eigenspaces of the symmetry, dims (80, 84, 84)."""
         rs = self.rs
-        omega = Cyc.zeta(1)
         spaces = {0: [], 1: [], 2: []}
         for orb in rs.orbits:
             r = orb[0]
@@ -412,16 +406,6 @@ class GradedAlgebra:
 # degree-0 part inside the 9x9 traceless matrices
 # ---------------------------------------------------------------------------
 
-def _pair_mul_zeta(x, y, k):
-    """(x + y w) * w^k as an integer pair."""
-    k %= 3
-    if k == 0:
-        return x, y
-    if k == 1:
-        return -y, x - y
-    return y - x, -x
-
-
 def _class_groups(alg: GradedAlgebra):
     """Roots grouped by class, as (member root indices, rho of the class).
 
@@ -480,7 +464,7 @@ def _z_bracket_coefficients(alg: GradedAlgebra, oa: int, ob: int):
 def _pack_entry(x, y, code, col):
     """Pack of (x + y w) times the monomial column of code `code` placed at
     column col."""
-    u, v = _pair_mul_zeta(x, y, CODE_EXPO[code])
+    u, v = zeta_mul(x, y, CODE_EXPO[code])
     return (u + (v << 8)) << (16 * (9 * CODE_ROW[code] + col))
 
 
@@ -564,7 +548,7 @@ def rho_prime_image_rank(alg: GradedAlgebra) -> int:
 
 
 def rho_prime_traceless(alg: GradedAlgebra) -> bool:
-    return all(alg.rho(orb[0]).trace() == Cyc(0) for orb in alg.rs.orbits)
+    return all(alg.rho(orb[0]).trace() == (0, 0) for orb in alg.rs.orbits)
 
 
 def z_supports_partition(alg: GradedAlgebra) -> bool:
@@ -659,7 +643,7 @@ def killing_gram(alg: GradedAlgebra):
     gauged = []
     for r in range(alg.n):
         c = cocycle(alg.cls[r], alg.cls[r]) % 3
-        x, y = _pair_mul_zeta(*diag[r], c)
+        x, y = zeta_mul(*diag[r], c)
         gauged.append((x, y))
     cartan_det = det_bareiss(cart)
     nondegenerate = cartan_det != 0 and all(x or y for x, y in diag)
@@ -899,11 +883,7 @@ def verify_jacobi(alg: GradedAlgebra):
     }
 
 
-_ALGEBRA = None
-
-
+@cache
 def get_algebra() -> GradedAlgebra:
-    global _ALGEBRA
-    if _ALGEBRA is None:
-        _ALGEBRA = GradedAlgebra()
-    return _ALGEBRA
+    """The graded algebra, built once per process."""
+    return GradedAlgebra()

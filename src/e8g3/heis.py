@@ -13,9 +13,9 @@ sweeps exact and fast.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
-from .cyclotomic import Cyc
 from .intlinalg import rref_mod
 from .rootsys import RootSystem, build_root_system
 
@@ -169,13 +169,14 @@ class Mono:
     def __hash__(self):
         return hash(self.codes)
 
-    def trace(self) -> Cyc:
+    def trace(self):
+        """The trace as the pair (x, y) of x + y w."""
         # n[e]: diagonal entries zeta^e; 1 + w + w^2 = 0
         n = [0, 0, 0]
         for y, c in enumerate(self.codes):
             if CODE_ROW[c] == y:
                 n[CODE_EXPO[c]] += 1
-        return Cyc(n[0] - n[2], n[1] - n[2])
+        return n[0] - n[2], n[1] - n[2]
 
     def scalar_ratio(self, other):
         """If self = zeta^t * other, return t; else None."""
@@ -279,11 +280,7 @@ class HeisenbergModel:
         return self.to_symplectic(self.rs.project(root9))
 
 
-_MODEL = None
-
-
+@cache
 def build_model() -> HeisenbergModel:
-    global _MODEL
-    if _MODEL is None:
-        _MODEL = HeisenbergModel()
-    return _MODEL
+    """The Heisenberg model, built once per process."""
+    return HeisenbergModel()

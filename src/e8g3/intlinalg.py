@@ -38,16 +38,23 @@ def mat_eq(A, B):
     return all(ra == rb for ra, rb in zip(A, B))
 
 
-def mat_pow(A, k):
-    n = len(A)
-    out = identity(n)
-    base = [row[:] for row in A]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
+def power(mul, a, n: int, one):
+    """a^n, n >= 0, by square and multiply under the product `mul`.
+
+    Nothing is squared after the top bit, so n > 0 takes
+    popcount(n) + bit_length(n) - 1 products."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
     return out
+
+
+def mat_pow(A, k):
+    return power(mat_mul, A, k, identity(len(A)))
 
 
 def det_bareiss(M):

@@ -15,6 +15,7 @@ from .finitefield import (
     psub,
     pxgcd,
 )
+from .intlinalg import power
 
 
 class DegreeShapeError(ValueError):
@@ -96,16 +97,8 @@ def cantor_add(F, f, D1, D2):
 
 
 def cantor_mul(F, f, D, n: int):
-    """n D by double-and-add; the doubling stops after the top bit."""
-    out = IDENTITY
-    base = D
-    while n:
-        if n & 1:
-            out = cantor_add(F, f, out, base)
-        n >>= 1
-        if n:
-            base = cantor_add(F, f, base, base)
-    return out
+    """n D by double-and-add (`intlinalg.power` under `cantor_add`)."""
+    return power(lambda x, y: cantor_add(F, f, x, y), D, n, IDENTITY)
 
 
 def enumerate_jacobian(F, f):

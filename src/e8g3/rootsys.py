@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from operator import mul
 
@@ -135,18 +135,15 @@ class RootSystem:
         c = identity(8)
         for k in range(8):
             c = mat_mul(self._reflection_matrix(k), c)
-        self.coxeter = c
         self.w = mat_pow(c, 10)
+        self.w_on_roots = tuple(self.index.get(self.apply_w(r)) for r in roots)
         self._validate_w()
 
-        wm1 = mat_sub(self.w, identity(8))
-        self.snf_d, self.snf_u, self.snf_v = smith_normal_form(wm1)
-        self.divisors = tuple(self.snf_d[i][i] for i in range(8))
+        snf_d, self.snf_u, _ = smith_normal_form(mat_sub(self.w, identity(8)))
+        self.divisors = tuple(snf_d[i][i] for i in range(8))
         if self.divisors != (1, 1, 1, 1, 3, 3, 3, 3):
             raise AssertionError(f"unexpected SNF divisors {self.divisors}")
         self._snf_u_inv = unimodular_inverse(self.snf_u)
-
-        self.w_on_roots = tuple(self.index[self.apply_w(r)] for r in self.roots)
         self._build_orbits()
 
     # -- basic coordinates -------------------------------------------------
@@ -211,13 +208,9 @@ class RootSystem:
             raise AssertionError("order-3 check failed for the symmetry element")
         if det_bareiss(mat_sub(self.w, identity(8))) == 0:
             raise AssertionError("symmetry element has a nonzero fixed vector")
-        img = set()
-        for r in self.roots:
-            rr = self.apply_w(r)
-            if rr not in self.index:
-                raise AssertionError("symmetry element does not permute the roots")
-            img.add(rr)
-        if len(img) != 240:
+        if None in self.w_on_roots:
+            raise AssertionError("symmetry element does not permute the roots")
+        if len(set(self.w_on_roots)) != 240:
             raise AssertionError("symmetry element is not injective on roots")
 
     def _build_orbits(self):
@@ -276,12 +269,7 @@ class RootSystem:
         return hashlib.sha256(blob).hexdigest()
 
 
-_CACHED = None
-
-
+@cache
 def build_root_system() -> RootSystem:
     """Construct (once per process) the full root-system data."""
-    global _CACHED
-    if _CACHED is None:
-        _CACHED = RootSystem()
-    return _CACHED
+    return RootSystem()

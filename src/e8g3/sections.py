@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .finitefield import (
     GF,
     field_order,
-    pgcd,
     pmod,
     pmonic,
+    pxgcd,
     quadratic_roots,
 )
 from .jacobian import cantor_add, cantor_neg
@@ -246,7 +246,7 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     # no section may pass through a fibre cusp (needed for the local
     # intersection formula): a and b never vanish together
     out["cusp_avoidance_ok"] = all(
-        len(pgcd(F, s.a, s.b)) <= 1 for s in sections)
+        len(pxgcd(F, s.a, s.b)[0]) <= 1 for s in sections)
     # e(s, t) + e(t, s) = 0 and e(tau s, tau t) = e(s, t) on all pairs; the
     # exponents need the twist of every section in the list
     alt_ok = inv_ok = False

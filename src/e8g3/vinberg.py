@@ -449,8 +449,9 @@ def verify_cusp_bound() -> dict:
     return report
 
 
-def degree_bookkeeping() -> dict:
-    """Degree and weight-list identities for the slice and the quotient."""
+def degree_bookkeeping(slice_degrees) -> dict:
+    """Degree and weight-list identities for the slice and the quotient,
+    on the slice degrees the Kostant slice computes."""
     slice_weights = ((1, 4), (0, 12), (1, 16), (-1, 20), (0, 24),
                      (1, 28), (0, 30), (0, 36), (1, 40), (0, 48))
     quotient_weights = ((1, 4), (1, 16), (0, 24), (1, 28), (0, 36),
@@ -458,18 +459,19 @@ def degree_bookkeeping() -> dict:
     invariant_slice = sorted(m for (e, m) in slice_weights if e == 0)
     invariant_quot = sorted(m for (e, m) in quotient_weights if e == 0)
     halved = [m // 2 for m in invariant_quot]
+    dim_sum = sum(slice_degrees)
     return {
-        "dim_sum": 12 + 18 + 24 + 30,
-        "dim_matches": 12 + 18 + 24 + 30 == 84 == len(ALL_WEIGHTS),
+        "dim_sum": dim_sum,
+        "dim_matches": dim_sum == 84 == len(ALL_WEIGHTS),
         "slice_weight_count": len(slice_weights),
         "quotient_weight_count": len(quotient_weights),
         "invariant_slice_degrees": invariant_slice,
         "invariant_slice_ok": invariant_slice == [12, 24, 30, 36, 48],
         "restricted_degrees": halved,
-        "restricted_ok": halved == [12, 18, 24, 30],
-        "ok": (12 + 18 + 24 + 30 == 84
+        "restricted_ok": halved == slice_degrees,
+        "ok": (dim_sum == 84
                and invariant_slice == [12, 24, 30, 36, 48]
-               and halved == [12, 18, 24, 30]),
+               and halved == slice_degrees),
     }
 
 

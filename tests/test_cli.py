@@ -295,19 +295,38 @@ def test_library_has_no_assert():
     assert found == []
 
 
-def test_sp4_imports_nothing_from_intlinalg():
-    # both Sp4 strategies count without elimination: `from .intlinalg
-    # import ...`, `from . import intlinalg` and `import e8g3.intlinalg`
-    # are all refused
+def _import_lines(module, target):
+    """Lines of the library module `module` that import the library module
+    `target`: `from .target import ...`, `from . import target` and
+    `import e8g3.target` all count."""
     found = []
-    for node in ast.walk(ast.parse(Path(SRC, "e8g3", "sp4.py").read_text())):
+    path = Path(SRC, "e8g3", f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name for alias in node.names]
             if isinstance(node, ast.ImportFrom):
                 names.append(node.module or "")
-            if any("intlinalg" in name.split(".") for name in names):
+            if any(target in name.split(".") for name in names):
                 found.append(node.lineno)
-    assert found == []
+    return found
+
+
+def test_sp4_imports_nothing_from_intlinalg():
+    # both Sp4 strategies count without elimination
+    assert _import_lines("sp4", "intlinalg") == []
+
+
+def test_heis_imports_no_cyc_and_only_the_law_is_global():
+    # the Heisenberg side works on int codes and w-pairs (Mono.trace is a
+    # pair); the once-per-process builds are functools.cache functions, so
+    # the one global statement is the lazily built group law table's
+    assert _import_lines("heis", "cyclotomic") == []
+    nodes = _library_nodes()
+    owners = [(name, node.name) for name, node in nodes
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for inner in ast.walk(node) if isinstance(inner, ast.Global)]
+    assert owners == [("heis.py", "_build_law")]
+    assert sum(isinstance(node, ast.Global) for _, node in nodes) == 1
 
 
 # Every defaulted parameter of the library, as (file, function, parameter).

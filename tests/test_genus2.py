@@ -94,10 +94,22 @@ def test_scale_action():
     assert not is_minimal(Quintic(2**4 * 3, 2**6 * 5, 2**8 * 7, 2**10 * 11))
 
 
+def _coeff_bound_by_scan(a, i):
+    """Oracle for coeff_bound: the largest |c| with |c|^120 < a^i, by a
+    linear scan."""
+    c = 0
+    while (c + 1) ** 120 < a ** i:
+        c += 1
+    return c
+
+
 def test_coeff_bounds():
     assert coeff_bound(1, 12) == 0
     assert coeff_bound(2, 12) == 1
     assert coeff_bound(2, 30) == 1
+    for a in range(1, 51):
+        for i in (12, 18, 24, 30):
+            assert coeff_bound(a, i) == _coeff_bound_by_scan(a, i)
 
 
 def test_enumeration_matches_bruteforce():

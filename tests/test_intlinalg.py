@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from e8g3.cyclotomic import Cyc
 from e8g3 import intlinalg
-from e8g3.intlinalg import (det_bareiss, identity, mat_mul, nullspace, rank,
-                            reduce_mod_p7, rref, rref_mod, solve,
+from e8g3.intlinalg import (det_bareiss, identity, mat_mul, mat_sub,
+                            nullspace, power, rank, reduce_mod_p7, rref,
+                            rref_mod, smith_normal_form, solve,
                             unimodular_inverse)
+from e8g3.rootsys import build_root_system
 
 PRIMES = st.sampled_from([3, 7])
 
@@ -256,3 +258,59 @@ def test_reduce_mod_p7_is_the_image_of_a_plus_2b(x):
         image = a + 2 * b
         expect = image.numerator * pow(image.denominator, -1, 7) % 7
         assert reduce_mod_p7(x) == expect
+
+
+def _counted(mul):
+    """mul, and a list that gets one entry per product."""
+    calls = []
+    return (lambda x, y: calls.append(1) or mul(x, y)), calls
+
+
+def test_power_is_repeated_products():
+    # ints mod 101 and 2 x 2 integer matrices against n - 1 products, with
+    # one product per set bit and one squaring per bit below the top
+    A = [[1, 1], [1, 0]]
+    x, M = 7, A
+    for n in range(1, 40):
+        mod_mul, calls = _counted(lambda u, v: u * v % 101)
+        assert power(mod_mul, 7, n, 1) == x
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+        mat, calls = _counted(mat_mul)
+        assert power(mat, A, n, identity(2)) == M
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+        x, M = x * 7 % 101, mat_mul(M, A)
+
+
+def test_power_zero_is_one():
+    mul, calls = _counted(mat_mul)
+    assert power(mul, [[2, 0], [0, 3]], 0, identity(2)) == identity(2)
+    assert calls == []
+
+
+def _assert_smith_form(M):
+    """U M V = D with U, V unimodular and D diagonal, each divisor dividing
+    the next."""
+    D, U, V = smith_normal_form(M)
+    n, m = len(M), len(M[0])
+    assert mat_mul(mat_mul(U, M), V) == D
+    assert det_bareiss(U) in (1, -1) and det_bareiss(V) in (1, -1)
+    assert all(D[i][j] == 0 for i in range(n) for j in range(m) if i != j)
+    d = [D[i][i] for i in range(min(n, m))]
+    assert all(x >= 0 for x in d)
+    assert all((b % a == 0) if a else b == 0 for a, b in zip(d, d[1:]))
+    return d
+
+
+def test_smith_normal_form_of_w_minus_one():
+    rs = build_root_system()
+    assert _assert_smith_form(mat_sub(rs.w, identity(8))) == [1] * 4 + [3] * 4
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(data=st.data())
+def test_smith_normal_form_on_small_matrices(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 4))
+    M = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=m,
+                                    max_size=m), min_size=n, max_size=n))
+    _assert_smith_form(M)

@@ -150,6 +150,21 @@ def _corrupt_code_shift(monkeypatch):
     monkeypatch.setattr(heis, "CODE_SHIFT", tuple(map(tuple, table)))
 
 
+def _drop_cocycle(monkeypatch):
+    # the group law with its cocycle left out: the centre never moves, so
+    # the basis classes generate only the 81 central-part-zero elements
+    monkeypatch.setattr(heis, "cocycle", lambda v, u: 0)
+    monkeypatch.setattr(heis, "_LAW", None)
+
+
+def _corrupt_slice_degrees(monkeypatch):
+    # slice degrees with the right sum, 84, that are not the halved
+    # invariant quotient weights
+    report = kostant.slice_report
+    monkeypatch.setattr(kostant, "slice_report", lambda alg: {
+        **report(alg), "slice_degrees": [6, 24, 24, 30]})
+
+
 def _patch_sum_row(change):
     # the entry of row 0 at its first pair with pairing -1
     def patch(monkeypatch):
@@ -259,12 +274,12 @@ def _kind2_off_opposite(monkeypatch):
     j = row.index(0)
     row[fresh.negidx[0]], row[j] = 0, 2
     fresh.nbr[0] = tuple(k for k in range(fresh.n) if row[k])
-    monkeypatch.setattr(gradedlie, "_ALGEBRA", fresh)
+    monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
 
 
 def _killing_zero_pattern():
     # killing_form's zero-pattern part: kind2_opposite and out_additive
-    alg = get_algebra()
+    alg = gradedlie.get_algebra()
     return killing_gram(alg)["kind2_opposite"] and _out_additive(alg)
 
 
@@ -275,11 +290,11 @@ def _shift_one_w_power(monkeypatch):
     j = next(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
     s = fresh.scl[0][j]
     fresh.scl[0][j] = s - s % 3 + (s + 1) % 3
-    monkeypatch.setattr(gradedlie, "_ALGEBRA", fresh)
+    monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
 
 
 def _bracket_containment():
-    alg = get_algebra()
+    alg = gradedlie.get_algebra()
     return not alg.check_bracket_containment(alg.graded_basis())
 
 
@@ -302,6 +317,12 @@ MUTATIONS = [
     # heis/exponent_three: one square off by a central element
     ("heis_exponent_three", _move_one_square,
      _passes(suites.suite_heis, "exponent_three"), None),
+    # heis/group_order: without the cocycle the closure misses the centre
+    ("heis_group_order", _drop_cocycle,
+     _passes(suites.suite_heis, "group_order"), None),
+    # cusp/degree_bookkeeping reads the slice degrees of kostant_slice_degrees
+    ("cusp_degree_bookkeeping", _corrupt_slice_degrees,
+     _passes(suites.suite_cusp, "degree_bookkeeping"), None),
     # rootsys/sum_rule_iff_pairing_minus_one and per_root_pairing_statistics
     # read the shared pair table
     ("rootsys_pair_table", _corrupt_pair_table,

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g3.finitefield import (GF, padd, pdivmod, pgcd, pmonic, pmul, psub,
-                              ptrim)
+from e8g3.finitefield import (GF, padd, pdivmod, pmonic, pmul, psub, ptrim,
+                              pxgcd)
 from e8g3.genus2 import Quintic
 from e8g3.sections import (
     E8_ROW,
@@ -42,14 +42,14 @@ def squarefree_part(F, a):
         root = [F.exp[(F.log[c] * (F.q // p)) % (F.q - 1)] if c else 0
                 for c in root]
         return squarefree_part(F, root)
-    g = pgcd(F, a, d)
+    g = pxgcd(F, a, d)[0]
     rad, rem = pdivmod(F, a, g)
     assert not rem, "gcd(a, a') does not divide a"
     base = pmonic(F, rad)
     extra = squarefree_part(F, g) if len(g) > 1 else []
     if extra:
         # distinct factors of a = factors of base together with those of g
-        quot, _ = pdivmod(F, pmul(F, base, extra), pgcd(F, base, extra))
+        quot, _ = pdivmod(F, pmul(F, base, extra), pxgcd(F, base, extra)[0])
         return pmonic(F, quot)
     return base
 
@@ -75,7 +75,7 @@ def _intersection_by_gcd(F, s, t):
     elif not g2:
         g = g1
     else:
-        g = pgcd(F, g1, g2)
+        g = pxgcd(F, g1, g2)[0]
     affine = len(g) - 1 if g else 0
     # reversed differences as series in u = 1/x
     rev_a = [F.sub(x, y) for x, y in zip(reversed(s.a), reversed(t.a))]
@@ -246,7 +246,7 @@ def distinct_common_roots(F, s, t):
     elif not g2:
         g = g1
     else:
-        g = pgcd(F, g1, g2)
+        g = pxgcd(F, g1, g2)[0]
     if not g or len(g) == 1:
         return 0
     return len(squarefree_part(F, g)) - 1

@@ -301,14 +301,18 @@ def test_coverage_checks(report):
     assert report.passed("cusp", "coverage")
 
 
-def test_degree_bookkeeping():
-    bk = degree_bookkeeping()
+def test_degree_bookkeeping(report):
+    assert report.passed("cusp", "degree_bookkeeping")
+    bk = degree_bookkeeping([12, 18, 24, 30])
     assert bk["ok"]
     assert bk["dim_sum"] == 84
     assert bk["slice_weight_count"] == 10
     assert bk["quotient_weight_count"] == 8
     assert bk["invariant_slice_degrees"] == [12, 24, 30, 36, 48]
     assert bk["restricted_degrees"] == [12, 18, 24, 30]
+    # degrees with the right sum but not the halved quotient weights
+    bad = degree_bookkeeping([6, 24, 24, 30])
+    assert bad["dim_matches"] and not bad["restricted_ok"] and not bad["ok"]
 
 
 def test_fixture_roundtrip_bytes():
