@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _rational(x):
+def rational(x):
     """x as an int when it is integral, else as a Fraction.
 
     Anything but an int or a Fraction (a float above all) is refused, so no
@@ -30,8 +30,8 @@ class Cyc:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = _rational(a)
-        self.b = _rational(b)
+        self.a = rational(a)
+        self.b = rational(b)
 
     @staticmethod
     def zeta(k: int) -> "Cyc":

@@ -20,7 +20,7 @@ import hashlib
 from functools import cache
 from operator import getitem
 
-from .cyclotomic import Cyc, zeta_mul
+from .cyclotomic import Cyc, rational, zeta_mul
 from .heis import (CODE_EXPO, CODE_ROW, HeisenbergModel, Mono, build_model,
                    class_code, cocycle, commutator_exponent, svn_rep)
 from .intlinalg import nullspace, rank
@@ -54,32 +54,31 @@ _MUL_PAIR = tuple(tuple(code_pair(code_mul(a, b)) for b in _CODES)
 
 class LieElement:
     """Sparse vector: cartan part over the 8 basis coroots, root part over
-    the 240 canonical root vectors, coefficients in Q(w)."""
+    the 240 canonical root vectors, each coefficient x + y w held as the
+    w-pair (x, y) of exact rationals, an int where integral."""
 
     __slots__ = ("cartan", "roots")
 
     def __init__(self, cartan=None, roots=None):
-        self.cartan = {k: v for k, v in (cartan or {}).items() if v}
-        self.roots = {k: v for k, v in (roots or {}).items() if v}
+        self.cartan = _pairs(cartan)
+        self.roots = _pairs(roots)
 
     def __add__(self, other):
         c = dict(self.cartan)
-        for k, v in other.cartan.items():
-            c[k] = c.get(k, Cyc(0)) + v
+        for k, (x, y) in other.cartan.items():
+            u, v = c.get(k, (0, 0))
+            c[k] = (u + x, v + y)
         r = dict(self.roots)
-        for k, v in other.roots.items():
-            r[k] = r.get(k, Cyc(0)) + v
+        for k, (x, y) in other.roots.items():
+            u, v = r.get(k, (0, 0))
+            r[k] = (u + x, v + y)
         return LieElement(c, r)
 
-    def __sub__(self, other):
-        return self + (other * Cyc(-1))
-
     def __mul__(self, scalar):
-        scalar = scalar if isinstance(scalar, Cyc) else Cyc(scalar)
-        return LieElement({k: v * scalar for k, v in self.cartan.items()},
-                          {k: v * scalar for k, v in self.roots.items()})
-
-    __rmul__ = __mul__
+        """The element times a rational scalar."""
+        return LieElement(
+            {k: (x * scalar, y * scalar) for k, (x, y) in self.cartan.items()},
+            {k: (x * scalar, y * scalar) for k, (x, y) in self.roots.items()})
 
     def is_zero(self):
         return not self.cartan and not self.roots
@@ -89,6 +88,13 @@ class LieElement:
 
     def __repr__(self):
         return f"LieElement(cartan={self.cartan!r}, roots={self.roots!r})"
+
+
+def _pairs(coords):
+    """The nonzero w-pairs of coords, integral components as ints; a pair
+    is zero only when both components are."""
+    return {k: (rational(x), rational(y))
+            for k, (x, y) in (coords or {}).items() if x or y}
 
 
 def _accumulate(acc, key, x, y):
@@ -115,7 +121,7 @@ class GradedAlgebra:
         self.cls = [self.model.root_class(r) for r in rs.roots]
         self.cr = [rs.to_basis(r) for r in rs.roots]
         self.negidx = [rs.index[neg(r)] for r in rs.roots]
-        self.windex = list(rs.w_on_roots)
+        self.windex = rs.w_on_roots
         # pairing of every basis-coroot with every root, and root with root
         # (the root system's shared table)
         self.P = [[pairing(b, r) for r in rs.roots] for b in rs.basis]
@@ -160,42 +166,39 @@ class GradedAlgebra:
         self.kind = kind
         self.out = out
         self.scl = scl
-        self.nbr = [tuple(j for j in range(n) if kind[i][j]) for i in range(n)]
-        self.nbrset = [frozenset(t) for t in self.nbr]
+        self.nbr = [frozenset(j for j in range(n) if kind[i][j])
+                    for i in range(n)]
 
     # -- generic bracket ----------------------------------------------------
 
     def x(self, i) -> LieElement:
-        return LieElement(roots={i: Cyc(1)})
+        return LieElement(roots={i: (1, 0)})
 
     def coroot(self, i) -> LieElement:
-        return LieElement(cartan={a: Cyc(c) for a, c in enumerate(self.cr[i]) if c})
+        return LieElement(cartan={a: (c, 0) for a, c in enumerate(self.cr[i])})
 
     def cartan_basis(self, a) -> LieElement:
-        return LieElement(cartan={a: Cyc(1)})
+        return LieElement(cartan={a: (1, 0)})
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
-        """[x, y] with every output coordinate accumulated as a w-pair of
-        exact rationals; one Cyc per nonzero coordinate at the end."""
+        """[x, y], every output coordinate accumulated as a w-pair."""
         acc_c = {}
         acc_r = {}
         P, cr = self.P, self.cr
-        y_roots = [(j, c.a, c.b) for j, c in y.roots.items()]
+        y_roots = [(j, c, d) for j, (c, d) in y.roots.items()]
 
-        for t, ct in x.cartan.items():
-            a, b, Pt = ct.a, ct.b, P[t]
+        for t, (a, b) in x.cartan.items():
+            Pt = P[t]
             for j, c, d in y_roots:
                 p = Pt[j]
                 if p:
                     bd = b * d
                     _accumulate(acc_r, j, (a * c - bd) * p,
                                 (a * d + b * c - bd) * p)
-        for i, ci in x.roots.items():
-            a, b = ci.a, ci.b
-            for t, ct in y.cartan.items():
+        for i, (a, b) in x.roots.items():
+            for t, (c, d) in y.cartan.items():
                 p = P[t][i]
                 if p:
-                    c, d = ct.a, ct.b
                     bd = b * d
                     _accumulate(acc_r, i, (bd - a * c) * p,
                                 (bd - a * d - b * c) * p)
@@ -216,29 +219,27 @@ class GradedAlgebra:
                     for t, h in enumerate(cr[i]):
                         if h:
                             _accumulate(acc_c, t, u * h, v * h)
-        return LieElement(
-            {t: Cyc(u, v) for t, (u, v) in acc_c.items() if u or v},
-            {m: Cyc(u, v) for m, (u, v) in acc_r.items() if u or v})
+        return LieElement(acc_c, acc_r)
 
     # -- symmetry and gradings ----------------------------------------------
 
     def is_theta_eigenvector(self, x: LieElement, k: int) -> bool:
-        """Whether theta(x) = w^k x, compared on integer w-pairs: each root
-        coordinate m is w^k times coordinate windex[m], and rs.w carries
-        the cartan part to w^k times itself."""
+        """Whether theta(x) = w^k x: each root coordinate m is w^k times
+        coordinate windex[m], and rs.w carries the cartan part to w^k times
+        itself."""
         roots, w = x.roots, self.windex
         for m, v in roots.items():
             u = roots.get(w[m])
-            if u is None or (v.a, v.b) != zeta_mul(u.a, u.b, k):
+            if u is None or v != zeta_mul(*u, k):
                 return False
         if x.cartan:
             W = self.rs.w
             for b in range(8):
                 # coordinate b of theta(x), against w^k times that of x
-                u = sum(W[b][a] * c.a for a, c in x.cartan.items())
-                v = sum(W[b][a] * c.b for a, c in x.cartan.items())
+                u = sum(W[b][a] * c[0] for a, c in x.cartan.items())
+                v = sum(W[b][a] * c[1] for a, c in x.cartan.items())
                 c = x.cartan.get(b)
-                if (u, v) != (zeta_mul(c.a, c.b, k) if c else (0, 0)):
+                if (u, v) != (zeta_mul(*c, k) if c else (0, 0)):
                     return False
         return True
 
@@ -251,13 +252,14 @@ class GradedAlgebra:
             w1, w2 = self.windex[r], self.windex[self.windex[r]]
             for i in range(3):
                 spaces[i].append(LieElement(roots={
-                    r: Cyc(1), w1: Cyc.zeta(-i), w2: Cyc.zeta(-2 * i)}))
+                    r: (1, 0), w1: zeta_mul(1, 0, -i),
+                    w2: zeta_mul(1, 0, -2 * i)}))
         for i in (1, 2):
             rows = [[Cyc(self.rs.w[r][c]) - (Cyc.zeta(i) if r == c else Cyc(0))
                      for c in range(8)] for r in range(8)]
             for vec in nullspace(rows, 8):
                 spaces[i].append(LieElement(
-                    cartan={a: v for a, v in enumerate(vec) if v}))
+                    cartan={a: (v.a, v.b) for a, v in enumerate(vec)}))
         dims = [len(spaces[i]) for i in (0, 1, 2)]
         if dims != [80, 84, 84]:
             raise AssertionError(f"graded dimensions {dims}")
@@ -380,7 +382,7 @@ class GradedAlgebra:
     def dump_lines(self):
         """The table as text lines, one structure constant per line."""
         for i in range(self.n):
-            for j in self.nbr[i]:
+            for j in sorted(self.nbr[i]):
                 k = self.kind[i][j]
                 if k == 1:
                     yield f"r {i} {j} -> {self.out[i][j]} code {self.scl[i][j]}"
@@ -580,7 +582,7 @@ def _ad_coeff_at(alg, i, j, k):
         # [x_j, h_a] = -P[a][j] x_j, then [x_i, x_j] must output cartan a
         if alg.kind[i][j] != 2:
             return (0, 0)
-        x, y = code_pair(alg.scl[i][j])
+        x, y = _PAIR[alg.scl[i][j]]
         c = -alg.P[a][j] * alg.cr[i][a]
         return (x * c, y * c)
     kjk = alg.kind[j][k]
@@ -589,14 +591,13 @@ def _ad_coeff_at(alg, i, j, k):
     if kjk == 1:
         m = alg.out[j][k]
         if alg.kind[i][m] == 1 and alg.out[i][m] == k:
-            x, y = code_pair(code_mul(alg.scl[j][k], alg.scl[i][m]))
-            return (x, y)
+            return _MUL_PAIR[alg.scl[j][k]][alg.scl[i][m]]
         return (0, 0)
     # [x_j, x_k] cartan-valued (k = -j); then [x_i, coroot(j)] = -(j,i) x_i
     if i != k:
         return (0, 0)
     c = -alg.PR[j][i]
-    x, y = code_pair(alg.scl[j][k])
+    x, y = _PAIR[alg.scl[j][k]]
     return (x * c, y * c)
 
 
@@ -688,7 +689,7 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     scl = alg.scl
     PR = alg.PR
     cr = alg.cr
-    nbrset = alg.nbrset
+    nbr = alg.nbr
     n = alg.n
     pair = _PAIR
     mul_pair = _MUL_PAIR
@@ -697,13 +698,13 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
 
     for i in range(lo, hi):
         kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
-        cand_i = nbrset[i]
+        cand_i = nbr[i]
         for j in range(i + 1, n):
             kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
             c_ji = -PR[j][i]
             k_ij, m_ij, s_ij = kind_i[j], out_i[j], scl_i[j]
             mul_ij = mul_pair[s_ij] if k_ij == 1 else None
-            for k in cand_i | nbrset[j]:
+            for k in cand_i | nbr[j]:
                 if k <= j:
                     continue
                 evaluated += 1
@@ -793,7 +794,7 @@ def _jacobi_residual(alg: GradedAlgebra, i: int, j: int, k: int) -> str:
     total = (alg.bracket(x, alg.bracket(y, z))
              + alg.bracket(y, alg.bracket(z, x))
              + alg.bracket(z, alg.bracket(x, y)))
-    return repr({t: (v.a, v.b) for t, v in total.roots.items()})
+    return repr(total.roots)
 
 
 def _addc(acc, coords, x, y):

@@ -23,9 +23,8 @@ from .rootsys import RootSystem, build_root_system
 def symplectic_basis(rs: RootSystem):
     """Classes (e1, e2, f1, f2) with <e_i, f_j> = delta_ij and zero elsewhere.
 
-    Returns (basis_classes, M) where basis_classes are SNF-coordinate
-    4-tuples and M is the change-of-basis matrix (columns = new basis in
-    SNF coordinates), verified to be symplectic for the standard form.
+    Returns the change-of-basis matrix M (columns = the new basis in SNF
+    coordinates), verified to be symplectic for the standard form.
     """
     gram = rs.class_gram()
     if len(rref_mod(gram, 4, 3)[1]) != 4:
@@ -60,7 +59,7 @@ def symplectic_basis(rs: RootSystem):
     got = [[pair(basis[i], basis[j]) for j in range(4)] for i in range(4)]
     if got != J:
         raise AssertionError("symplectic reduction failed")
-    return basis, M
+    return M
 
 
 def standard_form():
@@ -129,39 +128,27 @@ CODE_EXPO = tuple(c % 3 for c in range(27))
 class Mono:
     """9x9 monomial matrix with entries in the cube roots of unity.
 
-    Column y has its unique nonzero entry zeta^expo[y] in row perm[y]; the
-    matrix is stored as the column codes 3 * perm[y] + expo[y].
+    The matrix is the tuple of its column codes: column y has its unique
+    nonzero entry zeta^e in row r, coded 3 r + e.
     """
 
     __slots__ = ("codes",)
 
-    def __init__(self, perm, expo):
-        self.codes = tuple(3 * p + e % 3 for p, e in zip(perm, expo))
-
-    @property
-    def perm(self):
-        return tuple(CODE_ROW[c] for c in self.codes)
-
-    @property
-    def expo(self):
-        return tuple(CODE_EXPO[c] for c in self.codes)
+    def __init__(self, codes):
+        self.codes = codes
 
     def __mul__(self, other):
-        # column y of the product: column perm2[y] of self, its exponent
-        # moved by expo2[y]
+        # column y of the product: with column y of other coded 3 r + e,
+        # column r of self, its exponent moved by e
         c1 = self.codes
-        m = object.__new__(Mono)
-        m.codes = tuple([CODE_SHIFT[c1[CODE_ROW[c]]][CODE_EXPO[c]]
-                         for c in other.codes])
-        return m
+        return Mono(tuple([CODE_SHIFT[c1[CODE_ROW[c]]][CODE_EXPO[c]]
+                           for c in other.codes]))
 
     def inverse(self):
         codes = [0] * 9
         for y, c in enumerate(self.codes):
             codes[CODE_ROW[c]] = 3 * y + -CODE_EXPO[c] % 3
-        m = object.__new__(Mono)
-        m.codes = tuple(codes)
-        return m
+        return Mono(tuple(codes))
 
     def __eq__(self, other):
         return self.codes == other.codes
@@ -196,62 +183,12 @@ def svn_rep(g: int) -> Mono:
     """
     k, c = divmod(g, 81)
     a1, a2, b1, b2 = CLASSES[c]
-    perm = []
-    expo = []
+    codes = []
     for y in range(9):
         s, t = divmod(y, 3)
         s2, t2 = (s - a1) % 3, (t - a2) % 3
-        perm.append(3 * s2 + t2)
-        expo.append(k + b1 * s2 + b2 * t2)
-    return Mono(perm, expo)
-
-
-def commutant_dimension(gens) -> int:
-    """Dimension of {M : M rho(g) = rho(g) M for all generator codes g}.
-
-    The relation for a monomial matrix rho(g) identifies entries in orbits
-    up to phases; inconsistent orbits are forced to zero, so the dimension
-    is the number of phase-consistent orbits.
-    """
-    # union-find over the 81 matrix positions with zeta^k phases
-    parent = {(r, c): (r, c) for r in range(9) for c in range(9)}
-    phase = {pos: 0 for pos in parent}
-    dead = set()
-
-    def root_and_phase(pos):
-        ph = 0
-        while parent[pos] != pos:
-            ph = (ph + phase[pos]) % 3
-            pos = parent[pos]
-        return pos, ph
-
-    for g in gens:
-        m = svn_rep(g)
-        p, e = m.perm, m.expo
-        pinv = [0] * 9
-        for y in range(9):
-            pinv[p[y]] = y
-        for r in range(9):
-            for c in range(9):
-                # M[p[r], p[c]] = zeta^(e[r] - e[c]) M[r, c]
-                a, pa = root_and_phase((r, c))
-                b, pb = root_and_phase((p[r], p[c]))
-                delta = (e[r] - e[c]) % 3
-                if a == b:
-                    if (pa + delta - pb) % 3:
-                        dead.add(a)
-                else:
-                    parent[b] = a
-                    phase[b] = (pa + delta - pb) % 3
-    roots = set()
-    dead_roots = set()
-    for pos in parent:
-        a, _ = root_and_phase(pos)
-        roots.add(a)
-    for d in dead:
-        a, _ = root_and_phase(d)
-        dead_roots.add(a)
-    return len(roots - dead_roots)
+        codes.append(3 * (3 * s2 + t2) + (k + b1 * s2 + b2 * t2) % 3)
+    return Mono(tuple(codes))
 
 
 class HeisenbergModel:
@@ -259,7 +196,7 @@ class HeisenbergModel:
 
     def __init__(self):
         self.rs: RootSystem = build_root_system()
-        self.basis_classes, self.M = symplectic_basis(self.rs)
+        self.M = symplectic_basis(self.rs)
         # columns of M are the symplectic basis in SNF coordinates;
         # [M | I] reduces to [I | M^-1] over F_3
         red, pivots = rref_mod([row + [int(i == j) for j in range(4)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, zeta_mul
 from .gradedlie import GradedAlgebra, LieElement
 from .heis import cocycle
 from .intlinalg import nullspace, rank, solve
@@ -26,7 +26,7 @@ def _s0_indices(alg: GradedAlgebra):
 def build_triple(alg: GradedAlgebra):
     """Return (E, X, F) as LieElements with exact sl2 relations."""
     s0 = _s0_indices(alg)
-    E = LieElement(roots={i: Cyc(1) for i in s0})
+    E = LieElement(roots={i: (1, 0) for i in s0})
 
     # X: torus element pairing to 2 against every basis root
     gram = alg.rs.gram
@@ -34,14 +34,14 @@ def build_triple(alg: GradedAlgebra):
     c = solve(rows, [Fraction(2)] * 8, 8)
     if c is None or any(v.denominator != 1 for v in c):
         raise AssertionError("no integral grading element on the basis")
-    X = LieElement(cartan={a: Cyc(v) for a, v in enumerate(c) if v})
+    X = LieElement(cartan={a: (v, 0) for a, v in enumerate(c)})
 
     # F: supported on the negatives of the basis roots; the diagonal
     # system [E, F] = X fixes each coefficient through the central twist
     F_roots = {}
     for a, i in enumerate(s0):
         tw = cocycle(alg.cls[i], alg.cls[i]) % 3
-        F_roots[alg.negidx[i]] = Cyc(-c[a]) * Cyc.zeta(tw)
+        F_roots[alg.negidx[i]] = zeta_mul(-c[a], 0, tw)
     F = LieElement(roots=F_roots)
     return E, X, F
 
@@ -49,8 +49,8 @@ def build_triple(alg: GradedAlgebra):
 def verify_triple(alg: GradedAlgebra) -> dict:
     E, X, F = build_triple(alg)
     out = {}
-    out["xe"] = alg.bracket(X, E) == E * Cyc(2)
-    out["xf"] = alg.bracket(X, F) == F * Cyc(-2)
+    out["xe"] = alg.bracket(X, E) == E * 2
+    out["xf"] = alg.bracket(X, F) == F * -2
     out["ef"] = alg.bracket(E, F) == X
     out["graded"] = (all(alg.degree[i] == 1 for i in E.roots)
                      and all(alg.degree[i] == 2 for i in F.roots)
@@ -100,8 +100,9 @@ def _slots(v: LieElement):
 
 
 def _dense_rows(images, columns):
-    """Coefficient rows of LieElements over the slots ``columns``; an image
-    with a nonzero coefficient outside ``columns`` raises."""
+    """Coefficient rows of LieElements over the slots ``columns``, as Cyc
+    entries for intlinalg; an image with a nonzero coefficient outside
+    ``columns`` raises."""
     index = {slot: col for col, slot in enumerate(columns)}
     rows = []
     for img in images:
@@ -110,14 +111,14 @@ def _dense_rows(images, columns):
             col = index.get(slot)
             if col is None:
                 raise AssertionError(f"image leaves its block at {slot}")
-            row[col] = c
+            row[col] = Cyc(*c)
         rows.append(row)
     return rows
 
 
 def ad_e_kernel_dim(alg: GradedAlgebra) -> int:
     """dim ker ad(E) over the whole 248-dim algebra, block by height."""
-    E = LieElement(roots={i: Cyc(1) for i in _s0_indices(alg)})
+    E = LieElement(roots={i: (1, 0) for i in _s0_indices(alg)})
     slots = _height_slots(alg)
     total = 0
     for h, src in sorted(slots.items()):
@@ -139,7 +140,6 @@ def slice_report(alg: GradedAlgebra) -> dict:
     by_height = {}
     for i in deg1:
         by_height.setdefault(alg.height[i], []).append(i)
-    ker_dim = 0
     degrees = []
     basis_vectors = []
     slots = _height_slots(alg)
@@ -155,12 +155,11 @@ def slice_report(alg: GradedAlgebra) -> dict:
                                 for b in range(len(idxs))]
                                for a in range(len(idxs))])
         for vec in kern:
-            ker_dim += 1
             degrees.append(1 - h)
             basis_vectors.append(LieElement(
-                roots={idxs[p]: v for p, v in enumerate(vec) if v}))
+                roots={idxs[p]: (v.a, v.b) for p, v in enumerate(vec)}))
     return {
-        "slice_dim": ker_dim,
+        "slice_dim": len(basis_vectors),
         "slice_degrees": sorted(degrees),
         "slice_basis": basis_vectors,
         "E": E, "X": X, "F": F,
@@ -184,7 +183,7 @@ def sampled_regularity(alg: GradedAlgebra, srep: dict) -> dict:
     for coeffs in REGULARITY_WITNESSES:
         v = E
         for b, c in zip(basis, coeffs):
-            v = v + b * Cyc(c)
+            v = v + b * c
         images = [alg.bracket(_slot_vector(alg, s), v) for s in deg0]
         dense = _dense_rows(images, deg1)
         results.append(len(deg0) - rank(dense, len(deg1)))

@@ -220,12 +220,10 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     index = {s.key(): i for i, s in enumerate(sections)}
     out["closed_under_flip"] = all(neg_section(F, s).key() in index
                                    for s in sections)
-    twists = None
-    if F.zeta3() is not None:
-        twists = [twist_section(F, s) for s in sections]
-        out["closed_under_twist"] = all(t.key() in index for t in twists)
-        out["twist_free"] = all(t.key() != s.key()
-                                for s, t in zip(sections, twists))
+    twists = [twist_section(F, s) for s in sections]
+    out["closed_under_twist"] = all(t.key() in index for t in twists)
+    out["twist_free"] = all(t.key() != s.key()
+                            for s, t in zip(sections, twists))
     P = pairing_table(F, sections)
     hist = Counter(tuple(sorted(Counter(row).items())) for row in P)
     out["histogram"] = dict(hist)
@@ -239,10 +237,9 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     out["class_count"] = len(nonzero)
     out["classes_ok"] = (len(nonzero) == 80
                          and all(len(v) == 3 for v in nonzero.values()))
-    if twists is not None:
-        out["twist_fibers_match_classes"] = all(
-            section_class(F, f, s) == section_class(F, f, t)
-            for s, t in zip(sections, twists))
+    out["twist_fibers_match_classes"] = all(
+        section_class(F, f, s) == section_class(F, f, t)
+        for s, t in zip(sections, twists))
     # no section may pass through a fibre cusp (needed for the local
     # intersection formula): a and b never vanish together
     out["cusp_avoidance_ok"] = all(
@@ -250,7 +247,7 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     # e(s, t) + e(t, s) = 0 and e(tau s, tau t) = e(s, t) on all pairs; the
     # exponents need the twist of every section in the list
     alt_ok = inv_ok = False
-    if twists is not None and out["closed_under_twist"]:
+    if out["closed_under_twist"]:
         tau = [index[t.key()] for t in twists]
         E = twist_exponents(P, tau)
         alt_ok = all((a + b) % 3 == 0 for row, col in zip(E, zip(*E))
@@ -270,6 +267,8 @@ def fixture_from_json(text: str):
     if payload["fixture_version"] != 1:
         raise ValueError("unsupported fixture version")
     p, _ = field_order(payload["q"])
+    if (payload["q"] - 1) % 3:
+        raise ValueError(f"F_{payload['q']} has no cube root of unity")
     fcoeffs = payload["f_coeffs_low_to_high"]
     if not (_int_list(fcoeffs) and len(fcoeffs) == 6):
         raise ValueError("f_coeffs_low_to_high must be a list of six ints")

@@ -189,7 +189,6 @@ def kostant_slice_report():
     for t in W3:
         M = bracket36({t: Fraction(1)}, F)
         rows3.append([M[p][q] for p in range(9) for q in range(9)])
-    ker_dim = 84 - rank(rows3, 81)
     cols = [list(col) for col in zip(*rows3)]
     kernel = nullspace(cols, 84)
     weights = []
@@ -222,7 +221,7 @@ def kostant_slice_report():
                  + (84 - rank(rowsC, 81)))
 
     return {
-        "slice_dim": ker_dim,
+        "slice_dim": len(kernel),
         "slice_degrees": degrees,
         "ad_e_kernel_dim": ker_total,
     }

@@ -206,6 +206,19 @@ def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1 and "fixture" in err
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_fixture_field_without_cube_roots_exits_2(tmp_path, capsys, q):
+    # the twist checks need a cube root of unity in F_q: (q - 1) % 3 == 0
+    target = tmp_path / "r.json"
+    code = main(["verify", "sections", "--fixture",
+                 _bad_fixture(tmp_path, f"q_{q}"), "--json", str(target)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "cube root" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("path", ["missing_dir", "directory"])
 @pytest.mark.parametrize("argv", [["verify", "rootsys", "--json"],
                                   ["enumerate", "2", "--csv"]],
@@ -327,6 +340,27 @@ def test_heis_imports_no_cyc_and_only_the_law_is_global():
               for inner in ast.walk(node) if isinstance(inner, ast.Global)]
     assert owners == [("heis.py", "_build_law")]
     assert sum(isinstance(node, ast.Global) for _, node in nodes) == 1
+
+
+def _functions_naming(module, name):
+    """The top-level functions and methods of the library module `module`
+    whose bodies use the name `name`."""
+    tree = ast.parse(Path(SRC, "e8g3", f"{module}.py").read_text())
+    defs = [node for top in tree.body
+            for node in ([top] + (top.body if isinstance(top, ast.ClassDef)
+                                  else []))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {node.name for node in defs for inner in ast.walk(node)
+            if isinstance(inner, ast.Name) and inner.id == name}
+
+
+def test_cyc_only_where_intlinalg_eliminates():
+    # LieElement holds w-pairs; Cyc is built only for the rows that
+    # intlinalg eliminates over Q(w), and read back from its vectors
+    assert _functions_naming("gradedlie", "Cyc") == {
+        "graded_basis", "rho_prime_image_rank"}
+    assert _functions_naming("kostant", "Cyc") == {"_dense_rows",
+                                                   "slice_report"}
 
 
 # Every defaulted parameter of the library, as (file, function, parameter).

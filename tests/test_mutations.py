@@ -10,7 +10,6 @@ import pytest
 
 from e8g3 import (cuspdata, finitefield, gradedlie, heis, kostant, rootsys,
                   sections, sp4, suites)
-from e8g3.cyclotomic import Cyc
 from e8g3.finitefield import GF
 from e8g3.gradedlie import (GradedAlgebra, LieElement, _out_additive,
                             get_algebra, killing_gram)
@@ -38,7 +37,7 @@ def _patch_triple(change):
 
 def _stray_root(alg):
     """A degree-1 root vector, which no [E, F'] with F' of degree 2 reaches."""
-    return LieElement(roots={alg.degree.index(1): Cyc(1)})
+    return LieElement(roots={alg.degree.index(1): (1, 0)})
 
 
 def _drop_basis_root(monkeypatch):
@@ -83,7 +82,7 @@ def _redirect_to_negative_root(monkeypatch):
     # [X_0, X_j] and [X_j, X_0] land on the negative of root 0 + root j
     alg = get_algebra()
     out = [list(row) for row in alg.out]
-    j = next(j for j in alg.nbr[0] if alg.kind[0][j] == 1)
+    j = min(j for j in alg.nbr[0] if alg.kind[0][j] == 1)
     out[0][j] = out[j][0] = alg.negidx[out[0][j]]
     monkeypatch.setattr(alg, "out", out)
 
@@ -130,6 +129,14 @@ def _shift_one_product(monkeypatch):
         gh = mul(g, h)
         return (gh + 81) % 243 if (g, h) == (100, 200) else gh
     monkeypatch.setattr(heis, "code_product", shifted)
+
+
+def _drop_character(monkeypatch):
+    # svn_rep without its character (s, t) -> zeta^(b1 s + b2 t): the
+    # f-classes act as scalars, so the image is reducible
+    monkeypatch.setattr(heis, "svn_rep", _mutant(
+        heis.svn_rep,
+        lambda src: src.replace("b1 * s2 + b2 * t2", "0")))
 
 
 def _move_one_square(monkeypatch):
@@ -273,7 +280,7 @@ def _kind2_off_opposite(monkeypatch):
     row = fresh.kind[0]
     j = row.index(0)
     row[fresh.negidx[0]], row[j] = 0, 2
-    fresh.nbr[0] = tuple(k for k in range(fresh.n) if row[k])
+    fresh.nbr[0] = frozenset(k for k in range(fresh.n) if row[k])
     monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
 
 
@@ -287,7 +294,7 @@ def _shift_one_w_power(monkeypatch):
     # a fresh table whose root-valued bracket of root 0 and its first
     # partner has its w-power moved by one
     fresh = GradedAlgebra()
-    j = next(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
+    j = min(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
     s = fresh.scl[0][j]
     fresh.scl[0][j] = s - s % 3 + (s + 1) % 3
     monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
@@ -317,6 +324,10 @@ MUTATIONS = [
     # heis/exponent_three: one square off by a central element
     ("heis_exponent_three", _move_one_square,
      _passes(suites.suite_heis, "exponent_three"), None),
+    # heis/rep_irreducible: translations and central scalars alone leave
+    # a commutant of dimension 9, and the traces show it
+    ("heis_rep_irreducible", _drop_character,
+     _passes(suites.suite_heis, "rep_irreducible"), None),
     # heis/group_order: without the cocycle the closure misses the centre
     ("heis_group_order", _drop_cocycle,
      _passes(suites.suite_heis, "group_order"), None),
