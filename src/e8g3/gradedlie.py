@@ -16,7 +16,7 @@ the whole multiplication table is stored as small-integer codes.
 
 from __future__ import annotations
 
-import hashlib
+from bisect import bisect_right
 from functools import cache
 from operator import getitem
 
@@ -24,6 +24,7 @@ from .cyclotomic import Cyc, rational, zeta_mul
 from .heis import (CODE_EXPO, CODE_ROW, HeisenbergModel, Mono, build_model,
                    class_code, cocycle, commutator_exponent, svn_rep)
 from .intlinalg import nullspace, rank
+from .report import sha256
 from .rootsys import RootSystem, add, neg, pairing
 from .vinberg import x_value
 
@@ -50,6 +51,11 @@ _CODES = (*range(6), NONE)
 _PAIR = tuple(code_pair(c) for c in _CODES)
 _MUL_PAIR = tuple(tuple(code_pair(code_mul(a, b)) for b in _CODES)
                   for a in _CODES)
+# the same w-pairs (x, y) packed as x + y * 2**32: a sum of at most three
+# unit multiples of pairings or coroot coordinates keeps |x| and |y| far
+# below 2**31, so such a packed sum is 0 exactly when its w-pair is
+_PPAIR = tuple(x + (y << 32) for x, y in _PAIR)
+_PMUL = tuple(tuple(x + (y << 32) for x, y in row) for row in _MUL_PAIR)
 
 
 class LieElement:
@@ -396,7 +402,7 @@ class GradedAlgebra:
     def digest(self) -> str:
         """SHA-256 of the dump lines joined by newlines, fed line by line
         so that the dump is never held whole."""
-        h = hashlib.sha256()
+        h = sha256()
         sep = b""
         for line in self.dump_lines():
             h.update(sep + line.encode())
@@ -439,8 +445,8 @@ def _z_bracket_coefficients(alg: GradedAlgebra, oa: int, ob: int):
             if k == 1:
                 _accumulate(roots, out_i[j], *_PAIR[scl_i[j]])
             elif k:
-                cartan = _addc(cartan, alg.cr[i], *_PAIR[scl_i[j]])
-    if cartan is not None and any(x or y for x, y in cartan):
+                cartan = _addc(cartan, alg.cr[i], _PPAIR[scl_i[j]])
+    if cartan is not None and any(cartan):
         raise AssertionError(
             "cartan residue in a bracket of symmetrized vectors")
     coeffs = {}
@@ -669,20 +675,28 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
 
     Returns (evaluated, violations).  Triples where no pair brackets
     nonzero hold trivially: the weight of any inner bracket can never
-    return to the third weight when all three pairings are >= 0.
+    return to the third weight when all three pairings are >= 0.  So the
+    candidates for each (i, j) are the k > j in nbr[i] | nbr[j], taken as
+    two disjoint lists that start past j by bisection in the sorted
+    neighbour rows: the k in nbr[j], and the rest, the k in nbr[i] but not
+    in nbr[j], where [x_j, x_k] = 0.  When [x_i, x_j] = 0 as well, only
+    [x_j, [x_k, x_i]] remains for the rest; every code is a unit and every
+    coroot is nonzero, so such a triple fails exactly when that term's
+    table reads give a nonzero bracket.  Every other candidate goes through
+    all three terms.
 
     Every root-valued term of a triple is a nonzero multiple of a unit and
-    belongs on the weight i + j + k, so one (target, x, y) accumulator is
-    exact: a term on a second target leaves some target with a single term
-    and is itself a violation.  Cartan-valued terms (i + j + k = 0) go to
-    their own accumulator.
+    belongs on the weight i + j + k, so one target and one packed w-pair
+    sum (_PPAIR, _PMUL) are exact: a term on a second target leaves some
+    target with a single term and is itself a violation.  Cartan-valued
+    terms (i + j + k = 0) go to their own accumulator.
 
     The three terms [x_i, [x_j, x_k]], [x_j, [x_k, x_i]] and
     [x_k, [x_i, x_j]] are written out in that order, each reading the table
     entries of the generic term [x_p, [x_q, x_r]]: kind, out and scl at
     (q, r), then at (p, out[q][r]) for a root-valued inner bracket, or
-    PR[q][p] for a cartan-valued one.  Rows are taken once per i, j and k,
-    and the (i, j) entries once per pair.
+    PR[q][p] for a cartan-valued one.  Rows i and j and column i are taken
+    once per i and j, and the (i, j) entries once per pair.
     """
     kind = alg.kind
     out = alg.out
@@ -691,27 +705,43 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     cr = alg.cr
     nbr = alg.nbr
     n = alg.n
-    pair = _PAIR
-    mul_pair = _MUL_PAIR
+    ppair = _PPAIR
+    pmul = _PMUL
+    rows = [sorted(s) for s in nbr]
     evaluated = 0
     violations = []
 
     for i in range(lo, hi):
         kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
-        cand_i = nbr[i]
+        row_i = rows[i]
+        # column i: the inner bracket [x_k, x_i] of the second term
+        kind_ki = [r[i] for r in kind]
+        out_ki = [r[i] for r in out]
+        scl_ki = [r[i] for r in scl]
         for j in range(i + 1, n):
             kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
+            nbr_j, row_j = nbr[j], rows[j]
             c_ji = -PR[j][i]
             k_ij, m_ij, s_ij = kind_i[j], out_i[j], scl_i[j]
-            mul_ij = mul_pair[s_ij] if k_ij == 1 else None
-            for k in cand_i | nbr[j]:
-                if k <= j:
-                    continue
-                evaluated += 1
-                kind_k, out_k, scl_k = kind[k], out[k], scl[k]
+            mul_ij = pmul[s_ij]
+
+            ks = row_j[bisect_right(row_j, j):]
+            rest = [k for k in row_i[bisect_right(row_i, j):]
+                    if k not in nbr_j]
+            evaluated += len(ks) + len(rest)
+            if k_ij:
+                ks += rest
+            else:
+                # only [x_j, [x_k, x_i]]: a unit times a root or a coroot
+                for k in rest:
+                    kq = kind_ki[k]
+                    if kind_j[out_ki[k]] if kq == 1 else kq == 2 and PR[k][j]:
+                        violations.append(
+                            (i, j, k, _jacobi_residual(alg, i, j, k)))
+            for k in ks:
                 target = None
                 stray = False
-                x = y = 0
+                s = 0
                 acc_c = None
 
                 # [x_i, [x_j, x_k]]
@@ -719,92 +749,77 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
                 if kq == 1:
                     m = out_j[k]
                     kp = kind_i[m]
-                    if kp:
-                        dx, dy = mul_pair[scl_j[k]][scl_i[m]]
-                        if kp == 2:
-                            acc_c = _addc(acc_c, cr_i, dx, dy)
-                        else:
-                            target = out_i[m]
-                            x, y = dx, dy
+                    if kp == 1:
+                        target = out_i[m]
+                        s = pmul[scl_j[k]][scl_i[m]]
+                    elif kp:
+                        acc_c = _addc(acc_c, cr_i, pmul[scl_j[k]][scl_i[m]])
                 elif kq == 2 and c_ji:
-                    dx, dy = pair[scl_j[k]]
                     target = i
-                    x, y = dx * c_ji, dy * c_ji
+                    s = ppair[scl_j[k]] * c_ji
 
                 # [x_j, [x_k, x_i]]
-                kq = kind_k[i]
+                kq = kind_ki[k]
                 if kq == 1:
-                    m = out_k[i]
+                    m = out_ki[k]
                     kp = kind_j[m]
-                    if kp:
-                        dx, dy = mul_pair[scl_k[i]][scl_j[m]]
-                        if kp == 2:
-                            acc_c = _addc(acc_c, cr_j, dx, dy)
-                        else:
-                            t = out_j[m]
-                            if target is None:
-                                target = t
-                            elif t != target:
-                                stray = True
-                            x += dx
-                            y += dy
+                    if kp == 1:
+                        t = out_j[m]
+                        if target is None:
+                            target = t
+                        elif t != target:
+                            stray = True
+                        s += pmul[scl_ki[k]][scl_j[m]]
+                    elif kp:
+                        acc_c = _addc(acc_c, cr_j, pmul[scl_ki[k]][scl_j[m]])
                 elif kq == 2:
                     c = -PR[k][j]
                     if c:
-                        dx, dy = pair[scl_k[i]]
                         if target is None:
                             target = j
                         elif j != target:
                             stray = True
-                        x += dx * c
-                        y += dy * c
+                        s += ppair[scl_ki[k]] * c
 
                 # [x_k, [x_i, x_j]]
                 if k_ij == 1:
-                    kp = kind_k[m_ij]
-                    if kp:
-                        dx, dy = mul_ij[scl_k[m_ij]]
-                        if kp == 2:
-                            acc_c = _addc(acc_c, cr[k], dx, dy)
-                        else:
-                            t = out_k[m_ij]
-                            if target is not None and t != target:
-                                stray = True
-                            x += dx
-                            y += dy
+                    kp = kind[k][m_ij]
+                    if kp == 1:
+                        if target is not None and out[k][m_ij] != target:
+                            stray = True
+                        s += mul_ij[scl[k][m_ij]]
+                    elif kp:
+                        acc_c = _addc(acc_c, cr[k], mul_ij[scl[k][m_ij]])
                 elif k_ij == 2:
                     c = -PR_i[k]
                     if c:
-                        dx, dy = pair[s_ij]
                         if target is not None and k != target:
                             stray = True
-                        x += dx * c
-                        y += dy * c
+                        s += ppair[s_ij] * c
 
-                if (stray or x or y or acc_c is not None
-                        and any(v[0] or v[1] for v in acc_c)):
+                if stray or s or acc_c is not None and any(acc_c):
                     violations.append(
                         (i, j, k, _jacobi_residual(alg, i, j, k)))
     return evaluated, violations
 
 
 def _jacobi_residual(alg: GradedAlgebra, i: int, j: int, k: int) -> str:
-    """Root part of the Jacobi sum of X_i, X_j, X_k, by the generic bracket."""
+    """The nonzero cartan and root coordinates of the Jacobi sum of X_i,
+    X_j, X_k, by the generic bracket."""
     x, y, z = alg.x(i), alg.x(j), alg.x(k)
     total = (alg.bracket(x, alg.bracket(y, z))
              + alg.bracket(y, alg.bracket(z, x))
              + alg.bracket(z, alg.bracket(x, y)))
-    return repr(total.roots)
+    return repr(total)
 
 
-def _addc(acc, coords, x, y):
+def _addc(acc, coords, p):
+    """Add p times the coroot coordinates coords to the 8 packed w-pairs
+    acc, started at zero when acc is None."""
     if acc is None:
-        acc = [[0, 0] for _ in range(8)]
-    for a in range(8):
-        c = coords[a]
-        if c:
-            acc[a][0] += x * c
-            acc[a][1] += y * c
+        acc = [0] * 8
+    for a, c in enumerate(coords):
+        acc[a] += p * c
     return acc
 
 

@@ -7,6 +7,13 @@ import json
 import time
 from fractions import Fraction
 
+# SHA-256 for the digests of the library, from CPython's own module:
+# `hashlib` would load OpenSSL, about 3.6 MB of resident memory per process
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    from _sha256 import sha256
+
 SCHEMA_VERSION = 1
 
 

@@ -10,7 +10,6 @@ e_i - e_j, 84 of shape e_i + e_j + e_k, and their 84 negatives.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import cache, cached_property
 from itertools import combinations
@@ -27,6 +26,7 @@ from .intlinalg import (
     smith_normal_form,
     unimodular_inverse,
 )
+from .report import sha256
 
 FORMAT_VERSION = 1
 
@@ -266,7 +266,7 @@ class RootSystem:
     def digest(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True,
                           separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return sha256(blob).hexdigest()
 
 
 @cache

@@ -5,13 +5,12 @@ creates and passes in, so a suite that raises keeps what it finished."""
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from fractions import Fraction
 
 from . import rootsys as rs_mod
 from . import vinberg
-from .report import Suite
+from .report import Suite, sha256
 from .rootsys import build_root_system
 
 # SHA-256 digests of the canonical root-system data and of the structure
@@ -329,7 +328,7 @@ def suite_sections(s: Suite, fixture_path: str | None) -> str:
     s.check("mumford_nu2", ok_m2, "exhaustive-search decomposition over F7")
 
     text = fixture_text(fixture_path)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = sha256(text.encode()).hexdigest()
     q, fcoeffs, sections, expected_row = fixture_from_json(text)
     F = GF(q)
     f = [F.from_int(c) for c in fcoeffs]
@@ -395,4 +394,4 @@ def run_suite(name: str, fixture_path: str | None) -> dict:
 
 def _default_digest() -> str:
     from .vinberg import cases_to_json
-    return hashlib.sha256(cases_to_json().encode()).hexdigest()
+    return sha256(cases_to_json().encode()).hexdigest()

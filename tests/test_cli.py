@@ -324,6 +324,41 @@ def _import_lines(module, target):
     return found
 
 
+def test_library_does_not_import_hashlib():
+    # hashlib loads OpenSSL, about 3.6 MB of resident memory per process;
+    # the library's digests use report.sha256
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for module in [getattr(node, "module", None),
+                            *(alias.name for alias in node.names)]
+             if module and module.split(".")[0] == "hashlib"]
+    assert found == []
+
+
+def test_verify_loads_no_openssl():
+    code = ("import sys\n"
+            "from e8g3.cli import main\n"
+            "status = main(['verify', 'rootsys', '--threads', '1'])\n"
+            "print(status, '_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_report_sha256_matches_hashlib():
+    import hashlib
+
+    from e8g3.report import sha256
+    for data in (b"", b"abc", bytes(range(256)) * 1200):
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    fed = sha256()
+    for piece in (b"a", b"", b"bc"):
+        fed.update(piece)
+    assert fed.hexdigest() == hashlib.sha256(b"abc").hexdigest()
+
+
 def test_sp4_imports_nothing_from_intlinalg():
     # both Sp4 strategies count without elimination
     assert _import_lines("sp4", "intlinalg") == []

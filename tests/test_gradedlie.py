@@ -133,7 +133,9 @@ def test_central_twist_scales_bracket(alg):
 def test_jacobi_full_sweep(report):
     assert report.passed("gradedlie", "jacobi", "antisymmetry")
     detail = report.check("gradedlie", "jacobi")["detail"]
-    assert int(detail.split()[0]) > 1_000_000
+    # 61,440 triples with a cartan generator and 965,906 root triples: a
+    # faster sweep must not evaluate fewer
+    assert int(detail.split()[0]) == 1_027_346
 
 
 def test_jacobi_spot_zero_sum_triple(alg):
@@ -513,20 +515,34 @@ def test_corrupted_structure_constant_fails_jacobi(alg):
     assert _jacobi_root_range(alg, 0, 1)[1] == []
 
 
-def _corrupt_scl(fresh):
-    j = min(fresh.nbr[0])
-    fresh.scl[0][j] = (fresh.scl[0][j] + 1) % 6
+def _next_neighbour(fresh, r, kinds):
+    """The first j after r, cyclically, with kind[r][j] in kinds."""
+    return min((j for j in fresh.nbr[r] if fresh.kind[r][j] in kinds),
+               key=lambda j: (j - r) % fresh.n)
 
 
-def _corrupt_out(fresh):
-    j = min(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
-    fresh.out[0][j] = fresh.windex[fresh.out[0][j]]
+def _corrupt_scl(fresh, r):
+    j = _next_neighbour(fresh, r, (1, 2))
+    fresh.scl[r][j] = (fresh.scl[r][j] + 1) % 6
 
 
-def _corrupt_opposite_scl(fresh):
-    # the opposite-root entry: [x_0, x_-0] is cartan-valued (kind 2)
-    j = fresh.negidx[0]
-    fresh.scl[0][j] = (fresh.scl[0][j] + 3) % 6
+def _corrupt_out(fresh, r):
+    j = _next_neighbour(fresh, r, (1,))
+    fresh.out[r][j] = fresh.windex[fresh.out[r][j]]
+
+
+def _corrupt_opposite_scl(fresh, r):
+    # the opposite-root entry: [x_r, x_-r] is cartan-valued (kind 2)
+    j = fresh.negidx[r]
+    fresh.scl[r][j] = (fresh.scl[r][j] + 3) % 6
+
+
+def _corrupt_kind_one_sided(fresh, r):
+    # [x_k, x_r] reads as zero while [x_r, x_k] stays a root vector, so
+    # that k is in nbr[r] but kind[k][r] is 0: a sweep must read
+    # kind[k][r] itself, not infer it from that membership
+    k = max(k for k in fresh.nbr[r] if fresh.kind[r][k] == 1)
+    fresh.kind[k][r] = 0
 
 
 @pytest.mark.parametrize("corrupt",
@@ -541,7 +557,7 @@ def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
     # stays on the candidates.
     from e8g3.gradedlie import _jacobi_root_range
     fresh = GradedAlgebra()
-    corrupt(fresh)
+    corrupt(fresh, 0)
     evaluated, violations = _jacobi_root_range(fresh, 0, 1)
     flagged = {v[:3] for v in violations}
     candidates = [(j, k) for j in range(1, 240) for k in range(j + 1, 240)
@@ -558,14 +574,195 @@ def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
     assert flagged and flagged == nonzero
 
 
+def _addc_pairs(acc, coords, x, y):
+    if acc is None:
+        acc = [[0, 0] for _ in range(8)]
+    for a in range(8):
+        c = coords[a]
+        if c:
+            acc[a][0] += x * c
+            acc[a][1] += y * c
+    return acc
+
+
+def _jacobi_root_range_by_union(alg, lo, hi):
+    """Oracle for gradedlie._jacobi_root_range: one loop over the union
+    nbr[i] | nbr[j] per pair, skipping k <= j, with each term summed as a
+    w-pair of ints."""
+    from e8g3.gradedlie import _MUL_PAIR, _PAIR, _jacobi_residual
+    kind = alg.kind
+    out = alg.out
+    scl = alg.scl
+    PR = alg.PR
+    cr = alg.cr
+    nbr = alg.nbr
+    n = alg.n
+    pair = _PAIR
+    mul_pair = _MUL_PAIR
+    evaluated = 0
+    violations = []
+
+    for i in range(lo, hi):
+        kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
+        cand_i = nbr[i]
+        for j in range(i + 1, n):
+            kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
+            c_ji = -PR[j][i]
+            k_ij, m_ij, s_ij = kind_i[j], out_i[j], scl_i[j]
+            mul_ij = mul_pair[s_ij] if k_ij == 1 else None
+            for k in cand_i | nbr[j]:
+                if k <= j:
+                    continue
+                evaluated += 1
+                kind_k, out_k, scl_k = kind[k], out[k], scl[k]
+                target = None
+                stray = False
+                x = y = 0
+                acc_c = None
+
+                # [x_i, [x_j, x_k]]
+                kq = kind_j[k]
+                if kq == 1:
+                    m = out_j[k]
+                    kp = kind_i[m]
+                    if kp:
+                        dx, dy = mul_pair[scl_j[k]][scl_i[m]]
+                        if kp == 2:
+                            acc_c = _addc_pairs(acc_c, cr_i, dx, dy)
+                        else:
+                            target = out_i[m]
+                            x, y = dx, dy
+                elif kq == 2 and c_ji:
+                    dx, dy = pair[scl_j[k]]
+                    target = i
+                    x, y = dx * c_ji, dy * c_ji
+
+                # [x_j, [x_k, x_i]]
+                kq = kind_k[i]
+                if kq == 1:
+                    m = out_k[i]
+                    kp = kind_j[m]
+                    if kp:
+                        dx, dy = mul_pair[scl_k[i]][scl_j[m]]
+                        if kp == 2:
+                            acc_c = _addc_pairs(acc_c, cr_j, dx, dy)
+                        else:
+                            t = out_j[m]
+                            if target is None:
+                                target = t
+                            elif t != target:
+                                stray = True
+                            x += dx
+                            y += dy
+                elif kq == 2:
+                    c = -PR[k][j]
+                    if c:
+                        dx, dy = pair[scl_k[i]]
+                        if target is None:
+                            target = j
+                        elif j != target:
+                            stray = True
+                        x += dx * c
+                        y += dy * c
+
+                # [x_k, [x_i, x_j]]
+                if k_ij == 1:
+                    kp = kind_k[m_ij]
+                    if kp:
+                        dx, dy = mul_ij[scl_k[m_ij]]
+                        if kp == 2:
+                            acc_c = _addc_pairs(acc_c, cr[k], dx, dy)
+                        else:
+                            t = out_k[m_ij]
+                            if target is not None and t != target:
+                                stray = True
+                            x += dx
+                            y += dy
+                elif k_ij == 2:
+                    c = -PR_i[k]
+                    if c:
+                        dx, dy = pair[s_ij]
+                        if target is not None and k != target:
+                            stray = True
+                        x += dx * c
+                        y += dy * c
+
+                if (stray or x or y or acc_c is not None
+                        and any(v[0] or v[1] for v in acc_c)):
+                    violations.append(
+                        (i, j, k, _jacobi_residual(alg, i, j, k)))
+    return evaluated, violations
+
+
+@pytest.mark.parametrize(
+    "corrupt, positions",
+    [(None, set()), (_corrupt_scl, {0, 1, 2}), (_corrupt_out, {0, 1, 2}),
+     (_corrupt_opposite_scl, {0, 1}), (_corrupt_kind_one_sided, {0})],
+    ids=["real", "scl", "out", "opposite_scl", "kind_one_sided"])
+def test_jacobi_sweep_matches_union_oracle(alg, corrupt, positions):
+    # the two-loop sweep against the union sweep over the full range.  A
+    # corruption at the middle root 119 puts it first, second or third in
+    # the flagged triples (`positions`), with the third root in nbr[j]
+    # (first loop) and outside it (second loop)
+    from e8g3.gradedlie import _jacobi_root_range
+    table = alg
+    if corrupt is not None:
+        table = GradedAlgebra()
+        corrupt(table, 119)
+    evaluated, violations = _jacobi_root_range(table, 0, 240)
+    expected, expected_violations = _jacobi_root_range_by_union(table, 0, 240)
+    assert (evaluated, sorted(violations)) == (expected,
+                                               sorted(expected_violations))
+    assert evaluated == 965_906
+    triples = [v[:3] for v in violations]
+    assert {t.index(119) for t in triples if 119 in t} == positions
+    if corrupt is not None:
+        assert {k in alg.nbr[j] for _, j, k in triples} == {True, False}
+
+
+def test_jacobi_residual_shows_cartan_part():
+    # a violation whose Jacobi sum has only a cartan part still prints it
+    from e8g3.gradedlie import _jacobi_root_range
+    fresh = GradedAlgebra()
+    _corrupt_opposite_scl(fresh, 0)
+    _, violations = _jacobi_root_range(fresh, 0, 240)
+    residuals = [v[3] for v in violations]
+    assert residuals and repr(LieElement()) not in residuals
+    assert any("roots={}" in r for r in residuals)
+
+
 def test_code_tables_match_code_functions():
     # the Jacobi sweep's tables against the code arithmetic they replace,
     # on every code a table entry can hold
-    from e8g3.gradedlie import _MUL_PAIR, _PAIR, NONE, code_mul
+    from e8g3.gradedlie import _MUL_PAIR, _PAIR, _PMUL, _PPAIR, NONE, code_mul
     codes = [*range(6), NONE]
     assert all(_PAIR[c] == code_pair(c) for c in codes)
     assert all(_MUL_PAIR[a][b] == code_pair(code_mul(a, b))
                for a in codes for b in codes)
+    # the packed tables unpack to the pair tables
+    assert all(_unpack(_PPAIR[c]) == _PAIR[c] for c in codes)
+    assert all(_unpack(_PMUL[a][b]) == _MUL_PAIR[a][b]
+               for a in codes for b in codes)
+
+
+def _unpack(p):
+    """The w-pair (x, y) of the packed int x + y * 2**32, |x| < 2**31."""
+    x = (p + 2**31) % 2**32 - 2**31
+    return x, (p - x) >> 32
+
+
+def test_packed_sums_stay_below_the_packing_bound(alg):
+    # a packed accumulator sums unit multiples of root pairings (PR) or of
+    # coroot coordinates (cr): at most three per Jacobi triple and nine per
+    # orbit bracket (_z_bracket_coefficients).  Below 2**31 in each
+    # component, a packed sum is 0 exactly when its w-pair is
+    from e8g3.gradedlie import _MUL_PAIR, _PAIR
+    unit = max(abs(v) for p in [*_PAIR, *(q for row in _MUL_PAIR for q in row)]
+               for v in p)
+    scale = max(max(abs(p) for row in alg.PR for p in row),
+                max(abs(c) for row in alg.cr for c in row))
+    assert unit == 1 and scale == 6
+    assert 9 * unit * scale < 2**31
 
 
 @pytest.mark.parametrize("order", ["0j", "j0"])
