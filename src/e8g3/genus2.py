@@ -77,10 +77,10 @@ def is_minimal(q: Quintic) -> bool:
     cs = (q.c12, q.c18, q.c24, q.c30)
     if all(c == 0 for c in cs):
         return False
-    # any witness n satisfies n^e <= |c| for the first nonzero c
-    c, e = next((abs(c), e) for c, e in zip(cs, _MIN_EXPONENTS) if c)
+    # any witness n satisfies n^e <= |c| for every nonzero c
+    bound = min(_iroot(abs(c), e) for c, e in zip(cs, _MIN_EXPONENTS) if c)
     return not any(all(x % n**k == 0 for x, k in zip(cs, _MIN_EXPONENTS))
-                   for n in range(2, _iroot(c, e) + 1))
+                   for n in range(2, bound + 1))
 
 
 def _iroot(n: int, e: int) -> int:

@@ -20,12 +20,12 @@ from bisect import bisect_right
 from functools import cache
 from operator import getitem
 
-from .cyclotomic import Cyc, rational, zeta_mul
+from .cyclotomic import rational, zeta_mul
 from .heis import (CODE_EXPO, CODE_ROW, HeisenbergModel, Mono, build_model,
                    class_code, cocycle, commutator_exponent, svn_rep)
 from .intlinalg import nullspace, rank
 from .report import sha256
-from .rootsys import RootSystem, add, neg, pairing
+from .rootsys import RootSystem, add, neg
 from .vinberg import x_value
 
 # scalar codes: value = (-1)^(code // 3) * w^(code % 3); NONE means zero
@@ -128,10 +128,10 @@ class GradedAlgebra:
         self.cr = [rs.to_basis(r) for r in rs.roots]
         self.negidx = [rs.index[neg(r)] for r in rs.roots]
         self.windex = rs.w_on_roots
-        # pairing of every basis-coroot with every root, and root with root
-        # (the root system's shared table)
-        self.P = [[pairing(b, r) for r in rs.roots] for b in rs.basis]
+        # pairing of root with root (the root system's shared table), and
+        # its rows at the basis roots: every basis-coroot with every root
         self.PR = rs.pairs
+        self.P = [rs.pairs[rs.index[b]] for b in rs.basis]
         # degree grading by coordinate-sum type of the canonical representative
         self.degree = [sum(r) // 3 for r in rs.roots]
         # height: the pairing with the marking element x
@@ -260,12 +260,14 @@ class GradedAlgebra:
                 spaces[i].append(LieElement(roots={
                     r: (1, 0), w1: zeta_mul(1, 0, -i),
                     w2: zeta_mul(1, 0, -2 * i)}))
+        W = rs.w
         for i in (1, 2):
-            rows = [[Cyc(self.rs.w[r][c]) - (Cyc.zeta(i) if r == c else Cyc(0))
+            # W - w^i I, as w-pairs
+            x, y = zeta_mul(1, 0, i)
+            rows = [[(W[r][c] - x, -y) if r == c else (W[r][c], 0)
                      for c in range(8)] for r in range(8)]
             for vec in nullspace(rows, 8):
-                spaces[i].append(LieElement(
-                    cartan={a: (v.a, v.b) for a, v in enumerate(vec)}))
+                spaces[i].append(LieElement(cartan=dict(enumerate(vec))))
         dims = [len(spaces[i]) for i in (0, 1, 2)]
         if dims != [80, 84, 84]:
             raise AssertionError(f"graded dimensions {dims}")
@@ -550,7 +552,7 @@ def rho_prime_image_rank(alg: GradedAlgebra) -> int:
         mono = alg.rho(orb[0])
         row = [0] * 81
         for col, c in enumerate(mono.codes):
-            row[9 * CODE_ROW[c] + col] = Cyc.zeta(CODE_EXPO[c])
+            row[9 * CODE_ROW[c] + col] = zeta_mul(1, 0, CODE_EXPO[c])
         rows.append(row)
     return rank(rows, 81)
 

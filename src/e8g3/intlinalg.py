@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc
+from .cyclotomic import qw_inverse
 
 
 def identity(n):
@@ -201,23 +201,24 @@ def unimodular_inverse(U):
 
 
 def _over_qw(rows) -> bool:
-    """Whether the matrix lives over Q(w): some entry is a Cyc."""
-    return any(Cyc in map(type, row) for row in rows)
+    """Whether the matrix lives over Q(w): some entry is a w-pair."""
+    return any(tuple in map(type, row) for row in rows)
 
 
 def rref(rows, width):
     """Reduced row echelon form of dense rows (lists), over Q(w) when some
-    entry is a Cyc and over Q otherwise.
+    entry is a w-pair (x, y), meaning x + y*w, and over Q otherwise; over
+    Q(w) every entry comes back a w-pair.
 
     Each row step touches only the columns where the pivot row is nonzero.
     Returns (reduced_rows, pivot_columns). Mutates nothing: the rows are
     copied, and entries are replaced, never changed in place.
     """
-    return _eliminate(rows, width, _over_qw(rows))
+    return (_eliminate_qw if _over_qw(rows) else _eliminate)(rows, width)
 
 
-def _eliminate(rows, width, qw):
-    """rref over the field already read from the entries: Q(w) when qw."""
+def _eliminate(rows, width):
+    """rref over Q."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -227,11 +228,7 @@ def _eliminate(rows, width, qw):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        lead = prow[c]
-        if qw:
-            inv = lead.inverse() if isinstance(lead, Cyc) else Cyc(Fraction(1, lead))
-        else:
-            inv = Fraction(1) / lead
+        inv = Fraction(1) / prow[c]
         support = [t for t, x in enumerate(prow) if x]
         for t in support:
             prow[t] = prow[t] * inv
@@ -247,20 +244,51 @@ def _eliminate(rows, width, qw):
     return rows, pivots
 
 
+def _eliminate_qw(rows, width):
+    """rref over Q(w) on w-pairs, a rational entry x read as (x, 0); the
+    same steps as _eliminate, each product written out with w^2 = -1 - w."""
+    rows = [[x if type(x) is tuple else (x, 0) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != (0, 0)),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        e, f = qw_inverse(prow[c])
+        support = [t for t, x in enumerate(prow) if x != (0, 0)]
+        for t in support:
+            a, b = prow[t]
+            bf = b * f
+            prow[t] = (a * e - bf, a * f + b * e - bf)
+        for i, row in enumerate(rows):
+            g, h = row[c]
+            if (g or h) and i != r:
+                for t in support:
+                    a, b = prow[t]
+                    x, y = row[t]
+                    hb = h * b
+                    row[t] = (x - g * a + hb, y - g * b - h * a + hb)
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
 def reduce_mod_p7(x):
-    """Image of an int, Fraction or Cyc x in F_7 = Z[w]/p for the prime
-    p = (7, w - 2) of Z[w], i.e. a + b*w -> a + 2b (mod 7); None when a
-    denominator of x is divisible by 7, where the map is undefined."""
+    """Image of an int, a Fraction or a w-pair (a, b) in F_7 = Z[w]/p for
+    the prime p = (7, w - 2) of Z[w], i.e. a + b*w -> a + 2b (mod 7); None
+    when a denominator of x is divisible by 7, where the map is undefined."""
     if type(x) is int:
         return x % 7
-    if isinstance(x, Cyc):
-        if type(x.a) is int and type(x.b) is int:
-            return (x.a + 2 * x.b) % 7
-        parts = (x.a, 2 * x.b)
-    else:
-        parts = (Fraction(x),)
+    a, b = x if type(x) is tuple else (x, 0)
+    if type(a) is int and type(b) is int:
+        return (a + 2 * b) % 7
     total = 0
-    for q in parts:
+    for q in (Fraction(a), 2 * Fraction(b)):
         if q.denominator % 7 == 0:
             return None
         total += q.numerator * pow(q.denominator, -1, 7)
@@ -275,14 +303,14 @@ def rank(rows, width):
     Any other outcome, or an entry that is not 7-integral, falls back to
     exact elimination.
     """
-    qw = _over_qw(rows)
-    if qw:
-        reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
-        if all(None not in row for row in reduced):
-            r = len(rref_mod(reduced, width, 7)[1])
-            if r == min(len(rows), width):
-                return r
-    return len(_eliminate(rows, width, qw)[1])
+    if not _over_qw(rows):
+        return len(_eliminate(rows, width)[1])
+    reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
+    if all(None not in row for row in reduced):
+        r = len(rref_mod(reduced, width, 7)[1])
+        if r == min(len(rows), width):
+            return r
+    return len(_eliminate_qw(rows, width)[1])
 
 
 def rref_mod(rows, width, p):
@@ -319,32 +347,30 @@ def rref_mod(rows, width, p):
 
 def nullspace(rows, width):
     """Basis of the right kernel of the matrix given by dense rows, over
-    the field of rref: Cyc vectors over Q(w), Fraction vectors over Q."""
+    the field of rref: vectors of w-pairs over Q(w), of Fractions over Q."""
     qw = _over_qw(rows)
-    red, pivots = _eliminate(rows, width, qw)
-    one = Cyc(1, 0) if qw else Fraction(1)
-    zero = Cyc(0, 0) if qw else Fraction(0)
+    red, pivots = (_eliminate_qw if qw else _eliminate)(rows, width)
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [zero] * width
-        vec[fc] = one
+        vec = [(0, 0) if qw else Fraction(0)] * width
+        vec[fc] = (1, 0) if qw else Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+            x = red[r][fc]
+            vec[pc] = (-x[0], -x[1]) if qw else -x
         basis.append(vec)
     return basis
 
 
 def solve(rows, rhs, width):
     """One particular solution of rows @ x = rhs, or None if inconsistent;
-    over Q(w) when some entry of rows or rhs is a Cyc, else over Q."""
+    over Q(w) when some entry of rows or rhs is a w-pair, else over Q."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     qw = _over_qw(aug)
-    red, pivots = _eliminate(aug, width + 1, qw)
+    red, pivots = (_eliminate_qw if qw else _eliminate)(aug, width + 1)
     if width in pivots:
         return None
-    zero = Cyc(0, 0) if qw else Fraction(0)
-    x = [zero] * width
+    x = [(0, 0) if qw else Fraction(0)] * width
     for r, pc in enumerate(pivots):
         x[pc] = red[r][width]
     return x

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, zeta_mul
+from .cyclotomic import zeta_mul
 from .gradedlie import GradedAlgebra, LieElement
 from .heis import cocycle
 from .intlinalg import nullspace, rank, solve
@@ -100,18 +100,18 @@ def _slots(v: LieElement):
 
 
 def _dense_rows(images, columns):
-    """Coefficient rows of LieElements over the slots ``columns``, as Cyc
-    entries for intlinalg; an image with a nonzero coefficient outside
-    ``columns`` raises."""
+    """Coefficient rows of LieElements over the slots ``columns``, as
+    w-pairs; an image with a nonzero coefficient outside ``columns``
+    raises."""
     index = {slot: col for col, slot in enumerate(columns)}
     rows = []
     for img in images:
-        row = [Cyc(0)] * len(columns)
+        row = [(0, 0)] * len(columns)
         for slot, c in _slots(img):
             col = index.get(slot)
             if col is None:
                 raise AssertionError(f"image leaves its block at {slot}")
-            row[col] = Cyc(*c)
+            row[col] = c
         rows.append(row)
     return rows
 
@@ -151,13 +151,13 @@ def slice_report(alg: GradedAlgebra) -> dict:
         dense = _dense_rows([alg.bracket(alg.x(i), F) for i in idxs], target)
         cols = [list(col) for col in zip(*dense)] if width else []
         kern = (nullspace(cols, len(idxs))
-                if width else [[Cyc(1) if a == b else Cyc(0)
+                if width else [[(1, 0) if a == b else (0, 0)
                                 for b in range(len(idxs))]
                                for a in range(len(idxs))])
         for vec in kern:
             degrees.append(1 - h)
             basis_vectors.append(LieElement(
-                roots={idxs[p]: (v.a, v.b) for p, v in enumerate(vec)}))
+                roots={idxs[p]: v for p, v in enumerate(vec)}))
     return {
         "slice_dim": len(basis_vectors),
         "slice_degrees": sorted(degrees),

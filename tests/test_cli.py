@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -377,25 +378,13 @@ def test_heis_imports_no_cyc_and_only_the_law_is_global():
     assert sum(isinstance(node, ast.Global) for _, node in nodes) == 1
 
 
-def _functions_naming(module, name):
-    """The top-level functions and methods of the library module `module`
-    whose bodies use the name `name`."""
-    tree = ast.parse(Path(SRC, "e8g3", f"{module}.py").read_text())
-    defs = [node for top in tree.body
-            for node in ([top] + (top.body if isinstance(top, ast.ClassDef)
-                                  else []))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return {node.name for node in defs for inner in ast.walk(node)
-            if isinstance(inner, ast.Name) and inner.id == name}
-
-
-def test_cyc_only_where_intlinalg_eliminates():
-    # LieElement holds w-pairs; Cyc is built only for the rows that
-    # intlinalg eliminates over Q(w), and read back from its vectors
-    assert _functions_naming("gradedlie", "Cyc") == {
-        "graded_basis", "rho_prime_image_rank"}
-    assert _functions_naming("kostant", "Cyc") == {"_dense_rows",
-                                                   "slice_report"}
+def test_library_holds_q_w_only_as_w_pairs():
+    # Q(w) has one representation, the w-pair (x, y): no module names a
+    # Cyc, and cyclotomic defines functions on pairs, no class
+    assert [path.name for path in sorted(Path(SRC, "e8g3").rglob("*.py"))
+            if re.search(r"\bCyc\b", path.read_text())] == []
+    tree = ast.parse(Path(SRC, "e8g3", "cyclotomic.py").read_text())
+    assert not any(isinstance(node, ast.ClassDef) for node in ast.walk(tree))
 
 
 # Every defaulted parameter of the library, as (file, function, parameter).
@@ -404,8 +393,6 @@ def test_cyc_only_where_intlinalg_eliminates():
 # passes, or that the input determines, is not an option.
 DEFAULTED_PARAMETERS = {
     ("cli.py", "main", "argv"),
-    ("cyclotomic.py", "__init__", "a"),
-    ("cyclotomic.py", "__init__", "b"),
     ("genus2.py", "resultant", "oracle"),
     ("genus2.py", "discriminant", "oracle"),
     ("gradedlie.py", "__init__", "cartan"),

@@ -1,6 +1,7 @@
 """Quintic invariants: discriminant, height, minimality, enumeration."""
 
 import math
+import signal
 
 import pytest
 
@@ -70,6 +71,27 @@ def test_minimality_of_a_coefficient_beyond_float_range():
     # 10^400 overflows a float; 2 is a witness for both
     assert not is_minimal(Quintic(10**400, 0, 0, 0))
     assert not is_minimal(Quintic(0, 0, 0, 2**10 * 10**400))
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("is_minimal did not return within 5 s")
+
+
+def test_minimality_bound_is_the_least_root_of_the_nonzero_coefficients():
+    # a witness n has n^e <= |c| for every nonzero c, so a coefficient of 1
+    # leaves no candidate however large the others are; a bound read from
+    # the first nonzero coefficient alone runs to about 10^10 candidates
+    old = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(5)
+    try:
+        assert is_minimal(Quintic(10**40 + 1, 1, 0, 0))
+        assert is_minimal(Quintic(0, 10**60 + 1, 0, -1))
+        # witnesses at and below the bound are still found
+        assert not is_minimal(Quintic(2**4 * (10**40 + 1), 2**6, 0, 0))
+        assert not is_minimal(Quintic(3**4 * (10**40 + 1), 3**6, 0, 3**10))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 10**400, 3**600 + 12345,

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g3.cyclotomic import Cyc, zeta_mul
+from e8g3.cyclotomic import zeta_mul
 from e8g3.gradedlie import (GradedAlgebra, LieElement,
                             _z_bracket_coefficients, code_pair, get_algebra,
                             killing_gram, verify_heis_action_match,
                             verify_rho_prime_homomorphism,
                             z_supports_partition)
 from e8g3.heis import class_code, commutator_exponent, svn_rep
+
+from qw_oracle import Cyc
 
 KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
 
@@ -44,7 +46,7 @@ def theta(alg, x):
                 if w[b][a]:
                     cart[b] = cart.get(b, Cyc(0)) + Cyc(*v) * w[b][a]
     roots = {alg.windex[i]: v for i, v in x.roots.items()}
-    return LieElement({b: (v.a, v.b) for b, v in cart.items()}, roots)
+    return LieElement({b: v.pair() for b, v in cart.items()}, roots)
 
 
 def grading_check(alg, x, i):
@@ -183,10 +185,18 @@ def test_theta_order_three(alg):
         assert theta(alg, x) != x or i is None
 
 
+def test_cartan_pairings_are_rows_of_the_root_pairing_table(alg):
+    # P[a][j] = (basis root a, root j), read from the shared 240^2 table
+    from e8g3.rootsys import pairing
+    rs = alg.rs
+    assert [list(row) for row in alg.P] == [
+        [pairing(b, r) for r in rs.roots] for b in rs.basis]
+
+
 def test_theta_no_fixed_cartan_vectors(alg):
     from e8g3.intlinalg import nullspace
-    rows = [[Cyc(alg.rs.w[r][c]) - (Cyc(1) if r == c else Cyc(0))
-             for c in range(8)] for r in range(8)]
+    rows = [[(alg.rs.w[r][c] - (r == c), 0) for c in range(8)]
+            for r in range(8)]
     assert nullspace(rows, 8) == []
 
 
@@ -835,15 +845,16 @@ def reference_bracket(alg, x, y):
             k = alg.kind[i][j]
             if not k:
                 continue
-            v = ci * cj * Cyc(*code_pair(alg.scl[i][j]))
+            s = alg.scl[i][j]  # the unit (-1)^(s // 3) w^(s % 3)
+            v = ci * cj * Cyc.zeta(s % 3) * (-1) ** (s // 3)
             if k == 1:
                 add(acc_r, alg.out[i][j], v)
             elif k == 2:
                 for a, c in enumerate(alg.cr[i]):
                     if c:
                         add(acc_c, a, v * c)
-    return LieElement({a: (v.a, v.b) for a, v in acc_c.items()},
-                      {m: (v.a, v.b) for m, v in acc_r.items()})
+    return LieElement({a: v.pair() for a, v in acc_c.items()},
+                      {m: v.pair() for m, v in acc_r.items()})
 
 
 _RATIONALS = st.one_of(

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g3.cyclotomic import Cyc
 from e8g3 import intlinalg
 from e8g3.intlinalg import (det_bareiss, identity, mat_mul, mat_sub,
                             nullspace, power, rank, reduce_mod_p7, rref,
                             rref_mod, smith_normal_form, solve,
                             unimodular_inverse)
 from e8g3.rootsys import build_root_system
+
+import qw_oracle as oracle
+from qw_oracle import Cyc, cyc
 
 PRIMES = st.sampled_from([3, 7])
 
@@ -71,42 +73,80 @@ def test_unimodular_inverse():
         unimodular_inverse([[1, 2], [2, 4]])
 
 
-# entries of Q(w) that are often 0 mod (7, w - 2) or not 7-integral, and
-# int/Fraction entries, which a matrix over Q(w) may hold as well
+# entries of Q(w) that are often 0 mod (7, w - 2) or not 7-integral: w-pairs
+# and the int/Fraction entries that a matrix over Q(w) may hold as well
 _RATIONALS = st.builds(Fraction, st.sampled_from([0, 1, -2, 3, 7, -14]),
                        st.sampled_from([1, 2, 7]))
-_ENTRIES = st.one_of(st.builds(Cyc, _RATIONALS, _RATIONALS),
-                     st.sampled_from([Cyc(-2, 1), Cyc(7), 0, 7]),
+_ENTRIES = st.one_of(st.tuples(_RATIONALS, _RATIONALS).map(
+                         lambda p: Cyc(*p).pair()),
+                     st.sampled_from([(-2, 1), (7, 0), 0, 7]),
                      _RATIONALS)
+
+
+def _combination(coeffs, rows, width):
+    """The sum of c * row over coeffs and rows, as w-pairs."""
+    return [sum((cyc(c) * cyc(row[k]) for c, row in zip(coeffs, rows)),
+                Cyc(0)).pair() for k in range(width)]
+
+
+def _qw_matrix(data, max_width=4):
+    """A matrix of _ENTRIES with up to two combinations of its rows
+    appended, so that many inputs are rank deficient."""
+    width = data.draw(st.integers(1, max_width))
+    rows = data.draw(st.lists(
+        st.lists(_ENTRIES, min_size=width, max_size=width),
+        min_size=1, max_size=4))
+    for coeffs in data.draw(st.lists(st.lists(_ENTRIES, min_size=len(rows),
+                                              max_size=len(rows)),
+                                     max_size=2)):
+        rows.append(_combination(coeffs, rows, width))
+    return rows, width
+
+
+def _values(vectors):
+    return [[cyc(x) for x in v] for v in vectors]
 
 
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(data=st.data())
 def test_cyc_rank_is_the_exact_rank(data):
-    width = data.draw(st.integers(1, 4))
-    rows = data.draw(st.lists(
-        st.lists(_ENTRIES, min_size=width, max_size=width),
-        min_size=1, max_size=4))
-    # append combinations of the drawn rows, so that many inputs are
-    # rank deficient
-    for coeffs in data.draw(st.lists(st.lists(_ENTRIES, min_size=len(rows),
-                                              max_size=len(rows)),
-                                     max_size=2)):
-        rows.append([sum((c * row[k] for c, row in zip(coeffs, rows)),
-                         Cyc(0)) for k in range(width)])
-    assert rank(rows, width) == len(rref(rows, width)[1])
+    rows, width = _qw_matrix(data)
+    assert rank(rows, width) == len(oracle.rref(rows, width)[1])
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(data=st.data())
+def test_pair_kernels_match_the_oracle(data):
+    # rref, rank, nullspace and solve on w-pairs against elimination on
+    # Cyc objects, compared as values
+    rows, width = _qw_matrix(data, max_width=5)
+    if data.draw(st.booleans()):
+        # a consistent system: rhs = rows @ x0
+        x0 = data.draw(st.lists(_ENTRIES, min_size=width, max_size=width))
+        rhs = _combination(x0, [list(col) for col in zip(*rows)], len(rows))
+    else:
+        rhs = data.draw(st.lists(_ENTRIES, min_size=len(rows),
+                                 max_size=len(rows)))
+    red, pivots = rref(rows, width)
+    assert (_values(red), pivots) == oracle.rref(rows, width)
+    assert rank(rows, width) == len(pivots)
+    assert _values(nullspace(rows, width)) == oracle.nullspace(rows, width)
+    x, want = solve(rows, rhs, width), oracle.solve(rows, rhs, width)
+    assert (x is None) == (want is None)
+    if x is not None:
+        assert [cyc(v) for v in x] == want
 
 
 @pytest.mark.parametrize("rows, width, expect", [
     # 7 and w - 2 are 0 mod p but nonzero
-    ([[Cyc(7)]], 1, 1),
-    ([[Cyc(-2, 1)]], 1, 1),
+    ([[(7, 0)]], 1, 1),
+    ([[(-2, 1)]], 1, 1),
     # full rank, but the determinant 2 - w lies in p
-    ([[Cyc(1), Cyc(0, 1)], [Cyc(1), Cyc(2)]], 2, 2),
+    ([[(1, 0), (0, 1)], [(1, 0), (2, 0)]], 2, 2),
     # rank deficient: the second row is w times the first
-    ([[Cyc(1), Cyc(0, 1)], [Cyc(0, 1), Cyc(-1, -1)]], 2, 1),
+    ([[(1, 0), (0, 1)], [(0, 1), (-1, -1)]], 2, 1),
     # rank 1 with an entry that is not 7-integral, over Q(w) and over Q
-    ([[Cyc(1), Cyc(0, Fraction(1, 7))], [Cyc(0, 7), Cyc(-1, -1)]], 2, 1),
+    ([[(1, 0), (0, Fraction(1, 7))], [(0, 7), (-1, -1)]], 2, 1),
     ([[1, Fraction(1, 7)], [7, 1]], 2, 1),
 ], ids=["seven", "w_minus_2", "det_in_p", "deficient", "denominator_7",
         "rational_entries"])
@@ -123,13 +163,13 @@ _RHS = [6, 15, 24]
 
 
 def _lift_one_entry(rows):
-    """rows with its first entry as a Cyc of the same value."""
-    return [[Cyc(rows[0][0])] + rows[0][1:]] + rows[1:]
+    """rows with its first entry as a w-pair of the same value."""
+    return [[(rows[0][0], 0)] + rows[0][1:]] + rows[1:]
 
 
 @pytest.mark.parametrize("rows, kind", [
     (_RATIONAL_MATRIX, Fraction),
-    (_lift_one_entry(_RATIONAL_MATRIX), Cyc),
+    (_lift_one_entry(_RATIONAL_MATRIX), tuple),
 ], ids=["rational", "one_cyc_entry"])
 def test_kernel_and_solution_entries_live_in_the_field_of_the_matrix(rows,
                                                                     kind):
@@ -137,8 +177,9 @@ def test_kernel_and_solution_entries_live_in_the_field_of_the_matrix(rows,
     x = solve(rows, _RHS, 3)
     assert len(kernel) == 1 and x is not None
     assert all(type(v) is kind for v in kernel[0] + x)
-    assert kernel[0] == [1, -2, 1]
-    assert [sum(a * v for a, v in zip(row, x)) for row in rows] == _RHS
+    assert [cyc(v) for v in kernel[0]] == [1, -2, 1]
+    assert [sum((cyc(a) * cyc(v) for a, v in zip(row, x)), Cyc(0))
+            for row in rows] == _RHS
 
 
 def test_mixed_int_and_cyc_rows_take_the_modular_certificate(monkeypatch):
@@ -148,12 +189,15 @@ def test_mixed_int_and_cyc_rows_take_the_modular_certificate(monkeypatch):
     rows = [[0] * 9 for _ in range(3)]
     for i, row in enumerate(rows):
         for col in (i, 3 + i, 6 + (2 * i) % 3):
-            row[col] = Cyc.zeta(i + col)
+            row[col] = Cyc.zeta(i + col).pair()
 
-    def no_rref(rows, width):
+    def no_elimination(rows, width):
         raise AssertionError("exact elimination ran")
-    monkeypatch.setattr(intlinalg, "rref", no_rref)
+    monkeypatch.setattr(intlinalg, "_eliminate_qw", no_elimination)
     assert rank(rows, 9) == 3
+    # a deficient matrix does take the exact path
+    with pytest.raises(AssertionError, match="exact elimination ran"):
+        rank(rows + [rows[0]], 9)
 
 
 # -- mostly-zero matrices, at sizes where elimination skips zero columns -----
@@ -162,7 +206,8 @@ def _sparse_rows(data, entries, zero, max_height=12, max_width=14):
     """A mostly-zero matrix over `entries`, built the way kostant builds its
     dense rows: every row starts as [zero] * width, so rows share one zero
     object.  Some rows are appended as combinations of the others, so that
-    many of the matrices are rank deficient."""
+    many of the matrices are rank deficient.  Cyc entries come back as
+    w-pairs."""
     height = data.draw(st.integers(1, max_height))
     width = data.draw(st.integers(1, max_width))
     cells = data.draw(st.dictionaries(
@@ -175,10 +220,14 @@ def _sparse_rows(data, entries, zero, max_height=12, max_width=14):
             st.lists(entries, min_size=height, max_size=height), max_size=2)):
         rows.append([sum((c * row[k] for c, row in zip(coeffs, rows)), zero)
                      for k in range(width)])
+    if type(zero) is Cyc:
+        pair_zero = zero.pair()
+        rows = [[x.pair() if x else pair_zero for x in row] for row in rows]
     return rows, width
 
 
 def _assert_reduced_echelon(red, pivots, width):
+    red = _values(red)
     assert all(a < b for a, b in zip(pivots, pivots[1:]))
     assert all(0 <= c < width for c in pivots)
     for r, c in enumerate(pivots):
@@ -221,7 +270,8 @@ def test_rref_on_mostly_zero_matrices(entries, zero, data):
     assert len(pivots) + len(kernel) == width
     for vec in kernel:
         for row in rows:
-            assert not sum((x * v for x, v in zip(row, vec)), zero)
+            assert not sum((cyc(x) * cyc(v) for x, v in zip(row, vec)),
+                           Cyc(0))
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -246,11 +296,11 @@ _SMALL_RATIONALS = st.builds(Fraction, st.integers(-30, 30),
 
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(x=st.one_of(st.integers(-100, 100),
-                   st.builds(Cyc, st.integers(-50, 50), st.integers(-50, 50)),
-                   st.builds(Cyc, _SMALL_RATIONALS, _SMALL_RATIONALS),
+                   st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                   st.tuples(_SMALL_RATIONALS, _SMALL_RATIONALS),
                    _SMALL_RATIONALS))
 def test_reduce_mod_p7_is_the_image_of_a_plus_2b(x):
-    a, b = (x.a, x.b) if isinstance(x, Cyc) else (x, 0)
+    a, b = x if type(x) is tuple else (x, 0)
     a, b = Fraction(a), Fraction(b)
     if a.denominator % 7 == 0 or b.denominator % 7 == 0:
         assert reduce_mod_p7(x) is None
