@@ -42,7 +42,6 @@ class Suite:
             else:
                 entry["slack"] = frac_str(slack)
         self.checks.append(entry)
-        return bool(ok)
 
     def skip(self, name: str, reason: str):
         self.checks.append({"name": name, "status": "skipped",
@@ -52,7 +51,7 @@ class Suite:
         self.checks.append({"name": name, "status": "error",
                             "detail": detail})
 
-    def to_dict(self, fixture_digest: str = "") -> dict:
+    def to_dict(self, fixture_digest: str) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "suite": self.name,

@@ -1,8 +1,9 @@
 """The symplectic group on four F_3 coordinates and the exact density of
 elements with a fixed vector, counted two independent ways: a cofactor
-determinant of M - I on every element, and Moebius inversion on the
-lattice of subspaces of F_3^4, where the classes swept are the G-orbits
-of subspaces.
+determinant of M - I on every enumerated element, and Moebius inversion
+on the lattice of subspaces of F_3^4, where the classes swept are the
+orbits of subspaces under two symplectic generators, without the
+enumeration.
 
 A vector of F_3^4 is its heis class code (`heis.class_code`,
 27 v0 + 9 v1 + 3 v2 + v3 in 0..80, so code order is the lexicographic
@@ -25,8 +26,8 @@ _SCALE = [[class_code([c * x % 3 for x in u]) for u in CLASSES]
           for c in range(3)]
 _FORM = [[commutator_exponent(u, v) for v in CLASSES] for u in CLASSES]
 _VECS = range(1, 81)  # the nonzero vectors
-# positions in enumerate_sp4() of the two generators the orbit sweeps use
-_GENERATOR_POSITIONS = (1, 1000)
+# two symplectic bases (columns e1, e2, f1, f2) generating the group
+_GENERATORS = ((1, 3, 18, 57), (2, 56, 41, 35))
 # columns of the identity spanning one subspace per G-orbit: the zero
 # space, a line, the isotropic plane <e1, e2>, the hyperbolic plane
 # <e1, f1>, a hyperplane and the whole space
@@ -78,9 +79,10 @@ def _det_minus_identity(cols) -> int:
             + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)) % 3
 
 
-def density_direct(group):
+def density_direct():
     """(order, |C|) by testing det(M - I) on every element of the
     enumerated group."""
+    group = enumerate_sp4()
     hits = sum(1 for m in group if not _det_minus_identity(m))
     return len(group), hits
 
@@ -144,9 +146,9 @@ def _orbit(basis, acts, key):
     return seen
 
 
-def density_by_classes(group):
+def density_by_classes():
     """(order, |C|) by Moebius inversion on the lattice of subspaces W,
-    one W per G-orbit of subspaces.
+    one W per G-orbit of subspaces, G generated by `_GENERATORS`.
 
     The elements whose fixed space contains W form the pointwise
     stabilizer G_W, so N0, the count of elements that fix no nonzero
@@ -154,9 +156,10 @@ def density_by_classes(group):
     |G_W| is |G| over the orbit of an ordered basis of W. The orbits of
     the representatives must partition each level of the lattice.
     """
-    n = len(group)
-    acts = [_action(g) for g in
-            _generators(group, {m: i for i, m in enumerate(group)})]
+    if not all(map(_symplectic, _GENERATORS)):
+        raise ValueError("generator is not a symplectic basis")
+    acts = [_action(g) for g in _GENERATORS]
+    n = len(_orbit(_identity(), acts, tuple))
     levels = _subspaces()
     mu = _mobius(levels)
     reached = [[] for _ in levels]
@@ -165,7 +168,7 @@ def density_by_classes(group):
         basis = tuple(_identity()[i] for i in columns)
         orbit = _orbit(basis, acts, _span)
         reached[len(basis)].extend(orbit)
-        # the identity's orbit is the closure that _generators counted
+        # the identity's orbit is the group, counted above
         bases = n if len(basis) == 4 else len(_orbit(basis, acts, tuple))
         stabilizer, rest = divmod(n, bases)
         if rest:
@@ -176,29 +179,12 @@ def density_by_classes(group):
     return n, n - fixing_none
 
 
-def _generators(group, index):
-    """Two elements of the group, verified to generate it by orbit closure
-    of the identity; `index` maps each element to its position."""
-    cand = [group[i] for i in _GENERATOR_POSITIONS]
-    acts = [_action(g) for g in cand]
-    reached = [False] * len(group)
-    reached[index[_identity()]] = True
-    count = 1
-    frontier = [_identity()]
-    while frontier:
-        nxt = []
-        for x0, x1, x2, x3 in frontier:
-            for act in acts:
-                y = (act[x0], act[x1], act[x2], act[x3])
-                j = index[y]
-                if not reached[j]:
-                    reached[j] = True
-                    count += 1
-                    nxt.append(y)
-        frontier = nxt
-    if count != len(group):
-        raise ValueError("candidate set does not generate")
-    return cand
+def _symplectic(cols) -> bool:
+    """Whether the columns pair under the form as the unit vectors do,
+    i.e. form a symplectic basis e1, e2, f1, f2."""
+    unit = _identity()
+    return all(_FORM[a][b] == _FORM[x][y]
+               for a, x in zip(cols, unit) for b, y in zip(cols, unit))
 
 
 def _identity():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .intlinalg import nullspace, rank, solve
+from .intlinalg import mat_eq, nullspace, rank, solve
 
 W3 = tuple(combinations(range(1, 10), 3))
 W6 = tuple(combinations(range(1, 10), 6))
@@ -179,7 +179,7 @@ def kostant_slice_report():
 
     # sl2 relations
     XF = _act(X, F)
-    if not _mat_eq(bracket36(E, F), X) or any(
+    if not mat_eq(bracket36(E, F), X) or any(
             XF.get(t, Fraction(0)) != -2 * F.get(t, Fraction(0))
             for t in set(XF) | set(F)):
         raise AssertionError("sl2 relations fail in the wedge model")
@@ -225,7 +225,3 @@ def kostant_slice_report():
         "slice_degrees": degrees,
         "ad_e_kernel_dim": ker_total,
     }
-
-
-def _mat_eq(A, B):
-    return all(A[i][j] == B[i][j] for i in range(9) for j in range(9))

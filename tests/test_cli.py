@@ -399,7 +399,6 @@ DEFAULTED_PARAMETERS = {
     ("gradedlie.py", "__init__", "roots"),
     ("report.py", "check", "detail"),
     ("report.py", "check", "slack"),
-    ("report.py", "to_dict", "fixture_digest"),
 }
 
 

@@ -104,8 +104,16 @@ def _drop_identity_shift(monkeypatch):
 
 
 def _non_generating_pair(monkeypatch):
-    # group[1] and group[2] reach only 72 elements
-    monkeypatch.setattr(sp4, "_GENERATOR_POSITIONS", (1, 2))
+    # two symplectic bases that reach only 36 elements
+    monkeypatch.setattr(sp4, "_GENERATORS",
+                        ((1, 3, 18, 57), (1, 3, 18, 60)))
+
+
+def _swap_generator_columns(monkeypatch):
+    # the first generator with e1 and e2 swapped: e2 and f1 do not pair
+    # to 1
+    monkeypatch.setattr(sp4, "_GENERATORS",
+                        ((3, 1, 18, 57), sp4._GENERATORS[1]))
 
 
 def _flip_mobius_on_planes(monkeypatch):
@@ -218,15 +226,9 @@ def _corrupt_w(monkeypatch):
     monkeypatch.setattr(rs, "w", w)
 
 
-@lru_cache(maxsize=None)
-def _sp4_group():
-    return sp4.enumerate_sp4()
-
-
 def _sp4_density():
-    group = _sp4_group()
-    n, hits = sp4.density_direct(group)
-    return (n, hits) == sp4.density_by_classes(group) and 0 < hits < n
+    n, hits = sp4.density_direct()
+    return (n, hits) == sp4.density_by_classes() and 0 < hits < n
 
 
 @lru_cache(maxsize=None)
@@ -389,8 +391,12 @@ MUTATIONS = [
     # strategy disagree with the Moebius strategy
     ("sp4_density_direct", _drop_identity_shift, _sp4_density, None),
     # sections/sp4_density: the orbit sweeps refuse generators that do not
-    # generate
+    # generate, since their subspace orbits do not partition the lattice
     ("sp4_density_generators", _non_generating_pair, _sp4_density,
+     ValueError),
+    # sections/sp4_density: the class count refuses a generator that is not
+    # a symplectic basis
+    ("sp4_density_symplectic", _swap_generator_columns, _sp4_density,
      ValueError),
     # sections/sp4_density: mu of the wrong sign on one level of the
     # subspace lattice makes the Moebius strategy disagree with the direct

@@ -45,8 +45,7 @@ def lattice():
 
 @lru_cache(maxsize=None)
 def actions():
-    index = {m: i for i, m in enumerate(group())}
-    return [sp4._action(g) for g in sp4._generators(group(), index)]
+    return [sp4._action(g) for g in sp4._GENERATORS]
 
 
 def test_levels_are_gaussian_binomials():
@@ -89,15 +88,16 @@ def test_det_minus_identity_matches_elimination(cols):
 
 
 def test_direct_density_shares_no_kernel(monkeypatch):
-    # the direct strategy uses neither the action tables nor the
-    # generators of the Moebius strategy, which in turn computes no
-    # determinant
+    # the direct strategy uses neither the action tables nor the orbit
+    # sweeps of the Moebius strategy, which in turn computes no
+    # determinant and never reads the enumerated group
     def refuse(*args):
         raise RuntimeError("shared by the two strategies")
 
     with monkeypatch.context() as patch:
-        for name in ("_action", "_generators"):
+        for name in ("_action", "_orbit"):
             patch.setattr(sp4, name, refuse)
-        assert sp4.density_direct(group()) == (51840, 18711)
-    monkeypatch.setattr(sp4, "_det_minus_identity", refuse)
-    assert sp4.density_by_classes(group()) == (51840, 18711)
+        assert sp4.density_direct() == (51840, 18711)
+    for name in ("_det_minus_identity", "enumerate_sp4"):
+        monkeypatch.setattr(sp4, name, refuse)
+    assert sp4.density_by_classes() == (51840, 18711)
