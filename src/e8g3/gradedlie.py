@@ -21,8 +21,8 @@ from functools import cache
 from operator import getitem
 
 from .cyclotomic import rational, zeta_mul
-from .heis import (CODE_EXPO, CODE_ROW, HeisenbergModel, Mono, build_model,
-                   class_code, cocycle, commutator_exponent, svn_rep)
+from .heis import (COCYCLE, CODE_EXPO, CODE_ROW, FORM, VEC_ADD, VEC_NEG,
+                   HeisenbergModel, Mono, build_model, svn_rep)
 from .intlinalg import nullspace, rank
 from .report import sha256
 from .rootsys import RootSystem, add, neg
@@ -151,7 +151,7 @@ class GradedAlgebra:
         scl = [[NONE] * n for _ in range(n)]
         PR, w, cls = self.PR, self.windex, self.cls
         for i in range(n):
-            ci = cls[i]
+            cocycle_i = COCYCLE[cls[i]]
             PR_i, PR_wi = PR[i], PR[w[i]]
             kind_i, out_i, scl_i = kind[i], out[i], scl[i]
             sums = self.rs.sum_row(i)
@@ -160,12 +160,12 @@ class GradedAlgebra:
                     # opposite roots: central section product times -coroot
                     kind_i[j] = 2
                     out_i[j] = i
-                    pw = (-cocycle(ci, ci)) % 3
+                    pw = -cocycle_i[cls[i]] % 3
                     scl_i[j] = pw + 3  # -w^pw
                 elif p == -1:
                     # w-power: the pair exponent (p - PR[wi][j]) and the
                     # section cocycle; sign (-1)^((a, wb))
-                    pw = (p - PR_wi[j] + cocycle(ci, cls[j])) % 3
+                    pw = (p - PR_wi[j] + cocycle_i[cls[j]]) % 3
                     kind_i[j] = 1
                     out_i[j] = sums[j]
                     scl_i[j] = pw + 3 * (PR_i[w[j]] % 2)
@@ -291,7 +291,7 @@ class GradedAlgebra:
 
     def rho(self, i) -> Mono:
         """Action of the canonical cover element over root i."""
-        return svn_rep(class_code(self.cls[i]))
+        return svn_rep(self.cls[i])
 
     # -- verification sweeps -------------------------------------------------
 
@@ -346,44 +346,27 @@ class GradedAlgebra:
     def check_lambda_twists(self):
         """The class-twist maps X_r -> w^<lam, cls(r)> X_r preserve the
         table, for each of the 80 nonzero classes lam.  Returns the
-        (k, i, j) where the twist by the k-th class breaks [X_i, X_j].
+        (k, i, j) where the twist by the k-th class (that of orbit k)
+        breaks [X_i, X_j].
 
-        Root i carries its exponents e_k(i) = <lam_k, cls(i)> as the base-8
-        digits of E[i] (digit k for the k-th class), and 2 - e_k(i) as those
-        of C[i]; a cartan-valued bracket reads target -1, where every
-        exponent is 0.  The bracket [X_i, X_j] with target t keeps the k-th
-        twist when e_k(i) + e_k(j) = e_k(t) mod 3, that is when digit k of
-        E[i] + E[j] + C[t] (at most 6, so no carries) is 2 or 5; XOR with
-        the digits 2 turns those into 0 and 7, and every other digit into
-        one that is neither.
+        The bracket [X_i, X_j] with target t keeps the twist by lam when
+        <lam, cls(i)> + <lam, cls(j)> = <lam, cls(t)>, that is, the pairing
+        being bilinear, when <lam, d> = 0 for d = cls(i) + cls(j) - cls(t),
+        where a cartan-valued bracket reads target -1, of class 0.  Every
+        twist keeps it when d = 0.
         """
-        digits = {}
-        for c in self.cls:
-            if c not in digits:
-                exps = [commutator_exponent(self._nonzero_class(k), c)
-                        for k in range(80)]
-                digits[c] = (sum(e << 3 * k for k, e in enumerate(exps)),
-                             sum((2 - e) << 3 * k
-                                 for k, e in enumerate(exps)))
-        E = [digits[c][0] for c in self.cls]
-        C = [digits[c][1] for c in self.cls]
-        twos = sum(2 << 3 * k for k in range(80))
-        ones = twos >> 1
-        C.append(twos)
+        lams = [self.cls[orb[0]] for orb in self.rs.orbits]
+        cls = self.cls + [0]
         bad = []
         for i in range(self.n):
-            kind_i, out_i, e_i = self.kind[i], self.out[i], E[i]
+            kind_i, out_i, add_i = self.kind[i], self.out[i], VEC_ADD[cls[i]]
             for j in self.nbr[i]:
                 t = out_i[j] if kind_i[j] == 1 else -1
-                x = (e_i + E[j] + C[t]) ^ twos
-                if x != (x & ones) * 7:
-                    bad.extend((k, i, j) for k in range(80)
-                               if (x >> 3 * k) & 7 not in (0, 7))
+                d = VEC_ADD[add_i[cls[j]]][VEC_NEG[cls[t]]]
+                if d:
+                    bad.extend((k, i, j) for k, lam in enumerate(lams)
+                               if FORM[lam][d])
         return sorted(bad)
-
-    def _nonzero_class(self, k):
-        orb = self.rs.orbits[k]
-        return self.cls[orb[0]]
 
     # -- structure constants dump --------------------------------------------
 
@@ -651,7 +634,7 @@ def killing_gram(alg: GradedAlgebra):
     # zeta^c on dual pairs; scaling X_r by zeta^(2 c(cls, cls)) removes it
     gauged = []
     for r in range(alg.n):
-        c = cocycle(alg.cls[r], alg.cls[r]) % 3
+        c = COCYCLE[alg.cls[r]][alg.cls[r]]
         x, y = zeta_mul(*diag[r], c)
         gauged.append((x, y))
     cartan_det = det_bareiss(cart)

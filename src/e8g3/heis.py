@@ -1,14 +1,17 @@
-"""Heisenberg extension of the F_3^4 coinvariant space and its
+"""The F_3^4 coinvariant space, its Heisenberg extension and the
 9-dimensional representation over Q(w).
 
-The group has 243 elements (k, v) with k in Z/3 central and v in F_3^4
-written in symplectic coordinates (e1, e2, f1, f2), each held as the int
-code 81 k + class_code(v); multiplication (`code_product`) twists by the
-bilinear cocycle c(v, u) = v_e1 u_f1 + v_e2 u_f2, whose commutator is
-the symplectic pairing inherited from the lattice.  The representation
-acts on functions on F_3^2 by translations (e-part) and characters
-(f-part); every group element maps to a monomial matrix, which keeps all
-sweeps exact and fast.
+A vector of F_3^4 is its class code in range(81), and the module owns
+the only tables of its arithmetic, built once at import: vector sums and
+negatives, the bilinear cocycle c(v, u) = v_e1 u_f1 + v_e2 u_f2 in
+symplectic coordinates (e1, e2, f1, f2), and its commutator FORM, the
+symplectic pairing inherited from the lattice.  A linear map is the tuple
+of its column codes, acted on through the 81-entry table `action` builds.
+The group has 243 elements (k, v) with k in Z/3 central, each held as the
+int code 81 k + class_code(v); multiplication (`code_product`) twists by
+the cocycle.  The representation acts on functions on F_3^2 by
+translations (e-part) and characters (f-part); every group element maps
+to a monomial matrix, which keeps all sweeps exact and fast.
 """
 
 from __future__ import annotations
@@ -21,45 +24,40 @@ from .rootsys import RootSystem, build_root_system
 
 
 def symplectic_basis(rs: RootSystem):
-    """Classes (e1, e2, f1, f2) with <e_i, f_j> = delta_ij and zero elsewhere.
-
-    Returns the change-of-basis matrix M (columns = the new basis in SNF
-    coordinates), verified to be symplectic for the standard form.
-    """
+    """The SNF class codes of a basis (e1, e2, f1, f2) with
+    <e_i, f_j> = delta_ij and zero elsewhere, verified against the
+    standard form."""
     gram = rs.class_gram()
     if len(rref_mod(gram, 4, 3)[1]) != 4:
         raise ValueError("pairing Gram has rank < 4; upstream construction bug")
 
-    vecs = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-
     def pair(x, y):
         return sum(x[i] * gram[i][j] * y[j] for i in range(4) for j in range(4)) % 3
 
-    pool = list(vecs)
+    pool = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     es, fs = [], []
     for _ in range(2):
         e = pool[0]
-        f = next(v for v in pool[1:] if pair(e, v) % 3)
+        f = next(v for v in pool[1:] if pair(e, v))
         scale = pow(pair(e, f), -1, 3)
         f = tuple(scale * x % 3 for x in f)
         es.append(e)
         fs.append(f)
+        # project onto the complement of <e, f>: the Gram matrix is
+        # alternating, so every image pairs to 0 with e and f, and e and
+        # f themselves project to 0
         rest = []
         for v in pool:
-            if v in (e,):
-                continue
             v2 = tuple((v[i] - pair(v, f) * e[i] + pair(v, e) * f[i]) % 3
                        for i in range(4))
             if v2 != (0, 0, 0, 0) and v2 not in rest:
                 rest.append(v2)
-        pool = [v for v in rest if pair(v, e) == 0 and pair(v, f) == 0]
+        pool = rest
     basis = es + fs  # order (e1, e2, f1, f2)
-    M = [[basis[j][i] for j in range(4)] for i in range(4)]
-    J = standard_form()
     got = [[pair(basis[i], basis[j]) for j in range(4)] for i in range(4)]
-    if got != J:
+    if got != standard_form():
         raise AssertionError("symplectic reduction failed")
-    return M
+    return [class_code(b) for b in basis]
 
 
 def standard_form():
@@ -67,14 +65,10 @@ def standard_form():
     return [[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]]
 
 
-def cocycle(v, u) -> int:
-    """c(v, u) = v_e1 u_f1 + v_e2 u_f2 in symplectic coordinates."""
-    return (v[0] * u[2] + v[1] * u[3]) % 3
-
-
-# An element zeta^k times the class v is coded 81 * k + c, with c in
-# range(81) the base-3 code of v, first coordinate most significant:
-# CLASSES[c] is v and class_code(v) is c
+# A vector v of F_3^4 is its class code in range(81), the base-3 code of
+# its coordinates, first most significant: CLASSES[c] is v and
+# class_code(v) is c.  An element zeta^k times the class v is coded
+# 81 * k + class_code(v)
 CLASSES = tuple(product(range(3), repeat=4))
 
 
@@ -83,37 +77,50 @@ def class_code(v) -> int:
     return 27 * a + 9 * b + 3 * c + d
 
 
-# _LAW[81 * v + u] = 81 * cocycle(v, u) + code of v + u, for class codes
-# v and u; built on the first product
-_LAW = None
+def _shifted(v):
+    """The codes of v + u, u in code order, built digit by digit."""
+    row = [0]
+    for x in v:
+        row = [3 * r + (x + y) % 3 for r in row for y in range(3)]
+    return bytes(row)
 
 
-def _build_law():
-    global _LAW
-    _LAW = bytes(81 * cocycle(v, u)
-                 + class_code([(x + y) % 3 for x, y in zip(v, u)])
-                 for v in CLASSES for u in CLASSES)
-    return _LAW
+# F_3^4 on class codes, one bytes row per first operand: VEC_ADD[v][u] is
+# the code of v + u and VEC_NEG[v] that of -v; COCYCLE[v][u] is
+# c(v, u) = v_e1 u_f1 + v_e2 u_f2 in symplectic coordinates (e1, e2, f1,
+# f2), and FORM[v][u] = c(v, u) - c(u, v), the symplectic pairing
+VEC_ADD = tuple(_shifted(v) for v in CLASSES)
+VEC_NEG = bytes(class_code([-x % 3 for x in v]) for v in CLASSES)
+COCYCLE = tuple(bytes((a * u[2] + b * u[3]) % 3 for u in CLASSES)
+                for a, b, _, _ in CLASSES)
+FORM = tuple(bytes((a * u[2] + b * u[3] - c * u[0] - d * u[1]) % 3
+                   for u in CLASSES) for a, b, c, d in CLASSES)
+# _LAW[81 * v + u] = 81 * c(v, u) + code of v + u, for class codes v, u
+_LAW = bytes(81 * c + s for cs, ss in zip(COCYCLE, VEC_ADD)
+             for c, s in zip(cs, ss))
+
+
+def action(cols):
+    """The 81 images M v of the linear map M with the given column codes,
+    indexed by the code of v."""
+    act = [0]
+    for col in cols:
+        act = [VEC_ADD[x][s] for x in act for s in (0, col, VEC_NEG[col])]
+    return act
 
 
 def code_product(g: int, h: int) -> int:
     """Code of the product of the elements coded g and h: the centres add
     with the cocycle of the classes, and the classes add."""
     v, u = g % 81, h % 81
-    return (g - v + h - u + (_LAW or _build_law())[81 * v + u]) % 243
+    return (g - v + h - u + _LAW[81 * v + u]) % 243
 
 
 def code_inverse(g: int) -> int:
     """Code of the inverse of the element coded g: the class negated, and
-    the centre negated and moved by cocycle(v, v), since
-    cocycle(v, -v) = -cocycle(v, v)."""
+    the centre negated and moved by c(v, v), since c(v, -v) = -c(v, v)."""
     k, c = divmod(g, 81)
-    v = CLASSES[c]
-    return 81 * ((cocycle(v, v) - k) % 3) + class_code([-x % 3 for x in v])
-
-
-def commutator_exponent(v, u) -> int:
-    return (cocycle(v, u) - cocycle(u, v)) % 3
+    return 81 * ((COCYCLE[c][c] - k) % 3) + VEC_NEG[c]
 
 
 # a monomial column is coded 3 * row + exponent, in range(27): CODE_ROW and
@@ -192,29 +199,20 @@ def svn_rep(g: int) -> Mono:
 
 
 class HeisenbergModel:
-    """Symplectic coordinates and class conversions of the cached roots."""
+    """The cached roots and the change between their SNF class codes and
+    symplectic ones: from_symplectic[v] is the SNF code of the class with
+    symplectic code v, and to_symplectic is its inverse permutation."""
 
     def __init__(self):
         self.rs: RootSystem = build_root_system()
-        self.M = symplectic_basis(self.rs)
-        # columns of M are the symplectic basis in SNF coordinates;
-        # [M | I] reduces to [I | M^-1] over F_3
-        red, pivots = rref_mod([row + [int(i == j) for j in range(4)]
-                                for i, row in enumerate(self.M)], 8, 3)
-        if pivots != [0, 1, 2, 3]:
+        self.from_symplectic = action(symplectic_basis(self.rs))
+        if sorted(self.from_symplectic) != list(range(81)):
             raise ValueError("symplectic change of basis is singular")
-        self.Minv = [row[4:] for row in red]
+        self.to_symplectic = sorted(range(81),
+                                    key=self.from_symplectic.__getitem__)
 
-    def to_symplectic(self, snf_cls):
-        return tuple(sum(self.Minv[i][j] * snf_cls[j] for j in range(4)) % 3
-                     for i in range(4))
-
-    def from_symplectic(self, v):
-        return tuple(sum(self.M[i][j] * v[j] for j in range(4)) % 3
-                     for i in range(4))
-
-    def root_class(self, root9):
-        return self.to_symplectic(self.rs.project(root9))
+    def root_class(self, root9) -> int:
+        return self.to_symplectic[class_code(self.rs.project(root9))]
 
 
 @cache

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cyclotomic import zeta_mul
 from .gradedlie import GradedAlgebra, LieElement
-from .heis import cocycle
+from .heis import COCYCLE
 from .intlinalg import nullspace, rank, solve
 from .rootsys import S0_TRIPLES, weight_vector
 
@@ -40,7 +40,7 @@ def build_triple(alg: GradedAlgebra):
     # system [E, F] = X fixes each coefficient through the central twist
     F_roots = {}
     for a, i in enumerate(s0):
-        tw = cocycle(alg.cls[i], alg.cls[i]) % 3
+        tw = COCYCLE[alg.cls[i]][alg.cls[i]]
         F_roots[alg.negidx[i]] = zeta_mul(-c[a], 0, tw)
     F = LieElement(roots=F_roots)
     return E, X, F

@@ -5,26 +5,20 @@ on the lattice of subspaces of F_3^4, where the classes swept are the
 orbits of subspaces under two symplectic generators, without the
 enumeration.
 
-A vector of F_3^4 is its heis class code (`heis.class_code`,
-27 v0 + 9 v1 + 3 v2 + v3 in 0..80, so code order is the lexicographic
-order of the tuples `heis.CLASSES`), and a matrix is the 4-tuple of its
-column codes. Vector sums (the class part of the heis group law), scalar
-multiples and the symplectic form are 81 x 81 (or 3 x 81) tables built
-once at import; a matrix acts on vectors through the 81-entry table of
-its images. A subspace is the 81-bit mask with bit c set for each code c
-in it.
+A vector of F_3^4 is its heis class code (27 v0 + 9 v1 + 3 v2 + v3 in
+0..80, so code order is the lexicographic order of the tuples
+`heis.CLASSES`), and a matrix is the 4-tuple of its column codes.  The
+form is `heis.FORM`, and a matrix acts on vectors through the 81-entry
+table `heis.action` builds; this module keeps no table of its own.  A
+subspace is the 81-bit mask with bit c set for each code c in it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .heis import CLASSES, class_code, code_product, commutator_exponent
+from .heis import CLASSES, FORM, action
 
-_ADD = [[code_product(u, v) % 81 for v in range(81)] for u in range(81)]
-_SCALE = [[class_code([c * x % 3 for x in u]) for u in CLASSES]
-          for c in range(3)]
-_FORM = [[commutator_exponent(u, v) for v in CLASSES] for u in CLASSES]
 _VECS = range(1, 81)  # the nonzero vectors
 # two symplectic bases (columns e1, e2, f1, f2) generating the group
 _GENERATORS = ((1, 3, 18, 57), (2, 56, 41, 35))
@@ -38,26 +32,18 @@ def enumerate_sp4():
     """All matrices by completing symplectic bases (columns e1, e2, f1, f2)."""
     out = []
     for e1 in _VECS:
-        form_e1 = _FORM[e1]
+        form_e1 = FORM[e1]
         for f1 in _VECS:
             if form_e1[f1] != 1:
                 continue
-            form_f1 = _FORM[f1]
+            form_f1 = FORM[f1]
             perp = [v for v in _VECS if form_e1[v] == 0 and form_f1[v] == 0]
             for e2 in perp:
-                form_e2 = _FORM[e2]
+                form_e2 = FORM[e2]
                 for f2 in perp:
                     if form_e2[f2] == 1:
                         out.append((e1, e2, f1, f2))
     return out
-
-
-def _action(cols):
-    """The 81 images M v, indexed by the code of v."""
-    act = [0]
-    for col in cols:
-        act = [_ADD[x][s] for x in act for s in (0, col, _SCALE[2][col])]
-    return act
 
 
 def _det_minus_identity(cols) -> int:
@@ -91,7 +77,7 @@ def _span(basis):
     """The mask of the subspace the codes span: the image of the matrix
     with those columns."""
     mask = 0
-    for c in _action(basis):
+    for c in action(basis):
         mask |= 1 << c
     return mask
 
@@ -158,7 +144,7 @@ def density_by_classes():
     """
     if not all(map(_symplectic, _GENERATORS)):
         raise ValueError("generator is not a symplectic basis")
-    acts = [_action(g) for g in _GENERATORS]
+    acts = [action(g) for g in _GENERATORS]
     n = len(_orbit(_identity(), acts, tuple))
     levels = _subspaces()
     mu = _mobius(levels)
@@ -183,7 +169,7 @@ def _symplectic(cols) -> bool:
     """Whether the columns pair under the form as the unit vectors do,
     i.e. form a symplectic basis e1, e2, f1, f2."""
     unit = _identity()
-    return all(_FORM[a][b] == _FORM[x][y]
+    return all(FORM[a][b] == FORM[x][y]
                for a, x in zip(cols, unit) for b, y in zip(cols, unit))
 
 

@@ -83,16 +83,14 @@ def suite_rootsys(s: Suite):
 
 
 def suite_heis(s: Suite):
-    from .heis import (CLASSES, build_model, class_code, code_inverse,
-                       code_product, commutator_exponent, standard_form,
-                       svn_rep)
+    from .heis import (CLASSES, FORM, build_model, code_inverse,
+                       code_product, standard_form, svn_rep)
 
     model = build_model()
     els = range(3 * len(CLASSES))  # the element codes
-    # the closure of the four basis classes under the group law: the
-    # cocycle makes it reach the centre
-    gens = [class_code(v) for v in
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]]
+    # the closure of the four basis classes (the codes of the unit
+    # vectors) under the group law: the cocycle makes it reach the centre
+    gens = [27, 9, 3, 1]
     group, frontier = set(gens), gens
     while frontier:
         frontier = {code_product(g, h) for g in frontier for h in gens} - group
@@ -103,14 +101,12 @@ def suite_heis(s: Suite):
     comm_ok = all(
         code_product(code_product(code_product(g, h), code_inverse(g)),
                      code_inverse(h))
-        == 81 * commutator_exponent(CLASSES[g % 81], CLASSES[h % 81])
+        == 81 * FORM[g % 81][h % 81]
         for g in els[::5] for h in els[::7])
     s.check("commutator_is_pairing", comm_ok, "sampled element pairs")
 
     rsys = model.rs
-    lifts = [rsys.lift(model.from_symplectic(tuple(int(i == j)
-                                                   for j in range(4))))
-             for i in range(4)]
+    lifts = [rsys.lift(CLASSES[model.from_symplectic[c]]) for c in gens]
     got = [[rsys.symplectic_exponent(a, b) for b in lifts] for a in lifts]
     s.check("symplectic_basis", got == standard_form(),
             "defining relations of (e1, e2, f1, f2)")

@@ -365,17 +365,21 @@ def test_sp4_imports_nothing_from_intlinalg():
     assert _import_lines("sp4", "intlinalg") == []
 
 
-def test_heis_imports_no_cyc_and_only_the_law_is_global():
+def test_heis_imports_no_cyc_and_the_library_has_no_global():
     # the Heisenberg side works on int codes and w-pairs (Mono.trace is a
-    # pair); the once-per-process builds are functools.cache functions, so
-    # the one global statement is the lazily built group law table's
+    # pair); the F_3^4 tables are built at import and the once-per-process
+    # builds are functools.cache functions, so no module rebinds a global
     assert _import_lines("heis", "cyclotomic") == []
-    nodes = _library_nodes()
-    owners = [(name, node.name) for name, node in nodes
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              for inner in ast.walk(node) if isinstance(inner, ast.Global)]
-    assert owners == [("heis.py", "_build_law")]
-    assert sum(isinstance(node, ast.Global) for _, node in nodes) == 1
+    assert not any(isinstance(node, (ast.Global, ast.Nonlocal))
+                   for _, node in _library_nodes())
+
+
+def test_sp4_keeps_no_f3_table_of_its_own():
+    # sp4's form and action are heis's objects themselves, so the F_3^4
+    # arithmetic has one set of tables
+    from e8g3 import heis, sp4
+    assert sp4.FORM is heis.FORM
+    assert sp4.action is heis.action
 
 
 def test_library_holds_q_w_only_as_w_pairs():

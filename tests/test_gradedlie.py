@@ -13,7 +13,7 @@ from e8g3.gradedlie import (GradedAlgebra, LieElement,
                             killing_gram, verify_heis_action_match,
                             verify_rho_prime_homomorphism,
                             z_supports_partition)
-from e8g3.heis import class_code, commutator_exponent, svn_rep
+from e8g3.heis import CLASSES, COCYCLE, VEC_ADD, class_code, svn_rep
 
 from qw_oracle import Cyc
 
@@ -108,12 +108,11 @@ def test_bracket_coroot_action(alg):
 
 
 def test_bracket_opposite_roots(alg):
-    from e8g3.heis import cocycle
     for i in (3, 90, 200):
         ni = alg.negidx[i]
         out = alg.bracket(alg.x(i), alg.x(ni))
         expect = zeta_times(alg.coroot(i) * -1,
-                            -cocycle(alg.cls[i], alg.cls[i]))
+                            -COCYCLE[alg.cls[i]][alg.cls[i]])
         assert out == expect
 
 
@@ -289,11 +288,18 @@ def test_rho_prime_well_defined_and_traceless(alg, report):
         rho_prime(alg, alg.x(5))  # not orbit-constant
 
 
+def _pairing(v, u):
+    """The symplectic pairing on coordinate tuples (e1, e2, f1, f2)."""
+    return (v[0] * u[2] + v[1] * u[3] - u[0] * v[2] - u[1] * v[3]) % 3
+
+
 def _lambda_twist_violations_by_class(alg):
-    """check_lambda_twists one class at a time, on lists of exponents."""
+    """check_lambda_twists one class at a time, on lists of exponents
+    computed from the class tuples."""
     bad = []
     for k, orb in enumerate(alg.rs.orbits):
-        sp = [commutator_exponent(alg.cls[orb[0]], c) for c in alg.cls]
+        lam = CLASSES[alg.cls[orb[0]]]
+        sp = [_pairing(lam, CLASSES[c]) for c in alg.cls]
         sp.append(0)  # the exponent of a cartan-valued bracket (target -1)
         for i in range(alg.n):
             for j in sorted(alg.nbr[i]):
@@ -303,18 +309,21 @@ def _lambda_twist_violations_by_class(alg):
     return bad
 
 
-@pytest.mark.parametrize("redirected", [False, True],
-                         ids=["algebra", "redirected"])
-def test_lambda_twists_match_per_class_oracle(alg, redirected):
-    table = alg
-    if redirected:
+@pytest.mark.parametrize("corruption", [None, "redirected", "moved"],
+                         ids=["algebra", "redirected", "moved"])
+def test_lambda_twists_match_per_class_oracle(alg, corruption):
+    table = alg if corruption is None else GradedAlgebra()
+    if corruption == "redirected":
         # [X_0, X_j] and [X_j, X_0] land on the negative of root 0 + root j
-        table = GradedAlgebra()
         j = min(j for j in table.nbr[0] if table.kind[0][j] == 1)
         table.out[0][j] = table.out[j][0] = table.negidx[table.out[0][j]]
+    elif corruption == "moved":
+        # root 0's class moves by the class coded 1, so every bracket with
+        # root 0 as an argument or as its target has d != 0
+        table.cls[0] = VEC_ADD[table.cls[0]][1]
     got = table.check_lambda_twists()
     assert got == _lambda_twist_violations_by_class(table)
-    assert bool(got) == redirected
+    assert bool(got) == (corruption is not None)
 
 
 def test_rho_prime_homomorphism_all_pairs(report):

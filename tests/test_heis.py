@@ -5,17 +5,25 @@ from itertools import product
 
 from e8g3.heis import (
     CLASSES,
+    COCYCLE,
+    FORM,
+    VEC_ADD,
+    VEC_NEG,
     build_model,
     class_code,
     code_inverse,
     code_product,
-    cocycle,
     standard_form,
     svn_rep,
 )
 
 # the elements as (k, v) tuples, the one at index c coded c
 ELEMENTS = [(k, v) for k in range(3) for v in product(range(3), repeat=4)]
+
+
+def cocycle(v, u):
+    """c(v, u) = v_e1 u_f1 + v_e2 u_f2 on symplectic coordinate tuples."""
+    return (v[0] * u[2] + v[1] * u[3]) % 3
 
 
 def _tuple_product(g, h):
@@ -32,13 +40,16 @@ def test_symplectic_basis_defining_relations(report):
 
 def test_change_of_basis_preserves_form():
     model = build_model()
-    rs = model.rs
-    gram = rs.class_gram()
-    M = model.M
-    # M^T G M = standard J over F_3
-    prod = [[sum(M[a][i] * gram[a][b] * M[b][j] for a in range(4)
-                 for b in range(4)) % 3 for j in range(4)] for i in range(4)]
+    gram = model.rs.class_gram()
+    # the SNF images of the symplectic unit vectors pair under the class
+    # Gram matrix as the standard form says
+    images = [CLASSES[model.from_symplectic[c]] for c in (27, 9, 3, 1)]
+    prod = [[sum(x[a] * gram[a][b] * y[b] for a in range(4)
+                 for b in range(4)) % 3 for y in images] for x in images]
     assert prod == standard_form()
+    # and the two tables are inverse permutations
+    to, back = model.to_symplectic, model.from_symplectic
+    assert [to[c] for c in back] == [back[c] for c in to] == list(range(81))
 
 
 def test_codes_are_the_tuple_indices():
@@ -102,7 +113,13 @@ def test_rep_irreducible(report):
     assert report.passed("heis", "rep_irreducible")
 
 
-def test_cocycle_shape():
-    for v in product(range(3), repeat=4):
-        for u in product(range(3), repeat=4):
-            assert cocycle(v, u) == (v[0] * u[2] + v[1] * u[3]) % 3
+def test_tables_match_tuple_formulas():
+    # every pair of the 81 x 81 tables against coordinate arithmetic
+    for v in CLASSES:
+        assert CLASSES[VEC_NEG[class_code(v)]] == tuple(-x % 3 for x in v)
+        for u in CLASSES:
+            c, d = class_code(v), class_code(u)
+            assert CLASSES[VEC_ADD[c][d]] == tuple(
+                (x + y) % 3 for x, y in zip(v, u))
+            assert COCYCLE[c][d] == cocycle(v, u)
+            assert FORM[c][d] == (cocycle(v, u) - cocycle(u, v)) % 3

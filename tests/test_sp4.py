@@ -35,7 +35,7 @@ def test_action_is_matrix_times_vector(i, v):
     g = _matrix(group()[i])
     image = [sum(g[r][k] * x for k, x in enumerate(_vector(v))) % 3
              for r in range(4)]
-    assert _vector(sp4._action(group()[i])[v]) == image
+    assert _vector(sp4.action(group()[i])[v]) == image
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +45,7 @@ def lattice():
 
 @lru_cache(maxsize=None)
 def actions():
-    return [sp4._action(g) for g in sp4._GENERATORS]
+    return [sp4.action(g) for g in sp4._GENERATORS]
 
 
 def test_levels_are_gaussian_binomials():
@@ -95,7 +95,7 @@ def test_direct_density_shares_no_kernel(monkeypatch):
         raise RuntimeError("shared by the two strategies")
 
     with monkeypatch.context() as patch:
-        for name in ("_action", "_orbit"):
+        for name in ("action", "_orbit"):
             patch.setattr(sp4, name, refuse)
         assert sp4.density_direct() == (51840, 18711)
     for name in ("_det_minus_identity", "enumerate_sp4"):
