@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
-from operator import getitem
+from operator import getitem, mul
 
 from .cyclotomic import rational, zeta_mul
 from .heis import (COCYCLE, CODE_EXPO, CODE_ROW, FORM, VEC_ADD, VEC_NEG,
@@ -141,9 +141,6 @@ class GradedAlgebra:
 
         self._build_table()
 
-    def _pair_exponent(self, i, j) -> int:
-        return (self.PR[i][j] - self.PR[self.windex[i]][j]) % 3
-
     def _build_table(self):
         n = self.n
         kind = [bytearray(n) for _ in range(n)]
@@ -229,26 +226,6 @@ class GradedAlgebra:
 
     # -- symmetry and gradings ----------------------------------------------
 
-    def is_theta_eigenvector(self, x: LieElement, k: int) -> bool:
-        """Whether theta(x) = w^k x: each root coordinate m is w^k times
-        coordinate windex[m], and rs.w carries the cartan part to w^k times
-        itself."""
-        roots, w = x.roots, self.windex
-        for m, v in roots.items():
-            u = roots.get(w[m])
-            if u is None or v != zeta_mul(*u, k):
-                return False
-        if x.cartan:
-            W = self.rs.w
-            for b in range(8):
-                # coordinate b of theta(x), against w^k times that of x
-                u = sum(W[b][a] * c[0] for a, c in x.cartan.items())
-                v = sum(W[b][a] * c[1] for a, c in x.cartan.items())
-                c = x.cartan.get(b)
-                if (u, v) != (zeta_mul(*c, k) if c else (0, 0)):
-                    return False
-        return True
-
     def graded_basis(self):
         """Bases of the three eigenspaces of the symmetry, dims (80, 84, 84)."""
         rs = self.rs
@@ -276,16 +253,86 @@ class GradedAlgebra:
     def check_bracket_containment(self, spaces):
         """[h(1), h(1)] in h(2) and [h(1), h(2)] in h(0): the bracket of the
         a-th basis vector of degree i and the b-th of degree j is a
-        theta-eigenvector of eigenvalue w^(i + j), for all basis pairs.
-        Returns the failing (i, j, a, b)."""
+        theta-eigenvector of eigenvalue w^k, k = i + j, for all basis pairs.
+        Returns the failing (i, j, a, b).
+
+        z is such an eigenvector exactly when its defect vanishes: z_m -
+        w^k z_(wm) at every root m, where wm is windex[m], and W c - w^k c
+        on its cartan part c, W being rs.w.  The defect is linear, so each
+        bracket is summed as its defect, straight from the table, in packed
+        w-pairs (_PPAIR): a term u X_t adds u at t and -w^k u at the root m
+        with wm = t, and a term u coroot(p) adds u W cr(p) - w^k u cr(p).
+        A root coefficient of a basis vector must be a unit, read as its
+        code, and a cartan part h enters through its pairings
+        <h, q> = sum_t h_t P[t][q] with the roots q, which must be integral.
+        The cartan coordinates of graded_basis are units or 0, so each
+        packed sum holds a few small multiples of units, far below 2**31
+        per component, and is 0 exactly when its w-pair is.
+        """
+        n, W = self.n, self.rs.w
+        kind, out, scl, cr = self.kind, self.out, self.scl, self.cr
+        winv = [0] * n
+        for m, t in enumerate(self.windex):
+            winv[t] = m
+        theta_cr = [[sum(map(mul, row, c)) for row in W] for c in cr]
+        mul_code = [[code_mul(a, b) for b in range(6)] for a in range(6)]
+        same, negated = range(6), [code_neg(c) for c in range(6)]
+        unit = {p: c for c, p in enumerate(_PAIR[:6])}
+        forms = {i: [self._defect_form(x, unit) for x in spaces[i]]
+                 for i in (1, 2)}
         bad = []
         for i, j in ((1, 1), (1, 2)):
-            for a, x in enumerate(spaces[i]):
-                for b, y in enumerate(spaces[j]):
-                    if not self.is_theta_eigenvector(self.bracket(x, y),
-                                                     i + j):
+            # the code of -w^k u, for u of code c
+            moved = [code_mul(c, 3 + (i + j) % 3) for c in range(6)]
+            for a, (x_terms, x_pair) in enumerate(forms[i]):
+                rows = [(p, kind[p], out[p], scl[p], mul_code[c])
+                        for p, c in x_terms]
+                for b, (y_terms, y_pair) in enumerate(forms[j]):
+                    d = {}
+                    dc = None
+                    for p, kind_p, out_p, scl_p, mul_p in rows:
+                        for q, c in y_terms:
+                            kpq = kind_p[q]
+                            if kpq:
+                                s = mul_code[mul_p[c]][scl_p[q]]
+                                if kpq == 1:
+                                    t = out_p[q]
+                                    d[t] = d.get(t, 0) + _PPAIR[s]
+                                    m = winv[t]
+                                    d[m] = d.get(m, 0) + _PPAIR[moved[s]]
+                                else:
+                                    dc = _addc(dc, theta_cr[p], _PPAIR[s])
+                                    dc = _addc(dc, cr[p], _PPAIR[moved[s]])
+                    # [h, u X_q] = <h, q> u X_q, [u X_q, h] = <h, q> (-u) X_q
+                    for h_pair, terms, sign in ((x_pair, y_terms, same),
+                                                (y_pair, x_terms, negated)):
+                        if h_pair is not None:
+                            for q, c in terms:
+                                c = sign[c]
+                                d[q] = d.get(q, 0) + h_pair[q][c]
+                                m = winv[q]
+                                d[m] = d.get(m, 0) + h_pair[q][moved[c]]
+                    if any(d.values()) or dc is not None and any(dc):
                         bad.append((i, j, a, b))
         return bad
+
+    def _defect_form(self, x: LieElement, unit):
+        """x as read by check_bracket_containment: its root terms (root,
+        unit code) and, when it has a cartan part h, for every root q the
+        packed <h, q> u for the unit u of each code."""
+        terms = [(p, unit[v]) for p, v in x.roots.items()]
+        if not x.cartan:
+            return terms, None
+        pairs = []
+        for q in range(self.n):
+            u = v = 0
+            for t, (a, b) in x.cartan.items():
+                u += a * self.P[t][q]
+                v += b * self.P[t][q]
+            # <h, q> times 1, w and w^2, then their negatives
+            rot = (u + (v << 32), -v + ((u - v) << 32), v - u - (u << 32))
+            pairs.append(rot + tuple(-r for r in rot))
+        return terms, pairs
 
     # -- representation -----------------------------------------------------
 
@@ -484,14 +531,15 @@ def verify_rho_prime_homomorphism(alg: GradedAlgebra):
     mismatches = []
     pairs = 0
     groups = [(members, tuple(dict.fromkeys(orbit_of[r] for r in members)),
-               m) for members, m in _class_groups(alg)]
-    for roots_a, orbits_a, ma in groups:
-        for roots_b, orbits_b, mb in groups:
+               m.codes, m.table()) for members, m in _class_groups(alg)]
+    for roots_a, orbits_a, codes_a, table_a in groups:
+        for roots_b, orbits_b, codes_b, table_b in groups:
             pairs += len(roots_a) * len(roots_b)
             # 3 kappa [rho a, rho b] with 3 kappa = 1 + 2w, against
-            # 3 rho'([Z_a, Z_b]) / kappa
-            rhs = (sum(map(getitem, kappa, (ma * mb).codes))
-                   - sum(map(getitem, kappa, (mb * ma).codes)))
+            # 3 rho'([Z_a, Z_b]) / kappa; rho(a) rho(b) has the codes of
+            # rho(b) translated through the table of rho(a)
+            rhs = (sum(map(getitem, kappa, codes_b.translate(table_a)))
+                   - sum(map(getitem, kappa, codes_a.translate(table_b))))
             bad = {}
             for key in ((oa, ob) for oa in orbits_a for ob in orbits_b):
                 lhs = sum(3 * (x * orbit_packs[o][0] + y * orbit_packs[o][1])
@@ -509,20 +557,30 @@ def verify_heis_action_match(alg: GradedAlgebra):
     """Conjugation eigenvalue vs the lattice pairing, on all root pairs.
 
     One conjugation per pair of classes gives the Heisenberg side for every
-    root pair in them; the lattice side is read per root pair from the
-    pairing table.
+    root pair in them: rho(a) rho(b) rho(a)^-1 = zeta^t rho(b) exactly when
+    rho(a) rho(b) = zeta^t rho(b) rho(a), both products being one
+    `bytes.translate` each, and t is None when no such t exists.  The
+    lattice side is read per root pair from the pairing table: the
+    exponent (PR[a][b] - PR[wa][b]) mod 3.
     """
+    # zeta^t is the image of the central element coded 81 t
+    scalar = [svn_rep(81 * t).table() for t in range(3)]
+    PR, w = alg.PR, alg.windex
     mismatches = []
     pairs = 0
-    groups = _class_groups(alg)
-    for roots_a, ma in groups:
-        mai = ma.inverse()
-        for roots_b, mb in groups:
-            t = (ma * mb * mai).scalar_ratio(mb)
-            for a in roots_a:
+    groups = [(roots, m.codes, m.table()) for roots, m in _class_groups(alg)]
+    for roots_a, codes_a, table_a in groups:
+        rows = [(a, PR[a], PR[w[a]]) for a in roots_a]
+        for roots_b, codes_b, table_b in groups:
+            ab = codes_b.translate(table_a)
+            ba = codes_a.translate(table_b)
+            t = (ab[0] - ba[0]) % 3
+            if ab != ba.translate(scalar[t]):
+                t = None
+            pairs += len(rows) * len(roots_b)
+            for a, row, row_w in rows:
                 for b in roots_b:
-                    pairs += 1
-                    lattice = alg._pair_exponent(a, b)
+                    lattice = (row[b] - row_w[b]) % 3
                     if t != lattice:
                         mismatches.append((a, b, t, lattice))
     return {"pairs": pairs, "mismatches": mismatches}

@@ -11,7 +11,9 @@ The group has 243 elements (k, v) with k in Z/3 central, each held as the
 int code 81 k + class_code(v); multiplication (`code_product`) twists by
 the cocycle.  The representation acts on functions on F_3^2 by
 translations (e-part) and characters (f-part); every group element maps
-to a monomial matrix, which keeps all sweeps exact and fast.
+to a monomial matrix (`Mono`), the bytes of its column codes, and a
+product is one `bytes.translate` of the right factor's codes through the
+left factor's 256-byte table, which keeps all sweeps exact and fast.
 """
 
 from __future__ import annotations
@@ -135,33 +137,26 @@ CODE_EXPO = tuple(c % 3 for c in range(27))
 class Mono:
     """9x9 monomial matrix with entries in the cube roots of unity.
 
-    The matrix is the tuple of its column codes: column y has its unique
+    The matrix is the bytes of its column codes: column y has its unique
     nonzero entry zeta^e in row r, coded 3 r + e.
     """
 
     __slots__ = ("codes",)
 
-    def __init__(self, codes):
+    def __init__(self, codes: bytes):
         self.codes = codes
 
+    def table(self) -> bytes:
+        """Left multiplication by the matrix as a `bytes.translate` table
+        on column codes: code 3 r + e goes to column r of the matrix, its
+        exponent moved by e, so the product self * other has the column
+        codes other.codes.translate(self.table()).  Read from CODE_SHIFT
+        on each call; the 229 entries past code 26 are never read."""
+        return bytes([CODE_SHIFT[c][e] for c in self.codes
+                      for e in range(3)]).ljust(256, b"\0")
+
     def __mul__(self, other):
-        # column y of the product: with column y of other coded 3 r + e,
-        # column r of self, its exponent moved by e
-        c1 = self.codes
-        return Mono(tuple([CODE_SHIFT[c1[CODE_ROW[c]]][CODE_EXPO[c]]
-                           for c in other.codes]))
-
-    def inverse(self):
-        codes = [0] * 9
-        for y, c in enumerate(self.codes):
-            codes[CODE_ROW[c]] = 3 * y + -CODE_EXPO[c] % 3
-        return Mono(tuple(codes))
-
-    def __eq__(self, other):
-        return self.codes == other.codes
-
-    def __hash__(self):
-        return hash(self.codes)
+        return Mono(other.codes.translate(self.table()))
 
     def trace(self):
         """The trace as the pair (x, y) of x + y w."""
@@ -171,13 +166,6 @@ class Mono:
             if CODE_ROW[c] == y:
                 n[CODE_EXPO[c]] += 1
         return n[0] - n[2], n[1] - n[2]
-
-    def scalar_ratio(self, other):
-        """If self = zeta^t * other, return t; else None."""
-        t = (self.codes[0] - other.codes[0]) % 3
-        if self.codes != tuple([CODE_SHIFT[c][t] for c in other.codes]):
-            return None
-        return t
 
 
 def svn_rep(g: int) -> Mono:
@@ -195,7 +183,7 @@ def svn_rep(g: int) -> Mono:
         s, t = divmod(y, 3)
         s2, t2 = (s - a1) % 3, (t - a2) % 3
         codes.append(3 * (3 * s2 + t2) + (k + b1 * s2 + b2 * t2) % 3)
-    return Mono(tuple(codes))
+    return Mono(bytes(codes))
 
 
 class HeisenbergModel:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 
 from . import rootsys as rs_mod
 from . import vinberg
@@ -112,10 +113,14 @@ def suite_heis(s: Suite):
             "defining relations of (e1, e2, f1, f2)")
 
     reps = [svn_rep(g) for g in els]
-    hom = all(rg * rh == reps[code_product(g, h)]
-              for g, rg in enumerate(reps) for h, rh in enumerate(reps))
+    # the column codes of rho(g) rho(h), for all h at once, are those of
+    # every rho(h) translated through the table of rho(g)
+    codes = [m.codes for m in reps]
+    hom = all(list(map(bytes.translate, codes, repeat(m.table(), 243)))
+              == [codes[code_product(g, h)] for h in els]
+              for g, m in enumerate(reps))
     s.check("rep_homomorphism", hom, "all 243^2 pairs")
-    s.check("rep_injective", len(set(reps)) == 243, "")
+    s.check("rep_injective", len(set(codes)) == 243, "")
     from .cyclotomic import zeta_mul
     traces = [m.trace() for m in reps]
     s.check("rep_traces",

@@ -13,9 +13,12 @@ from e8g3.gradedlie import (GradedAlgebra, LieElement,
                             killing_gram, verify_heis_action_match,
                             verify_rho_prime_homomorphism,
                             z_supports_partition)
-from e8g3.heis import CLASSES, COCYCLE, VEC_ADD, class_code, svn_rep
+from e8g3 import gradedlie
+from e8g3.heis import CLASSES, COCYCLE, VEC_ADD, Mono, class_code, svn_rep
 
 from qw_oracle import Cyc
+from test_mutations import (_corrupt_cartan_pairing,
+                            _redirect_to_negative_root, _shift_one_w_power)
 
 KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
 
@@ -220,6 +223,44 @@ def test_grading_bracket_containment(alg):
                 assert theta(alg, out) == zeta_times(out, i + j)
 
 
+def is_theta_eigenvector(alg, x, k):
+    """Whether theta(x) = w^k x: each root coordinate m is w^k times
+    coordinate windex[m], and rs.w carries the cartan part to w^k times
+    itself; read on the w-pairs of x."""
+    roots, w = x.roots, alg.windex
+    for m, v in roots.items():
+        u = roots.get(w[m])
+        if u is None or v != zeta_mul(*u, k):
+            return False
+    if x.cartan:
+        W = alg.rs.w
+        for b in range(8):
+            # coordinate b of theta(x), against w^k times that of x
+            u = sum(W[b][a] * c[0] for a, c in x.cartan.items())
+            v = sum(W[b][a] * c[1] for a, c in x.cartan.items())
+            c = x.cartan.get(b)
+            if (u, v) != (zeta_mul(*c, k) if c else (0, 0)):
+                return False
+    return True
+
+
+def _containment_by_generic_bracket(alg, spaces):
+    """The failing (i, j, a, b) of graded_bracket_containment, each basis
+    bracket taken by the generic bracket and tested by both eigenvector
+    forms, which must agree."""
+    bad = []
+    for i, j in ((1, 1), (1, 2)):
+        k = (i + j) % 3
+        for a, x in enumerate(spaces[i]):
+            for b, y in enumerate(spaces[j]):
+                out = alg.bracket(x, y)
+                eigen = is_theta_eigenvector(alg, out, k)
+                assert eigen == (theta(alg, out) == zeta_times(out, k))
+                if not eigen:
+                    bad.append((i, j, a, b))
+    return bad
+
+
 def test_theta_eigenvector_matches_cyc_form(alg):
     # the test of graded_bracket_containment against the theta oracle, on
     # every basis pair the check sweeps
@@ -232,7 +273,7 @@ def test_theta_eigenvector_matches_cyc_form(alg):
                 out = alg.bracket(x, y)
                 swept += 1
                 k = (i + j) % 3
-                assert alg.is_theta_eigenvector(out, k) == (
+                assert is_theta_eigenvector(alg, out, k) == (
                     theta(alg, out) == zeta_times(out, k))
                 # one root coordinate, or one cartan coordinate, moved by w
                 for part in ("roots", "cartan"):
@@ -249,7 +290,7 @@ def test_theta_eigenvector_matches_cyc_form(alg):
     assert set(bent) == {"roots", "cartan"}
     for z, k in bent.values():
         assert theta(alg, z) != zeta_times(z, k)
-        assert not alg.is_theta_eigenvector(z, k)
+        assert not is_theta_eigenvector(alg, z, k)
 
 
 def test_z_elements(alg):
@@ -342,11 +383,24 @@ def test_heis_action_match_all_pairs(report):
     assert detail.startswith(f"{240 * 240} ")
 
 
-def test_pair_exponent_table_matches_lattice_formula(alg):
+def _heis_action_exponents(alg):
+    """The exponents heis_action_match lists for its mismatching pairs,
+    as (a, b) -> (Heisenberg t, lattice exponent)."""
+    return {(a, b): (t, lattice) for a, b, t, lattice
+            in verify_heis_action_match(alg)["mismatches"]}
+
+
+def test_pair_exponent_table_matches_lattice_formula(alg, monkeypatch):
+    # the lattice side of heis_action_match: with every class acting by the
+    # identity, each conjugation exponent is 0, so the sweep lists every
+    # pair whose lattice exponent is nonzero, with that exponent
+    monkeypatch.setattr(gradedlie, "svn_rep", lambda g: svn_rep(0))
+    lattice = {ab: e for ab, (t, e) in _heis_action_exponents(alg).items()
+               if t == 0}
     rs = alg.rs
     for a in range(240):
         for b in range(0, 240, 7):
-            assert alg._pair_exponent(a, b) == rs.symplectic_exponent(
+            assert lattice.get((a, b), 0) == rs.symplectic_exponent(
                 rs.roots[a], rs.roots[b])
 
 
@@ -469,12 +523,26 @@ def test_flipped_pairing_fails_heis_action_match(alg):
     assert (0, b) in {m[:2] for m in mismatches}
 
 
-def test_heis_action_alternating_diagonal(alg):
-    # alpha = beta: eigenvalue 1
+def test_heis_action_alternating_diagonal(alg, monkeypatch):
+    # the Heisenberg side of heis_action_match: with a zero pairing table
+    # every lattice exponent is 0, so the sweep lists every pair whose
+    # conjugation exponent t is nonzero, with t.  It is alternating (0 on
+    # the diagonal, t(a, b) = -t(b, a)), and for a sample of pairs it is
+    # the scalar rho(a) rho(b) rho(a)^-1 = zeta^t rho(b) of dense matrices
+    monkeypatch.setattr(alg, "PR", [[0] * 240] * 240)
+    t = {ab: e for ab, (e, lattice) in _heis_action_exponents(alg).items()
+         if lattice == 0}
+    # the class of a pairs nonzero with the 54 classes off its hyperplane,
+    # 3 roots each
+    assert len(t) == 240 * 54 * 3
+    assert not any(a == b for a, b in t)
+    assert all((t.get((b, a), 0) + e) % 3 == 0 for (a, b), e in t.items())
     for a in (0, 99):
-        m = alg.rho(a)
-        conj = m * alg.rho(a) * m.inverse()
-        assert conj.scalar_ratio(alg.rho(a)) == 0
+        for b in range(0, 240, 17):
+            m, n = dense(alg.rho(a)), dense(alg.rho(b))
+            conj = dense_mul(dense_mul(m, n), dense(mono_inverse(alg.rho(a))))
+            assert conj == [[Cyc.zeta(t.get((a, b), 0)) * x for x in row]
+                            for row in n]
 
 
 def test_killing_form(alg, report):
@@ -562,6 +630,28 @@ def _corrupt_kind_one_sided(fresh, r):
     # kind[k][r] itself, not infer it from that membership
     k = max(k for k in fresh.nbr[r] if fresh.kind[r][k] == 1)
     fresh.kind[k][r] = 0
+
+
+def _fresh_opposite_scl(monkeypatch):
+    fresh = GradedAlgebra()
+    _corrupt_opposite_scl(fresh, 0)
+    monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_shift_one_w_power, _redirect_to_negative_root, _fresh_opposite_scl,
+     _corrupt_cartan_pairing],
+    ids=["w_power", "redirect", "opposite_scl", "cartan_pairing"])
+def test_bracket_containment_matches_generic_oracle(monkeypatch, corrupt):
+    # the check's table reads against the generic bracket on all 14,112
+    # basis pairs, 1,312 of them with a cartan basis vector, on corrupted
+    # tables; the real table is test_theta_eigenvector_matches_cyc_form
+    corrupt(monkeypatch)
+    table = gradedlie.get_algebra()
+    spaces = table.graded_basis()
+    bad = table.check_bracket_containment(spaces)
+    assert bad and bad == _containment_by_generic_bracket(table, spaces)
 
 
 @pytest.mark.parametrize("corrupt",
@@ -807,26 +897,40 @@ def test_diagonal_ad_entry_fails_killing(alg):
         killing_gram(fresh)
 
 
+def mono_inverse(m):
+    """The inverse monomial matrix: column y coded 3 r + e becomes column
+    r coded 3 y - e."""
+    codes = [0] * 9
+    for y, c in enumerate(m.codes):
+        row, e = divmod(c, 3)
+        codes[row] = 3 * y + -e % 3
+    return Mono(bytes(codes))
+
+
 def test_mono_products_match_dense_products():
-    # Mono's column-code kernels against 9x9 matrices over Q(w): every
-    # product of two of the four generator images and their inverses, and
-    # the trace and scalar ratio of each
+    # Mono's byte-table kernels against 9x9 matrices over Q(w): every
+    # product of two of the 8 images of the four generators and their
+    # inverses, by Mono.__mul__ and by bytes.translate through the left
+    # factor's table, and the trace of each
     gens = [svn_rep(class_code(v)) for v in
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]]
-    monos = gens + [m.inverse() for m in gens]
+    monos = gens + [mono_inverse(m) for m in gens]
     one = dense(svn_rep(0))
     for m in monos:
         dm = dense(m)
-        assert dense_mul(dm, dense(m.inverse())) == one
+        assert dense_mul(dm, dense(mono_inverse(m))) == one
         assert Cyc(*m.trace()) == sum((dm[y][y] for y in range(9)), Cyc(0))
+        table = m.table()
+        assert len(table) == 256
         for n in monos:
-            dn = dense(n)
-            assert dense(m * n) == dense_mul(dm, dn)
-            ratios = [t for t in range(3)
-                      if dm == [[Cyc.zeta(t) * x for x in row] for row in dn]]
-            assert m.scalar_ratio(n) == (ratios[0] if ratios else None)
-    centre = svn_rep(81)  # zeta times the identity
-    assert centre.scalar_ratio(svn_rep(0)) == 1
+            product = dense_mul(dm, dense(n))
+            assert dense(m * n) == product
+            assert dense(Mono(n.codes.translate(table))) == product
+    # the table of a central image zeta^t multiplies by the scalar
+    for t in range(3):
+        for m in monos:
+            assert dense(svn_rep(81 * t) * m) == [
+                [Cyc.zeta(t) * x for x in row] for row in dense(m)]
 
 
 def _cyc_coords(coords):

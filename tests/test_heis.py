@@ -98,7 +98,7 @@ def test_rep_is_homomorphism_all_pairs(report):
 def test_rep_center_tautological():
     for k in range(3):
         # column y: row y, exponent k
-        assert svn_rep(81 * k).codes == tuple(3 * y + k for y in range(9))
+        assert svn_rep(81 * k).codes == bytes(3 * y + k for y in range(9))
 
 
 def test_rep_injective(report):

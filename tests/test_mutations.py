@@ -139,12 +139,15 @@ def _shift_one_product(monkeypatch):
     monkeypatch.setattr(heis, "code_product", shifted)
 
 
-def _drop_character(monkeypatch):
-    # svn_rep without its character (s, t) -> zeta^(b1 s + b2 t): the
-    # f-classes act as scalars, so the image is reducible
-    monkeypatch.setattr(heis, "svn_rep", _mutant(
-        heis.svn_rep,
-        lambda src: src.replace("b1 * s2 + b2 * t2", "0")))
+def _drop_character(module):
+    # svn_rep, as `module` reads it, without its character
+    # (s, t) -> zeta^(b1 s + b2 t): the f-classes act as scalars, so the
+    # image is reducible and the images of any two classes commute
+    def patch(monkeypatch):
+        monkeypatch.setattr(module, "svn_rep", _mutant(
+            heis.svn_rep,
+            lambda src: src.replace("b1 * s2 + b2 * t2", "0")))
+    return patch
 
 
 def _move_one_square(monkeypatch):
@@ -327,7 +330,7 @@ MUTATIONS = [
      _passes(suites.suite_heis, "exponent_three"), None),
     # heis/rep_irreducible: translations and central scalars alone leave
     # a commutant of dimension 9, and the traces show it
-    ("heis_rep_irreducible", _drop_character,
+    ("heis_rep_irreducible", _drop_character(heis),
      _passes(suites.suite_heis, "rep_irreducible"), None),
     # heis/group_order: without the cocycle the closure misses the centre
     ("heis_group_order", _drop_cocycle,
@@ -419,6 +422,15 @@ MUTATIONS = [
     # an alternating form
     ("sections_fixture_twist_exponents", _twist_exponent_plus,
      _fixture_twist_exponents, None),
+    # gradedlie/heis_action_match: commuting images give every conjugation
+    # exponent 0, against nonzero lattice exponents (gradedlie binds
+    # svn_rep at import, so the mutant goes there)
+    ("gradedlie_heis_action_match", _drop_character(gradedlie),
+     _passes(suites.suite_gradedlie, "heis_action_match"), None),
+    # gradedlie/rho_prime_homomorphism: commuting images bracket to 0,
+    # against nonzero images of the brackets [Z_a, Z_b]
+    ("gradedlie_rho_prime_homomorphism", _drop_character(gradedlie),
+     _passes(suites.suite_gradedlie, "rho_prime_homomorphism"), None),
     # gradedlie/graded_bracket_containment: one structure constant off by
     # w leaves a degree-(1, 1) bracket outside every eigenspace
     ("gradedlie_graded_bracket_containment", _shift_one_w_power,
