@@ -7,14 +7,19 @@ enumeration.
 
 A vector of F_3^4 is its heis class code (27 v0 + 9 v1 + 3 v2 + v3 in
 0..80, so code order is the lexicographic order of the tuples
-`heis.CLASSES`), and a matrix is the 4-tuple of its column codes.  The
-form is `heis.FORM`, and a matrix acts on vectors through the 81-entry
-table `heis.action` builds; this module keeps no table of its own.  A
-subspace is the 81-bit mask with bit c set for each code c in it.
+`heis.CLASSES`), and a matrix is the 4-tuple of its column codes
+(e1, e2, f1, f2), a symplectic basis.  The enumerated group packs each
+element into one int, ((e1 * 81 + f1) * 81 + e2) * 81 + f2, and the
+group's closure codes a basis by the ranks of its two hyperbolic pairs
+(e1, f1) and (e2, f2).  The form is `heis.FORM`, and a matrix acts on
+vectors through the 81-entry table `heis.action` builds; this module
+keeps no F_3 table of its own.  A subspace is the 81-bit mask with bit c
+set for each code c in it.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations, product
 
 from .heis import CLASSES, FORM, action
@@ -29,8 +34,9 @@ _ORBIT_REPRESENTATIVES = ((), (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3))
 
 
 def enumerate_sp4():
-    """All matrices by completing symplectic bases (columns e1, e2, f1, f2)."""
-    out = []
+    """All matrices by completing symplectic bases (columns e1, e2, f1, f2),
+    packed as ((e1 * 81 + f1) * 81 + e2) * 81 + f2, in increasing order."""
+    out = array("I")
     for e1 in _VECS:
         form_e1 = FORM[e1]
         for f1 in _VECS:
@@ -40,9 +46,8 @@ def enumerate_sp4():
             perp = [v for v in _VECS if form_e1[v] == 0 and form_f1[v] == 0]
             for e2 in perp:
                 form_e2 = FORM[e2]
-                for f2 in perp:
-                    if form_e2[f2] == 1:
-                        out.append((e1, e2, f1, f2))
+                head = ((e1 * 81 + f1) * 81 + e2) * 81
+                out.extend(head + f2 for f2 in perp if form_e2[f2] == 1)
     return out
 
 
@@ -69,7 +74,13 @@ def density_direct():
     """(order, |C|) by testing det(M - I) on every element of the
     enumerated group."""
     group = enumerate_sp4()
-    hits = sum(1 for m in group if not _det_minus_identity(m))
+    hits = 0
+    for code in group:
+        e1f1, e2f2 = divmod(code, 6561)
+        e1, f1 = divmod(e1f1, 81)
+        e2, f2 = divmod(e2f2, 81)
+        if not _det_minus_identity((e1, e2, f1, f2)):
+            hits += 1
     return len(group), hits
 
 
@@ -132,6 +143,45 @@ def _orbit(basis, acts, key):
     return seen
 
 
+def _pair_ranks(pairs):
+    """The position of each pair (e, f) in the list, keyed by 81 e + f."""
+    return {81 * e + f: i for i, (e, f) in enumerate(pairs)}
+
+
+def _group_order(acts):
+    """The size of the orbit of the identity's basis under the action
+    tables, which for symplectic generators is |G|.
+
+    A basis is coded rank(e1, f1) * P + rank(e2, f2) over the P = 2,160
+    hyperbolic pairs (e, f), those with <e, f> = 1, a generator maps the
+    ranks through a P-entry table, and the reached codes are bits of a
+    bytearray.
+    """
+    pairs = [(e, f) for e in _VECS for f in _VECS if FORM[e][f] == 1]
+    rank = _pair_ranks(pairs)
+    size = len(pairs)
+    tables = [[rank[81 * act[e] + act[f]] for e, f in pairs] for act in acts]
+    e1, e2, f1, f2 = _identity()
+    start = rank[81 * e1 + f1] * size + rank[81 * e2 + f2]
+    seen = bytearray((size * size + 7) // 8)
+    seen[start >> 3] = 1 << (start & 7)
+    n = 1
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for code in frontier:
+            p1, p2 = divmod(code, size)
+            for table in tables:
+                image = table[p1] * size + table[p2]
+                bit = 1 << (image & 7)
+                if not seen[image >> 3] & bit:
+                    seen[image >> 3] |= bit
+                    nxt.append(image)
+        n += len(nxt)
+        frontier = nxt
+    return n
+
+
 def density_by_classes():
     """(order, |C|) by Moebius inversion on the lattice of subspaces W,
     one W per G-orbit of subspaces, G generated by `_GENERATORS`.
@@ -145,7 +195,7 @@ def density_by_classes():
     if not all(map(_symplectic, _GENERATORS)):
         raise ValueError("generator is not a symplectic basis")
     acts = [action(g) for g in _GENERATORS]
-    n = len(_orbit(_identity(), acts, tuple))
+    n = _group_order(acts)
     levels = _subspaces()
     mu = _mobius(levels)
     reached = [[] for _ in levels]

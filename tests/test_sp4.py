@@ -2,12 +2,14 @@
 here, the determinant of the direct strategy, and the subspace lattice
 of the Moebius strategy."""
 
+import tracemalloc
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3 import sp4
+from e8g3.heis import FORM
 from e8g3.intlinalg import det_bareiss, rref_mod
 
 ELEMENTS = st.integers(0, 51839)
@@ -16,6 +18,46 @@ ELEMENTS = st.integers(0, 51839)
 @lru_cache(maxsize=None)
 def group():
     return sp4.enumerate_sp4()
+
+
+def _columns(code):
+    """The columns (e1, e2, f1, f2) of the element packed as
+    ((e1 * 81 + f1) * 81 + e2) * 81 + f2."""
+    e1f1, e2f2 = divmod(code, 81 ** 2)
+    e1, f1 = divmod(e1f1, 81)
+    e2, f2 = divmod(e2f2, 81)
+    return e1, e2, f1, f2
+
+
+@lru_cache(maxsize=None)
+def tuple_enumeration():
+    """The group as the list of column 4-tuples, completing symplectic
+    bases in the order the packed enumeration must keep."""
+    vecs = range(1, 81)
+    out = []
+    for e1 in vecs:
+        for f1 in vecs:
+            if FORM[e1][f1] != 1:
+                continue
+            perp = [v for v in vecs if FORM[e1][v] == 0 and FORM[f1][v] == 0]
+            for e2 in perp:
+                for f2 in perp:
+                    if FORM[e2][f2] == 1:
+                        out.append((e1, e2, f1, f2))
+    return out
+
+
+def test_enumeration_is_a_sorted_code_array():
+    g = group()
+    assert g.typecode == "I"
+    assert len(g) == 51840
+    assert all(a < b for a, b in zip(g, g[1:]))
+
+
+@settings(deadline=None, derandomize=True)
+@given(i=ELEMENTS)
+def test_codes_unpack_to_the_tuple_enumeration(i):
+    assert _columns(group()[i]) == tuple_enumeration()[i]
 
 
 def _vector(code):
@@ -32,10 +74,11 @@ def _matrix(cols):
 @settings(deadline=None, derandomize=True)
 @given(i=ELEMENTS, v=st.integers(0, 80))
 def test_action_is_matrix_times_vector(i, v):
-    g = _matrix(group()[i])
+    cols = _columns(group()[i])
+    g = _matrix(cols)
     image = [sum(g[r][k] * x for k, x in enumerate(_vector(v))) % 3
              for r in range(4)]
-    assert _vector(sp4.action(group()[i])[v]) == image
+    assert _vector(sp4.action(cols)[v]) == image
 
 
 @lru_cache(maxsize=None)
@@ -88,16 +131,37 @@ def test_det_minus_identity_matches_elimination(cols):
 
 
 def test_direct_density_shares_no_kernel(monkeypatch):
-    # the direct strategy uses neither the action tables nor the orbit
-    # sweeps of the Moebius strategy, which in turn computes no
-    # determinant and never reads the enumerated group
+    # the direct strategy uses neither the action tables, the pair-rank
+    # walk and its tables nor the orbit sweeps of the Moebius strategy,
+    # which in turn computes no determinant and never reads the
+    # enumerated group
     def refuse(*args):
         raise RuntimeError("shared by the two strategies")
 
     with monkeypatch.context() as patch:
-        for name in ("action", "_orbit"):
+        for name in ("action", "_orbit", "_group_order", "_pair_ranks"):
             patch.setattr(sp4, name, refuse)
         assert sp4.density_direct() == (51840, 18711)
     for name in ("_det_minus_identity", "enumerate_sp4"):
         monkeypatch.setattr(sp4, name, refuse)
     assert sp4.density_by_classes() == (51840, 18711)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory Python allocated while it
+    ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_densities_stay_small_in_memory():
+    # the packed enumeration and the bitmap closure: the tuple list and
+    # the set of 51,840 tuples they replace peaked at 4 and 5.6 MB
+    result, peak = _traced_peak(sp4.density_direct)
+    assert result == (51840, 18711) and peak < 1_000_000
+    result, peak = _traced_peak(sp4.density_by_classes)
+    assert result == (51840, 18711) and peak < 2_500_000
