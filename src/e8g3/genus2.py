@@ -3,17 +3,13 @@ discriminant, height, minimality, and bounded enumeration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intlinalg import det_bareiss, det_laplace
 
 
-@dataclass(frozen=True)
-class Quintic:
-    c12: int
-    c18: int
-    c24: int
-    c30: int
+class Quintic(namedtuple("Quintic", "c12 c18 c24 c30")):
+    __slots__ = ()
 
     def coeffs(self):
         """Low-to-high coefficient list of x^5 + c12 x^3 + ... + c30."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
+from itertools import compress
 from operator import getitem, mul
 
 from .cyclotomic import rational, zeta_mul
@@ -125,7 +126,8 @@ class GradedAlgebra:
         self.n = n
 
         self.cls = [self.model.root_class(r) for r in rs.roots]
-        self.cr = [rs.to_basis(r) for r in rs.roots]
+        # coroot coordinates: the roots' basis coordinates
+        self.cr = rs.coords
         self.negidx = [rs.index[neg(r)] for r in rs.roots]
         self.windex = rs.w_on_roots
         # pairing of root with root (the root system's shared table), and
@@ -146,31 +148,35 @@ class GradedAlgebra:
         kind = [bytearray(n) for _ in range(n)]
         out = [[0] * n for _ in range(n)]
         scl = [[NONE] * n for _ in range(n)]
+        nbr = []
         PR, w, cls = self.PR, self.windex, self.cls
         for i in range(n):
             cocycle_i = COCYCLE[cls[i]]
             PR_i, PR_wi = PR[i], PR[w[i]]
             kind_i, out_i, scl_i = kind[i], out[i], scl[i]
             sums = self.rs.sum_row(i)
-            for j, p in enumerate(PR_i):
+            # the only nonzero brackets: the 57 roots pairing negatively
+            negative = list(compress(range(n), map((0).__gt__, PR_i)))
+            for j in negative:
+                p = PR_i[j]
                 if p == -2:
                     # opposite roots: central section product times -coroot
                     kind_i[j] = 2
                     out_i[j] = i
                     pw = -cocycle_i[cls[i]] % 3
                     scl_i[j] = pw + 3  # -w^pw
-                elif p == -1:
+                else:
                     # w-power: the pair exponent (p - PR[wi][j]) and the
                     # section cocycle; sign (-1)^((a, wb))
                     pw = (p - PR_wi[j] + cocycle_i[cls[j]]) % 3
                     kind_i[j] = 1
                     out_i[j] = sums[j]
                     scl_i[j] = pw + 3 * (PR_i[w[j]] % 2)
+            nbr.append(frozenset(negative))
         self.kind = kind
         self.out = out
         self.scl = scl
-        self.nbr = [frozenset(j for j in range(n) if kind[i][j])
-                    for i in range(n)]
+        self.nbr = nbr
 
     # -- generic bracket ----------------------------------------------------
 

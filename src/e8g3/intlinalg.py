@@ -4,6 +4,7 @@ and Gaussian elimination over Fraction, Q(w) or F_p entries."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .cyclotomic import qw_inverse
 
@@ -27,7 +28,7 @@ def mat_mul(A, B):
     return out
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def mat_sub(A, B):

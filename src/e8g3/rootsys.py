@@ -33,6 +33,8 @@ FORMAT_VERSION = 1
 # root basis used throughout, in this fixed order
 S0_TRIPLES = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
               (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6))
+# the same triples as 0-based coordinate slots
+_BASIS_SLOTS = tuple((i - 1, j - 1, k - 1) for i, j, k in S0_TRIPLES)
 
 
 def canonical(v):
@@ -79,6 +81,16 @@ def pack(v) -> int:
 # pack of the all-ones vector; the canonical sum of two roots has
 # coordinates in [-3, 2], where pack is one-to-one
 _PACKED_ONES = pack((1,) * 9)
+
+
+def _lanes(values) -> int:
+    """sum(values[j] * 256**j): one 8-bit lane per entry, linear in the
+    values, so lanes that end in [0, 255] read back as bytes."""
+    return sum(v << 8 * j for j, v in enumerate(values))
+
+
+# a root pairing p is kept in its lane as p + 2, in [0, 4]
+_LANE_PAIRING = (-2, -1, 0, 1, 2)
 
 
 def weight_vector(triple):
@@ -136,7 +148,12 @@ class RootSystem:
         for k in range(8):
             c = mat_mul(self._reflection_matrix(k), c)
         self.w = mat_pow(c, 10)
-        self.w_on_roots = tuple(self.index.get(self.apply_w(r)) for r in roots)
+        # the basis coordinates of every root, and w on the roots read off
+        # them: w maps coordinates to coordinates
+        self.coords = self._root_coords()
+        position = {c: i for i, c in enumerate(self.coords)}
+        self.w_on_roots = tuple(position.get(tuple(mat_vec(self.w, c)))
+                                for c in self.coords)
         self._validate_w()
 
         snf_d, self.snf_u, _ = smith_normal_form(mat_sub(self.w, identity(8)))
@@ -153,6 +170,16 @@ class RootSystem:
         pairs = [pairing(v, b) for b in self.basis]
         return tuple(mat_vec(self._gram_inv, pairs))
 
+    def _root_coords(self):
+        """`to_basis` of every root, in the order of `roots`.  The pairing
+        of a root r with a basis root e_i + e_j + e_k is
+        r_i + r_j + r_k - sum(r) / 3."""
+        return tuple(
+            tuple(mat_vec(self._gram_inv,
+                          [r[i] + r[j] + r[k] - sum(r) // 3
+                           for i, j, k in _BASIS_SLOTS]))
+            for r in self.roots)
+
     def from_basis(self, coords):
         acc = [0] * 9
         for c, b in zip(coords, self.basis):
@@ -165,18 +192,28 @@ class RootSystem:
         """240 x 240 table of root pairings, rows as tuples, indexed like
         `roots`.
 
-        Built from `pairing` on the first read, on one triangle (the form
-        is symmetric).  The rows are immutable because every reader of the
-        root system shares them.
+        Built on the first read from the nine columns of the 240 x 9 matrix
+        of roots, each packed into 8-bit lanes (`_lanes`), and the column
+        of every root's sum / 3: row i, for root r, is the sum of r_k times
+        column k less sum(r) / 3 times that column, which is `pairing` of
+        r with every root, plus 2 in every lane, so each lane reads back as
+        one byte.  The rows are immutable because every reader of the root
+        system shares them.
         """
         roots = self.roots
         n = len(roots)
-        rows = [[0] * n for _ in range(n)]
-        for i, a in enumerate(roots):
-            row = rows[i]
-            for j in range(i, n):
-                row[j] = rows[j][i] = pairing(a, roots[j])
-        return tuple(map(tuple, rows))
+        cols = [_lanes(col) for col in zip(*roots)]
+        thirds = [sum(r) // 3 for r in roots]
+        sums, twos = _lanes(thirds), _lanes([2] * n)
+        rows = []
+        for r, t in zip(roots, thirds):
+            acc = twos - t * sums
+            for x, col in zip(r, cols):
+                if x:
+                    acc += x * col
+            rows.append(tuple(map(_LANE_PAIRING.__getitem__,
+                                  acc.to_bytes(n, "little"))))
+        return tuple(rows)
 
     def sum_row(self, i):
         """Index of root i + root j, or None where the sum is no root, for
@@ -186,10 +223,9 @@ class RootSystem:
         when the coordinate sums reach 9 (pack is linear).  The row is
         computed on each call and not kept.
         """
-        ci = self._packed[i]
-        get = self._packed_index.get
-        return [get(ci + c)
-                for c in self._packed_shifted[sum(self.roots[i]) // 3]]
+        return list(map(self._packed_index.get,
+                        map(self._packed[i].__add__,
+                            self._packed_shifted[sum(self.roots[i]) // 3])))
 
     def _reflection_matrix(self, k):
         cols = []

@@ -12,8 +12,7 @@ orbits with the 80 nonzero 3-torsion classes.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .finitefield import (
     GF,
@@ -26,10 +25,9 @@ from .finitefield import (
 from .jacobian import cantor_add, cantor_neg
 
 
-@dataclass(frozen=True)
-class Section:
-    a: tuple  # low-to-high, degree 2
-    b: tuple  # low-to-high, degree 3
+class Section(namedtuple("Section", "a b")):
+    """a (degree 2) and b (degree 3) as low-to-high coefficient tuples."""
+    __slots__ = ()
 
     def key(self):
         return (self.a, self.b)

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -183,11 +182,12 @@ def verify_leq_agreement():
 
 
 def verify_intersection_table():
+    """Weight pairs (a, b) whose lattice pairing is not |a & b| - 1."""
+    weights = [(a, weight_vector(a), set(a)) for a in ALL_WEIGHTS]
     bad = []
-    for a in ALL_WEIGHTS:
-        va = weight_vector(a)
-        for b in ALL_WEIGHTS:
-            if pairing(va, weight_vector(b)) != len(set(a) & set(b)) - 1:
+    for a, va, sa in weights:
+        for b, vb, sb in weights:
+            if pairing(va, vb) != len(sa & sb) - 1:
                 bad.append((a, b))
     return bad
 
@@ -215,15 +215,12 @@ def check_gamma_criterion(gamma, M) -> bool:
 # -- cusp cases ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CuspCase:
-    label: str
-    m0_prime: frozenset
-    m0_dprime: frozenset
-    m1_prime: tuple
-    f_prime: dict
-    g: dict
-    printed_counts: dict | None = None
+class CuspCase(namedtuple("CuspCase", "label m0_prime m0_dprime m1_prime "
+                                      "f_prime g printed_counts")):
+    """One cusp certificate: its label, the frozensets m0_prime and
+    m0_dprime, the tuple m1_prime, the dicts f_prime and g, and the dict
+    printed_counts of the source (None for a base case)."""
+    __slots__ = ()
 
 
 def build_base_cases():

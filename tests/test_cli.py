@@ -348,6 +348,21 @@ def test_verify_loads_no_openssl():
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_library_does_not_import_dataclasses():
+    # importing dataclasses adds milliseconds to every process's start; the
+    # library's records are namedtuples
+    assert [path.name for path in sorted(Path(SRC, "e8g3").rglob("*.py"))
+            if "dataclass" in path.read_text()] == []
+    code = ("import sys\n"
+            "import e8g3.cli, e8g3.suites\n"
+            "print('dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_report_sha256_matches_hashlib():
     import hashlib
 

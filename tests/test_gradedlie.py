@@ -126,6 +126,14 @@ def test_bracket_zero_case(alg):
     assert alg.bracket(alg.x(i), alg.x(j)).is_zero()
 
 
+def test_neighbours_are_the_negative_pairings(alg):
+    # nbr, taken from the table build's scan, against the pair table and
+    # against the nonzero kinds, on every root
+    for i, row in enumerate(alg.PR):
+        assert alg.nbr[i] == {j for j, p in enumerate(row) if p < 0}
+        assert alg.nbr[i] == {j for j, k in enumerate(alg.kind[i]) if k}
+
+
 def test_central_twist_scales_bracket(alg):
     # twisting a canonical vector by zeta^k scales outputs by zeta^k
     i, j = 8, min(alg.nbr[8])

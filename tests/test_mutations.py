@@ -234,6 +234,25 @@ def _corrupt_pair_table(monkeypatch):
     monkeypatch.setattr(rs, "pairs", tuple(map(tuple, rows)))
 
 
+def _shift_root_coords(monkeypatch):
+    # the bulk coordinates of root 0 moved by the first basis root
+    root_coords = rootsys.RootSystem._root_coords
+
+    def patched(rs):
+        coords = list(root_coords(rs))
+        coords[0] = (coords[0][0] + 1, *coords[0][1:])
+        return tuple(coords)
+    monkeypatch.setattr(rootsys.RootSystem, "_root_coords", patched)
+
+
+def _rebuild_identical_passes():
+    """Whether rebuild_identical passes in a fresh rootsys report; a suite
+    that raises reports it not at all."""
+    status = {c["name"]: c["status"]
+              for c in suites.run_suite("rootsys", None)["checks"]}
+    return status.get("rebuild_identical") == "pass"
+
+
 def _corrupt_w(monkeypatch):
     rs = build_root_system()
     w = [list(row) for row in rs.w]
@@ -379,6 +398,10 @@ MUTATIONS = [
     # gradedlie/theta_automorphism: its cartan side sweeps every root
     ("gradedlie_theta_automorphism", _corrupt_cartan_pairing,
      lambda: not get_algebra().check_theta_automorphism(), None),
+    # rootsys/rebuild_identical: one root's coordinates off by a basis
+    # root, so w read off the coordinates misses a root of the rebuild
+    ("rootsys_root_coords", _shift_root_coords, _rebuild_identical_passes,
+     None),
     # rootsys/order_three and elliptic: one entry of w moved
     ("rootsys_w", _corrupt_w,
      _passes(suites.suite_rootsys, "order_three", "elliptic"), None),

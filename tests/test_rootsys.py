@@ -89,8 +89,8 @@ def test_per_root_pairing_statistics(report):
 
 
 def test_pair_table_matches_pairing(rs):
-    # the shared table, built on one triangle, against the vector pairing
-    # on every ordered pair
+    # the shared table, built from the packed columns of the root matrix,
+    # against the vector pairing on every ordered pair
     roots = rs.roots
     assert all(row[j] == pairing(a, roots[j])
                for a, row in zip(roots, rs.pairs) for j in range(240))
@@ -120,6 +120,16 @@ def test_pair_table_is_lazy():
     fresh = rootsys.RootSystem()
     assert "pairs" not in vars(fresh)
     assert len(fresh.pairs) == 240 and "pairs" in vars(fresh)
+
+
+def test_bulk_coords_and_w_match_the_vector_maps():
+    # a fresh root system's coordinates and its w on the roots, both read
+    # off the bulk coordinates, against to_basis and apply_w on every root
+    fresh = rootsys.RootSystem()
+    assert all(c == fresh.to_basis(r)
+               for r, c in zip(fresh.roots, fresh.coords))
+    assert all(fresh.roots[k] == fresh.apply_w(r)
+               for r, k in zip(fresh.roots, fresh.w_on_roots))
 
 
 def test_basis_roundtrip(rs):

@@ -1,7 +1,6 @@
 """Weight poset, cusp certificates, stability fixtures, Kostant slice, and
 the cusp checks of the session report."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -212,10 +211,9 @@ def test_printed_count_discrepancies_are_logged_not_fatal(report):
 
 
 def test_negative_control_corrupted_fixture():
-    import dataclasses
     case = build_boundary_cases()[0]
-    bad = dataclasses.replace(
-        case, f_prime={**case.f_prime, (4, 5, 6): Fraction(0)}
+    bad = case._replace(
+        f_prime={**case.f_prime, (4, 5, 6): Fraction(0)}
         if (4, 5, 6) in case.f_prime
         else {**case.f_prime, (2, 6, 8): Fraction(0)})
     res = verify_cusp_case(bad)
@@ -282,7 +280,7 @@ def test_raised_f_prime_fails_sum_or_positivity(a):
     assert conds["sum_bound"]["ok"] and conds["positivity"]["ok"]
     raised = {**case.f_prime, a: case.f_prime[a] + conds["sum_bound"]["slack"]}
     conds = verify_cusp_case(
-        dataclasses.replace(case, f_prime=raised))["conditions"]
+        case._replace(f_prime=raised))["conditions"]
     assert not (conds["sum_bound"]["ok"] and conds["positivity"]["ok"])
 
 
@@ -292,8 +290,7 @@ def test_non_descending_g_step_fails_descent(step):
     a = min(case.g)
     target = (next(b for b in ALL_WEIGHTS if leq(a, b) and b != a)
               if step == "upward" else a)
-    res = verify_cusp_case(dataclasses.replace(case,
-                                               g={**case.g, a: target}))
+    res = verify_cusp_case(case._replace(g={**case.g, a: target}))
     assert res["conditions"]["descent_steps"] == {"ok": False, "bad": [a]}
 
 
