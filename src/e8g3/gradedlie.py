@@ -125,9 +125,10 @@ class GradedAlgebra:
         n = 240
         self.n = n
 
-        self.cls = [self.model.root_class(r) for r in rs.roots]
-        # coroot coordinates: the roots' basis coordinates
+        # coroot coordinates: the roots' basis coordinates, which also give
+        # each root's class
         self.cr = rs.coords
+        self.cls = [self.model.coords_class(x) for x in rs.coords]
         self.negidx = [rs.index[neg(r)] for r in rs.roots]
         self.windex = rs.w_on_roots
         # pairing of root with root (the root system's shared table), and

@@ -199,8 +199,9 @@ class HeisenbergModel:
         self.to_symplectic = sorted(range(81),
                                     key=self.from_symplectic.__getitem__)
 
-    def root_class(self, root9) -> int:
-        return self.to_symplectic[class_code(self.rs.project(root9))]
+    def coords_class(self, x) -> int:
+        """Symplectic class code of the vector with basis coordinates x."""
+        return self.to_symplectic[class_code(self.rs.coords_class(x))]
 
 
 @cache

@@ -273,8 +273,11 @@ class RootSystem:
 
     def project(self, v):
         """Class of v in the F_3^4 coinvariant space (SNF coordinates)."""
-        x = mat_vec(self.snf_u, self.to_basis(v))
-        return tuple(c % 3 for c in x[4:])
+        return self.coords_class(self.to_basis(v))
+
+    def coords_class(self, x):
+        """`project` of the vector with basis coordinates x."""
+        return tuple(sum(map(mul, row, x)) % 3 for row in self.snf_u[4:])
 
     def lift(self, cls):
         """A lattice vector projecting to the given coinvariant class."""

@@ -11,6 +11,10 @@ certificate whose f has denominators dividing den is tested on the
 integer vector 9 * den * n, so every test is a sign or a divisibility by
 9; exact rational slack is built only for the report (the case sum,
 positivity and capacity slacks).
+
+The sampled intermediate sets are bit masks over ALL_WEIGHTS, checked by
+popcounts; their tables are built on first use, so that importing this
+module costs the suites that never sweep nothing.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def up_closure(gens):
     mask = 0
     for g in gens:
         mask |= ups[g]
-    return frozenset(b for i, b in enumerate(ALL_WEIGHTS) if mask >> i & 1)
+    return frozenset(mask_weights(mask))
 
 
 def down_closure(gens):
@@ -348,39 +352,86 @@ def verify_cusp_case(case: CuspCase) -> dict:
     return res
 
 
-def derived_f_for(case: CuspCase, m0):
-    """The function built from a certificate for an intermediate set."""
-    removed = case.m0_prime - frozenset(m0)
-    hits = Counter(t for b, t in case.g.items() if b in removed)
-    return {a: case.f_prime[a] - hits[a] for a in case.m1_prime}
-
-
-def check_direct_certificate(m0, f_map) -> dict:
-    """The two conditions of the cusp bound for a concrete (M0, f)."""
-    den, fd = _scaled(f_map)
-    pos = _certificate_positivity(m0, den, fd)
-    return {
-        "sum_ok": sum(fd.values()) < den * len(m0),
-        "positivity_ok": all(v > 0 for v in pos),
-        "nonneg_ok": all(v >= 0 for v in fd.values()),
-    }
-
-
 INTERMEDIATE_SAMPLES = 100
 
 
-def sample_intermediates(case: CuspCase):
-    """Fixed random up-closed sets between the two fixture layers, drawn
-    from a generator keyed by the case label."""
+@cache
+def _bits():
+    """Each weight's bit, 1 << its index in ALL_WEIGHTS."""
+    return {a: 1 << i for i, a in enumerate(ALL_WEIGHTS)}
+
+
+def _mask(weights):
+    """The bit mask of a set of weights."""
+    bits = _bits()
+    return sum(bits[a] for a in weights)
+
+
+def mask_weights(mask):
+    """The weights of a bit mask, in the order of ALL_WEIGHTS."""
+    return [a for i, a in enumerate(ALL_WEIGHTS) if mask >> i & 1]
+
+
+@cache
+def _index_masks():
+    """For k = 1..9, the mask of the weights that contain k: coordinate k
+    of the sum of weight_vector over a set M of weights is |M & mask|."""
+    return tuple(sum(bit for a, bit in _bits().items() if k in a)
+                 for k in range(1, 10))
+
+
+def intermediate_masks(case: CuspCase):
+    """Fixed random up-closed sets between the two fixture layers, as bit
+    masks, drawn from a generator keyed by the case label."""
+    ups = _up_masks()
+    inner, outer = _mask(case.m0_dprime), _mask(case.m0_prime)
+    free = [ups[a] for a in sorted(case.m0_prime - case.m0_dprime)]
     rng = random.Random(case.label)
-    free = sorted(case.m0_prime - case.m0_dprime)
     out = []
     for _ in range(INTERMEDIATE_SAMPLES):
         # random() < 1/2 in integers: both read two 32-bit words, and the
         # top bit of the first (bit 31 of getrandbits(64)) decides
-        chosen = [a for a in free if not rng.getrandbits(64) & 1 << 31]
-        out.append(case.m0_dprime | (up_closure(chosen) & case.m0_prime))
+        up = 0
+        for mask in free:
+            if not rng.getrandbits(64) & 1 << 31:
+                up |= mask
+        out.append(inner | up & outer)
     return out
+
+
+def intermediate_check(case: CuspCase):
+    """The direct certificate for an intermediate set of the case: a
+    function of the mask of M0 (between the two layers) giving
+    (sum_ok, positivity_ok, nonneg_ok) for M0 and the f that the case
+    derives for it, f' less one at g(b) for every b of M0' outside M0.
+
+    f' less an integer keeps its denominators, so den, den * f' and the
+    masks of the g-preimages of each M1' weight are built once.  The
+    positivity vector is that of _certificate_positivity, taken as the
+    coweights of den * (sum(Phi_G+) - sum(M0)) + sum den f(a) a.
+    """
+    den, fd = _scaled({a: case.f_prime[a] for a in case.m1_prime})
+    preimages = dict.fromkeys(fd, 0)
+    bits = _bits()
+    for b, a in case.g.items():
+        if a in preimages:
+            preimages[a] |= bits[b]
+    slots = [(fd[a], a, preimages[a]) for a in fd]
+    phi = [den * x for x in sum_phi_g_plus()]
+    index_masks = _index_masks()
+    outer = _mask(case.m0_prime)
+
+    def check(m0):
+        removed = outer & ~m0
+        f = [k - den * (removed & pre).bit_count() for k, _, pre in slots]
+        v = [p - den * (m0 & m).bit_count() for p, m in zip(phi, index_masks)]
+        for k, (_, a, _) in zip(f, slots):
+            for i in a:
+                v[i - 1] += k
+        return (sum(f) < den * m0.bit_count(),
+                all(x > 0 for x in _coweights9(v)),
+                all(k >= 0 for k in f))
+    return check
 
 
 SMALL_SET_SIZE = 10
@@ -432,12 +483,9 @@ def verify_cusp_bound() -> dict:
     report = {"cases": []}
     for case in build_base_cases() + build_boundary_cases():
         res = verify_cusp_case(case)
-        inter_fail = []
-        for m0 in sample_intermediates(case):
-            f_map = derived_f_for(case, m0)
-            direct = check_direct_certificate(m0, f_map)
-            if not all(direct.values()):
-                inter_fail.append(sorted(m0))
+        check = intermediate_check(case)
+        inter_fail = [mask_weights(m0) for m0 in intermediate_masks(case)
+                      if not all(check(m0))]
         res["sampled_intermediates"] = {"count": INTERMEDIATE_SAMPLES,
                                         "failures": inter_fail}
         report["cases"].append(res)

@@ -2,14 +2,18 @@
 and degree-6 exterior powers, with wedge and contraction brackets.
 
 Used as a second route for the regular nilpotent slice computations: it
-shares nothing with the structure-constant table (coefficients here are
-plain fractions over the monomial wedge basis).
+shares nothing with the structure-constant table.  Vectors are dicts of
+int coefficients over the monomial wedge basis, and matrices are int
+9x9 lists.  The two places where the model has thirds and ninths are
+scaled away: the grading element is kept as 3x (value 6 on every basis
+triple), and the contraction bracket as 9x (9 M - tr(M) I).  Ranks and
+kernels are exact, by elimination over Q on the int rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 from .intlinalg import mat_eq, nullspace, rank, solve
 
@@ -47,7 +51,7 @@ def _act(A, v):
                     key, sgn = merge_sign(tuple(seq))
                     if key is None:
                         continue
-                    val = out.get(key, Fraction(0)) + c * a * sgn
+                    val = out.get(key, 0) + c * a * sgn
                     if val:
                         out[key] = val
                     else:
@@ -63,7 +67,7 @@ def wedge33(u, v):
             key, sgn = merge_sign(s, t)
             if key is None:
                 continue
-            val = out.get(key, Fraction(0)) + cs * ct * sgn
+            val = out.get(key, 0) + cs * ct * sgn
             if val:
                 out[key] = val
             else:
@@ -99,28 +103,31 @@ def vol_coeff(s3, t6):
 
 
 def bracket36(u, x):
-    """Contraction bracket of a degree-3 and a degree-6 vector: a traceless
-    9x9 matrix (equivariant pairing; normalization fixed by this formula)."""
-    M = [[Fraction(0)] * 9 for _ in range(9)]
-    for (a, b, c), cu in u.items():
-        for t, cx in x.items():
+    """Contraction bracket of a degree-3 and a degree-6 vector, scaled by 9
+    to stay integral: 9 M - tr(M) I, where M is the contraction matrix and
+    M - tr(M) / 9 I the traceless bracket (equivariant pairing;
+    normalization fixed by this formula).
+
+    Row a of M at the slot (a, b, c) pairs e_(q, b, c) with e_t for the one
+    q that completes (b, c) to the complement of t, whose entries sum to
+    45 - sum(t); rows b and c likewise."""
+    M = [[0] * 9 for _ in range(9)]
+    for t, cx in x.items():
+        signs = _VOL[t]
+        rest = 45 - sum(t)
+        for (a, b, c), cu in u.items():
             coef = cu * cx
-            if not coef:
-                continue
-            for q in range(1, 10):
-                v1 = vol_coeff((q, b, c), t)
-                if v1:
-                    M[a - 1][q - 1] += coef * v1
-                v2 = vol_coeff((q, a, c), t)
-                if v2:
-                    M[b - 1][q - 1] -= coef * v2
-                v3 = vol_coeff((q, a, b), t)
-                if v3:
-                    M[c - 1][q - 1] += coef * v3
-    tr = sum(M[i][i] for i in range(9)) / 9
+            for row, pair, sgn in ((a, (b, c), coef), (b, (a, c), -coef),
+                                   (c, (a, b), coef)):
+                q = rest - pair[0] - pair[1]
+                v = signs.get((q, *pair))
+                if v:
+                    M[row - 1][q - 1] += sgn * v
+    tr = sum(M[i][i] for i in range(9))
+    out = [[9 * m for m in row] for row in M]
     for i in range(9):
-        M[i][i] -= tr
-    return M
+        out[i][i] -= tr
+    return out
 
 
 def sl9_basis():
@@ -129,15 +136,19 @@ def sl9_basis():
     for i in range(9):
         for j in range(9):
             if i != j:
-                M = [[Fraction(0)] * 9 for _ in range(9)]
-                M[i][j] = Fraction(1)
+                M = [[0] * 9 for _ in range(9)]
+                M[i][j] = 1
                 out.append(M)
     for i in range(8):
-        M = [[Fraction(0)] * 9 for _ in range(9)]
-        M[i][i] = Fraction(1)
-        M[i + 1][i + 1] = Fraction(-1)
+        M = [[0] * 9 for _ in range(9)]
+        M[i][i] = 1
+        M[i + 1][i + 1] = -1
         out.append(M)
     return out
+
+
+def _flat(M):
+    return [m for row in M for m in row]
 
 
 def kostant_slice_report():
@@ -148,74 +159,61 @@ def kostant_slice_report():
     """
     from .cuspdata import S_H
 
-    E = {t: Fraction(1) for t in S_H}
-    # grading element: diagonal, value 2 on every basis triple, trace 0
-    xdiag = [Fraction(6 * d) - Fraction(88, 3) for d in
-             (0, 2, 3, 4, 5, 6, 7, 8, 9)]
-    if sum(xdiag) != 0 or any(sum(xdiag[i - 1] for i in t) != 2
-                              for t in S_H):
+    E = {t: 1 for t in S_H}
+    # grading element x, scaled by 3: diagonal, value 6 on every basis
+    # triple, trace 0
+    x3 = [18 * d - 88 for d in (0, 2, 3, 4, 5, 6, 7, 8, 9)]
+    if sum(x3) != 0 or any(sum(x3[i - 1] for i in t) != 6 for t in S_H):
         raise AssertionError("grading element is not traceless with value "
                              "2 on the basis triples")
-    X = [[Fraction(0)] * 9 for _ in range(9)]
-    for i in range(9):
-        X[i][i] = xdiag[i]
+    X3 = [[x3[i] if i == j else 0 for j in range(9)] for i in range(9)]
 
-    # the lower element lives in the x-weight (-2) slice of degree 6
-    weight6 = {t: sum(xdiag[i - 1] for i in t) for t in W6}
-    cand = [t for t in W6 if weight6[t] == -2]
-    images = [bracket36(E, {t: Fraction(1)}) for t in cand]
-    rows = []
-    rhs = []
-    for p in range(9):
-        for q in range(9):
-            rows.append([M[p][q] for M in images])
-            rhs.append(X[p][q])
+    # the lower element lives in the x-weight (-2) slice of degree 6; it
+    # solves [E, F] = x, that is bracket36(E, F) = 9 x = 3 X3
+    weight6 = {t: sum(x3[i - 1] for i in t) for t in W6}
+    cand = [t for t in W6 if weight6[t] == -6]
+    images = [_flat(bracket36(E, {t: 1})) for t in cand]
+    rows = [list(col) for col in zip(*images)]
+    rhs = [3 * m for m in _flat(X3)]
     sol = solve(rows, rhs, len(cand))
     if sol is None:
         raise AssertionError("no solution for the lower triple element")
     if nullspace(rows, len(cand)):
         raise AssertionError("lower element not unique")
-    F = {t: c for t, c in zip(cand, sol) if c}
+    # F scaled by den to integers: den * F
+    den = lcm(*(c.denominator for c in sol))
+    F = {t: int(c * den) for t, c in zip(cand, sol) if c}
 
-    # sl2 relations
-    XF = _act(X, F)
-    if not mat_eq(bracket36(E, F), X) or any(
-            XF.get(t, Fraction(0)) != -2 * F.get(t, Fraction(0))
-            for t in set(XF) | set(F)):
+    # sl2 relations, [E, F] = x and [x, F] = -2 F, scaled by den
+    XF = _act(X3, F)
+    if (not mat_eq(bracket36(E, F), [[3 * den * m for m in row] for row in X3])
+            or XF != {t: -6 * c for t, c in F.items()}):
         raise AssertionError("sl2 relations fail in the wedge model")
 
     # centralizer of F inside degree 3 and its grading weights
-    rows3 = []
-    for t in W3:
-        M = bracket36({t: Fraction(1)}, F)
-        rows3.append([M[p][q] for p in range(9) for q in range(9)])
-    cols = [list(col) for col in zip(*rows3)]
+    cols = [list(col) for col in
+            zip(*(_flat(bracket36({t: 1}, F)) for t in W3))]
     kernel = nullspace(cols, 84)
     weights = []
     for vec in kernel:
         support = [W3[i] for i, c in enumerate(vec) if c]
-        vals = {sum(xdiag[i - 1] for i in t) for t in support}
+        vals = {sum(x3[i - 1] for i in t) for t in support}
         if len(vals) != 1:
             raise AssertionError("kernel vector mixes grading weights")
         weights.append(vals.pop())
-    degrees = sorted(int(1 - w / 2) for w in weights)
+    # the unscaled weight is w = w3 / 3, an even integer, of degree 1 - w / 2
+    degrees = sorted(1 - w // 6 for w in weights)
 
-    # full kernel of ad(E), block by block around the grading; entries
-    # missing from an image (most of the 13,776) share one zero, which
-    # keeps the peak memory of this step down
-    zero = Fraction(0)
+    # full kernel of ad(E), block by block around the grading
     rowsA = []
     for A in sl9_basis():
         img = _act(A, E)
-        rowsA.append([-img[t] if t in img else zero for t in W3])
+        rowsA.append([-img.get(t, 0) for t in W3])
     rowsB = []
     for t in W3:
-        img = wedge33(E, {t: Fraction(1)})
-        rowsB.append([img.get(s, zero) for s in W6])
-    rowsC = []
-    for t in W6:
-        M = bracket36(E, {t: Fraction(1)})
-        rowsC.append([M[p][q] for p in range(9) for q in range(9)])
+        img = wedge33(E, {t: 1})
+        rowsB.append([img.get(s, 0) for s in W6])
+    rowsC = [_flat(bracket36(E, {t: 1})) for t in W6]
     ker_total = ((80 - rank(rowsA, 84))
                  + (84 - rank(rowsB, 84))
                  + (84 - rank(rowsC, 81)))

@@ -389,6 +389,13 @@ def test_heis_imports_no_cyc_and_the_library_has_no_global():
                    for _, node in _library_nodes())
 
 
+def test_wedge_model_has_no_fraction():
+    # the wedge model runs on ints: its brackets are scaled to integers,
+    # and only the elimination it calls works over Q
+    assert _import_lines("wedge", "fractions") == []
+    assert "Fraction" not in Path(SRC, "e8g3", "wedge.py").read_text()
+
+
 def test_sp4_keeps_no_f3_table_of_its_own():
     # sp4's form and action are heis's objects themselves, so the F_3^4
     # arithmetic has one set of tables

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from e8g3 import (cuspdata, finitefield, gradedlie, heis, kostant, rootsys,
-                  sections, sp4, suites)
+                  sections, sp4, suites, vinberg)
 from e8g3.finitefield import GF
 from e8g3.gradedlie import (GradedAlgebra, LieElement, _out_additive,
                             get_algebra, killing_gram)
@@ -59,6 +59,28 @@ def _table_model():
 
 def _two_models_agree():
     return kostant.cross_check_with_wedge_model(*_table_model())
+
+
+def _lower_case1_f_prime(monkeypatch):
+    # case1's f' at (2, 6, 8) lowered from 5 to 4, below its five
+    # g-preimages: a sampled set that keeps all five gets f < 0 there
+    build = vinberg.build_boundary_cases
+
+    def lowered():
+        cases = build()
+        case = cases[0]
+        a = (2, 6, 8)
+        cases[0] = case._replace(
+            f_prime={**case.f_prime, a: case.f_prime[a] - 1})
+        return cases
+    monkeypatch.setattr(vinberg, "build_boundary_cases", lowered)
+
+
+def _case1_intermediates_pass():
+    """Whether case_case1_intermediates passes in a fresh cusp report."""
+    status = {c["name"]: c["status"]
+              for c in suites.run_suite("cusp", None)["checks"]}
+    return status.get("case_case1_intermediates") == "pass"
 
 
 def _irregular_slice_point(monkeypatch):
@@ -428,6 +450,9 @@ MUTATIONS = [
     # one basis triple, since no lower element then solves [E, F] = X
     ("kostant_two_models_agree", _drop_wedge_triple, _two_models_agree,
      AssertionError),
+    # cusp/case_<label>_intermediates: the sampled sets derive f from f'
+    ("cusp_case_intermediates", _lower_case1_f_prime,
+     _case1_intermediates_pass, None),
     # gradedlie/lambda_twists: a root bracket redirected to the negative
     # root breaks the class twist there (redirecting it to the w-image
     # would not, since w fixes classes)

@@ -2,6 +2,8 @@
 the cusp checks of the session report."""
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,6 @@ from e8g3.vinberg import (
     check_gamma_criterion,
     check_lambda_criterion,
     degree_bookkeeping,
-    derived_f_for,
     enumerate_up_closed,
     leq,
     phi_v_plus,
@@ -30,6 +31,45 @@ from e8g3.vinberg import (
 )
 
 CASES = build_base_cases() + build_boundary_cases()
+
+
+# -- set-based oracle of the sampled-intermediate sweep -----------------------
+
+
+def sample_intermediates(case):
+    """The sampled intermediate sets as frozensets, drawn bit for bit as
+    the library draws its masks."""
+    rng = random.Random(case.label)
+    free = sorted(case.m0_prime - case.m0_dprime)
+    out = []
+    for _ in range(vinberg.INTERMEDIATE_SAMPLES):
+        chosen = [a for a in free if not rng.getrandbits(64) & 1 << 31]
+        out.append(case.m0_dprime | (up_closure(chosen) & case.m0_prime))
+    return out
+
+
+def derived_f_for(case, m0):
+    """The function built from a certificate for an intermediate set."""
+    removed = case.m0_prime - frozenset(m0)
+    hits = Counter(t for b, t in case.g.items() if b in removed)
+    return {a: case.f_prime[a] - hits[a] for a in case.m1_prime}
+
+
+def check_direct_certificate(m0, f_map):
+    """The two conditions of the cusp bound for a concrete (M0, f), and
+    f >= 0."""
+    den, fd = vinberg._scaled(f_map)
+    pos = vinberg._certificate_positivity(m0, den, fd)
+    return {
+        "sum_ok": sum(fd.values()) < den * len(m0),
+        "positivity_ok": all(v > 0 for v in pos),
+        "nonneg_ok": all(v >= 0 for v in fd.values()),
+    }
+
+
+def _mask_sets(case):
+    return [frozenset(vinberg.mask_weights(m))
+            for m in vinberg.intermediate_masks(case)]
 
 
 def n_vector(coords):
@@ -167,15 +207,30 @@ def test_all_cases_pass(report):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.label)
 def test_sampled_intermediates_are_the_float_draws(case):
-    # the integer draw picks the sets that random() < 0.5 would
-    import random
+    # the integer draw on masks picks the sets that random() < 0.5 would
     rng = random.Random(case.label)
     free = sorted(case.m0_prime - case.m0_dprime)
     expect = []
     for _ in range(vinberg.INTERMEDIATE_SAMPLES):
         chosen = [a for a in free if rng.random() < 0.5]
         expect.append(case.m0_dprime | (up_closure(chosen) & case.m0_prime))
-    assert vinberg.sample_intermediates(case) == expect
+    assert _mask_sets(case) == expect
+
+
+def test_mask_sweep_is_the_set_sweep():
+    # the same 1,400 sets as the set-based draw, each up-closed between
+    # the two layers, and the same (here empty) failure lists
+    drawn = [(case, m0) for case in CASES for m0 in _mask_sets(case)]
+    assert len(drawn) == 1400
+    assert [m0 for _, m0 in drawn] == [
+        m0 for case in CASES for m0 in sample_intermediates(case)]
+    assert all(case.m0_dprime <= m0 <= case.m0_prime
+               and vinberg.is_up_closed(m0) for case, m0 in drawn)
+    failures = [sorted(m0) for case, m0 in drawn if not all(
+        check_direct_certificate(m0, derived_f_for(case, m0)).values())]
+    assert failures == [] == [
+        f for c in vinberg.verify_cusp_bound()["cases"]
+        for f in c["sampled_intermediates"]["failures"]]
 
 
 def test_case_f1_value_from_table():
@@ -262,6 +317,30 @@ def test_integer_positivity_is_scaled_fraction_positivity(cert):
     m0, f_map = cert
     assert vinberg.is_up_closed(m0)
     assert _integer_matches_oracle(m0, f_map)
+
+
+@st.composite
+def mask_certificates(draw):
+    """A case, with its own f' or a random nonnegative rational f' on its
+    M1', and an up-closed set between its two layers."""
+    case = draw(st.sampled_from(CASES))
+    if draw(st.booleans()):
+        case = case._replace(f_prime={
+            a: draw(st.fractions(min_value=0, max_value=8,
+                                 max_denominator=64))
+            for a in case.m1_prime})
+    free = sorted(case.m0_prime - case.m0_dprime)
+    chosen = draw(st.lists(st.sampled_from(free), unique=True))
+    return case, case.m0_dprime | (up_closure(chosen) & case.m0_prime)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(mask_certificates())
+def test_mask_check_is_the_set_check(cert):
+    case, m0 = cert
+    expect = check_direct_certificate(m0, derived_f_for(case, m0))
+    assert vinberg.intermediate_check(case)(vinberg._mask(m0)) == (
+        expect["sum_ok"], expect["positivity_ok"], expect["nonneg_ok"])
 
 
 def test_mutated_coweight_entry_fails_the_property(monkeypatch):
