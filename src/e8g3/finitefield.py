@@ -2,12 +2,14 @@
 polynomial arithmetic over them.
 
 Elements are integers 0..q-1 encoding base-p coefficient vectors.  Each
-field decodes its q elements once and builds q x q add, sub and mul
-tables and a neg table from the digit vectors (mul through exp/log), so
-every field operation downstream is one list lookup.  F_(p^k) is built
-on GF(p): its product is the polynomial product below, over GF(p),
-modulo an irreducible.  The tables cost O(q^2) memory, which bounds q by
-MAX_Q.
+field builds q x q add, sub and mul tables and a neg table: add as Z_p^k,
+one base-p digit at a time, neg from the decoded digit vectors, sub from
+add and neg, and mul through exp/log, so every field operation
+downstream is one list lookup.  The polynomial kernels read table rows:
+a product term is add[out][mul_x[y]] with mul_x the row of x.  F_(p^k)
+is built on GF(p): its product is the polynomial product below, over
+GF(p), modulo an irreducible.  The tables cost O(q^2) memory, which
+bounds q by MAX_Q.
 """
 
 from __future__ import annotations
@@ -130,8 +132,17 @@ class GF:
         if cur != 1:
             raise AssertionError(f"generator {g} does not have order q - 1")
         self.neg_table = [_encode([-x % p for x in v], p) for v in digits]
-        self.add_table = [[_encode([(x + y) % p for x, y in zip(va, vb)], p)
-                           for vb in digits] for va in digits]
+        # Z_p^k one digit at a time: with s = p^j, the sum of a + s x and
+        # b + s y (a, b < s) is the Z_p^j sum of a and b plus
+        # s ((x + y) mod p)
+        add = [[0]]
+        size = 1
+        for _ in range(k):
+            top = [[size * ((x + y) % p) for y in range(p)] for x in range(p)]
+            add = [[t + v for t in top[x] for v in row]
+                   for x in range(p) for row in add]
+            size *= p
+        self.add_table = add
         self.sub_table = [[row[nb] for nb in self.neg_table]
                           for row in self.add_table]
         exp2 = self.exp * 2
@@ -196,33 +207,41 @@ def ptrim(a):
 
 
 def padd(F, a, b):
-    n = max(len(a), len(b))
-    out = [F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-           for i in range(n)]
+    if len(a) < len(b):
+        a, b = b, a
+    add = F.add_table
+    out = [add[x][y] for x, y in zip(a, b)]
+    out.extend(a[len(b):])
     return ptrim(out)
 
 
 def psub(F, a, b):
-    n = max(len(a), len(b))
-    out = [F.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-           for i in range(n)]
+    sub = F.sub_table
+    out = [sub[x][y] for x, y in zip(a, b)]
+    if len(a) > len(b):
+        out.extend(a[len(b):])
+    else:
+        neg = F.neg_table
+        out.extend([neg[y] for y in b[len(a):]])
     return ptrim(out)
 
 
 def pmul(F, a, b):
     if not a or not b:
         return []
+    add, mul = F.add_table, F.mul_table
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+            row = mul[x]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][row[y]]
     return ptrim(out)
 
 
 def pscale(F, a, c):
-    return ptrim([F.mul(x, c) for x in a])
+    row = F.mul_table[c]
+    return ptrim([row[x] for x in a])
 
 
 def pdivmod(F, a, b):
@@ -265,9 +284,10 @@ def pxgcd(F, a, b):
 
 
 def peval(F, a, x):
+    add, row = F.add_table, F.mul_table[x]
     out = 0
     for c in reversed(a):
-        out = F.add(F.mul(out, x), c)
+        out = add[row[out]][c]
     return out
 
 

@@ -278,8 +278,14 @@ def fixture_from_json(text: str):
             isinstance(p, list) and len(p) == 2 and all(map(_int_list, p))
             for p in pairs)):
         raise ValueError("each section must be a pair of int lists")
+    if not all(len(a) == 3 and len(b) == 4 for a, b in pairs):
+        raise ValueError("each section must have three a and four b "
+                         "coefficients")
+    q = payload["q"]
+    if not all(0 <= c < q for a, b in pairs for c in a + b):
+        raise ValueError(f"section coefficients must lie in 0..{q - 1}")
     sections = [Section(tuple(a), tuple(b)) for a, b in pairs]
-    return (payload["q"], fcoeffs, sections,
+    return (q, fcoeffs, sections,
             tuple(tuple(x) for x in payload["expected_histogram_row"]))
 
 

@@ -1,20 +1,22 @@
 """The symplectic group on four F_3 coordinates and the exact density of
-elements with a fixed vector, counted two independent ways: a cofactor
-determinant of M - I on every enumerated element, and Moebius inversion
-on the lattice of subspaces of F_3^4, where the classes swept are the
-orbits of subspaces under two symplectic generators, without the
-enumeration.
+elements with a fixed vector, counted two independent ways: det(M - I)
+on every enumerated element, expanded along the f2 column with one
+cofactor row per head (e1, f1, e2), and Moebius inversion on the lattice
+of subspaces of F_3^4, where the classes swept are the orbits of
+subspaces under two symplectic generators, without the enumeration.
 
 A vector of F_3^4 is its heis class code (27 v0 + 9 v1 + 3 v2 + v3 in
 0..80, so code order is the lexicographic order of the tuples
 `heis.CLASSES`), and a matrix is the 4-tuple of its column codes
 (e1, e2, f1, f2), a symplectic basis.  The enumerated group packs each
-element into one int, ((e1 * 81 + f1) * 81 + e2) * 81 + f2, and the
-group's closure codes a basis by the ranks of its two hyperbolic pairs
-(e1, f1) and (e2, f2).  The form is `heis.FORM`, and a matrix acts on
-vectors through the 81-entry table `heis.action` builds; this module
-keeps no F_3 table of its own.  A subspace is the 81-bit mask with bit c
-set for each code c in it.
+element into one int, ((e1 * 81 + f1) * 81 + e2) * 81 + f2, so the
+elements of one head are consecutive.  The Moebius side walks ordered
+bases as codes in a radix, the ranks of the two hyperbolic pairs
+(e1, f1) and (e2, f2) for the group and the vector codes for a basis of
+at most three vectors, over a bitmap of reached codes.  The form is
+`heis.FORM`, and a matrix acts on vectors through the 81-entry table
+`heis.action` builds; this module keeps no F_3 table of its own.  A
+subspace is the 81-bit mask with bit c set for each code c in it.
 """
 
 from __future__ import annotations
@@ -51,35 +53,48 @@ def enumerate_sp4():
     return out
 
 
-def _det_minus_identity(cols) -> int:
-    """det(M - I) mod 3 by Laplace expansion along columns 0 and 1: the
-    six 2 x 2 minors of those columns times their complementary minors."""
-    a0, a1, a2, a3 = CLASSES[cols[0]]
-    b0, b1, b2, b3 = CLASSES[cols[1]]
-    c0, c1, c2, c3 = CLASSES[cols[2]]
-    d0, d1, d2, d3 = CLASSES[cols[3]]
+def _cofactor_row(e1, e2, f1):
+    """The cofactors (K0, K1, K2, K3) of the fourth column of M - I, for M
+    with columns (e1, e2, f1, f2): det(M - I) = K . (f2 - u4) mod 3 for
+    every f2, u4 the fourth unit vector.  The six 2 x 2 minors of the
+    shifted columns e1 and f1 expand, along the shifted e2, into the four
+    3 x 3 minors left when one row is struck out."""
+    a0, a1, a2, a3 = CLASSES[e1]
+    b0, b1, b2, b3 = CLASSES[e2]
+    c0, c1, c2, c3 = CLASSES[f1]
     a0 -= 1
     b1 -= 1
     c2 -= 1
-    d3 -= 1
-    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)) % 3
+    m01 = a0 * c1 - a1 * c0
+    m02 = a0 * c2 - a2 * c0
+    m03 = a0 * c3 - a3 * c0
+    m12 = a1 * c2 - a2 * c1
+    m13 = a1 * c3 - a3 * c1
+    m23 = a2 * c3 - a3 * c2
+    return (b1 * m23 - b2 * m13 + b3 * m12,
+            b2 * m03 - b0 * m23 - b3 * m02,
+            b0 * m13 - b1 * m03 + b3 * m01,
+            b1 * m02 - b0 * m12 - b2 * m01)
 
 
 def density_direct():
     """(order, |C|) by testing det(M - I) on every element of the
-    enumerated group."""
+    enumerated group.  The sorted codes come in runs of one head
+    (e1, f1, e2), whose cofactor row is computed once; each element then
+    costs one dot product with its shifted f2."""
     group = enumerate_sp4()
     hits = 0
+    last = -1
     for code in group:
-        e1f1, e2f2 = divmod(code, 6561)
-        e1, f1 = divmod(e1f1, 81)
-        e2, f2 = divmod(e2f2, 81)
-        if not _det_minus_identity((e1, e2, f1, f2)):
+        head, f2 = divmod(code, 81)
+        if head != last:
+            last = head
+            e1f1, e2 = divmod(head, 81)
+            e1, f1 = divmod(e1f1, 81)
+            k0, k1, k2, k3 = _cofactor_row(e1, e2, f1)
+        d0, d1, d2, d3 = CLASSES[f2]
+        d3 -= 1
+        if not (k0 * d0 + k1 * d1 + k2 * d2 + k3 * d3) % 3:
             hits += 1
     return len(group), hits
 
@@ -143,6 +158,43 @@ def _orbit(basis, acts, key):
     return seen
 
 
+def _walk(digits, tables, radix):
+    """The number of ordered bases reached from the one with the given
+    digits, each digit sent through one table per generator.
+
+    A basis is the code of its digits in the radix, first digit most
+    significant, and a code splits as head * radix + last digit.  Each
+    table is extended once to the heads, the codes of the first k - 1
+    digits, as radix times the head's image, so an image costs two
+    lookups; the reached codes are bits of a bytearray.
+    """
+    maps = []
+    for table in tables:
+        heads = [0]
+        for _ in digits[1:]:
+            heads = [(h + x) * radix for h in heads for x in table]
+        maps.append((heads, table))
+    start = 0
+    for d in digits:
+        start = start * radix + d
+    seen = bytearray((radix ** len(digits) + 7) // 8)
+    seen[start >> 3] = 1 << (start & 7)
+    n = 1
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for heads, table in maps:
+            for image in [heads[c // radix] + table[c % radix]
+                          for c in frontier]:
+                byte, bit = image >> 3, 1 << (image & 7)
+                if not seen[byte] & bit:
+                    seen[byte] |= bit
+                    nxt.append(image)
+        n += len(nxt)
+        frontier = nxt
+    return n
+
+
 def _pair_ranks(pairs):
     """The position of each pair (e, f) in the list, keyed by 81 e + f."""
     return {81 * e + f: i for i, (e, f) in enumerate(pairs)}
@@ -150,36 +202,16 @@ def _pair_ranks(pairs):
 
 def _group_order(acts):
     """The size of the orbit of the identity's basis under the action
-    tables, which for symplectic generators is |G|.
-
-    A basis is coded rank(e1, f1) * P + rank(e2, f2) over the P = 2,160
-    hyperbolic pairs (e, f), those with <e, f> = 1, a generator maps the
-    ranks through a P-entry table, and the reached codes are bits of a
-    bytearray.
-    """
+    tables, which for symplectic generators is |G|: the basis has the two
+    digits rank(e1, f1) and rank(e2, f2) in the radix P = 2,160 of the
+    hyperbolic pairs (e, f), those with <e, f> = 1, and a generator maps
+    the ranks through a P-entry table."""
     pairs = [(e, f) for e in _VECS for f in _VECS if FORM[e][f] == 1]
     rank = _pair_ranks(pairs)
-    size = len(pairs)
     tables = [[rank[81 * act[e] + act[f]] for e, f in pairs] for act in acts]
     e1, e2, f1, f2 = _identity()
-    start = rank[81 * e1 + f1] * size + rank[81 * e2 + f2]
-    seen = bytearray((size * size + 7) // 8)
-    seen[start >> 3] = 1 << (start & 7)
-    n = 1
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for code in frontier:
-            p1, p2 = divmod(code, size)
-            for table in tables:
-                image = table[p1] * size + table[p2]
-                bit = 1 << (image & 7)
-                if not seen[image >> 3] & bit:
-                    seen[image >> 3] |= bit
-                    nxt.append(image)
-        n += len(nxt)
-        frontier = nxt
-    return n
+    return _walk((rank[81 * e1 + f1], rank[81 * e2 + f2]), tables,
+                 len(pairs))
 
 
 def density_by_classes():
@@ -204,8 +236,9 @@ def density_by_classes():
         basis = tuple(_identity()[i] for i in columns)
         orbit = _orbit(basis, acts, _span)
         reached[len(basis)].extend(orbit)
-        # the identity's orbit is the group, counted above
-        bases = n if len(basis) == 4 else len(_orbit(basis, acts, tuple))
+        # the identity's orbit is the group, counted above; a smaller
+        # basis is its digits in the radix 81 of the vector codes
+        bases = n if len(basis) == 4 else _walk(basis, acts, 81)
         stabilizer, rest = divmod(n, bases)
         if rest:
             raise ValueError("basis orbit size does not divide the order")

@@ -189,15 +189,24 @@ def _bad_fixture(tmp_path, case):
     elif case == "sections_text":
         payload["sections"] = [["a", "b"]]
         path.write_text(json.dumps(payload))
+    elif case == "sections_short":
+        payload["sections"][0][0].pop()
+        path.write_text(json.dumps(payload))
+    elif case == "section_out_of_field":
+        payload["sections"][0][1][3] = payload["q"]
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
 # q = 170 is not a prime power, 128 is even, 529 = 23^2 is above GF's
-# tables; f5_2 is a quintic that is not monic
+# tables; f5_2 is a quintic that is not monic; sections_short has a
+# section whose a has two coefficients, and section_out_of_field one whose
+# b has the coefficient q
 @pytest.mark.parametrize("case", ["missing", "unreadable", "bad_json",
                                   "wrong_version", "missing_key", "q_170",
                                   "q_128", "q_529", "f_coeffs_text",
-                                  "f_coeffs_short", "f5_2", "sections_text"])
+                                  "f_coeffs_short", "f5_2", "sections_text",
+                                  "sections_short", "section_out_of_field"])
 def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
     # with "all", sections runs last: nothing may run before the error
     code = main(["verify", "all", "--fixture", _bad_fixture(tmp_path, case)])

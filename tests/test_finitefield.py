@@ -1,4 +1,5 @@
 """F_q tables against digit-vector and polynomial arithmetic written out
+here, the polynomial kernels against coefficient arithmetic written out
 here, the field axioms, and the bound on q."""
 
 from functools import lru_cache
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8g3.finitefield import GF, MAX_Q, quadratic_roots
+from e8g3.finitefield import (GF, MAX_Q, padd, pdivmod, peval, pmul, pscale,
+                              psub, quadratic_roots)
 
 ORDERS = st.sampled_from([3, 7, 9, 25, 27, 49, 169])
 
@@ -53,6 +55,77 @@ def test_tables_match_digit_and_polynomial_arithmetic(q, data):
     assert F.sub_table[a][b] == _encode(F, [x - y for x, y in zip(da, db)])
     assert F.neg_table[a] == _encode(F, [-x for x in da])
     assert F.mul_table[a][b] == _encode(F, _poly_mulmod(F, da, db))
+
+
+def _add(F, a, b):
+    return _encode(F, [x + y for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def _mul(F, a, b):
+    return _encode(F, _poly_mulmod(F, _digits(F, a), _digits(F, b)))
+
+
+def _neg(F, a):
+    return _encode(F, [-x for x in _digits(F, a)])
+
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _oracle_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim(_add(F, x, y) for x, y in zip(a, b))
+
+
+def _oracle_mul(F, a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = _add(F, out[i + j], _mul(F, x, y))
+    return _trim(out)
+
+
+def _draw_poly(data, F, top):
+    """A polynomial of degree below 6, zero a tenth of the time, whose top
+    coefficients may be copied from `top` so that sums and differences
+    with it cancel at the lead."""
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 6, 6, 6]))
+    out = _draw_elements(data, F, n)
+    if top and n == len(top) and data.draw(st.booleans()):
+        copied = data.draw(st.integers(1, n))
+        out[n - copied:] = top[n - copied:]
+    if out:
+        out[-1] = out[-1] or 1
+    return out
+
+
+@settings(deadline=None, derandomize=True)
+@given(q=st.sampled_from([7, 9, 169]), data=st.data())
+def test_polynomial_kernels_match_coefficient_arithmetic(q, data):
+    F = field(q)
+    a = _draw_poly(data, F, None)
+    b = _draw_poly(data, F, a)
+    c, x = _draw_elements(data, F, 2)
+    neg_b = [_neg(F, y) for y in b]
+    assert padd(F, a, b) == _oracle_add(F, a, b)
+    assert padd(F, a, neg_b) == psub(F, a, b) == _oracle_add(F, a, neg_b)
+    assert psub(F, b, a) == _oracle_add(F, b, [_neg(F, y) for y in a])
+    assert pmul(F, a, b) == _oracle_mul(F, a, b)
+    assert pscale(F, a, c) == _trim(_mul(F, y, c) for y in a)
+    power, value = 1, 0
+    for y in a:
+        value = _add(F, value, _mul(F, y, power))
+        power = _mul(F, power, x)
+    assert peval(F, a, x) == value
+    if b:
+        quo, rem = pdivmod(F, a, b)
+        assert len(rem) < len(b)
+        assert _oracle_add(F, _oracle_mul(F, quo, b), rem) == a
 
 
 # the modulus and the generator exp[1] of each field: the recorded section

@@ -118,11 +118,13 @@ def _mutant(fn, edit):
 
 
 def _drop_identity_shift(monkeypatch):
-    # the same expansion without its four diagonal "-= 1" lines: det(M)
-    monkeypatch.setattr(sp4, "_det_minus_identity", _mutant(
-        sp4._det_minus_identity,
-        lambda src: "\n".join(line for line in src.splitlines()
-                              if "-= 1" not in line)))
+    # the cofactor row and its dot product without their four diagonal
+    # "-= 1" lines: det(M)
+    for name in ("_cofactor_row", "density_direct"):
+        monkeypatch.setattr(sp4, name, _mutant(
+            getattr(sp4, name),
+            lambda src: "\n".join(line for line in src.splitlines()
+                                  if "-= 1" not in line)))
 
 
 def _non_generating_pair(monkeypatch):

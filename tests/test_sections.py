@@ -385,5 +385,7 @@ def test_sp4_strategies_agree(report):
 
 
 def test_sp4_identity_in_C():
-    from e8g3.sp4 import _det_minus_identity, _identity
-    assert _det_minus_identity(_identity()) == 0
+    # M - I = 0 for M = I, so every cofactor vanishes
+    from e8g3.sp4 import _cofactor_row, _identity
+    e1, e2, f1, _ = _identity()
+    assert _cofactor_row(e1, e2, f1) == (0, 0, 0, 0)

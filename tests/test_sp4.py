@@ -1,6 +1,6 @@
 """Encoded Sp4(F_3) arithmetic against F_3 matrix products written out
-here, the determinant of the direct strategy, and the subspace lattice
-of the Moebius strategy."""
+here, the cofactor row of the direct strategy against two determinants,
+and the subspace lattice and basis orbits of the Moebius strategy."""
 
 import tracemalloc
 from functools import lru_cache
@@ -119,30 +119,56 @@ def test_subspace_orbits():
     assert sizes == [1, 40, 40, 90, 40, 1]
 
 
+def _laplace_det_minus_identity(cols):
+    """det(M - I) mod 3 by Laplace expansion along columns 0 and 1: the
+    six 2 x 2 minors of those columns times their complementary minors."""
+    a, b, c, d = ([x - (r == j) for r, x in enumerate(_vector(code))]
+                  for j, code in enumerate(cols))
+    return sum(sign * (a[i] * b[j] - a[j] * b[i]) * (c[k] * d[m] - c[m] * d[k])
+               for sign, (i, j), (k, m) in [
+                   (1, (0, 1), (2, 3)), (-1, (0, 2), (1, 3)),
+                   (1, (0, 3), (1, 2)), (1, (1, 2), (0, 3)),
+                   (-1, (1, 3), (0, 2)), (1, (2, 3), (0, 1))]) % 3
+
+
 @settings(deadline=None, derandomize=True)
 @given(cols=st.tuples(*[st.integers(0, 80)] * 4))
 def test_det_minus_identity_matches_elimination(cols):
-    # any four columns, so singular and non-symplectic M are drawn too
+    # any four columns, so singular and non-symplectic M are drawn too:
+    # the cofactor row of (e1, e2, f1) dotted with f2 - u4 is det(M - I)
     shifted = [[x - (r == c) for c, x in enumerate(row)]
                for r, row in enumerate(_matrix(cols))]
-    det = sp4._det_minus_identity(cols)
-    assert det == det_bareiss(shifted) % 3
+    e1, e2, f1, f2 = cols
+    d = _vector(f2)
+    d[3] -= 1
+    det = sum(k * x for k, x in zip(sp4._cofactor_row(e1, e2, f1), d)) % 3
+    assert det == det_bareiss(shifted) % 3 == _laplace_det_minus_identity(cols)
     assert (det == 0) == (len(rref_mod(shifted, 4, 3)[1]) < 4)
 
 
+def test_basis_orbits_on_the_walk():
+    # ordered bases of a line, an isotropic plane, a hyperbolic plane and
+    # a hyperplane, against the orbit of tuples
+    for columns, size in zip(sp4._ORBIT_REPRESENTATIVES[1:5],
+                             [80, 1920, 2160, 17280]):
+        basis = tuple(sp4._identity()[i] for i in columns)
+        assert sp4._walk(basis, actions(), 81) == size
+        assert len(sp4._orbit(basis, actions(), tuple)) == size
+
+
 def test_direct_density_shares_no_kernel(monkeypatch):
-    # the direct strategy uses neither the action tables, the pair-rank
-    # walk and its tables nor the orbit sweeps of the Moebius strategy,
-    # which in turn computes no determinant and never reads the
-    # enumerated group
+    # the direct strategy uses neither the action tables, the walk and its
+    # pair ranks nor the orbit sweeps of the Moebius strategy, which in
+    # turn computes no cofactor row and never reads the enumerated group
     def refuse(*args):
         raise RuntimeError("shared by the two strategies")
 
     with monkeypatch.context() as patch:
-        for name in ("action", "_orbit", "_group_order", "_pair_ranks"):
+        for name in ("action", "_orbit", "_walk", "_group_order",
+                     "_pair_ranks"):
             patch.setattr(sp4, name, refuse)
         assert sp4.density_direct() == (51840, 18711)
-    for name in ("_det_minus_identity", "enumerate_sp4"):
+    for name in ("_cofactor_row", "enumerate_sp4"):
         monkeypatch.setattr(sp4, name, refuse)
     assert sp4.density_by_classes() == (51840, 18711)
 
