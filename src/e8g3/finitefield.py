@@ -14,6 +14,8 @@ bounds q by MAX_Q.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .intlinalg import power
 
 MAX_Q = 512  # largest field order GF builds tables for
@@ -112,7 +114,7 @@ class GF:
             def mul(a, b):
                 return a * b % p
         else:
-            Fp = GF(p)
+            Fp = get_field(p)
             self.modulus = mod = _find_irreducible(Fp, k)
 
             def mul(a, b):
@@ -195,6 +197,13 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.q})"
+
+
+@cache
+def get_field(q: int) -> GF:
+    """GF(q), built once per process; for the small fields that several
+    callers share (the prime fields, F_7 and F_49)."""
+    return GF(q)
 
 
 # -- dense polynomials (lists of field elements, low degree first) -----------

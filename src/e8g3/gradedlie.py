@@ -19,14 +19,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache
 from itertools import compress
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul, or_
 
 from .cyclotomic import rational, zeta_mul
 from .heis import (COCYCLE, CODE_EXPO, CODE_ROW, FORM, VEC_ADD, VEC_NEG,
                    HeisenbergModel, Mono, build_model, svn_rep)
 from .intlinalg import nullspace, rank
 from .report import sha256
-from .rootsys import RootSystem, add, neg
+from .rootsys import RootSystem, neg
 from .vinberg import x_value
 
 # scalar codes: value = (-1)^(code // 3) * w^(code % 3); NONE means zero
@@ -370,21 +370,32 @@ class GradedAlgebra:
         return bad
 
     def check_theta_automorphism(self):
+        """The pairs (i, j), row by row, where theta = w does not carry
+        [X_i, X_j] to [X_wi, X_wj], then ("cartan", a, j) wherever the
+        pairing of coroot a with root j is not w-invariant.
+
+        Row i is compared as bytes with row wi of kind permuted by w, and
+        out and scl are read only where a kind entry is nonzero."""
         bad = []
         n = self.n
         w = self.windex
+        kind, out, scl = self.kind, self.out, self.scl
+        # a row's entries at w[0], w[1], ...
+        permute = itemgetter(*w)
         for i in range(n):
+            kind_i, out_i, scl_i = kind[i], out[i], scl[i]
             wi = w[i]
-            for j in range(n):
-                wj = w[j]
-                if self.kind[i][j] != self.kind[wi][wj]:
+            kind_w, out_w, scl_w = kind[wi], out[wi], scl[wi]
+            moved = bytes(permute(kind_w))
+            for j in compress(range(n), kind_i if kind_i == moved
+                              else map(or_, kind_i, moved)):
+                k = kind_i[j]
+                if k != moved[j]:
                     bad.append((i, j))
-                    continue
-                k = self.kind[i][j]
-                if k == 1 and (self.out[wi][wj] != w[self.out[i][j]]
-                               or self.scl[wi][wj] != self.scl[i][j]):
+                elif k == 1 and (out_w[w[j]] != w[out_i[j]]
+                                 or scl_w[w[j]] != scl_i[j]):
                     bad.append((i, j))
-                elif k == 2 and self.scl[wi][wj] != self.scl[i][j]:
+                elif k == 2 and scl_w[w[j]] != scl_i[j]:
                     bad.append((i, j))
         # cartan side: invariance of the pairing, on every root
         W = self.rs.w
@@ -424,28 +435,27 @@ class GradedAlgebra:
 
     # -- structure constants dump --------------------------------------------
 
-    def dump_lines(self):
-        """The table as text lines, one structure constant per line."""
+    def dump_rows(self):
+        """The table as text, one structure constant per line: the lines of
+        each table row, then of each row of P, joined by newlines, one
+        string per row."""
         for i in range(self.n):
-            for j in sorted(self.nbr[i]):
-                k = self.kind[i][j]
-                if k == 1:
-                    yield f"r {i} {j} -> {self.out[i][j]} code {self.scl[i][j]}"
-                else:
-                    yield f"c {i} {j} code {self.scl[i][j]}"
-        for a in range(8):
-            for j in range(self.n):
-                if self.P[a][j]:
-                    yield f"h {a} {j} {self.P[a][j]}"
+            kind_i, out_i, scl_i = self.kind[i], self.out[i], self.scl[i]
+            yield "\n".join(
+                f"r {i} {j} -> {out_i[j]} code {scl_i[j]}" if kind_i[j] == 1
+                else f"c {i} {j} code {scl_i[j]}" for j in sorted(self.nbr[i]))
+        for a, Pa in enumerate(self.P):
+            yield "\n".join(f"h {a} {j} {p}" for j, p in enumerate(Pa) if p)
 
     def digest(self) -> str:
-        """SHA-256 of the dump lines joined by newlines, fed line by line
-        so that the dump is never held whole."""
+        """SHA-256 of all dump lines joined by newlines, fed one row at a
+        time so that the dump is never held whole."""
         h = sha256()
         sep = b""
-        for line in self.dump_lines():
-            h.update(sep + line.encode())
-            sep = b"\n"
+        for row in self.dump_rows():
+            if row:
+                h.update(sep + row.encode())
+                sep = b"\n"
         return h.hexdigest()
 
 
@@ -465,40 +475,6 @@ def _class_groups(alg: GradedAlgebra):
     return [(members, alg.rho(members[0])) for members in groups.values()]
 
 
-def _z_bracket_coefficients(alg: GradedAlgebra, oa: int, ob: int):
-    """Coefficient of each Z vector in [Z_a, Z_b], as orbit index -> integer
-    w-pair, for a in orbit oa and b in orbit ob.
-
-    Z_a = X_a + X_wa + X_w^2a, so the bracket is the sum of the nine table
-    entries between the two orbits.  It must lie in the span of the Z
-    vectors: no cartan part and root coefficients constant on every orbit;
-    anything else signals a table bug and raises.
-    """
-    orbits = alg.rs.orbits
-    roots = {}
-    cartan = None
-    for i in orbits[oa]:
-        kind_i, out_i, scl_i = alg.kind[i], alg.out[i], alg.scl[i]
-        for j in orbits[ob]:
-            k = kind_i[j]
-            if k == 1:
-                _accumulate(roots, out_i[j], *_PAIR[scl_i[j]])
-            elif k:
-                cartan = _addc(cartan, alg.cr[i], _PPAIR[scl_i[j]])
-    if cartan is not None and any(cartan):
-        raise AssertionError(
-            "cartan residue in a bracket of symmetrized vectors")
-    coeffs = {}
-    for t, v in roots.items():
-        o = alg.rs.orbit_of[t]
-        if o in coeffs or not (v[0] or v[1]):
-            continue
-        if any(roots.get(m) != v for m in orbits[o]):
-            raise AssertionError("coefficients not orbit-constant")
-        coeffs[o] = v
-    return coeffs
-
-
 # A 9x9 matrix of w-pairs packs to the integer sum of u * B**(2 p) +
 # v * B**(2 p + 1) over its entries (u, v) at p = 9 * row + col, with
 # B = 2**8.  pack is linear, and one-to-one on matrices whose components
@@ -515,21 +491,73 @@ def _pack_entry(x, y, code, col):
     return (u + (v << 8)) << (16 * (9 * CODE_ROW[code] + col))
 
 
+def _orbit_row(alg: GradedAlgebra, oa: int, orbit_packs):
+    """The packs of 3 rho'([Z_a, Z_b]) / kappa, for a in orbit oa and every
+    orbit ob, as a list indexed by ob; None where [Z_a, Z_b] leaves the span
+    of the Z vectors.
+
+    Z_a = X_a + X_wa + X_w^2a, so [Z_a, Z_b] is the sum of the nine table
+    entries between the two orbits, and one pass over the nonzero entries
+    of the three rows of orbit oa sorts them by the orbit of the column.
+    The bracket lies in the span exactly when it has no cartan part and
+    its coefficient at each root t equals the one at wt (a root missing
+    from a sum counts 0), so is constant on every orbit.  Each root
+    coefficient c adds c times the pack of rho of its orbit, so the sum of
+    all of them is 3 times that of the orbit coefficients.
+    """
+    n, w, cr = alg.n, alg.windex, alg.cr
+    orbit_of = alg.rs.orbit_of
+    # per column orbit: the summed structure constants at each target root,
+    # packed (_PPAIR), and the cartan part
+    sums = [{} for _ in range(len(orbit_packs))]
+    cartan = [None] * len(orbit_packs)
+    for i in alg.rs.orbits[oa]:
+        kind_i, out_i, scl_i = alg.kind[i], alg.out[i], alg.scl[i]
+        for j in compress(range(n), kind_i):
+            ob = orbit_of[j]
+            if kind_i[j] == 1:
+                d, t = sums[ob], out_i[j]
+                d[t] = d.get(t, 0) + _PPAIR[scl_i[j]]
+            else:
+                cartan[ob] = _addc(cartan[ob], cr[i], _PPAIR[scl_i[j]])
+    row = []
+    for d, c in zip(sums, cartan):
+        if (c is not None and any(c)
+                or any(p != d.get(w[t], 0) for t, p in d.items())):
+            row.append(None)
+            continue
+        lhs = 0
+        for t, p in d.items():
+            if p:
+                # the w-pair (x, y) of the packed p, |x| < 2**31
+                x = (p + 2**31) % 2**32 - 2**31
+                y = (p - x) >> 32
+                pack, pack_w = orbit_packs[orbit_of[t]]
+                lhs += x * pack + y * pack_w
+        row.append(lhs)
+    return row
+
+
 def verify_rho_prime_homomorphism(alg: GradedAlgebra):
     """Exact check of bracket preservation on all 240 x 240 pairs.
 
     Both sides are packed integer w-pair matrices.  The right-hand side
     depends only on the classes of the two roots, and the left-hand side
-    rho'([Z_a, Z_b]) only on their orbits, read from the table.  So each
-    (class pair, orbit pair) gets one comparison, which stands for all of
-    its root pairs.  On the algebra the orbits are exactly the class groups
-    (rootsys/orbit_class_bijection): 6,400 comparisons of 9 root pairs
-    each.  Every failing root pair is listed, in sweep order.
+    rho'([Z_a, Z_b]) only on their orbits, read from the table one orbit
+    row at a time (_orbit_row).  So each (class pair, orbit pair) gets one
+    comparison, which stands for all of its root pairs; a bracket outside
+    the span of the Z vectors fails it.  On the algebra the orbits are
+    exactly the class groups (rootsys/orbit_class_bijection): 6,400
+    comparisons of 9 root pairs each.  Every failing root pair is listed,
+    in sweep order.
     """
     # kappa[col][c]: 3 kappa = 1 + 2w times the column of code c at col, so
-    # that the pack of 3 kappa m sums kappa over the columns of m
+    # that the pack of 3 kappa m sums kappa over the columns of m; a product
+    # of two class images is one of the 243 monomials of the group, so its
+    # pack is computed once
     kappa = [[_pack_entry(1, 2, c, col) for c in range(27)]
              for col in range(9)]
+    kappa_pack = cache(lambda codes: sum(map(getitem, kappa, codes)))
     # the packs of rho(o) and of w rho(o), per orbit o
     orbit_packs = [[sum(_pack_entry(x, y, c, col)
                         for col, c in enumerate(alg.rho(orb[0]).codes))
@@ -540,19 +568,16 @@ def verify_rho_prime_homomorphism(alg: GradedAlgebra):
     groups = [(members, tuple(dict.fromkeys(orbit_of[r] for r in members)),
                m.codes, m.table()) for members, m in _class_groups(alg)]
     for roots_a, orbits_a, codes_a, table_a in groups:
+        rows = {oa: _orbit_row(alg, oa, orbit_packs) for oa in orbits_a}
         for roots_b, orbits_b, codes_b, table_b in groups:
             pairs += len(roots_a) * len(roots_b)
             # 3 kappa [rho a, rho b] with 3 kappa = 1 + 2w, against
             # 3 rho'([Z_a, Z_b]) / kappa; rho(a) rho(b) has the codes of
             # rho(b) translated through the table of rho(a)
-            rhs = (sum(map(getitem, kappa, codes_b.translate(table_a)))
-                   - sum(map(getitem, kappa, codes_a.translate(table_b))))
-            bad = {}
-            for key in ((oa, ob) for oa in orbits_a for ob in orbits_b):
-                lhs = sum(3 * (x * orbit_packs[o][0] + y * orbit_packs[o][1])
-                          for o, (x, y)
-                          in _z_bracket_coefficients(alg, *key).items())
-                bad[key] = lhs != rhs
+            rhs = (kappa_pack(codes_b.translate(table_a))
+                   - kappa_pack(codes_a.translate(table_b)))
+            bad = {(oa, ob): rows[oa][ob] != rhs
+                   for oa in orbits_a for ob in orbits_b}
             if any(bad.values()):
                 mismatches.extend(
                     (a, b) for a in roots_a for b in roots_b
@@ -630,41 +655,38 @@ def z_supports_partition(alg: GradedAlgebra) -> bool:
 # Killing form
 # ---------------------------------------------------------------------------
 
-def _ad_coeff_at(alg, i, j, k):
-    """w-pair coefficient of basis vector k in [b_i, [b_j, b_k]] for root
-    indices i, j, k (k may also be ('c', a) for a cartan slot)."""
-    if isinstance(k, tuple):
-        a = k[1]
-        # [x_j, h_a] = -P[a][j] x_j, then [x_i, x_j] must output cartan a
-        if alg.kind[i][j] != 2:
-            return (0, 0)
-        x, y = _PAIR[alg.scl[i][j]]
-        c = -alg.P[a][j] * alg.cr[i][a]
-        return (x * c, y * c)
-    kjk = alg.kind[j][k]
-    if kjk == 0:
-        return (0, 0)
-    if kjk == 1:
-        m = alg.out[j][k]
-        if alg.kind[i][m] == 1 and alg.out[i][m] == k:
-            return _MUL_PAIR[alg.scl[j][k]][alg.scl[i][m]]
-        return (0, 0)
-    # [x_j, x_k] cartan-valued (k = -j); then [x_i, coroot(j)] = -(j,i) x_i
-    if i != k:
-        return (0, 0)
-    c = -alg.PR[j][i]
-    x, y = _PAIR[alg.scl[j][k]]
-    return (x * c, y * c)
-
-
 def _killing_entry(alg: GradedAlgebra, r: int, s: int):
-    """kappa(X_r, X_s) as a w-pair, by honest trace of ad X_r ad X_s."""
-    tot = [0, 0]
-    for k in [*range(alg.n), *(("c", a) for a in range(8))]:
-        x, y = _ad_coeff_at(alg, r, s, k)
-        tot[0] += x
-        tot[1] += y
-    return tuple(tot)
+    """kappa(X_r, X_s) as a w-pair, by honest trace of ad X_r ad X_s: the
+    sum over basis vectors b of the coefficient of b in [X_r, [X_s, b]].
+
+    Only the roots k with [X_s, X_k] != 0 can give a root term, and the
+    cartan slots only when [X_r, X_s] is cartan-valued; every other term is
+    0 on any table.  A root term of a root-valued [X_s, X_k] = c X_m is
+    c times the coefficient of X_k in [X_r, X_m]; a cartan-valued one is
+    c coroot(s), whose bracket with X_r is -(s, r) c X_r, a term only for
+    k = r.  The cartan slot a takes [X_s, h_a] = -P[a][s] X_s and then
+    coordinate a of [X_r, X_s]."""
+    kind_r, out_r, scl_r = alg.kind[r], alg.out[r], alg.scl[r]
+    kind_s, out_s, scl_s = alg.kind[s], alg.out[s], alg.scl[s]
+    x = y = 0
+    for k in compress(range(alg.n), kind_s):
+        if kind_s[k] == 1:
+            m = out_s[k]
+            if kind_r[m] == 1 and out_r[m] == k:
+                u, v = _MUL_PAIR[scl_s[k]][scl_r[m]]
+                x += u
+                y += v
+        elif k == r:
+            c = -alg.PR[s][r]
+            u, v = _PAIR[scl_s[k]]
+            x += u * c
+            y += v * c
+    if kind_r[s] == 2:
+        u, v = _PAIR[scl_r[s]]
+        c = -sum(map(mul, (P_a[s] for P_a in alg.P), alg.cr[r]))
+        x += u * c
+        y += v * c
+    return (x, y)
 
 
 def killing_gram(alg: GradedAlgebra):
@@ -676,10 +698,10 @@ def killing_gram(alg: GradedAlgebra):
     with `out_additive` of `verify_jacobi` (root-valued brackets sit where
     weights add) it proves the zero pattern: a term of tr(ad X_r ad X_s)
     lands back on its own basis vector only when s = -r, so
-    kappa(X_r, X_s) = 0 for every other pair.
+    kappa(X_r, X_s) = 0 for every other pair.  `mixed_block_zero` says
+    that no ad(X_r) has a diagonal entry, so the cartan-root block is 0.
     """
-    cart = [[sum(alg.P[a][m] * alg.P[b][m] for m in range(alg.n))
-             for b in range(8)] for a in range(8)]
+    cart = [[sum(map(mul, Pa, Pb)) for Pb in alg.P] for Pa in alg.P]
     diag = [_killing_entry(alg, r, alg.negidx[r]) for r in range(alg.n)]
     kind2_opposite = all(
         [j for j in alg.nbr[r] if alg.kind[r][j] == 2] == [alg.negidx[r]]
@@ -688,10 +710,8 @@ def killing_gram(alg: GradedAlgebra):
     # to b_k (it lands on weight r + k != k or in the cartan), so ad(x_r)
     # has no diagonal entry and the honest trace of ad h_a ad x_r
     # accumulates no terms at all
-    for r in range(alg.n):
-        kind, out = alg.kind[r], alg.out[r]
-        if any(kind[k] == 1 and out[k] == k for k in alg.nbr[r]):
-            raise AssertionError(f"ad(x_{r}) has a diagonal entry")
+    mixed_block_zero = not any(alg.kind[r][k] == 1 and alg.out[r][k] == k
+                               for r in range(alg.n) for k in alg.nbr[r])
     from .intlinalg import det_bareiss
     theta_ok = all(
         diag[alg.windex[r]] == diag[r] for r in range(alg.n))
@@ -710,6 +730,7 @@ def killing_gram(alg: GradedAlgebra):
         "root_diag": diag,
         "root_diag_gauged": gauged,
         "kind2_opposite": kind2_opposite,
+        "mixed_block_zero": mixed_block_zero,
         "theta_orthogonal": theta_ok,
         "nondegenerate": nondegenerate,
         "integer_entries": all(y == 0 for _, y in gauged),
@@ -909,24 +930,29 @@ def _out_additive(alg: GradedAlgebra) -> bool:
     1 exactly on the pairs with pairing -1, and there out[i][j] and
     out[j][i] are the index of root i + root j.
 
-    The pairing is symmetric, so once every row holds kind 1 exactly at its
-    -1 entries, each kind-1 pair is met with i < j; one sum serves both
-    orders.
+    Roots are compared by their basis coordinates (rs.coords), packed into
+    16-bit lanes: the pack is linear, and one-to-one on coordinates below
+    2**15 in absolute value, far above the at most 12 of a sum of two
+    roots.  So one int sum is the coordinates of root i + root j, read
+    independently of the 9-vector packs that `RootSystem.sum_row` gives
+    `out` from.  The pairing is symmetric, so once every row holds kind 1
+    exactly at its -1 entries, each kind-1 pair is met with i < j; one sum
+    serves both orders.
     """
-    roots = alg.rs.roots
+    pc = [sum(c << 16 * a for a, c in enumerate(x)) for x in alg.rs.coords]
     kind, out, PR = alg.kind, alg.out, alg.PR
     for i in range(alg.n):
+        kind_i, out_i, PR_i = kind[i], out[i], PR[i]
         ones = 0
-        for j in alg.nbr[i]:
-            if kind[i][j] == 1:
-                if PR[i][j] != -1:
+        for j in compress(range(alg.n), kind_i):
+            if kind_i[j] == 1:
+                if PR_i[j] != -1:
                     return False
                 ones += 1
-                if j > i:
-                    s = add(roots[i], roots[j])
-                    if roots[out[i][j]] != s or roots[out[j][i]] != s:
-                        return False
-        if ones != PR[i].count(-1):
+                if j > i and not (pc[out_i[j]] == pc[i] + pc[j]
+                                  == pc[out[j][i]]):
+                    return False
+        if ones != PR_i.count(-1):
             return False
     return True
 

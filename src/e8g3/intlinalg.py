@@ -219,17 +219,21 @@ def rref(rows, width):
 
 
 def _eliminate(rows, width):
-    """rref over Q."""
+    """rref over Q.  A pivot of +-1 is preferred and is its own inverse, so
+    int rows whose pivots are all units are reduced in ints; the reduced
+    form is unique, so the choice changes no value."""
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        nonzero = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not nonzero:
             continue
+        piv = next((i for i in nonzero if rows[i][c] in (1, -1)), nonzero[0])
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        inv = Fraction(1) / prow[c]
+        p = prow[c]
+        inv = p if p in (1, -1) else Fraction(1) / p
         support = [t for t, x in enumerate(prow) if x]
         for t in support:
             prow[t] = prow[t] * inv
@@ -348,7 +352,8 @@ def rref_mod(rows, width, p):
 
 def nullspace(rows, width):
     """Basis of the right kernel of the matrix given by dense rows, over
-    the field of rref: vectors of w-pairs over Q(w), of Fractions over Q."""
+    the field of rref: vectors of w-pairs over Q(w), of rationals (ints
+    where the elimination kept them) over Q."""
     qw = _over_qw(rows)
     red, pivots = (_eliminate_qw if qw else _eliminate)(rows, width)
     free = [c for c in range(width) if c not in pivots]

@@ -5,7 +5,7 @@ full group enumeration at small q, and the point-count order oracle."""
 from __future__ import annotations
 
 from .finitefield import (
-    GF,
+    get_field,
     padd,
     pdivmod,
     peval,
@@ -151,10 +151,10 @@ def curve_count(F, f) -> int:
 
 def jacobian_order_zeta(p: int, coeffs) -> int:
     """|J(F_p)| from the curve counts over F_p and F_{p^2}."""
-    Fp = GF(p)
+    Fp = get_field(p)
     f1 = [c % p for c in coeffs]
     n1 = curve_count(Fp, f1)
-    Fq = GF(p * p)
+    Fq = get_field(p * p)
     f2 = [Fq.from_int(c) for c in coeffs]
     n2 = curve_count(Fq, f2)
     a1 = n1 - p - 1

@@ -60,10 +60,6 @@ def neg(v):
     return canonical(tuple(-a for a in v))
 
 
-def smul(k, v):
-    return canonical(tuple(k * a for a in v))
-
-
 def pairing(u, v) -> int:
     """Symmetric bilinear form; independent of the choice of lifts."""
     return sum(map(mul, u, v)) - sum(u) * sum(v) // 9
@@ -228,12 +224,12 @@ class RootSystem:
                             self._packed_shifted[sum(self.roots[i]) // 3])))
 
     def _reflection_matrix(self, k):
-        cols = []
-        beta = self.basis[k]
-        for b in self.basis:
-            img = sub(b, smul(pairing(b, beta), beta))
-            cols.append(self.to_basis(img))
-        return [[cols[j][i] for j in range(8)] for i in range(8)]
+        """The reflection in basis root k on basis coordinates: x goes to
+        x - (x, b_k) e_k, and (x, b_k) is gram[k] x, so only row k differs
+        from the identity."""
+        m = identity(8)
+        m[k] = [int(j == k) - g for j, g in enumerate(self.gram[k])]
+        return m
 
     def apply_w(self, v):
         """The symmetry w applied once to a vector of the root lattice."""

@@ -171,7 +171,7 @@ def suite_gradedlie(s: Suite):
     kg = killing_gram(alg)
     s.check("killing_form", kg["nondegenerate"] and kg["theta_orthogonal"]
             and kg["integer_entries"] and kg["kind2_opposite"]
-            and jac["out_additive"],
+            and kg["mixed_block_zero"] and jac["out_additive"],
             "nondegenerate, symmetry-orthogonal, integral after gauge")
     digest = alg.digest()
     s.check("structure_digest", digest == GRADEDLIE_DIGEST, digest[:16])
@@ -246,14 +246,12 @@ def suite_cusp(s: Suite):
 def suite_sections(s: Suite, fixture_path: str | None) -> str:
     """The sections checks on the fixture at `fixture_path` (None: the
     packaged one); returns the fixture's SHA-256 digest."""
-    from .finitefield import GF
+    from .finitefield import get_field
     from .genus2 import (Quintic, discriminant, enumerate_min,
                          enumerate_min_bruteforce, height_lt, is_minimal)
     from .jacobian import (IDENTITY, cantor_add, cantor_mul, cantor_neg,
                            enumerate_jacobian, jacobian_order_zeta,
                            mumford_verify)
-    from .sections import (E8_ROW, find_sections, fixture_from_json,
-                            fixture_text, verify_section_fixture)
 
     s.check("disc_x5", discriminant(Quintic(0, 0, 0, 0)) == 0, "quintuple root")
     s.check("disc_x5_minus_1",
@@ -286,7 +284,7 @@ def suite_sections(s: Suite, fixture_path: str | None) -> str:
 
     import random
     rng = random.Random("cantor")  # 12 fixed triples per curve
-    F7 = GF(7)
+    F7 = get_field(7)
     zeta_ok = True
     law_ok = True
     jacobians = {}
@@ -328,6 +326,27 @@ def suite_sections(s: Suite, fixture_path: str | None) -> str:
     ok_m2 = not rem2 and mumford_verify(F7, u2, v2, r2) == f7
     s.check("mumford_nu2", ok_m2, "exhaustive-search decomposition over F7")
 
+    # the fixture's field and scans are dropped before the Sp4 counts,
+    # which hold the suite's largest tables
+    digest = _fixture_checks(s, fixture_path)
+
+    from .sp4 import density_by_classes, density_direct
+    n1, c1 = density_direct()
+    n2, c2 = density_by_classes()
+    s.check("sp4_order", n1 == 51840 and n2 == 51840, f"{n1}")
+    s.check("sp4_density", (n1, c1) == (n2, c2) and 0 < c1 < n1,
+            f"|C|/|Sp4| = {c1}/{n1} = {Fraction(c1, n1)}",
+            Fraction(c1, n1))
+    return digest
+
+
+def _fixture_checks(s: Suite, fixture_path: str | None) -> str:
+    """The fixture_* checks of the sections suite; returns the fixture's
+    SHA-256 digest."""
+    from .finitefield import GF
+    from .sections import (E8_ROW, find_sections, fixture_from_json,
+                            fixture_text, verify_section_fixture)
+
     text = fixture_text(fixture_path)
     digest = sha256(text.encode()).hexdigest()
     q, fcoeffs, sections, expected_row = fixture_from_json(text)
@@ -355,14 +374,6 @@ def suite_sections(s: Suite, fixture_path: str | None) -> str:
     s.check("fixture_twist_exponents", rep["twist_exponent_alternating"]
             and rep["twist_exponent_invariant"],
             "alternating and symmetry-invariant")
-
-    from .sp4 import density_by_classes, density_direct
-    n1, c1 = density_direct()
-    n2, c2 = density_by_classes()
-    s.check("sp4_order", n1 == 51840 and n2 == 51840, f"{n1}")
-    s.check("sp4_density", (n1, c1) == (n2, c2) and 0 < c1 < n1,
-            f"|C|/|Sp4| = {c1}/{n1} = {Fraction(c1, n1)}",
-            Fraction(c1, n1))
     return digest
 
 

@@ -1,6 +1,7 @@
 """Bracket table, Jacobi identity, grading, and 9-dim realization checks,
 and the gradedlie checks of the session report."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3.cyclotomic import zeta_mul
-from e8g3.gradedlie import (GradedAlgebra, LieElement,
-                            _z_bracket_coefficients, code_pair, get_algebra,
-                            killing_gram, verify_heis_action_match,
+from e8g3.gradedlie import (GradedAlgebra, LieElement, code_neg, code_pair,
+                            get_algebra, killing_gram,
+                            verify_heis_action_match,
                             verify_rho_prime_homomorphism,
                             z_supports_partition)
-from e8g3 import gradedlie
+from e8g3 import gradedlie, suites
 from e8g3.heis import CLASSES, COCYCLE, VEC_ADD, Mono, class_code, svn_rep
 
+import gradedlie_oracle as oracle
 from qw_oracle import Cyc
 from test_mutations import (_corrupt_cartan_pairing,
                             _redirect_to_negative_root, _shift_one_w_power)
@@ -513,7 +515,7 @@ def test_rho_prime_packs_stay_in_range(alg):
     # below 2**7; on the left it is at most 3 times the summed components
     # of the coefficients of one bracket [Z_a, Z_b]
     worst = max(sum(abs(x) + abs(y) for x, y
-                    in _z_bracket_coefficients(alg, a, b).values())
+                    in oracle.z_bracket_coefficients(alg, a, b).values())
                 for a in range(80) for b in range(80))
     assert 0 < 3 * worst <= 54 < 2 ** 7
 
@@ -871,7 +873,7 @@ def _unpack(p):
 def test_packed_sums_stay_below_the_packing_bound(alg):
     # a packed accumulator sums unit multiples of root pairings (PR) or of
     # coroot coordinates (cr): at most three per Jacobi triple and nine per
-    # orbit bracket (_z_bracket_coefficients).  Below 2**31 in each
+    # orbit bracket (_orbit_row).  Below 2**31 in each
     # component, a packed sum is 0 exactly when its w-pair is
     from e8g3.gradedlie import _MUL_PAIR, _PAIR
     unit = max(abs(v) for p in [*_PAIR, *(q for row in _MUL_PAIR for q in row)]
@@ -895,14 +897,155 @@ def test_redirected_out_fails_additivity(alg, order):
     assert _out_additive(alg)
 
 
-def test_diagonal_ad_entry_fails_killing(alg):
-    # negative control for the mixed cartan/root part of killing_gram
-    fresh = GradedAlgebra()
+def test_diagonal_ad_entry_fails_killing(alg, monkeypatch):
+    # negative control for the mixed cartan/root part of killing_gram: a
+    # false killing_form, not a raise
+    fresh = _table_copy(alg)
     r = 100
     k = min(k for k in fresh.nbr[r] if fresh.kind[r][k] == 1)
     fresh.out[r][k] = k
-    with pytest.raises(AssertionError, match=f"ad\\(x_{r}\\)"):
-        killing_gram(fresh)
+    assert not killing_gram(fresh)["mixed_block_zero"]
+    assert killing_gram(alg)["mixed_block_zero"]
+    monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
+    status = {c["name"]: c["status"]
+              for c in suites.run_suite("gradedlie", None)["checks"]}
+    assert status["killing_form"] == "fail"
+
+
+def _table_copy(alg):
+    """alg with kind, out and scl copied, so that they can be corrupted."""
+    fresh = copy.copy(alg)
+    fresh.kind = [bytearray(row) for row in alg.kind]
+    fresh.out = [list(row) for row in alg.out]
+    fresh.scl = [list(row) for row in alg.scl]
+    return fresh
+
+
+# one corruption of the structure table: ("scl", i, pick, code) moves the
+# code of the pick-th neighbour entry of row i, with its antisymmetric
+# partner; ("out", i, pick, t) moves the target of the pick-th root-valued
+# entry of row i by t; ("kind", i, j, k) moves kind[i][j] by k mod 3, at
+# any j, and ("kind_nbr", i, pick, k) at the pick-th neighbour of row i
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("scl"), st.integers(0, 239), st.integers(0, 56),
+              st.integers(1, 5)),
+    st.tuples(st.just("out"), st.integers(0, 239), st.integers(0, 55),
+              st.integers(1, 239)),
+    st.tuples(st.just("kind"), st.integers(0, 239), st.integers(0, 239),
+              st.integers(1, 2)),
+    st.tuples(st.just("kind_nbr"), st.integers(0, 239), st.integers(0, 56),
+              st.integers(1, 2)))
+
+
+def _corrupted(alg, corruption):
+    """A copy of alg with one corruption (CORRUPTIONS) applied, and the
+    entry (i, j) it changed."""
+    fresh = _table_copy(alg)
+    what, i, a, b = corruption
+    if what == "scl":
+        j = sorted(alg.nbr[i])[a]
+        c = (alg.scl[i][j] + b) % 6
+        fresh.scl[i][j] = c
+        fresh.scl[j][i] = code_neg(c) if alg.kind[i][j] == 1 else c
+    elif what == "out":
+        j = [j for j in sorted(alg.nbr[i]) if alg.kind[i][j] == 1][a]
+        fresh.out[i][j] = (alg.out[i][j] + b) % 240
+    else:
+        j = sorted(alg.nbr[i])[a] if what == "kind_nbr" else a
+        fresh.kind[i][j] = (alg.kind[i][j] + b) % 3
+    return fresh, (i, j)
+
+
+def _killing_diagonal_by_trace(table):
+    return [oracle.killing_entry(table, r, table.negidx[r])
+            for r in range(table.n)]
+
+
+def test_row_sweeps_match_entry_oracles_on_the_table(alg):
+    # each sweep that reads the nonzero table entries row by row against
+    # the form that reads them entry by entry (tests/gradedlie_oracle.py)
+    from e8g3.gradedlie import _out_additive
+    assert killing_gram(alg)["root_diag"] == _killing_diagonal_by_trace(alg)
+    assert _out_additive(alg) and oracle.out_additive(alg)
+    assert alg.check_theta_automorphism() == oracle.theta_automorphism(alg)
+    assert verify_rho_prime_homomorphism(alg) == \
+        oracle.rho_prime_homomorphism(alg)
+    assert alg.digest() == oracle.digest(alg)
+
+
+ORACLE_CASES = settings(deadline=None, derandomize=True, max_examples=15)
+
+
+@ORACLE_CASES
+@given(CORRUPTIONS)
+def test_killing_diagonal_matches_full_trace(alg, corruption):
+    # the root diagonal over the nonzero kind entries against the trace
+    # over all 248 basis vectors
+    fresh = _corrupted(alg, corruption)[0]
+    assert killing_gram(fresh)["root_diag"] == \
+        _killing_diagonal_by_trace(fresh)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(CORRUPTIONS)
+def test_out_additive_matches_root_sums(alg, corruption):
+    # packed basis coordinates against root tuples summed by rootsys.add.
+    # The oracle reads only the neighbour rows, so a kind entry moved off
+    # them to kind 1 is seen by the packed form alone (its pairing is not
+    # -1), and fails it
+    from e8g3.gradedlie import _out_additive
+    fresh, (i, j) = _corrupted(alg, corruption)
+    if j in alg.nbr[i] or fresh.kind[i][j] != 1:
+        assert _out_additive(fresh) == oracle.out_additive(fresh)
+    else:
+        assert not _out_additive(fresh)
+
+
+@ORACLE_CASES
+@given(CORRUPTIONS)
+def test_theta_rows_match_every_pair(alg, corruption):
+    # the same list, in the same order, as the sweep over all 240^2 pairs
+    fresh = _corrupted(alg, corruption)[0]
+    bad = fresh.check_theta_automorphism()
+    assert bad and bad == oracle.theta_automorphism(fresh)
+
+
+@ORACLE_CASES
+@given(CORRUPTIONS)
+def test_rho_prime_rows_match_orbit_brackets(alg, corruption):
+    # the orbit-row sweep with memoised right-hand sides against one
+    # bracket of Z vectors per orbit pair, summed afresh; a bracket outside
+    # the span of the Z vectors is a mismatch on both sides
+    fresh = _corrupted(alg, corruption)[0]
+    got = verify_rho_prime_homomorphism(fresh)
+    assert got == oracle.rho_prime_homomorphism(fresh)
+    assert got["pairs"] == 240 * 240
+
+
+@ORACLE_CASES
+@given(CORRUPTIONS)
+def test_digest_by_rows_matches_digest_by_lines(alg, corruption):
+    fresh = _corrupted(alg, corruption)[0]
+    assert fresh.digest() == oracle.digest(fresh)
+    # a row without lines adds no separator
+    fresh.nbr = [frozenset(), *fresh.nbr[1:]]
+    assert fresh.digest() == oracle.digest(fresh)
+
+
+@settings(deadline=None, derandomize=True, max_examples=8)
+@given(CORRUPTIONS)
+def test_corrupted_table_fails_checks_without_crash(alg, report, corruption):
+    # every gradedlie check still reports on a corrupted table, and one
+    # that reads the table fails
+    fresh = _corrupted(alg, corruption)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradedlie, "get_algebra", lambda: fresh)
+        checks = suites.run_suite("gradedlie", None)["checks"]
+    names = [c["name"] for c in checks]
+    assert "crash" not in names
+    assert names == [c["name"] for c in report.suites["gradedlie"]["checks"]]
+    assert any(c["status"] == "fail" for c in checks
+               if c["name"] != "structure_digest")
 
 
 def mono_inverse(m):

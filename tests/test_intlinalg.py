@@ -274,6 +274,50 @@ def test_rref_on_mostly_zero_matrices(entries, zero, data):
                            Cyc(0))
 
 
+def _unit_pivot_rows(data):
+    """An int matrix whose elimination meets only +-1 pivots when it
+    prefers them: echelon rows with a +-1 at each pivot, each later row
+    plus multiples 0, +-2 or +-3 of the earlier ones, which put non-units
+    beside each earlier pivot, then shuffled, so that a non-unit often
+    comes first in a pivot column; with a sum of two rows appended."""
+    width = data.draw(st.integers(1, 8))
+    cols = sorted(data.draw(st.sets(st.integers(0, width - 1), min_size=1)))
+    rows = []
+    for c in cols:
+        row = [0] * c + [data.draw(st.sampled_from([1, -1]))]
+        row += data.draw(st.lists(st.integers(-4, 4), min_size=width - c - 1,
+                                  max_size=width - c - 1))
+        for earlier in list(rows):
+            k = data.draw(st.sampled_from([0, 2, -2, 3, -3]))
+            row = [x + k * y for x, y in zip(row, earlier)]
+        rows.append(row)
+    rows = data.draw(st.permutations(rows))
+    if len(rows) > 1:
+        rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+    return rows, width
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(data=st.data())
+def test_eliminate_matches_gauss_jordan_and_keeps_unit_pivots_int(data):
+    # _eliminate prefers a +-1 pivot row; the reduced form is unique, so
+    # its values are those of the oracle's first-nonzero Gauss-Jordan, on
+    # any rational matrix, and int rows whose pivots are all units stay
+    # ints throughout
+    if data.draw(st.booleans()):
+        rows, width = _sparse_rows(data, _Q_ENTRIES, 0)
+        units = False
+    else:
+        rows, width = _unit_pivot_rows(data)
+        units = True
+    red, pivots = intlinalg._eliminate(rows, width)
+    expected, expected_pivots = oracle.rref(rows, width)
+    assert pivots == expected_pivots
+    assert [[cyc(x) for x in row] for row in red] == expected
+    if units:
+        assert all(type(x) is int for row in red for x in row)
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(p=PRIMES, data=st.data())
 def test_rref_mod_on_mostly_zero_matrices(p, data):

@@ -93,6 +93,29 @@ def test_cantor_rejects_nonreduced():
         cantor_add(F, f, ([1, 1], [3]), IDENTITY)  # u not monic-compatible
 
 
+def test_zeta_orders_build_each_field_once(monkeypatch):
+    # from an empty field cache, the three fixture curves over F_7 build
+    # F_7 and F_49 once between them (F_49 reads F_7 from the same cache),
+    # and get the same orders as before the cache was emptied
+    from e8g3 import finitefield
+    curves = ((0, 0, 1, 3), (1, 1, 0, 2), (0, 2, 3, 1))
+    before = [jacobian_order_zeta(7, Quintic(*c).coeffs()) for c in curves]
+    built = []
+    init = GF.__init__
+
+    def counted(self, q):
+        built.append(q)
+        init(self, q)
+    monkeypatch.setattr(GF, "__init__", counted)
+    finitefield.get_field.cache_clear()
+    try:
+        again = [jacobian_order_zeta(7, Quintic(*c).coeffs()) for c in curves]
+    finally:
+        finitefield.get_field.cache_clear()
+    assert again == before
+    assert sorted(built) == [7, 49]
+
+
 def test_group_orders_three_curves():
     import random
     rng = random.Random(11)

@@ -415,7 +415,7 @@ MUTATIONS = [
      _passes(suites.suite_rootsys, "sum_rule_iff_pairing_minus_one"), None),
     # gradedlie/jacobi, through out_additive: a sum row that points one pair
     # with pairing -1 at another root (the table's out reads the sum rows;
-    # out_additive checks it against rootsys.add)
+    # out_additive checks it against the packed basis coordinates)
     ("gradedlie_jacobi_sum_row",
      _patch_sum_row(lambda rs, m: rs.w_on_roots[m]),
      _fresh_table_additive, None),

@@ -132,6 +132,17 @@ def test_bulk_coords_and_w_match_the_vector_maps():
                for r, k in zip(fresh.roots, fresh.w_on_roots))
 
 
+def test_reflections_from_gram_rows_reflect_every_root(rs):
+    # s_k = I - e_k gram[k] on basis coordinates against the reflection
+    # r - (r, b_k) b_k of each root vector, read back by to_basis
+    from e8g3.intlinalg import mat_vec
+    for k, b in enumerate(rs.basis):
+        s = rs._reflection_matrix(k)
+        for r, c in zip(rs.roots, rs.coords):
+            image = rootsys.sub(r, tuple(pairing(r, b) * x for x in b))
+            assert mat_vec(s, c) == list(rs.to_basis(image))
+
+
 def test_basis_roundtrip(rs):
     for r in rs.roots[:40]:
         assert rs.from_basis(rs.to_basis(r)) == r
