@@ -252,9 +252,6 @@ class GradedAlgebra:
                      for c in range(8)] for r in range(8)]
             for vec in nullspace(rows, 8):
                 spaces[i].append(LieElement(cartan=dict(enumerate(vec))))
-        dims = [len(spaces[i]) for i in (0, 1, 2)]
-        if dims != [80, 84, 84]:
-            raise AssertionError(f"graded dimensions {dims}")
         return spaces
 
     def check_bracket_containment(self, spaces):

@@ -188,17 +188,14 @@ def smith_normal_form(M):
     return A, U, V
 
 
-def unimodular_inverse(U):
-    """Exact inverse of a unimodular integer matrix, returned with int entries."""
-    n = len(U)
-    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                        for i, row in enumerate(U)], 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    out = [row[n:] for row in red]
-    if any(Fraction(v).denominator != 1 for row in out for v in row):
-        raise ValueError("inverse has non-integer entries")
-    return [[int(v) for v in row] for row in out]
+def unimodular_inverse(M):
+    """Exact inverse of a unimodular integer matrix, with int entries: the
+    Smith form W M V = I gives M^-1 = V W.  Raises ValueError unless that
+    form is the identity."""
+    D, W, V = smith_normal_form(M)
+    if D != identity(len(M)):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(V, W)
 
 
 def _over_qw(rows) -> bool:
@@ -369,14 +366,14 @@ def nullspace(rows, width):
 
 
 def solve(rows, rhs, width):
-    """One particular solution of rows @ x = rhs, or None if inconsistent;
-    over Q(w) when some entry of rows or rhs is a w-pair, else over Q."""
+    """The solution of rows @ x = rhs when it is unique, else None (no
+    solution or many); over Q(w) when some entry of rows or rhs is a
+    w-pair, else over Q.  One elimination of the augmented rows answers
+    both questions: the solution is unique exactly when the pivots are
+    the columns range(width)."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    qw = _over_qw(aug)
-    red, pivots = (_eliminate_qw if qw else _eliminate)(aug, width + 1)
-    if width in pivots:
+    red, pivots = (_eliminate_qw if _over_qw(aug) else _eliminate)(
+        aug, width + 1)
+    if pivots != list(range(width)):
         return None
-    x = [(0, 0) if qw else Fraction(0)] * width
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][width]
-    return x
+    return [row[width] for row in red[:width]]

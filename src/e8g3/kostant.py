@@ -10,12 +10,10 @@ whole triple is graded (E, X, F) = (1, 0, 2).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import zeta_mul
 from .gradedlie import GradedAlgebra, LieElement
 from .heis import COCYCLE
-from .intlinalg import nullspace, rank, solve
+from .intlinalg import mat_vec, nullspace, rank, solve
 from .rootsys import S0_TRIPLES, weight_vector
 
 
@@ -28,12 +26,9 @@ def build_triple(alg: GradedAlgebra):
     s0 = _s0_indices(alg)
     E = LieElement(roots={i: (1, 0) for i in s0})
 
-    # X: torus element pairing to 2 against every basis root
-    gram = alg.rs.gram
-    rows = [[Fraction(gram[a][b]) for b in range(8)] for a in range(8)]
-    c = solve(rows, [Fraction(2)] * 8, 8)
-    if c is None or any(v.denominator != 1 for v in c):
-        raise AssertionError("no integral grading element on the basis")
+    # X: torus element pairing to 2 against every basis root, its coroot
+    # coordinates c solving gram c = 2 through the integral inverse Gram
+    c = mat_vec(alg.rs.gram_inv, [2] * 8)
     X = LieElement(cartan={a: (v, 0) for a, v in enumerate(c)})
 
     # F: supported on the negatives of the basis roots; the diagonal
@@ -61,7 +56,8 @@ def verify_triple(alg: GradedAlgebra) -> dict:
 
 
 def _uniqueness_check(alg, E, X) -> bool:
-    """Generic re-solve of [E, F'] = X over the degree-2, weight(-2) slice."""
+    """Whether [E, F'] = X has exactly one solution F' over the degree-2,
+    weight(-2) slice, re-solved generically."""
     cand = [i for i in range(alg.n)
             if alg.degree[i] == 2 and alg.height[i] == -1]
     images = [alg.bracket(E, alg.x(i)) for i in cand]
@@ -70,12 +66,7 @@ def _uniqueness_check(alg, E, X) -> bool:
                   key=repr)
     mat = [list(row) for row in zip(*_dense_rows(images, keys))]
     vec = _dense_rows([X], keys)[0]
-    sol = solve(mat, vec, len(cand))
-    if sol is None:
-        return False
-    if nullspace(mat, len(cand)):
-        return False
-    return True
+    return solve(mat, vec, len(cand)) is not None
 
 
 def _height_slots(alg: GradedAlgebra):

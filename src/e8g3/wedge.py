@@ -177,9 +177,7 @@ def kostant_slice_report():
     rhs = [3 * m for m in _flat(X3)]
     sol = solve(rows, rhs, len(cand))
     if sol is None:
-        raise AssertionError("no solution for the lower triple element")
-    if nullspace(rows, len(cand)):
-        raise AssertionError("lower element not unique")
+        raise AssertionError("no unique lower triple element")
     # F scaled by den to integers: den * F
     den = lcm(*(c.denominator for c in sol))
     F = {t: int(c * den) for t, c in zip(cand, sol) if c}

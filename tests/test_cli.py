@@ -405,6 +405,36 @@ def test_wedge_model_has_no_fraction():
     assert "Fraction" not in Path(SRC, "e8g3", "wedge.py").read_text()
 
 
+def test_kostant_has_no_fraction():
+    # the grading element's coroot coordinates are the integral inverse
+    # Gram applied to (2, ..., 2); the table model's eliminations are over
+    # Q(w), on w-pairs
+    assert _import_lines("kostant", "fractions") == []
+    assert "Fraction" not in Path(SRC, "e8g3", "kostant.py").read_text()
+
+
+def test_lower_element_is_solved_in_one_elimination(monkeypatch):
+    # solve answers existence and uniqueness from one elimination, so the
+    # wedge report eliminates five times (its solve, the kernel of ad(F)
+    # and three ranks) and the table model's uniqueness check once
+    from e8g3 import intlinalg, kostant, wedge
+    from e8g3.gradedlie import get_algebra
+
+    calls = []
+    for name in ("_eliminate", "_eliminate_qw"):
+        kernel = getattr(intlinalg, name)
+        monkeypatch.setattr(intlinalg, name,
+                            lambda *args, kernel=kernel:
+                            calls.append(1) or kernel(*args))
+    assert wedge.kostant_slice_report()["slice_dim"] == 4
+    assert len(calls) == 5
+    alg = get_algebra()
+    E, X, _ = kostant.build_triple(alg)
+    calls.clear()
+    assert kostant._uniqueness_check(alg, E, X)
+    assert len(calls) == 1
+
+
 def test_sp4_keeps_no_f3_table_of_its_own():
     # sp4's form and action are heis's objects themselves, so the F_3^4
     # arithmetic has one set of tables

@@ -1048,6 +1048,21 @@ def test_corrupted_table_fails_checks_without_crash(alg, report, corruption):
                if c["name"] != "structure_digest")
 
 
+def test_missing_eigenvector_fails_grading_dimensions_only(report):
+    # graded_basis returns what it finds, and the suite's
+    # grading_dimensions check alone judges the count: an eigenspace short
+    # of one vector fails that check, and the other checks still report
+    kernel = gradedlie.nullspace
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradedlie, "nullspace",
+                   lambda rows, width: kernel(rows, width)[1:])
+        checks = suites.run_suite("gradedlie", None)["checks"]
+    assert ([c["name"] for c in checks]
+            == [c["name"] for c in report.suites["gradedlie"]["checks"]])
+    assert [c["name"] for c in checks
+            if c["status"] != "pass"] == ["grading_dimensions"]
+
+
 def mono_inverse(m):
     """The inverse monomial matrix: column y coded 3 r + e becomes column
     r coded 3 y - e."""

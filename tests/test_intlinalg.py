@@ -73,6 +73,64 @@ def test_unimodular_inverse():
         unimodular_inverse([[1, 2], [2, 4]])
 
 
+def _elementary(data, n):
+    """A random n x n elementary integer matrix: a row added k times to
+    another, two rows swapped, or a row negated."""
+    m = identity(n)
+    kind = data.draw(st.sampled_from(["add", "swap", "negate"]))
+    i = data.draw(st.integers(0, n - 1))
+    if kind == "negate" or n == 1:
+        m[i][i] = -1
+        return m
+    j = data.draw(st.integers(0, n - 2))
+    j += j >= i
+    if kind == "add":
+        m[i][j] = data.draw(st.integers(-3, 3))
+    else:
+        m[i], m[j] = m[j], m[i]
+    return m
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(data=st.data())
+def test_unimodular_inverse_of_elementary_products(data):
+    # a product of elementary matrices is unimodular (det +-1); its inverse
+    # read off the Smith form is an int inverse and is the right half of
+    # the reduced [M | I] over Q
+    n = data.draw(st.integers(1, 6))
+    M = identity(n)
+    for _ in range(data.draw(st.integers(0, 12))):
+        M = mat_mul(_elementary(data, n), M)
+    inv = unimodular_inverse(M)
+    assert all(type(x) is int for row in inv for x in row)
+    assert mat_mul(M, inv) == identity(n)
+    red, pivots = rref([[Fraction(x) for x in row]
+                        + [Fraction(int(i == j)) for j in range(n)]
+                        for i, row in enumerate(M)], 2 * n)
+    assert pivots == list(range(n))
+    assert [row[n:] for row in red] == inv
+    # scaling one row by 2, or making it a copy of another, gives det +-2
+    # or det 0: no integral inverse
+    i = data.draw(st.integers(0, n - 1))
+    doubled = [[2 * x for x in row] if r == i else row
+               for r, row in enumerate(M)]
+    assert det_bareiss(doubled) in (2, -2)
+    with pytest.raises(ValueError):
+        unimodular_inverse(doubled)
+    if n > 1:
+        singular = [M[(i + 1) % n] if r == i else row
+                    for r, row in enumerate(M)]
+        assert det_bareiss(singular) == 0
+        with pytest.raises(ValueError):
+            unimodular_inverse(singular)
+
+
+def test_gram_inverse_of_the_root_basis():
+    rs = build_root_system()
+    assert mat_mul(rs.gram_inv, rs.gram) == identity(8)
+    assert mat_mul(rs.gram, rs.gram_inv) == identity(8)
+
+
 # entries of Q(w) that are often 0 mod (7, w - 2) or not 7-integral: w-pairs
 # and the int/Fraction entries that a matrix over Q(w) may hold as well
 _RATIONALS = st.builds(Fraction, st.sampled_from([0, 1, -2, 3, 7, -14]),
@@ -118,7 +176,8 @@ def test_cyc_rank_is_the_exact_rank(data):
 @given(data=st.data())
 def test_pair_kernels_match_the_oracle(data):
     # rref, rank, nullspace and solve on w-pairs against elimination on
-    # Cyc objects, compared as values
+    # Cyc objects, compared as values; solve gives the oracle's solution
+    # when the kernel is zero, and None when there is none or many
     rows, width = _qw_matrix(data, max_width=5)
     if data.draw(st.booleans()):
         # a consistent system: rhs = rows @ x0
@@ -130,10 +189,12 @@ def test_pair_kernels_match_the_oracle(data):
     red, pivots = rref(rows, width)
     assert (_values(red), pivots) == oracle.rref(rows, width)
     assert rank(rows, width) == len(pivots)
-    assert _values(nullspace(rows, width)) == oracle.nullspace(rows, width)
+    kernel = oracle.nullspace(rows, width)
+    assert _values(nullspace(rows, width)) == kernel
     x, want = solve(rows, rhs, width), oracle.solve(rows, rhs, width)
-    assert (x is None) == (want is None)
-    if x is not None:
+    if kernel or want is None:
+        assert x is None
+    else:
         assert [cyc(v) for v in x] == want
 
 
@@ -157,9 +218,12 @@ def test_cyc_rank_falls_back_to_exact_elimination(rows, width, expect):
 # -- the field of elimination, read from the entries -------------------------
 
 # rank 2 in width 3, with no zero entry, so that every entry of the kernel
-# and of the solution comes out of an elimination step
+# comes out of an elimination step; the last entry changed makes it
+# nonsingular, with non-unit pivots, so the solution's entries do too
 _RATIONAL_MATRIX = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+_NONSINGULAR = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
 _RHS = [6, 15, 24]
+_NONSINGULAR_RHS = [6, 15, 26]
 
 
 def _lift_one_entry(rows):
@@ -167,19 +231,49 @@ def _lift_one_entry(rows):
     return [[(rows[0][0], 0)] + rows[0][1:]] + rows[1:]
 
 
-@pytest.mark.parametrize("rows, kind", [
-    (_RATIONAL_MATRIX, Fraction),
-    (_lift_one_entry(_RATIONAL_MATRIX), tuple),
+@pytest.mark.parametrize("lift, kind", [
+    (lambda rows: rows, Fraction),
+    (_lift_one_entry, tuple),
 ], ids=["rational", "one_cyc_entry"])
-def test_kernel_and_solution_entries_live_in_the_field_of_the_matrix(rows,
+def test_kernel_and_solution_entries_live_in_the_field_of_the_matrix(lift,
                                                                     kind):
+    rows = lift(_RATIONAL_MATRIX)
     kernel = nullspace(rows, 3)
-    x = solve(rows, _RHS, 3)
-    assert len(kernel) == 1 and x is not None
-    assert all(type(v) is kind for v in kernel[0] + x)
+    assert len(kernel) == 1
+    assert all(type(v) is kind for v in kernel[0])
     assert [cyc(v) for v in kernel[0]] == [1, -2, 1]
+    # consistent (x = (1, 1, 1)) but not unique
+    assert solve(rows, _RHS, 3) is None
+    rows = lift(_NONSINGULAR)
+    x = solve(rows, _NONSINGULAR_RHS, 3)
+    assert x is not None and all(type(v) is kind for v in x)
+    assert [cyc(v) for v in x] == [2, -1, 2]
     assert [sum((cyc(a) * cyc(v) for a, v in zip(row, x)), Cyc(0))
-            for row in rows] == _RHS
+            for row in rows] == _NONSINGULAR_RHS
+
+
+@pytest.mark.parametrize("rows, rhs, width, expect", [
+    # unique, square and with more equations than unknowns
+    ([[2, 1], [1, 1]], [3, 2], 2, [1, 1]),
+    ([[1, 0], [0, 1], [1, 1]], [2, 3, 5], 2, [2, 3]),
+    ([[(0, 1)]], [(-1, -1)], 1, [(0, 1)]),
+    # consistent, with a line of solutions or a free unknown
+    ([[1, 1], [2, 2]], [2, 4], 2, None),
+    ([[1, 0, 0], [0, 1, 0]], [1, 1], 3, None),
+    ([[(1, 0), (0, 1)]], [(1, 0)], 2, None),
+    # inconsistent, with a full-rank or a deficient matrix
+    ([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2, None),
+    ([[1, 1], [1, 1]], [1, 2], 2, None),
+    ([[(1, 0)], [(0, 1)]], [(1, 0), (1, 0)], 1, None),
+], ids=["square", "overdetermined", "cyc_unique", "line", "free_column",
+        "cyc_many", "overdetermined_inconsistent", "deficient_inconsistent",
+        "cyc_inconsistent"])
+def test_solve_answers_only_a_unique_solution(rows, rhs, width, expect):
+    x = solve(rows, rhs, width)
+    if expect is None:
+        assert x is None
+    else:
+        assert [cyc(v) for v in x] == [cyc(v) for v in expect]
 
 
 def test_mixed_int_and_cyc_rows_take_the_modular_certificate(monkeypatch):

@@ -128,9 +128,7 @@ def kostant_slice_report():
             rhs.append(X[p][q])
     sol = solve(rows, rhs, len(cand))
     if sol is None:
-        raise AssertionError("no solution for the lower triple element")
-    if nullspace(rows, len(cand)):
-        raise AssertionError("lower element not unique")
+        raise AssertionError("no unique lower triple element")
     F = {t: c for t, c in zip(cand, sol) if c}
 
     # sl2 relations
