@@ -101,7 +101,9 @@ def det_laplace(M):
         memo[rows_key] = val
         return val
 
-    return minor(tuple(range(n)), 0)
+    det = minor(tuple(range(n)), 0)
+    del minor  # it refers to itself: end the cycle, and free the memo, now
+    return det
 
 
 def smith_normal_form(M):

@@ -72,32 +72,40 @@ def test_fixture_text_reads_the_path_or_the_packaged_fixture(tmp_path):
 
 
 def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
+    # a check that raises is one error line under its name, and the checks
+    # after it and the other suites still run
     from e8g3 import suites
 
-    def boom(s):
-        s.check("finished", True)
+    def raises(c):
         raise RuntimeError("table missing")
 
-    def fine(s):
+    boom = (("one", lambda c: (True, "")), ("two", raises),
+            ("three", lambda c: (True, "")))
+
+    def fine(s, c):
         s.check("one", True)
 
-    monkeypatch.setattr(suites, "SUITES", {"boom": boom, "fine": fine})
+    monkeypatch.setattr(suites, "SUITES", {
+        "boom": lambda s, c: suites.run_checks(boom, s, c), "fine": fine})
     out = tmp_path / "r.json"
     assert main(["verify", "all", "--json", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
-        "[PASS] boom/finished",
-        "[ERROR] boom/crash -- RuntimeError: table missing",
+        "[PASS] boom/one",
+        "[ERROR] boom/two -- RuntimeError: table missing",
+        "[PASS] boom/three",
         "[PASS] fine/one",
         "suites FAILED",
     ]
+    assert "Traceback" in captured.err
     assert "RuntimeError: table missing" in captured.err
     boom_rep, fine_rep = json.loads(out.read_text())
     assert boom_rep["suite"] == "boom"
     assert boom_rep["checks"] == [
-        {"name": "finished", "status": "pass", "detail": ""},
-        {"name": "crash", "status": "error",
-         "detail": "RuntimeError: table missing"}]
+        {"name": "one", "status": "pass", "detail": ""},
+        {"name": "two", "status": "error",
+         "detail": "RuntimeError: table missing"},
+        {"name": "three", "status": "pass", "detail": ""}]
     assert fine_rep["suite"] == "fine"
     assert [c["status"] for c in fine_rep["checks"]] == ["pass"]
 
@@ -124,7 +132,7 @@ def test_pool_has_at_most_one_worker_per_suite(monkeypatch, capsys):
         def imap(self, fn, jobs):
             return map(fn, jobs)
 
-    def fine(s):
+    def fine(s, c):
         s.check("one", True)
 
     def get_context(method):
@@ -418,7 +426,7 @@ def test_lower_element_is_solved_in_one_elimination(monkeypatch):
     # wedge report eliminates five times (its solve, the kernel of ad(F)
     # and three ranks) and the table model's uniqueness check once
     from e8g3 import intlinalg, kostant, wedge
-    from e8g3.gradedlie import get_algebra
+    from e8g3.gradedlie import LieElement, get_algebra
 
     calls = []
     for name in ("_eliminate", "_eliminate_qw"):
@@ -433,6 +441,10 @@ def test_lower_element_is_solved_in_one_elimination(monkeypatch):
     calls.clear()
     assert kostant._uniqueness_check(alg, E, X)
     assert len(calls) == 1
+    # a degree-1 component of X, which no [E, F'] reaches, is refused as
+    # unsolvable rather than raised on
+    assert not kostant._uniqueness_check(
+        alg, E, X + LieElement(roots={alg.degree.index(1): (1, 0)}))
 
 
 def test_sp4_keeps_no_f3_table_of_its_own():

@@ -1042,7 +1042,7 @@ def test_corrupted_table_fails_checks_without_crash(alg, report, corruption):
         mp.setattr(gradedlie, "get_algebra", lambda: fresh)
         checks = suites.run_suite("gradedlie", None)["checks"]
     names = [c["name"] for c in checks]
-    assert "crash" not in names
+    assert not [c for c in checks if c["status"] == "error"]
     assert names == [c["name"] for c in report.suites["gradedlie"]["checks"]]
     assert any(c["status"] == "fail" for c in checks
                if c["name"] != "structure_digest")

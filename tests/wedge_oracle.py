@@ -6,16 +6,37 @@ The library's model scales both to integers (the bracket by 9, the
 grading element by 3).  These are the unscaled forms, so a test that
 compares the two checks the scaling.  They share the sign routines
 `merge_sign` and `vol_coeff` with the library; `tests/test_wedge.py`
-checks those against each other.
+checks those against each other.  The eliminations are `qw_oracle`'s,
+not the library's, so a fault in either shows as a disagreement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import qw_oracle
+
 from e8g3.cuspdata import S_H
-from e8g3.intlinalg import mat_eq, nullspace, rank, solve
 from e8g3.wedge import W3, W6, merge_sign, vol_coeff
+
+
+def _rationals(vec):
+    """Entries of a Q(w) elimination read back as Fractions; all lie in Q."""
+    assert not any(x.b for x in vec)
+    return [Fraction(x.a) for x in vec]
+
+
+def rank(rows, width):
+    return len(qw_oracle.rref(rows, width)[1])
+
+
+def solve(rows, rhs, width):
+    """The solution of rows @ x = rhs when it is unique (the kernel is
+    empty), else None."""
+    if qw_oracle.nullspace(rows, width):
+        return None
+    x = qw_oracle.solve(rows, rhs, width)
+    return None if x is None else _rationals(x)
 
 
 def act(A, v):
@@ -133,7 +154,7 @@ def kostant_slice_report():
 
     # sl2 relations
     XF = act(X, F)
-    if not mat_eq(bracket36(E, F), X) or any(
+    if bracket36(E, F) != X or any(
             XF.get(t, Fraction(0)) != -2 * F.get(t, Fraction(0))
             for t in set(XF) | set(F)):
         raise AssertionError("sl2 relations fail in the wedge model")
@@ -144,7 +165,7 @@ def kostant_slice_report():
         M = bracket36({t: Fraction(1)}, F)
         rows3.append([M[p][q] for p in range(9) for q in range(9)])
     cols = [list(col) for col in zip(*rows3)]
-    kernel = nullspace(cols, 84)
+    kernel = [_rationals(v) for v in qw_oracle.nullspace(cols, 84)]
     weights = []
     for vec in kernel:
         support = [W3[i] for i, c in enumerate(vec) if c]
