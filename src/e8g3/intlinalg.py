@@ -307,14 +307,13 @@ def rank(rows, width):
     Any other outcome, or an entry that is not 7-integral, falls back to
     exact elimination.
     """
-    if not _over_qw(rows):
-        return len(_eliminate(rows, width)[1])
-    reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
-    if all(None not in row for row in reduced):
-        r = len(rref_mod(reduced, width, 7)[1])
-        if r == min(len(rows), width):
-            return r
-    return len(_eliminate_qw(rows, width)[1])
+    if _over_qw(rows):
+        reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
+        if all(None not in row for row in reduced):
+            r = len(rref_mod(reduced, width, 7)[1])
+            if r == min(len(rows), width):
+                return r
+    return len(rref(rows, width)[1])
 
 
 def rref_mod(rows, width, p):
@@ -354,7 +353,7 @@ def nullspace(rows, width):
     the field of rref: vectors of w-pairs over Q(w), of rationals (ints
     where the elimination kept them) over Q."""
     qw = _over_qw(rows)
-    red, pivots = (_eliminate_qw if qw else _eliminate)(rows, width)
+    red, pivots = rref(rows, width)
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
@@ -373,9 +372,7 @@ def solve(rows, rhs, width):
     w-pair, else over Q.  One elimination of the augmented rows answers
     both questions: the solution is unique exactly when the pivots are
     the columns range(width)."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = (_eliminate_qw if _over_qw(aug) else _eliminate)(
-        aug, width + 1)
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], width + 1)
     if pivots != list(range(width)):
         return None
     return [row[width] for row in red[:width]]

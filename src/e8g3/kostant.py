@@ -14,6 +14,7 @@ from .cyclotomic import zeta_mul
 from .gradedlie import GradedAlgebra, LieElement
 from .heis import COCYCLE
 from .intlinalg import mat_vec, nullspace, rank, solve
+from .report import CheckFailed
 from .rootsys import S0_TRIPLES, weight_vector
 
 
@@ -92,8 +93,8 @@ def _slots(v: LieElement):
 
 def _dense_rows(images, columns):
     """Coefficient rows of LieElements over the slots ``columns``, as
-    w-pairs; an image with a nonzero coefficient outside ``columns``
-    raises."""
+    w-pairs; an image with a nonzero coefficient outside ``columns`` fails
+    the running check."""
     index = {slot: col for col, slot in enumerate(columns)}
     rows = []
     for img in images:
@@ -101,7 +102,7 @@ def _dense_rows(images, columns):
         for slot, c in _slots(img):
             col = index.get(slot)
             if col is None:
-                raise AssertionError(f"image leaves its block at {slot}")
+                raise CheckFailed(f"image leaves its block at {slot}")
             row[col] = c
         rows.append(row)
     return rows

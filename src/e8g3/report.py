@@ -22,6 +22,10 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+class CheckFailed(Exception):
+    """A false result found inside a sweep; the running check fails."""
+
+
 class Suite:
     """Collects named pass/fail/skip checks with optional exact slack."""
 

@@ -25,6 +25,7 @@ from array import array
 from itertools import combinations, product
 
 from .heis import CLASSES, FORM, action
+from .report import CheckFailed
 
 _VECS = range(1, 81)  # the nonzero vectors
 # two symplectic bases (columns e1, e2, f1, f2) generating the group
@@ -222,10 +223,10 @@ def density_by_classes():
     stabilizer G_W, so N0, the count of elements that fix no nonzero
     vector, is the sum of mu(0, W) |G_W| over all W (Rota 1964), and
     |G_W| is |G| over the orbit of an ordered basis of W. The orbits of
-    the representatives must partition each level of the lattice.
+    the representatives partition each level of the lattice, or it fails.
     """
     if not all(map(_symplectic, _GENERATORS)):
-        raise ValueError("generator is not a symplectic basis")
+        raise CheckFailed("generator is not a symplectic basis")
     acts = [action(g) for g in _GENERATORS]
     n = _group_order(acts)
     levels = _subspaces()
@@ -241,10 +242,10 @@ def density_by_classes():
         bases = n if len(basis) == 4 else _walk(basis, acts, 81)
         stabilizer, rest = divmod(n, bases)
         if rest:
-            raise ValueError("basis orbit size does not divide the order")
+            raise CheckFailed("basis orbit size does not divide the order")
         fixing_none += mu[_span(basis)] * len(orbit) * stabilizer
     if any(sorted(r) != sorted(level) for r, level in zip(reached, levels)):
-        raise ValueError("subspace orbits do not partition the lattice")
+        raise CheckFailed("subspace orbits do not partition the lattice")
     return n, n - fixing_none
 
 

@@ -4,13 +4,15 @@ Each suite is an ordered tuple of checks (name, function of a `Context`).
 A function returns (ok, detail[, slack]).  One whose name ends in `*`
 returns its lines instead, each (name, ok, detail[, slack]), where ok None
 marks a skipped line.  `run_checks` runs a tuple: a check that raises
-gives one `error` line under its declared name, and the rest still run."""
+`CheckFailed` gives one `fail` line with the reason as its detail, one
+that raises anything else one `error` line, and the rest still run.  A
+shared input is built at most once, a build that raised included."""
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import repeat
 
 # checks look a function up on its module as they run, so a wrapper
@@ -20,7 +22,7 @@ from . import (cyclotomic, finitefield, genus2, gradedlie, heis, jacobian,
 from . import rootsys as rs_mod
 from .intlinalg import (det_bareiss, identity, mat_eq, mat_pow, mat_sub,
                         rref_mod)
-from .report import Suite, sha256
+from .report import CheckFailed, Suite, sha256
 from .rootsys import build_root_system
 
 # SHA-256 digests of the canonical root-system data and of the structure
@@ -32,72 +34,71 @@ GRADEDLIE_DIGEST = \
 
 
 class Context:
-    """The inputs that several checks of one suite run share, each built on
-    first read."""
+    """The inputs that several checks of one suite run share.  The first read
+    of `name` builds it by `_name`; a build that raised raises every read."""
 
     def __init__(self, fixture_path: str | None):
         self.fixture_path = fixture_path
+        self.raised, self.printed = {}, set()  # failed builds, shown errors
 
-    @cached_property
-    def rs(self):
+    def __getattr__(self, name):
+        # reached only while `name` is not in the instance dict
+        build = getattr(Context, "_" + name)
+        if name not in self.raised:
+            try:
+                self.__dict__[name] = value = build(self)
+                return value
+            except Exception as exc:
+                self.raised[name] = exc
+        raise self.raised[name]
+
+    def _rs(self):
         return build_root_system()
 
-    @cached_property
-    def gram(self):
+    def _gram(self):
         return self.rs.class_gram()
 
-    @cached_property
-    def reps(self):
+    def _reps(self):
         return [heis.svn_rep(g) for g in range(243)]
 
-    @cached_property
-    def traces(self):
+    def _traces(self):
         return [m.trace() for m in self.reps]
 
-    @cached_property
-    def alg(self):
+    def _alg(self):
         return gradedlie.get_algebra()
 
-    @cached_property
-    def jacobi(self):
+    def _jacobi(self):
         return gradedlie.verify_jacobi(self.alg)
 
-    @cached_property
-    def spaces(self):
+    def _spaces(self):
         return self.alg.graded_basis()
 
-    @cached_property
-    def cusp_bound(self):
+    def _cusp_bound(self):
         return vinberg.verify_cusp_bound()
 
-    @cached_property
-    def kernel_dim(self):
+    def _kernel_dim(self):
         return kostant.ad_e_kernel_dim(self.alg)
 
-    @cached_property
-    def slice(self):
+    def _slice(self):
         return kostant.slice_report(self.alg)
 
-    @cached_property
-    def sp4(self):
+    def _sp4(self):
         """(|Sp4(F_3)|, class count) by the direct and the Moebius count."""
         return sp4.density_direct(), sp4.density_by_classes()
 
-    @cached_property
-    def jacobians(self):
+    def _jacobians(self):
         """(f mod 7, its Jacobian's F_7 points) by fixture curve."""
         out = {}
         for coeffs in ((0, 0, 1, 3), (1, 1, 0, 2), (0, 2, 3, 1)):
             qq = genus2.Quintic(*coeffs)
             if genus2.discriminant(qq) % 7 == 0:
-                raise ValueError(f"curve {coeffs} is singular over F7")
+                raise CheckFailed(f"curve {coeffs} is singular over F7")
             f = [c % 7 for c in qq.coeffs()]
             out[coeffs] = f, jacobian.enumerate_jacobian(
                 finitefield.get_field(7), f)
         return out
 
-    @cached_property
-    def fixture_text(self):
+    def _fixture_text(self):
         return sections.fixture_text(self.fixture_path)
 
 
@@ -441,12 +442,17 @@ CHECKS = {"rootsys": ROOTSYS, "heis": HEIS, "gradedlie": GRADEDLIE,
 
 
 def _call(s: Suite, name: str, fn, c: Context):
-    """fn(c), or None after an `error` line `name` in `s` if it raises."""
+    """fn(c), or None after a line `name` in `s` if it raises: `fail` for
+    `CheckFailed`, else `error` and, once per exception, its traceback."""
     try:
         return fn(c)
+    except CheckFailed as exc:
+        s.check(name, False, str(exc))
     except Exception as exc:
-        import traceback
-        traceback.print_exc()
+        if exc not in c.printed:
+            c.printed.add(exc)
+            import traceback
+            traceback.print_exc()
         s.error(name, f"{type(exc).__name__}: {exc}")
 
 

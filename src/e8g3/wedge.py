@@ -16,6 +16,7 @@ from itertools import combinations, permutations
 from math import lcm
 
 from .intlinalg import mat_eq, nullspace, rank, solve
+from .report import CheckFailed
 
 W3 = tuple(combinations(range(1, 10), 3))
 W6 = tuple(combinations(range(1, 10), 6))
@@ -155,7 +156,7 @@ def kostant_slice_report():
     """Build the principal triple in this model and measure the slice.
 
     Returns kernel dimensions and the degree list read off the grading
-    weights of the slice directions.
+    weights of the slice directions; a step that does not hold fails.
     """
     from .cuspdata import S_H
 
@@ -164,8 +165,8 @@ def kostant_slice_report():
     # triple, trace 0
     x3 = [18 * d - 88 for d in (0, 2, 3, 4, 5, 6, 7, 8, 9)]
     if sum(x3) != 0 or any(sum(x3[i - 1] for i in t) != 6 for t in S_H):
-        raise AssertionError("grading element is not traceless with value "
-                             "2 on the basis triples")
+        raise CheckFailed("grading element is not traceless with value "
+                          "2 on the basis triples")
     X3 = [[x3[i] if i == j else 0 for j in range(9)] for i in range(9)]
 
     # the lower element lives in the x-weight (-2) slice of degree 6; it
@@ -177,7 +178,7 @@ def kostant_slice_report():
     rhs = [3 * m for m in _flat(X3)]
     sol = solve(rows, rhs, len(cand))
     if sol is None:
-        raise AssertionError("no unique lower triple element")
+        raise CheckFailed("no unique lower triple element")
     # F scaled by den to integers: den * F
     den = lcm(*(c.denominator for c in sol))
     F = {t: int(c * den) for t, c in zip(cand, sol) if c}
@@ -186,7 +187,7 @@ def kostant_slice_report():
     XF = _act(X3, F)
     if (not mat_eq(bracket36(E, F), [[3 * den * m for m in row] for row in X3])
             or XF != {t: -6 * c for t, c in F.items()}):
-        raise AssertionError("sl2 relations fail in the wedge model")
+        raise CheckFailed("sl2 relations fail in the wedge model")
 
     # centralizer of F inside degree 3 and its grading weights
     cols = [list(col) for col in
@@ -197,7 +198,7 @@ def kostant_slice_report():
         support = [W3[i] for i, c in enumerate(vec) if c]
         vals = {sum(x3[i - 1] for i in t) for t in support}
         if len(vals) != 1:
-            raise AssertionError("kernel vector mixes grading weights")
+            raise CheckFailed("kernel vector mixes grading weights")
         weights.append(vals.pop())
     # the unscaled weight is w = w3 / 3, an even integer, of degree 1 - w / 2
     degrees = sorted(1 - w // 6 for w in weights)

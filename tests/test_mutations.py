@@ -1,9 +1,9 @@
 """Mutation table: each row patches one ingredient of a suite check and
-asserts that the check's lines pass before and do not after.  Only the
+asserts that the check's lines pass before and fail after.  Only the
 declared checks that give those lines run, through the suite's own
 runner, so a row also tests that the suite wires the ingredient into that
-check; a check that refuses its input gives an `error` line, which is no
-pass either."""
+check.  A wrong result found deep in a sweep is a `fail` line too; only a
+patch that breaks a build invariant, which raises, gives an `error`."""
 
 import inspect
 import re
@@ -14,19 +14,20 @@ import pytest
 from e8g3 import (cuspdata, finitefield, gradedlie, heis, kostant, rootsys,
                   sections, sp4, suites, vinberg)
 from e8g3.gradedlie import GradedAlgebra, LieElement, get_algebra
+from e8g3.intlinalg import identity
 from e8g3.report import Suite
 from e8g3.rootsys import build_root_system
 
 
-def _passes(suite, names):
-    """Whether the lines `names` of `suite` pass, with only the declared
+def _statuses(suite, names):
+    """The status of each line `names` of `suite`, with only the declared
     checks that give them run."""
     s = Suite(suite)
     checks = [(declared, fn) for declared, fn in suites.CHECKS[suite]
               if any(fnmatchcase(name, declared) for name in names)]
     suites.run_checks(checks, s, suites.Context(None))
     status = {c["name"]: c["status"] for c in s.checks}
-    return all(status.get(name) == "pass" for name in names)
+    return [status.get(name) for name in names]
 
 
 def _patch_triple(change):
@@ -46,6 +47,14 @@ def _stray_root_in_resolve(monkeypatch):
     check = kostant._uniqueness_check
     monkeypatch.setattr(kostant, "_uniqueness_check", lambda alg, E, X:
                         check(alg, E, X + _stray_root(alg)))
+
+
+def _drop_height_one_slot(monkeypatch):
+    # the block of height 1 without its last slot, so an image of ad(E)
+    # leaves the block it is read in
+    slots = kostant._height_slots
+    monkeypatch.setattr(kostant, "_height_slots",
+                        lambda alg: {**slots(alg), 1: slots(alg)[1][:-1]})
 
 
 def _drop_basis_root(monkeypatch):
@@ -256,6 +265,11 @@ def _corrupt_w(monkeypatch):
     monkeypatch.setattr(rs, "w", w)
 
 
+def _identity_w(monkeypatch):
+    # w = 1 has order dividing three and fixes every vector
+    monkeypatch.setattr(build_root_system(), "w", identity(8))
+
+
 def _drop_contact_at_infinity(monkeypatch):
     # the same kernel with every contact order on the fibre at infinity 0
     monkeypatch.setattr(sections, "intersection_number", _mutant(
@@ -363,8 +377,11 @@ MUTATIONS = [
     # root, so w read off the coordinates misses a root of the rebuild
     ("rootsys_root_coords", _shift_root_coords, "rootsys",
      "rebuild_identical"),
-    # rootsys/order_three and elliptic: one entry of w moved
-    ("rootsys_w", _corrupt_w, "rootsys", "order_three", "elliptic"),
+    # rootsys/order_three: one entry of w moved (w - 1 stays invertible,
+    # so elliptic still holds)
+    ("rootsys_w", _corrupt_w, "rootsys", "order_three"),
+    # rootsys/elliptic: w = 1 fixes every vector (and w^3 = 1 still holds)
+    ("rootsys_w_identity", _identity_w, "rootsys", "elliptic"),
     # rootsys/snf_divisors: the divisors the Smith form of w - 1 gives
     ("rootsys_snf_divisors", _triple_last_divisor, "rootsys",
      "snf_divisors"),
@@ -376,6 +393,10 @@ MUTATIONS = [
     # unsolvable
     ("kostant_relations_unique", _stray_root_in_resolve, "cusp",
      "kostant_relations"),
+    # cusp/kostant_ad_e_kernel and kostant_two_models_agree, which read the
+    # one kernel dimension: an image of ad(E) outside its height block
+    ("kostant_block_leak", _drop_height_one_slot, "cusp",
+     "kostant_ad_e_kernel", "kostant_two_models_agree"),
     # cusp/kostant_ad_e_kernel: E without one basis root is not regular
     ("kostant_ad_e_kernel", _drop_basis_root, "cusp", "kostant_ad_e_kernel"),
     # cusp/kostant_slice_dim: without one basis root in E and F, ker ad(F)
@@ -385,7 +406,7 @@ MUTATIONS = [
     # degree-0 centralizer
     ("kostant_sampled_regularity", _irregular_slice_point, "cusp",
      "kostant_sampled_regularity"),
-    # cusp/kostant_two_models_agree: the wedge model refuses an E without
+    # cusp/kostant_two_models_agree: the wedge model fails an E without
     # one basis triple, since no lower element then solves [E, F] = X
     ("kostant_two_models_agree", _drop_wedge_triple, "cusp",
      "kostant_two_models_agree"),
@@ -400,11 +421,11 @@ MUTATIONS = [
     # sections/sp4_density: det(M) in place of det(M - I) makes the direct
     # strategy disagree with the Moebius strategy
     ("sp4_density_direct", _drop_identity_shift, "sections", "sp4_density"),
-    # sections/sp4_density: the orbit sweeps refuse generators that do not
+    # sections/sp4_density: the orbit sweeps fail generators that do not
     # generate, since their subspace orbits do not partition the lattice
     ("sp4_density_generators", _non_generating_pair, "sections",
      "sp4_density"),
-    # sections/sp4_density: the class count refuses a generator that is not
+    # sections/sp4_density: the class count fails a generator that is not
     # a symplectic basis
     ("sp4_density_symplectic", _swap_generator_columns, "sections",
      "sp4_density"),
@@ -451,10 +472,15 @@ MUTATIONS = [
 ]
 
 
-@pytest.mark.parametrize("patch, suite, names",
-                         [(row[1], row[2], row[3:]) for row in MUTATIONS],
-                         ids=[row[0] for row in MUTATIONS])
-def test_mutation_fails_its_check(monkeypatch, patch, suite, names):
-    assert _passes(suite, names)
+# the rows whose patch breaks a build invariant, which raises
+ERROR_ROWS = {"rootsys_root_coords"}
+
+
+@pytest.mark.parametrize(
+    "patch, suite, names, status",
+    [(row[1], row[2], row[3:], "error" if row[0] in ERROR_ROWS else "fail")
+     for row in MUTATIONS], ids=[row[0] for row in MUTATIONS])
+def test_mutation_fails_its_check(monkeypatch, patch, suite, names, status):
+    assert _statuses(suite, names) == ["pass"] * len(names)
     patch(monkeypatch)
-    assert not _passes(suite, names)
+    assert _statuses(suite, names) == [status] * len(names)

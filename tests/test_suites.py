@@ -1,9 +1,15 @@
 """The suites as declared tuples of checks: the declared names give the
-report's lines, and a check that raises costs only its own lines."""
+report's lines, a check that raises costs only its own lines, and a
+shared input is built at most once, also when its build raised."""
 
 from fnmatch import fnmatchcase
 
-from e8g3 import cuspdata, suites
+import pytest
+
+from e8g3 import cuspdata, kostant, sp4, suites, vinberg
+from e8g3.report import Suite
+
+from test_mutations import _drop_height_one_slot, _non_generating_pair
 
 
 def _expand(checks, names):
@@ -28,12 +34,23 @@ def test_declared_checks_give_the_report_names(report):
                    for declared, _ in checks)
 
 
-def test_raising_input_costs_only_the_checks_that_read_it(monkeypatch):
+def _counted(monkeypatch, module, name):
+    """A list that gets one entry per call of module.name from now on."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_raising_input_costs_only_the_checks_that_read_it(monkeypatch,
+                                                           capsys):
     # without one basis triple the cusp cases cannot be built and the
-    # wedge model finds no lower element: those checks and the cases'
-    # digest are error lines, and the Kostant checks on the table model
-    # still pass
+    # wedge model finds no lower element: the checks that read the cases
+    # and the cases' digest are error lines, the two models' comparison is
+    # a named fail, and the Kostant checks on the table model still pass
     monkeypatch.setattr(cuspdata, "S_H", cuspdata.S_H[:-1])
+    bound = _counted(monkeypatch, vinberg, "verify_cusp_bound")
+    digest = _counted(monkeypatch, vinberg, "cases_to_json")
     rep = suites.run_suite("cusp", None)
     checks = rep["checks"]
     status = {c["name"]: c["status"] for c in checks}
@@ -43,9 +60,42 @@ def test_raising_input_costs_only_the_checks_that_read_it(monkeypatch):
         "kostant_relations", "kostant_ad_e_kernel", "kostant_slice_dim",
         "kostant_slice_degrees", "kostant_sampled_regularity",
         "degree_bookkeeping"))
-    assert status["kostant_two_models_agree"] == "error"
+    assert all(status[name] == "error" for name in (
+        "case_*", "note_*", "small_sets", "coverage"))
+    assert status["kostant_two_models_agree"] == "fail"
+    assert [c["detail"] for c in checks
+            if c["name"] == "kostant_two_models_agree"] == [
+                "no unique lower triple element"]
     assert [c["name"] for c in checks if c["name"] == "fixture_digest"] == [
         "fixture_digest"]
     assert checks[-1]["name"] == "fixture_digest"
     assert checks[-1]["status"] == "error"
     assert rep["fixture_digest"] == ""
+    # the cases are built once for their four readers, and the digest
+    # builds them once more; each of those two raises prints one traceback
+    assert (len(bound), len(digest)) == (1, 1)
+    assert capsys.readouterr().err.count("Traceback") == 2
+
+
+@pytest.mark.parametrize("patch, suite, names, sweeps, reason", [
+    (_non_generating_pair, "sections", ("sp4_order", "sp4_density"),
+     ((sp4, "density_direct"), (sp4, "density_by_classes")),
+     "subspace orbits do not partition the lattice"),
+    (_drop_height_one_slot, "cusp",
+     ("kostant_ad_e_kernel", "kostant_two_models_agree"),
+     ((kostant, "ad_e_kernel_dim"),), "image leaves its block at ('r', 136)"),
+], ids=["sp4_generators", "kostant_block"])
+def test_failed_sweep_runs_once_and_fails_its_readers(
+        monkeypatch, patch, suite, names, sweeps, reason):
+    # two generators that reach only 36 elements, whose subspace orbits do
+    # not partition the lattice, and a height block that an image of ad(E)
+    # leaves: the sweep raises the reason of a fail, and every check that
+    # reads the shared input fails on it without a rerun
+    patch(monkeypatch)
+    calls = [_counted(monkeypatch, *sweep) for sweep in sweeps]
+    s = Suite(suite)
+    suites.run_checks([check for check in suites.CHECKS[suite]
+                       if check[0] in names], s, suites.Context(None))
+    assert s.checks == [{"name": name, "status": "fail", "detail": reason}
+                        for name in names]
+    assert [len(c) for c in calls] == [1] * len(sweeps)
