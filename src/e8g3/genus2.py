@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .intlinalg import det_bareiss, det_laplace
+from .intlinalg import det_bareiss
 
 
 class Quintic(namedtuple("Quintic", "c12 c18 c24 c30")):
@@ -20,34 +20,58 @@ class Quintic(namedtuple("Quintic", "c12 c18 c24 c30")):
 
 
 def sylvester_matrix(f, g):
-    """Sylvester matrix of two polynomials given low-to-high."""
-    m = len(f) - 1
-    n = len(g) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return rows
+    """Sylvester matrix of two polynomials given low-to-high: deg g shifted
+    rows of f, then deg f shifted rows of g, leading coefficients first."""
+    m, n = len(f) - 1, len(g) - 1
+    return ([[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)])
 
 
-def resultant(f, g, oracle=False):
-    M = sylvester_matrix(f, g)
-    return det_laplace(M) if oracle else det_bareiss(M)
+def resultant(f, g):
+    """Res(f, g) as the determinant of the Sylvester matrix, by Bareiss."""
+    return det_bareiss(sylvester_matrix(f, g))
+
+
+def remainder_resultant(f, g):
+    """Res(f, g) of f, g given low-to-high with nonzero leading coefficients,
+    by the subresultant remainder sequence in integers, which takes no
+    determinant (Collins, J. ACM 14, 1967; Cohen, GTM 138, Alg. 3.3.7).
+
+    Each step pseudo-divides a by b, lc(b)^(d+1) a = q b + r with
+    d = deg a - deg b, and goes on with (b, r / (lc h^d)) and the next
+    h = h^(1-d) lc^d, lc being the leading coefficient of a (lc = h = 1
+    at first); both divisions are exact.  Res(a, b) = (-1)^(deg a deg b)
+    Res(b, a) gives the signs, and a zero remainder is a common factor.
+    """
+    if len(f) < len(g):
+        return ((-1) ** ((len(f) - 1) * (len(g) - 1))
+                * remainder_resultant(g, f))
+    a, b = f[::-1], g[::-1]  # high to low
+    sign = lc = h = 1
+    while len(b) > 1:
+        d = len(a) - len(b)
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r, lb = a, b[0]
+        for _ in range(d + 1):
+            c = r[0]
+            r = [lb * x - c * y for x, y in zip(r[1:], b[1:])] + [
+                lb * x for x in r[len(b):]]
+        while r and r[0] == 0:
+            del r[0]
+        if not r:
+            return 0
+        a, b = b, [x // (lc * h ** d) for x in r]
+        lc = a[0]
+        h = h * lc ** d // h ** d
+    return sign * h * b[0] ** (len(a) - 1) // h ** (len(a) - 1)
 
 
 def discriminant(q: Quintic, oracle=False) -> int:
-    """disc(f) = Res(f, f') for monic quintics (the sign (-1)^(5*4/2) is +1)."""
+    """disc(f) = Res(f, f') for monic quintics (the sign (-1)^(5*4/2) is +1);
+    `oracle` takes the resultant by `remainder_resultant` instead."""
     f = q.coeffs()
     fp = [i * f[i] for i in range(1, 6)]
-    return resultant(f, fp, oracle=oracle)
+    return remainder_resultant(f, fp) if oracle else resultant(f, fp)
 
 
 def height_lt(q: Quintic, a: int) -> bool:

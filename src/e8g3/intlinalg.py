@@ -81,31 +81,6 @@ def det_bareiss(M):
     return sign * A[-1][-1]
 
 
-def det_laplace(M):
-    """Exhaustive determinant via expansion over column subsets (oracle use)."""
-    n = len(M)
-    memo = {(): 1}
-
-    def minor(rows_key, col):
-        # rows_key: tuple of remaining row indices, expanding along column `col`
-        if rows_key in memo:
-            return memo[rows_key]
-        val = 0
-        sign = 1
-        for pos, r in enumerate(rows_key):
-            a = M[r][col]
-            if a:
-                rest = rows_key[:pos] + rows_key[pos + 1:]
-                val += sign * a * minor(rest, col + 1)
-            sign = -sign
-        memo[rows_key] = val
-        return val
-
-    det = minor(tuple(range(n)), 0)
-    del minor  # it refers to itself: end the cycle, and free the memo, now
-    return det
-
-
 def smith_normal_form(M):
     """Return (D, U, V) with U @ M @ V = D diagonal, U, V unimodular.
 

@@ -4,6 +4,8 @@ import math
 import signal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from e8g3.genus2 import (
     Quintic,
@@ -14,7 +16,13 @@ from e8g3.genus2 import (
     enumerate_min_bruteforce,
     height_lt,
     is_minimal,
+    remainder_resultant,
+    resultant,
+    sylvester_matrix,
 )
+from e8g3.intlinalg import det_bareiss
+
+from det_oracle import det_laplace
 
 
 def test_disc_quintuple_root():
@@ -45,11 +53,57 @@ def test_disc_mod_p_compatibility():
 def test_disc_double_root_vanishes():
     # f = (x - 1)^2 (x^3 + 2x + c) expanded with zero x^4 term needs care;
     # use the resultant directly on a crafted product instead
-    from e8g3.genus2 import resultant
     f = [1, 0, 0, 0, 0, 1]  # x^5 + 1, simple roots
     assert resultant(f, [i * f[i] for i in range(1, 6)]) != 0
     g = [0, 0, 1, 0, 0, 1]  # x^5 + x^2 = x^2 (x^3 + 1): repeated root at 0
     assert resultant(g, [i * g[i] for i in range(1, 6)]) == 0
+
+
+def _times(f, g):
+    """Product of two polynomials given low-to-high."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+_LEADING = st.integers(-4, 4).filter(bool)
+
+
+def _poly(degree):
+    # zero is drawn often, so remainders drop by more than one degree
+    return st.tuples(st.lists(st.one_of(st.just(0), st.integers(-4, 4)),
+                              min_size=degree, max_size=degree),
+                     _LEADING).map(lambda p: p[0] + [p[1]])
+
+
+@st.composite
+def _pairs(draw):
+    """(f, g, shared) with f and g of degrees 1 to 6 and nonzero leading
+    coefficients; if shared, both are multiples of one linear factor."""
+    if draw(st.booleans()):
+        common = [draw(st.integers(-3, 3)), draw(_LEADING)]
+        return (*(_times(draw(_poly(draw(st.integers(0, 5)))), common)
+                  for _ in "fg"), True)
+    return (*(draw(_poly(draw(st.integers(1, 6)))) for _ in "fg"), False)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(pair=_pairs())
+@example(pair=([7, 0, 0, 0, 0, 1], [0, 0, 0, 0, 5], False))  # constant rem.
+@example(pair=([0, 0, 0, 0, 5], [7, 0, 0, 0, 0, 1], False))  # deg g > deg f
+@example(pair=([1, 0, 2, 1], [1, 1, 0, 0, 0, -3], False))  # both odd
+# a drop by two degrees after h has left 1, so h^(1-d) lc^d is not lc^d
+@example(pair=([0, -2, 2, 0, 0, 0, -2], [1, 3, 0, 0, 0, 4], False))
+@example(pair=(_times([1, 2, 0, 3], [-2, 1]), _times([5, 0, 1], [-2, 1]),
+               True))
+def test_remainder_resultant_matches_both_determinants(pair):
+    f, g, shared = pair
+    res = remainder_resultant(f, g)
+    assert res == 0 or not shared
+    assert res == det_bareiss(sylvester_matrix(f, g))
+    assert res == det_laplace(sylvester_matrix(f, g))
 
 
 def test_height():

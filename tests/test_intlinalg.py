@@ -17,6 +17,7 @@ from e8g3.intlinalg import (det_bareiss, identity, mat_mul, mat_sub,
 from e8g3.rootsys import build_root_system
 
 import qw_oracle as oracle
+from det_oracle import det_laplace
 from qw_oracle import Cyc, cyc
 
 PRIMES = st.sampled_from([3, 7])
@@ -123,6 +124,26 @@ def test_unimodular_inverse_of_elementary_products(data):
         assert det_bareiss(singular) == 0
         with pytest.raises(ValueError):
             unimodular_inverse(singular)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(data=st.data())
+def test_bareiss_matches_laplace_through_a_zero_pivot(data):
+    # a singular leading (k+1) x (k+1) block forces a zero pivot by step k,
+    # and a row swap; a column k that is a multiple of an earlier one (or
+    # 0) leaves no pivot in that column, and elimination returns 0 early
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, n - 1))
+    M = [data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+         for _ in range(n)]
+    c = data.draw(st.integers(-2, 2))
+    j = data.draw(st.integers(0, k - 1)) if k else None
+    if data.draw(st.booleans()):
+        M[k][:k + 1] = [c * x for x in M[j][:k + 1]] if k else [0]
+    else:
+        for row in M:
+            row[k] = c * row[j] if k else 0
+    assert det_bareiss(M) == det_laplace(M)
 
 
 def test_gram_inverse_of_the_root_basis():

@@ -357,10 +357,15 @@ def test_raised_f_prime_fails_sum_or_positivity(a):
     case = CASES[0]
     conds = verify_cusp_case(case)["conditions"]
     assert conds["sum_bound"]["ok"] and conds["positivity"]["ok"]
-    raised = {**case.f_prime, a: case.f_prime[a] + conds["sum_bound"]["slack"]}
-    conds = verify_cusp_case(
-        case._replace(f_prime=raised))["conditions"]
+    raised = case._replace(f_prime={
+        **case.f_prime, a: case.f_prime[a] + conds["sum_bound"]["slack"]})
+    conds = verify_cusp_case(raised)["conditions"]
     assert not (conds["sum_bound"]["ok"] and conds["positivity"]["ok"])
+    # at zero slack each sum test fails on its own: sum f' = |M0'| is not
+    # below |M0'|, here and in the intermediate check of M0' itself
+    assert conds["sum_bound"] == {"ok": False, "slack": 0}
+    assert vinberg.intermediate_check(raised)(
+        vinberg._mask(raised.m0_prime))[0] is False
 
 
 @pytest.mark.parametrize("step", ["upward", "zero"])
