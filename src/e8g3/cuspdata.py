@@ -1,5 +1,6 @@
 """Embedded cusp-certificate fixtures: the map table, the weight tables
-f_1..f_7, and the per-case data used by the cusp verification.
+f_1..f_7, and the per-case data used by the cusp verification, over the
+root basis S_H, which is `rootsys.S0_TRIPLES`, and its six stable triples.
 
 Weights are (i, j, k) triples, 1 <= i < j < k <= 9.  Rationals are exact.
 The printed preimage counts ride along so the checker can flag any
@@ -10,10 +11,16 @@ from __future__ import annotations
 
 from fractions import Fraction as Fr
 
+from .rootsys import S0_TRIPLES
+
 FIXTURE_VERSION = 1
 
-S_H = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
-       (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6))
+# the root basis; the library reads it at call time, so a test can cut it
+S_H = S0_TRIPLES
+
+# the six stable basis triples, all but (1 6 9) and (2 4 9); `stability`
+# takes them as triggers of its negative-weight sweep
+SIX_STABLE = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (3, 5, 7), (1, 7, 8), (4, 5, 6))
 
 # top slice of the weight poset: every up-closed set of size > 10 contains it
 M0_DPRIME_BASE = ((7, 8, 9), (6, 8, 9), (5, 8, 9), (6, 7, 9), (5, 7, 9), (4, 8, 9))

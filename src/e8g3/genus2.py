@@ -7,6 +7,11 @@ from collections import namedtuple
 
 from .intlinalg import det_bareiss
 
+# the weights of c12, c18, c24, c30: with x, y of weights 6 and 15 every
+# term of the equation has weight 30; they are the degrees of the Kostant
+# slice of the graded E8 (`kostant.slice_report`)
+WEIGHTS = (12, 18, 24, 30)
+
 
 class Quintic(namedtuple("Quintic", "c12 c18 c24 c30")):
     __slots__ = ()
@@ -78,13 +83,14 @@ def height_lt(q: Quintic, a: int) -> bool:
     """Ht(f) < a, via the exact comparisons |c_i|^120 < a^i."""
     if a < 1:
         raise ValueError("bound must be a positive integer")
-    for c, i in ((q.c12, 12), (q.c18, 18), (q.c24, 24), (q.c30, 30)):
+    for c, i in zip(q, WEIGHTS):
         if abs(c) ** 120 >= a ** i:
             return False
     return True
 
 
-_MIN_EXPONENTS = (4, 6, 8, 10)
+# x -> n^2 x, y -> n^5 y divides the coefficient of weight w by n^(w/3)
+_MIN_EXPONENTS = tuple(w // 3 for w in WEIGHTS)
 
 
 def is_minimal(q: Quintic) -> bool:
@@ -126,7 +132,7 @@ def height_box(a: int):
     lexicographic order of (c12, c18, c24, c30)."""
     if a < 1:
         raise ValueError("bound must be a positive integer")
-    b12, b18, b24, b30 = (coeff_bound(a, i) for i in (12, 18, 24, 30))
+    b12, b18, b24, b30 = (coeff_bound(a, i) for i in WEIGHTS)
     for c12 in range(-b12, b12 + 1):
         for c18 in range(-b18, b18 + 1):
             for c24 in range(-b24, b24 + 1):
@@ -144,7 +150,7 @@ def enumerate_min(a: int):
 def enumerate_min_bruteforce(a: int):
     """Definitional nested-loop oracle: overshoot the box, filter by the
     height predicate itself."""
-    box = max(coeff_bound(a, i) for i in (12, 18, 24, 30)) + 2
+    box = max(coeff_bound(a, i) for i in WEIGHTS) + 2
     out = []
     for c12 in range(-box, box + 1):
         for c18 in range(-box, box + 1):

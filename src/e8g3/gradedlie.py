@@ -333,9 +333,10 @@ class GradedAlgebra:
             for t, (a, b) in x.cartan.items():
                 u += a * self.P[t][q]
                 v += b * self.P[t][q]
-            # <h, q> times 1, w and w^2, then their negatives
-            rot = (u + (v << 32), -v + ((u - v) << 32), v - u - (u << 32))
-            pairs.append(rot + tuple(-r for r in rot))
+            # <h, q> times 1, w and w^2, then their negatives, packed
+            rot = [c + (d << 32) for c, d in (
+                zeta_mul(u, v, 0), zeta_mul(u, v, 1), zeta_mul(u, v, 2))]
+            pairs.append((*rot, *(-r for r in rot)))
         return terms, pairs
 
     # -- representation -----------------------------------------------------

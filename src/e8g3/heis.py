@@ -72,6 +72,8 @@ def standard_form():
 # class_code(v) is c.  An element zeta^k times the class v is coded
 # 81 * k + class_code(v)
 CLASSES = tuple(product(range(3), repeat=4))
+# the codes of the unit vectors e1, e2, f1, f2
+UNIT_CODES = (27, 9, 3, 1)
 
 
 def class_code(v) -> int:

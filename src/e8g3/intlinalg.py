@@ -59,9 +59,12 @@ def mat_pow(A, k):
 
 
 def det_bareiss(M):
-    """Exact determinant of an integer matrix (fraction free)."""
+    """Exact determinant of an integer matrix (fraction free); that of the
+    0 x 0 matrix is 1."""
     A = [row[:] for row in M]
     n = len(A)
+    if not n:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

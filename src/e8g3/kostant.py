@@ -11,6 +11,7 @@ whole triple is graded (E, X, F) = (1, 0, 2).
 from __future__ import annotations
 
 from .cyclotomic import zeta_mul
+from .genus2 import WEIGHTS
 from .gradedlie import GradedAlgebra, LieElement
 from .heis import COCYCLE
 from .intlinalg import mat_vec, nullspace, rank, solve
@@ -189,5 +190,5 @@ def cross_check_with_wedge_model(srep: dict, kernel_dim: int) -> bool:
 
     b = kostant_slice_report()
     return (srep["slice_dim"] == b["slice_dim"] == 4
-            and srep["slice_degrees"] == b["slice_degrees"] == [12, 18, 24, 30]
+            and srep["slice_degrees"] == b["slice_degrees"] == list(WEIGHTS)
             and kernel_dim == b["ad_e_kernel_dim"] == 8)

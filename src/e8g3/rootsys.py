@@ -35,6 +35,8 @@ S0_TRIPLES = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
               (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6))
 # the same triples as 0-based coordinate slots
 _BASIS_SLOTS = tuple((i - 1, j - 1, k - 1) for i, j, k in S0_TRIPLES)
+# the pairings of one root with all 240, as sorted (value, count) pairs
+E8_ROW = ((-2, 1), (-1, 56), (0, 126), (1, 56), (2, 1))
 
 
 def canonical(v):

@@ -23,6 +23,7 @@ from .finitefield import (
     quadratic_roots,
 )
 from .jacobian import cantor_add, cantor_neg
+from .rootsys import E8_ROW
 
 
 class Section(namedtuple("Section", "a b")):
@@ -204,9 +205,6 @@ def twist_exponents(P, tau) -> list:
     of the twist of section i."""
     return [[(a - b) % 3 for a, b in zip(P[i], P[tau[i]])]
             for i in range(len(P))]
-
-
-E8_ROW = ((-2, 1), (-1, 56), (0, 126), (1, 56), (2, 1))
 
 
 def verify_section_fixture(F: GF, f, sections) -> dict:

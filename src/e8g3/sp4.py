@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from itertools import combinations, product
 
-from .heis import CLASSES, FORM, action
+from .heis import CLASSES, FORM, UNIT_CODES, action
 from .report import CheckFailed
 
 _VECS = range(1, 81)  # the nonzero vectors
@@ -210,7 +210,7 @@ def _group_order(acts):
     pairs = [(e, f) for e in _VECS for f in _VECS if FORM[e][f] == 1]
     rank = _pair_ranks(pairs)
     tables = [[rank[81 * act[e] + act[f]] for e, f in pairs] for act in acts]
-    e1, e2, f1, f2 = _identity()
+    e1, e2, f1, f2 = UNIT_CODES
     return _walk((rank[81 * e1 + f1], rank[81 * e2 + f2]), tables,
                  len(pairs))
 
@@ -234,7 +234,7 @@ def density_by_classes():
     reached = [[] for _ in levels]
     fixing_none = 0
     for columns in _ORBIT_REPRESENTATIVES:
-        basis = tuple(_identity()[i] for i in columns)
+        basis = tuple(UNIT_CODES[i] for i in columns)
         orbit = _orbit(basis, acts, _span)
         reached[len(basis)].extend(orbit)
         # the identity's orbit is the group, counted above; a smaller
@@ -252,10 +252,5 @@ def density_by_classes():
 def _symplectic(cols) -> bool:
     """Whether the columns pair under the form as the unit vectors do,
     i.e. form a symplectic basis e1, e2, f1, f2."""
-    unit = _identity()
-    return all(FORM[a][b] == FORM[x][y]
-               for a, x in zip(cols, unit) for b, y in zip(cols, unit))
-
-
-def _identity():
-    return (27, 9, 3, 1)  # the codes of the unit vectors
+    return all(FORM[a][b] == FORM[x][y] for a, x in zip(cols, UNIT_CODES)
+               for b, y in zip(cols, UNIT_CODES))

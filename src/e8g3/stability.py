@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from .cuspdata import SIX_STABLE
 from .rootsys import canonical, eij, neg, weight_vector
 from .vinberg import (
     ALL_WEIGHTS,
@@ -27,8 +28,6 @@ from .vinberg import (
     x_value,
 )
 from .wedge import merge_sign
-
-SIX_STABLE = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (3, 5, 7), (1, 7, 8), (4, 5, 6))
 
 
 def _lam(*terms):

@@ -125,8 +125,7 @@ ROOTSYS = (
         [p == -1 for p in row] == [m is not None for m in c.rs.sum_row(i)]
         for i, row in enumerate(c.rs.pairs)), "240^2 sweep")),
     ("per_root_pairing_statistics", lambda c: (all(
-        Counter(row) == {2: 1, 1: 56, 0: 126, -1: 56, -2: 1}
-        for row in c.rs.pairs),
+        Counter(row) == dict(rs_mod.E8_ROW) for row in c.rs.pairs),
         "(2:1, 1:56, 0:126, -1:56, -2:1) for every root")),
     ("order_three",
      lambda c: (mat_eq(mat_pow(c.rs.w, 3), identity(8)), "w^3 = 1")),
@@ -155,7 +154,7 @@ def _group_order(c):
     # the closure of the four basis classes (the codes of the unit
     # vectors) under the group law: the cocycle makes it reach the centre
     product = heis.code_product
-    gens = [27, 9, 3, 1]
+    gens = heis.UNIT_CODES
     group, frontier = set(gens), gens
     while frontier:
         frontier = {product(g, h) for g in frontier for h in gens} - group
@@ -167,7 +166,7 @@ def _symplectic_basis(c):
     h = heis
     model = h.build_model()
     lifts = [model.rs.lift(h.CLASSES[model.from_symplectic[g]])
-             for g in (27, 9, 3, 1)]
+             for g in h.UNIT_CODES]
     got = [[model.rs.symplectic_exponent(a, b) for b in lifts] for a in lifts]
     return got == h.standard_form(), "defining relations of (e1, e2, f1, f2)"
 
@@ -306,7 +305,7 @@ CUSP = (
         c.kernel_dim == 8, "regular nilpotent centralizer dimension")),
     ("kostant_slice_dim", lambda c: (c.slice["slice_dim"] == 4, "")),
     ("kostant_slice_degrees", lambda c: (
-        c.slice["slice_degrees"] == [12, 18, 24, 30],
+        c.slice["slice_degrees"] == list(genus2.WEIGHTS),
         str(c.slice["slice_degrees"]))),
     ("kostant_sampled_regularity", lambda c: (
         (reg := kostant.sampled_regularity(c.alg, c.slice))["ok"],
@@ -386,7 +385,7 @@ def _fixture_lines(c):
          == sorted(s.key() for s in recorded),
          "recorded section list equals fresh scan"),
         ("fixture_histogram",
-         rep["histogram_ok"] and expected_row == sections.E8_ROW,
+         rep["histogram_ok"] and expected_row == rs_mod.E8_ROW,
          "per-section row (2:1, 1:56, 0:126, -1:56, -2:1)"),
         ("fixture_torsion", rep["torsion_ok"],
          "every section class killed by 3"),

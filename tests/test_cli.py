@@ -335,6 +335,46 @@ CALLED_ONLY_OUTSIDE_LIBRARY = {
 }
 
 
+# Constants of the construction, each with the one library file that
+# writes it; the tests keep their own copies
+ONE_HOME = [
+    ((12, 18, 24, 30), "genus2.py"),  # the weights of the quintic family
+    ((4, 6, 8, 10), None),  # the same weights over 3, derived from them
+    ((27, 9, 3, 1), "heis.py"),  # the codes of the unit vectors
+    (((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
+      (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6)), "rootsys.py"),
+    (((2, 6, 7), (2, 5, 8), (3, 4, 8), (3, 5, 7), (1, 7, 8), (4, 5, 6)),
+     "cuspdata.py"),  # the six stable basis triples
+    (((-2, 1), (-1, 56), (0, 126), (1, 56), (2, 1)), "rootsys.py"),
+]
+
+
+def _entries(node):
+    """The entries of a literal tuple, list, set or dict (its items), as a
+    sorted list of their reprs, or None for any other node."""
+    if not isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
+        return None
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return sorted(map(repr, value.items() if isinstance(node, ast.Dict)
+                      else value))
+
+
+def test_each_constant_is_written_once():
+    # a literal with the same entries in any order is a copy; a second
+    # copy would be one more place to keep equal to the first
+    found = [[] for _ in ONE_HOME]
+    for name, node in _library_nodes():
+        entries = _entries(node)
+        for files, (value, _) in zip(found, ONE_HOME):
+            if entries == sorted(map(repr, value)):
+                files.append((name, node.lineno))
+    assert [[name for name, _ in files] for files in found] == [
+        [home] if home else [] for _, home in ONE_HOME], found
+
+
 def test_library_functions_have_library_callers():
     # code that nothing consumes is deleted, and a function that only the
     # tests call is a test helper: every module-level function is named in

@@ -20,7 +20,6 @@ from e8g3.genus2 import (
     resultant,
     sylvester_matrix,
 )
-from e8g3.intlinalg import det_bareiss
 
 from det_oracle import det_laplace
 
@@ -98,11 +97,16 @@ def _pairs(draw):
 @example(pair=([0, -2, 2, 0, 0, 0, -2], [1, 3, 0, 0, 0, 4], False))
 @example(pair=(_times([1, 2, 0, 3], [-2, 1]), _times([5, 0, 1], [-2, 1]),
                True))
+# constants: Res(c, g) = c^deg g, and two constants give the 0 x 0
+# Sylvester matrix, whose determinant is 1
+@example(pair=([3], [4], False))
+@example(pair=([-2], [0, 0, 1], False))
+@example(pair=([1, 2], [5], False))
 def test_remainder_resultant_matches_both_determinants(pair):
     f, g, shared = pair
     res = remainder_resultant(f, g)
     assert res == 0 or not shared
-    assert res == det_bareiss(sylvester_matrix(f, g))
+    assert res == resultant(f, g)
     assert res == det_laplace(sylvester_matrix(f, g))
 
 

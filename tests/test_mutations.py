@@ -206,8 +206,8 @@ def _drop_cocycle(monkeypatch):
 
 
 def _corrupt_slice_degrees(monkeypatch):
-    # slice degrees with the right sum, 84, that are not the halved
-    # invariant quotient weights
+    # slice degrees with the right sum, 84, that are not the weights of
+    # the quintic family
     report = kostant.slice_report
     monkeypatch.setattr(kostant, "slice_report", lambda alg: {
         **report(alg), "slice_degrees": [6, 24, 24, 30]})

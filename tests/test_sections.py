@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from e8g3.finitefield import (GF, padd, pdivmod, pmonic, pmul, psub, ptrim,
                               pxgcd)
 from e8g3.genus2 import Quintic
+from e8g3.rootsys import E8_ROW
 from e8g3.sections import (
-    E8_ROW,
     Section,
     find_sections,
     fixture_from_json,
@@ -386,6 +386,7 @@ def test_sp4_strategies_agree(report):
 
 def test_sp4_identity_in_C():
     # M - I = 0 for M = I, so every cofactor vanishes
-    from e8g3.sp4 import _cofactor_row, _identity
-    e1, e2, f1, _ = _identity()
+    from e8g3.heis import UNIT_CODES
+    from e8g3.sp4 import _cofactor_row
+    e1, e2, f1, _ = UNIT_CODES
     assert _cofactor_row(e1, e2, f1) == (0, 0, 0, 0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from e8g3 import sp4
-from e8g3.heis import FORM
+from e8g3.heis import FORM, UNIT_CODES
 from e8g3.intlinalg import det_bareiss, rref_mod
 
 ELEMENTS = st.integers(0, 51839)
@@ -114,7 +114,7 @@ def test_subspace_orbits():
     # hyperplanes and the whole space
     sizes = []
     for columns in sp4._ORBIT_REPRESENTATIVES:
-        basis = tuple(sp4._identity()[i] for i in columns)
+        basis = tuple(UNIT_CODES[i] for i in columns)
         sizes.append(len(sp4._orbit(basis, actions(), sp4._span)))
     assert sizes == [1, 40, 40, 90, 40, 1]
 
@@ -151,7 +151,7 @@ def test_basis_orbits_on_the_walk():
     # a hyperplane, against the orbit of tuples
     for columns, size in zip(sp4._ORBIT_REPRESENTATIVES[1:5],
                              [80, 1920, 2160, 17280]):
-        basis = tuple(sp4._identity()[i] for i in columns)
+        basis = tuple(UNIT_CODES[i] for i in columns)
         assert sp4._walk(basis, actions(), 81) == size
         assert len(sp4._orbit(basis, actions(), tuple)) == size
 

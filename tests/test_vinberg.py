@@ -368,6 +368,43 @@ def test_raised_f_prime_fails_sum_or_positivity(a):
         vinberg._mask(raised.m0_prime))[0] is False
 
 
+@pytest.mark.parametrize("a", cuspdata.S_H)
+def test_lowered_f_prime_at_zero_positivity_fails(a):
+    # f'(a) lowered until the first coordinate that a raises reaches
+    # exactly 0: the others stay positive, and the sum bound only gains
+    case = CASES[0]
+    slack = verify_cusp_case(case)["conditions"]["positivity"]["slack"]
+    up = n_vector(weight_vector(a))
+    drop = min(s / c for s, c in zip(slack, up) if c > 0)
+    lowered = case._replace(f_prime={**case.f_prime,
+                                     a: case.f_prime[a] - drop})
+    conds = verify_cusp_case(lowered)["conditions"]
+    assert min(conds["positivity"]["slack"]) == 0
+    assert conds["positivity"]["slack"] == _oracle_positivity(
+        lowered.m0_prime, lowered.f_prime)
+    assert conds["sum_bound"]["ok"] and not conds["positivity"]["ok"]
+
+
+def test_small_set_at_zero_positivity_is_reported(monkeypatch):
+    # every up-closed set of size <= 11 has slack; at 12, eight sets have
+    # a coordinate exactly 0 and none below
+    monkeypatch.setattr(vinberg, "SMALL_SET_SIZE", 12)
+    sets = enumerate_up_closed(12)
+    least = {m: min(_oracle_positivity(m, {})) for m in sets}
+    assert min(least.values()) == 0
+    zero = [sorted(m) for m in sets if least[m] == 0]
+    assert len(zero) == 8
+    assert vinberg.verify_small_sets() == {"enumerated": len(sets),
+                                           "failures": zero}
+
+
+def test_equal_layers_are_well_formed():
+    # M0'' = M0' leaves g no domain, and the layers may coincide
+    case = CASES[0]
+    flat = case._replace(m0_dprime=case.m0_prime, g={})
+    assert verify_cusp_case(flat)["conditions"]["well_formed"] == {"ok": True}
+
+
 @pytest.mark.parametrize("step", ["upward", "zero"])
 def test_non_descending_g_step_fails_descent(step):
     case = CASES[0]
@@ -387,13 +424,9 @@ def test_degree_bookkeeping(report):
     bk = degree_bookkeeping([12, 18, 24, 30])
     assert bk["ok"]
     assert bk["dim_sum"] == 84
-    assert bk["slice_weight_count"] == 10
-    assert bk["quotient_weight_count"] == 8
-    assert bk["invariant_slice_degrees"] == [12, 24, 30, 36, 48]
-    assert bk["restricted_degrees"] == [12, 18, 24, 30]
-    # degrees with the right sum but not the halved quotient weights
+    # degrees with the right sum but not the weights of the quintic family
     bad = degree_bookkeeping([6, 24, 24, 30])
-    assert bad["dim_matches"] and not bad["restricted_ok"] and not bad["ok"]
+    assert bad["dim_matches"] and not bad["weights_match"] and not bad["ok"]
 
 
 def test_fixture_roundtrip_bytes():
