@@ -254,22 +254,25 @@ def pscale(F, a, c):
 
 
 def pdivmod(F, a, b):
+    """(q, r) with a = q b + r and deg r < deg b, both trimmed.  Each step
+    pops the leading coefficient of the remainder and cancels it with the
+    lower coefficients of b; the remainder is trimmed once, at the end."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    n = len(b) - 1
+    q = [0] * max(0, len(a) - n)
     sub, mul = F.sub_table, F.mul_table
     inv = F.inv(b[-1])
-    while len(a) >= len(b):
-        c = mul[a[-1]][inv]
-        d = len(a) - len(b)
-        q[d] = c
-        mul_c = mul[c]
-        for i, y in enumerate(b, d):
-            a[i] = sub[a[i]][mul_c[y]]
-        ptrim(a)
-        if not a:
-            break
+    low = b[:-1]
+    while len(a) > n:
+        c = mul[a.pop()][inv]
+        if c:
+            d = len(a) - n
+            q[d] = c
+            mul_c = mul[c]
+            for i, y in enumerate(low, d):
+                a[i] = sub[a[i]][mul_c[y]]
     return ptrim(q), ptrim(a)
 
 

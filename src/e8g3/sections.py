@@ -118,61 +118,6 @@ def neg_section(F: GF, s: Section) -> Section:
     return Section(s.a, tuple(F.neg(c) for c in s.b))
 
 
-def intersection_number(F: GF, s: Section, t: Section) -> int:
-    """Total intersection number of two distinct section curves.
-
-    With A = a_s - a_t and B = b_s - b_t, affine meetings contribute the
-    degree of gcd(A, B) (the local contact order at a smooth fibre point is
-    the minimum of the two vanishing orders).  Since deg A <= 2, that degree
-    is read off in closed form from the remainder of B modulo the monic A.
-    Meetings on the fibre over infinity contribute the common vanishing
-    order at u = 1/x of the reversed differences: the first index from the
-    top at which A or B is nonzero.
-    """
-    a, c, b, d = s.a, t.a, s.b, t.b
-    if len(a) != 3 or len(c) != 3 or len(b) != 4 or len(d) != 4:
-        raise ValueError("a section has three a and four b coefficients")
-    add, sub, mul, neg = F.add_table, F.sub_table, F.mul_table, F.neg_table
-    A0, A1, A2 = sub[a[0]][c[0]], sub[a[1]][c[1]], sub[a[2]][c[2]]
-    B0, B1, B2, B3 = (sub[b[0]][d[0]], sub[b[1]][d[1]],
-                      sub[b[2]][d[2]], sub[b[3]][d[3]])
-    if A2 or B3:
-        inf = 0
-    elif A1 or B2:
-        inf = 1
-    elif A0 or B1:
-        inf = 2
-    elif B0:
-        inf = 3
-    else:
-        raise ValueError("identical sections")
-    if A2:
-        # B mod x^2 + p x + r, one leading term at a time, is R1 x + R0
-        i = F.inv(A2)
-        p, r = mul[A1][i], mul[A0][i]
-        C2 = sub[B2][mul[B3][p]]
-        R1 = sub[sub[B1][mul[B3][r]]][mul[C2][p]]
-        R0 = sub[B0][mul[C2][r]]
-        if not R1:
-            return (0 if R0 else 2) + inf
-        x0 = neg[mul[R0][F.inv(R1)]]
-        return (0 if add[mul[add[x0][p]][x0]][r] else 1) + inf
-    if A1:
-        x0 = neg[mul[A0][F.inv(A1)]]
-        Bx0 = add[mul[add[mul[add[mul[B3][x0]][B2]][x0]][B1]][x0]][B0]
-        return (0 if Bx0 else 1) + inf
-    if A0:
-        return inf
-    return (3 if B3 else 2 if B2 else 1 if B1 else 0) + inf
-
-
-def section_pairing(F: GF, s: Section, t: Section) -> int:
-    """Height pairing read off intersection numbers; 2 on the diagonal."""
-    if s.a == t.a and s.b == t.b:
-        return 2
-    return 1 - intersection_number(F, s, t)
-
-
 def section_class(F: GF, f, s: Section):
     """Mumford divisor of the section: u the monic part of a, v = b mod u."""
     u = pmonic(F, list(s.a))
@@ -180,22 +125,72 @@ def section_class(F: GF, f, s: Section):
     return (tuple(u), tuple(v))
 
 
-def section_class_is_3torsion(F: GF, f, s: Section) -> bool:
-    """3 D = 0 for the section's class D, tested as 2 D = -D."""
-    u, v = section_class(F, f, s)
-    D = (list(u), list(v))
+def section_class_is_3torsion(F: GF, f, D) -> bool:
+    """3 D = 0 for a section's class D = (u, v), tested as 2 D = -D."""
+    D = (list(D[0]), list(D[1]))
     return cantor_add(F, f, D, D) == cantor_neg(F, D)
 
 
 def pairing_table(F: GF, sections) -> list:
-    """Height pairing of every two sections, each unordered pair computed
-    once: P[i][j] = section_pairing(sections[i], sections[j])."""
+    """Height pairing of every two sections: 2 on the diagonal, and one
+    minus the total intersection number of two distinct section curves.
+
+    With A = a_s - a_t and B = b_s - b_t, affine meetings contribute the
+    degree of gcd(A, B) (the local contact order at a smooth fibre point is
+    the minimum of the two vanishing orders).  Since deg A <= 2, that degree
+    is read off in closed form from the remainder of B modulo the monic A.
+    Meetings on the fibre over infinity contribute the common vanishing
+    order at u = 1/x of the reversed differences: the first index from the
+    top at which A or B is nonzero.  Each unordered pair is computed once,
+    its differences read from the sub-table rows of the first section's
+    coefficients.
+    """
+    if not all(len(s.a) == 3 and len(s.b) == 4 for s in sections):
+        raise ValueError("a section has three a and four b coefficients")
+    add, sub, mul, neg = F.add_table, F.sub_table, F.mul_table, F.neg_table
+    inv = [0] + [F.inv(x) for x in range(1, F.q)]
     n = len(sections)
     P = [[2] * n for _ in range(n)]
-    for i in range(n):
-        s, row = sections[i], P[i]
+    for i, ((a0, a1, a2), (b0, b1, b2, b3)) in enumerate(sections):
+        S0, S1, S2 = sub[a0], sub[a1], sub[a2]
+        T0, T1, T2, T3 = sub[b0], sub[b1], sub[b2], sub[b3]
+        row = P[i]
         for j in range(i + 1, n):
-            row[j] = P[j][i] = section_pairing(F, s, sections[j])
+            (c0, c1, c2), (d0, d1, d2, d3) = sections[j]
+            A0, A1, A2 = S0[c0], S1[c1], S2[c2]
+            B0, B1, B2, B3 = T0[d0], T1[d1], T2[d2], T3[d3]
+            if A2 or B3:
+                inf = 0
+            elif A1 or B2:
+                inf = 1
+            elif A0 or B1:
+                inf = 2
+            elif B0:
+                inf = 3
+            else:
+                raise ValueError("identical sections")
+            if A2:
+                # B mod x^2 + p x + r, one leading term at a time, is
+                # R1 x + R0
+                monic = mul[inv[A2]]
+                p, r = monic[A1], monic[A0]
+                C2 = sub[B2][mul[B3][p]]
+                R1 = sub[sub[B1][mul[B3][r]]][mul[C2][p]]
+                R0 = sub[B0][mul[C2][r]]
+                if not R1:
+                    affine = 0 if R0 else 2
+                else:
+                    x0 = neg[mul[R0][inv[R1]]]
+                    affine = 0 if add[mul[add[x0][p]][x0]][r] else 1
+            elif A1:
+                x0 = neg[mul[A0][inv[A1]]]
+                Bx0 = add[mul[add[mul[add[mul[B3][x0]][B2]][x0]][B1]][x0]][B0]
+                affine = 0 if Bx0 else 1
+            elif A0:
+                affine = 0
+            else:
+                affine = 3 if B3 else 2 if B2 else 1 if B1 else 0
+            row[j] = P[j][i] = 1 - affine - inf
     return P
 
 
@@ -224,32 +219,32 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     hist = Counter(tuple(sorted(Counter(row).items())) for row in P)
     out["histogram"] = dict(hist)
     out["histogram_ok"] = hist == {E8_ROW: 240}
-    out["torsion_ok"] = all(section_class_is_3torsion(F, f, s)
-                            for s in sections)
-    classes = {}
-    for s in sections:
-        classes.setdefault(section_class(F, f, s), []).append(s)
+    cls = [section_class(F, f, s) for s in sections]
+    classes = Counter(cls)
+    # whether 3 D = 0 depends on the class D alone
+    out["torsion_ok"] = all(section_class_is_3torsion(F, f, D)
+                            for D in classes)
     nonzero = {k: v for k, v in classes.items() if k != ((1,), ())}
     out["class_count"] = len(nonzero)
     out["classes_ok"] = (len(nonzero) == 80
-                         and all(len(v) == 3 for v in nonzero.values()))
-    out["twist_fibers_match_classes"] = all(
-        section_class(F, f, s) == section_class(F, f, t)
-        for s, t in zip(sections, twists))
+                         and all(v == 3 for v in nonzero.values()))
     # no section may pass through a fibre cusp (needed for the local
     # intersection formula): a and b never vanish together
     out["cusp_avoidance_ok"] = all(
         len(pxgcd(F, s.a, s.b)[0]) <= 1 for s in sections)
-    # e(s, t) + e(t, s) = 0 and e(tau s, tau t) = e(s, t) on all pairs; the
-    # exponents need the twist of every section in the list
-    alt_ok = inv_ok = False
+    # each twist keeps the class, and e(s, t) + e(t, s) = 0 and
+    # e(tau s, tau t) = e(s, t) on all pairs; both read the twist of every
+    # section in the list
+    fibers_ok = alt_ok = inv_ok = False
     if out["closed_under_twist"]:
         tau = [index[t.key()] for t in twists]
+        fibers_ok = all(cls[t] == D for t, D in zip(tau, cls))
         E = twist_exponents(P, tau)
         alt_ok = all((a + b) % 3 == 0 for row, col in zip(E, zip(*E))
                      for a, b in zip(row, col))
         inv_ok = all([E[tau[i]][j] for j in tau] == row
                      for i, row in enumerate(E))
+    out["twist_fibers_match_classes"] = fibers_ok
     out["twist_exponent_alternating"] = alt_ok
     out["twist_exponent_invariant"] = inv_ok
     return out

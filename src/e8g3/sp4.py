@@ -15,8 +15,10 @@ bases as codes in a radix, the ranks of the two hyperbolic pairs
 (e1, f1) and (e2, f2) for the group and the vector codes for a basis of
 at most three vectors, over a bitmap of reached codes.  The form is
 `heis.FORM`, and a matrix acts on vectors through the 81-entry table
-`heis.action` builds; this module keeps no F_3 table of its own.  A
-subspace is the 81-bit mask with bit c set for each code c in it.
+`heis.action` builds; this module keeps no F_3 table of its own, and
+the masks and residue rows the direct count reads are built inside the
+functions that read them.  A subspace is the 81-bit mask with bit c set
+for each code c in it.
 """
 
 from __future__ import annotations
@@ -38,19 +40,27 @@ _ORBIT_REPRESENTATIVES = ((), (0,), (0, 1), (0, 2), (0, 1, 2), (0, 1, 2, 3))
 
 def enumerate_sp4():
     """All matrices by completing symplectic bases (columns e1, e2, f1, f2),
-    packed as ((e1 * 81 + f1) * 81 + e2) * 81 + f2, in increasing order."""
+    packed as ((e1 * 81 + f1) * 81 + e2) * 81 + f2, in increasing order.
+
+    The pairs (e2, f2) completing (e1, f1) depend only on the plane
+    perpendicular to e1 and f1, whose mask is the meet of their masks of
+    vectors with form 0; each of the 90 planes is swept once."""
+    zero = [sum(1 << v for v in _VECS if not form[v]) for form in FORM]
+    tails = {}
     out = array("I")
     for e1 in _VECS:
-        form_e1 = FORM[e1]
+        form_e1, zero_e1 = FORM[e1], zero[e1]
         for f1 in _VECS:
             if form_e1[f1] != 1:
                 continue
-            form_f1 = FORM[f1]
-            perp = [v for v in _VECS if form_e1[v] == 0 and form_f1[v] == 0]
-            for e2 in perp:
-                form_e2 = FORM[e2]
-                head = ((e1 * 81 + f1) * 81 + e2) * 81
-                out.extend(head + f2 for f2 in perp if form_e2[f2] == 1)
+            perp = zero_e1 & zero[f1]
+            tail = tails.get(perp)
+            if tail is None:
+                vecs = [v for v in _VECS if perp >> v & 1]
+                tail = tails[perp] = [e2 * 81 + f2 for e2 in vecs
+                                      for f2 in vecs if FORM[e2][f2] == 1]
+            head = (e1 * 81 + f1) * 6561
+            out.extend([head + t for t in tail])
     return out
 
 
@@ -81,9 +91,17 @@ def _cofactor_row(e1, e2, f1):
 def density_direct():
     """(order, |C|) by testing det(M - I) on every element of the
     enumerated group.  The sorted codes come in runs of one head
-    (e1, f1, e2), whose cofactor row is computed once; each element then
-    costs one dot product with its shifted f2."""
+    (e1, f1, e2), whose cofactor row K is computed once; it picks a row of
+    the 81 x 81 residue table, indexed by K mod 3 and f2, that says whether
+    K . (f2 - u4) = 0 mod 3, so each element costs one lookup."""
     group = enumerate_sp4()
+    shifted = []
+    for d0, d1, d2, d3 in CLASSES:
+        d3 -= 1
+        shifted.append((d0, d1, d2, d3))
+    fixes = [bytes(not (k0 * d0 + k1 * d1 + k2 * d2 + k3 * d3) % 3
+                   for d0, d1, d2, d3 in shifted)
+             for k0, k1, k2, k3 in CLASSES]
     hits = 0
     last = -1
     for code in group:
@@ -93,10 +111,8 @@ def density_direct():
             e1f1, e2 = divmod(head, 81)
             e1, f1 = divmod(e1f1, 81)
             k0, k1, k2, k3 = _cofactor_row(e1, e2, f1)
-        d0, d1, d2, d3 = CLASSES[f2]
-        d3 -= 1
-        if not (k0 * d0 + k1 * d1 + k2 * d2 + k3 * d3) % 3:
-            hits += 1
+            row = fixes[k0 % 3 * 27 + k1 % 3 * 9 + k2 % 3 * 3 + k3 % 3]
+        hits += row[f2]
     return len(group), hits
 
 

@@ -5,7 +5,7 @@ here, the field axioms, and the bound on q."""
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from e8g3.finitefield import (GF, MAX_Q, padd, pdivmod, peval, pmul, pscale,
@@ -126,6 +126,28 @@ def test_polynomial_kernels_match_coefficient_arithmetic(q, data):
         quo, rem = pdivmod(F, a, b)
         assert len(rem) < len(b)
         assert _oracle_add(F, _oracle_mul(F, quo, b), rem) == a
+
+
+@settings(deadline=None, derandomize=True)
+@given(q=st.sampled_from([7, 49, 169]),
+       a=st.lists(st.integers(0, 168), max_size=8),
+       b=st.lists(st.integers(0, 168), min_size=1, max_size=4),
+       zeros=st.integers(0, 2))
+@example(q=49, a=[1, 2, 3], b=[4, 5], zeros=2)  # trailing zeros
+@example(q=169, a=[5, 7], b=[1, 2, 3], zeros=0)  # shorter than b
+@example(q=7, a=[1, 2, 3, 4], b=[3], zeros=0)  # b of degree 0
+@example(q=7, a=[], b=[2, 1], zeros=0)
+def test_pdivmod_matches_coefficient_arithmetic(q, a, b, zeros):
+    F = field(q)
+    a = [x % q for x in a] + [0] * zeros
+    b = [x % q for x in b]
+    b[-1] = b[-1] or 1
+    quo, rem = pdivmod(F, a, b)
+    assert quo == _trim(quo) and rem == _trim(rem)
+    assert len(rem) < len(b)
+    assert _oracle_add(F, _oracle_mul(F, quo, b), rem) == _trim(a)
+    with pytest.raises(ZeroDivisionError):
+        pdivmod(F, a, [])
 
 
 # the modulus and the generator exp[1] of each field: the recorded section

@@ -104,10 +104,15 @@ def _redirect_to_negative_root(monkeypatch):
 
 
 def _mutant(fn, edit):
-    """fn compiled again, in its own module, from its source after edit."""
+    """fn compiled again, in its own module, from its source after edit;
+    an edit that leaves the source as it was raises, so that a row whose
+    target line moved fails instead of testing the original."""
     source = inspect.getsource(fn)
+    edited = edit(source)
+    if edited == source:
+        raise ValueError(f"the edit leaves {fn.__name__} unchanged")
     namespace = {}
-    exec(edit(source), fn.__globals__, namespace)
+    exec(edited, fn.__globals__, namespace)
     return namespace[fn.__name__]
 
 
@@ -271,9 +276,9 @@ def _identity_w(monkeypatch):
 
 
 def _drop_contact_at_infinity(monkeypatch):
-    # the same kernel with every contact order on the fibre at infinity 0
-    monkeypatch.setattr(sections, "intersection_number", _mutant(
-        sections.intersection_number,
+    # the same table with every contact order on the fibre at infinity 0
+    monkeypatch.setattr(sections, "pairing_table", _mutant(
+        sections.pairing_table,
         lambda src: re.sub(r"inf = \d", "inf = 0", src)))
 
 
@@ -484,3 +489,8 @@ def test_mutation_fails_its_check(monkeypatch, patch, suite, names, status):
     assert _statuses(suite, names) == ["pass"] * len(names)
     patch(monkeypatch)
     assert _statuses(suite, names) == [status] * len(names)
+
+
+def test_mutant_refuses_an_edit_that_changes_nothing():
+    with pytest.raises(ValueError, match="unchanged"):
+        _mutant(sections.pairing_table, lambda src: src.replace("@", "#"))

@@ -3,28 +3,30 @@ the sections checks of the session report."""
 
 import json
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e8g3 import sections
 from e8g3.finitefield import (GF, padd, pdivmod, pmonic, pmul, psub, ptrim,
                               pxgcd)
 from e8g3.genus2 import Quintic
+from e8g3.jacobian import cantor_add
 from e8g3.rootsys import E8_ROW
 from e8g3.sections import (
     Section,
     find_sections,
     fixture_from_json,
-    intersection_number,
     load_default_fixture,
     neg_section,
     pairing_table,
     section_class,
     section_class_is_3torsion,
-    section_pairing,
     twist_exponents,
     twist_section,
+    verify_section_fixture,
 )
 
 
@@ -63,9 +65,10 @@ def test_squarefree_part():
 
 
 def _intersection_by_gcd(F, s, t):
-    """Oracle for intersection_number: the Euclidean gcd of the differences
-    for the affine part, and the common vanishing order of the reversed
-    differences for the fibre at infinity."""
+    """Oracle for the intersection numbers of `pairing_table`: the
+    Euclidean gcd of the differences for the affine part, and the common
+    vanishing order of the reversed differences for the fibre at
+    infinity."""
     g1 = psub(F, list(s.b), list(t.b))
     g2 = psub(F, list(s.a), list(t.a))
     if not g1 and not g2:
@@ -214,24 +217,46 @@ def section_pairs(draw):
     return F, s, t
 
 
+def _pairing_by_gcd(F, s, t):
+    """Oracle for one entry of `pairing_table`."""
+    return 2 if s == t else 1 - _intersection_by_gcd(F, s, t)
+
+
 @settings(deadline=None, derandomize=True, max_examples=400)
 @given(section_pairs())
-def test_intersection_number_matches_gcd_oracle(case):
+def test_pairing_table_matches_gcd_oracle(case):
     F, s, t = case
     if s == t:
         with pytest.raises(ValueError):
-            intersection_number(F, s, t)
+            pairing_table(F, [s, t])
     else:
-        assert intersection_number(F, s, t) == _intersection_by_gcd(F, s, t)
+        P = pairing_table(F, [s, t])
+        assert P == [[2, P[0][1]], [P[0][1], 2]]
+        assert P[0][1] == 1 - _intersection_by_gcd(F, s, t)
 
 
-def test_intersection_number_rejects_bad_input(small):
+def test_pairing_table_rejects_bad_input(small):
     F, f, secs = small
     s = secs[0]
     with pytest.raises(ValueError, match="identical"):
-        intersection_number(F, s, Section(s.a, s.b))
-    with pytest.raises(ValueError):
-        intersection_number(F, Section(s.a + (0,), s.b), secs[1])
+        pairing_table(F, [s, Section(s.a, s.b)])
+    with pytest.raises(ValueError, match="coefficients"):
+        pairing_table(F, [Section(s.a + (0,), s.b), secs[1]])
+    with pytest.raises(ValueError, match="coefficients"):
+        pairing_table(F, [secs[1], Section(s.a, s.b[:3])])
+
+
+def test_fixture_pairing_table_matches_gcd_oracle():
+    # every entry of the packaged fixture's 240 x 240 table: the diagonal,
+    # symmetry, and each unordered pair against the oracle once
+    q, coeffs, secs, _ = load_default_fixture()
+    F = GF(q)
+    P = pairing_table(F, secs)
+    assert [row[i] for i, row in enumerate(P)] == [2] * len(secs)
+    assert P == [list(col) for col in zip(*P)]
+    assert [(i, j) for i, j in combinations(range(len(secs)), 2)
+            if P[i][j] != 1 - _intersection_by_gcd(F, secs[i], secs[j])
+            ] == []
 
 
 def distinct_common_roots(F, s, t):
@@ -292,37 +317,51 @@ def test_closure_under_flip_and_twist(small):
 def test_pairing_conventions(small):
     F, f, secs = small
     s = secs[0]
-    assert section_pairing(F, s, s) == 2
-    assert section_pairing(F, s, neg_section(F, s)) == -2
     t = twist_section(F, s)
-    assert section_pairing(F, s, t) == -1
-    assert section_pairing(F, s, t) == section_pairing(F, t, s)
+    P = pairing_table(F, [s, neg_section(F, s), t])
+    assert P[0][0] == 2
+    assert P[0][1] == -2
+    assert P[0][2] == P[2][0] == -1
 
 
 def test_pairing_range(small):
     F, f, secs = small
-    for s in secs:
-        for t in secs:
-            assert -2 <= section_pairing(F, s, t) <= 2
+    assert all(-2 <= x <= 2 for row in pairing_table(F, secs) for x in row)
 
 
 def test_distinct_count_vs_intersection(small):
     # the set count never exceeds the multiplicity-aware count
     F, f, secs = small
-    for s in secs:
-        for t in secs:
-            if s == t:
-                continue
-            assert distinct_common_roots(F, s, t) <= \
-                intersection_number(F, s, t)
+    P = pairing_table(F, secs)
+    for i, s in enumerate(secs):
+        for j, t in enumerate(secs):
+            if i != j:
+                assert distinct_common_roots(F, s, t) <= 1 - P[i][j]
 
 
 def test_torsion_descent(small):
     F, f, secs = small
     for s in secs:
-        assert section_class_is_3torsion(F, f, s)
-        u, v = section_class(F, f, s)
+        D = section_class(F, f, s)
+        assert section_class_is_3torsion(F, f, D)
+        u, v = D
         assert u[-1] == 1 and len(u) == 3
+
+
+def test_fixture_doubles_each_class_once(monkeypatch):
+    # whether 3 D = 0 depends on the class alone, so the 240 sections cost
+    # one doubling per nonzero class
+    q, coeffs, secs, _ = load_default_fixture()
+    F = GF(q)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cantor_add(*args)
+    monkeypatch.setattr(sections, "cantor_add", counted)
+    rep = verify_section_fixture(F, [F.from_int(c) for c in coeffs], secs)
+    assert rep["torsion_ok"] and rep["class_count"] == 80
+    assert len(calls) == 80
 
 
 def test_twist_orbit_shares_class(small):
@@ -335,8 +374,8 @@ def test_twist_orbit_shares_class(small):
 def twist_exponent_pairing(F, s, t):
     """Oracle: exponent of the central pairing via intersection counts with
     and without one twist, reduced mod 3."""
-    return (section_pairing(F, s, t)
-            - section_pairing(F, twist_section(F, s), t)) % 3
+    return (_pairing_by_gcd(F, s, t)
+            - _pairing_by_gcd(F, twist_section(F, s), t)) % 3
 
 
 def _table_exponents(F, secs):
@@ -351,7 +390,7 @@ def test_pairing_table_and_exponents_match_oracle(small):
     P, E = _table_exponents(F, secs)
     for i, s in enumerate(secs):
         for j, t in enumerate(secs):
-            assert P[i][j] == section_pairing(F, s, t)
+            assert P[i][j] == _pairing_by_gcd(F, s, t)
             assert E[i][j] == twist_exponent_pairing(F, s, t)
 
 
