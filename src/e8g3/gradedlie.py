@@ -739,6 +739,37 @@ def killing_gram(alg: GradedAlgebra):
 # Jacobi sweep
 # ---------------------------------------------------------------------------
 
+# hop-row sentinels of the Jacobi filter: no bracket, and a bracket that the
+# filter does not follow (kind 2 or more, or an out that is no root index)
+ZERO = 255
+SLOW = 254
+
+
+def _jacobi_filters(alg: GradedAlgebra):
+    """The 256-byte `bytes.translate` tables of the Jacobi filter.
+
+    hop[r][k] is out[r][k] where kind[r][k] is 1 and out[r][k] is in
+    range(n), ZERO where kind[r][k] is 0, and SLOW elsewhere; nz[r] is the
+    kind row, read as 0 at ZERO and as 1 at SLOW; hopcol[i][k] is
+    hop[k][i], and kcol[m][k] is kind[k][m]."""
+    n = alg.n
+    pad = bytes(256 - n)
+    kind = [bytes(row) for row in alg.kind]
+    to_hop = bytes([ZERO]) + bytes([SLOW]) * 255
+    hop = []
+    for kind_r, out_r in zip(kind, alg.out):
+        h = bytearray(kind_r.translate(to_hop))
+        for k in compress(range(n), map((1).__eq__, kind_r)):
+            if 0 <= out_r[k] < n:
+                h[k] = out_r[k]
+        hop.append(bytes(h))
+    # past the n kind bytes: SLOW reads 1, ZERO (the last byte) reads 0
+    nz = [row + bytes(SLOW - n) + bytes([1, 0]) for row in kind]
+    hopcol = [bytes(col) + pad for col in zip(*hop)]
+    kcol = [bytes(col) + pad for col in zip(*kind)]
+    return [row + pad for row in hop], nz, hopcol, kcol
+
+
 def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     """Check all unordered root triples i<j<k with lo <= i < hi.
 
@@ -746,13 +777,28 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     nonzero hold trivially: the weight of any inner bracket can never
     return to the third weight when all three pairings are >= 0.  So the
     candidates for each (i, j) are the k > j in nbr[i] | nbr[j], taken as
-    two disjoint lists that start past j by bisection in the sorted
-    neighbour rows: the k in nbr[j], and the rest, the k in nbr[i] but not
-    in nbr[j], where [x_j, x_k] = 0.  When [x_i, x_j] = 0 as well, only
+    two disjoint byte strings that start past j by bisection in the sorted
+    neighbour rows: `ks`, the k in nbr[j], and `rest`, the k in nbr[i] but
+    not in nbr[j], where [x_j, x_k] = 0.  When [x_i, x_j] = 0 as well, only
     [x_j, [x_k, x_i]] remains for the rest; every code is a unit and every
     coroot is nonzero, so such a triple fails exactly when that term's
     table reads give a nonzero bracket.  Every other candidate goes through
-    all three terms.
+    all three terms.  Each candidate counts as evaluated.
+
+    Filter.  Before the Python body runs, `bytes.translate` through the
+    tables of `_jacobi_filters` gives one flag byte per candidate and term,
+    read from that candidate's own kind and out entries: term 1 is
+    nz[i][hop[j][k]], term 2 is nz[j][hop[k][i]], and term 3 is
+    kind[k][m_ij] for a root-valued [x_i, x_j] = c x_m_ij, or PR[i][k] != 0
+    for a cartan-valued one.  The flags of a pair are ORed as the bytes of
+    one int (`int.from_bytes`), and only the candidates with a nonzero
+    flag go through the body.  The filter is exact because it
+    over-approximates: a zero flag means the body finds that term zero
+    (kind 0 at ZERO, or a valid kind-1 hop onto a kind-0 entry), while
+    anything else, a kind of 2 or more (SLOW, read as 1 by nz), an out
+    outside range(n), or any other kind of [x_i, x_j], sends the
+    candidate to the body, which reads the entries as before.  A triple
+    whose three terms are all zero holds.
 
     Every root-valued term of a triple is a nonzero multiple of a unit and
     belongs on the weight i + j + k, so one target and one packed w-pair
@@ -772,42 +818,61 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     scl = alg.scl
     PR = alg.PR
     cr = alg.cr
-    nbr = alg.nbr
     n = alg.n
     ppair = _PPAIR
     pmul = _PMUL
-    rows = [sorted(s) for s in nbr]
+    rows = [bytes(sorted(s)) for s in alg.nbr]
+    # the k > j of each row, the candidates that bracket nonzero with x_j
+    tails = [row[bisect_right(row, j):] for j, row in enumerate(rows)]
+    hop, nz, hopcol, kcol = _jacobi_filters(alg)
+    ones = b"\x01" * 256
+    from_bytes = int.from_bytes
     evaluated = 0
     violations = []
 
     for i in range(lo, hi):
         kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
-        row_i = rows[i]
+        row_i, nz_i, hopcol_i = rows[i], nz[i], hopcol[i]
         # column i: the inner bracket [x_k, x_i] of the second term
-        kind_ki = [r[i] for r in kind]
+        kind_ki = kcol[i]
         out_ki = [r[i] for r in out]
         scl_ki = [r[i] for r in scl]
         for j in range(i + 1, n):
-            kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
-            nbr_j, row_j = nbr[j], rows[j]
-            c_ji = -PR[j][i]
-            k_ij, m_ij, s_ij = kind_i[j], out_i[j], scl_i[j]
-            mul_ij = pmul[s_ij]
-
-            ks = row_j[bisect_right(row_j, j):]
-            rest = [k for k in row_i[bisect_right(row_i, j):]
-                    if k not in nbr_j]
+            ks, nz_j = tails[j], nz[j]
+            k_ij = kind_i[j]
+            rest = row_i[bisect_right(row_i, j):].translate(None, ks)
             evaluated += len(ks) + len(rest)
             if k_ij:
                 ks += rest
             else:
                 # only [x_j, [x_k, x_i]]: a unit times a root or a coroot
-                for k in rest:
+                for k in compress(rest,
+                                  rest.translate(hopcol_i).translate(nz_j)):
                     kq = kind_ki[k]
-                    if kind_j[out_ki[k]] if kq == 1 else kq == 2 and PR[k][j]:
+                    if kind[j][out_ki[k]] if kq == 1 else kq == 2 and PR[k][j]:
                         violations.append(
                             (i, j, k, _jacobi_residual(alg, i, j, k)))
-            for k in ks:
+            if not ks:
+                continue
+            live = (from_bytes(ks.translate(hop[j]).translate(nz_i), "little")
+                    | from_bytes(ks.translate(hopcol_i).translate(nz_j),
+                                 "little"))
+            m_ij = out_i[j]
+            if k_ij:
+                if k_ij == 1 and 0 <= m_ij < n:
+                    third = kcol[m_ij]
+                elif k_ij == 2:
+                    third = bytes(map(bool, PR_i)) + bytes(256 - n)
+                else:
+                    third = ones
+                live |= from_bytes(ks.translate(third), "little")
+            if not live:
+                continue
+            kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
+            c_ji = -PR[j][i]
+            s_ij = scl_i[j]
+            mul_ij = pmul[s_ij]
+            for k in compress(ks, live.to_bytes(len(ks), "little")):
                 target = None
                 stray = False
                 s = 0
@@ -893,7 +958,15 @@ def _addc(acc, coords, p):
 
 
 def _jacobi_cartan_parts(alg: GradedAlgebra):
-    """Triples with at least one cartan generator."""
+    """Triples with at least one cartan generator.
+
+    A triple (h_a, X_i, X_j) holds when the pairings with basis coroot a
+    add: P[a][m] = P[a][i] + P[a][j] for a root-valued [X_i, X_j] = c X_m,
+    and P[a][i] + P[a][j] = 0 otherwise.  Each pair compares its 8
+    pairings at once, packed into 16-bit lanes by `_lanes` (three pairings
+    sum to at most 6 in absolute value), and is unpacked per a only on a
+    mismatch.
+    """
     evaluated = 0
     violations = []
     n = alg.n
@@ -906,21 +979,29 @@ def _jacobi_cartan_parts(alg: GradedAlgebra):
                 if P[b][i] * P[a][i] - P[a][i] * P[b][i]:
                     violations.append(("cc", a, b, i))
     # one cartan, two roots
-    for a in range(8):
-        Pa = P[a]
-        for i in range(n):
-            for j in alg.nbr[i]:
-                if j <= i:
-                    continue
-                evaluated += 1
-                if alg.kind[i][j] == 1:
-                    m = alg.out[i][j]
-                    if Pa[m] - Pa[j] - Pa[i]:
-                        violations.append(("cr", a, i, j))
-                else:
-                    if Pa[j] + Pa[i]:
-                        violations.append(("cr0", a, i, j))
+    pp = _lanes(zip(*P))
+    for i in range(n):
+        kind_i, out_i, pp_i = alg.kind[i], alg.out[i], pp[i]
+        for j in alg.nbr[i]:
+            if j <= i:
+                continue
+            evaluated += 8
+            if kind_i[j] == 1:
+                m = out_i[j]
+                if pp[m] - pp[j] - pp_i:
+                    violations += [("cr", a, i, j) for a, Pa in enumerate(P)
+                                   if Pa[m] - Pa[j] - Pa[i]]
+            elif pp[j] + pp_i:
+                violations += [("cr0", a, i, j) for a, Pa in enumerate(P)
+                               if Pa[j] + Pa[i]]
     return evaluated, violations
+
+
+def _lanes(vectors):
+    """Each integer vector v packed into one int, the sum of v[a] * 2**(16 a):
+    linear, and one-to-one on vectors whose entries stay below 2**15 in
+    absolute value."""
+    return [sum(c << 16 * a for a, c in enumerate(v)) for v in vectors]
 
 
 def _out_additive(alg: GradedAlgebra) -> bool:
@@ -929,15 +1010,14 @@ def _out_additive(alg: GradedAlgebra) -> bool:
     out[j][i] are the index of root i + root j.
 
     Roots are compared by their basis coordinates (rs.coords), packed into
-    16-bit lanes: the pack is linear, and one-to-one on coordinates below
-    2**15 in absolute value, far above the at most 12 of a sum of two
-    roots.  So one int sum is the coordinates of root i + root j, read
+    16-bit lanes by `_lanes`, one-to-one far above the at most 12 of a sum
+    of two roots.  So one int sum is the coordinates of root i + root j, read
     independently of the 9-vector packs that `RootSystem.sum_row` gives
     `out` from.  The pairing is symmetric, so once every row holds kind 1
     exactly at its -1 entries, each kind-1 pair is met with i < j; one sum
     serves both orders.
     """
-    pc = [sum(c << 16 * a for a, c in enumerate(x)) for x in alg.rs.coords]
+    pc = _lanes(alg.rs.coords)
     kind, out, PR = alg.kind, alg.out, alg.PR
     for i in range(alg.n):
         kind_i, out_i, PR_i = kind[i], out[i], PR[i]
@@ -961,7 +1041,14 @@ def verify_jacobi(alg: GradedAlgebra):
     Candidate pruning is exact: if none of the three pairwise brackets is
     nonzero, every term vanishes (additivity of weights forbids the inner
     bracket from reaching the remaining weight).  That additivity of the
-    table is checked as `out_additive`.
+    table is checked as `out_additive`.  Every candidate counts in
+    `evaluated_triples`.  Byte filters (`_jacobi_filters`) then keep from
+    the Python body the candidates whose three terms all read zero from
+    their own kind and out entries: ZERO (255) marks kind 0, and SLOW (254)
+    any entry the filter does not follow (kind 2 or more, or an out outside
+    the table), which always reaches the body.  The filter only
+    over-approximates the nonzero terms, so the violations are those of the
+    body run on every candidate, on any table.
     """
     ev_c, vi_c = _jacobi_cartan_parts(alg)
     ev_r, vi_r = _jacobi_root_range(alg, 0, alg.n)

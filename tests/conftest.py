@@ -39,10 +39,14 @@ class VerifyAll:
     def text(self) -> str:
         """The report text; fails unless the run exits 0."""
         code = self.proc.wait(timeout=1200)
-        self.log.seek(0)
-        assert code == 0, self.log.read()[-2000:]
+        assert code == 0, self.output()[-2000:]
         with open(self.path) as fh:
             return fh.read()
+
+    def output(self) -> str:
+        """What the run printed, stdout and stderr in one stream."""
+        self.log.seek(0)
+        return self.log.read()
 
     def stop(self):
         if self.proc.poll() is None:
@@ -74,10 +78,12 @@ def pytest_sessionfinish(session):
 
 
 class Report:
-    """One `verify all` report: its text, its suites by name, and lookups."""
+    """One `verify all` report: its text, what the run printed, its suites
+    by name, and lookups."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, output: str):
         self.text = text
+        self.output = output
         self.suites = {d["suite"]: d for d in json.loads(text)}
 
     def check(self, suite: str, name: str) -> dict:
@@ -93,7 +99,8 @@ class Report:
 
 @pytest.fixture(scope="session")
 def report(pytestconfig):
-    return Report(pytestconfig.stash[_RUNS][1]["report"].text())
+    run = pytestconfig.stash[_RUNS][1]["report"]
+    return Report(run.text(), run.output())
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """The gradedlie sweeps as they read the table entry by entry, for the
 tests: the Killing diagonal as a trace over all 248 basis vectors, the
-additivity of `out` on root tuples, the theta automorphism on every pair,
-the rho' sweep with one bracket of Z vectors per orbit pair, and the
+additivity of `out` on root tuples, the one-cartan Jacobi terms one
+coroot at a time, the theta automorphism on every pair, the rho' sweep with one bracket of Z vectors per orbit pair, and the
 structure digest fed line by line.
 
 The library reads only the nonzero table entries, row by row; a test that
@@ -77,6 +77,36 @@ def out_additive(alg) -> bool:
         if ones != PR[i].count(-1):
             return False
     return True
+
+
+def jacobi_cartan_parts(alg):
+    """gradedlie._jacobi_cartan_parts with each one-cartan triple
+    (h_a, X_i, X_j) compared for one basis coroot a at a time."""
+    evaluated = 0
+    violations = []
+    n = alg.n
+    P = alg.P
+    for a in range(8):
+        for b in range(a + 1, 8):
+            for i in range(n):
+                evaluated += 1
+                if P[b][i] * P[a][i] - P[a][i] * P[b][i]:
+                    violations.append(("cc", a, b, i))
+    for a in range(8):
+        Pa = P[a]
+        for i in range(n):
+            for j in alg.nbr[i]:
+                if j <= i:
+                    continue
+                evaluated += 1
+                if alg.kind[i][j] == 1:
+                    m = alg.out[i][j]
+                    if Pa[m] - Pa[j] - Pa[i]:
+                        violations.append(("cr", a, i, j))
+                else:
+                    if Pa[j] + Pa[i]:
+                        violations.append(("cr0", a, i, j))
+    return evaluated, violations
 
 
 def theta_automorphism(alg):

@@ -1,9 +1,11 @@
 """Command-line wiring: exit codes, reports, usage errors, determinism."""
 
 import ast
+import glob
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -310,6 +312,63 @@ def test_optimized_interpreter_gives_same_report(tmp_path, report):
         assert proc.returncode == 0, proc.stderr[-2000:]
         plain = strip_volatile(dump_report(report.suites[suite]))
         assert strip_volatile(path.read_text()) == plain, suite
+
+
+def _other_cpythons():
+    """One executable per CPython version >= 3.10 other than this one:
+    pyenv's versions/3.1x*/bin/python under `pyenv root`, then python3.1x on
+    PATH.  One that fails to start, such as a pyenv shim with no version
+    behind it, counts as absent."""
+    candidates = []
+    try:
+        root = subprocess.run(["pyenv", "root"], capture_output=True,
+                              text=True, timeout=60).stdout.strip()
+    except (OSError, subprocess.TimeoutExpired):
+        root = ""
+    if root:
+        candidates += sorted(glob.glob(
+            os.path.join(root, "versions", "3.1*", "bin", "python")))
+    candidates += filter(None, (shutil.which(f"python3.{minor}")
+                                for minor in range(10, 20)))
+    probe = ("import platform, sys; "
+             "print(platform.python_implementation(), *sys.version_info[:3])")
+    found = {}
+    for exe in candidates:
+        try:
+            proc = subprocess.run([exe, "-c", probe], capture_output=True,
+                                  text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        words = proc.stdout.split()
+        if proc.returncode or len(words) != 4 or words[0] != "CPython":
+            continue
+        version = tuple(map(int, words[1:]))
+        if version >= (3, 10) and version != sys.version_info[:3]:
+            found.setdefault(version, exe)
+    return found
+
+
+def test_report_is_identical_on_every_installed_cpython(tmp_path, report):
+    # the sweeps lean on bytes.translate, int.from_bytes and dict order;
+    # each other interpreter prints the same lines and writes the same
+    # stripped report as the session's run (--threads 1 --seed 0)
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 starts")
+    runs = {}
+    for version, exe in interpreters.items():
+        path = tmp_path / f"{exe.replace(os.sep, '_')}.json"
+        runs[version] = path, subprocess.Popen(
+            [exe, "-m", "e8g3", "verify", "all", "--threads", "1",
+             "--seed", "0", "--json", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+    plain = strip_volatile(report.text)
+    for version, (path, proc) in runs.items():
+        output = proc.communicate(timeout=600)[0]
+        assert proc.returncode == 0, (version, output[-2000:])
+        assert output == report.output, version
+        assert strip_volatile(path.read_text()) == plain, version
 
 
 def _library_nodes():

@@ -707,7 +707,8 @@ def _addc_pairs(acc, coords, x, y):
 def _jacobi_root_range_by_union(alg, lo, hi):
     """Oracle for gradedlie._jacobi_root_range: one loop over the union
     nbr[i] | nbr[j] per pair, skipping k <= j, with each term summed as a
-    w-pair of ints."""
+    w-pair of ints.  An outer bracket [x_p, c X_m] of any nonzero kind but 1
+    is cartan-valued, as in GradedAlgebra.bracket and the sweep."""
     from e8g3.gradedlie import _MUL_PAIR, _PAIR, _jacobi_residual
     kind = alg.kind
     out = alg.out
@@ -746,7 +747,7 @@ def _jacobi_root_range_by_union(alg, lo, hi):
                     kp = kind_i[m]
                     if kp:
                         dx, dy = mul_pair[scl_j[k]][scl_i[m]]
-                        if kp == 2:
+                        if kp != 1:
                             acc_c = _addc_pairs(acc_c, cr_i, dx, dy)
                         else:
                             target = out_i[m]
@@ -763,7 +764,7 @@ def _jacobi_root_range_by_union(alg, lo, hi):
                     kp = kind_j[m]
                     if kp:
                         dx, dy = mul_pair[scl_k[i]][scl_j[m]]
-                        if kp == 2:
+                        if kp != 1:
                             acc_c = _addc_pairs(acc_c, cr_j, dx, dy)
                         else:
                             t = out_j[m]
@@ -789,7 +790,7 @@ def _jacobi_root_range_by_union(alg, lo, hi):
                     kp = kind_k[m_ij]
                     if kp:
                         dx, dy = mul_ij[scl_k[m_ij]]
-                        if kp == 2:
+                        if kp != 1:
                             acc_c = _addc_pairs(acc_c, cr[k], dx, dy)
                         else:
                             t = out_k[m_ij]
@@ -837,6 +838,74 @@ def test_jacobi_sweep_matches_union_oracle(alg, corrupt, positions):
     assert {t.index(119) for t in triples if 119 in t} == positions
     if corrupt is not None:
         assert {k in alg.nbr[j] for _, j, k in triples} == {True, False}
+
+
+# one corrupted entry of row lo + d (d < 4) of a fresh table, at the pick-th
+# neighbour: ("kind_nbr", d, pick, v) sets kind to v, so a kind 2 away from
+# the opposite pair or a kind 3 takes the filter's SLOW path; ("out", d,
+# pick, t) moves the target of a root-valued entry by t; ("scl", d, pick, c)
+# sets the code to c, NONE included.  ("kind", 0, j, v) sets kind to v at
+# any column j of row lo itself.  Off the neighbour rows the two sweeps
+# differ on purpose: for a k outside nbr[j] the two-list sweep takes only
+# [x_j, [x_k, x_i]] when [x_i, x_j] = 0, and never reads kind[j][k]; row lo
+# is no j of the window
+JACOBI_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("kind_nbr"), st.integers(0, 3), st.integers(0, 56),
+              st.integers(0, 3)),
+    st.tuples(st.just("out"), st.integers(0, 3), st.integers(0, 55),
+              st.integers(1, 239)),
+    st.tuples(st.just("scl"), st.integers(0, 3), st.integers(0, 56),
+              st.sampled_from([*range(6), gradedlie.NONE])),
+    st.tuples(st.just("kind"), st.just(0), st.integers(0, 239),
+              st.integers(0, 3)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(st.integers(0, 236), st.lists(JACOBI_CORRUPTIONS, min_size=1,
+                                     max_size=3))
+def test_jacobi_filter_matches_union_oracle(lo, corruptions):
+    # the byte filter sends a triple to the Python body unless every term
+    # reads zero; on 1-3 corrupted entries in a window of four rows i, the
+    # sweep equals the union sweep, which evaluates every candidate
+    from e8g3.gradedlie import _jacobi_root_range
+    fresh = GradedAlgebra()
+    for what, d, pick, value in corruptions:
+        r = lo + d
+        nbr = sorted(fresh.nbr[r])
+        if what == "kind_nbr":
+            fresh.kind[r][nbr[pick]] = value
+        elif what == "out":
+            ones = [j for j in nbr if fresh.kind[r][j] == 1]
+            j = ones[pick % len(ones)]
+            fresh.out[r][j] = (fresh.out[r][j] + value) % fresh.n
+        elif what == "scl":
+            fresh.scl[r][nbr[pick]] = value
+        else:
+            fresh.kind[r][pick] = value
+    evaluated, violations = _jacobi_root_range(fresh, lo, lo + 4)
+    expected, expected_violations = _jacobi_root_range_by_union(fresh, lo,
+                                                                lo + 4)
+    assert (evaluated, sorted(violations)) == (expected,
+                                               sorted(expected_violations))
+
+
+def test_jacobi_cartan_parts_match_per_coroot_loop(alg):
+    # the packed one-cartan comparison against the loop over each coroot,
+    # on the table and on a fresh one with one root-valued bracket
+    # redirected ("cr") and one read as zero ("cr0")
+    from e8g3.gradedlie import _jacobi_cartan_parts
+    fresh = GradedAlgebra()
+    _corrupt_out(fresh, 0)
+    fresh.kind[1][_next_neighbour(fresh, 1, (1,))] = 0
+    tags = []
+    for table in (alg, fresh):
+        evaluated, violations = _jacobi_cartan_parts(table)
+        expected, expected_violations = oracle.jacobi_cartan_parts(table)
+        assert evaluated == expected == 61_440
+        assert sorted(violations, key=repr) == sorted(expected_violations,
+                                                      key=repr)
+        tags.append({v[0] for v in violations})
+    assert tags == [set(), {"cr", "cr0"}]
 
 
 def test_jacobi_residual_shows_cartan_part():
