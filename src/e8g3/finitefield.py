@@ -2,14 +2,14 @@
 polynomial arithmetic over them.
 
 Elements are integers 0..q-1 encoding base-p coefficient vectors.  Each
-field builds q x q add, sub and mul tables and a neg table: add as Z_p^k,
-one base-p digit at a time, neg from the decoded digit vectors, sub from
-add and neg, and mul through exp/log, so every field operation
-downstream is one list lookup.  The polynomial kernels read table rows:
-a product term is add[out][mul_x[y]] with mul_x the row of x.  F_(p^k)
-is built on GF(p): its product is the polynomial product below, over
-GF(p), modulo an irreducible.  The tables cost O(q^2) memory, which
-bounds q by MAX_Q.
+field builds q x q add, sub and mul tables and a neg table: add and neg
+as Z_p^k, one base-p digit at a time (`digit_tables`, which also builds
+heis's F_3^4 tables), sub from add and neg, and mul through exp/log, so
+every field operation downstream is one list lookup.  The polynomial
+kernels read table rows: a product term is add[out][mul_x[y]] with mul_x
+the row of x.  F_(p^k) is built on GF(p): its product is the polynomial
+product below, over GF(p), modulo an irreducible.  The tables cost
+O(q^2) memory, which bounds q by MAX_Q.
 """
 
 from __future__ import annotations
@@ -61,6 +61,21 @@ def _encode(digits, p: int) -> int:
     return out
 
 
+def digit_tables(p: int, k: int):
+    """The add and neg tables of Z_p^k on base-p codes, one digit at a time:
+    with s = p^j, a + s x plus b + s y (a, b < s) is the Z_p^j sum of a and
+    b plus s ((x + y) mod p), and -(a + s x) is -a plus s (-x mod p)."""
+    add, neg = [[0]], [0]
+    size = 1
+    for _ in range(k):
+        top = [[size * ((x + y) % p) for y in range(p)] for x in range(p)]
+        add = [[t + v for t in top[x] for v in row]
+               for x in range(p) for row in add]
+        neg = [size * (-x % p) + v for x in range(p) for v in neg]
+        size *= p
+    return add, neg
+
+
 def _find_irreducible(Fp, k: int):
     """The monic irreducible of degree k > 1 over the prime field Fp whose
     lower coefficients have the smallest code: x^(p^k) = x and
@@ -107,7 +122,6 @@ class GF:
         self.q = q
         self.p = p
         self.k = k
-        digits = [_digits(e, p, k) for e in range(q)]
         if k == 1:
             self.modulus = [0, 1]
 
@@ -116,6 +130,7 @@ class GF:
         else:
             Fp = get_field(p)
             self.modulus = mod = _find_irreducible(Fp, k)
+            digits = [_digits(e, p, k) for e in range(q)]
 
             def mul(a, b):
                 return _encode(pmod(Fp, pmul(Fp, digits[a], digits[b]), mod),
@@ -133,18 +148,7 @@ class GF:
             cur = mul(cur, g)
         if cur != 1:
             raise AssertionError(f"generator {g} does not have order q - 1")
-        self.neg_table = [_encode([-x % p for x in v], p) for v in digits]
-        # Z_p^k one digit at a time: with s = p^j, the sum of a + s x and
-        # b + s y (a, b < s) is the Z_p^j sum of a and b plus
-        # s ((x + y) mod p)
-        add = [[0]]
-        size = 1
-        for _ in range(k):
-            top = [[size * ((x + y) % p) for y in range(p)] for x in range(p)]
-            add = [[t + v for t in top[x] for v in row]
-                   for x in range(p) for row in add]
-            size *= p
-        self.add_table = add
+        self.add_table, self.neg_table = digit_tables(p, k)
         self.sub_table = [[row[nb] for nb in self.neg_table]
                           for row in self.add_table]
         exp2 = self.exp * 2

@@ -71,12 +71,17 @@ def remainder_resultant(f, g):
     return sign * h * b[0] ** (len(a) - 1) // h ** (len(a) - 1)
 
 
-def discriminant(q: Quintic, oracle=False) -> int:
-    """disc(f) = Res(f, f') for monic quintics (the sign (-1)^(5*4/2) is +1);
-    `oracle` takes the resultant by `remainder_resultant` instead."""
+def discriminant(q: Quintic) -> int:
+    """disc(f) = Res(f, f') for monic quintics (the sign (-1)^(5*4/2) is +1),
+    by the Sylvester determinant."""
     f = q.coeffs()
-    fp = [i * f[i] for i in range(1, 6)]
-    return remainder_resultant(f, fp) if oracle else resultant(f, fp)
+    return resultant(f, [i * f[i] for i in range(1, 6)])
+
+
+def remainder_discriminant(q: Quintic) -> int:
+    """`discriminant` by `remainder_resultant`, which takes no determinant."""
+    f = q.coeffs()
+    return remainder_resultant(f, [i * f[i] for i in range(1, 6)])
 
 
 def height_lt(q: Quintic, a: int) -> bool:
@@ -157,7 +162,7 @@ def enumerate_min_bruteforce(a: int):
             for c24 in range(-box, box + 1):
                 for c30 in range(-box, box + 1):
                     q = Quintic(c12, c18, c24, c30)
-                    if (height_lt(q, a) and discriminant(q, oracle=True) != 0
+                    if (height_lt(q, a) and remainder_discriminant(q) != 0
                             and is_minimal(q)):
                         out.append(q)
     return out

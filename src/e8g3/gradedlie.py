@@ -26,7 +26,7 @@ from .heis import (COCYCLE, CODE_EXPO, CODE_ROW, FORM, VEC_ADD, VEC_NEG,
                    HeisenbergModel, Mono, build_model, svn_rep)
 from .intlinalg import nullspace, rank
 from .report import sha256
-from .rootsys import RootSystem, neg
+from .rootsys import RootSystem, lanes, neg
 from .vinberg import x_value
 
 # scalar codes: value = (-1)^(code // 3) * w^(code % 3); NONE means zero
@@ -47,16 +47,20 @@ def code_pair(c: int):
 
 
 # code_pair(c) and code_pair(code_mul(c1, c2)) for every code a table entry
-# can hold; NONE comes last, so that indexing by NONE (-1) reads its entry
+# can hold, each w-pair (x, y) packed into 32-bit lanes as x + y * 2**32
+# (`lanes`); NONE comes last, so that indexing by NONE (-1) reads its entry.
+# The packed sums of this module add a few small multiples of units, far
+# below 2**31 per component, so such a sum is 0 exactly when its w-pair is
 _CODES = (*range(6), NONE)
-_PAIR = tuple(code_pair(c) for c in _CODES)
-_MUL_PAIR = tuple(tuple(code_pair(code_mul(a, b)) for b in _CODES)
-                  for a in _CODES)
-# the same w-pairs (x, y) packed as x + y * 2**32: a sum of at most three
-# unit multiples of pairings or coroot coordinates keeps |x| and |y| far
-# below 2**31, so such a packed sum is 0 exactly when its w-pair is
-_PPAIR = tuple(x + (y << 32) for x, y in _PAIR)
-_PMUL = tuple(tuple(x + (y << 32) for x, y in row) for row in _MUL_PAIR)
+_PPAIR = tuple(lanes(code_pair(c), 32) for c in _CODES)
+_PMUL = tuple(tuple(lanes(code_pair(code_mul(a, b)), 32) for b in _CODES)
+              for a in _CODES)
+
+
+def _unpack(p):
+    """The w-pair (x, y) of the packed p = x + y * 2**32, |x| < 2**31."""
+    x = (p + 2**31) % 2**32 - 2**31
+    return x, (p - x) >> 32
 
 
 class LieElement:
@@ -86,9 +90,6 @@ class LieElement:
         return LieElement(
             {k: (x * scalar, y * scalar) for k, (x, y) in self.cartan.items()},
             {k: (x * scalar, y * scalar) for k, (x, y) in self.roots.items()})
-
-    def is_zero(self):
-        return not self.cartan and not self.roots
 
     def __eq__(self, other):
         return self.cartan == other.cartan and self.roots == other.roots
@@ -173,7 +174,7 @@ class GradedAlgebra:
                     kind_i[j] = 1
                     out_i[j] = sums[j]
                     scl_i[j] = pw + 3 * (PR_i[w[j]] % 2)
-            nbr.append(frozenset(negative))
+            nbr.append(bytes(negative))
         self.kind = kind
         self.out = out
         self.scl = scl
@@ -183,9 +184,6 @@ class GradedAlgebra:
 
     def x(self, i) -> LieElement:
         return LieElement(roots={i: (1, 0)})
-
-    def coroot(self, i) -> LieElement:
-        return LieElement(cartan={a: (c, 0) for a, c in enumerate(self.cr[i])})
 
     def cartan_basis(self, a) -> LieElement:
         return LieElement(cartan={a: (1, 0)})
@@ -281,7 +279,7 @@ class GradedAlgebra:
         theta_cr = [[sum(map(mul, row, c)) for row in W] for c in cr]
         mul_code = [[code_mul(a, b) for b in range(6)] for a in range(6)]
         same, negated = range(6), [code_neg(c) for c in range(6)]
-        unit = {p: c for c, p in enumerate(_PAIR[:6])}
+        unit = {code_pair(c): c for c in range(6)}
         forms = {i: [self._defect_form(x, unit) for x in spaces[i]]
                  for i in (1, 2)}
         bad = []
@@ -334,8 +332,7 @@ class GradedAlgebra:
                 u += a * self.P[t][q]
                 v += b * self.P[t][q]
             # <h, q> times 1, w and w^2, then their negatives, packed
-            rot = [c + (d << 32) for c, d in (
-                zeta_mul(u, v, 0), zeta_mul(u, v, 1), zeta_mul(u, v, 2))]
+            rot = [lanes(zeta_mul(u, v, k), 32) for k in range(3)]
             pairs.append((*rot, *(-r for r in rot)))
         return terms, pairs
 
@@ -441,7 +438,7 @@ class GradedAlgebra:
             kind_i, out_i, scl_i = self.kind[i], self.out[i], self.scl[i]
             yield "\n".join(
                 f"r {i} {j} -> {out_i[j]} code {scl_i[j]}" if kind_i[j] == 1
-                else f"c {i} {j} code {scl_i[j]}" for j in sorted(self.nbr[i]))
+                else f"c {i} {j} code {scl_i[j]}" for j in self.nbr[i])
         for a, Pa in enumerate(self.P):
             yield "\n".join(f"h {a} {j} {p}" for j, p in enumerate(Pa) if p)
 
@@ -473,20 +470,19 @@ def _class_groups(alg: GradedAlgebra):
     return [(members, alg.rho(members[0])) for members in groups.values()]
 
 
-# A 9x9 matrix of w-pairs packs to the integer sum of u * B**(2 p) +
-# v * B**(2 p + 1) over its entries (u, v) at p = 9 * row + col, with
-# B = 2**8.  pack is linear, and one-to-one on matrices whose components
-# lie below 2**7 in absolute value (balanced digits).  The rho' sweep packs
-# 1 + 2w times a difference of two monomials (components at most 4) and
-# sums of 3 c rho(o) over orbits o, where the coefficients c of one bracket
-# [Z_a, Z_b] are sums of its at most nine unit structure constants; their
-# components add up to at most 18, so no packed component exceeds 54.
+# A 9x9 matrix of w-pairs packs as its 162 components in 8-bit lanes
+# (`lanes`), the entry (u, v) at p = 9 * row + col in lanes 2 p and
+# 2 p + 1.  The rho' sweep packs 1 + 2w times a difference of two
+# monomials (components at most 4) and sums of 3 c rho(o) over orbits o,
+# where the coefficients c of one bracket [Z_a, Z_b] are sums of its at
+# most nine unit structure constants; their components add up to at most
+# 18, so no packed component exceeds 54, and 8-bit lanes are one-to-one.
 
 def _pack_entry(x, y, code, col):
     """Pack of (x + y w) times the monomial column of code `code` placed at
     column col."""
-    u, v = zeta_mul(x, y, CODE_EXPO[code])
-    return (u + (v << 8)) << (16 * (9 * CODE_ROW[code] + col))
+    return (lanes(zeta_mul(x, y, CODE_EXPO[code]), 8)
+            << 16 * (9 * CODE_ROW[code] + col))
 
 
 def _orbit_row(alg: GradedAlgebra, oa: int, orbit_packs):
@@ -527,9 +523,7 @@ def _orbit_row(alg: GradedAlgebra, oa: int, orbit_packs):
         lhs = 0
         for t, p in d.items():
             if p:
-                # the w-pair (x, y) of the packed p, |x| < 2**31
-                x = (p + 2**31) % 2**32 - 2**31
-                y = (p - x) >> 32
+                x, y = _unpack(p)
                 pack, pack_w = orbit_packs[orbit_of[t]]
                 lhs += x * pack + y * pack_w
         row.append(lhs)
@@ -666,25 +660,18 @@ def _killing_entry(alg: GradedAlgebra, r: int, s: int):
     coordinate a of [X_r, X_s]."""
     kind_r, out_r, scl_r = alg.kind[r], alg.out[r], alg.scl[r]
     kind_s, out_s, scl_s = alg.kind[s], alg.out[s], alg.scl[s]
-    x = y = 0
+    acc = 0
     for k in compress(range(alg.n), kind_s):
         if kind_s[k] == 1:
             m = out_s[k]
             if kind_r[m] == 1 and out_r[m] == k:
-                u, v = _MUL_PAIR[scl_s[k]][scl_r[m]]
-                x += u
-                y += v
+                acc += _PMUL[scl_s[k]][scl_r[m]]
         elif k == r:
-            c = -alg.PR[s][r]
-            u, v = _PAIR[scl_s[k]]
-            x += u * c
-            y += v * c
+            acc -= alg.PR[s][r] * _PPAIR[scl_s[k]]
     if kind_r[s] == 2:
-        u, v = _PAIR[scl_r[s]]
-        c = -sum(map(mul, (P_a[s] for P_a in alg.P), alg.cr[r]))
-        x += u * c
-        y += v * c
-    return (x, y)
+        acc -= (sum(map(mul, (P_a[s] for P_a in alg.P), alg.cr[r]))
+                * _PPAIR[scl_r[s]])
+    return _unpack(acc)
 
 
 def killing_gram(alg: GradedAlgebra):
@@ -776,14 +763,10 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     Returns (evaluated, violations).  Triples where no pair brackets
     nonzero hold trivially: the weight of any inner bracket can never
     return to the third weight when all three pairings are >= 0.  So the
-    candidates for each (i, j) are the k > j in nbr[i] | nbr[j], taken as
-    two disjoint byte strings that start past j by bisection in the sorted
-    neighbour rows: `ks`, the k in nbr[j], and `rest`, the k in nbr[i] but
-    not in nbr[j], where [x_j, x_k] = 0.  When [x_i, x_j] = 0 as well, only
-    [x_j, [x_k, x_i]] remains for the rest; every code is a unit and every
-    coroot is nonzero, so such a triple fails exactly when that term's
-    table reads give a nonzero bracket.  Every other candidate goes through
-    all three terms.  Each candidate counts as evaluated.
+    candidates for each (i, j) are the k > j in nbr[i] | nbr[j], one byte
+    string cut past j by bisection in the sorted neighbour rows: the k in
+    nbr[j], then those in nbr[i] with the bytes of the first deleted.  Each
+    candidate counts as evaluated.
 
     Filter.  Before the Python body runs, `bytes.translate` through the
     tables of `_jacobi_filters` gives one flag byte per candidate and term,
@@ -797,7 +780,7 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     (kind 0 at ZERO, or a valid kind-1 hop onto a kind-0 entry), while
     anything else, a kind of 2 or more (SLOW, read as 1 by nz), an out
     outside range(n), or any other kind of [x_i, x_j], sends the
-    candidate to the body, which reads the entries as before.  A triple
+    candidate to the body, which reads the entries itself.  A triple
     whose three terms are all zero holds.
 
     Every root-valued term of a triple is a nonzero multiple of a unit and
@@ -821,9 +804,8 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     n = alg.n
     ppair = _PPAIR
     pmul = _PMUL
-    rows = [bytes(sorted(s)) for s in alg.nbr]
     # the k > j of each row, the candidates that bracket nonzero with x_j
-    tails = [row[bisect_right(row, j):] for j, row in enumerate(rows)]
+    tails = [row[bisect_right(row, j):] for j, row in enumerate(alg.nbr)]
     hop, nz, hopcol, kcol = _jacobi_filters(alg)
     ones = b"\x01" * 256
     from_bytes = int.from_bytes
@@ -832,32 +814,21 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
 
     for i in range(lo, hi):
         kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
-        row_i, nz_i, hopcol_i = rows[i], nz[i], hopcol[i]
+        row_i, nz_i, hopcol_i = alg.nbr[i], nz[i], hopcol[i]
         # column i: the inner bracket [x_k, x_i] of the second term
         kind_ki = kcol[i]
         out_ki = [r[i] for r in out]
         scl_ki = [r[i] for r in scl]
         for j in range(i + 1, n):
             ks, nz_j = tails[j], nz[j]
-            k_ij = kind_i[j]
-            rest = row_i[bisect_right(row_i, j):].translate(None, ks)
-            evaluated += len(ks) + len(rest)
-            if k_ij:
-                ks += rest
-            else:
-                # only [x_j, [x_k, x_i]]: a unit times a root or a coroot
-                for k in compress(rest,
-                                  rest.translate(hopcol_i).translate(nz_j)):
-                    kq = kind_ki[k]
-                    if kind[j][out_ki[k]] if kq == 1 else kq == 2 and PR[k][j]:
-                        violations.append(
-                            (i, j, k, _jacobi_residual(alg, i, j, k)))
+            ks += row_i[bisect_right(row_i, j):].translate(None, ks)
+            evaluated += len(ks)
             if not ks:
                 continue
             live = (from_bytes(ks.translate(hop[j]).translate(nz_i), "little")
                     | from_bytes(ks.translate(hopcol_i).translate(nz_j),
                                  "little"))
-            m_ij = out_i[j]
+            k_ij, m_ij = kind_i[j], out_i[j]
             if k_ij:
                 if k_ij == 1 and 0 <= m_ij < n:
                     third = kcol[m_ij]
@@ -963,9 +934,9 @@ def _jacobi_cartan_parts(alg: GradedAlgebra):
     A triple (h_a, X_i, X_j) holds when the pairings with basis coroot a
     add: P[a][m] = P[a][i] + P[a][j] for a root-valued [X_i, X_j] = c X_m,
     and P[a][i] + P[a][j] = 0 otherwise.  Each pair compares its 8
-    pairings at once, packed into 16-bit lanes by `_lanes` (three pairings
+    pairings at once, packed into 16-bit lanes by `lanes` (three pairings
     sum to at most 6 in absolute value), and is unpacked per a only on a
-    mismatch.
+    mismatch.  The pairs i < j are the tails of the sorted neighbour rows.
     """
     evaluated = 0
     violations = []
@@ -979,12 +950,10 @@ def _jacobi_cartan_parts(alg: GradedAlgebra):
                 if P[b][i] * P[a][i] - P[a][i] * P[b][i]:
                     violations.append(("cc", a, b, i))
     # one cartan, two roots
-    pp = _lanes(zip(*P))
-    for i in range(n):
+    pp = [lanes(col, 16) for col in zip(*P)]
+    for i, row in enumerate(alg.nbr):
         kind_i, out_i, pp_i = alg.kind[i], alg.out[i], pp[i]
-        for j in alg.nbr[i]:
-            if j <= i:
-                continue
+        for j in row[bisect_right(row, i):]:
             evaluated += 8
             if kind_i[j] == 1:
                 m = out_i[j]
@@ -997,27 +966,20 @@ def _jacobi_cartan_parts(alg: GradedAlgebra):
     return evaluated, violations
 
 
-def _lanes(vectors):
-    """Each integer vector v packed into one int, the sum of v[a] * 2**(16 a):
-    linear, and one-to-one on vectors whose entries stay below 2**15 in
-    absolute value."""
-    return [sum(c << 16 * a for a, c in enumerate(v)) for v in vectors]
-
-
 def _out_additive(alg: GradedAlgebra) -> bool:
     """Whether the table's root-valued brackets sit where weights add: kind
     1 exactly on the pairs with pairing -1, and there out[i][j] and
     out[j][i] are the index of root i + root j.
 
     Roots are compared by their basis coordinates (rs.coords), packed into
-    16-bit lanes by `_lanes`, one-to-one far above the at most 12 of a sum
+    16-bit lanes by `lanes`, one-to-one far above the at most 12 of a sum
     of two roots.  So one int sum is the coordinates of root i + root j, read
     independently of the 9-vector packs that `RootSystem.sum_row` gives
     `out` from.  The pairing is symmetric, so once every row holds kind 1
     exactly at its -1 entries, each kind-1 pair is met with i < j; one sum
     serves both orders.
     """
-    pc = _lanes(alg.rs.coords)
+    pc = [lanes(c, 16) for c in alg.rs.coords]
     kind, out, PR = alg.kind, alg.out, alg.PR
     for i in range(alg.n):
         kind_i, out_i, PR_i = kind[i], out[i], PR[i]

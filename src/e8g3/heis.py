@@ -1,9 +1,10 @@
 """The F_3^4 coinvariant space, its Heisenberg extension and the
 9-dimensional representation over Q(w).
 
-A vector of F_3^4 is its class code in range(81), and the module owns
-the only tables of its arithmetic, built once at import: vector sums and
-negatives, the bilinear cocycle c(v, u) = v_e1 u_f1 + v_e2 u_f2 in
+A vector of F_3^4 is its class code in range(81), and the module holds
+the tables of its arithmetic, built once at import: vector sums and
+negatives (Z_3^4 by `finitefield.digit_tables`, on the same base-3
+codes as GF(81)), the bilinear cocycle c(v, u) = v_e1 u_f1 + v_e2 u_f2 in
 symplectic coordinates (e1, e2, f1, f2), and its commutator FORM, the
 symplectic pairing inherited from the lattice.  A linear map is the tuple
 of its column codes, acted on through the 81-entry table `action` builds.
@@ -21,6 +22,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
+from .finitefield import digit_tables
 from .intlinalg import rref_mod
 from .rootsys import RootSystem, build_root_system
 
@@ -81,20 +83,13 @@ def class_code(v) -> int:
     return 27 * a + 9 * b + 3 * c + d
 
 
-def _shifted(v):
-    """The codes of v + u, u in code order, built digit by digit."""
-    row = [0]
-    for x in v:
-        row = [3 * r + (x + y) % 3 for r in row for y in range(3)]
-    return bytes(row)
-
-
 # F_3^4 on class codes, one bytes row per first operand: VEC_ADD[v][u] is
 # the code of v + u and VEC_NEG[v] that of -v; COCYCLE[v][u] is
 # c(v, u) = v_e1 u_f1 + v_e2 u_f2 in symplectic coordinates (e1, e2, f1,
 # f2), and FORM[v][u] = c(v, u) - c(u, v), the symplectic pairing
-VEC_ADD = tuple(_shifted(v) for v in CLASSES)
-VEC_NEG = bytes(class_code([-x % 3 for x in v]) for v in CLASSES)
+_ADD, _NEG = digit_tables(3, 4)
+VEC_ADD = tuple(map(bytes, _ADD))
+VEC_NEG = bytes(_NEG)
 COCYCLE = tuple(bytes((a * u[2] + b * u[3]) % 3 for u in CLASSES)
                 for a, b, _, _ in CLASSES)
 FORM = tuple(bytes((a * u[2] + b * u[3] - c * u[0] - d * u[1]) % 3

@@ -67,24 +67,23 @@ def pairing(u, v) -> int:
     return sum(map(mul, u, v)) - sum(u) * sum(v) // 9
 
 
-def pack(v) -> int:
-    """sum(v[i] * 8**i): linear under addition, and one-to-one on vectors
-    whose coordinates lie in [-3, 3] (balanced base-8 digits)."""
+def lanes(values, bits: int) -> int:
+    """sum(values[j] * 2**(bits * j)) over the sequence values, one
+    `bits`-wide lane per value, by Horner's rule.
+
+    The packing is linear in the values, and one-to-one on vectors whose
+    entries lie below 2**(bits - 1) in absolute value (balanced digits).  A
+    sum of packs whose lanes all end in [0, 2**bits) reads back lane by
+    lane, as the bytes of the int at 8 bits."""
     code = 0
-    for x in reversed(v):
-        code = 8 * code + x
+    for v in reversed(values):
+        code = (code << bits) + v
     return code
 
 
-# pack of the all-ones vector; the canonical sum of two roots has
-# coordinates in [-3, 2], where pack is one-to-one
-_PACKED_ONES = pack((1,) * 9)
-
-
-def _lanes(values) -> int:
-    """sum(values[j] * 256**j): one 8-bit lane per entry, linear in the
-    values, so lanes that end in [0, 255] read back as bytes."""
-    return sum(v << 8 * j for j, v in enumerate(values))
+# the 3-bit pack of the all-ones vector; the canonical sum of two roots has
+# coordinates in [-3, 2], where 3-bit lanes are one-to-one
+_PACKED_ONES = lanes((1,) * 9, 3)
 
 
 # a root pairing p is kept in its lane as p + 2, in [0, 4]
@@ -125,10 +124,11 @@ class RootSystem:
         self.index = {r: i for i, r in enumerate(roots)}
         if len(self.index) != 240:
             raise AssertionError("root list has repeated entries")
-        # sum_row's tables: the packed roots, their indices, and for a first
-        # summand of coordinate sum s (entry s // 3) the packed roots less
-        # the packed all-ones vector where the two sums reach 9
-        self._packed = tuple(map(pack, roots))
+        # sum_row's tables: the roots packed into 3-bit lanes, their
+        # indices, and for a first summand of coordinate sum s (entry
+        # s // 3) the packed roots less the packed all-ones vector where the
+        # two sums reach 9
+        self._packed = tuple(lanes(r, 3) for r in roots)
         self._packed_index = {c: i for i, c in enumerate(self._packed)}
         self._packed_shifted = tuple(
             tuple(c - _PACKED_ONES if s + sum(r) >= 9 else c
@@ -189,7 +189,7 @@ class RootSystem:
         `roots`.
 
         Built on the first read from the nine columns of the 240 x 9 matrix
-        of roots, each packed into 8-bit lanes (`_lanes`), and the column
+        of roots, each packed into 8-bit lanes (`lanes`), and the column
         of every root's sum / 3: row i, for root r, is the sum of r_k times
         column k less sum(r) / 3 times that column, which is `pairing` of
         r with every root, plus 2 in every lane, so each lane reads back as
@@ -198,9 +198,9 @@ class RootSystem:
         """
         roots = self.roots
         n = len(roots)
-        cols = [_lanes(col) for col in zip(*roots)]
+        cols = [lanes(col, 8) for col in zip(*roots)]
         thirds = [sum(r) // 3 for r in roots]
-        sums, twos = _lanes(thirds), _lanes([2] * n)
+        sums, twos = lanes(thirds, 8), lanes([2] * n, 8)
         rows = []
         for r, t in zip(roots, thirds):
             acc = twos - t * sums
@@ -216,7 +216,7 @@ class RootSystem:
         every j in the order of `roots`.
 
         The canonical sum is the packed sum, less the packed all-ones vector
-        when the coordinate sums reach 9 (pack is linear).  The row is
+        when the coordinate sums reach 9 (`lanes` is linear).  The row is
         computed on each call and not kept.
         """
         return list(map(self._packed_index.get,

@@ -1,22 +1,43 @@
 """The gradedlie sweeps as they read the table entry by entry, for the
 tests: the Killing diagonal as a trace over all 248 basis vectors, the
 additivity of `out` on root tuples, the one-cartan Jacobi terms one
-coroot at a time, the theta automorphism on every pair, the rho' sweep with one bracket of Z vectors per orbit pair, and the
-structure digest fed line by line.
+coroot at a time, the theta automorphism on every pair, the rho' sweep
+with one bracket of Z vectors per orbit pair, and the structure digest
+fed line by line.  Also the LieElement helpers that only the tests use,
+`is_zero` and `coroot`.
 
 The library reads only the nonzero table entries, row by row; a test that
 compares the two checks that the entries it skips are the ones that
-cannot change the result.
+cannot change the result.  The w-pairs of the codes come from the code
+arithmetic here, not from the library's packed tables.
 """
 
 from __future__ import annotations
 
 from operator import getitem
 
-from e8g3.gradedlie import (_MUL_PAIR, _PAIR, _PPAIR, _accumulate, _addc,
-                            _class_groups, _pack_entry)
+from e8g3.gradedlie import (NONE, LieElement, _accumulate, _class_groups,
+                            _pack_entry, code_mul, code_pair)
 from e8g3.report import sha256
 from e8g3.rootsys import add
+
+# the w-pair of every code a table entry can hold, and of the product of
+# two such codes, from the code arithmetic; NONE comes last, so that
+# indexing by NONE (-1) reads its entry
+_CODES = (*range(6), NONE)
+PAIR = tuple(code_pair(c) for c in _CODES)
+MUL_PAIR = tuple(tuple(code_pair(code_mul(a, b)) for b in _CODES)
+                 for a in _CODES)
+
+
+def is_zero(x: LieElement) -> bool:
+    """Whether x is 0: a LieElement keeps no zero coordinate."""
+    return not x.cartan and not x.roots
+
+
+def coroot(alg, i) -> LieElement:
+    """The coroot of root i, over the 8 basis coroots."""
+    return LieElement(cartan={a: (c, 0) for a, c in enumerate(alg.cr[i])})
 
 
 def ad_coeff_at(alg, i, j, k):
@@ -27,7 +48,7 @@ def ad_coeff_at(alg, i, j, k):
         # [x_j, h_a] = -P[a][j] x_j, then [x_i, x_j] must output cartan a
         if alg.kind[i][j] != 2:
             return (0, 0)
-        x, y = _PAIR[alg.scl[i][j]]
+        x, y = PAIR[alg.scl[i][j]]
         c = -alg.P[a][j] * alg.cr[i][a]
         return (x * c, y * c)
     kjk = alg.kind[j][k]
@@ -36,13 +57,13 @@ def ad_coeff_at(alg, i, j, k):
     if kjk == 1:
         m = alg.out[j][k]
         if alg.kind[i][m] == 1 and alg.out[i][m] == k:
-            return _MUL_PAIR[alg.scl[j][k]][alg.scl[i][m]]
+            return MUL_PAIR[alg.scl[j][k]][alg.scl[i][m]]
         return (0, 0)
     # [x_j, x_k] cartan-valued (k = -j); then [x_i, coroot(j)] = -(j,i) x_i
     if i != k:
         return (0, 0)
     c = -alg.PR[j][i]
-    x, y = _PAIR[alg.scl[j][k]]
+    x, y = PAIR[alg.scl[j][k]]
     return (x * c, y * c)
 
 
@@ -148,16 +169,18 @@ def z_bracket_coefficients(alg, oa, ob):
     """
     orbits = alg.rs.orbits
     roots = {}
-    cartan = None
+    cartan = {}
     for i in orbits[oa]:
         kind_i, out_i, scl_i = alg.kind[i], alg.out[i], alg.scl[i]
         for j in orbits[ob]:
             k = kind_i[j]
             if k == 1:
-                _accumulate(roots, out_i[j], *_PAIR[scl_i[j]])
+                _accumulate(roots, out_i[j], *PAIR[scl_i[j]])
             elif k:
-                cartan = _addc(cartan, alg.cr[i], _PPAIR[scl_i[j]])
-    if cartan is not None and any(cartan):
+                x, y = PAIR[scl_i[j]]
+                for a, c in enumerate(alg.cr[i]):
+                    _accumulate(cartan, a, c * x, c * y)
+    if any(x or y for x, y in cartan.values()):
         return None
     coeffs = {}
     for t, v in roots.items():

@@ -108,7 +108,7 @@ def test_basis_size(alg):
 
 def test_bracket_coroot_action(alg):
     for i in (0, 71, 100, 239):
-        out = alg.bracket(alg.coroot(i), alg.x(i))
+        out = alg.bracket(oracle.coroot(alg, i), alg.x(i))
         assert out == alg.x(i) * 2
 
 
@@ -116,7 +116,7 @@ def test_bracket_opposite_roots(alg):
     for i in (3, 90, 200):
         ni = alg.negidx[i]
         out = alg.bracket(alg.x(i), alg.x(ni))
-        expect = zeta_times(alg.coroot(i) * -1,
+        expect = zeta_times(oracle.coroot(alg, i) * -1,
                             -COCYCLE[alg.cls[i]][alg.cls[i]])
         assert out == expect
 
@@ -125,15 +125,15 @@ def test_bracket_zero_case(alg):
     i = 12
     j = next(j for j in range(240)
              if alg.PR[i][j] == 0 and alg.kind[i][j] == 0)
-    assert alg.bracket(alg.x(i), alg.x(j)).is_zero()
+    assert oracle.is_zero(alg.bracket(alg.x(i), alg.x(j)))
 
 
 def test_neighbours_are_the_negative_pairings(alg):
     # nbr, taken from the table build's scan, against the pair table and
     # against the nonzero kinds, on every root
     for i, row in enumerate(alg.PR):
-        assert alg.nbr[i] == {j for j, p in enumerate(row) if p < 0}
-        assert alg.nbr[i] == {j for j, k in enumerate(alg.kind[i]) if k}
+        assert alg.nbr[i] == bytes(j for j, p in enumerate(row) if p < 0)
+        assert alg.nbr[i] == bytes(j for j, k in enumerate(alg.kind[i]) if k)
 
 
 def test_central_twist_scales_bracket(alg):
@@ -170,20 +170,20 @@ def test_jacobi_spot_zero_sum_triple(alg):
     J = (alg.bracket(x, alg.bracket(y, z))
          + alg.bracket(y, alg.bracket(z, x))
          + alg.bracket(z, alg.bracket(x, y)))
-    assert J.is_zero()
+    assert oracle.is_zero(J)
 
 
 def test_jacobi_cartan_triples(alg):
     for a in range(8):
         for b in range(8):
             ha, hb = alg.cartan_basis(a), alg.cartan_basis(b)
-            assert alg.bracket(ha, hb).is_zero()
+            assert oracle.is_zero(alg.bracket(ha, hb))
             for i in (0, 100):
                 x = alg.x(i)
                 J = (alg.bracket(ha, alg.bracket(hb, x))
                      + alg.bracket(hb, alg.bracket(x, ha))
                      + alg.bracket(x, alg.bracket(ha, hb)))
-                assert J.is_zero()
+                assert oracle.is_zero(J)
 
 
 def test_theta_is_automorphism(report):
@@ -229,7 +229,7 @@ def test_grading_bracket_containment(alg):
             x = rng.choice(spaces[i])
             y = rng.choice(spaces[j])
             out = alg.bracket(x, y)
-            if not out.is_zero():
+            if not oracle.is_zero(out):
                 assert theta(alg, out) == zeta_times(out, i + j)
 
 
@@ -688,7 +688,7 @@ def test_jacobi_sweep_matches_generic_bracket(alg, corrupt):
         total = (fresh.bracket(x, fresh.bracket(y, z))
                  + fresh.bracket(y, fresh.bracket(z, x))
                  + fresh.bracket(z, fresh.bracket(x, y)))
-        if not total.is_zero():
+        if not oracle.is_zero(total):
             nonzero.add((0, j, k))
     assert flagged and flagged == nonzero
 
@@ -709,7 +709,7 @@ def _jacobi_root_range_by_union(alg, lo, hi):
     nbr[i] | nbr[j] per pair, skipping k <= j, with each term summed as a
     w-pair of ints.  An outer bracket [x_p, c X_m] of any nonzero kind but 1
     is cartan-valued, as in GradedAlgebra.bracket and the sweep."""
-    from e8g3.gradedlie import _MUL_PAIR, _PAIR, _jacobi_residual
+    from e8g3.gradedlie import _jacobi_residual
     kind = alg.kind
     out = alg.out
     scl = alg.scl
@@ -717,20 +717,20 @@ def _jacobi_root_range_by_union(alg, lo, hi):
     cr = alg.cr
     nbr = alg.nbr
     n = alg.n
-    pair = _PAIR
-    mul_pair = _MUL_PAIR
+    pair = oracle.PAIR
+    mul_pair = oracle.MUL_PAIR
     evaluated = 0
     violations = []
 
     for i in range(lo, hi):
         kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
-        cand_i = nbr[i]
+        cand_i = set(nbr[i])
         for j in range(i + 1, n):
             kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
             c_ji = -PR[j][i]
             k_ij, m_ij, s_ij = kind_i[j], out_i[j], scl_i[j]
             mul_ij = mul_pair[s_ij] if k_ij == 1 else None
-            for k in cand_i | nbr[j]:
+            for k in cand_i | set(nbr[j]):
                 if k <= j:
                     continue
                 evaluated += 1
@@ -820,10 +820,9 @@ def _jacobi_root_range_by_union(alg, lo, hi):
      (_corrupt_opposite_scl, {0, 1}), (_corrupt_kind_one_sided, {0})],
     ids=["real", "scl", "out", "opposite_scl", "kind_one_sided"])
 def test_jacobi_sweep_matches_union_oracle(alg, corrupt, positions):
-    # the two-loop sweep against the union sweep over the full range.  A
-    # corruption at the middle root 119 puts it first, second or third in
-    # the flagged triples (`positions`), with the third root in nbr[j]
-    # (first loop) and outside it (second loop)
+    # the sweep against the union sweep over the full range.  A corruption
+    # at the middle root 119 puts it first, second or third in the flagged
+    # triples (`positions`), with the third root in nbr[j] and outside it
     from e8g3.gradedlie import _jacobi_root_range
     table = alg
     if corrupt is not None:
@@ -844,11 +843,9 @@ def test_jacobi_sweep_matches_union_oracle(alg, corrupt, positions):
 # neighbour: ("kind_nbr", d, pick, v) sets kind to v, so a kind 2 away from
 # the opposite pair or a kind 3 takes the filter's SLOW path; ("out", d,
 # pick, t) moves the target of a root-valued entry by t; ("scl", d, pick, c)
-# sets the code to c, NONE included.  ("kind", 0, j, v) sets kind to v at
-# any column j of row lo itself.  Off the neighbour rows the two sweeps
-# differ on purpose: for a k outside nbr[j] the two-list sweep takes only
-# [x_j, [x_k, x_i]] when [x_i, x_j] = 0, and never reads kind[j][k]; row lo
-# is no j of the window
+# sets the code to c, NONE included.  ("kind", d, j, v) sets kind to v at
+# any column j of row lo + d, off the neighbour rows too: both sweeps take
+# their candidates from nbr and read every term of each
 JACOBI_CORRUPTIONS = st.one_of(
     st.tuples(st.just("kind_nbr"), st.integers(0, 3), st.integers(0, 56),
               st.integers(0, 3)),
@@ -856,7 +853,7 @@ JACOBI_CORRUPTIONS = st.one_of(
               st.integers(1, 239)),
     st.tuples(st.just("scl"), st.integers(0, 3), st.integers(0, 56),
               st.sampled_from([*range(6), gradedlie.NONE])),
-    st.tuples(st.just("kind"), st.just(0), st.integers(0, 239),
+    st.tuples(st.just("kind"), st.integers(0, 3), st.integers(0, 239),
               st.integers(0, 3)))
 
 
@@ -920,37 +917,28 @@ def test_jacobi_residual_shows_cartan_part():
 
 
 def test_code_tables_match_code_functions():
-    # the Jacobi sweep's tables against the code arithmetic they replace,
-    # on every code a table entry can hold
-    from e8g3.gradedlie import _MUL_PAIR, _PAIR, _PMUL, _PPAIR, NONE, code_mul
+    # the packed tables against the code arithmetic they replace, on every
+    # code a table entry can hold
+    from e8g3.gradedlie import _PMUL, _PPAIR, NONE, _unpack, code_mul
     codes = [*range(6), NONE]
-    assert all(_PAIR[c] == code_pair(c) for c in codes)
-    assert all(_MUL_PAIR[a][b] == code_pair(code_mul(a, b))
+    assert all(_unpack(_PPAIR[c]) == code_pair(c) for c in codes)
+    assert all(_unpack(_PMUL[a][b]) == code_pair(code_mul(a, b))
                for a in codes for b in codes)
-    # the packed tables unpack to the pair tables
-    assert all(_unpack(_PPAIR[c]) == _PAIR[c] for c in codes)
-    assert all(_unpack(_PMUL[a][b]) == _MUL_PAIR[a][b]
-               for a in codes for b in codes)
-
-
-def _unpack(p):
-    """The w-pair (x, y) of the packed int x + y * 2**32, |x| < 2**31."""
-    x = (p + 2**31) % 2**32 - 2**31
-    return x, (p - x) >> 32
 
 
 def test_packed_sums_stay_below_the_packing_bound(alg):
     # a packed accumulator sums unit multiples of root pairings (PR) or of
-    # coroot coordinates (cr): at most three per Jacobi triple and nine per
-    # orbit bracket (_orbit_row).  Below 2**31 in each
-    # component, a packed sum is 0 exactly when its w-pair is
-    from e8g3.gradedlie import _MUL_PAIR, _PAIR
-    unit = max(abs(v) for p in [*_PAIR, *(q for row in _MUL_PAIR for q in row)]
-               for v in p)
+    # coroot coordinates (cr): at most three per Jacobi triple, nine per
+    # orbit bracket (_orbit_row) and 58 per Killing entry (_killing_entry:
+    # one per nonzero entry of a row, and the cartan term).  Below 2**31 in
+    # each component, a packed sum is 0 exactly when its w-pair is
+    unit = max(abs(v) for p in [*oracle.PAIR, *(
+        q for row in oracle.MUL_PAIR for q in row)] for v in p)
     scale = max(max(abs(p) for row in alg.PR for p in row),
                 max(abs(c) for row in alg.cr for c in row))
     assert unit == 1 and scale == 6
-    assert 9 * unit * scale < 2**31
+    assert {bytes(row).count(0) for row in alg.kind} == {240 - 57}
+    assert 58 * unit * scale < 2**31
 
 
 @pytest.mark.parametrize("order", ["0j", "j0"])
@@ -1097,7 +1085,7 @@ def test_digest_by_rows_matches_digest_by_lines(alg, corruption):
     fresh = _corrupted(alg, corruption)[0]
     assert fresh.digest() == oracle.digest(fresh)
     # a row without lines adds no separator
-    fresh.nbr = [frozenset(), *fresh.nbr[1:]]
+    fresh.nbr = [bytes(), *fresh.nbr[1:]]
     assert fresh.digest() == oracle.digest(fresh)
 
 
@@ -1252,7 +1240,7 @@ def test_lie_element_holds_nonzero_exact_pairs():
                    {5: (Fraction(0), Fraction(0)), 6: (Fraction(4, 2), 0)})
     assert v.cartan == {2: (0, 1)} and v.roots == {6: (2, 0)}
     assert type(v.roots[6][0]) is int
-    assert LieElement({0: (0, 0)}, {1: (Fraction(0), 0)}).is_zero()
+    assert oracle.is_zero(LieElement({0: (0, 0)}, {1: (Fraction(0), 0)}))
     # the bracket reads and returns w-pairs of int or Fraction, never Cyc
     alg = get_algebra()
     x = LieElement({1: (Fraction(1, 2), 3)},

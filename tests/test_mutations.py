@@ -303,7 +303,7 @@ def _kind2_off_opposite(monkeypatch):
     row = fresh.kind[0]
     j = row.index(0)
     row[fresh.negidx[0]], row[j] = 0, 2
-    fresh.nbr[0] = frozenset(k for k in range(fresh.n) if row[k])
+    fresh.nbr[0] = bytes(k for k in range(fresh.n) if row[k])
     monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
 
 

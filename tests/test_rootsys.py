@@ -104,15 +104,19 @@ def test_sum_row_matches_vector_sum(rs):
                                  for b in rs.roots]
 
 
-def test_pack_is_linear_and_one_to_one():
-    # coordinates in [-3, 3] are balanced base-8 digits
+@pytest.mark.parametrize("bits", [3, 8, 16, 32])
+def test_lanes_are_linear_and_one_to_one(bits):
+    # entries below 2**(bits - 1) in absolute value are balanced digits:
+    # every vector of three such entries, the extremes included, packs to
+    # its own int
     from itertools import product
-    digits = range(-3, 4)
+    top = 2 ** (bits - 1) - 1
+    digits = sorted({-top, -top + 1, -1, 0, 1, top - 1, top})
     vecs = [v + (0,) * 6 for v in product(digits, repeat=3)]
-    assert len({rootsys.pack(v) for v in vecs}) == len(vecs)
+    assert len({rootsys.lanes(v, bits) for v in vecs}) == len(vecs)
     u, v = (1, -1, 0, 2, 0, 0, -3, 1, 1), (-2, 0, 3, 1, 1, 0, 0, -1, 2)
-    assert rootsys.pack(u) + rootsys.pack(v) == rootsys.pack(
-        tuple(a + b for a, b in zip(u, v)))
+    assert rootsys.lanes(u, bits) + 3 * rootsys.lanes(v, bits) == (
+        rootsys.lanes([a + 3 * b for a, b in zip(u, v)], bits))
 
 
 def test_pair_table_is_lazy():
