@@ -29,8 +29,8 @@ from .rootsys import RootSystem, build_root_system
 
 def symplectic_basis(rs: RootSystem):
     """The SNF class codes of a basis (e1, e2, f1, f2) with
-    <e_i, f_j> = delta_ij and zero elsewhere, verified against the
-    standard form."""
+    <e_i, f_j> = delta_ij and zero elsewhere, verified against FORM on the
+    unit vectors."""
     gram = rs.class_gram()
     if len(rref_mod(gram, 4, 3)[1]) != 4:
         raise ValueError("pairing Gram has rank < 4; upstream construction bug")
@@ -58,15 +58,10 @@ def symplectic_basis(rs: RootSystem):
                 rest.append(v2)
         pool = rest
     basis = es + fs  # order (e1, e2, f1, f2)
-    got = [[pair(basis[i], basis[j]) for j in range(4)] for i in range(4)]
-    if got != standard_form():
+    if any(pair(x, y) != FORM[a][b] for a, x in zip(UNIT_CODES, basis)
+           for b, y in zip(UNIT_CODES, basis)):
         raise AssertionError("symplectic reduction failed")
     return [class_code(b) for b in basis]
-
-
-def standard_form():
-    """Matrix of the standard symplectic form in (e1, e2, f1, f2) order, mod 3."""
-    return [[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]]
 
 
 # A vector v of F_3^4 is its class code in range(81), the base-3 code of

@@ -50,10 +50,6 @@ def canonical(v):
     return tuple(v)
 
 
-def add(u, v):
-    return canonical(tuple(a + b for a, b in zip(u, v)))
-
-
 def sub(u, v):
     return canonical(tuple(a - b for a, b in zip(u, v)))
 

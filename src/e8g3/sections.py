@@ -30,9 +30,6 @@ class Section(namedtuple("Section", "a b")):
     """a (degree 2) and b (degree 3) as low-to-high coefficient tuples."""
     __slots__ = ()
 
-    def key(self):
-        return (self.a, self.b)
-
 
 def find_sections(F: GF, f):
     """All sections over F of y^2 = z^3 + f(x), f a monic quintic: for each
@@ -208,13 +205,12 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     and the exponents."""
     out = {}
     out["count"] = len(sections)
-    index = {s.key(): i for i, s in enumerate(sections)}
-    out["closed_under_flip"] = all(neg_section(F, s).key() in index
+    index = {s: i for i, s in enumerate(sections)}
+    out["closed_under_flip"] = all(neg_section(F, s) in index
                                    for s in sections)
     twists = [twist_section(F, s) for s in sections]
-    out["closed_under_twist"] = all(t.key() in index for t in twists)
-    out["twist_free"] = all(t.key() != s.key()
-                            for s, t in zip(sections, twists))
+    out["closed_under_twist"] = all(t in index for t in twists)
+    out["twist_free"] = all(t != s for s, t in zip(sections, twists))
     P = pairing_table(F, sections)
     hist = Counter(tuple(sorted(Counter(row).items())) for row in P)
     out["histogram"] = dict(hist)
@@ -237,7 +233,7 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     # section in the list
     fibers_ok = alt_ok = inv_ok = False
     if out["closed_under_twist"]:
-        tau = [index[t.key()] for t in twists]
+        tau = [index[t] for t in twists]
         fibers_ok = all(cls[t] == D for t, D in zip(tau, cls))
         E = twist_exponents(P, tau)
         alt_ok = all((a + b) % 3 == 0 for row, col in zip(E, zip(*E))

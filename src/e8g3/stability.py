@@ -24,6 +24,7 @@ from .vinberg import (
     ALL_WEIGHTS,
     check_gamma_criterion,
     check_lambda_criterion,
+    leq,
     up_closure,
     x_value,
 )
@@ -164,7 +165,7 @@ def reduces_to(weight, target) -> bool:
 def negative_weight_sweep() -> bool:
     """Every negative weight except (1 5 9) sits under a verified trigger."""
     triggers = set(SIX_STABLE) | {(1, 6, 8), (2, 4, 8), (2, 3, 9), (1, 4, 9)}
-    return all(any(all(x <= y for x, y in zip(a, t)) for t in triggers)
+    return all(any(leq(a, t) for t in triggers)
                for a in ALL_WEIGHTS
                if x_value(weight_vector(a)) <= 0 and a != (1, 5, 9))
 

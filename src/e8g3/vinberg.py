@@ -5,16 +5,19 @@ Weights (i j k) embed into the lattice as e_i + e_j + e_k.  The partial
 order is coordinatewise; it agrees with the coweight-valued definition,
 and both are checked against each other.
 
-Coweight coordinates are kept as integers scaled by 9: each weight's
-vector is built once, by prefix sums of its lattice vector.  A
+Weight sets are frozensets at the API (the layers of a CuspCase,
+`up_closure`, the criteria) and bit masks over ALL_WEIGHTS in every sweep
+(the small-set enumeration, the sampled intermediates, positivity), read
+by popcounts; the mask tables are built on first use, so that importing
+this module costs the suites that never sweep nothing.
+
+Coweight coordinates are kept as integers scaled by 9.  Positivity has
+one kernel, `_certificate_positivity`: it sums a set's lattice vectors by
+popcounts and maps the sum to coweights once (the map is linear).  A
 certificate whose f has denominators dividing den is tested on the
 integer vector 9 * den * n, so every test is a sign or a divisibility by
 9; exact rational slack is built only for the report (the case sum,
 positivity and capacity slacks).
-
-The sampled intermediate sets are bit masks over ALL_WEIGHTS, checked by
-popcounts; their tables are built on first use, so that importing this
-module costs the suites that never sweep nothing.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ from itertools import combinations
 from math import lcm
 
 from . import cuspdata
-from .genus2 import WEIGHTS
 from .rootsys import (
     build_root_system,
-    canonical,
     eij,
     pairing,
     sub,
@@ -103,36 +104,31 @@ def up_closure(gens):
     return frozenset(mask_weights(mask))
 
 
-def down_closure(gens):
-    gens = list(gens)
-    return frozenset(a for a in ALL_WEIGHTS if any(leq(a, g) for g in gens))
-
-
 def is_up_closed(M) -> bool:
     M = frozenset(M)
     return up_closure(M) == M
 
 
 def enumerate_up_closed(max_size: int):
-    """All nonempty up-closed subsets with at most max_size weights, by
-    breadth-first growth from the unique maximal weight."""
-    strict_up = {a: up_closure([a]) - {a} for a in ALL_WEIGHTS}
-    start = frozenset({(7, 8, 9)})
+    """All nonempty up-closed sets with at most max_size weights, as bit
+    masks, by breadth-first growth from the unique maximal weight: a weight
+    a joins S when its up-set outside S is a alone."""
+    grow = [(up, 1 << i) for i, up in enumerate(_up_masks().values())]
+    start = _bits()[(7, 8, 9)]
     seen = {start}
     frontier = [start]
     out = [start]
     while frontier:
         nxt = []
         for S in frontier:
-            if len(S) >= max_size:
+            if S.bit_count() >= max_size:
                 continue
-            for a in ALL_WEIGHTS:
-                if a not in S and strict_up[a] <= S:
-                    T = S | {a}
-                    if T not in seen:
-                        seen.add(T)
-                        nxt.append(T)
-                        out.append(T)
+            for up, bit in grow:
+                T = S | bit
+                if up & ~S == bit and T not in seen:
+                    seen.add(T)
+                    nxt.append(T)
+        out += nxt
         frontier = nxt
     return out
 
@@ -141,15 +137,13 @@ def phi_g_plus_vectors():
     return [eij(j, i) for i in range(1, 10) for j in range(i + 1, 10)]
 
 
+@cache
 def sum_phi_g_plus():
     acc = [0] * 9
     for v in phi_g_plus_vectors():
         for t in range(9):
             acc[t] += v[t]
     return tuple(acc)
-
-
-_PHI_G_PLUS9 = _coweights9(sum_phi_g_plus())
 
 
 # -- structural verifications -------------------------------------------------
@@ -202,14 +196,13 @@ def check_lambda_criterion(lam, M) -> bool:
 
 
 def check_gamma_criterion(gamma, M) -> bool:
-    """True iff every weight a with a + gamma a root lies in M."""
+    """True iff every weight a with a + gamma a root lies in M, for a root
+    gamma."""
     rs = build_root_system()
+    sums = rs.sum_row(rs.index[gamma])
     M = frozenset(M)
-    for a in ALL_WEIGHTS:
-        s = tuple(x + y for x, y in zip(weight_vector(a), gamma))
-        if sum(s) % 3 == 0 and canonical(s) in rs.index and a not in M:
-            return False
-    return True
+    return all(a in M for a in ALL_WEIGHTS
+               if sums[rs.index[weight_vector(a)]] is not None)
 
 
 # -- cusp cases ---------------------------------------------------------------
@@ -280,13 +273,15 @@ def _scaled(f_map):
 
 def _certificate_positivity(m0, den, fd):
     """9 * den x the coweight coordinates of
-    sum(Phi_G+) - sum(M0) + sum f(a) a, for integral fd = den * f."""
-    m0_sum = [sum(col) for col in zip(*(_COWEIGHTS9[a] for a in m0))]
-    acc = [den * (p - m) for p, m in zip(_PHI_G_PLUS9, m0_sum or [0] * 8)]
-    for a, k in fd.items():
-        for t, c in enumerate(_COWEIGHTS9[a]):
-            acc[t] += k * c
-    return tuple(acc)
+    sum(Phi_G+) - sum(M0) + sum f(a) a, for the bit mask m0 of M0 and the
+    pairs (a, den * f(a)) fd of an f made integral by den: coordinate k of
+    sum(M0) is the popcount of m0 on the weights that contain k."""
+    v = [den * (p - (m0 & m).bit_count())
+         for p, m in zip(sum_phi_g_plus(), _index_masks())]
+    for a, k in fd:
+        for i in a:
+            v[i - 1] += k
+    return _coweights9(v)
 
 
 def verify_cusp_case(case: CuspCase) -> dict:
@@ -308,7 +303,7 @@ def verify_cusp_case(case: CuspCase) -> dict:
     res["conditions"]["sum_bound"] = {"ok": slack > 0, "slack": slack}
 
     den, fd = _scaled(case.f_prime)
-    pos = _certificate_positivity(case.m0_prime, den, fd)
+    pos = _certificate_positivity(_mask(case.m0_prime), den, fd.items())
     res["conditions"]["positivity"] = {
         "ok": all(v > 0 for v in pos),
         "slack": tuple(Fraction(v, 9 * den) for v in pos),
@@ -402,9 +397,7 @@ def intermediate_check(case: CuspCase):
     derives for it, f' less one at g(b) for every b of M0' outside M0.
 
     f' less an integer keeps its denominators, so den, den * f' and the
-    masks of the g-preimages of each M1' weight are built once.  The
-    positivity vector is that of _certificate_positivity, taken as the
-    coweights of den * (sum(Phi_G+) - sum(M0)) + sum den f(a) a.
+    masks of the g-preimages of each M1' weight are built once.
     """
     den, fd = _scaled({a: case.f_prime[a] for a in case.m1_prime})
     preimages = dict.fromkeys(fd, 0)
@@ -412,21 +405,15 @@ def intermediate_check(case: CuspCase):
     for b, a in case.g.items():
         if a in preimages:
             preimages[a] |= bits[b]
-    slots = [(fd[a], a, preimages[a]) for a in fd]
-    phi = [den * x for x in sum_phi_g_plus()]
-    index_masks = _index_masks()
+    slots = [(a, fd[a], preimages[a]) for a in fd]
     outer = _mask(case.m0_prime)
 
     def check(m0):
         removed = outer & ~m0
-        f = [k - den * (removed & pre).bit_count() for k, _, pre in slots]
-        v = [p - den * (m0 & m).bit_count() for p, m in zip(phi, index_masks)]
-        for k, (_, a, _) in zip(f, slots):
-            for i in a:
-                v[i - 1] += k
-        return (sum(f) < den * m0.bit_count(),
-                all(x > 0 for x in _coweights9(v)),
-                all(k >= 0 for k in f))
+        f = [(a, k - den * (removed & pre).bit_count()) for a, k, pre in slots]
+        return (sum(k for _, k in f) < den * m0.bit_count(),
+                all(x > 0 for x in _certificate_positivity(m0, den, f)),
+                all(k >= 0 for _, k in f))
     return check
 
 
@@ -438,8 +425,8 @@ def verify_small_sets() -> dict:
     sets = enumerate_up_closed(SMALL_SET_SIZE)
     failures = []
     for m0 in sets:
-        if not all(v > 0 for v in _certificate_positivity(m0, 1, {})):
-            failures.append(sorted(m0))
+        if not all(v > 0 for v in _certificate_positivity(m0, 1, ())):
+            failures.append(mask_weights(m0))
     return {"enumerated": len(sets), "failures": failures}
 
 
@@ -450,7 +437,7 @@ def coverage_checks() -> dict:
     out = {}
     out["gamma_upset_is_complement"] = up_closure(cuspdata.GAMMAS) == pv - sh
     out["dprime_escapes_small"] = all(
-        len(frozenset(ALL_WEIGHTS) - down_closure([g])) <= SMALL_SET_SIZE
+        sum(not leq(a, g) for a in ALL_WEIGHTS) <= SMALL_SET_SIZE
         for g in cuspdata.M0_DPRIME_BASE)
     out["positive_basis_split"] = (sh <= pv) and (
         sh - {(1, 6, 9), (2, 4, 9)} == set(cuspdata.SIX_STABLE))
@@ -487,21 +474,6 @@ def verify_cusp_bound() -> dict:
     report["small_sets"] = verify_small_sets()
     report["coverage"] = coverage_checks()
     return report
-
-
-def degree_bookkeeping(slice_degrees) -> dict:
-    """Whether the slice degrees that the Kostant slice computes, a list,
-    sum to 84, the number of weight triples, and are `genus2.WEIGHTS`, the
-    weights of the quintic family."""
-    dim_sum = sum(slice_degrees)
-    dim_matches = dim_sum == len(ALL_WEIGHTS)
-    weights_match = slice_degrees == list(WEIGHTS)
-    return {
-        "dim_sum": dim_sum,
-        "dim_matches": dim_matches,
-        "weights_match": weights_match,
-        "ok": dim_matches and weights_match,
-    }
 
 
 # -- fixture (de)serialization -------------------------------------------------

@@ -3,8 +3,9 @@ tests: the Killing diagonal as a trace over all 248 basis vectors, the
 additivity of `out` on root tuples, the one-cartan Jacobi terms one
 coroot at a time, the theta automorphism on every pair, the rho' sweep
 with one bracket of Z vectors per orbit pair, and the structure digest
-fed line by line.  Also the LieElement helpers that only the tests use,
-`is_zero` and `coroot`.
+fed line by line.  Also the helpers that only the tests use: the
+LieElement ones, `is_zero` and `coroot`, and `add`, the sum of two
+lattice classes.
 
 The library reads only the nonzero table entries, row by row; a test that
 compares the two checks that the entries it skips are the ones that
@@ -19,7 +20,7 @@ from operator import getitem
 from e8g3.gradedlie import (NONE, LieElement, _accumulate, _class_groups,
                             _pack_entry, code_mul, code_pair)
 from e8g3.report import sha256
-from e8g3.rootsys import add
+from e8g3.rootsys import canonical
 
 # the w-pair of every code a table entry can hold, and of the product of
 # two such codes, from the code arithmetic; NONE comes last, so that
@@ -38,6 +39,11 @@ def is_zero(x: LieElement) -> bool:
 def coroot(alg, i) -> LieElement:
     """The coroot of root i, over the 8 basis coroots."""
     return LieElement(cartan={a: (c, 0) for a, c in enumerate(alg.cr[i])})
+
+
+def add(u, v):
+    """The canonical representative of the class of u + v."""
+    return canonical(tuple(a + b for a, b in zip(u, v)))
 
 
 def ad_coeff_at(alg, i, j, k):

@@ -405,6 +405,9 @@ ONE_HOME = [
     (((2, 6, 7), (2, 5, 8), (3, 4, 8), (3, 5, 7), (1, 7, 8), (4, 5, 6)),
      "cuspdata.py"),  # the six stable basis triples
     (((-2, 1), (-1, 56), (0, 126), (1, 56), (2, 1)), "rootsys.py"),
+    # the standard symplectic form on (e1, e2, f1, f2), which heis.FORM
+    # gives on the unit codes (a literal with list rows)
+    (([0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]), None),
 ]
 
 
@@ -436,41 +439,70 @@ def test_each_constant_is_written_once():
 
 def test_library_functions_have_library_callers():
     # code that nothing consumes is deleted, and a function that only the
-    # tests call is a test helper: every module-level function is named in
-    # some top-level statement of the library other than its own def, and
-    # every method but a dunder is read as an attribute outside its own
-    # def.  Context builds its attribute `name` by the method `_name`, so a
-    # read of `.name` uses that method
+    # tests call is a test helper.  Names are resolved by module: a
+    # module-level function is used when its own module names it outside
+    # its def, when a module imports it from its module and names it, or
+    # when it is read as an attribute of a name bound to its module
+    # (`from . import heis`, or `h = heis` after that).  Every method but a
+    # dunder is read as an attribute outside its own def.  Context builds
+    # its attribute `name` by the method `_name`, so a read of `.name` uses
+    # that method
     function = (ast.FunctionDef, ast.AsyncFunctionDef)
-    # defs: (file, label, own def, the name that uses it, whether it is a
-    # method); named: name -> {(unit naming it, whether as an attribute)}
-    defs, named = [], {}
+    # functions: (module, name) -> own def; methods: (file, label, own def,
+    # the attribute that uses it); used: the (module, name) of every use
+    # of a module-level function; read: attribute -> units reading it
+    functions, methods, used, read = {}, [], set(), {}
     for path in sorted(Path(SRC, "e8g3").rglob("*.py")):
+        module, units = path.stem, []
         for stmt in ast.parse(path.read_text()).body:
-            units = [(stmt, [stmt])]
             if isinstance(stmt, function):
-                defs.append((path.name, stmt.name, stmt, stmt.name, False))
-            elif isinstance(stmt, ast.ClassDef):
-                methods = [m for m in stmt.body if isinstance(m, function)]
-                units = [(stmt, [node for node in ast.iter_child_nodes(stmt)
-                                 if node not in methods])]
-                units += [(m, [m]) for m in methods]
-                defs += [(path.name, f"{stmt.name}.{m.name}", m,
-                          m.name.removeprefix("_") if stmt.name == "Context"
-                          else m.name,
-                          True)
-                         for m in methods
-                         if not (m.name.startswith("__")
-                                 and m.name.endswith("__"))]
-            for unit, nodes in units:
-                for node in (n for top in nodes for n in ast.walk(top)):
-                    if isinstance(node, ast.Attribute):
-                        named.setdefault(node.attr, set()).add((unit, True))
-                    elif isinstance(node, ast.Name):
-                        named.setdefault(node.id, set()).add((unit, False))
-    found = [(name, label) for name, label, own, key, method in defs
-             if not any(unit is not own and (attribute or not method)
-                        for unit, attribute in named.get(key, ()))]
+                functions[module, stmt.name] = stmt
+            if not isinstance(stmt, ast.ClassDef):
+                units.append((stmt, [stmt]))
+                continue
+            own = [m for m in stmt.body if isinstance(m, function)]
+            units.append((stmt, [node for node in ast.iter_child_nodes(stmt)
+                                 if node not in own]))
+            units += [(m, [m]) for m in own]
+            methods += [(path.name, f"{stmt.name}.{m.name}", m,
+                         m.name.removeprefix("_") if stmt.name == "Context"
+                         else m.name)
+                        for m in own
+                        if not (m.name.startswith("__")
+                                and m.name.endswith("__"))]
+        # names: local names read anywhere in the module; imported: local
+        # name -> (module, name) it was imported as; bound: local name ->
+        # the library module it is bound to
+        names, imported, bound, aliases, reads = set(), {}, {}, [], []
+        for unit, nodes in units:
+            for node in (n for top in nodes for n in ast.walk(top)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                    if unit is not functions.get((module, node.id)):
+                        used.add((module, node.id))
+                elif isinstance(node, ast.Attribute):
+                    read.setdefault(node.attr, set()).add(unit)
+                    if isinstance(node.value, ast.Name):
+                        reads.append((node.value.id, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for alias in node.names:
+                        local = alias.asname or alias.name
+                        if node.module is None:
+                            bound[local] = alias.name
+                        else:
+                            imported[local] = (node.module, alias.name)
+                elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                      and isinstance(node.targets[0], ast.Name)
+                      and isinstance(node.value, ast.Name)):
+                    aliases.append((node.targets[0].id, node.value.id))
+        bound.update((new, bound[old]) for new, old in aliases if old in bound)
+        used.update(pair for local, pair in imported.items() if local in names)
+        used.update((bound[name], attr) for name, attr in reads
+                    if name in bound)
+    found = [(f"{module}.py", name) for module, name in functions
+             if (module, name) not in used]
+    found += [(name, label) for name, label, own, key in methods
+              if not any(unit is not own for unit in read.get(key, ()))]
     assert sorted(found) == sorted(CALLED_ONLY_OUTSIDE_LIBRARY)
 
 

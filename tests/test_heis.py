@@ -13,7 +13,6 @@ from e8g3.heis import (
     class_code,
     code_inverse,
     code_product,
-    standard_form,
     svn_rep,
 )
 
@@ -42,11 +41,13 @@ def test_change_of_basis_preserves_form():
     model = build_model()
     gram = model.rs.class_gram()
     # the SNF images of the symplectic unit vectors pair under the class
-    # Gram matrix as the standard form says
-    images = [CLASSES[model.from_symplectic[c]] for c in (27, 9, 3, 1)]
+    # Gram matrix as FORM pairs the unit vectors, which is the standard form
+    units = (27, 9, 3, 1)
+    images = [CLASSES[model.from_symplectic[c]] for c in units]
     prod = [[sum(x[a] * gram[a][b] * y[b] for a in range(4)
                  for b in range(4)) % 3 for y in images] for x in images]
-    assert prod == standard_form()
+    assert prod == [[FORM[a][b] for b in units] for a in units] == [
+        [0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]]
     # and the two tables are inverse permutations
     to, back = model.to_symplectic, model.from_symplectic
     assert [to[c] for c in back] == [back[c] for c in to] == list(range(81))

@@ -12,6 +12,8 @@ from e8g3.rootsys import (
     weight_vector,
 )
 
+from gradedlie_oracle import add
+
 
 @pytest.fixture(scope="module")
 def rs():
@@ -100,7 +102,7 @@ def test_sum_row_matches_vector_sum(rs):
     # the packed-code sum against the tuple sum and its canonical shift, on
     # every ordered pair
     for i, a in enumerate(rs.roots):
-        assert rs.sum_row(i) == [rs.index.get(rootsys.add(a, b))
+        assert rs.sum_row(i) == [rs.index.get(add(a, b))
                                  for b in rs.roots]
 
 
@@ -190,7 +192,7 @@ def test_elliptic_element(report):
 def test_w_sum_of_powers_vanishes(rs):
     for r in rs.roots[:60]:
         wr = rs.apply_w(r)
-        total = rootsys.add(rootsys.add(r, wr), rs.apply_w(wr))
+        total = add(add(r, wr), rs.apply_w(wr))
         assert total == canonical((0,) * 9)
 
 
@@ -236,7 +238,7 @@ def test_symplectic_pairing_properties(rs):
 
 def test_symplectic_pairing_lift_independent(rs):
     u, v = rs.roots[10], rs.roots[150]
-    u2 = rootsys.add(u, rootsys.sub(rs.apply_w(rs.roots[3]), rs.roots[3]))
+    u2 = add(u, rootsys.sub(rs.apply_w(rs.roots[3]), rs.roots[3]))
     assert rs.symplectic_exponent(u, v) == rs.symplectic_exponent(u2, v)
 
 

@@ -20,7 +20,6 @@ from e8g3.vinberg import (
     build_boundary_cases,
     check_gamma_criterion,
     check_lambda_criterion,
-    degree_bookkeeping,
     enumerate_up_closed,
     leq,
     phi_v_plus,
@@ -61,12 +60,38 @@ def check_direct_certificate(m0, f_map):
     """The two conditions of the cusp bound for a concrete (M0, f), and
     f >= 0."""
     den, fd = vinberg._scaled(f_map)
-    pos = vinberg._certificate_positivity(m0, den, fd)
+    pos = vinberg._certificate_positivity(vinberg._mask(m0), den, fd.items())
     return {
         "sum_ok": sum(fd.values()) < den * len(m0),
         "positivity_ok": all(v > 0 for v in pos),
         "nonneg_ok": all(v >= 0 for v in fd.values()),
     }
+
+
+def up_closed_sets(max_size):
+    """Oracle of `enumerate_up_closed`: the nonempty up-closed sets with at
+    most max_size weights as frozensets, by breadth-first growth from
+    (7 8 9) that adds a weight a to S when every weight strictly above a
+    lies in S."""
+    strict_up = {a: up_closure([a]) - {a} for a in ALL_WEIGHTS}
+    start = frozenset({(7, 8, 9)})
+    seen = {start}
+    frontier = [start]
+    out = [start]
+    while frontier:
+        nxt = []
+        for S in frontier:
+            if len(S) >= max_size:
+                continue
+            for a in ALL_WEIGHTS:
+                if a not in S and strict_up[a] <= S:
+                    T = S | {a}
+                    if T not in seen:
+                        seen.add(T)
+                        nxt.append(T)
+                        out.append(T)
+        frontier = nxt
+    return out
 
 
 def _mask_sets(case):
@@ -120,6 +145,7 @@ def test_n_coeff_highest_weight():
     assert list(n_vector(v)) == expect
     assert n_vector(v)[2] == 1
     assert vinberg._COWEIGHTS9[(7, 8, 9)] == (3, 6, 9, 12, 15, 18, 12, 6)
+    assert vinberg._coweights9(v) == (3, 6, 9, 12, 15, 18, 12, 6)
 
 
 def test_n_coeff_on_simple_roots():
@@ -133,7 +159,7 @@ def test_n_coeff_on_simple_roots():
 def test_sum_positive_roots_coweights():
     nv = n_vector([Fraction(x) for x in sum_phi_g_plus()])
     assert list(nv) == [8, 14, 18, 20, 20, 18, 14, 8]
-    assert vinberg._PHI_G_PLUS9 == tuple(9 * c for c in nv)
+    assert vinberg._coweights9(sum_phi_g_plus()) == tuple(9 * c for c in nv)
 
 
 def test_x_values_on_basis(report):
@@ -187,13 +213,19 @@ def test_gamma_criterion_examples():
 
 
 def test_up_closed_enumeration_small():
-    sets = enumerate_up_closed(10)
+    sets = up_closed_sets(10)
     assert all(vinberg.is_up_closed(S) for S in sets)
     assert frozenset({(7, 8, 9)}) in sets
     assert all(len(S) <= 10 for S in sets)
     assert len(sets) == len(set(sets))
-    # oracle recount: filter all up-closed sets by size from a wider search
     assert len(sets) == 72
+
+
+@pytest.mark.parametrize("max_size", [10, 12])
+def test_mask_grower_is_the_set_growth(max_size):
+    # the same sets in the same order as the frozenset growth
+    assert [frozenset(vinberg.mask_weights(m))
+            for m in enumerate_up_closed(max_size)] == up_closed_sets(max_size)
 
 
 def test_all_cases_pass(report):
@@ -292,8 +324,25 @@ def _oracle_positivity(m0, f_map):
 def _integer_matches_oracle(m0, f_map):
     den, fd = vinberg._scaled(f_map)
     return (fd == {a: f * den for a, f in f_map.items()}
-            and vinberg._certificate_positivity(m0, den, fd)
+            and vinberg._certificate_positivity(vinberg._mask(m0), den,
+                                                fd.items())
             == tuple(9 * den * c for c in _oracle_positivity(m0, f_map)))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.label)
+def test_positivity_kernel_on_each_case(case):
+    # M0' with f', as verify_cusp_case reads it
+    assert _integer_matches_oracle(case.m0_prime, case.f_prime)
+
+
+def test_positivity_kernel_on_the_small_sets():
+    # every small set with f = 0, as verify_small_sets reads it
+    sets = enumerate_up_closed(vinberg.SMALL_SET_SIZE)
+    assert len(sets) == 72
+    assert all(vinberg._certificate_positivity(m, 1, ())
+               == tuple(9 * c for c in _oracle_positivity(
+                   vinberg.mask_weights(m), {}))
+               for m in sets)
 
 
 @st.composite
@@ -346,11 +395,13 @@ def test_mask_check_is_the_set_check(cert):
 
 
 def test_mutated_coweight_entry_fails_the_property(monkeypatch):
+    # the kernel sums M0 through the index masks: drop one weight of M0'
+    # from the mask of one of its coordinates
     case = CASES[0]
     a = min(case.m0_prime)
-    table = dict(vinberg._COWEIGHTS9)
-    table[a] = (table[a][0] + 9,) + table[a][1:]
-    monkeypatch.setattr(vinberg, "_COWEIGHTS9", table)
+    masks = list(vinberg._index_masks())
+    masks[a[0] - 1] &= ~vinberg._mask([a])
+    monkeypatch.setattr(vinberg, "_index_masks", lambda: tuple(masks))
     assert not _integer_matches_oracle(case.m0_prime, case.f_prime)
 
 
@@ -391,7 +442,7 @@ def test_small_set_at_zero_positivity_is_reported(monkeypatch):
     # every up-closed set of size <= 11 has slack; at 12, eight sets have
     # a coordinate exactly 0 and none below
     monkeypatch.setattr(vinberg, "SMALL_SET_SIZE", 12)
-    sets = enumerate_up_closed(12)
+    sets = up_closed_sets(12)
     least = {m: min(_oracle_positivity(m, {})) for m in sets}
     assert min(least.values()) == 0
     zero = [sorted(m) for m in sets if least[m] == 0]
@@ -422,13 +473,9 @@ def test_coverage_checks(report):
 
 
 def test_degree_bookkeeping(report):
+    # degrees with the right sum that are not the weights of the quintic
+    # family fail it: the mutation row cusp_degree_bookkeeping
     assert report.passed("cusp", "degree_bookkeeping")
-    bk = degree_bookkeeping([12, 18, 24, 30])
-    assert bk["ok"]
-    assert bk["dim_sum"] == 84
-    # degrees with the right sum but not the weights of the quintic family
-    bad = degree_bookkeeping([6, 24, 24, 30])
-    assert bad["dim_matches"] and not bad["weights_match"] and not bad["ok"]
 
 
 def test_fixture_roundtrip_bytes():
