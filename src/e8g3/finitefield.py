@@ -4,8 +4,11 @@ polynomial arithmetic over them.
 Elements are integers 0..q-1 encoding base-p coefficient vectors.  Each
 field builds q x q add, sub and mul tables and a neg table: add and neg
 as Z_p^k, one base-p digit at a time (`digit_tables`, which also builds
-heis's F_3^4 tables), sub from add and neg, and mul through exp/log, so
-every field operation downstream is one list lookup.  The polynomial
+heis's F_3^4 tables), sub from add and neg, and mul through exp/log.  A
+field is its tables: every caller reads the add_table, sub_table,
+neg_table and mul_table rows and sweeps range(q), so each field operation
+downstream is one list lookup; GF's methods (inv, sqrt, is_square,
+from_int, zeta3) are the operations that hold logic.  The polynomial
 kernels read table rows: a product term is add[out][mul_x[y]] with mul_x
 the row of x.  F_(p^k) is built on GF(p): its product is the polynomial
 product below, over GF(p), modulo an irreducible.  The tables cost
@@ -23,26 +26,18 @@ MAX_Q = 512  # largest field order GF builds tables for
 
 def field_order(q: int):
     """(p, k) with q = p^k for an odd prime p and q <= MAX_Q; ValueError
-    for any other q."""
+    for any other q, an int-like float or bool included."""
+    if type(q) is not int:
+        raise ValueError(f"q = {q!r} is not an int")
     if q > MAX_Q:
         raise ValueError(f"q = {q} is above the table bound {MAX_Q}")
-    p, k = _factor_prime_power(q)
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p = primes[0]
     if p == 2:
         raise ValueError("odd characteristic only")
-    return p, k
-
-
-def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise ValueError("not a prime power")
-            return p, k
-    raise ValueError("bad q")
+    return p, next(k for k in range(1, q) if p ** k == q)
 
 
 def _digits(e: int, p: int, k: int):
@@ -161,20 +156,6 @@ class GF:
             if self._sqrt[sq] is None:
                 self._sqrt[sq] = x
 
-    # -- field ops ---------------------------------------------------------
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def sub(self, a, b):
-        return self.sub_table[a][b]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError
@@ -195,9 +176,6 @@ class GF:
         if (self.q - 1) % 3:
             return None
         return self.exp[(self.q - 1) // 3]
-
-    def elements(self):
-        return range(self.q)
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -316,15 +294,13 @@ def pmonic(F, a):
 def quadratic_roots(F, c0, c1, c2):
     """The roots in F of c2 x^2 + c1 x + c0 in ascending code order; every
     element of F when all three coefficients vanish."""
-    mul = F.mul_table
+    add, sub, mul, neg = F.add_table, F.sub_table, F.mul_table, F.neg_table
     if not c2:
         if c1:
-            return [mul[F.neg(c0)][F.inv(c1)]]
-        return [] if c0 else F.elements()
-    four = F.from_int(4)
-    s = F.sqrt(F.sub(mul[c1][c1], mul[four][mul[c2][c0]]))
+            return [mul[neg[c0]][F.inv(c1)]]
+        return [] if c0 else range(F.q)
+    s = F.sqrt(sub[mul[c1][c1]][mul[F.from_int(4)][mul[c2][c0]]])
     if s is None:
         return []
-    i = F.inv(F.add(c2, c2))
-    return sorted({mul[F.sub(s, c1)][i], mul[F.sub(F.neg(s), c1)][i]})
-
+    i = F.inv(add[c2][c2])
+    return sorted({mul[sub[s][c1]][i], mul[sub[neg[s]][c1]][i]})

@@ -1,6 +1,10 @@
 """Divisor arithmetic on y^2 = f(x) for monic quintics over odd finite
 fields: composition and reduction on degree-at-most-2 representatives,
-full group enumeration at small q, and the point-count order oracle."""
+full group enumeration at small q, and the point-count order oracle.
+
+A divisor (u, v) is a pair of hashable coefficient tuples, low degree
+first, as `IDENTITY`, the zero class, and every divisor returned here
+are; the polynomial kernels read tuples as they are."""
 
 from __future__ import annotations
 
@@ -13,7 +17,9 @@ from .finitefield import (
     pmonic,
     pmul,
     psub,
+    ptrim,
     pxgcd,
+    quadratic_roots,
 )
 from .intlinalg import power
 
@@ -60,12 +66,13 @@ def is_reduced(F, f, D) -> bool:
     return not pmod(F, psub(F, pmul(F, v, v), f), u)
 
 
-IDENTITY = ([1], [])
+IDENTITY = ((1,), ())
 
 
 def cantor_neg(F, D):
     u, v = D
-    return (u, [F.neg(c) for c in v])
+    neg = F.neg_table
+    return (u, tuple(neg[c] for c in v))
 
 
 def cantor_add(F, f, D1, D2):
@@ -88,12 +95,12 @@ def cantor_add(F, f, D1, D2):
                pmul(F, s3, padd(F, pmul(F, v1, v2), f)))
     v = pmod(F, pdivmod(F, num, d)[0], u)
     # reduction
+    neg = F.neg_table
     while len(u) - 1 > 2:
-        u_new = pdivmod(F, psub(F, f, pmul(F, v, v)), u)[0]
-        u_new = pmonic(F, u_new)
-        v = [F.neg(c) for c in pmod(F, v, u_new)]
+        u_new = pmonic(F, pdivmod(F, psub(F, f, pmul(F, v, v)), u)[0])
+        v = [neg[c] for c in pmod(F, v, u_new)]
         u = u_new
-    return (pmonic(F, u), v)
+    return (tuple(pmonic(F, u)), tuple(v))
 
 
 def cantor_mul(F, f, D, n: int):
@@ -102,45 +109,35 @@ def cantor_mul(F, f, D, n: int):
 
 
 def enumerate_jacobian(F, f):
-    """All reduced divisors (u, v) with u | f - v^2, deg u <= 2."""
+    """All reduced divisors (u, v) with u | f - v^2, deg u <= 2: the zero
+    class, then u = x - t by ascending t, then u = x^2 + u1 x + u0 by
+    ascending (u0, u1), each u with its v by ascending (v1, v0).
+
+    With R0 the constant coefficient of f mod u, the constant coefficient
+    of f - v^2 mod u is R0 + u0 v1^2 - v0^2 (v1 = 0 for deg u = 1), so
+    each v0 is a root of v0^2 = R0 + u0 v1^2 (`quadratic_roots`), and each
+    candidate v passes the division test."""
+    add, mul, neg = F.add_table, F.mul_table, F.neg_table
+    q = F.q
     out = [IDENTITY]
-    # degree 1: u = x - t, v = (r) with r^2 = f(t)
-    for t in F.elements():
-        val = peval(F, f, t)
-        r = F.sqrt(val)
-        if r is None:
-            continue
-        roots = {r, F.neg(r)}
-        for rr in roots:
-            out.append(([F.neg(t), 1], [rr] if rr else []))
-    # degree 2: u = x^2 + u1 x + u0 and v = v1 x + v0 with u | f - v^2.
-    # With f = R1 x + R0 mod u that is 2 v0 v1 - u1 v1^2 = R1 and
-    # v0^2 - u0 v1^2 = R0: v1 = 0 needs R1 = 0 and v0 = +-sqrt(R0), and
-    # each v1 != 0 fixes v0 = (R1 + u1 v1^2) / (2 v1).
-    for u0 in F.elements():
-        for u1 in F.elements():
-            u = [u0, u1, 1]
-            R0, R1 = (pmod(F, f, u) + [0, 0])[:2]
-            for v1 in F.elements():
-                if v1:
-                    v0s = [F.mul(F.add(R1, F.mul(u1, F.mul(v1, v1))),
-                                 F.inv(F.add(v1, v1)))]
-                elif R1:
-                    continue
-                else:
-                    r = F.sqrt(R0)
-                    v0s = [] if r is None else sorted({r, F.neg(r)})
-                for v0 in v0s:
-                    v = [v0, v1] if v1 else ([v0] if v0 else [])
-                    if not pmod(F, psub(F, pmul(F, v, v), f), u):
-                        out.append((u, v))
+    us = [(neg[t], 1) for t in range(q)]
+    us += [(u0, u1, 1) for u0 in range(q) for u1 in range(q)]
+    for u in us:
+        R0 = (pmod(F, f, u) or [0])[0]
+        row = mul[u[0]]
+        for v1 in range(q) if len(u) == 3 else (0,):
+            c0 = neg[add[R0][row[mul[v1][v1]]]]
+            for v0 in quadratic_roots(F, c0, 0, 1):
+                v = ptrim([v0, v1])
+                if not pmod(F, psub(F, pmul(F, v, v), f), u):
+                    out.append((u, tuple(v)))
     return out
 
 
 def curve_count(F, f) -> int:
     """|C(F_q)| for the smooth projective model (one point at infinity)."""
     n = 1
-    for x in F.elements():
+    for x in range(F.q):
         val = peval(F, f, x)
         if val == 0:
             n += 1

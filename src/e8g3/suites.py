@@ -350,24 +350,20 @@ def _cantor_group_law(c):
 
 
 def _mumford_lines(c):
-    from .finitefield import pdivmod, peval, pmul, psub
-    verify, F7 = jacobian.mumford_verify, finitefield.get_field(7)
+    """f = u v + r^2 for the first divisor (u, r) of each degree nu on the
+    first fixture curve over F7."""
+    from .finitefield import pdivmod, pmul, psub
+    F7 = finitefield.get_field(7)
     f7, J = c.jacobians[(0, 0, 1, 3)]
-    t_pt, r_pt = next((t, F7.sqrt(peval(F7, f7, t))) for t in range(7)
-                      if F7.sqrt(peval(F7, f7, t)) is not None)
-    u1 = [F7.neg(t_pt), 1]
-    v1, rem1 = pdivmod(F7, psub(F7, f7, [F7.mul(r_pt, r_pt)]), u1)
-    u2, r2 = next((u, v) for u, v in J if len(u) == 3)
-    v2, rem2 = pdivmod(F7, psub(F7, f7, pmul(F7, r2, r2)), u2)
-    return [
-        ("mumford_nu0", verify(F7, [1], f7, []) == f7,
-         "trivial decomposition"),
-        ("mumford_nu1", not rem1 and verify(
-            F7, u1, v1, [r_pt] if r_pt else []) == f7,
-         "point decomposition over F7"),
-        ("mumford_nu2", not rem2 and verify(F7, u2, v2, r2) == f7,
-         "exhaustive-search decomposition over F7"),
-    ]
+    out = []
+    for nu, detail in enumerate(("trivial decomposition",
+                                 "point decomposition over F7",
+                                 "exhaustive-search decomposition over F7")):
+        u, r = next(D for D in J if len(D[0]) == nu + 1)
+        v, rem = pdivmod(F7, psub(F7, f7, pmul(F7, r, r)), u)
+        out.append((f"mumford_nu{nu}", not rem and jacobian.mumford_verify(
+            F7, u, v, r) == f7, detail))
+    return out
 
 
 def _fixture_lines(c):

@@ -185,7 +185,7 @@ def _bad_fixture(tmp_path, case):
         del payload["sections"]
         path.write_text(json.dumps(payload))
     elif case.startswith("q_"):
-        payload["q"] = int(case[2:])
+        payload["q"] = json.loads(case[2:])
         path.write_text(json.dumps(payload))
     elif case == "f_coeffs_text":
         payload["f_coeffs_low_to_high"] = "abc"
@@ -209,12 +209,14 @@ def _bad_fixture(tmp_path, case):
 
 
 # q = 170 is not a prime power, 128 is even, 529 = 23^2 is above GF's
-# tables; f5_2 is a quintic that is not monic; sections_short has a
+# tables, and 169.0 and true are not ints though they compare equal to
+# 169 and 1; f5_2 is a quintic that is not monic; sections_short has a
 # section whose a has two coefficients, and section_out_of_field one whose
 # b has the coefficient q
 @pytest.mark.parametrize("case", ["missing", "unreadable", "bad_json",
                                   "wrong_version", "missing_key", "q_170",
-                                  "q_128", "q_529", "f_coeffs_text",
+                                  "q_128", "q_529", "q_169.0", "q_true",
+                                  "f_coeffs_text",
                                   "f_coeffs_short", "f5_2", "sections_text",
                                   "sections_short", "section_out_of_field"])
 def test_bad_fixture_exits_2_before_any_suite(tmp_path, capsys, case):
@@ -408,6 +410,7 @@ ONE_HOME = [
     # the standard symplectic form on (e1, e2, f1, f2), which heis.FORM
     # gives on the unit codes (a literal with list rows)
     (([0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]), None),
+    (((1,), ()), "jacobian.py"),  # the zero divisor class
 ]
 
 

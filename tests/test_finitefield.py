@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from e8g3.finitefield import (GF, MAX_Q, padd, pdivmod, peval, pmul, pscale,
-                              psub, quadratic_roots)
+from e8g3.finitefield import (GF, MAX_Q, field_order, padd, pdivmod, peval,
+                              pmul, pscale, psub, quadratic_roots)
 
 ORDERS = st.sampled_from([3, 7, 9, 25, 27, 49, 169])
 
@@ -187,15 +187,15 @@ def test_mul_table_is_polynomial_arithmetic(q):
 def test_field_axioms(q, data):
     F = field(q)
     a, b, c = _draw_elements(data, F, 3)
-    add, mul = F.add, F.mul
-    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
-    assert add(add(a, b), c) == add(a, add(b, c))
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
-    assert add(a, F.neg(a)) == 0 and add(F.sub(a, b), b) == a
+    add, mul = F.add_table, F.mul_table
+    assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+    assert add[add[a][b]][c] == add[a][add[b][c]]
+    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+    assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+    assert add[a][F.neg_table[a]] == 0 and add[F.sub_table[a][b]][b] == a
     if a:
-        assert mul(a, F.inv(a)) == 1
+        assert mul[a][F.inv(a)] == 1
 
 
 @settings(deadline=None, derandomize=True)
@@ -206,15 +206,36 @@ def test_quadratic_roots_match_a_sweep(q, data):
     F = field(q)
     coeff = st.one_of(st.just(0), st.integers(1, q - 1))
     c0, c1, c2 = (data.draw(coeff) for _ in range(3))
-    mul, add = F.mul, F.add
-    swept = [x for x in F.elements()
-             if add(add(mul(mul(c2, x), x), mul(c1, x)), c0) == 0]
+    mul, add = F.mul_table, F.add_table
+    swept = [x for x in range(q)
+             if add[add[mul[mul[c2][x]][x]][mul[c1][x]]][c0] == 0]
     assert list(quadratic_roots(F, c0, c1, c2)) == swept
 
 
-@pytest.mark.parametrize("q", [170, 2 ** 7, 23 ** 2, 10 ** 12 + 39],
+# True and 169.0 compare equal to the ints 1 and 169: only the type tells
+# them apart
+@pytest.mark.parametrize("q", [170, 2 ** 7, 23 ** 2, 10 ** 12 + 39, True,
+                               169.0],
                          ids=["not_prime_power", "even", "above_bound",
-                              "huge_prime"])
+                              "huge_prime", "bool", "float"])
 def test_order_outside_the_tables_is_refused(q):
     with pytest.raises(ValueError):
         GF(q)
+
+
+def test_field_order_on_every_q_up_to_the_bound():
+    # (p, k) by trial division for every odd prime power up to MAX_Q, and
+    # ValueError for every other q in range
+    expected = {}
+    for p in range(3, MAX_Q + 1, 2):
+        if all(p % d for d in range(3, p, 2)):
+            q, k = p, 1
+            while q <= MAX_Q:
+                expected[q] = (p, k)
+                q, k = q * p, k + 1
+    for q in range(MAX_Q + 1):
+        if q in expected:
+            assert field_order(q) == expected[q]
+        else:
+            with pytest.raises(ValueError):
+                field_order(q)

@@ -29,28 +29,29 @@ from e8g3.jacobian import (
 def test_field_axioms_prime_and_square():
     for q in (7, 9, 13, 49):
         F = GF(q)
-        els = list(F.elements())
+        add, mul = F.add_table, F.mul_table
+        els = range(q)
         for a in els[::3]:
-            assert F.add(a, F.neg(a)) == 0
+            assert add[a][F.neg_table[a]] == 0
             if a:
-                assert F.mul(a, F.inv(a)) == 1
+                assert mul[a][F.inv(a)] == 1
             for b in els[::4]:
-                assert F.mul(a, b) == F.mul(b, a)
+                assert mul[a][b] == mul[b][a]
                 for c in els[:: max(1, q // 5)]:
-                    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b),
-                                                          F.mul(a, c))
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_field_sqrt_and_zeta():
     F = GF(13)
-    squares = {F.mul(x, x) for x in F.elements()}
-    for x in F.elements():
+    mul = F.mul_table
+    squares = {mul[x][x] for x in range(F.q)}
+    for x in range(F.q):
         assert F.is_square(x) == (x in squares)
         if F.is_square(x):
             r = F.sqrt(x)
-            assert F.mul(r, r) == x
+            assert mul[r][r] == x
     z = F.zeta3()
-    assert z is not None and F.mul(F.mul(z, z), z) == 1 and z != 1
+    assert z is not None and mul[mul[z][z]][z] == 1 and z != 1
     assert GF(7).zeta3() is not None
     assert GF(11).zeta3() is None
 
@@ -60,7 +61,7 @@ def test_poly_xgcd():
     a = [1, 2, 0, 1]
     b = [5, 1, 1]
     g, s, t = pxgcd(F, a, b)
-    combo = psub(F, pmul(F, s, a), [F.neg(c) for c in pmul(F, t, b)])
+    combo = psub(F, pmul(F, s, a), [F.neg_table[c] for c in pmul(F, t, b)])
     assert combo == g
 
 
@@ -153,25 +154,17 @@ def test_cantor_mul_is_repeated_addition(monkeypatch):
 
 
 def _enumerate_jacobian_by_scan(F, f):
-    """Oracle for enumerate_jacobian: every v of degree below 2 is tried
-    for each monic quadratic u."""
-    out = [IDENTITY]
-    for t in F.elements():
-        val = peval(F, f, t)
-        r = F.sqrt(val)
-        if r is None:
-            continue
-        roots = {r, F.neg(r)}
-        for rr in roots:
-            out.append(([F.neg(t), 1], [rr] if rr else []))
-    for u0 in F.elements():
-        for u1 in F.elements():
-            u = [u0, u1, 1]
-            for v1 in F.elements():
-                for v0 in F.elements():
-                    v = [v0, v1] if v1 else ([v0] if v0 else [])
-                    if not pmod(F, psub(F, pmul(F, v, v), f), u):
-                        out.append((u, v))
+    """Oracle for enumerate_jacobian: every v of degree below deg u is
+    tried for each u = x - t and each monic quadratic u."""
+    els = range(F.q)
+    out = [((1,), ())]
+    for u in ([(F.neg_table[t], 1) for t in els]
+              + [(u0, u1, 1) for u0 in els for u1 in els]):
+        for v1 in els if len(u) == 3 else [0]:
+            for v0 in els:
+                v = (v0, v1) if v1 else ((v0,) if v0 else ())
+                if not pmod(F, psub(F, pmul(F, v, v), f), u):
+                    out.append((u, v))
     return out
 
 
@@ -194,9 +187,9 @@ def test_curve_count_consistency():
     f = [c % 7 for c in Quintic(0, 0, 1, 3).coeffs()]
     n = curve_count(F, f)
     brute = 1  # infinity
-    for x in F.elements():
-        for y in F.elements():
-            if F.mul(y, y) == peval(F, f, x):
+    for x in range(F.q):
+        for y in range(F.q):
+            if F.mul_table[y][y] == peval(F, f, x):
                 brute += 1
     assert n == brute
 

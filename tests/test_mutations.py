@@ -11,8 +11,8 @@ from fnmatch import fnmatchcase
 
 import pytest
 
-from e8g3 import (cuspdata, finitefield, gradedlie, heis, kostant, rootsys,
-                  sections, sp4, suites, vinberg)
+from e8g3 import (cuspdata, finitefield, gradedlie, heis, jacobian, kostant,
+                  rootsys, sections, sp4, suites, vinberg)
 from e8g3.gradedlie import GradedAlgebra, LieElement, get_algebra
 from e8g3.intlinalg import identity
 from e8g3.report import Suite
@@ -282,11 +282,22 @@ def _drop_contact_at_infinity(monkeypatch):
         lambda src: re.sub(r"inf = \d", "inf = 0", src)))
 
 
-def _plus_root_only(monkeypatch):
-    # find_sections keeps only the root (-c1 + sqrt(disc)) / (2 c2)
-    monkeypatch.setattr(sections, "quadratic_roots", _mutant(
-        finitefield.quadratic_roots,
-        lambda src: src.replace("F.neg(s)", "s")))
+def _plus_root_only(module):
+    # the quadratic_roots that `module` reads keeps only the root
+    # (-c1 + sqrt(disc)) / (2 c2)
+    def patch(monkeypatch):
+        monkeypatch.setattr(module, "quadratic_roots", _mutant(
+            finitefield.quadratic_roots,
+            lambda src: src.replace("neg[s]", "s")))
+    return patch
+
+
+def _drop_r_squared(monkeypatch):
+    # mumford_verify returns u v in place of u v + r^2
+    monkeypatch.setattr(jacobian, "mumford_verify", _mutant(
+        jacobian.mumford_verify,
+        lambda src: src.replace("padd(F, pmul(F, u, v), pmul(F, r, r))",
+                                "pmul(F, u, v)")))
 
 
 def _torsion_against_d(monkeypatch):
@@ -448,8 +459,16 @@ MUTATIONS = [
      "fixture_histogram"),
     # sections/fixture_rescan_count and fixture_matches_scan: one root of
     # each quadratic in a0 loses the sections at the other
-    ("sections_fixture_rescan", _plus_root_only, "sections",
+    ("sections_fixture_rescan", _plus_root_only(sections), "sections",
      "fixture_rescan_count", "fixture_matches_scan"),
+    # sections/cantor_order_matches_zeta: one root of each v0^2 = c loses
+    # the divisor at the other, so the enumerated Jacobians are too small
+    ("sections_cantor_order", _plus_root_only(jacobian), "sections",
+     "cantor_order_matches_zeta"),
+    # sections/mumford_nu1 and mumford_nu2: without the r^2 term the
+    # product u v misses f by r^2, which is nonzero on both divisors
+    ("sections_mumford_r_squared", _drop_r_squared, "sections",
+     "mumford_nu1", "mumford_nu2"),
     # sections/fixture_torsion: 2 D = D holds only for D = 0
     ("sections_fixture_torsion", _torsion_against_d, "sections",
      "fixture_torsion"),

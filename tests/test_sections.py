@@ -34,7 +34,7 @@ def squarefree_part(F, a):
     """Monic radical of a nonzero polynomial (counts distinct roots)."""
     if not a:
         raise ValueError("zero polynomial")
-    d = ptrim([F.mul(F.from_int(i), a[i]) for i in range(1, len(a))])
+    d = ptrim([F.mul_table[F.from_int(i)][a[i]] for i in range(1, len(a))])
     if not d:
         # perfect p-th power over F_q; recurse on the p-th root
         p = F.p
@@ -81,8 +81,9 @@ def _intersection_by_gcd(F, s, t):
         g = pxgcd(F, g1, g2)[0]
     affine = len(g) - 1 if g else 0
     # reversed differences as series in u = 1/x
-    rev_a = [F.sub(x, y) for x, y in zip(reversed(s.a), reversed(t.a))]
-    rev_b = [F.sub(x, y) for x, y in zip(reversed(s.b), reversed(t.b))]
+    sub = F.sub_table
+    rev_a = [sub[x][y] for x, y in zip(reversed(s.a), reversed(t.a))]
+    rev_b = [sub[x][y] for x, y in zip(reversed(s.b), reversed(t.b))]
     inf = min(next((i for i, c in enumerate(rev) if c), 10**9)
               for rev in (rev_a, rev_b))
     return affine + inf
@@ -103,7 +104,7 @@ def _find_sections_by_scan(F, f):
     half = F.inv(two)
     f0, f1c, f2c, f3c, f4c, _ = (list(f) + [0] * 6)[:6]
     squares = [t for t in range(1, F.q) if F.is_square(t)]
-    elements = F.elements()
+    elements = range(F.q)
     square = [mul[x][x] for x in elements]
     cube = [mul[square[x]][x] for x in elements]
     h0 = [add[cube[a0]][f0] for a0 in elements]
@@ -156,10 +157,11 @@ def monic_quintics(draw, q):
         return F, [draw(el) for _ in range(5)] + [1], None
     a2 = draw(st.sampled_from([t for t in range(1, F.q) if F.is_square(t)]))
     a = [draw(el), draw(el), a2]
-    b3 = F.sqrt(F.mul(F.mul(a2, a2), a2))
+    add, mul = F.add_table, F.mul_table
+    b3 = F.sqrt(mul[mul[a2][a2]][a2])
     # the x^5 coefficient 2 b3 b2 - 3 a2^2 a1 of b^2 - a^3 is 1
-    b2 = F.mul(F.add(1, F.mul(F.from_int(3), F.mul(F.mul(a2, a2), a[1]))),
-               F.inv(F.add(b3, b3)))
+    b2 = mul[add[1][mul[F.from_int(3)][mul[mul[a2][a2]][a[1]]]]][
+        F.inv(add[b3][b3])]
     b = [draw(el), draw(el), b2, b3]
     return F, psub(F, pmul(F, b, b), pmul(F, pmul(F, a, a), a)), \
         Section(tuple(a), tuple(b))
@@ -191,7 +193,7 @@ def section_pairs(draw):
     s = Section(tuple(draw(el) for _ in range(3)),
                 tuple(draw(el) for _ in range(4)))
     root = draw(el)
-    x_minus_root = [F.neg(root), 1]
+    x_minus_root = [F.neg_table[root], 1]
     A = {"zero": lambda: [],
          "constant": lambda: [draw(nz)],
          "linear": lambda: pmul(F, [draw(nz)], x_minus_root),
@@ -212,8 +214,9 @@ def section_pairs(draw):
          }[draw(st.sampled_from(("random", "remainder", "multiple")))]()
     A = A + [0] * (3 - len(A))
     B = B + [0] * (4 - len(B))
-    t = Section(tuple(F.sub(x, y) for x, y in zip(s.a, A)),
-                tuple(F.sub(x, y) for x, y in zip(s.b, B)))
+    sub = F.sub_table
+    t = Section(tuple(sub[x][y] for x, y in zip(s.a, A)),
+                tuple(sub[x][y] for x, y in zip(s.b, B)))
     return F, s, t
 
 
@@ -342,7 +345,7 @@ def test_distinct_count_vs_intersection(small):
 def test_torsion_descent(small):
     F, f, secs = small
     for s in secs:
-        D = section_class(F, f, s)
+        D = section_class(F, s)
         assert section_class_is_3torsion(F, f, D)
         u, v = D
         assert u[-1] == 1 and len(u) == 3
@@ -367,8 +370,7 @@ def test_fixture_doubles_each_class_once(monkeypatch):
 def test_twist_orbit_shares_class(small):
     F, f, secs = small
     for s in secs:
-        assert section_class(F, f, s) == \
-            section_class(F, f, twist_section(F, s))
+        assert section_class(F, s) == section_class(F, twist_section(F, s))
 
 
 def twist_exponent_pairing(F, s, t):
