@@ -23,17 +23,16 @@ from functools import cache
 from itertools import product
 
 from .finitefield import digit_tables
-from .intlinalg import rref_mod
 from .rootsys import RootSystem, build_root_system
 
 
 def symplectic_basis(rs: RootSystem):
     """The SNF class codes of a basis (e1, e2, f1, f2) with
-    <e_i, f_j> = delta_ij and zero elsewhere, verified against FORM on the
-    unit vectors."""
+    <e_i, f_j> = delta_ij and zero elsewhere, by symplectic reduction of
+    the class Gram matrix.  The reduction checks nothing: the report lines
+    rootsys/pairing_nondegenerate and heis/symplectic_basis own the rank
+    of that matrix and the relations of the basis returned."""
     gram = rs.class_gram()
-    if len(rref_mod(gram, 4, 3)[1]) != 4:
-        raise ValueError("pairing Gram has rank < 4; upstream construction bug")
 
     def pair(x, y):
         return sum(x[i] * gram[i][j] * y[j] for i in range(4) for j in range(4)) % 3
@@ -57,11 +56,7 @@ def symplectic_basis(rs: RootSystem):
             if v2 != (0, 0, 0, 0) and v2 not in rest:
                 rest.append(v2)
         pool = rest
-    basis = es + fs  # order (e1, e2, f1, f2)
-    if any(pair(x, y) != FORM[a][b] for a, x in zip(UNIT_CODES, basis)
-           for b, y in zip(UNIT_CODES, basis)):
-        raise AssertionError("symplectic reduction failed")
-    return [class_code(b) for b in basis]
+    return [class_code(b) for b in es + fs]  # order (e1, e2, f1, f2)
 
 
 # A vector v of F_3^4 is its class code in range(81), the base-3 code of
@@ -186,8 +181,6 @@ class HeisenbergModel:
     def __init__(self):
         self.rs: RootSystem = build_root_system()
         self.from_symplectic = action(symplectic_basis(self.rs))
-        if sorted(self.from_symplectic) != list(range(81)):
-            raise ValueError("symplectic change of basis is singular")
         self.to_symplectic = sorted(range(81),
                                     key=self.from_symplectic.__getitem__)
 

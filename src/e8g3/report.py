@@ -34,7 +34,7 @@ class Suite:
         self.checks = []
         self._t0 = time.monotonic()
 
-    def check(self, name: str, ok, detail: str = "", slack=None):
+    def check(self, name: str, ok, detail: str, slack=None):
         entry = {
             "name": name,
             "status": "pass" if ok else "fail",

@@ -285,10 +285,6 @@ def fixture_text(fixture_path: str | None) -> str:
     if fixture_path:
         with open(fixture_path) as fh:
             return fh.read()
-    return _packaged_fixture_text()
-
-
-def _packaged_fixture_text() -> str:
     from importlib import resources
 
     return resources.files("e8g3").joinpath(
@@ -296,4 +292,4 @@ def _packaged_fixture_text() -> str:
 
 
 def load_default_fixture():
-    return fixture_from_json(_packaged_fixture_text())
+    return fixture_from_json(fixture_text(None))

@@ -98,11 +98,6 @@ def _vol_signs():
 _VOL = _vol_signs()
 
 
-def vol_coeff(s3, t6):
-    """Coefficient of e_1^...^e_9 in e_s3 ^ e_t6 (0 if indices overlap)."""
-    return _VOL[t6].get(s3, 0)
-
-
 def bracket36(u, x):
     """Contraction bracket of a degree-3 and a degree-6 vector, scaled by 9
     to stay integral: 9 M - tr(M) I, where M is the contraction matrix and

@@ -85,7 +85,7 @@ def test_crashing_suite_keeps_the_others(tmp_path, capsys, monkeypatch):
             ("three", lambda c: (True, "")))
 
     def fine(s, c):
-        s.check("one", True)
+        s.check("one", True, "")
 
     monkeypatch.setattr(suites, "SUITES", {
         "boom": lambda s, c: suites.run_checks(boom, s, c), "fine": fine})
@@ -135,7 +135,7 @@ def test_pool_has_at_most_one_worker_per_suite(monkeypatch, capsys):
             return map(fn, jobs)
 
     def fine(s, c):
-        s.check("one", True)
+        s.check("one", True, "")
 
     def get_context(method):
         assert method == "spawn"
@@ -392,7 +392,6 @@ def test_library_has_no_assert():
 CALLED_ONLY_OUTSIDE_LIBRARY = {
     ("report.py", "strip_volatile"): "the bench gate and the tests",
     ("sections.py", "load_default_fixture"): "the bench setup probe",
-    ("wedge.py", "vol_coeff"): "the wedge oracle of the tests",
 }
 
 
@@ -669,7 +668,6 @@ DEFAULTED_PARAMETERS = {
     ("cli.py", "main", "argv"),
     ("gradedlie.py", "__init__", "cartan"),
     ("gradedlie.py", "__init__", "roots"),
-    ("report.py", "check", "detail"),
     ("report.py", "check", "slack"),
 }
 

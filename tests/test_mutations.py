@@ -7,6 +7,7 @@ patch that breaks a build invariant, which raises, gives an `error`."""
 
 import inspect
 import re
+import textwrap
 from fnmatch import fnmatchcase
 
 import pytest
@@ -106,8 +107,9 @@ def _redirect_to_negative_root(monkeypatch):
 def _mutant(fn, edit):
     """fn compiled again, in its own module, from its source after edit;
     an edit that leaves the source as it was raises, so that a row whose
-    target line moved fails instead of testing the original."""
-    source = inspect.getsource(fn)
+    target line moved fails instead of testing the original.  A method is
+    compiled as a plain function, to be set on its class."""
+    source = textwrap.dedent(inspect.getsource(fn))
     edited = edit(source)
     if edited == source:
         raise ValueError(f"the edit leaves {fn.__name__} unchanged")
@@ -342,6 +344,17 @@ def _on_fresh_table(patch):
     return both
 
 
+def _fresh_lattice(monkeypatch):
+    """The suites, the Heisenberg model and the algebra build their root
+    system, model and algebra afresh on each read, so that a patch of
+    code that runs at build time reaches them."""
+    monkeypatch.setattr(suites, "build_root_system", rootsys.RootSystem)
+    monkeypatch.setattr(heis, "build_root_system", rootsys.RootSystem)
+    monkeypatch.setattr(heis, "build_model", heis.HeisenbergModel)
+    monkeypatch.setattr(gradedlie, "build_model", heis.HeisenbergModel)
+    monkeypatch.setattr(gradedlie, "get_algebra", GradedAlgebra)
+
+
 def _triple_last_divisor(monkeypatch):
     # a fresh root system whose Smith form of w - 1 has its last divisor
     # tripled
@@ -353,7 +366,17 @@ def _triple_last_divisor(monkeypatch):
         D[7][7] *= 3
         return D, U, V
     monkeypatch.setattr(rootsys, "smith_normal_form", tripled)
-    monkeypatch.setattr(suites, "build_root_system", rootsys.RootSystem)
+    _fresh_lattice(monkeypatch)
+
+
+def _eleventh_power(monkeypatch):
+    # fresh builds on w = c^11 for the Coxeter element c, which has order
+    # 30: w^3 != 1, w permutes the roots without fixing one, and w - 1 is
+    # unimodular, so the coinvariant space is zero
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", _mutant(
+        rootsys.RootSystem.__init__,
+        lambda src: src.replace("mat_pow(c, 10)", "mat_pow(c, 11)")))
+    _fresh_lattice(monkeypatch)
 
 
 # (id, patch, suite, the lines of that suite that the patch must fail)
@@ -401,6 +424,13 @@ MUTATIONS = [
     # rootsys/snf_divisors: the divisors the Smith form of w - 1 gives
     ("rootsys_snf_divisors", _triple_last_divisor, "rootsys",
      "snf_divisors"),
+    # rootsys/order_three, gradedlie/z_span and heis/symplectic_basis own
+    # the facts of w that the builders use: its order, its 80 root orbits
+    # and the symplectic form on its coinvariants
+    ("rootsys_order_three_build", _eleventh_power, "rootsys", "order_three"),
+    ("gradedlie_z_span_build", _eleventh_power, "gradedlie", "z_span"),
+    ("heis_symplectic_basis_build", _eleventh_power, "heis",
+     "symplectic_basis"),
     # cusp/kostant_relations: 2E breaks [E, F] = X
     ("kostant_relations", _patch_triple(lambda alg, E, X, F: (E * 2, X, F)),
      "cusp", "kostant_relations"),
@@ -508,6 +538,16 @@ def test_mutation_fails_its_check(monkeypatch, patch, suite, names, status):
     assert _statuses(suite, names) == ["pass"] * len(names)
     patch(monkeypatch)
     assert _statuses(suite, names) == [status] * len(names)
+
+
+def test_build_mutant_gives_no_error_line(monkeypatch):
+    # the builders leave to the report lines every fact they do not index
+    # by, so a wrong w fails lines by name and breaks no build
+    _eleventh_power(monkeypatch)
+    for suite in ("rootsys", "heis", "gradedlie"):
+        s = Suite(suite)
+        suites.run_checks(suites.CHECKS[suite], s, suites.Context(None))
+        assert [c["name"] for c in s.checks if c["status"] == "error"] == []
 
 
 def test_mutant_refuses_an_edit_that_changes_nothing():

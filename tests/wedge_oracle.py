@@ -4,10 +4,12 @@ slice report built from them.
 
 The library's model scales both to integers (the bracket by 9, the
 grading element by 3).  These are the unscaled forms, so a test that
-compares the two checks the scaling.  They share the sign routines
-`merge_sign` and `vol_coeff` with the library; `tests/test_wedge.py`
-checks those against each other.  The eliminations are `qw_oracle`'s,
-not the library's, so a fault in either shows as a disagreement.
+compares the two checks the scaling.  They share the sign routine
+`merge_sign` with the library and read the coefficient of e_1^...^e_9 in
+e_s ^ e_t from it, where the library reads its `_VOL` table;
+`tests/test_wedge.py` checks the two against each other.  The
+eliminations are `qw_oracle`'s, not the library's, so a fault in either
+shows as a disagreement.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import qw_oracle
 
 from e8g3.cuspdata import S_H
-from e8g3.wedge import W3, W6, merge_sign, vol_coeff
+from e8g3.wedge import W3, W6, merge_sign
 
 
 def _rationals(vec):
@@ -87,13 +89,13 @@ def bracket36(u, x):
             if not coef:
                 continue
             for q in range(1, 10):
-                v1 = vol_coeff((q, b, c), t)
+                v1 = merge_sign((q, b, c), t)[1]
                 if v1:
                     M[a - 1][q - 1] += coef * v1
-                v2 = vol_coeff((q, a, c), t)
+                v2 = merge_sign((q, a, c), t)[1]
                 if v2:
                     M[b - 1][q - 1] -= coef * v2
-                v3 = vol_coeff((q, a, b), t)
+                v3 = merge_sign((q, a, b), t)[1]
                 if v3:
                     M[c - 1][q - 1] += coef * v3
     tr = sum(M[i][i] for i in range(9)) / 9
