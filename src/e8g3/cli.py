@@ -151,7 +151,7 @@ def cmd_enumerate(args) -> int:
             continue
         minimal = is_minimal(q)
         count += minimal
-        rows.append((*q.label(), d, int(minimal)))
+        rows.append((*q, d, int(minimal)))
     print(count)
     if args.csv:
         with open(args.csv, "w") as fh:

@@ -20,9 +20,6 @@ class Quintic(namedtuple("Quintic", "c12 c18 c24 c30")):
         """Low-to-high coefficient list of x^5 + c12 x^3 + ... + c30."""
         return [self.c30, self.c24, self.c18, self.c12, 0, 1]
 
-    def label(self):
-        return (self.c12, self.c18, self.c24, self.c30)
-
 
 def sylvester_matrix(f, g):
     """Sylvester matrix of two polynomials given low-to-high: deg g shifted

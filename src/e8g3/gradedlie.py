@@ -23,10 +23,10 @@ from operator import getitem, itemgetter, mul, or_
 
 from .cyclotomic import rational, zeta_mul
 from .heis import (COCYCLE, CODE_EXPO, CODE_ROW, FORM, VEC_ADD, VEC_NEG,
-                   HeisenbergModel, Mono, build_model, svn_rep)
+                   Mono, build_model, class_code, svn_rep)
 from .intlinalg import nullspace, rank
 from .report import sha256
-from .rootsys import RootSystem, lanes, neg
+from .rootsys import RootSystem, build_root_system, lanes, neg
 from .vinberg import x_value
 
 # scalar codes: value = (-1)^(code // 3) * w^(code % 3); NONE means zero
@@ -117,11 +117,12 @@ def _accumulate(acc, key, x, y):
 
 class GradedAlgebra:
     """Multiplication table plus the order-3 symmetry and its grading, on
-    the cached Heisenberg model (heis.build_model)."""
+    the cached root system (rootsys.build_root_system), each root's class
+    read in symplectic coordinates through the cached class-code map
+    (heis.build_model)."""
 
     def __init__(self):
-        self.model: HeisenbergModel = build_model()
-        self.rs: RootSystem = self.model.rs
+        self.rs: RootSystem = build_root_system()
         rs = self.rs
         n = 240
         self.n = n
@@ -129,7 +130,9 @@ class GradedAlgebra:
         # coroot coordinates: the roots' basis coordinates, which also give
         # each root's class
         self.cr = rs.coords
-        self.cls = [self.model.coords_class(x) for x in rs.coords]
+        to_symplectic = build_model()
+        self.cls = [to_symplectic[class_code(rs.coords_class(x))]
+                    for x in rs.coords]
         self.negidx = [rs.index[neg(r)] for r in rs.roots]
         self.windex = rs.w_on_roots
         # pairing of root with root (the root system's shared table), and
@@ -630,7 +633,8 @@ def z_supports_partition(alg: GradedAlgebra) -> bool:
     """The 80 symmetrized vectors Z_r = X_r + X_wr + X_w^2r, one per orbit,
     have pairwise disjoint 3-root supports that cover all 240 roots.
 
-    Disjoint nonempty supports make the vectors linearly independent.
+    Disjoint nonempty supports make the vectors linearly independent, and
+    disjoint 3-root supports that cover the 240 roots number exactly 80.
     """
     w = alg.windex
     covered = set()
@@ -640,7 +644,7 @@ def z_supports_partition(alg: GradedAlgebra) -> bool:
         if len(support) != 3 or covered & support:
             return False
         covered |= support
-    return len(alg.rs.orbits) == 80 and len(covered) == alg.n
+    return len(covered) == alg.n
 
 
 # ---------------------------------------------------------------------------

@@ -173,23 +173,10 @@ def svn_rep(g: int) -> Mono:
     return Mono(bytes(codes))
 
 
-class HeisenbergModel:
-    """The cached roots and the change between their SNF class codes and
-    symplectic ones: from_symplectic[v] is the SNF code of the class with
-    symplectic code v, and to_symplectic is its inverse permutation."""
-
-    def __init__(self):
-        self.rs: RootSystem = build_root_system()
-        self.from_symplectic = action(symplectic_basis(self.rs))
-        self.to_symplectic = sorted(range(81),
-                                    key=self.from_symplectic.__getitem__)
-
-    def coords_class(self, x) -> int:
-        """Symplectic class code of the vector with basis coordinates x."""
-        return self.to_symplectic[class_code(self.rs.coords_class(x))]
-
-
 @cache
-def build_model() -> HeisenbergModel:
-    """The Heisenberg model, built once per process."""
-    return HeisenbergModel()
+def build_model() -> list[int]:
+    """The symplectic class code of each SNF class code, built once per
+    process: the inverse permutation of the map from symplectic codes to
+    SNF ones, `action(symplectic_basis(build_root_system()))`."""
+    from_symplectic = action(symplectic_basis(build_root_system()))
+    return sorted(range(81), key=from_symplectic.__getitem__)

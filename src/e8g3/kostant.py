@@ -11,7 +11,6 @@ whole triple is graded (E, X, F) = (1, 0, 2).
 from __future__ import annotations
 
 from .cyclotomic import zeta_mul
-from .genus2 import WEIGHTS
 from .gradedlie import GradedAlgebra, LieElement
 from .heis import COCYCLE
 from .intlinalg import mat_vec, nullspace, rank, solve
@@ -19,13 +18,9 @@ from .report import CheckFailed
 from .rootsys import S0_TRIPLES, weight_vector
 
 
-def _s0_indices(alg: GradedAlgebra):
-    return [alg.rs.index[weight_vector(t)] for t in S0_TRIPLES]
-
-
 def build_triple(alg: GradedAlgebra):
     """Return (E, X, F) as LieElements with exact sl2 relations."""
-    s0 = _s0_indices(alg)
+    s0 = [alg.rs.index[weight_vector(t)] for t in S0_TRIPLES]
     E = LieElement(roots={i: (1, 0) for i in s0})
 
     # X: torus element pairing to 2 against every basis root, its coroot
@@ -43,8 +38,9 @@ def build_triple(alg: GradedAlgebra):
     return E, X, F
 
 
-def verify_triple(alg: GradedAlgebra) -> dict:
-    E, X, F = build_triple(alg)
+def verify_triple(alg: GradedAlgebra, triple) -> dict:
+    """Relations, grading and uniqueness of the triple (E, X, F)."""
+    E, X, F = triple
     out = {}
     out["xe"] = alg.bracket(X, E) == E * 2
     out["xf"] = alg.bracket(X, F) == F * -2
@@ -109,9 +105,8 @@ def _dense_rows(images, columns):
     return rows
 
 
-def ad_e_kernel_dim(alg: GradedAlgebra) -> int:
+def ad_e_kernel_dim(alg: GradedAlgebra, E: LieElement) -> int:
     """dim ker ad(E) over the whole 248-dim algebra, block by height."""
-    E = LieElement(roots={i: (1, 0) for i in _s0_indices(alg)})
     slots = _height_slots(alg)
     total = 0
     for h, src in sorted(slots.items()):
@@ -125,10 +120,9 @@ def ad_e_kernel_dim(alg: GradedAlgebra) -> int:
     return total
 
 
-def slice_report(alg: GradedAlgebra) -> dict:
+def slice_report(alg: GradedAlgebra, F: LieElement) -> dict:
     """Kernel of ad(F) in degree 1, its grading weights, and the induced
     degree list."""
-    E, X, F = build_triple(alg)
     deg1 = [i for i in range(alg.n) if alg.degree[i] == 1]
     by_height = {}
     for i in deg1:
@@ -155,7 +149,6 @@ def slice_report(alg: GradedAlgebra) -> dict:
         "slice_dim": len(basis_vectors),
         "slice_degrees": sorted(degrees),
         "slice_basis": basis_vectors,
-        "E": E, "X": X, "F": F,
     }
 
 
@@ -163,12 +156,11 @@ def slice_report(alg: GradedAlgebra) -> dict:
 REGULARITY_WITNESSES = ((6, 1, 5, 6), (2, 5, 2, 1), (3, 1, 4, 6))
 
 
-def sampled_regularity(alg: GradedAlgebra, srep: dict) -> dict:
+def sampled_regularity(alg: GradedAlgebra, E: LieElement, basis) -> dict:
     """Degree-0 centralizer dimension at the witness points of the affine
-    slice; ``srep`` is ``slice_report(alg)``.  Generic slice points are
-    regular, so one point of dimension 0 proves the claim."""
-    E = srep["E"]
-    basis = srep["slice_basis"]
+    slice E + span(basis), ``basis`` the slice basis of ``slice_report``.
+    Generic slice points are regular, so one point of dimension 0 proves
+    the claim."""
     deg0 = [("c", a) for a in range(8)] + \
            [("r", i) for i in range(alg.n) if alg.degree[i] == 0]
     deg1 = [("r", i) for i in range(alg.n) if alg.degree[i] == 1]
@@ -185,10 +177,11 @@ def sampled_regularity(alg: GradedAlgebra, srep: dict) -> dict:
 
 def cross_check_with_wedge_model(srep: dict, kernel_dim: int) -> bool:
     """Whether the wedge realization reports the same slice data as the
-    table one, given by its ``slice_report`` and ``ad_e_kernel_dim``."""
+    table one, given by its ``slice_report`` and ``ad_e_kernel_dim``; the
+    values themselves are the claims of the lines that read the table's."""
     from .wedge import kostant_slice_report
 
     b = kostant_slice_report()
-    return (srep["slice_dim"] == b["slice_dim"] == 4
-            and srep["slice_degrees"] == b["slice_degrees"] == list(WEIGHTS)
-            and kernel_dim == b["ad_e_kernel_dim"] == 8)
+    return (srep["slice_dim"] == b["slice_dim"]
+            and srep["slice_degrees"] == b["slice_degrees"]
+            and kernel_dim == b["ad_e_kernel_dim"])

@@ -76,11 +76,14 @@ class Context:
     def _cusp_bound(self):
         return vinberg.verify_cusp_bound()
 
+    def _triple(self):
+        return kostant.build_triple(self.alg)
+
     def _kernel_dim(self):
-        return kostant.ad_e_kernel_dim(self.alg)
+        return kostant.ad_e_kernel_dim(self.alg, self.triple[0])
 
     def _slice(self):
-        return kostant.slice_report(self.alg)
+        return kostant.slice_report(self.alg, self.triple[2])
 
     def _sp4(self):
         """(|Sp4(F_3)|, class count) by the direct and the Moebius count."""
@@ -163,11 +166,13 @@ def _group_order(c):
 
 
 def _symplectic_basis(c):
+    # the SNF classes that the algebra's class-code map sends to the unit
+    # vectors, lifted to the lattice
     h = heis
-    model = h.build_model()
+    to_symplectic = h.build_model()
     units = h.UNIT_CODES
-    lifts = [model.rs.lift(h.CLASSES[model.from_symplectic[g]]) for g in units]
-    got = [[model.rs.symplectic_exponent(a, b) for b in lifts] for a in lifts]
+    lifts = [c.rs.lift(h.CLASSES[to_symplectic.index(g)]) for g in units]
+    got = [[c.rs.symplectic_exponent(a, b) for b in lifts] for a in lifts]
     return (got == [[h.FORM[a][b] for b in units] for a in units],
             "defining relations of (e1, e2, f1, f2)")
 
@@ -300,8 +305,9 @@ CUSP = (
         (f"stability_{name}", ok,
          "proof-level, not machine-checked" if ok is None else "")
         for name, ok in stability.verify_stability()["results"]]),
-    ("kostant_relations", lambda c: (kostant.verify_triple(c.alg)["ok"],
-                                     "exact sl2 relations, graded, unique")),
+    ("kostant_relations", lambda c: (
+        kostant.verify_triple(c.alg, c.triple)["ok"],
+        "exact sl2 relations, graded, unique")),
     ("kostant_ad_e_kernel", lambda c: (
         c.kernel_dim == 8, "regular nilpotent centralizer dimension")),
     ("kostant_slice_dim", lambda c: (c.slice["slice_dim"] == 4, "")),
@@ -309,7 +315,8 @@ CUSP = (
         c.slice["slice_degrees"] == list(genus2.WEIGHTS),
         str(c.slice["slice_degrees"]))),
     ("kostant_sampled_regularity", lambda c: (
-        (reg := kostant.sampled_regularity(c.alg, c.slice))["ok"],
+        (reg := kostant.sampled_regularity(
+            c.alg, c.triple[0], c.slice["slice_basis"]))["ok"],
         f"centralizer dims {reg['centralizer_dims']}")),
     ("kostant_two_models_agree", lambda c: (
         kostant.cross_check_with_wedge_model(c.slice, c.kernel_dim),
@@ -329,8 +336,7 @@ def _enumeration_vs_bruteforce(c):
     for a in (1, 2, 3, 5, 10):
         fast = list(genus2.enumerate_min(a))
         counts[a] = len(fast)
-        ok &= ([q.label() for q in fast]
-               == [q.label() for q in genus2.enumerate_min_bruteforce(a)])
+        ok &= fast == list(genus2.enumerate_min_bruteforce(a))
     return ok and counts[1] == 0, f"counts {counts}"
 
 

@@ -508,6 +508,23 @@ def test_library_functions_have_library_callers():
     assert sorted(found) == sorted(CALLED_ONLY_OUTSIDE_LIBRARY)
 
 
+def test_library_imports_are_used():
+    # an import that its module never reads is left over from deleted
+    # code; report imports sha256 for the modules that take it from there
+    found = set()
+    for path in sorted(Path(SRC, "e8g3").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found |= {(path.name, local) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  for local in [alias.asname or alias.name.split(".")[0]]
+                  if local not in read}
+    assert found == {("report.py", "sha256")}
+
+
 def test_sweeps_raise_only_check_failed():
     # a false result found inside a sweep is a named fail of the running
     # check, so these modules raise CheckFailed and nothing else; suites

@@ -9,12 +9,15 @@ from e8g3.heis import (
     FORM,
     VEC_ADD,
     VEC_NEG,
+    action,
     build_model,
     class_code,
     code_inverse,
     code_product,
     svn_rep,
+    symplectic_basis,
 )
+from e8g3.rootsys import build_root_system
 
 # the elements as (k, v) tuples, the one at index c coded c
 ELEMENTS = [(k, v) for k in range(3) for v in product(range(3), repeat=4)]
@@ -38,18 +41,19 @@ def test_symplectic_basis_defining_relations(report):
 
 
 def test_change_of_basis_preserves_form():
-    model = build_model()
-    gram = model.rs.class_gram()
+    rs = build_root_system()
+    gram = rs.class_gram()
+    back = action(symplectic_basis(rs))
     # the SNF images of the symplectic unit vectors pair under the class
     # Gram matrix as FORM pairs the unit vectors, which is the standard form
     units = (27, 9, 3, 1)
-    images = [CLASSES[model.from_symplectic[c]] for c in units]
+    images = [CLASSES[back[c]] for c in units]
     prod = [[sum(x[a] * gram[a][b] * y[b] for a in range(4)
                  for b in range(4)) % 3 for y in images] for x in images]
     assert prod == [[FORM[a][b] for b in units] for a in units] == [
         [0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]]
-    # and the two tables are inverse permutations
-    to, back = model.to_symplectic, model.from_symplectic
+    # and the map the algebra reads is its inverse permutation
+    to = build_model()
     assert [to[c] for c in back] == [back[c] for c in to] == list(range(81))
 
 

@@ -59,8 +59,7 @@ def _drop_height_one_slot(monkeypatch):
 
 
 def _drop_basis_root(monkeypatch):
-    indices = kostant._s0_indices
-    monkeypatch.setattr(kostant, "_s0_indices", lambda alg: indices(alg)[:-1])
+    monkeypatch.setattr(kostant, "S0_TRIPLES", kostant.S0_TRIPLES[:-1])
 
 
 def _drop_wedge_triple(monkeypatch):
@@ -85,14 +84,13 @@ def _lower_case1_f_prime(monkeypatch):
 
 def _irregular_slice_point(monkeypatch):
     # E without one basis root and with no slice part: not a regular point
-    report = kostant.slice_report
+    regularity = kostant.sampled_regularity
 
-    def patched(alg):
-        srep = report(alg)
-        roots = dict(srep["E"].roots)
+    def patched(alg, E, basis):
+        roots = dict(E.roots)
         roots.pop(max(roots))
-        return {**srep, "E": LieElement(roots=roots), "slice_basis": []}
-    monkeypatch.setattr(kostant, "slice_report", patched)
+        return regularity(alg, LieElement(roots=roots), [])
+    monkeypatch.setattr(kostant, "sampled_regularity", patched)
 
 
 def _redirect_to_negative_root(monkeypatch):
@@ -216,8 +214,8 @@ def _corrupt_slice_degrees(monkeypatch):
     # slice degrees with the right sum, 84, that are not the weights of
     # the quintic family
     report = kostant.slice_report
-    monkeypatch.setattr(kostant, "slice_report", lambda alg: {
-        **report(alg), "slice_degrees": [6, 24, 24, 30]})
+    monkeypatch.setattr(kostant, "slice_report", lambda alg, F: {
+        **report(alg, F), "slice_degrees": [6, 24, 24, 30]})
 
 
 def _patch_sum_row(change):
@@ -345,13 +343,14 @@ def _on_fresh_table(patch):
 
 
 def _fresh_lattice(monkeypatch):
-    """The suites, the Heisenberg model and the algebra build their root
-    system, model and algebra afresh on each read, so that a patch of
-    code that runs at build time reaches them."""
-    monkeypatch.setattr(suites, "build_root_system", rootsys.RootSystem)
-    monkeypatch.setattr(heis, "build_root_system", rootsys.RootSystem)
-    monkeypatch.setattr(heis, "build_model", heis.HeisenbergModel)
-    monkeypatch.setattr(gradedlie, "build_model", heis.HeisenbergModel)
+    """The suites, the class-code map and the algebra build their root
+    system, map and algebra afresh on each read, so that a patch of code
+    that runs at build time reaches them."""
+    fresh_model = heis.build_model.__wrapped__
+    for module in (suites, heis, gradedlie):
+        monkeypatch.setattr(module, "build_root_system", rootsys.RootSystem)
+    monkeypatch.setattr(heis, "build_model", fresh_model)
+    monkeypatch.setattr(gradedlie, "build_model", fresh_model)
     monkeypatch.setattr(gradedlie, "get_algebra", GradedAlgebra)
 
 

@@ -7,7 +7,7 @@ from fnmatch import fnmatchcase
 import pytest
 
 from e8g3 import cuspdata, kostant, sp4, suites, vinberg
-from e8g3.report import Suite
+from e8g3.report import CheckFailed, Suite
 
 from test_mutations import _drop_height_one_slot, _non_generating_pair
 
@@ -75,6 +75,25 @@ def test_raising_input_costs_only_the_checks_that_read_it(monkeypatch,
     # builds them once more; each of those two raises prints one traceback
     assert (len(bound), len(digest)) == (1, 1)
     assert capsys.readouterr().err.count("Traceback") == 2
+
+
+def test_triple_is_built_once_and_fails_its_readers(monkeypatch):
+    # the cusp suite builds the principal triple once for its seven
+    # readers, and a build that raises is a named fail of each
+    calls = []
+
+    def failing(alg):
+        calls.append(1)
+        raise CheckFailed("no triple")
+    monkeypatch.setattr(kostant, "build_triple", failing)
+    checks = suites.run_suite("cusp", None)["checks"]
+    readers = ("kostant_relations", "kostant_ad_e_kernel",
+               "kostant_slice_dim", "kostant_slice_degrees",
+               "kostant_sampled_regularity", "kostant_two_models_agree",
+               "degree_bookkeeping")
+    assert [(c["status"], c["detail"]) for c in checks
+            if c["name"] in readers] == [("fail", "no triple")] * 7
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("patch, suite, names, sweeps, reason", [

@@ -532,6 +532,23 @@ def test_kostant_cross_model(report):
     assert report.passed("cusp", "kostant_two_models_agree")
 
 
+def test_two_models_are_compared_with_each_other(monkeypatch):
+    # the values themselves are the claims of kostant_slice_dim,
+    # kostant_slice_degrees and kostant_ad_e_kernel: the comparison holds
+    # on any values the two models share, and fails when one field differs
+    from e8g3 import kostant, wedge
+    monkeypatch.setattr(wedge, "kostant_slice_report", lambda: {
+        "slice_dim": 5, "slice_degrees": [1, 2, 3, 4, 5],
+        "ad_e_kernel_dim": 9})
+    table = {"slice_dim": 5, "slice_degrees": [1, 2, 3, 4, 5]}
+    assert kostant.cross_check_with_wedge_model(table, 9)
+    assert not kostant.cross_check_with_wedge_model(table, 8)
+    assert not kostant.cross_check_with_wedge_model(
+        {**table, "slice_dim": 4}, 9)
+    assert not kostant.cross_check_with_wedge_model(
+        {**table, "slice_degrees": [1, 2, 3, 4, 6]}, 9)
+
+
 def ad_e_nilpotency_index(alg):
     """Smallest t with ad(E)^t = 0, found by iterating on each basis slot."""
     from e8g3.kostant import build_triple
