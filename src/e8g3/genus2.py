@@ -4,6 +4,7 @@ discriminant, height, minimality, and bounded enumeration."""
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .intlinalg import det_bareiss
 
@@ -68,15 +69,18 @@ def remainder_resultant(f, g):
     return sign * h * b[0] ** (len(a) - 1) // h ** (len(a) - 1)
 
 
+@cache
 def discriminant(q: Quintic) -> int:
     """disc(f) = Res(f, f') for monic quintics (the sign (-1)^(5*4/2) is +1),
-    by the Sylvester determinant."""
+    by the Sylvester determinant; computed once per quintic per process."""
     f = q.coeffs()
     return resultant(f, [i * f[i] for i in range(1, 6)])
 
 
+@cache
 def remainder_discriminant(q: Quintic) -> int:
-    """`discriminant` by `remainder_resultant`, which takes no determinant."""
+    """`discriminant` by `remainder_resultant`, which takes no determinant;
+    computed once per quintic per process."""
     f = q.coeffs()
     return remainder_resultant(f, [i * f[i] for i in range(1, 6)])
 

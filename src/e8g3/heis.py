@@ -23,15 +23,18 @@ from functools import cache
 from itertools import product
 
 from .finitefield import digit_tables
+from .report import CheckFailed
 from .rootsys import RootSystem, build_root_system
 
 
 def symplectic_basis(rs: RootSystem):
     """The SNF class codes of a basis (e1, e2, f1, f2) with
     <e_i, f_j> = delta_ij and zero elsewhere, by symplectic reduction of
-    the class Gram matrix.  The reduction checks nothing: the report lines
-    rootsys/pairing_nondegenerate and heis/symplectic_basis own the rank
-    of that matrix and the relations of the basis returned."""
+    the class Gram matrix.  The report lines rootsys/pairing_nondegenerate
+    and heis/symplectic_basis own the rank of that matrix and the
+    relations of the basis returned; the reduction only stops, with
+    `CheckFailed` naming the class, where a class pairs to zero with every
+    candidate left."""
     gram = rs.class_gram()
 
     def pair(x, y):
@@ -41,7 +44,10 @@ def symplectic_basis(rs: RootSystem):
     es, fs = [], []
     for _ in range(2):
         e = pool[0]
-        f = next(v for v in pool[1:] if pair(e, v))
+        f = next((v for v in pool[1:] if pair(e, v)), None)
+        if f is None:
+            raise CheckFailed(f"class {class_code(e)} {e} pairs to zero "
+                              "with every candidate")
         scale = pow(pair(e, f), -1, 3)
         f = tuple(scale * x % 3 for x in f)
         es.append(e)

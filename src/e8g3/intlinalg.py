@@ -42,16 +42,17 @@ def mat_eq(A, B):
 def power(mul, a, n: int, one):
     """a^n, n >= 0, by square and multiply under the product `mul`.
 
-    Nothing is squared after the top bit, so n > 0 takes
-    popcount(n) + bit_length(n) - 1 products."""
-    out = one
+    The first factor is taken as it is, not multiplied into `one`, and
+    nothing is squared after the top bit, so n > 0 takes
+    popcount(n) + bit_length(n) - 2 products."""
+    out = None
     while n:
         if n & 1:
-            out = mul(out, a)
+            out = a if out is None else mul(out, a)
         n >>= 1
         if n:
             a = mul(a, a)
-    return out
+    return one if out is None else out
 
 
 def mat_pow(A, k):

@@ -76,7 +76,13 @@ def cantor_neg(F, D):
 
 
 def cantor_add(F, f, D1, D2):
-    """Group law on reduced divisors for y^2 = f(x), deg f = 5."""
+    """Group law on reduced divisors for y^2 = f(x), deg f = 5.
+
+    Composition is Cantor's (Math. Comp. 48, 1987).  When u1 and u2 are
+    coprime, e1 u1 + e2 u2 = 1, the common divisor d is 1: u = u1 u2 and
+    v = v2 + e2 u2 (v1 - v2) mod u, the one v with v = v1 mod u1 and
+    v = v2 mod u2, so the second Euclid and the divisions by d are
+    skipped."""
     for D in (D1, D2):
         if not is_reduced(F, f, D):
             raise NonReducedInputError(repr(D))
@@ -84,16 +90,21 @@ def cantor_add(F, f, D1, D2):
     u2, v2 = D2
     # composition
     d1, e1, e2 = pxgcd(F, u1, u2)
-    d, c1, c2 = pxgcd(F, d1, padd(F, v1, v2))
-    # d = s1 u1 + s2 u2 + s3 (v1 + v2)
-    s1 = pmul(F, c1, e1)
-    s2 = pmul(F, c1, e2)
-    s3 = c2
-    u = pdivmod(F, pmul(F, u1, u2), pmul(F, d, d))[0]
-    num = padd(F, padd(F, pmul(F, pmul(F, s1, u1), v2),
-                       pmul(F, pmul(F, s2, u2), v1)),
-               pmul(F, s3, padd(F, pmul(F, v1, v2), f)))
-    v = pmod(F, pdivmod(F, num, d)[0], u)
+    if len(d1) == 1:
+        u = pmul(F, u1, u2)
+        v = pmod(F, padd(F, v2, pmul(F, pmul(F, e2, u2), psub(F, v1, v2))),
+                 u)
+    else:
+        d, c1, c2 = pxgcd(F, d1, padd(F, v1, v2))
+        # d = s1 u1 + s2 u2 + s3 (v1 + v2)
+        s1 = pmul(F, c1, e1)
+        s2 = pmul(F, c1, e2)
+        s3 = c2
+        u = pdivmod(F, pmul(F, u1, u2), pmul(F, d, d))[0]
+        num = padd(F, padd(F, pmul(F, pmul(F, s1, u1), v2),
+                           pmul(F, pmul(F, s2, u2), v1)),
+                   pmul(F, s3, padd(F, pmul(F, v1, v2), f)))
+        v = pmod(F, pdivmod(F, num, d)[0], u)
     # reduction
     neg = F.neg_table
     while len(u) - 1 > 2:

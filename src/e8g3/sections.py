@@ -193,10 +193,14 @@ def pairing_table(F: GF, sections) -> list:
 
 def twist_exponents(P, tau) -> list:
     """Exponents e(s, t) = (P[s][t] - P[tau s][t]) mod 3 of the central
-    pairing for every pair, read off the pairing table; tau[i] is the index
-    of the twist of section i."""
-    return [[(a - b) % 3 for a, b in zip(P[i], P[tau[i]])]
+    pairing for every pair, read off the pairing table, one bytes row per
+    section; tau[i] is the index of the twist of section i."""
+    return [bytes((a - b) % 3 for a, b in zip(P[i], P[tau[i]]))
             for i in range(len(P))]
+
+
+# x -> -x mod 3 on exponents, as a `bytes.translate` table
+_NEG3 = bytes((0, 2, 1)) + bytes(253)
 
 
 def verify_section_fixture(F: GF, f, sections) -> dict:
@@ -205,8 +209,8 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     and the exponents."""
     out = {}
     index = {s: i for i, s in enumerate(sections)}
-    out["closed_under_flip"] = all(neg_section(F, s) in index
-                                   for s in sections)
+    flips = [index.get(neg_section(F, s)) for s in sections]
+    out["closed_under_flip"] = None not in flips
     twists = [twist_section(F, s) for s in sections]
     out["closed_under_twist"] = all(t in index for t in twists)
     out["twist_free"] = all(t != s for s, t in zip(sections, twists))
@@ -223,9 +227,14 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
     out["classes_ok"] = (len(nonzero) == 80
                          and all(v == 3 for v in nonzero.values()))
     # no section may pass through a fibre cusp (needed for the local
-    # intersection formula): a and b never vanish together
+    # intersection formula): a and b never vanish together.  Since
+    # gcd(a, -b) = gcd(a, b), a section whose flip sits earlier in the list
+    # is covered by it; `index` holds the last position of each section,
+    # so that flip is not skipped in turn
     out["cusp_avoidance_ok"] = all(
-        len(pxgcd(F, s.a, s.b)[0]) <= 1 for s in sections)
+        len(pxgcd(F, s.a, s.b)[0]) <= 1
+        for i, (s, j) in enumerate(zip(sections, flips))
+        if j is None or j >= i)
     # each twist keeps the class, and e(s, t) + e(t, s) = 0 and
     # e(tau s, tau t) = e(s, t) on all pairs; both read the twist of every
     # section in the list
@@ -234,9 +243,9 @@ def verify_section_fixture(F: GF, f, sections) -> dict:
         tau = [index[t] for t in twists]
         fibers_ok = all(cls[t] == D for t, D in zip(tau, cls))
         E = twist_exponents(P, tau)
-        alt_ok = all((a + b) % 3 == 0 for row, col in zip(E, zip(*E))
-                     for a, b in zip(row, col))
-        inv_ok = all([E[tau[i]][j] for j in tau] == row
+        alt_ok = all(row.translate(_NEG3) == bytes(col)
+                     for row, col in zip(E, zip(*E)))
+        inv_ok = all(bytes(map(E[tau[i]].__getitem__, tau)) == row
                      for i, row in enumerate(E))
     out["twist_fibers_match_classes"] = fibers_ok
     out["twist_exponent_alternating"] = alt_ok

@@ -1,9 +1,10 @@
 """The symplectic group on four F_3 coordinates and the exact density of
 elements with a fixed vector, counted two independent ways: det(M - I)
-on every enumerated element, expanded along the f2 column with one
-cofactor row per head (e1, f1, e2), and Moebius inversion on the lattice
-of subspaces of F_3^4, where the classes swept are the orbits of
-subspaces under two symplectic generators, without the enumeration.
+on every enumerated element, expanded along the f2 column with six
+minors per pair (e1, f1) and one cofactor row per head (e1, f1, e2),
+and Moebius inversion on the lattice of subspaces of F_3^4, where the
+classes swept are the orbits of subspaces under two symplectic
+generators, without the enumeration.
 
 A vector of F_3^4 is its heis class code (27 v0 + 9 v1 + 3 v2 + v3 in
 0..80, so code order is the lexicographic order of the tuples
@@ -64,24 +65,22 @@ def enumerate_sp4():
     return out
 
 
-def _cofactor_row(e1, e2, f1):
-    """The cofactors (K0, K1, K2, K3) of the fourth column of M - I, for M
-    with columns (e1, e2, f1, f2): det(M - I) = K . (f2 - u4) mod 3 for
-    every f2, u4 the fourth unit vector.  The six 2 x 2 minors of the
-    shifted columns e1 and f1 expand, along the shifted e2, into the four
+def _minors(a, c):
+    """The six 2 x 2 minors of the columns a and c, on the rows (0, 1),
+    (0, 2), (0, 3), (1, 2), (1, 3) and (2, 3)."""
+    a0, a1, a2, a3 = a
+    c0, c1, c2, c3 = c
+    return (a0 * c1 - a1 * c0, a0 * c2 - a2 * c0, a0 * c3 - a3 * c0,
+            a1 * c2 - a2 * c1, a1 * c3 - a3 * c1, a2 * c3 - a3 * c2)
+
+
+def _cofactor_row(minors, b):
+    """The cofactors (K0, K1, K2, K3) of the fourth column of a matrix with
+    columns (a, b, c, d), from the six minors of a and c: the determinant
+    is K . d for every d.  The minors expand, along b, into the four
     3 x 3 minors left when one row is struck out."""
-    a0, a1, a2, a3 = CLASSES[e1]
-    b0, b1, b2, b3 = CLASSES[e2]
-    c0, c1, c2, c3 = CLASSES[f1]
-    a0 -= 1
-    b1 -= 1
-    c2 -= 1
-    m01 = a0 * c1 - a1 * c0
-    m02 = a0 * c2 - a2 * c0
-    m03 = a0 * c3 - a3 * c0
-    m12 = a1 * c2 - a2 * c1
-    m13 = a1 * c3 - a3 * c1
-    m23 = a2 * c3 - a3 * c2
+    m01, m02, m03, m12, m13, m23 = minors
+    b0, b1, b2, b3 = b
     return (b1 * m23 - b2 * m13 + b3 * m12,
             b2 * m03 - b0 * m23 - b3 * m02,
             b0 * m13 - b1 * m03 + b3 * m01,
@@ -90,27 +89,39 @@ def _cofactor_row(e1, e2, f1):
 
 def density_direct():
     """(order, |C|) by testing det(M - I) on every element of the
-    enumerated group.  The sorted codes come in runs of one head
-    (e1, f1, e2), whose cofactor row K is computed once; it picks a row of
-    the 81 x 81 residue table, indexed by K mod 3 and f2, that says whether
-    K . (f2 - u4) = 0 mod 3, so each element costs one lookup."""
+    enumerated group.  The sorted codes come in runs of one pair (e1, f1),
+    whose six minors of the shifted columns are computed once, and within
+    it runs of one head (e1, f1, e2), whose cofactor row K is computed
+    once; K picks a row of the 81 x 81 residue table, indexed by K mod 3
+    and f2, that says whether K . (f2 - u4) = 0 mod 3, so each element
+    costs one lookup."""
     group = enumerate_sp4()
+    # the columns of M - I by position: each class minus the unit vector
+    # of its column
     shifted = []
-    for d0, d1, d2, d3 in CLASSES:
-        d3 -= 1
-        shifted.append((d0, d1, d2, d3))
+    for i in range(4):
+        column = []
+        for d in CLASSES:
+            d = list(d)
+            d[i] -= 1
+            column.append(d)
+        shifted.append(column)
+    e1s, e2s, f1s, f2s = shifted
     fixes = [bytes(not (k0 * d0 + k1 * d1 + k2 * d2 + k3 * d3) % 3
-                   for d0, d1, d2, d3 in shifted)
+                   for d0, d1, d2, d3 in f2s)
              for k0, k1, k2, k3 in CLASSES]
     hits = 0
-    last = -1
+    last = last_pair = -1
     for code in group:
         head, f2 = divmod(code, 81)
         if head != last:
             last = head
-            e1f1, e2 = divmod(head, 81)
-            e1, f1 = divmod(e1f1, 81)
-            k0, k1, k2, k3 = _cofactor_row(e1, e2, f1)
+            pair, e2 = divmod(head, 81)
+            if pair != last_pair:
+                last_pair = pair
+                e1, f1 = divmod(pair, 81)
+                minors = _minors(e1s[e1], f1s[f1])
+            k0, k1, k2, k3 = _cofactor_row(minors, e2s[e2])
             row = fixes[k0 % 3 * 27 + k1 % 3 * 9 + k2 % 3 * 3 + k3 % 3]
         hits += row[f2]
     return len(group), hits

@@ -476,17 +476,18 @@ def _counted(mul):
 
 
 def test_power_is_repeated_products():
-    # ints mod 101 and 2 x 2 integer matrices against n - 1 products, with
-    # one product per set bit and one squaring per bit below the top
+    # ints mod 101 and 2 x 2 integer matrices against repeated products:
+    # one squaring per bit below the top, and one product per set bit
+    # after the first, which is taken as it is
     A = [[1, 1], [1, 0]]
     x, M = 7, A
     for n in range(1, 40):
         mod_mul, calls = _counted(lambda u, v: u * v % 101)
         assert power(mod_mul, 7, n, 1) == x
-        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 2
         mat, calls = _counted(mat_mul)
         assert power(mat, A, n, identity(2)) == M
-        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 2
         x, M = x * 7 % 101, mat_mul(M, A)
 
 

@@ -25,6 +25,11 @@ from e8g3.jacobian import (
     mumford_verify,
 )
 
+from cantor_oracle import cantor_add_general
+
+# the three F_7 curves of the sections suite
+CURVES = ((0, 0, 1, 3), (1, 1, 0, 2), (0, 2, 3, 1))
+
 
 def test_field_axioms_prime_and_square():
     for q in (7, 9, 13, 49):
@@ -87,6 +92,28 @@ def test_cantor_identity_and_negation():
         assert cantor_add(F, f, D, cantor_neg(F, D)) == IDENTITY
 
 
+def _jacobian7(coeffs):
+    F = GF(7)
+    f = [c % 7 for c in Quintic(*coeffs).coeffs()]
+    return F, f, enumerate_jacobian(F, f)
+
+
+def test_cantor_add_matches_the_general_composition():
+    # every ordered pair of the 34-element Jacobian of (0, 2, 3, 1), with
+    # coprime and non-coprime u1, u2 alike
+    F, f, J = _jacobian7((0, 2, 3, 1))
+    assert len(J) == 34
+    assert [cantor_add(F, f, A, B) for A in J for B in J] == [
+        cantor_add_general(F, f, A, B) for A in J for B in J]
+
+
+@pytest.mark.parametrize("coeffs", CURVES)
+def test_cantor_doubling_matches_the_general_composition(coeffs):
+    F, f, J = _jacobian7(coeffs)
+    assert [cantor_add(F, f, D, D) for D in J] == [
+        cantor_add_general(F, f, D, D) for D in J]
+
+
 def test_cantor_rejects_nonreduced():
     F = GF(7)
     f = [c % 7 for c in Quintic(0, 0, 1, 3).coeffs()]
@@ -99,8 +126,7 @@ def test_zeta_orders_build_each_field_once(monkeypatch):
     # F_7 and F_49 once between them (F_49 reads F_7 from the same cache),
     # and get the same orders as before the cache was emptied
     from e8g3 import finitefield
-    curves = ((0, 0, 1, 3), (1, 1, 0, 2), (0, 2, 3, 1))
-    before = [jacobian_order_zeta(7, Quintic(*c).coeffs()) for c in curves]
+    before = [jacobian_order_zeta(7, Quintic(*c).coeffs()) for c in CURVES]
     built = []
     init = GF.__init__
 
@@ -110,7 +136,7 @@ def test_zeta_orders_build_each_field_once(monkeypatch):
     monkeypatch.setattr(GF, "__init__", counted)
     finitefield.get_field.cache_clear()
     try:
-        again = [jacobian_order_zeta(7, Quintic(*c).coeffs()) for c in curves]
+        again = [jacobian_order_zeta(7, Quintic(*c).coeffs()) for c in CURVES]
     finally:
         finitefield.get_field.cache_clear()
     assert again == before
@@ -120,7 +146,7 @@ def test_zeta_orders_build_each_field_once(monkeypatch):
 def test_group_orders_three_curves():
     import random
     rng = random.Random(11)
-    for coeffs in ((0, 0, 1, 3), (1, 1, 0, 2), (0, 2, 3, 1)):
+    for coeffs in CURVES:
         q = Quintic(*coeffs)
         assert discriminant(q) % 7 != 0
         F = GF(7)
@@ -142,7 +168,8 @@ def test_cantor_mul_is_repeated_addition(monkeypatch):
         for n in range(11):
             assert cantor_mul(F, f, D, n) == multiple
             multiple = D if n == 0 else cantor_add(F, f, multiple, D)
-    # one addition per set bit and one doubling per bit below the top
+    # one doubling per bit below the top, and one addition per set bit
+    # after the first
     calls = []
     add = jacobian.cantor_add
     monkeypatch.setattr(jacobian, "cantor_add",
@@ -150,7 +177,7 @@ def test_cantor_mul_is_repeated_addition(monkeypatch):
     for n in range(1, 11):
         calls.clear()
         cantor_mul(F, f, D, n)
-        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 2
 
 
 def _enumerate_jacobian_by_scan(F, f):

@@ -367,6 +367,27 @@ def test_fixture_doubles_each_class_once(monkeypatch):
     assert len(calls) == 80
 
 
+def test_section_through_a_cusp_fails_without_its_flip():
+    # a = x^2 + x and b vanish together at x = 0, where f = b^2 - a^3
+    # vanishes: the section meets the cusp of the fibre z^3 = y^2 there.
+    # Dropping its flip leaves it the one section to cover itself
+    F = GF(13)
+    mul = F.mul_table
+    b3 = F.sqrt(1)
+    # the x^5 coefficient 2 b3 b2 - 3 of b^2 - a^3 is 1
+    s = Section((0, 1, 1), (0, 5, mul[F.from_int(2)][F.inv(b3)], b3))
+    f = psub(F, pmul(F, s.b, s.b), pmul(F, pmul(F, s.a, s.a), s.a))
+    assert len(f) == 6 and f[5] == 1
+    found = find_sections(F, f)
+    flip = neg_section(F, s)
+    assert s in found and flip in found
+    without_flip = [t for t in found if t != flip]
+    rep = verify_section_fixture(F, f, without_flip)
+    assert not rep["closed_under_flip"] and not rep["cusp_avoidance_ok"]
+    for secs in (found, found[::-1], [s]):
+        assert not verify_section_fixture(F, f, secs)["cusp_avoidance_ok"]
+
+
 def test_twist_orbit_shares_class(small):
     F, f, secs = small
     for s in secs:
@@ -403,7 +424,7 @@ def test_fixture_exponents_match_oracle(report):
     F = GF(q)
     P, E = _table_exponents(F, secs)
     for i, s in enumerate(secs[:8]):
-        assert E[i] == [twist_exponent_pairing(F, s, t) for t in secs]
+        assert list(E[i]) == [twist_exponent_pairing(F, s, t) for t in secs]
     assert report.passed("sections", "fixture_twist_exponents")
 
 
@@ -426,8 +447,10 @@ def test_sp4_strategies_agree(report):
 
 
 def test_sp4_identity_in_C():
-    # M - I = 0 for M = I, so every cofactor vanishes
-    from e8g3.heis import UNIT_CODES
-    from e8g3.sp4 import _cofactor_row
-    e1, e2, f1, _ = UNIT_CODES
-    assert _cofactor_row(e1, e2, f1) == (0, 0, 0, 0)
+    # M - I = 0 for M = I, so every minor and every cofactor vanishes
+    from e8g3.heis import CLASSES, UNIT_CODES
+    from e8g3.sp4 import _cofactor_row, _minors
+    e1, e2, f1, _ = ([x - (r == j) for r, x in enumerate(CLASSES[code])]
+                     for j, code in enumerate(UNIT_CODES))
+    assert _minors(e1, f1) == (0,) * 6
+    assert _cofactor_row(_minors(e1, f1), e2) == (0, 0, 0, 0)

@@ -135,13 +135,14 @@ def _laplace_det_minus_identity(cols):
 @given(cols=st.tuples(*[st.integers(0, 80)] * 4))
 def test_det_minus_identity_matches_elimination(cols):
     # any four columns, so singular and non-symplectic M are drawn too:
-    # the cofactor row of (e1, e2, f1) dotted with f2 - u4 is det(M - I)
+    # the cofactor row of the shifted (e1, e2, f1), from the minors of e1
+    # and f1, dotted with f2 - u4 is det(M - I)
     shifted = [[x - (r == c) for c, x in enumerate(row)]
                for r, row in enumerate(_matrix(cols))]
-    e1, e2, f1, f2 = cols
-    d = _vector(f2)
-    d[3] -= 1
-    det = sum(k * x for k, x in zip(sp4._cofactor_row(e1, e2, f1), d)) % 3
+    a, b, c, d = ([x - (r == j) for r, x in enumerate(_vector(code))]
+                  for j, code in enumerate(cols))
+    row = sp4._cofactor_row(sp4._minors(a, c), b)
+    det = sum(k * x for k, x in zip(row, d)) % 3
     assert det == det_bareiss(shifted) % 3 == _laplace_det_minus_identity(cols)
     assert (det == 0) == (len(rref_mod(shifted, 4, 3)[1]) < 4)
 
@@ -168,7 +169,7 @@ def test_direct_density_shares_no_kernel(monkeypatch):
                      "_pair_ranks"):
             patch.setattr(sp4, name, refuse)
         assert sp4.density_direct() == (51840, 18711)
-    for name in ("_cofactor_row", "enumerate_sp4"):
+    for name in ("_minors", "_cofactor_row", "enumerate_sp4"):
         monkeypatch.setattr(sp4, name, refuse)
     assert sp4.density_by_classes() == (51840, 18711)
 
