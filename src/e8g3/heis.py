@@ -34,11 +34,13 @@ def symplectic_basis(rs: RootSystem):
     and heis/symplectic_basis own the rank of that matrix and the
     relations of the basis returned; the reduction only stops, with
     `CheckFailed` naming the class, where a class pairs to zero with every
-    candidate left."""
+    candidate left.  A Gram matrix of fewer than four classes (fewer
+    Smith divisors 3) pairs the coordinates past it to zero."""
     gram = rs.class_gram()
 
     def pair(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(4) for j in range(4)) % 3
+        return sum(a * g * b for a, row in zip(x, gram)
+                   for g, b in zip(row, y)) % 3
 
     pool = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     es, fs = [], []

@@ -272,7 +272,12 @@ class RootSystem:
         return (pairing(u, v) - pairing(self.apply_w(u), v)) % 3
 
     def class_gram(self):
-        lifts = [self.lift(tuple(int(i == j) for j in range(4))) for i in range(4)]
+        """The pairing exponents of the lifts of the unit classes at the
+        positions whose Smith divisor is 3, the Z/3 summands of the
+        coinvariants: 4 x 4 for an elliptic w of order 3, and smaller,
+        down to 0 x 0, where w - 1 has fewer divisors 3."""
+        lifts = [self.from_basis([row[i] for row in self._snf_u_inv])
+                 for i, d in enumerate(self.divisors) if d == 3]
         return [[self.symplectic_exponent(a, b) for b in lifts] for a in lifts]
 
     # -- serialization -------------------------------------------------------

@@ -12,9 +12,9 @@ A vector of F_3^4 is its heis class code (27 v0 + 9 v1 + 3 v2 + v3 in
 (e1, e2, f1, f2), a symplectic basis.  The enumerated group packs each
 element into one int, ((e1 * 81 + f1) * 81 + e2) * 81 + f2, so the
 elements of one head are consecutive.  The Moebius side walks ordered
-bases as codes in a radix, the ranks of the two hyperbolic pairs
-(e1, f1) and (e2, f2) for the group and the vector codes for a basis of
-at most three vectors, over a bitmap of reached codes.  The form is
+bases of at most three vectors as codes in the radix 81 of the vector
+codes, over a bytearray of reached codes, and takes |G| from the walk of
+(e1, e2, f1), which carries f2 along, by orbit-stabiliser.  The form is
 `heis.FORM`, and a matrix acts on vectors through the 81-entry table
 `heis.action` builds; this module keeps no F_3 table of its own, and
 the masks and residue rows the direct count reads are built inside the
@@ -186,15 +186,19 @@ def _orbit(basis, acts, key):
     return seen
 
 
-def _walk(digits, tables, radix):
-    """The number of ordered bases reached from the one with the given
-    digits, each digit sent through one table per generator.
+def _walk(digits, tables, radix, tail):
+    """(count, moved): the number of ordered bases reached from the one
+    with the given digits, each digit sent through one table per
+    generator, and whether some path reaches a basis already reached
+    carrying the vector `tail` to another image than the first path did.
 
     A basis is the code of its digits in the radix, first digit most
     significant, and a code splits as head * radix + last digit.  Each
     table is extended once to the heads, the codes of the first k - 1
     digits, as radix times the head's image, so an image costs two
-    lookups; the reached codes are bits of a bytearray.
+    lookups.  The byte of a reached code is 1 + the image of `tail` on the
+    path that reached it first, and 0 while it is not reached; the zero
+    vector, which every table fixes, is never moved.
     """
     maps = []
     for table in tables:
@@ -205,41 +209,47 @@ def _walk(digits, tables, radix):
     start = 0
     for d in digits:
         start = start * radix + d
-    seen = bytearray((radix ** len(digits) + 7) // 8)
-    seen[start >> 3] = 1 << (start & 7)
+    reached = bytearray(radix ** len(digits))
+    reached[start] = 1 + tail
     n = 1
+    moved = False
     frontier = [start]
     while frontier:
         nxt = []
         for heads, table in maps:
-            for image in [heads[c // radix] + table[c % radix]
-                          for c in frontier]:
-                byte, bit = image >> 3, 1 << (image & 7)
-                if not seen[byte] & bit:
-                    seen[byte] |= bit
+            for c in frontier:
+                image = heads[c // radix] + table[c % radix]
+                carried = table[reached[c] - 1] + 1
+                if not reached[image]:
+                    reached[image] = carried
                     nxt.append(image)
+                elif reached[image] != carried:
+                    moved = True
         n += len(nxt)
         frontier = nxt
-    return n
+    return n, moved
 
 
-def _pair_ranks(pairs):
-    """The position of each pair (e, f) in the list, keyed by 81 e + f."""
-    return {81 * e + f: i for i, (e, f) in enumerate(pairs)}
+def _hyperplane_order(acts):
+    """(|G|, n3): n3 is the number of ordered bases (e1, e2, f1) the
+    identity's reaches under the action tables, and |G| is n3 times the
+    order of its stabiliser (orbit-stabiliser).
 
-
-def _group_order(acts):
-    """The size of the orbit of the identity's basis under the action
-    tables, which for symplectic generators is |G|: the basis has the two
-    digits rank(e1, f1) and rank(e2, f2) in the radix P = 2,160 of the
-    hyperbolic pairs (e, f), those with <e, f> = 1, and a generator maps
-    the ranks through a P-entry table."""
-    pairs = [(e, f) for e in _VECS for f in _VECS if FORM[e][f] == 1]
-    rank = _pair_ranks(pairs)
-    tables = [[rank[81 * act[e] + act[f]] for e, f in pairs] for act in acts]
+    A symplectic map fixing e1, e2 and f1 sends f2 to one of the s vectors
+    with the same form against those three, f2 + c e2 for c in F_3, and
+    these maps form a group of prime order s; so the stabiliser is
+    trivial or all of them.  By Schreier's lemma it is generated by the
+    loops the walk closes, one per edge to a basis reached before, and a
+    loop is not the identity exactly when it carries f2 to a second image,
+    which the walk of (e1, e2, f1) carrying f2 reports.
+    """
     e1, e2, f1, f2 = UNIT_CODES
-    return _walk((rank[81 * e1 + f1], rank[81 * e2 + f2]), tables,
-                 len(pairs))
+    n3, moved = _walk((e1, e2, f1), acts, 81, f2)
+    if not moved:
+        return n3, n3
+    s = sum(all(FORM[x][v] == FORM[x][f2] for x in (e1, e2, f1))
+            for v in range(81))
+    return n3 * s, n3
 
 
 def density_by_classes():
@@ -249,13 +259,15 @@ def density_by_classes():
     The elements whose fixed space contains W form the pointwise
     stabilizer G_W, so N0, the count of elements that fix no nonzero
     vector, is the sum of mu(0, W) |G_W| over all W (Rota 1964), and
-    |G_W| is |G| over the orbit of an ordered basis of W. The orbits of
-    the representatives partition each level of the lattice, or it fails.
+    |G_W| is |G| over the orbit of an ordered basis of W. |G| itself is
+    the hyperplane's orbit times its stabiliser (`_hyperplane_order`).
+    The orbits of the representatives partition each level of the
+    lattice, or it fails.
     """
     if not all(map(_symplectic, _GENERATORS)):
         raise CheckFailed("generator is not a symplectic basis")
     acts = [action(g) for g in _GENERATORS]
-    n = _group_order(acts)
+    n, n3 = _hyperplane_order(acts)
     levels = _subspaces()
     mu = _mobius(levels)
     reached = [[] for _ in levels]
@@ -264,9 +276,15 @@ def density_by_classes():
         basis = tuple(UNIT_CODES[i] for i in columns)
         orbit = _orbit(basis, acts, _span)
         reached[len(basis)].extend(orbit)
-        # the identity's orbit is the group, counted above; a smaller
-        # basis is its digits in the radix 81 of the vector codes
-        bases = n if len(basis) == 4 else _walk(basis, acts, 81)
+        # the identity's orbit is the group and the hyperplane's bases
+        # were walked for its order; a smaller basis is walked carrying
+        # the zero vector
+        if len(basis) == 4:
+            bases = n
+        elif len(basis) == 3:
+            bases = n3
+        else:
+            bases, _ = _walk(basis, acts, 81, 0)
         stabilizer, rest = divmod(n, bases)
         if rest:
             raise CheckFailed("basis orbit size does not divide the order")

@@ -141,11 +141,13 @@ ROOTSYS = (
             c.rs.project(c.rs.roots[o[0]]) for o in c.rs.orbits}) == 80
         and (0, 0, 0, 0) not in classes, "80 orbits onto 80 nonzero classes")),
     ("pairing_alternating", lambda c: (
-        all(c.gram[u][u] == 0 for u in range(4))
-        and all((c.gram[u][v] + c.gram[v][u]) % 3 == 0
-                for u in range(4) for v in range(4)), "on basis classes")),
-    ("pairing_nondegenerate",
-     lambda c: (len(rref_mod(c.gram, 4, 3)[1]) == 4, "Gram rank 4 over F3")),
+        all(row[u] == 0 for u, row in enumerate(c.gram))
+        and all((x + c.gram[v][u]) % 3 == 0
+                for u, row in enumerate(c.gram) for v, x in enumerate(row)),
+        "on basis classes")),
+    ("pairing_nondegenerate", lambda c: (
+        len(c.gram) == 4 and len(rref_mod(c.gram, 4, 3)[1]) == 4,
+        "Gram rank 4 over F3")),
     ("sign_identity", _sign_identity),
     ("rebuild_identical", lambda c: (
         rs_mod.RootSystem().digest() == (d := c.rs.digest()) == ROOTSYS_DIGEST,
@@ -243,7 +245,8 @@ GRADEDLIE = (
                                  "80 nonzero classes preserve the table")),
     ("rho_prime_homomorphism", lambda c: (
         not (hom := gradedlie.verify_rho_prime_homomorphism(c.alg))[
-            "mismatches"], f"{hom['pairs']} pairs")),
+            "mismatches"] and hom["pairs"] == len(c.rs.roots) ** 2,
+        f"{hom['pairs']} pairs")),
     ("rho_prime_traceless",
      lambda c: (gradedlie.rho_prime_traceless(c.alg), "")),
     ("rho_prime_image_dim",
@@ -251,7 +254,7 @@ GRADEDLIE = (
                 "inside traceless 9x9")),
     ("heis_action_match", lambda c: (
         not (act := gradedlie.verify_heis_action_match(c.alg))[
-            "mismatches"],
+            "mismatches"] and act["pairs"] == len(c.rs.roots) ** 2,
         f"{act['pairs']} conjugation pairs vs lattice pairing")),
     ("killing_form", _killing_form),
     ("structure_digest", lambda c: (

@@ -145,17 +145,12 @@ def _swap_generator_columns(monkeypatch):
                         ((3, 1, 18, 57), sp4._GENERATORS[1]))
 
 
-def _merge_two_pair_ranks(monkeypatch):
-    # the second hyperbolic pair gets the rank of the first, so the group's
-    # closure codes two distinct bases alike
-    ranks = sp4._pair_ranks
-
-    def merged(pairs):
-        rank = ranks(pairs)
-        (e, f), (e2, f2) = pairs[:2]
-        rank[81 * e2 + f2] = rank[81 * e + f]
-        return rank
-    monkeypatch.setattr(sp4, "_pair_ranks", merged)
+def _fixed_tail(monkeypatch):
+    # the walk keeps the tail it was given on every path, so no loop moves
+    # f2 and the order derived from it is the hyperplane's orbit alone
+    monkeypatch.setattr(sp4, "_walk", _mutant(
+        sp4._walk, lambda src: src.replace("table[reached[c] - 1] + 1",
+                                           "reached[c]")))
 
 
 def _flip_mobius_on_planes(monkeypatch):
@@ -385,6 +380,16 @@ def _coxeter_power(k):
     return patch
 
 
+def _pair_count_quotient(name):
+    """The pair sweep `name` of gradedlie counting the root pairs of two
+    class groups as the quotient of their sizes, not the product."""
+    def patch(monkeypatch):
+        monkeypatch.setattr(gradedlie, name, _mutant(
+            getattr(gradedlie, name),
+            lambda src: re.sub(r"(pairs \+= .*) \* ", r"\1 // ", src)))
+    return patch
+
+
 # w = c^11: w^3 != 1, w permutes the roots without fixing one, and w - 1
 # is unimodular, so the coinvariant space is zero
 _eleventh_power = _coxeter_power(11)
@@ -486,9 +491,10 @@ MUTATIONS = [
     # a symplectic basis
     ("sp4_density_symplectic", _swap_generator_columns, "sections",
      "sp4_density"),
-    # sections/sp4_order and sp4_density: two hyperbolic pairs of one rank
-    # make the closure reach a number of bases that is not |G|
-    ("sp4_order_pair_ranks", _merge_two_pair_ranks, "sections", "sp4_order",
+    # sections/sp4_order and sp4_density: a tail that is not sent through
+    # the tables hides the stabiliser of (e1, e2, f1), so the order comes
+    # out as 17,280
+    ("sp4_order_stabiliser", _fixed_tail, "sections", "sp4_order",
      "sp4_density"),
     # sections/sp4_density: mu of the wrong sign on one level of the
     # subspace lattice makes the Moebius strategy disagree with the direct
@@ -530,6 +536,15 @@ MUTATIONS = [
     # against nonzero images of the brackets [Z_a, Z_b]
     ("gradedlie_rho_prime_homomorphism", _drop_character(gradedlie),
      "gradedlie", "rho_prime_homomorphism"),
+    # gradedlie/rho_prime_homomorphism and heis_action_match: a sweep
+    # that counts 6,400 pairs, one per pair of class groups, has not swept
+    # the 240^2 root pairs
+    ("gradedlie_rho_prime_pair_count",
+     _pair_count_quotient("verify_rho_prime_homomorphism"), "gradedlie",
+     "rho_prime_homomorphism"),
+    ("gradedlie_heis_action_pair_count",
+     _pair_count_quotient("verify_heis_action_match"), "gradedlie",
+     "heis_action_match"),
     # gradedlie/graded_bracket_containment: one structure constant off by
     # w leaves a degree-(1, 1) bracket outside every eigenspace
     ("gradedlie_graded_bracket_containment", _shift_one_w_power, "gradedlie",
@@ -578,6 +593,20 @@ def test_degenerate_class_pairing_gives_no_error_line(monkeypatch, capfd, k):
     assert line["status"] == "fail"
     assert line["detail"].endswith("pairs to zero with every candidate")
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 9, 11, 13, 15, 17, 19,
+                               21, 22, 24, 25, 26, 27])
+def test_wrong_power_fails_pairing_nondegenerate(monkeypatch, k):
+    # on these powers of c the classes at rows 4..7 of the Smith form
+    # pair with rank 4 over F_3, but w - 1 has no divisor 3: the classes
+    # of order 3 are none, and their Gram matrix is 0 x 0
+    _coxeter_power(k)(monkeypatch)
+    s = Suite("rootsys")
+    suites.run_checks(suites.CHECKS["rootsys"], s, suites.Context(None))
+    status = {c["name"]: c["status"] for c in s.checks}
+    assert "error" not in status.values()
+    assert status["pairing_nondegenerate"] == "fail"
 
 
 def test_mutant_refuses_an_edit_that_changes_nothing():

@@ -12,6 +12,8 @@ from e8g3 import sp4
 from e8g3.heis import FORM, UNIT_CODES
 from e8g3.intlinalg import det_bareiss, rref_mod
 
+from test_mutations import _non_generating_pair
+
 ELEMENTS = st.integers(0, 51839)
 
 
@@ -153,20 +155,49 @@ def test_basis_orbits_on_the_walk():
     for columns, size in zip(sp4._ORBIT_REPRESENTATIVES[1:5],
                              [80, 1920, 2160, 17280]):
         basis = tuple(UNIT_CODES[i] for i in columns)
-        assert sp4._walk(basis, actions(), 81) == size
+        assert sp4._walk(basis, actions(), 81, 0) == (size, False)
         assert len(sp4._orbit(basis, actions(), tuple)) == size
 
 
+def _closure(acts):
+    """The action tables of every product of the given ones, breadth
+    first from the identity's."""
+    identity = tuple(range(81))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [image for t in frontier for act in acts
+                    if (image := tuple(act[x] for x in t)) not in group]
+        group.update(frontier)
+    return group
+
+
+def test_walk_carries_the_tail(monkeypatch):
+    e1, e2, f1, f2 = UNIT_CODES
+    hyperplane = (e1, e2, f1)
+    # f2 has three images over each basis (e1, e2, f1), so the walk closes
+    # a loop that moves it, and the stabiliser brings the group up
+    count, moved = sp4._walk(hyperplane, actions(), 81, f2)
+    assert moved and 3 * count == len(group())
+    assert sp4._hyperplane_order(actions()) == (len(group()), count)
+    # e2 is a digit of the basis, so every path carries it alike
+    assert sp4._walk(hyperplane, actions(), 81, e2) == (count, False)
+    # two generators that agree on (e1, e2, f1): the derived order is
+    # that of the group the two matrices generate
+    _non_generating_pair(monkeypatch)
+    acts = [sp4.action(g) for g in sp4._GENERATORS]
+    order, _ = sp4._hyperplane_order(acts)
+    assert order == len(_closure(acts)) == 36
+
+
 def test_direct_density_shares_no_kernel(monkeypatch):
-    # the direct strategy uses neither the action tables, the walk and its
-    # pair ranks nor the orbit sweeps of the Moebius strategy, which in
-    # turn computes no cofactor row and never reads the enumerated group
+    # the direct strategy uses neither the action tables, the walk nor the
+    # orbit sweeps of the Moebius strategy, which in turn computes no
+    # cofactor row and never reads the enumerated group
     def refuse(*args):
         raise RuntimeError("shared by the two strategies")
 
     with monkeypatch.context() as patch:
-        for name in ("action", "_orbit", "_walk", "_group_order",
-                     "_pair_ranks"):
+        for name in ("action", "_orbit", "_walk", "_hyperplane_order"):
             patch.setattr(sp4, name, refuse)
         assert sp4.density_direct() == (51840, 18711)
     for name in ("_minors", "_cofactor_row", "enumerate_sp4"):
@@ -186,9 +217,10 @@ def _traced_peak(fn):
 
 
 def test_densities_stay_small_in_memory():
-    # the packed enumeration and the bitmap closure: the tuple list and
-    # the set of 51,840 tuples they replace peaked at 4 and 5.6 MB
+    # the packed enumeration and the hyperplane walk: the tuple list and
+    # the set of 51,840 tuples they replace peaked at 4 and 5.6 MB, and
+    # the closure of the whole group over a bitmap at 2.4 MB
     result, peak = _traced_peak(sp4.density_direct)
     assert result == (51840, 18711) and peak < 1_000_000
     result, peak = _traced_peak(sp4.density_by_classes)
-    assert result == (51840, 18711) and peak < 2_500_000
+    assert result == (51840, 18711) and peak < 1_600_000
