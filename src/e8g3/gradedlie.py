@@ -406,6 +406,11 @@ class GradedAlgebra:
                     bad.append(("cartan", a, j))
         return bad
 
+    def twist_classes(self):
+        """The class of each orbit's first root: the twists that
+        `check_lambda_twists` tries, one per orbit."""
+        return [self.cls[orb[0]] for orb in self.rs.orbits]
+
     def check_lambda_twists(self):
         """The class-twist maps X_r -> w^<lam, cls(r)> X_r preserve the
         table, for each of the 80 nonzero classes lam.  Returns the
@@ -418,7 +423,7 @@ class GradedAlgebra:
         where a cartan-valued bracket reads target -1, of class 0.  Every
         twist keeps it when d = 0.
         """
-        lams = [self.cls[orb[0]] for orb in self.rs.orbits]
+        lams = self.twist_classes()
         cls = self.cls + [0]
         bad = []
         for i in range(self.n):

@@ -49,7 +49,7 @@ def support_targets(actors, M):
 
     Actors: ("w3", triple) wedge elements, ("g", (p, q)) root e_p - e_q,
     ("w6", 6-tuple) top-side elements.  Returns (targets, zero_hit,
-    heights); the criterion needs len(targets) < len(actors), no
+    heights); the criterion needs fewer targets than distinct actors, no
     zero-weight target, and all actor heights negative.
     """
     M = frozenset(M)
@@ -90,10 +90,11 @@ def support_targets(actors, M):
 
 
 def support_criterion(actors, M) -> bool:
-    """Fewer targets than actors, no zero-weight target, and every actor
-    of negative height."""
+    """Fewer targets than distinct actors (distinct basis elements are
+    independent; a repeated one is not), no zero-weight target, and every
+    actor of negative height."""
     targets, zero_hit, heights = support_targets(actors, M)
-    return (len(targets) < len(actors)
+    return (len(targets) < len(set(actors))
             and not zero_hit
             and all(h < 0 for h in heights))
 
@@ -123,15 +124,19 @@ def antisym5_det_vanishes() -> bool:
     return not alternating_det(5)
 
 
+# the five indices of case (3 4 8): its actors e_1^e_2^e_k, and the 5-dim
+# space of its wedge pairing
+SPAN_348 = (3, 4, 5, 6, 7)
+
+
 def wedge_pairing_alternating() -> bool:
     """(omega, x, y) -> omega ^ x ^ y on a 5-dim space is alternating in
     (x, y), checked exactly on every basis combination."""
-    idx = (3, 4, 5, 6, 7)
-    for omega in combinations(idx, 3):
-        for x in idx:
+    for omega in combinations(SPAN_348, 3):
+        for x in SPAN_348:
             if merge_sign(omega, (x,), (x,))[0] is not None:
                 return False
-            for y in idx:
+            for y in SPAN_348:
                 kxy = merge_sign(omega, (x,), (y,))
                 kyx = merge_sign(omega, (y,), (x,))
                 if kxy[0] is None and kyx[0] is None:
@@ -142,13 +147,14 @@ def wedge_pairing_alternating() -> bool:
 
 
 def case_348() -> bool:
-    """Images of e_1^e_2^e_k (k=3..7) stay inside the span indexed by
-    {1..7}; the induced odd alternating pairing then forces a kernel."""
+    """Images of e_1^e_2^e_k (k in `SPAN_348`) stay inside the span
+    indexed by {1..7}; the induced odd alternating pairing then forces a
+    kernel."""
     M = up_closure([(3, 4, 8)])
-    confined = all(set(a) <= {3, 4, 5, 6, 7}
-                   for k in range(3, 8) for a in ALL_WEIGHTS
+    confined = all(set(a) <= set(SPAN_348)
+                   for k in SPAN_348 for a in ALL_WEIGHTS
                    if a not in M and not set(a) & {1, 2, k})
-    actors = [("w3", (1, 2, k)) for k in range(3, 8)]
+    actors = [("w3", (1, 2, k)) for k in SPAN_348]
     _, zero_hit, heights = support_targets(actors, M)
     return (confined and not zero_hit
             and all(h < 0 for h in heights)

@@ -241,8 +241,11 @@ GRADEDLIE = (
         "[h(1), h(1)] in h(2) and [h(1), h(2)] in h(0), all basis pairs")),
     ("z_span", lambda c: (gradedlie.z_supports_partition(c.alg),
                           "80 independent symmetrized vectors")),
-    ("lambda_twists", lambda c: (not c.alg.check_lambda_twists(),
-                                 "80 nonzero classes preserve the table")),
+    ("lambda_twists", lambda c: (
+        not c.alg.check_lambda_twists()
+        and len(set(lams := c.alg.twist_classes())) == len(lams) == 80
+        and 0 not in lams,
+        "80 nonzero classes preserve the table")),
     ("rho_prime_homomorphism", lambda c: (
         not (hom := gradedlie.verify_rho_prime_homomorphism(c.alg))[
             "mismatches"] and hom["pairs"] == len(c.rs.roots) ** 2,

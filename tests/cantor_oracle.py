@@ -1,9 +1,11 @@
 """Cantor's group law with the general composition step, for the tests.
 
-`jacobian.cantor_add` composes coprime u1, u2 by the Chinese remainder
+`jacobian.cantor_add` adds weight-2 divisors with a nonzero resultant in
+closed form, and composes other coprime u1, u2 by the Chinese remainder
 shortcut.  This is the step of Cantor (Math. Comp. 48, 1987) for every
 pair, with both Euclids and the divisions by d, so a test that compares
-the two checks the shortcut against the general formula.
+the two checks the closed forms and the shortcut against the general
+formula.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Finite fields, Mumford decompositions, and the Cantor group law."""
 
+from itertools import product
+
 import pytest
 
 from e8g3.finitefield import (
@@ -8,6 +10,7 @@ from e8g3.finitefield import (
     pmod,
     pmul,
     psub,
+    ptrim,
     pxgcd,
 )
 from e8g3.genus2 import Quintic, discriminant
@@ -21,6 +24,7 @@ from e8g3.jacobian import (
     cantor_neg,
     curve_count,
     enumerate_jacobian,
+    is_reduced,
     jacobian_order_zeta,
     mumford_verify,
 )
@@ -92,26 +96,82 @@ def test_cantor_identity_and_negation():
         assert cantor_add(F, f, D, cantor_neg(F, D)) == IDENTITY
 
 
-def _jacobian7(coeffs):
-    F = GF(7)
-    f = [c % 7 for c in Quintic(*coeffs).coeffs()]
+def _jacobian(q, coeffs):
+    F = GF(q)
+    f = [F.from_int(c) for c in Quintic(*coeffs).coeffs()]
     return F, f, enumerate_jacobian(F, f)
 
 
 def test_cantor_add_matches_the_general_composition():
-    # every ordered pair of the 34-element Jacobian of (0, 2, 3, 1), with
-    # coprime and non-coprime u1, u2 alike
-    F, f, J = _jacobian7((0, 2, 3, 1))
-    assert len(J) == 34
-    assert [cantor_add(F, f, A, B) for A in J for B in J] == [
-        cantor_add_general(F, f, A, B) for A in J for B in J]
+    # every ordered pair of the 34-element Jacobian of (0, 2, 3, 1) over F_7
+    # and of the 84-element one over GF(9), with coprime and non-coprime
+    # u1, u2 alike; GF(9) is not a prime field, as the fixture's F_169 is
+    # not
+    for q, order in ((7, 34), (9, 84)):
+        F, f, J = _jacobian(q, (0, 2, 3, 1))
+        assert len(J) == order
+        assert [cantor_add(F, f, A, B) for A in J for B in J] == [
+            cantor_add_general(F, f, A, B) for A in J for B in J]
 
 
 @pytest.mark.parametrize("coeffs", CURVES)
 def test_cantor_doubling_matches_the_general_composition(coeffs):
-    F, f, J = _jacobian7(coeffs)
+    F, f, J = _jacobian(7, coeffs)
     assert [cantor_add(F, f, D, D) for D in J] == [
         cantor_add_general(F, f, D, D) for D in J]
+
+
+def test_cantor_doubling_over_gf13_matches_the_general_composition():
+    F, f, J = _jacobian(13, (0, 2, 3, 1))
+    assert len(J) == 174
+    assert [cantor_add(F, f, D, D) for D in J] == [
+        cantor_add_general(F, f, D, D) for D in J]
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_is_reduced_matches_the_generic_predicate(q):
+    # every monic u of degree at most 2 against every v of degree at most
+    # 2, shape rejections included: the closed-form residue against a
+    # product and a long division
+    F = GF(q)
+    f = [F.from_int(c) for c in Quintic(0, 0, 1, 3).coeffs()]
+    els = range(q)
+    us = ([(1,)] + [(t, 1) for t in els]
+          + [(u0, u1, 1) for u0 in els for u1 in els])
+    vs = [tuple(ptrim(list(c))) for c in product(els, repeat=3)]
+    reduced = 0
+    for u in us:
+        for v in vs:
+            generic = (len(v) < len(u)
+                       and not pmod(F, psub(F, pmul(F, v, v), f), u))
+            assert is_reduced(F, f, (u, v)) == generic, (u, v)
+            reduced += generic
+    assert reduced == len(enumerate_jacobian(F, f))
+
+
+def test_path_split_over_the_f7_jacobians(monkeypatch):
+    # of the 16,553 ordered pairs of the three F_7 Jacobians, those with a
+    # weight-1 input and no weight-0 one, and the weight-2 pairs whose u1,
+    # u2 (or, doubling, u and v) have a common factor, reach Cantor's
+    # composition; every other pair takes a closed form
+    from e8g3 import jacobian
+    calls = []
+    compose = jacobian._cantor
+    monkeypatch.setattr(jacobian, "_cantor",
+                        lambda *args: calls.append(1) or compose(*args))
+    pairs = expected = 0
+    for coeffs in CURVES:
+        F, f, J = _jacobian(7, coeffs)
+        for A, B in product(J, J):
+            cantor_add(F, f, A, B)
+            weights = {len(A[0]) - 1, len(B[0]) - 1}
+            other = B[1] if A == B else B[0]
+            pairs += 1
+            expected += (0 not in weights
+                         and (1 in weights
+                              or len(pxgcd(F, A[0], other)[0]) > 1))
+    assert pairs == 16553
+    assert len(calls) == expected == 6976
 
 
 def test_cantor_rejects_nonreduced():

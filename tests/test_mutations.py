@@ -13,7 +13,8 @@ from fnmatch import fnmatchcase
 import pytest
 
 from e8g3 import (cuspdata, finitefield, genus2, gradedlie, heis, jacobian,
-                  kostant, rootsys, sections, sp4, suites, vinberg)
+                  kostant, rootsys, sections, sp4, stability, suites,
+                  vinberg)
 from e8g3.gradedlie import GradedAlgebra, LieElement, get_algebra
 from e8g3.intlinalg import identity
 from e8g3.report import Suite
@@ -335,6 +336,22 @@ def _twist_exponent_plus(monkeypatch):
         sections.twist_exponents, lambda src: src.replace("a - b", "a + b")))
 
 
+def _repeat_twist_orbit(monkeypatch):
+    # the first orbit in place of the second: the twists try one class
+    # twice and miss another, and every twist they try keeps the table
+    rs = get_algebra().rs
+    monkeypatch.setattr(rs, "orbits", rs.orbits[:1] * 2 + rs.orbits[2:])
+
+
+def _edit_stability(pattern, repl):
+    """verify_stability with its source edited by re.sub(pattern, repl)."""
+    def patch(monkeypatch):
+        monkeypatch.setattr(stability, "verify_stability", _mutant(
+            stability.verify_stability,
+            lambda src: re.sub(pattern, repl, src)))
+    return patch
+
+
 def _on_fresh_table(patch):
     """patch, then a table built afresh in its place for the suites."""
     def both(monkeypatch):
@@ -480,6 +497,29 @@ MUTATIONS = [
     # would not, since w fixes classes)
     ("gradedlie_lambda_twists", _redirect_to_negative_root, "gradedlie",
      "lambda_twists"),
+    # gradedlie/lambda_twists: twists that do not run over the 80 nonzero
+    # classes have not proved the line's claim
+    ("gradedlie_lambda_twist_classes", _repeat_twist_orbit, "gradedlie",
+     "lambda_twists"),
+    # cusp/stability_part6_*: (5 8 9) in place of (5 7 9) repeats an
+    # actor, so 6 actors are 5 distinct ones against 5 targets
+    ("stability_repeated_actor",
+     _edit_stability(r"\(5, 7, 9\), \(6, 7, 9\)", "(5, 8, 9), (6, 7, 9)"),
+     "cusp", "stability_part6_179_249_457_support"),
+    # cusp/stability_*_support: each family without its last actor has as
+    # many targets as actors, so the criterion's "<" is tested at equality
+    ("stability_part1_357_at_equality",
+     _edit_stability(r', \("w3", \(1, 2, 4\)\)', ""), "cusp",
+     "stability_part1_357_support"),
+    ("stability_part2_149_at_equality",
+     _edit_stability(r', \("g", \(2, 9\)\)', ""), "cusp",
+     "stability_part2_149_support"),
+    ("stability_part3_169_268_at_equality",
+     _edit_stability(r',\s*\("w6", _comp\(\(7, 8, 9\)\)\)', ""), "cusp",
+     "stability_part3_169_268_support"),
+    ("stability_part6_at_equality",
+     _edit_stability(r", \(7, 8, 9\)\)\]", ")]"), "cusp",
+     "stability_part6_179_249_457_support"),
     # sections/sp4_density: det(M) in place of det(M - I) makes the direct
     # strategy disagree with the Moebius strategy
     ("sp4_density_direct", _drop_identity_shift, "sections", "sp4_density"),
