@@ -6,9 +6,15 @@ The degree grading used here is by coordinate-sum type (0 for the torus
 part and the 72 difference roots, 1 for the 84 triple weights, 2 for
 their negatives); the basis sum E is homogeneous of degree 1 and the
 whole triple is graded (E, X, F) = (1, 0, 2).
+
+Regularity is tested at integral points: each witness point of the slice
+is scaled by the lcm of its denominators (`witness_points`), which leaves
+its centralizer as it is, so its brackets and ranks run on ints.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .cyclotomic import zeta_mul
 from .gradedlie import GradedAlgebra, LieElement
@@ -156,19 +162,30 @@ def slice_report(alg: GradedAlgebra, F: LieElement) -> dict:
 REGULARITY_WITNESSES = ((6, 1, 5, 6), (2, 5, 2, 1), (3, 1, 4, 6))
 
 
-def sampled_regularity(alg: GradedAlgebra, E: LieElement, basis) -> dict:
-    """Degree-0 centralizer dimension at the witness points of the affine
-    slice E + span(basis), ``basis`` the slice basis of ``slice_report``.
-    Generic slice points are regular, so one point of dimension 0 proves
-    the claim."""
-    deg0 = [("c", a) for a in range(8)] + \
-           [("r", i) for i in range(alg.n) if alg.degree[i] == 0]
-    deg1 = [("r", i) for i in range(alg.n) if alg.degree[i] == 1]
-    results = []
+def witness_points(E: LieElement, basis):
+    """E + sum c_i basis_i for each witness c, times the lcm D of the
+    denominators of its coefficients: D v has integral w-pairs, and
+    z(D v) = z(v) for D != 0, so ranks at D v are those at v."""
+    out = []
     for coeffs in REGULARITY_WITNESSES:
         v = E
         for b, c in zip(basis, coeffs):
             v = v + b * c
+        out.append(v * lcm(*(q.denominator for part in (v.cartan, v.roots)
+                               for pair in part.values() for q in pair)))
+    return out
+
+
+def sampled_regularity(alg: GradedAlgebra, E: LieElement, basis) -> dict:
+    """Degree-0 centralizer dimension at the witness points of the affine
+    slice E + span(basis), ``basis`` the slice basis of ``slice_report``,
+    taken at their integral multiples (`witness_points`).  Generic slice
+    points are regular, so one point of dimension 0 proves the claim."""
+    deg0 = [("c", a) for a in range(8)] + \
+           [("r", i) for i in range(alg.n) if alg.degree[i] == 0]
+    deg1 = [("r", i) for i in range(alg.n) if alg.degree[i] == 1]
+    results = []
+    for v in witness_points(E, basis):
         images = [alg.bracket(_slot_vector(alg, s), v) for s in deg0]
         dense = _dense_rows(images, deg1)
         results.append(len(deg0) - rank(dense, len(deg1)))

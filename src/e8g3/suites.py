@@ -282,7 +282,8 @@ def _case_lines(c):
              sorted(conds["capacity"]["slack"].values())[:1]),
             (f"case_{label}_wellformed", conds["well_formed"]["ok"],
              "fixture shape and closure"),
-            (f"case_{label}_intermediates", not sampled["failures"],
+            (f"case_{label}_intermediates", not sampled["failures"]
+             and sampled["count"] == vinberg.INTERMEDIATE_SAMPLES,
              f"{sampled['count']} sampled sets"),
         ]
     return lines

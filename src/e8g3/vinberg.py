@@ -3,7 +3,10 @@ complete cusp-certificate verification.
 
 Weights (i j k) embed into the lattice as e_i + e_j + e_k.  The partial
 order is coordinatewise; it agrees with the coweight-valued definition,
-and both are checked against each other.
+and both are checked against each other as 84 pairs of up-set masks.
+The coweight order's masks (`_coweight_order`) are the AND of one
+threshold mask and one residue-mod-9 mask per coordinate; the
+certificates' descent steps read the same masks.
 
 Weight sets are frozensets at the API (the layers of a CuspCase,
 `up_closure`, the criteria) and bit masks over ALL_WEIGHTS in every sweep
@@ -12,12 +15,15 @@ by popcounts; the mask tables are built on first use, so that importing
 this module costs the suites that never sweep nothing.
 
 Coweight coordinates are kept as integers scaled by 9.  Positivity has
-one kernel, `_certificate_positivity`: it sums a set's lattice vectors by
-popcounts and maps the sum to coweights once (the map is linear).  A
-certificate whose f has denominators dividing den is tested on the
-integer vector 9 * den * n, so every test is a sign or a divisibility by
-9; exact rational slack is built only for the report (the case sum,
-positivity and capacity slacks).
+one kernel, `_certificate_positivity`.  A certificate whose f has
+denominators dividing den is tested on the integer vector 9 * den * n,
+whose 8 coordinates the kernel packs into one int of biased lanes: the
+map to coweights is linear, so the pack is a sum of the packs of
+sum(Phi_G+), of e_1, ..., e_9 weighted by popcounts, and of the weights
+of f.  "All coordinates > 0" is then one test of the lanes' top bits,
+at a lane width chosen per call from a bound in den (`_lane_width`).
+Exact rational slack is built only for the report (the case sum,
+positivity and capacity slacks), read back from the lanes.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from . import cuspdata
 from .rootsys import (
     build_root_system,
     eij,
+    lanes,
     pairing,
     sub,
     weight_vector,
@@ -77,10 +84,36 @@ def _coweights9(v):
 _COWEIGHTS9 = {a: _coweights9(weight_vector(a)) for a in ALL_WEIGHTS}
 
 
-def leq_via_coweights(a, b) -> bool:
-    """b - a has integral, nonnegative coweight coordinates."""
-    return all(y - x >= 0 and (y - x) % 9 == 0
-               for x, y in zip(_COWEIGHTS9[a], _COWEIGHTS9[b]))
+@cache
+def _coweight_order(cws):
+    """The up-set {b : a <= b} of every weight a in the coweight order, as
+    a bit mask over ALL_WEIGHTS, for cws the 9 x coweight vectors of the
+    weights in the order of ALL_WEIGHTS.
+
+    a <= b when b - a has integral, nonnegative coweight coordinates, so
+    the up-set of a is the AND over i = 1..8 of two masks: the weights b
+    with cw_i(b) >= cw_i(a) and those with cw_i(b) = cw_i(a) (mod 9).
+    Keyed by the vectors themselves, so a changed table is read afresh."""
+    ups = [-1] * len(cws)
+    for col in zip(*cws):
+        at = {}
+        for j, t in enumerate(col):
+            at[t] = at.get(t, 0) | 1 << j
+        geq, acc = {}, 0
+        for t in sorted(at, reverse=True):
+            acc |= at[t]
+            geq[t] = acc
+        mod9 = {}
+        for t, m in at.items():
+            mod9[t % 9] = mod9.get(t % 9, 0) | m
+        for j, t in enumerate(col):
+            ups[j] &= geq[t] & mod9[t % 9]
+    return dict(zip(ALL_WEIGHTS, ups))
+
+
+def _coweight_up_masks():
+    """`_coweight_order` on the table _COWEIGHTS9 as it is when called."""
+    return _coweight_order(tuple(map(_COWEIGHTS9.__getitem__, ALL_WEIGHTS)))
 
 
 def phi_v_plus():
@@ -88,12 +121,16 @@ def phi_v_plus():
     return frozenset(a for a in ALL_WEIGHTS if x_value(weight_vector(a)) > 0)
 
 
-@cache
-def _up_masks():
-    """The up-set {b : a <= b} of every weight a, as a bit mask over
-    ALL_WEIGHTS (84 ints, where frozensets would hold ~160 KB)."""
+def _leq_masks():
+    """The up-set {b : a <= b} of every weight a under `leq` as it is when
+    called, as a bit mask over ALL_WEIGHTS."""
     return {a: sum(1 << i for i, b in enumerate(ALL_WEIGHTS) if leq(a, b))
             for a in ALL_WEIGHTS}
+
+
+# the sweeps' up-sets, built once (84 ints, where frozensets would hold
+# ~160 KB)
+_up_masks = cache(_leq_masks)
 
 
 def up_closure(gens):
@@ -167,11 +204,13 @@ def verify_s0_basis():
 
 
 def verify_leq_agreement():
+    """The pairs (a, b) on which `leq` and the coweight order disagree, a
+    first, each in the order of ALL_WEIGHTS: the two up-set masks of each
+    weight compared, the coordinatewise ones built from `leq` now."""
+    cw = _coweight_up_masks()
     bad = []
-    for a in ALL_WEIGHTS:
-        for b in ALL_WEIGHTS:
-            if leq(a, b) != leq_via_coweights(a, b):
-                bad.append((a, b))
+    for a, up in _leq_masks().items():
+        bad += [(a, b) for b in mask_weights(up ^ cw[a])]
     return bad
 
 
@@ -271,17 +310,61 @@ def _scaled(f_map):
                  for a, f in f_map.items()}
 
 
-def _certificate_positivity(m0, den, fd):
+def _lane_width(den, size):
+    """The lane width in bits for `_certificate_positivity` on an f made
+    integral by den, with size at least sum(|den * f(a)|) over its pairs.
+
+    A coordinate x_i = 9 den n_i is sum_k v_k cw9(e_k)_i, where v is
+    den (sum(Phi_G+) - sum(M0)) + sum den f(a) a and |cw9(e_k)_i| <= 8.
+    Coordinate k of sum(Phi_G+) is 2k - 10 (40 in absolute sum), sum(M0)
+    has coordinate sum 3 |M0| <= 252 and each weight three coordinates 1,
+    so |x_i| <= B = 8 (292 den + 3 size).  At B.bit_length() + 1 bits every
+    biased lane x_i + 2^(bits-1) - 1 lies in [0, 2^bits): the packing is
+    one-to-one, and the top bit of a lane is set exactly when x_i > 0."""
+    return (8 * (292 * den + 3 * size)).bit_length() + 1
+
+
+@cache
+def _lane_tables(bits):
+    """At `bits`-bit lanes (`lanes`): the packs of 9 x the coweight
+    coordinates of sum(Phi_G+), of e_1, ..., e_9 and of each weight, and
+    the bias 2^(bits-1) - 1 and the top bit 2^(bits-1) in all 8 lanes."""
+    units = [lanes(_coweights9(tuple(int(t == k) for t in range(9))), bits)
+             for k in range(9)]
+    top = 1 << bits - 1
+    return (lanes(_coweights9(sum_phi_g_plus()), bits), units,
+            {a: sum(units[i - 1] for i in a) for a in ALL_WEIGHTS},
+            lanes((top - 1,) * 8, bits), lanes((top,) * 8, bits))
+
+
+def _certificate_positivity(m0, den, fd, bits):
     """9 * den x the coweight coordinates of
-    sum(Phi_G+) - sum(M0) + sum f(a) a, for the bit mask m0 of M0 and the
-    pairs (a, den * f(a)) fd of an f made integral by den: coordinate k of
-    sum(M0) is the popcount of m0 on the weights that contain k."""
-    v = [den * (p - (m0 & m).bit_count())
-         for p, m in zip(sum_phi_g_plus(), _index_masks())]
+    sum(Phi_G+) - sum(M0) + sum f(a) a, each biased by 2^(bits-1) - 1 and
+    packed in `bits`-bit lanes, for the bit mask m0 of M0, the pairs
+    (a, den * f(a)) fd of an f made integral by den and bits from
+    `_lane_width`.  Coordinate k of sum(M0) is the popcount of m0 on the
+    weights that contain k, and the map to coweights is linear, so the
+    vector is a sum of packs."""
+    phi, units, packs, bias, _ = _lane_tables(bits)
+    x = den * (phi - sum((m0 & m).bit_count() * u
+                         for m, u in zip(_index_masks(), units))) + bias
     for a, k in fd:
-        for i in a:
-            v[i - 1] += k
-    return _coweights9(v)
+        x += k * packs[a]
+    return x
+
+
+def _positive(x, bits):
+    """Whether every coordinate packed in x by `_certificate_positivity` at
+    `bits` bits is > 0: every lane has its top bit."""
+    top = _lane_tables(bits)[4]
+    return x & top == top
+
+
+def _unpack(x, bits):
+    """The 8 coordinates packed in x by `_certificate_positivity` at
+    `bits` bits, as ints."""
+    lane, bias = (1 << bits) - 1, (1 << bits - 1) - 1
+    return tuple((x >> bits * i & lane) - bias for i in range(8))
 
 
 def verify_cusp_case(case: CuspCase) -> dict:
@@ -303,22 +386,24 @@ def verify_cusp_case(case: CuspCase) -> dict:
     res["conditions"]["sum_bound"] = {"ok": slack > 0, "slack": slack}
 
     den, fd = _scaled(case.f_prime)
-    pos = _certificate_positivity(_mask(case.m0_prime), den, fd.items())
+    bits = _lane_width(den, sum(map(abs, fd.values())))
+    pos = _certificate_positivity(_mask(case.m0_prime), den, fd.items(), bits)
     res["conditions"]["positivity"] = {
-        "ok": all(v > 0 for v in pos),
-        "slack": tuple(Fraction(v, 9 * den) for v in pos),
+        "ok": _positive(pos, bits),
+        "slack": tuple(Fraction(v, 9 * den) for v in _unpack(pos, bits)),
     }
 
-    # each step must drop strictly in the coweight order: the induction
-    # bound only needs <alpha - g(alpha), coweight> >= 0 in every slot
+    # each step must drop strictly in the coweight order (a in the up-set
+    # of g(a), and a != g(a)): the induction bound only needs
+    # <alpha - g(alpha), coweight> >= 0 in every slot
     # (the table includes steps across two simple roots, so literal
     # root-membership is logged as a note rather than enforced)
     root_vecs = set(phi_g_plus_vectors())
+    ups, bit = _coweight_up_masks(), _bits()
     bad_steps = []
     nonroot_steps = []
     for a, b in case.g.items():
-        step = [x - y for x, y in zip(_COWEIGHTS9[a], _COWEIGHTS9[b])]
-        if not (all(v >= 0 and v % 9 == 0 for v in step) and any(step)):
+        if a == b or not ups[b] & bit[a]:
             bad_steps.append(a)
         elif sub(weight_vector(a), weight_vector(b)) not in root_vecs:
             nonroot_steps.append((a, b))
@@ -396,24 +481,28 @@ def intermediate_check(case: CuspCase):
     (sum_ok, positivity_ok, nonneg_ok) for M0 and the f that the case
     derives for it, f' less one at g(b) for every b of M0' outside M0.
 
-    f' less an integer keeps its denominators, so den, den * f' and the
-    masks of the g-preimages of each M1' weight are built once.
+    f' less an integer keeps its denominators, so den, den * f', the
+    masks of the g-preimages of each M1' weight and the lane width are
+    built once.
     """
     den, fd = _scaled({a: case.f_prime[a] for a in case.m1_prime})
     preimages = dict.fromkeys(fd, 0)
-    bits = _bits()
+    bit = _bits()
     for b, a in case.g.items():
         if a in preimages:
-            preimages[a] |= bits[b]
-    slots = [(a, fd[a], preimages[a]) for a in fd]
+            preimages[a] |= bit[b]
+    slots = [(fd[a], preimages[a]) for a in fd]
     outer = _mask(case.m0_prime)
+    # |k - den * popcount| <= |k| + den |preimages| for every set
+    bits = _lane_width(den, sum(abs(k) + den * pre.bit_count()
+                                for k, pre in slots))
 
     def check(m0):
         removed = outer & ~m0
-        f = [(a, k - den * (removed & pre).bit_count()) for a, k, pre in slots]
-        return (sum(k for _, k in f) < den * m0.bit_count(),
-                all(x > 0 for x in _certificate_positivity(m0, den, f)),
-                all(k >= 0 for _, k in f))
+        ks = [k - den * (removed & pre).bit_count() for k, pre in slots]
+        pos = _certificate_positivity(m0, den, zip(fd, ks), bits)
+        return (sum(ks) < den * m0.bit_count(), _positive(pos, bits),
+                min(ks, default=0) >= 0)
     return check
 
 
@@ -423,10 +512,10 @@ SMALL_SET_SIZE = 10
 def verify_small_sets() -> dict:
     """Every up-closed set of size <= SMALL_SET_SIZE passes with f = 0."""
     sets = enumerate_up_closed(SMALL_SET_SIZE)
-    failures = []
-    for m0 in sets:
-        if not all(v > 0 for v in _certificate_positivity(m0, 1, ())):
-            failures.append(mask_weights(m0))
+    bits = _lane_width(1, 0)
+    failures = [mask_weights(m0) for m0 in sets
+                if not _positive(_certificate_positivity(m0, 1, (), bits),
+                                 bits)]
     return {"enumerated": len(sets), "failures": failures}
 
 
@@ -466,9 +555,9 @@ def verify_cusp_bound() -> dict:
     for case in build_base_cases() + build_boundary_cases():
         res = verify_cusp_case(case)
         check = intermediate_check(case)
-        inter_fail = [mask_weights(m0) for m0 in intermediate_masks(case)
-                      if not all(check(m0))]
-        res["sampled_intermediates"] = {"count": INTERMEDIATE_SAMPLES,
+        masks = intermediate_masks(case)
+        inter_fail = [mask_weights(m0) for m0 in masks if not all(check(m0))]
+        res["sampled_intermediates"] = {"count": len(masks),
                                         "failures": inter_fail}
         report["cases"].append(res)
     report["small_sets"] = verify_small_sets()

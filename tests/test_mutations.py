@@ -91,6 +91,27 @@ def _lower_case1_f_prime(monkeypatch):
     monkeypatch.setattr(vinberg, "build_boundary_cases", lowered)
 
 
+def _flip_one_leq_pair(monkeypatch):
+    # (1 2 3) <= (1 2 4) read as false, at call time of the check
+    leq = vinberg.leq
+    monkeypatch.setattr(vinberg, "leq", lambda a, b: leq(a, b) != (
+        (a, b) == ((1, 2, 3), (1, 2, 4))))
+
+
+def _shift_one_coweight(monkeypatch):
+    # 9 x the first coweight coordinate of (1 2 3) raised by 9: still
+    # integral, but (1 2 3) no longer lies below the weights containing 1
+    cw = vinberg._COWEIGHTS9[(1, 2, 3)]
+    monkeypatch.setitem(vinberg._COWEIGHTS9, (1, 2, 3), (cw[0] + 9, *cw[1:]))
+
+
+def _truncate_intermediates(monkeypatch):
+    # 99 of the 100 sampled sets, all of which pass
+    masks = vinberg.intermediate_masks
+    monkeypatch.setattr(vinberg, "intermediate_masks",
+                        lambda case: masks(case)[:99])
+
+
 def _irregular_slice_point(monkeypatch):
     # E without one basis root and with no slice part: not a regular point
     regularity = kostant.sampled_regularity
@@ -492,6 +513,16 @@ MUTATIONS = [
     # cusp/case_<label>_intermediates: the sampled sets derive f from f'
     ("cusp_case_intermediates", _lower_case1_f_prime, "cusp",
      "case_case1_intermediates"),
+    # cusp/case_<label>_intermediates: a sweep of 99 sets has not swept
+    # the 100 the line claims
+    ("cusp_case_intermediates_count", _truncate_intermediates, "cusp",
+     "case_f1_intermediates"),
+    # cusp/order_agreement compares the coordinatewise order, read from
+    # `leq` as the check runs, with the coweight order of _COWEIGHTS9
+    ("cusp_order_agreement_leq", _flip_one_leq_pair, "cusp",
+     "order_agreement"),
+    ("cusp_order_agreement_coweights", _shift_one_coweight, "cusp",
+     "order_agreement"),
     # gradedlie/lambda_twists: a root bracket redirected to the negative
     # root breaks the class twist there (redirecting it to the w-image
     # would not, since w fixes classes)

@@ -60,12 +60,23 @@ def check_direct_certificate(m0, f_map):
     """The two conditions of the cusp bound for a concrete (M0, f), and
     f >= 0."""
     den, fd = vinberg._scaled(f_map)
-    pos = vinberg._certificate_positivity(vinberg._mask(m0), den, fd.items())
     return {
         "sum_ok": sum(fd.values()) < den * len(m0),
-        "positivity_ok": all(v > 0 for v in pos),
+        "positivity_ok": all(v > 0 for v in _positivity_lanes(m0, den, fd)),
         "nonneg_ok": all(v >= 0 for v in fd.values()),
     }
+
+
+def _positivity_lanes(m0, den, fd):
+    """The 8 coordinates of the positivity kernel on the set m0 and the
+    integral f fd, read back from its lanes, whose packed sign test must
+    agree with their signs."""
+    bits = vinberg._lane_width(den, sum(map(abs, fd.values())))
+    x = vinberg._certificate_positivity(vinberg._mask(m0), den, fd.items(),
+                                        bits)
+    pos = vinberg._unpack(x, bits)
+    assert vinberg._positive(x, bits) == all(v > 0 for v in pos), pos
+    return pos
 
 
 def up_closed_sets(max_size):
@@ -324,8 +335,7 @@ def _oracle_positivity(m0, f_map):
 def _integer_matches_oracle(m0, f_map):
     den, fd = vinberg._scaled(f_map)
     return (fd == {a: f * den for a, f in f_map.items()}
-            and vinberg._certificate_positivity(vinberg._mask(m0), den,
-                                                fd.items())
+            and _positivity_lanes(m0, den, fd)
             == tuple(9 * den * c for c in _oracle_positivity(m0, f_map)))
 
 
@@ -337,12 +347,30 @@ def test_positivity_kernel_on_each_case(case):
 
 def test_positivity_kernel_on_the_small_sets():
     # every small set with f = 0, as verify_small_sets reads it
-    sets = enumerate_up_closed(vinberg.SMALL_SET_SIZE)
+    sets = [frozenset(vinberg.mask_weights(m))
+            for m in enumerate_up_closed(vinberg.SMALL_SET_SIZE)]
     assert len(sets) == 72
-    assert all(vinberg._certificate_positivity(m, 1, ())
-               == tuple(9 * c for c in _oracle_positivity(
-                   vinberg.mask_weights(m), {}))
+    assert all(_positivity_lanes(m, 1, {})
+               == tuple(9 * c for c in _oracle_positivity(m, {}))
                for m in sets)
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["tiny_f", "f_prime_plus"])
+def test_lane_width_grows_with_den(shift):
+    # f of eight prime denominators above 512 makes den > 2^64, so the
+    # coordinates pass 2^63 and no 32- or 64-bit lane holds them; the
+    # lanes still read back every coordinate of the oracle, and the sign
+    # test fails M0' under a tiny f and passes it under f' plus it
+    case = CASES[0]
+    primes = (521, 523, 541, 547, 557, 563, 569, 571)
+    f_map = {a: shift * case.f_prime[a] + Fraction(1, p)
+             for a, p in zip(case.m1_prime, primes)}
+    den, fd = vinberg._scaled(f_map)
+    oracle = tuple(9 * den * c for c in _oracle_positivity(case.m0_prime,
+                                                           f_map))
+    assert den > 2 ** 64 and max(map(abs, oracle)) > 2 ** 63
+    assert _positivity_lanes(case.m0_prime, den, fd) == oracle
+    assert all(v > 0 for v in oracle) == bool(shift)
 
 
 @st.composite
@@ -547,6 +575,80 @@ def test_two_models_are_compared_with_each_other(monkeypatch):
         {**table, "slice_dim": 4}, 9)
     assert not kostant.cross_check_with_wedge_model(
         {**table, "slice_degrees": [1, 2, 3, 4, 6]}, 9)
+
+
+def fraction_witness_points(E, basis):
+    """Oracle: the witness points E + sum c_i basis_i themselves, with the
+    rational coefficients of the slice basis."""
+    from e8g3.kostant import REGULARITY_WITNESSES
+    out = []
+    for coeffs in REGULARITY_WITNESSES:
+        v = E
+        for b, c in zip(basis, coeffs):
+            v = v + b * c
+        out.append(v)
+    return out
+
+
+def centralizer_dims(alg, points):
+    """Oracle: dim z(v) in degree 0 at each point v, as the 80 degree-0
+    basis elements less the rank of their brackets with v."""
+    from e8g3.intlinalg import rank
+    from e8g3.kostant import _dense_rows, _slot_vector
+    deg0 = [("c", a) for a in range(8)] + [
+        ("r", i) for i in range(alg.n) if alg.degree[i] == 0]
+    deg1 = [("r", i) for i in range(alg.n) if alg.degree[i] == 1]
+    return [len(deg0) - rank(_dense_rows(
+        [alg.bracket(_slot_vector(alg, s), v) for s in deg0], deg1),
+        len(deg1)) for v in points]
+
+
+@pytest.fixture(scope="module")
+def slice_data():
+    from e8g3 import kostant
+    from e8g3.gradedlie import get_algebra
+    alg = get_algebra()
+    E, _, F = kostant.build_triple(alg)
+    return alg, E, kostant.slice_report(alg, F)["slice_basis"]
+
+
+def test_witness_points_are_integral_multiples(slice_data):
+    # each point is the rational witness point times a positive integer,
+    # read off E's coefficient 1 at a basis root, and has int coefficients
+    from e8g3 import kostant
+    alg, E, basis = slice_data
+    points = kostant.witness_points(E, basis)
+    fractional = fraction_witness_points(E, basis)
+    assert any(type(x) is not int for v in fractional
+               for pair in v.roots.values() for x in pair)
+    for v, u in zip(points, fractional):
+        assert all(type(x) is int for part in (v.cartan, v.roots)
+                   for pair in part.values() for x in pair)
+        scale = v.roots[min(E.roots)][0]
+        assert scale > 1 and v == u * scale
+    # scaling changes no dimension
+    assert centralizer_dims(alg, points) == centralizer_dims(
+        alg, fractional) == [0, 0, 0]
+
+
+def test_regularity_is_settled_mod_seven(monkeypatch, slice_data):
+    # the mod-(7, w - 2) certificate gives full rank at all three integral
+    # points, so no exact elimination runs
+    from e8g3 import intlinalg, kostant
+    alg, E, basis = slice_data
+    calls = []
+    rref = intlinalg.rref
+
+    def counted(rows, width):
+        calls.append(width)
+        return rref(rows, width)
+    monkeypatch.setattr(intlinalg, "rref", counted)
+    assert kostant.sampled_regularity(alg, E, basis) == {
+        "centralizer_dims": [0, 0, 0], "ok": True}
+    assert calls == []
+    # the wrapper sees a rank that the certificate leaves open
+    assert intlinalg.rank([[(1, 0), (2, 0)], [(2, 0), (4, 0)]], 2) == 1
+    assert calls == [2]
 
 
 def ad_e_nilpotency_index(alg):
