@@ -159,9 +159,10 @@ class GradedAlgebra:
             cocycle_i = COCYCLE[cls[i]]
             PR_i, PR_wi = PR[i], PR[w[i]]
             kind_i, out_i, scl_i = kind[i], out[i], scl[i]
-            sums = self.rs.sum_row(i)
-            # the only nonzero brackets: the 57 roots pairing negatively
+            # the only nonzero brackets: the 57 roots pairing negatively, of
+            # which the root-valued ones read the root sums
             negative = list(compress(range(n), map((0).__gt__, PR_i)))
+            summed = []
             for j in negative:
                 p = PR_i[j]
                 if p == -2:
@@ -175,8 +176,10 @@ class GradedAlgebra:
                     # section cocycle; sign (-1)^((a, wb))
                     pw = (p - PR_wi[j] + cocycle_i[cls[j]]) % 3
                     kind_i[j] = 1
-                    out_i[j] = sums[j]
+                    summed.append(j)
                     scl_i[j] = pw + 3 * (PR_i[w[j]] % 2)
+            for j, m in zip(summed, self.rs.sum_row(i, summed)):
+                out_i[j] = m
             nbr.append(bytes(negative))
         self.kind = kind
         self.out = out

@@ -9,12 +9,14 @@ symplectic coordinates (e1, e2, f1, f2), and its commutator FORM, the
 symplectic pairing inherited from the lattice.  A linear map is the tuple
 of its column codes, acted on through the 81-entry table `action` builds.
 The group has 243 elements (k, v) with k in Z/3 central, each held as the
-int code 81 k + class_code(v); multiplication (`code_product`) twists by
-the cocycle.  The representation acts on functions on F_3^2 by
-translations (e-part) and characters (f-part); every group element maps
-to a monomial matrix (`Mono`), the bytes of its column codes, and a
-product is one `bytes.translate` of the right factor's codes through the
-left factor's 256-byte table, which keeps all sweeps exact and fast.
+int code 81 k + class_code(v); multiplication twists by the cocycle, and
+is held a row at a time: `product_row` gives all 243 products with one
+left factor, and `code_product` one entry of that row.  The
+representation acts on functions on F_3^2 by translations (e-part) and
+characters (f-part); every group element maps to a monomial matrix
+(`Mono`), the bytes of its column codes, and a product is one
+`bytes.translate` of the right factor's codes through the left factor's
+256-byte table, which keeps all sweeps exact and fast.
 """
 
 from __future__ import annotations
@@ -92,9 +94,13 @@ COCYCLE = tuple(bytes((a * u[2] + b * u[3]) % 3 for u in CLASSES)
                 for a, b, _, _ in CLASSES)
 FORM = tuple(bytes((a * u[2] + b * u[3] - c * u[0] - d * u[1]) % 3
                    for u in CLASSES) for a, b, c, d in CLASSES)
-# _LAW[81 * v + u] = 81 * c(v, u) + code of v + u, for class codes v, u
+# _LAW[81 * v + u] = 81 * c(v, u) + code of v + u, for class codes v, u;
+# _CENTRE[t] moves the centre of an element code by t, as a
+# `bytes.translate` table ((x + 81 t) % 243 at x < 243)
 _LAW = bytes(81 * c + s for cs, ss in zip(COCYCLE, VEC_ADD)
              for c, s in zip(cs, ss))
+_CENTRE = tuple(bytes((x + 81 * t) % 243 for x in range(256))
+                for t in range(3))
 
 
 def action(cols):
@@ -106,11 +112,32 @@ def action(cols):
     return act
 
 
+@cache
+def _law_rows(law: bytes) -> tuple:
+    """The group law laid out as _LAW, a row at a time: row g holds the
+    codes of g h for h = 0, ..., 242.  The row of `law` at the class of g
+    holds the products with the 81 classes, and each centre of h moves it
+    by one translate."""
+    rows = []
+    for g in range(243):
+        k, v = divmod(g, 81)
+        row = law[81 * v:81 * v + 81]
+        rows.append(b"".join([row.translate(_CENTRE[(k + t) % 3])
+                              for t in range(3)]))
+    return tuple(rows)
+
+
+def product_row(g: int) -> bytes:
+    """The codes of g h for h = 0, ..., 242, in order: the centres add with
+    the cocycle of the classes, and the classes add.  Read from the law in
+    _LAW when called; the rows of each law are built once."""
+    return _law_rows(_LAW)[g]
+
+
 def code_product(g: int, h: int) -> int:
-    """Code of the product of the elements coded g and h: the centres add
-    with the cocycle of the classes, and the classes add."""
-    v, u = g % 81, h % 81
-    return (g - v + h - u + _LAW[81 * v + u]) % 243
+    """Code of the product of the elements coded g and h: entry h of
+    `product_row` at g."""
+    return product_row(g)[h]
 
 
 def code_inverse(g: int) -> int:

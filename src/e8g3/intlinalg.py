@@ -284,19 +284,22 @@ def rank(rows, width):
     Over Q(w) the rank is first taken modulo p = (7, w - 2): a full rank
     there is the exact rank, since a minor that is nonzero mod p is nonzero.
     Any other outcome, or an entry that is not 7-integral, falls back to
-    exact elimination.
+    exact elimination.  Each distinct entry is mapped to F_7 once, and
+    rref_mod reads the images as it copies the rows.
     """
     if _over_qw(rows):
-        reduced = [[reduce_mod_p7(x) for x in row] for row in rows]
-        if all(None not in row for row in reduced):
-            r = len(rref_mod(reduced, width, 7)[1])
+        image = {x: reduce_mod_p7(x) for x in set().union(*rows)}
+        if None not in image.values():
+            r = len(rref_mod([map(image.__getitem__, row) for row in rows],
+                             width, 7)[1])
             if r == min(len(rows), width):
                 return r
     return len(rref(rows, width)[1])
 
 
 def rref_mod(rows, width, p):
-    """Reduced row echelon form of dense integer rows over F_p, p prime.
+    """Reduced row echelon form of dense integer rows over F_p, p prime;
+    a row may be any iterable of its entries.
 
     Each row step touches only the columns where the pivot row is nonzero.
     Entries come back reduced into range(p).  Returns

@@ -32,8 +32,6 @@ FORMAT_VERSION = 1
 # root basis used throughout, in this fixed order
 S0_TRIPLES = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
               (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6))
-# the same triples as 0-based coordinate slots
-_BASIS_SLOTS = tuple((i - 1, j - 1, k - 1) for i, j, k in S0_TRIPLES)
 # the pairings of one root with all 240, as sorted (value, count) pairs
 E8_ROW = ((-2, 1), (-1, 56), (0, 126), (1, 56), (2, 1))
 
@@ -76,13 +74,24 @@ def lanes(values, bits: int) -> int:
     return code
 
 
+def unlanes(code: int, bits: int, n: int) -> tuple:
+    """The n lanes of code, at `bits` bits, each less 2**(bits - 1): the
+    values v back from lanes(v, bits) + lanes([2**(bits - 1)] * n, bits)
+    when every entry of v lies in [-2**(bits - 1), 2**(bits - 1))."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    return tuple((code >> bits * s & mask) - half for s in range(n))
+
+
 # the 3-bit pack of the all-ones vector; the canonical sum of two roots has
 # coordinates in [-3, 2], where 3-bit lanes are one-to-one
 _PACKED_ONES = lanes((1,) * 9, 3)
 
 
-# a root pairing p is kept in its lane as p + 2, in [0, 4]
-_LANE_PAIRING = (-2, -1, 0, 1, 2)
+# a root pairing p is kept in its 8-bit lane as the byte p + 2, in [0, 4];
+# translated through this table the byte b becomes b - 2 as a two's
+# complement byte, so the lanes 0..4 read back as -2..2 and every other
+# lane as a value outside [-2, 2], which no pairing of roots takes
+_LANE_PAIRING = bytes((b - 2) % 256 for b in range(256))
 
 
 def weight_vector(triple):
@@ -144,9 +153,7 @@ class RootSystem:
         # the basis coordinates of every root, and w on the roots read off
         # them: w maps coordinates to coordinates
         self.coords = self._root_coords()
-        position = {c: i for i, c in enumerate(self.coords)}
-        self.w_on_roots = tuple(position.get(tuple(mat_vec(self.w, c)))
-                                for c in self.coords)
+        self.w_on_roots = self._w_on_roots()
         self._validate_w()
 
         snf_d, self.snf_u, _ = smith_normal_form(mat_sub(self.w, identity(8)))
@@ -162,14 +169,46 @@ class RootSystem:
         return tuple(mat_vec(self.gram_inv, pairs))
 
     def _root_coords(self):
-        """`to_basis` of every root, in the order of `roots`.  The pairing
-        of a root r with a basis root e_i + e_j + e_k is
-        r_i + r_j + r_k - sum(r) / 3."""
-        return tuple(
-            tuple(mat_vec(self.gram_inv,
-                          [r[i] + r[j] + r[k] - sum(r) // 3
-                           for i, j, k in _BASIS_SLOTS]))
-            for r in self.roots)
+        """`to_basis` of every root, in the order of `roots`, read from
+        packed lanes.
+
+        The pairing of a root r with a basis root is (B r)_t - sum(r) / 3,
+        B the 8 x 9 matrix of the basis, so the coordinates of r are
+        sum(r_x G_x) - sum(r) / 3 * G_9 over the columns G_x of gram_inv B
+        and G_9 = gram_inv (1, ..., 1).  Each column is packed (`lanes`) at
+        a width past m (|r_1| + ... + |r_9| + |sum(r)| / 3) for every
+        root, m the largest entry of a column in absolute value, which
+        bounds every coordinate; the sum, biased by 2**(bits - 1) in each
+        lane, reads back by `unlanes`.
+        """
+        gi = self.gram_inv
+        n = len(gi)
+        cols = [*zip(*mat_mul(gi, self.basis)), [sum(row) for row in gi]]
+        terms = [(*r, -(sum(r) // 3)) for r in self.roots]
+        bound = (max(abs(x) for col in cols for x in col)
+                 * max(sum(map(abs, t)) for t in terms))
+        bits = bound.bit_length() + 1
+        packed = [lanes(col, bits) for col in cols]
+        bias = lanes([1 << (bits - 1)] * n, bits)
+        return tuple(unlanes(sum(map(mul, t, packed)) + bias, bits, n)
+                     for t in terms)
+
+    def _w_on_roots(self):
+        """The index of w r for every root r, None where w r is no root.
+
+        The coordinates w c are sum(c_t W_t) over the columns W_t of w, each
+        packed (`lanes`) at a width past max|c| times the largest absolute
+        row sum of w, which bounds the entries of every c and of every
+        w c, for any integer w; so w c is a root's coordinates exactly when
+        its pack is that root's pack.
+        """
+        top = max(abs(x) for c in self.coords for x in c)
+        bound = top * max(1, max(sum(map(abs, row)) for row in self.w))
+        bits = bound.bit_length() + 1
+        position = {lanes(c, bits): i for i, c in enumerate(self.coords)}
+        cols = [lanes(col, bits) for col in zip(*self.w)]
+        return tuple(position.get(sum(map(mul, c, cols)))
+                     for c in self.coords)
 
     def from_basis(self, coords):
         acc = [0] * 9
@@ -187,9 +226,10 @@ class RootSystem:
         of roots, each packed into 8-bit lanes (`lanes`), and the column
         of every root's sum / 3: row i, for root r, is the sum of r_k times
         column k less sum(r) / 3 times that column, which is `pairing` of
-        r with every root, plus 2 in every lane, so each lane reads back as
-        one byte.  The rows are immutable because every reader of the root
-        system shares them.
+        r with every root, plus 2 in every lane, so each lane is one byte.
+        The row is those bytes translated to two's complement bytes
+        (`_LANE_PAIRING`) and read as signed bytes.  The rows are immutable
+        because every reader of the root system shares them.
         """
         roots = self.roots
         n = len(roots)
@@ -202,21 +242,21 @@ class RootSystem:
             for x, col in zip(r, cols):
                 if x:
                     acc += x * col
-            rows.append(tuple(map(_LANE_PAIRING.__getitem__,
-                                  acc.to_bytes(n, "little"))))
+            rows.append(tuple(memoryview(
+                acc.to_bytes(n, "little").translate(_LANE_PAIRING)).cast("b")))
         return tuple(rows)
 
-    def sum_row(self, i):
+    def sum_row(self, i, cols):
         """Index of root i + root j, or None where the sum is no root, for
-        every j in the order of `roots`.
+        each index j of cols, in their order.
 
         The canonical sum is the packed sum, less the packed all-ones vector
         when the coordinate sums reach 9 (`lanes` is linear).  The row is
         computed on each call and not kept.
         """
-        return list(map(self._packed_index.get,
-                        map(self._packed[i].__add__,
-                            self._packed_shifted[sum(self.roots[i]) // 3])))
+        get, packed = self._packed_index.get, self._packed[i]
+        shifted = self._packed_shifted[sum(self.roots[i]) // 3]
+        return [get(packed + shifted[j]) for j in cols]
 
     def _reflection_matrix(self, k):
         """The reflection in basis root k on basis coordinates: x goes to

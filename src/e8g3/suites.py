@@ -125,7 +125,8 @@ ROOTSYS = (
      lambda c: (not vinberg.verify_intersection_table(),
                 "all 84^2 weight pairs")),
     ("sum_rule_iff_pairing_minus_one", lambda c: (all(
-        [p == -1 for p in row] == [m is not None for m in c.rs.sum_row(i)]
+        [p == -1 for p in row]
+        == [m is not None for m in c.rs.sum_row(i, range(len(row)))]
         for i, row in enumerate(c.rs.pairs)), "240^2 sweep")),
     ("per_root_pairing_statistics", lambda c: (all(
         Counter(row) == dict(rs_mod.E8_ROW) for row in c.rs.pairs),
@@ -181,11 +182,11 @@ def _symplectic_basis(c):
 
 def _rep_homomorphism(c):
     # the column codes of rho(g) rho(h), for all h at once, are those of
-    # every rho(h) translated through the table of rho(g)
-    product = heis.code_product
+    # every rho(h) translated through the table of rho(g), and those of
+    # rho(g h) are read at the row of products with g
     codes = [m.codes for m in c.reps]
     return (all(list(map(bytes.translate, codes, repeat(m.table(), 243)))
-                == [codes[product(g, h)] for h in range(243)]
+                == list(map(codes.__getitem__, heis.product_row(g)))
                 for g, m in enumerate(c.reps)), "all 243^2 pairs")
 
 

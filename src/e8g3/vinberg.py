@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
+from operator import itemgetter
 
 from . import cuspdata
 from .rootsys import (
@@ -43,6 +44,7 @@ from .rootsys import (
     lanes,
     pairing,
     sub,
+    unlanes,
     weight_vector,
 )
 
@@ -215,13 +217,21 @@ def verify_leq_agreement():
 
 
 def verify_intersection_table():
-    """Weight pairs (a, b) whose lattice pairing is not |a & b| - 1."""
-    weights = [(a, weight_vector(a), set(a)) for a in ALL_WEIGHTS]
+    """Weight pairs (a, b) whose lattice pairing is not |a & b| - 1, each in
+    the order of ALL_WEIGHTS.  The pairings are the weight-weight block of
+    the root system's pair table, read a row at a time as the check runs,
+    and |a & b| is the popcount of the AND of the weights' 9-bit masks."""
+    rs = build_root_system()
+    cols = [rs.index[weight_vector(a)] for a in ALL_WEIGHTS]
+    masks = [sum(1 << (i - 1) for i in a) for a in ALL_WEIGHTS]
+    block = itemgetter(*cols)
     bad = []
-    for a, va, sa in weights:
-        for b, vb, sb in weights:
-            if pairing(va, vb) != len(sa & sb) - 1:
-                bad.append((a, b))
+    for a, i, m in zip(ALL_WEIGHTS, cols, masks):
+        got = block(rs.pairs[i])
+        want = tuple((m & n).bit_count() - 1 for n in masks)
+        if got != want:
+            bad += [(a, b) for b, p, q in zip(ALL_WEIGHTS, got, want)
+                    if p != q]
     return bad
 
 
@@ -238,10 +248,10 @@ def check_gamma_criterion(gamma, M) -> bool:
     """True iff every weight a with a + gamma a root lies in M, for a root
     gamma."""
     rs = build_root_system()
-    sums = rs.sum_row(rs.index[gamma])
+    sums = rs.sum_row(rs.index[gamma],
+                      [rs.index[weight_vector(a)] for a in ALL_WEIGHTS])
     M = frozenset(M)
-    return all(a in M for a in ALL_WEIGHTS
-               if sums[rs.index[weight_vector(a)]] is not None)
+    return all(a in M for a, m in zip(ALL_WEIGHTS, sums) if m is not None)
 
 
 # -- cusp cases ---------------------------------------------------------------
@@ -362,9 +372,9 @@ def _positive(x, bits):
 
 def _unpack(x, bits):
     """The 8 coordinates packed in x by `_certificate_positivity` at
-    `bits` bits, as ints."""
-    lane, bias = (1 << bits) - 1, (1 << bits - 1) - 1
-    return tuple((x >> bits * i & lane) - bias for i in range(8))
+    `bits` bits, as ints: its bias is one less than the one `unlanes` takes
+    off."""
+    return tuple(v + 1 for v in unlanes(x, bits, 8))
 
 
 def verify_cusp_case(case: CuspCase) -> dict:

@@ -736,3 +736,39 @@ def test_corrupted_fixture_fails_its_check(tmp_path, capsys, field, check):
     status = {c["name"]: c["status"]
               for c in json.loads(out.read_text())["checks"]}
     assert status[check] == "fail"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_library_reads_no_private_name_of_another_module():
+    # a module's _private names are its own: another module reaches its
+    # kernels through their public names (`RootSystem.sum_row`,
+    # `heis.product_row`), never through `rs._packed` or `heis._LAW`.  A
+    # private attribute read is allowed only where its own module binds a
+    # name or sets an attribute of that name
+    found = []
+    for path in sorted(Path(SRC, "e8g3").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                own.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Store):
+                own.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("e8g3")):
+                found += [f"{path.name}:{node.lineno} imports {a.name}"
+                          for a in node.names if _is_private(a.name)]
+            elif (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                  and node.attr not in own):
+                found.append(f"{path.name}:{node.lineno} reads "
+                             f"{ast.unparse(node)}")
+    assert found == []

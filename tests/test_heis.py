@@ -14,6 +14,7 @@ from e8g3.heis import (
     class_code,
     code_inverse,
     code_product,
+    product_row,
     svn_rep,
     symplectic_basis,
 )
@@ -63,11 +64,15 @@ def test_codes_are_the_tuple_indices():
 
 
 def test_code_product_matches_tuple_law():
+    # the law a row at a time, and an entry at a time, on all 243^2 pairs
     index = {g: c for c, g in enumerate(ELEMENTS)}
     identity = ELEMENTS[0]
     for c, g in enumerate(ELEMENTS):
         gi = ELEMENTS[code_inverse(c)]
         assert _tuple_product(g, gi) == _tuple_product(gi, g) == identity
+        row = product_row(c)
+        assert type(row) is bytes
+        assert list(row) == [index[_tuple_product(g, h)] for h in ELEMENTS]
         for d, h in enumerate(ELEMENTS):
             assert code_product(c, d) == index[_tuple_product(g, h)]
 

@@ -189,13 +189,15 @@ def _flip_mobius_on_planes(monkeypatch):
 
 def _shift_one_product(monkeypatch):
     # one of the 243^2 products, of the elements coded 100 and 200, gets
-    # its central part moved by one
-    mul = heis.code_product
+    # its central part moved by one in the row of products with 100
+    row = heis.product_row
 
-    def shifted(g, h):
-        gh = mul(g, h)
-        return (gh + 81) % 243 if (g, h) == (100, 200) else gh
-    monkeypatch.setattr(heis, "code_product", shifted)
+    def shifted(g):
+        codes = bytearray(row(g))
+        if g == 100:
+            codes[200] = (codes[200] + 81) % 243
+        return bytes(codes)
+    monkeypatch.setattr(heis, "product_row", shifted)
 
 
 def _drop_character(module):
@@ -242,15 +244,18 @@ def _corrupt_slice_degrees(monkeypatch):
 
 
 def _patch_sum_row(change):
-    # the entry of row 0 at its first pair with pairing -1
+    # the entry of row 0 at its first pair with pairing -1, wherever a
+    # caller asks for that column
     def patch(monkeypatch):
         sum_row = rootsys.RootSystem.sum_row
 
-        def patched(rs, i):
-            row = sum_row(rs, i)
-            if i == 0:
-                j = rs.pairs[0].index(-1)
-                row[j] = change(rs, row[j])
+        def patched(rs, i, cols):
+            cols = list(cols)
+            row = sum_row(rs, i, cols)
+            j = rs.pairs[0].index(-1)
+            if i == 0 and j in cols:
+                k = cols.index(j)
+                row[k] = change(rs, row[k])
             return row
         monkeypatch.setattr(rootsys.RootSystem, "sum_row", patched)
     return patch
@@ -272,6 +277,17 @@ def _corrupt_pair_table(monkeypatch):
     rows = [list(row) for row in rs.pairs]
     j = rows[0].index(1)
     rows[0][j] = rows[j][0] = -1
+    monkeypatch.setattr(rs, "pairs", tuple(map(tuple, rows)))
+
+
+def _corrupt_weight_pair(monkeypatch):
+    # one weight-weight entry of the shared root-pair table and its mirror,
+    # at the weights (1 2 3) and (1 2 4): 1 becomes -1
+    rs = build_root_system()
+    rows = [list(row) for row in rs.pairs]
+    i, j = (rs.index[rootsys.weight_vector(a)] for a in ((1, 2, 3),
+                                                         (1, 2, 4)))
+    rows[i][j] = rows[j][i] = -1
     monkeypatch.setattr(rs, "pairs", tuple(map(tuple, rows)))
 
 
@@ -435,7 +451,8 @@ _eleventh_power = _coxeter_power(11)
 
 # (id, patch, suite, the lines of that suite that the patch must fail)
 MUTATIONS = [
-    # heis/rep_homomorphism: one product off by a central element
+    # heis/rep_homomorphism: one product of the law off by a central
+    # element, in the row of products that every heis line reads
     ("heis_rep_homomorphism", _shift_one_product, "heis", "rep_homomorphism"),
     # heis/exponent_three: one square off by a central element
     ("heis_exponent_three", _move_one_square, "heis", "exponent_three"),
@@ -452,6 +469,12 @@ MUTATIONS = [
     # read the shared pair table
     ("rootsys_pair_table", _corrupt_pair_table, "rootsys",
      "sum_rule_iff_pairing_minus_one", "per_root_pairing_statistics"),
+    # rootsys/intersection_pairing_table and cusp/pairing_table_vs_lattice
+    # read the weight-weight block of the shared pair table
+    ("rootsys_weight_pair_table", _corrupt_weight_pair, "rootsys",
+     "intersection_pairing_table"),
+    ("cusp_weight_pair_table", _corrupt_weight_pair, "cusp",
+     "pairing_table_vs_lattice"),
     # heis/rep_homomorphism: one entry of the monomial code-shift table
     ("heis_code_shift", _corrupt_code_shift, "heis", "rep_homomorphism"),
     # rootsys/sum_rule_iff_pairing_minus_one: a sum row that misses one root
@@ -637,6 +660,15 @@ def test_mutation_fails_its_check(monkeypatch, patch, suite, names, status):
     assert _statuses(suite, names) == [status] * len(names)
 
 
+def test_row_mutant_reaches_code_product(monkeypatch):
+    # the heis lines read one law: the row mutant of `heis_rep_homomorphism`
+    # moves the product of 100 and 200 for `code_product` too, and no other
+    before = [heis.product_row(g) for g in range(243)]
+    _shift_one_product(monkeypatch)
+    assert [(g, h) for g in range(243) for h in range(243)
+            if heis.code_product(g, h) != before[g][h]] == [(100, 200)]
+
+
 def test_build_mutant_gives_no_error_line(monkeypatch):
     # the builders leave to the report lines every fact they do not index
     # by, so a wrong w fails lines by name and breaks no build
@@ -666,18 +698,42 @@ def test_degenerate_class_pairing_gives_no_error_line(monkeypatch, capfd, k):
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 9, 11, 13, 15, 17, 19,
-                               21, 22, 24, 25, 26, 27])
-def test_wrong_power_fails_pairing_nondegenerate(monkeypatch, k):
-    # on these powers of c the classes at rows 4..7 of the Smith form
-    # pair with rank 4 over F_3, but w - 1 has no divisor 3: the classes
-    # of order 3 are none, and their Gram matrix is 0 x 0
+def _power_statuses(monkeypatch, capfd, k):
+    """The statuses of the rootsys and heis lines on w = c^k, by
+    "suite/name", after checking that no line raised and nothing was
+    printed to stderr."""
     _coxeter_power(k)(monkeypatch)
-    s = Suite("rootsys")
-    suites.run_checks(suites.CHECKS["rootsys"], s, suites.Context(None))
-    status = {c["name"]: c["status"] for c in s.checks}
+    capfd.readouterr()
+    status = {}
+    for suite in ("rootsys", "heis"):
+        s = Suite(suite)
+        suites.run_checks(suites.CHECKS[suite], s, suites.Context(None))
+        status.update({f"{suite}/{c['name']}": c["status"] for c in s.checks})
+    assert capfd.readouterr().err == ""
     assert "error" not in status.values()
-    assert status["pairing_nondegenerate"] == "fail"
+    return status
+
+
+@pytest.mark.parametrize("k", [k for k in range(1, 31) if k not in (10, 20)])
+def test_wrong_power_fails_pairing_nondegenerate(monkeypatch, capfd, k):
+    # on every power of c but w = c^10 and its inverse no build raises,
+    # nothing is printed, and the lines that own the facts of w fail by
+    # name: its order (c^30 = 1 has order dividing three, and is not
+    # elliptic), its Smith divisors, the class pairing and the symplectic
+    # basis
+    status = _power_statuses(monkeypatch, capfd, k)
+    assert {"rootsys/elliptic" if k == 30 else "rootsys/order_three",
+            "rootsys/snf_divisors", "rootsys/pairing_nondegenerate",
+            "heis/symplectic_basis"} <= {
+        name for name, st in status.items() if st == "fail"}
+
+
+def test_inverse_power_fails_only_the_rebuild_digest(monkeypatch, capfd):
+    # c^20 = w^-1 has every property of w that a line checks, and differs
+    # from it only in the digest of the rebuild
+    status = _power_statuses(monkeypatch, capfd, 20)
+    assert {name for name, st in status.items() if st != "pass"} == {
+        "rootsys/rebuild_identical"}
 
 
 def test_mutant_refuses_an_edit_that_changes_nothing():

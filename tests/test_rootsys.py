@@ -100,25 +100,42 @@ def test_pair_table_matches_pairing(rs):
 
 def test_sum_row_matches_vector_sum(rs):
     # the packed-code sum against the tuple sum and its canonical shift, on
-    # every ordered pair
+    # every ordered pair, and on the columns a caller gives, in their order
     for i, a in enumerate(rs.roots):
-        assert rs.sum_row(i) == [rs.index.get(add(a, b))
-                                 for b in rs.roots]
+        row = [rs.index.get(add(a, b)) for b in rs.roots]
+        assert rs.sum_row(i, range(240)) == row
+        cols = [j for j in reversed(range(240)) if rs.pairs[i][j] == -1]
+        assert rs.sum_row(i, cols) == [row[j] for j in cols]
+        assert None not in rs.sum_row(i, cols)
+    assert rs.sum_row(0, []) == []
 
 
 @pytest.mark.parametrize("bits", [3, 8, 16, 32])
 def test_lanes_are_linear_and_one_to_one(bits):
     # entries below 2**(bits - 1) in absolute value are balanced digits:
     # every vector of three such entries, the extremes included, packs to
-    # its own int
+    # its own int, and `unlanes` reads it back from the biased pack, down
+    # to the lowest entry the bias allows
     from itertools import product
     top = 2 ** (bits - 1) - 1
     digits = sorted({-top, -top + 1, -1, 0, 1, top - 1, top})
     vecs = [v + (0,) * 6 for v in product(digits, repeat=3)]
     assert len({rootsys.lanes(v, bits) for v in vecs}) == len(vecs)
+    bias = rootsys.lanes([top + 1] * 9, bits)
+    for v in vecs + [(-top - 1,) * 9]:
+        assert rootsys.unlanes(rootsys.lanes(v, bits) + bias, bits, 9) == v
     u, v = (1, -1, 0, 2, 0, 0, -3, 1, 1), (-2, 0, 3, 1, 1, 0, 0, -1, 2)
     assert rootsys.lanes(u, bits) + 3 * rootsys.lanes(v, bits) == (
         rootsys.lanes([a + 3 * b for a, b in zip(u, v)], bits))
+
+
+def test_pair_lanes_outside_the_pairings_read_outside_them():
+    # the decode of the pair table's bytes: lane p + 2 reads p for the five
+    # pairings, and every other byte reads a value outside [-2, 2]
+    decoded = memoryview(bytes(range(256)).translate(
+        rootsys._LANE_PAIRING)).cast("b").tolist()
+    assert decoded[:5] == [-2, -1, 0, 1, 2]
+    assert all(abs(p) > 2 for p in decoded[5:])
 
 
 def test_pair_table_is_lazy():
@@ -130,12 +147,33 @@ def test_pair_table_is_lazy():
 
 def test_bulk_coords_and_w_match_the_vector_maps():
     # a fresh root system's coordinates and its w on the roots, both read
-    # off the bulk coordinates, against to_basis and apply_w on every root
+    # off packed lanes, against to_basis and apply_w on every root
     fresh = rootsys.RootSystem()
     assert all(c == fresh.to_basis(r)
                for r, c in zip(fresh.roots, fresh.coords))
     assert all(fresh.roots[k] == fresh.apply_w(r)
                for r, k in zip(fresh.roots, fresh.w_on_roots))
+
+
+@pytest.mark.parametrize("scale", [1, 2, 7, 2**40])
+def test_w_on_roots_is_exact_for_large_entries(scale):
+    # w with entries up to far past any fixed lane: the lanes widen with
+    # the bound on w c, so a root is found exactly when the matrix product
+    # is a root's coordinates.  w + scale (E_00 - E_01) sends each root
+    # whose first two coordinates are equal where w does
+    from e8g3.intlinalg import mat_vec
+    fresh = rootsys.RootSystem()
+    w = [list(row) for row in fresh.w]
+    w[0][0] += scale
+    w[0][1] -= scale
+    fresh.w = w
+    position = {c: i for i, c in enumerate(fresh.coords)}
+    got = fresh._w_on_roots()
+    assert got == tuple(position.get(tuple(mat_vec(w, c)))
+                        for c in fresh.coords)
+    assert all(k == fresh.w_on_roots[i] for i, (k, c) in
+               enumerate(zip(got, fresh.coords)) if c[0] == c[1])
+    assert None in got
 
 
 def test_reflections_from_gram_rows_reflect_every_root(rs):

@@ -651,6 +651,34 @@ def test_regularity_is_settled_mod_seven(monkeypatch, slice_data):
     assert calls == [2]
 
 
+def test_rank_is_exact_on_the_regularity_matrices(monkeypatch, slice_data):
+    # the three 80 x 84 matrices the regularity check ranks, recorded as it
+    # runs: rank, with each distinct entry mapped to F_7 once, is the pivot
+    # count of exact elimination on each, and maps each entry at most once
+    from e8g3 import intlinalg, kostant
+    alg, E, basis = slice_data
+    matrices, images = [], []
+    reduce = intlinalg.reduce_mod_p7
+
+    def recorded(rows, width):
+        matrices.append((rows, width))
+        return intlinalg.rank(rows, width)
+
+    def counted(x):
+        images.append(x)
+        return reduce(x)
+    monkeypatch.setattr(kostant, "rank", recorded)
+    monkeypatch.setattr(intlinalg, "reduce_mod_p7", counted)
+    assert kostant.sampled_regularity(alg, E, basis)["ok"]
+    assert [(len(rows), width) for rows, width in matrices] == [(80, 84)] * 3
+    for rows, width in matrices:
+        images.clear()
+        assert intlinalg.rank(rows, width) == len(
+            intlinalg.rref(rows, width)[1]) == 80
+        assert len(images) == len(set(images)) == len(
+            {x for row in rows for x in row})
+
+
 def ad_e_nilpotency_index(alg):
     """Smallest t with ad(E)^t = 0, found by iterating on each basis slot."""
     from e8g3.kostant import build_triple
