@@ -258,89 +258,33 @@ class GradedAlgebra:
                 spaces[i].append(LieElement(cartan=dict(enumerate(vec))))
         return spaces
 
-    def check_bracket_containment(self, spaces):
-        """[h(1), h(1)] in h(2) and [h(1), h(2)] in h(0): the bracket of the
-        a-th basis vector of degree i and the b-th of degree j is a
-        theta-eigenvector of eigenvalue w^k, k = i + j, for all basis pairs.
-        Returns the failing (i, j, a, b).
+    def check_eigenvectors(self, spaces):
+        """The (i, a) of every vector x = spaces[i][a] that is no
+        theta-eigenvector of eigenvalue w^i.  theta moves X_m to X_wm (wm
+        is windex[m], a permutation of the roots) and a cartan part c to
+        W c (W is rs.w), so x is one when x_m = w^i x_wm on its support
+        and W c = w^i c.
 
-        z is such an eigenvector exactly when its defect vanishes: z_m -
-        w^k z_(wm) at every root m, where wm is windex[m], and W c - w^k c
-        on its cartan part c, W being rs.w.  The defect is linear, so each
-        bracket is summed as its defect, straight from the table, in packed
-        w-pairs (_PPAIR): a term u X_t adds u at t and -w^k u at the root m
-        with wm = t, and a term u coroot(p) adds u W cr(p) - w^k u cr(p).
-        A root coefficient of a basis vector must be a unit, read as its
-        code, and a cartan part h enters through its pairings
-        <h, q> = sum_t h_t P[t][q] with the roots q, which must be integral.
-        The cartan coordinates of graded_basis are units or 0, so each
-        packed sum holds a few small multiples of units, far below 2**31
-        per component, and is 0 exactly when its w-pair is.
+        With `check_theta_automorphism` this proves [h(i), h(j)] in
+        h(i + j): theta[x, y] = [theta x, theta y] = w^(i + j) [x, y].  The
+        one fact the theta sweep does not read, theta(coroot m) =
+        coroot(wm), holds by construction: `RootSystem._w_on_roots` defines
+        wm as the root whose coordinates are W cr(m), and cr is rs.coords.
         """
-        n, W = self.n, self.rs.w
-        kind, out, scl, cr = self.kind, self.out, self.scl, self.cr
-        winv = [0] * n
-        for m, t in enumerate(self.windex):
-            winv[t] = m
-        theta_cr = [[sum(map(mul, row, c)) for row in W] for c in cr]
-        mul_code = [[code_mul(a, b) for b in range(6)] for a in range(6)]
-        same, negated = range(6), [code_neg(c) for c in range(6)]
-        unit = {code_pair(c): c for c in range(6)}
-        forms = {i: [self._defect_form(x, unit) for x in spaces[i]]
-                 for i in (1, 2)}
+        w, W = self.windex, self.rs.w
         bad = []
-        for i, j in ((1, 1), (1, 2)):
-            # the code of -w^k u, for u of code c
-            moved = [code_mul(c, 3 + (i + j) % 3) for c in range(6)]
-            for a, (x_terms, x_pair) in enumerate(forms[i]):
-                rows = [(p, kind[p], out[p], scl[p], mul_code[c])
-                        for p, c in x_terms]
-                for b, (y_terms, y_pair) in enumerate(forms[j]):
-                    d = {}
-                    dc = None
-                    for p, kind_p, out_p, scl_p, mul_p in rows:
-                        for q, c in y_terms:
-                            kpq = kind_p[q]
-                            if kpq:
-                                s = mul_code[mul_p[c]][scl_p[q]]
-                                if kpq == 1:
-                                    t = out_p[q]
-                                    d[t] = d.get(t, 0) + _PPAIR[s]
-                                    m = winv[t]
-                                    d[m] = d.get(m, 0) + _PPAIR[moved[s]]
-                                else:
-                                    dc = _addc(dc, theta_cr[p], _PPAIR[s])
-                                    dc = _addc(dc, cr[p], _PPAIR[moved[s]])
-                    # [h, u X_q] = <h, q> u X_q, [u X_q, h] = <h, q> (-u) X_q
-                    for h_pair, terms, sign in ((x_pair, y_terms, same),
-                                                (y_pair, x_terms, negated)):
-                        if h_pair is not None:
-                            for q, c in terms:
-                                c = sign[c]
-                                d[q] = d.get(q, 0) + h_pair[q][c]
-                                m = winv[q]
-                                d[m] = d.get(m, 0) + h_pair[q][moved[c]]
-                    if any(d.values()) or dc is not None and any(dc):
-                        bad.append((i, j, a, b))
+        for i in (0, 1, 2):
+            for a, x in enumerate(spaces[i]):
+                c = x.cartan
+                # the root part, then coordinate b of W c against w^i c_b
+                if not (all(zeta_mul(*x.roots.get(w[m], (0, 0)), i) == v
+                            for m, v in x.roots.items())
+                        and all((sum(row[t] * u for t, (u, _) in c.items()),
+                                 sum(row[t] * v for t, (_, v) in c.items()))
+                                == zeta_mul(*c.get(b, (0, 0)), i)
+                                for b, row in enumerate(W) if c)):
+                    bad.append((i, a))
         return bad
-
-    def _defect_form(self, x: LieElement, unit):
-        """x as read by check_bracket_containment: its root terms (root,
-        unit code) and, when it has a cartan part h, for every root q the
-        packed <h, q> u for the unit u of each code."""
-        terms = [(p, unit[v]) for p, v in x.roots.items()]
-        if not x.cartan:
-            return terms, None
-        pairs = []
-        for q in range(self.n):
-            u = v = 0
-            for t, (a, b) in x.cartan.items():
-                u += a * self.P[t][q]
-                v += b * self.P[t][q]
-            # <h, q> times 1, w and w^2, then their negatives, packed
-            rot = [lanes(zeta_mul(u, v, k), 32) for k in range(3)]
-            pairs.append((*rot, *(-r for r in rot)))
-        return terms, pairs
 
     # -- representation -----------------------------------------------------
 
@@ -376,7 +320,8 @@ class GradedAlgebra:
         pairing of coroot a with root j is not w-invariant.
 
         Row i is compared as bytes with row wi of kind permuted by w, and
-        out and scl are read only where a kind entry is nonzero."""
+        out and scl are read only where a kind entry is nonzero; a kind past
+        1 is cartan-valued, as `bracket` reads it."""
         bad = []
         n = self.n
         w = self.windex
@@ -396,7 +341,7 @@ class GradedAlgebra:
                 elif k == 1 and (out_w[w[j]] != w[out_i[j]]
                                  or scl_w[w[j]] != scl_i[j]):
                     bad.append((i, j))
-                elif k == 2 and scl_w[w[j]] != scl_i[j]:
+                elif k > 1 and scl_w[w[j]] != scl_i[j]:
                     bad.append((i, j))
         # cartan side: invariance of the pairing, on every root
         W = self.rs.w

@@ -32,6 +32,8 @@ FORMAT_VERSION = 1
 # root basis used throughout, in this fixed order
 S0_TRIPLES = ((2, 6, 7), (2, 5, 8), (3, 4, 8), (1, 6, 9),
               (3, 5, 7), (2, 4, 9), (1, 7, 8), (4, 5, 6))
+# the same triples as 0-based coordinate slots
+_BASIS_SLOTS = tuple((i - 1, j - 1, k - 1) for i, j, k in S0_TRIPLES)
 # the pairings of one root with all 240, as sorted (value, count) pairs
 E8_ROW = ((-2, 1), (-1, 56), (0, 126), (1, 56), (2, 1))
 
@@ -169,45 +171,20 @@ class RootSystem:
         return tuple(mat_vec(self.gram_inv, pairs))
 
     def _root_coords(self):
-        """`to_basis` of every root, in the order of `roots`, read from
-        packed lanes.
-
-        The pairing of a root r with a basis root is (B r)_t - sum(r) / 3,
-        B the 8 x 9 matrix of the basis, so the coordinates of r are
-        sum(r_x G_x) - sum(r) / 3 * G_9 over the columns G_x of gram_inv B
-        and G_9 = gram_inv (1, ..., 1).  Each column is packed (`lanes`) at
-        a width past m (|r_1| + ... + |r_9| + |sum(r)| / 3) for every
-        root, m the largest entry of a column in absolute value, which
-        bounds every coordinate; the sum, biased by 2**(bits - 1) in each
-        lane, reads back by `unlanes`.
-        """
-        gi = self.gram_inv
-        n = len(gi)
-        cols = [*zip(*mat_mul(gi, self.basis)), [sum(row) for row in gi]]
-        terms = [(*r, -(sum(r) // 3)) for r in self.roots]
-        bound = (max(abs(x) for col in cols for x in col)
-                 * max(sum(map(abs, t)) for t in terms))
-        bits = bound.bit_length() + 1
-        packed = [lanes(col, bits) for col in cols]
-        bias = lanes([1 << (bits - 1)] * n, bits)
-        return tuple(unlanes(sum(map(mul, t, packed)) + bias, bits, n)
-                     for t in terms)
+        """`to_basis` of every root, in the order of `roots`.  The pairing
+        of a root r with a basis root e_i + e_j + e_k is
+        r_i + r_j + r_k - sum(r) / 3."""
+        return tuple(
+            tuple(mat_vec(self.gram_inv,
+                          [r[i] + r[j] + r[k] - sum(r) // 3
+                           for i, j, k in _BASIS_SLOTS]))
+            for r in self.roots)
 
     def _w_on_roots(self):
-        """The index of w r for every root r, None where w r is no root.
-
-        The coordinates w c are sum(c_t W_t) over the columns W_t of w, each
-        packed (`lanes`) at a width past max|c| times the largest absolute
-        row sum of w, which bounds the entries of every c and of every
-        w c, for any integer w; so w c is a root's coordinates exactly when
-        its pack is that root's pack.
-        """
-        top = max(abs(x) for c in self.coords for x in c)
-        bound = top * max(1, max(sum(map(abs, row)) for row in self.w))
-        bits = bound.bit_length() + 1
-        position = {lanes(c, bits): i for i, c in enumerate(self.coords)}
-        cols = [lanes(col, bits) for col in zip(*self.w)]
-        return tuple(position.get(sum(map(mul, c, cols)))
+        """The index of w r for every root r, None where w r is no root:
+        w maps basis coordinates to basis coordinates."""
+        position = {c: i for i, c in enumerate(self.coords)}
+        return tuple(position.get(tuple(mat_vec(self.w, c)))
                      for c in self.coords)
 
     def from_basis(self, coords):

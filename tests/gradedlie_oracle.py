@@ -1,9 +1,10 @@
 """The gradedlie sweeps as they read the table entry by entry, for the
 tests: the Killing diagonal as a trace over all 248 basis vectors, the
 additivity of `out` on root tuples, the one-cartan Jacobi terms one
-coroot at a time, the theta automorphism on every pair, the rho' sweep
-with one bracket of Z vectors per orbit pair, and the structure digest
-fed line by line.  Also the helpers that only the tests use: the
+coroot at a time, the theta automorphism on every pair, the graded
+bracket containment by the generic bracket of every basis pair, the rho'
+sweep with one bracket of Z vectors per orbit pair, and the structure
+digest fed line by line.  Also the helpers that only the tests use: the
 LieElement ones, `is_zero` and `coroot`, and `add`, the sum of two
 lattice classes.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from operator import getitem
 
+from e8g3.cyclotomic import zeta_mul
 from e8g3.gradedlie import (NONE, LieElement, _accumulate, _class_groups,
                             _pack_entry, code_mul, code_pair)
 from e8g3.report import sha256
@@ -152,7 +154,7 @@ def theta_automorphism(alg):
             if k == 1 and (alg.out[wi][wj] != w[alg.out[i][j]]
                            or alg.scl[wi][wj] != alg.scl[i][j]):
                 bad.append((i, j))
-            elif k == 2 and alg.scl[wi][wj] != alg.scl[i][j]:
+            elif k > 1 and alg.scl[wi][wj] != alg.scl[i][j]:
                 bad.append((i, j))
     W = alg.rs.w
     P = alg.P
@@ -163,6 +165,38 @@ def theta_automorphism(alg):
             if sum(c * Pb[wj] for c, Pb in col) != P[a][j]:
                 bad.append(("cartan", a, j))
     return bad
+
+
+def is_theta_eigenvector(alg, x, k):
+    """Whether theta(x) = w^k x: each root coordinate m is w^k times
+    coordinate windex[m], and rs.w carries the cartan part to w^k times
+    itself; read on the w-pairs of x."""
+    roots, w = x.roots, alg.windex
+    for m, v in roots.items():
+        u = roots.get(w[m])
+        if u is None or v != zeta_mul(*u, k):
+            return False
+    if x.cartan:
+        W = alg.rs.w
+        for b in range(8):
+            # coordinate b of theta(x), against w^k times that of x
+            u = sum(W[b][a] * c[0] for a, c in x.cartan.items())
+            v = sum(W[b][a] * c[1] for a, c in x.cartan.items())
+            c = x.cartan.get(b)
+            if (u, v) != (zeta_mul(*c, k) if c else (0, 0)):
+                return False
+    return True
+
+
+def containment_by_generic_bracket(alg, spaces):
+    """The failing (i, j, a, b) of graded_bracket_containment: the bracket
+    of the a-th basis vector of degree i and the b-th of degree j, for
+    (i, j) = (1, 1) and (1, 2), taken by the generic bracket, is no
+    theta-eigenvector of eigenvalue w^(i + j)."""
+    return [(i, j, a, b) for i, j in ((1, 1), (1, 2))
+            for a, x in enumerate(spaces[i])
+            for b, y in enumerate(spaces[j])
+            if not is_theta_eigenvector(alg, alg.bracket(x, y), (i + j) % 3)]
 
 
 def z_bracket_coefficients(alg, oa, ob):

@@ -20,7 +20,8 @@ from e8g3.heis import CLASSES, COCYCLE, VEC_ADD, Mono, class_code, svn_rep
 import gradedlie_oracle as oracle
 from qw_oracle import Cyc
 from test_mutations import (_corrupt_cartan_pairing,
-                            _redirect_to_negative_root, _shift_one_w_power)
+                            _redirect_to_negative_root, _shift_one_w_power,
+                            _statuses, _turn_basis_coefficient)
 
 KAPPA = Cyc(Fraction(1, 3), Fraction(2, 3))  # w * (1 - w^-1)^-1
 
@@ -233,47 +234,9 @@ def test_grading_bracket_containment(alg):
                 assert theta(alg, out) == zeta_times(out, i + j)
 
 
-def is_theta_eigenvector(alg, x, k):
-    """Whether theta(x) = w^k x: each root coordinate m is w^k times
-    coordinate windex[m], and rs.w carries the cartan part to w^k times
-    itself; read on the w-pairs of x."""
-    roots, w = x.roots, alg.windex
-    for m, v in roots.items():
-        u = roots.get(w[m])
-        if u is None or v != zeta_mul(*u, k):
-            return False
-    if x.cartan:
-        W = alg.rs.w
-        for b in range(8):
-            # coordinate b of theta(x), against w^k times that of x
-            u = sum(W[b][a] * c[0] for a, c in x.cartan.items())
-            v = sum(W[b][a] * c[1] for a, c in x.cartan.items())
-            c = x.cartan.get(b)
-            if (u, v) != (zeta_mul(*c, k) if c else (0, 0)):
-                return False
-    return True
-
-
-def _containment_by_generic_bracket(alg, spaces):
-    """The failing (i, j, a, b) of graded_bracket_containment, each basis
-    bracket taken by the generic bracket and tested by both eigenvector
-    forms, which must agree."""
-    bad = []
-    for i, j in ((1, 1), (1, 2)):
-        k = (i + j) % 3
-        for a, x in enumerate(spaces[i]):
-            for b, y in enumerate(spaces[j]):
-                out = alg.bracket(x, y)
-                eigen = is_theta_eigenvector(alg, out, k)
-                assert eigen == (theta(alg, out) == zeta_times(out, k))
-                if not eigen:
-                    bad.append((i, j, a, b))
-    return bad
-
-
 def test_theta_eigenvector_matches_cyc_form(alg):
-    # the test of graded_bracket_containment against the theta oracle, on
-    # every basis pair the check sweeps
+    # the oracle's eigenvector test against the theta of Cyc, on the
+    # bracket of every basis pair of degrees (1, 1) and (1, 2)
     spaces = alg.graded_basis()
     swept = 0
     bent = {}
@@ -283,7 +246,7 @@ def test_theta_eigenvector_matches_cyc_form(alg):
                 out = alg.bracket(x, y)
                 swept += 1
                 k = (i + j) % 3
-                assert is_theta_eigenvector(alg, out, k) == (
+                assert oracle.is_theta_eigenvector(alg, out, k) == (
                     theta(alg, out) == zeta_times(out, k))
                 # one root coordinate, or one cartan coordinate, moved by w
                 for part in ("roots", "cartan"):
@@ -295,12 +258,30 @@ def test_theta_eigenvector_matches_cyc_form(alg):
                                  part: coords}
                         bent[part] = (LieElement(**parts), k)
     assert swept == 84 * 84 * 2
-    assert alg.check_bracket_containment(spaces) == []
+    assert alg.check_eigenvectors(spaces) == []
     # a perturbed output: both forms reject it
     assert set(bent) == {"roots", "cartan"}
     for z, k in bent.values():
         assert theta(alg, z) != zeta_times(z, k)
-        assert not is_theta_eigenvector(alg, z, k)
+        assert not oracle.is_theta_eigenvector(alg, z, k)
+
+
+def test_eigenvector_check_flags_each_bent_vector(alg):
+    # one root coefficient of an orbit vector or one cartan coordinate of a
+    # cartan eigenvector turned by w, in each degree, and a degree-1 vector
+    # listed in degree 2: the check flags exactly that vector
+    spaces = alg.graded_basis()
+    for i, a in ((0, 0), (1, 5), (1, 80), (2, 83)):
+        x = spaces[i][a]
+        part = "cartan" if x.cartan else "roots"
+        coords = dict(getattr(x, part))
+        m = next(iter(coords))
+        coords[m] = zeta_mul(*coords[m], 1)
+        bent = list(spaces[i])
+        bent[a] = LieElement(**{"cartan": x.cartan, "roots": x.roots,
+                                part: coords})
+        assert alg.check_eigenvectors({**spaces, i: bent}) == [(i, a)]
+    assert alg.check_eigenvectors({**spaces, 2: [spaces[1][0]]}) == [(2, 0)]
 
 
 def test_z_elements(alg):
@@ -648,20 +629,59 @@ def _fresh_opposite_scl(monkeypatch):
     monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
 
 
+def _shift_w_power_orbit(monkeypatch):
+    # the w-power of [X_0, X_j] moved by one at (0, j) and at its two theta
+    # images, so that theta still preserves the table; that table breaks
+    # the Jacobi identity
+    fresh = GradedAlgebra()
+    w = fresh.windex
+    i = 0
+    j = min(j for j in fresh.nbr[0] if fresh.kind[0][j] == 1)
+    for _ in range(3):
+        s = fresh.scl[i][j]
+        fresh.scl[i][j] = s - s % 3 + (s + 1) % 3
+        i, j = w[i], w[j]
+    monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
+
+
+def _cartan_kind_three(monkeypatch):
+    # the cartan-valued entry (0, -0) and its theta images read kind 3,
+    # which `bracket` reads as cartan-valued too, and the code of (0, -0)
+    # negated: a theta sweep that compares codes only at kind 2 misses it
+    fresh = GradedAlgebra()
+    i, j = 0, fresh.negidx[0]
+    for _ in range(3):
+        fresh.kind[i][j] = 3
+        i, j = fresh.windex[i], fresh.windex[j]
+    fresh.scl[i][j] = code_neg(fresh.scl[i][j])
+    monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [_shift_one_w_power, _redirect_to_negative_root, _fresh_opposite_scl,
-     _corrupt_cartan_pairing],
-    ids=["w_power", "redirect", "opposite_scl", "cartan_pairing"])
-def test_bracket_containment_matches_generic_oracle(monkeypatch, corrupt):
-    # the check's table reads against the generic bracket on all 14,112
-    # basis pairs, 1,312 of them with a cartan basis vector, on corrupted
-    # tables; the real table is test_theta_eigenvector_matches_cyc_form
+    "corrupt, holds",
+    [(lambda monkeypatch: None, True), (_shift_one_w_power, False),
+     (_redirect_to_negative_root, False), (_fresh_opposite_scl, False),
+     (_corrupt_cartan_pairing, False), (_shift_w_power_orbit, True),
+     (_turn_basis_coefficient, False), (_cartan_kind_three, False)],
+    ids=["table", "w_power", "redirect", "opposite_scl", "cartan_pairing",
+         "theta_orbit", "basis_coefficient", "kind_three"])
+def test_bracket_containment_matches_generic_oracle(monkeypatch, corrupt,
+                                                    holds):
+    # the line, which reads theta_automorphism and the eigenvector test,
+    # passes exactly when the generic bracket of each of the 14,112 basis
+    # pairs, 1,312 of them with a cartan basis vector, lies in its
+    # eigenspace; on the real table, five corrupted ones, a table that
+    # theta preserves but that is no Lie algebra, and a basis with one
+    # coefficient turned
     corrupt(monkeypatch)
     table = gradedlie.get_algebra()
-    spaces = table.graded_basis()
-    bad = table.check_bracket_containment(spaces)
-    assert bad and bad == _containment_by_generic_bracket(table, spaces)
+    bad = oracle.containment_by_generic_bracket(table, table.graded_basis())
+    assert (not bad) == holds
+    assert _statuses("gradedlie", ["graded_bracket_containment"]) == [
+        "pass" if holds else "fail"]
+    if corrupt is _shift_w_power_orbit:
+        assert _statuses("gradedlie", ["theta_automorphism", "jacobi"]) == [
+            "pass", "fail"]
 
 
 @pytest.mark.parametrize("corrupt",

@@ -15,6 +15,7 @@ import pytest
 from e8g3 import (cuspdata, finitefield, genus2, gradedlie, heis, jacobian,
                   kostant, rootsys, sections, sp4, stability, suites,
                   vinberg)
+from e8g3.cyclotomic import zeta_mul
 from e8g3.gradedlie import GradedAlgebra, LieElement, get_algebra
 from e8g3.intlinalg import identity
 from e8g3.report import Suite
@@ -367,6 +368,21 @@ def _shift_one_w_power(monkeypatch):
     monkeypatch.setattr(gradedlie, "get_algebra", lambda: fresh)
 
 
+def _turn_basis_coefficient(monkeypatch):
+    # one root coefficient of the degree-1 basis vector spaces[1][5] turned
+    # by w: that vector is no theta-eigenvector, and the table is untouched
+    graded_basis = GradedAlgebra.graded_basis
+
+    def patched(alg):
+        spaces = graded_basis(alg)
+        x = spaces[1][5]
+        m = next(iter(x.roots))
+        spaces[1][5] = LieElement(
+            x.cartan, {**x.roots, m: zeta_mul(*x.roots[m], 1)})
+        return spaces
+    monkeypatch.setattr(GradedAlgebra, "graded_basis", patched)
+
+
 def _twist_exponent_plus(monkeypatch):
     # P[s][t] + P[tau s][t] in place of P[s][t] - P[tau s][t]
     monkeypatch.setattr(sections, "twist_exponents", _mutant(
@@ -643,6 +659,10 @@ MUTATIONS = [
     # w leaves a degree-(1, 1) bracket outside every eigenspace
     ("gradedlie_graded_bracket_containment", _shift_one_w_power, "gradedlie",
      "graded_bracket_containment"),
+    # gradedlie/graded_bracket_containment: a basis vector that is no
+    # theta-eigenvector, on a table that theta preserves
+    ("gradedlie_graded_basis_coefficient", _turn_basis_coefficient,
+     "gradedlie", "graded_bracket_containment"),
 ]
 
 
@@ -667,6 +687,15 @@ def test_row_mutant_reaches_code_product(monkeypatch):
     _shift_one_product(monkeypatch)
     assert [(g, h) for g in range(243) for h in range(243)
             if heis.code_product(g, h) != before[g][h]] == [(100, 200)]
+
+
+def test_turned_basis_coefficient_passes_theta(monkeypatch):
+    # the containment line reads the basis as well as theta: under the
+    # row's mutant theta still passes and the containment line fails
+    _turn_basis_coefficient(monkeypatch)
+    assert _statuses("gradedlie", ["theta_automorphism",
+                                   "graded_bracket_containment"]) == [
+        "pass", "fail"]
 
 
 def test_build_mutant_gives_no_error_line(monkeypatch):
@@ -699,13 +728,13 @@ def test_degenerate_class_pairing_gives_no_error_line(monkeypatch, capfd, k):
 
 
 def _power_statuses(monkeypatch, capfd, k):
-    """The statuses of the rootsys and heis lines on w = c^k, by
+    """The statuses of the rootsys, heis and gradedlie lines on w = c^k, by
     "suite/name", after checking that no line raised and nothing was
     printed to stderr."""
     _coxeter_power(k)(monkeypatch)
     capfd.readouterr()
     status = {}
-    for suite in ("rootsys", "heis"):
+    for suite in ("rootsys", "heis", "gradedlie"):
         s = Suite(suite)
         suites.run_checks(suites.CHECKS[suite], s, suites.Context(None))
         status.update({f"{suite}/{c['name']}": c["status"] for c in s.checks})
@@ -720,20 +749,26 @@ def test_wrong_power_fails_pairing_nondegenerate(monkeypatch, capfd, k):
     # nothing is printed, and the lines that own the facts of w fail by
     # name: its order (c^30 = 1 has order dividing three, and is not
     # elliptic), its Smith divisors, the class pairing and the symplectic
-    # basis
+    # basis, and every gradedlie line.  sign_identity checks
+    # w + w^-1 = +-1 on root pairs, which c^5 and c^25 also meet
     status = _power_statuses(monkeypatch, capfd, k)
+    failed = {name for name, st in status.items() if st == "fail"}
     assert {"rootsys/elliptic" if k == 30 else "rootsys/order_three",
             "rootsys/snf_divisors", "rootsys/pairing_nondegenerate",
-            "heis/symplectic_basis"} <= {
-        name for name, st in status.items() if st == "fail"}
+            "heis/symplectic_basis"} <= failed
+    gradedlie_lines = {n for n in status if n.startswith("gradedlie/")}
+    assert len(gradedlie_lines) == len(suites.GRADEDLIE)
+    assert gradedlie_lines <= failed
+    assert (status["rootsys/sign_identity"] == "pass") == (k in (5, 25))
 
 
 def test_inverse_power_fails_only_the_rebuild_digest(monkeypatch, capfd):
     # c^20 = w^-1 has every property of w that a line checks, and differs
-    # from it only in the digest of the rebuild
+    # from it only in the digests of the rebuild and of the table built on
+    # it
     status = _power_statuses(monkeypatch, capfd, 20)
     assert {name for name, st in status.items() if st != "pass"} == {
-        "rootsys/rebuild_identical"}
+        "rootsys/rebuild_identical", "gradedlie/structure_digest"}
 
 
 def test_mutant_refuses_an_edit_that_changes_nothing():

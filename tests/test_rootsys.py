@@ -146,34 +146,13 @@ def test_pair_table_is_lazy():
 
 
 def test_bulk_coords_and_w_match_the_vector_maps():
-    # a fresh root system's coordinates and its w on the roots, both read
-    # off packed lanes, against to_basis and apply_w on every root
+    # a fresh root system's coordinates and its w on the roots, both
+    # computed in bulk, against to_basis and apply_w on every root
     fresh = rootsys.RootSystem()
     assert all(c == fresh.to_basis(r)
                for r, c in zip(fresh.roots, fresh.coords))
     assert all(fresh.roots[k] == fresh.apply_w(r)
                for r, k in zip(fresh.roots, fresh.w_on_roots))
-
-
-@pytest.mark.parametrize("scale", [1, 2, 7, 2**40])
-def test_w_on_roots_is_exact_for_large_entries(scale):
-    # w with entries up to far past any fixed lane: the lanes widen with
-    # the bound on w c, so a root is found exactly when the matrix product
-    # is a root's coordinates.  w + scale (E_00 - E_01) sends each root
-    # whose first two coordinates are equal where w does
-    from e8g3.intlinalg import mat_vec
-    fresh = rootsys.RootSystem()
-    w = [list(row) for row in fresh.w]
-    w[0][0] += scale
-    w[0][1] -= scale
-    fresh.w = w
-    position = {c: i for i, c in enumerate(fresh.coords)}
-    got = fresh._w_on_roots()
-    assert got == tuple(position.get(tuple(mat_vec(w, c)))
-                        for c in fresh.coords)
-    assert all(k == fresh.w_on_roots[i] for i, (k, c) in
-               enumerate(zip(got, fresh.coords)) if c[0] == c[1])
-    assert None in got
 
 
 def test_reflections_from_gram_rows_reflect_every_root(rs):
