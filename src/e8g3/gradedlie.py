@@ -683,39 +683,104 @@ def killing_gram(alg: GradedAlgebra):
 # Jacobi sweep
 # ---------------------------------------------------------------------------
 
-# hop-row sentinels of the Jacobi filter: no bracket, and a bracket that the
-# filter does not follow (kind 2 or more, or an out that is no root index)
-ZERO = 255
-SLOW = 254
+# The Jacobi lanes.  A table entry reads as the exponent e of its unit code
+# c in the sixth roots of unity, (-1)^(c // 3) w^(c % 3) = (-w^2)^e; a
+# kind-0 entry reads ZERO, and an entry the lanes cannot vouch for POISON.
+# A term byte is the sum of two reads: the unit (-w^2)^b below ZERO, zero
+# below POISON, poisoned from POISON on.  _TERM_CODE[e][b] is the lane code
+# of the term byte b + e: (x + 1) + 8 (y + 1) for its value x + y w, 9 for
+# zero and POISON for poisoned.  Reads are at most POISON, so term bytes
+# stay below 256 and codes at most POISON: three codes sum to at most
+# 3 POISON < 256, and to 27 exactly when none is poisoned and the x and y
+# parts each sum to 0 (x + 1 <= 2, so three of them never carry into y).
+ZERO = 16
+POISON = 64
+_EXPONENT = [(2 * (c % 3) + 3 * (c // 3)) % 6 for c in range(6)]
 
 
-def _jacobi_filters(alg: GradedAlgebra):
-    """The 256-byte `bytes.translate` tables of the Jacobi filter.
+def _term_code(b: int) -> int:
+    """The lane code of the term byte b."""
+    if b >= POISON:
+        return POISON
+    if b >= ZERO:
+        return 9
+    x, y = code_pair(_EXPONENT.index(b % 6))
+    return x + 1 + 8 * (y + 1)
 
-    hop[r][k] is out[r][k] where kind[r][k] is 1 and out[r][k] is in
-    range(n), ZERO where kind[r][k] is 0, and SLOW elsewhere; nz[r] is the
-    kind row, read as 0 at ZERO and as 1 at SLOW; hopcol[i][k] is
-    hop[k][i], and kcol[m][k] is kind[k][m]."""
+
+_TERM_CODE = [bytes(_term_code(b + e) for b in range(256)) for e in range(6)]
+# hop bytes past the root indices: a cartan-valued inner bracket at the
+# opposite root, whose outer read is the sign of its cartan coefficient,
+# and no hop, whose outer read is 0
+SIGN = 254
+NO_HOP = 255
+
+
+def _jacobi_lanes(alg: GradedAlgebra):
+    """The 256-byte `bytes.translate` tables of the Jacobi lanes, and
+    whether the table's root-valued brackets sit where weights add.
+
+    An entry (r, x) is vouched for when it is kind 1 with a code in 0..5
+    and out[r][x] the index of root r + root x, or, as an inner bracket
+    only, kind 2 at the opposite root x = negidx[r] with a code in 0..5.
+    Every other entry is poisoned.  Roots are compared by their basis
+    coordinates (rs.coords) packed into 16-bit lanes by `lanes`, one-to-one
+    far above the at most 12 of a sum of two roots, so one int sum is the
+    coordinates of root r + root x, read independently of the 9-vector
+    packs that `RootSystem.sum_row` gives `out` from.
+
+    Tables: inner[r][x] is the exponent (_EXPONENT) of a vouched entry,
+    ZERO at kind 0 and POISON elsewhere; hop[r][x] is out[r][x] at a
+    vouched kind 1, SIGN at a vouched kind 2 and NO_HOP elsewhere.
+    outer[r][c] reads entry (r, m) as an outer bracket: the exponent of a
+    vouched kind 1, ZERO at kind 0 and POISON elsewhere (a cartan-valued
+    outer bracket included), with byte SIGN the exponent of the inner
+    cartan coefficient c in {-1, 0, 1} (0 for 1, 3 for -1, ZERO for 0; the
+    list is indexed by c) and byte NO_HOP 0.  inner_col[x], hop_col[x] and
+    outer_col[x] are the columns of inner, hop and the outer reads.
+
+    Returns (tables, additive).  additive holds when kind 1 sits exactly on
+    the pairs with pairing -1 and every kind-1 out is the index of the sum
+    of its two roots: the out test of the vouching, on every kind-1 entry.
+    """
     n = alg.n
-    pad = bytes(256 - n)
-    kind = [bytes(row) for row in alg.kind]
-    to_hop = bytes([ZERO]) + bytes([SLOW]) * 255
-    hop = []
-    for kind_r, out_r in zip(kind, alg.out):
-        h = bytearray(kind_r.translate(to_hop))
-        for k in compress(range(n), map((1).__eq__, kind_r)):
-            if 0 <= out_r[k] < n:
-                h[k] = out_r[k]
-        hop.append(bytes(h))
-    # past the n kind bytes: SLOW reads 1, ZERO (the last byte) reads 0
-    nz = [row + bytes(SLOW - n) + bytes([1, 0]) for row in kind]
-    hopcol = [bytes(col) + pad for col in zip(*hop)]
-    kcol = [bytes(col) + pad for col in zip(*kind)]
-    return [row + pad for row in hop], nz, hopcol, kcol
+    pc = [lanes(c, 16) for c in alg.rs.coords]
+    read = bytes([ZERO]) + bytes([POISON]) * 255
+    pad = bytes([POISON]) * (256 - n)
+    additive = True
+    inner, hop, outer = [], [], []
+    for r, (kind_r, out_r, scl_r, PR_r) in enumerate(zip(
+            alg.kind, alg.out, alg.scl, alg.PR)):
+        e_in = bytearray(kind_r.translate(read)) + pad
+        e_out = bytearray(e_in)
+        h = bytearray([NO_HOP]) * 256
+        placed = 0
+        for x in compress(range(n), kind_r):
+            k, c, m = kind_r[x], scl_r[x], out_r[x]
+            if k == 1:
+                placed += PR_r[x] == -1
+                if not (0 <= m < n and pc[m] == pc[r] + pc[x]):
+                    additive = False
+                elif 0 <= c < 6:
+                    e_in[x] = e_out[x] = _EXPONENT[c]
+                    h[x] = m
+            elif k == 2 and x == alg.negidx[r] and 0 <= c < 6:
+                e_in[x] = _EXPONENT[c]
+                h[x] = SIGN
+        additive &= placed == kind_r.count(1) == PR_r.count(-1)
+        inner.append(e_in)
+        hop.append(h)
+        outer.append([e_out[:SIGN] + bytes([s, 0]) for s in (ZERO, 0, 3)])
+    # column x of a table is every 256th byte of its rows joined
+    inner_col, hop_col, outer_col = (
+        [flat[x::256] + pad for x in range(n)]
+        for flat in map(b"".join, (inner, hop, [o[0] for o in outer])))
+    return (inner, hop, outer, inner_col, hop_col, outer_col), additive
 
 
-def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
-    """Check all unordered root triples i<j<k with lo <= i < hi.
+def _jacobi_root_range(alg: GradedAlgebra, tables, lo: int, hi: int):
+    """Check all unordered root triples i<j<k with lo <= i < hi, on the
+    lane tables of `_jacobi_lanes(alg)`.
 
     Returns (evaluated, violations).  Triples where no pair brackets
     nonzero hold trivially: the weight of any inner bracket can never
@@ -725,20 +790,25 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     nbr[j], then those in nbr[i] with the bytes of the first deleted.  Each
     candidate counts as evaluated.
 
-    Filter.  Before the Python body runs, `bytes.translate` through the
-    tables of `_jacobi_filters` gives one flag byte per candidate and term,
-    read from that candidate's own kind and out entries: term 1 is
-    nz[i][hop[j][k]], term 2 is nz[j][hop[k][i]], and term 3 is
-    kind[k][m_ij] for a root-valued [x_i, x_j] = c x_m_ij, or PR[i][k] != 0
-    for a cartan-valued one.  The flags of a pair are ORed as the bytes of
-    one int (`int.from_bytes`), and only the candidates with a nonzero
-    flag go through the body.  The filter is exact because it
-    over-approximates: a zero flag means the body finds that term zero
-    (kind 0 at ZERO, or a valid kind-1 hop onto a kind-0 entry), while
-    anything else, a kind of 2 or more (SLOW, read as 1 by nz), an out
-    outside range(n), or any other kind of [x_i, x_j], sends the
-    candidate to the body, which reads the entries itself.  A triple
-    whose three terms are all zero holds.
+    Lanes.  Before the Python body runs, `bytes.translate` through the
+    tables of `_jacobi_lanes` evaluates each candidate's three terms in its
+    own byte lane.  A term [x_p, [x_q, x_r]] adds the inner read of entry
+    (q, r) to the outer read of (p, hop[q][r]), as the bytes of two ints,
+    and one more translate (_TERM_CODE) turns each byte into the code of
+    the term's unit or zero; a candidate whose three codes sum to 27 holds
+    without the body.  Every other candidate goes through it.  That is
+    sound on any table: a lane that is not poisoned is a sum of terms each
+    zero, as the body reads them (kind 0 at the inner or outer entry, or a
+    cartan coefficient 0), or a unit at the index of root i + j + k (a
+    vouched kind 1 hops to the index of root q + r, and its outer vouched
+    kind 1 to that of p + q + r; a vouched kind 2 at q = -r gives target
+    p), so the body's terms share one target and sum to 0.  The inner
+    cartan coefficient is -PR[j][i] in term 1 and -PR[negidx[i]][j] in
+    term 2, read through byte SIGN of the outer table; a pair where either
+    lies outside {-1, 0, 1}, or where kind[i][j] is 2 or more, or is 1 on
+    an entry not vouched for, sends every candidate to the body.  On the
+    table, 7,196 of the 965,906 candidates reach it: the triples with
+    i + j + k = 0, whose terms are cartan-valued, and the pairs j = -i.
 
     Every root-valued term of a triple is a nonzero multiple of a unit and
     belongs on the weight i + j + k, so one target and one packed w-pair
@@ -750,8 +820,8 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     [x_k, [x_i, x_j]] are written out in that order, each reading the table
     entries of the generic term [x_p, [x_q, x_r]]: kind, out and scl at
     (q, r), then at (p, out[q][r]) for a root-valued inner bracket, or
-    PR[q][p] for a cartan-valued one.  Rows i and j and column i are taken
-    once per i and j, and the (i, j) entries once per pair.
+    PR[q][p] for a cartan-valued one.  Rows i and j are taken once per i
+    and j, row k once per triple, and the (i, j) entries once per pair.
     """
     kind = alg.kind
     out = alg.out
@@ -763,44 +833,61 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
     pmul = _PMUL
     # the k > j of each row, the candidates that bracket nonzero with x_j
     tails = [row[bisect_right(row, j):] for j, row in enumerate(alg.nbr)]
-    hop, nz, hopcol, kcol = _jacobi_filters(alg)
-    ones = b"\x01" * 256
+    inner, hop, outer, inner_col, hop_col, outer_col = tables
+    term = _TERM_CODE[0]
     from_bytes = int.from_bytes
+    # per candidate count: the lanes of 27 (a triple that holds) and of 9
+    # (the code of a zero term)
+    holds = [from_bytes(bytes([27]) * s, "little") for s in range(n + 1)]
+    zeros = [from_bytes(bytes([9]) * s, "little") for s in range(n + 1)]
     evaluated = 0
     violations = []
 
     for i in range(lo, hi):
         kind_i, out_i, scl_i, PR_i, cr_i = kind[i], out[i], scl[i], PR[i], cr[i]
-        row_i, nz_i, hopcol_i = alg.nbr[i], nz[i], hopcol[i]
-        # column i: the inner bracket [x_k, x_i] of the second term
-        kind_ki = kcol[i]
-        out_ki = [r[i] for r in out]
-        scl_ki = [r[i] for r in scl]
+        row_i, inner_i, outer_i = alg.nbr[i], inner[i], outer[i]
+        inner_ci, hop_ci = inner_col[i], hop_col[i]
+        PR_neg = PR[alg.negidx[i]]
         for j in range(i + 1, n):
-            ks, nz_j = tails[j], nz[j]
+            ks = tails[j]
             ks += row_i[bisect_right(row_i, j):].translate(None, ks)
-            evaluated += len(ks)
-            if not ks:
+            size = len(ks)
+            evaluated += size
+            if not size:
                 continue
-            live = (from_bytes(ks.translate(hop[j]).translate(nz_i), "little")
-                    | from_bytes(ks.translate(hopcol_i).translate(nz_j),
-                                 "little"))
             k_ij, m_ij = kind_i[j], out_i[j]
-            if k_ij:
-                if k_ij == 1 and 0 <= m_ij < n:
-                    third = kcol[m_ij]
-                elif k_ij == 2:
-                    third = bytes(map(bool, PR_i)) + bytes(256 - n)
-                else:
-                    third = ones
-                live |= from_bytes(ks.translate(third), "little")
-            if not live:
-                continue
-            kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
+            # the cartan coefficients of terms 1 and 2, where k = -j and
+            # k = -i
             c_ji = -PR[j][i]
+            c_kj = -PR_neg[j]
+            live = ks
+            if (k_ij < 2 and -1 <= c_ji <= 1 and -1 <= c_kj <= 1
+                    and (not k_ij or inner_i[j] < 6)):
+                t1 = (from_bytes(ks.translate(inner[j]), "little")
+                      + from_bytes(ks.translate(hop[j]).translate(
+                          outer_i[c_ji]), "little"))
+                t2 = (from_bytes(ks.translate(inner_ci), "little")
+                      + from_bytes(ks.translate(hop_ci).translate(
+                          outer[j][c_kj]), "little"))
+                codes = (from_bytes(t1.to_bytes(size, "little")
+                                    .translate(term), "little")
+                         + from_bytes(t2.to_bytes(size, "little")
+                                      .translate(term), "little"))
+                if k_ij:
+                    codes += from_bytes(ks.translate(outer_col[m_ij])
+                                        .translate(_TERM_CODE[inner_i[j]]),
+                                        "little")
+                else:
+                    codes += zeros[size]
+                codes ^= holds[size]
+                if not codes:
+                    continue
+                live = compress(ks, codes.to_bytes(size, "little"))
+            kind_j, out_j, scl_j, cr_j = kind[j], out[j], scl[j], cr[j]
             s_ij = scl_i[j]
             mul_ij = pmul[s_ij]
-            for k in compress(ks, live.to_bytes(len(ks), "little")):
+            for k in live:
+                kind_k, out_k, scl_k = kind[k], out[k], scl[k]
                 target = None
                 stray = False
                 s = 0
@@ -821,9 +908,9 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
                     s = ppair[scl_j[k]] * c_ji
 
                 # [x_j, [x_k, x_i]]
-                kq = kind_ki[k]
+                kq = kind_k[i]
                 if kq == 1:
-                    m = out_ki[k]
+                    m = out_k[i]
                     kp = kind_j[m]
                     if kp == 1:
                         t = out_j[m]
@@ -831,9 +918,9 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
                             target = t
                         elif t != target:
                             stray = True
-                        s += pmul[scl_ki[k]][scl_j[m]]
+                        s += pmul[scl_k[i]][scl_j[m]]
                     elif kp:
-                        acc_c = _addc(acc_c, cr_j, pmul[scl_ki[k]][scl_j[m]])
+                        acc_c = _addc(acc_c, cr_j, pmul[scl_k[i]][scl_j[m]])
                 elif kq == 2:
                     c = -PR[k][j]
                     if c:
@@ -841,17 +928,17 @@ def _jacobi_root_range(alg: GradedAlgebra, lo: int, hi: int):
                             target = j
                         elif j != target:
                             stray = True
-                        s += ppair[scl_ki[k]] * c
+                        s += ppair[scl_k[i]] * c
 
                 # [x_k, [x_i, x_j]]
                 if k_ij == 1:
-                    kp = kind[k][m_ij]
+                    kp = kind_k[m_ij]
                     if kp == 1:
-                        if target is not None and out[k][m_ij] != target:
+                        if target is not None and out_k[m_ij] != target:
                             stray = True
-                        s += mul_ij[scl[k][m_ij]]
+                        s += mul_ij[scl_k[m_ij]]
                     elif kp:
-                        acc_c = _addc(acc_c, cr[k], mul_ij[scl[k][m_ij]])
+                        acc_c = _addc(acc_c, cr[k], mul_ij[scl_k[m_ij]])
                 elif k_ij == 2:
                     c = -PR_i[k]
                     if c:
@@ -923,59 +1010,33 @@ def _jacobi_cartan_parts(alg: GradedAlgebra):
     return evaluated, violations
 
 
-def _out_additive(alg: GradedAlgebra) -> bool:
-    """Whether the table's root-valued brackets sit where weights add: kind
-    1 exactly on the pairs with pairing -1, and there out[i][j] and
-    out[j][i] are the index of root i + root j.
-
-    Roots are compared by their basis coordinates (rs.coords), packed into
-    16-bit lanes by `lanes`, one-to-one far above the at most 12 of a sum
-    of two roots.  So one int sum is the coordinates of root i + root j, read
-    independently of the 9-vector packs that `RootSystem.sum_row` gives
-    `out` from.  The pairing is symmetric, so once every row holds kind 1
-    exactly at its -1 entries, each kind-1 pair is met with i < j; one sum
-    serves both orders.
-    """
-    pc = [lanes(c, 16) for c in alg.rs.coords]
-    kind, out, PR = alg.kind, alg.out, alg.PR
-    for i in range(alg.n):
-        kind_i, out_i, PR_i = kind[i], out[i], PR[i]
-        ones = 0
-        for j in compress(range(alg.n), kind_i):
-            if kind_i[j] == 1:
-                if PR_i[j] != -1:
-                    return False
-                ones += 1
-                if j > i and not (pc[out_i[j]] == pc[i] + pc[j]
-                                  == pc[out[j][i]]):
-                    return False
-        if ones != PR_i.count(-1):
-            return False
-    return True
-
-
 def verify_jacobi(alg: GradedAlgebra):
     """Full Jacobi sweep over basis triples.
 
     Candidate pruning is exact: if none of the three pairwise brackets is
     nonzero, every term vanishes (additivity of weights forbids the inner
     bracket from reaching the remaining weight).  That additivity of the
-    table is checked as `out_additive`.  Every candidate counts in
-    `evaluated_triples`.  Byte filters (`_jacobi_filters`) then keep from
-    the Python body the candidates whose three terms all read zero from
-    their own kind and out entries: ZERO (255) marks kind 0, and SLOW (254)
-    any entry the filter does not follow (kind 2 or more, or an out outside
-    the table), which always reaches the body.  The filter only
-    over-approximates the nonzero terms, so the violations are those of the
-    body run on every candidate, on any table.
+    table is checked as `out_additive`, from the same pass over the table
+    that builds the lane tables (_jacobi_lanes).  Every candidate counts in
+    `evaluated_triples`.  The lanes then keep from the Python body each
+    candidate whose three terms, read from its own entries, are each zero
+    or a unit at the index of root i + j + k and sum to 0.  A lane vouches
+    only for kind 0, for kind 1 with a code in 0..5 and out the index of
+    the root sum, and for kind 2 at the opposite root with a code in 0..5
+    (as an inner bracket); every other entry poisons its lane, and a pair
+    with kind[i][j] of 2 or more, or an inner cartan coefficient outside
+    {-1, 0, 1}, sends every candidate to the body.  So the violations are
+    those of the body run on every candidate, on any table.  The tables
+    are dropped when the sweep returns.
     """
     ev_c, vi_c = _jacobi_cartan_parts(alg)
-    ev_r, vi_r = _jacobi_root_range(alg, 0, alg.n)
+    tables, additive = _jacobi_lanes(alg)
+    ev_r, vi_r = _jacobi_root_range(alg, tables, 0, alg.n)
     return {
         "evaluated_triples": ev_c + ev_r,
         "violations": sorted(vi_c + vi_r, key=repr),
         "antisymmetry_violations": alg.check_antisymmetry(),
-        "out_additive": _out_additive(alg),
+        "out_additive": additive,
     }
 
 
